@@ -28,6 +28,9 @@ from repro.sim.process import Process, WaitUntil
 from repro.util.validation import check_fraction
 
 
+_FLIP_CHARS = str.maketrans("01", "10")
+
+
 def flip_bitlike_fields(message: Message) -> Message:
     """Return a copy of ``message`` with every bit-like payload inverted.
 
@@ -42,8 +45,7 @@ def flip_bitlike_fields(message: Message) -> Message:
             continue
         value = getattr(message, field.name)
         if isinstance(value, str) and value and set(value) <= {"0", "1"}:
-            replacements[field.name] = "".join(
-                "1" if ch == "0" else "0" for ch in value)
+            replacements[field.name] = value.translate(_FLIP_CHARS)
         elif isinstance(value, dict) and value and all(
                 bit in (0, 1) for bit in value.values()):
             replacements[field.name] = {key: 1 - bit

@@ -14,14 +14,24 @@ complexity is measured.
 
 from __future__ import annotations
 
+import hashlib
 from collections import defaultdict
+from functools import lru_cache
 
 from repro.adversary.base import Adversary
 from repro.sim.messages import Message
-from repro.util.rng import derive_seed
 from repro.util.validation import check_fraction
 
 _RESOLUTION = float(1 << 53)
+
+
+@lru_cache(maxsize=16)
+def _seed_prefix(seed: int):
+    """SHA-256 state after the ``"{seed}:"`` prefix every draw of one
+    run shares (:func:`repro.util.rng.derive_seed`'s input format), so
+    a draw copies it and hashes only its own label.  Kept off the
+    adversary object because hash states do not pickle."""
+    return hashlib.sha256(f"{seed}:".encode("utf-8"))
 
 
 class LatencyAdversary(Adversary):
@@ -39,9 +49,11 @@ class LatencyAdversary(Adversary):
         self._edge_counters: dict[tuple[int, int, int], int] = defaultdict(int)
 
     def _unit(self, *labels: object) -> float:
-        """A uniform [0,1) value determined by the seed and ``labels``."""
-        seed = derive_seed(self.rng.seed, ":".join(str(item) for item in labels))
-        return (seed >> 11) / _RESOLUTION
+        """A uniform [0,1) value determined by the seed and ``labels``
+        (``derive_seed(seed, ":".join(labels))`` scaled to 53 bits)."""
+        hasher = _seed_prefix(self.rng.seed).copy()
+        hasher.update(":".join(map(str, labels)).encode("utf-8"))
+        return (int.from_bytes(hasher.digest()[:8], "big") >> 11) / _RESOLUTION
 
     def _edge_unit(self, sender: int, destination: int, cycle: int) -> float:
         """Per-message uniform value; counter makes repeats independent."""

@@ -19,7 +19,7 @@ deterministic option (Theorem 3.1) and randomization cannot help
 """
 
 from repro.protocols.balanced import BalancedDownloadPeer, ShareMessage
-from repro.protocols.base import UNKNOWN, DownloadPeer
+from repro.protocols.base import DownloadPeer
 from repro.protocols.byz_committee import (
     ByzCommitteeDownloadPeer,
     CommitteeReport,
@@ -89,7 +89,6 @@ __all__ = [
     "SegmentReport",
     "ShareMessage",
     "TwoCycleParameters",
-    "UNKNOWN",
     "all_protocols",
     "choose_base_segments",
     "count_ones",

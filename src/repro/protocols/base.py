@@ -12,13 +12,22 @@ callable :class:`~repro.sim.runner.Simulation` expects, so runs read::
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Callable, Optional
 
 from repro.sim.peer import Peer, SimEnv
 from repro.util.bitarrays import BitArray
 
-#: Sentinel bit value for "not learned yet" in working output arrays.
-UNKNOWN = -1
+#: Byte marking "not learned yet" in a working array; learned bits are
+#: stored as the bytes 0 and 1.
+_UNKNOWN = 2
+#: ``bytes.translate`` tables between the working array and the wire
+#: format.  A segment string maps ``'1'`` to 1 and anything else to 0;
+#: an unknown byte renders as ``'0'``.
+_CHAR_TO_BIT = bytes(1 if byte == ord("1") else 0 for byte in range(256))
+_BIT_TO_CHAR = bytes(ord("1") if byte == 1 else ord("0")
+                     for byte in range(256))
+_UNKNOWN_MASK = bytes(1 if byte == _UNKNOWN else 0 for byte in range(256))
 
 
 class BoundPeerFactory:
@@ -57,30 +66,25 @@ class DownloadPeer(Peer):
 
     def __init__(self, pid: int, env: SimEnv) -> None:
         super().__init__(pid, env)
-        # Working copy of the output: -1 marks unknown bits.  BitArray
-        # cannot hold the sentinel, so the working array is a list and
-        # is packed only at finish time.  On the scale path the list is
-        # allocated lazily on first touch — board-driven protocols
-        # never touch it, and n * ell sentinel lists are exactly the
-        # per-object memory the scale path exists to avoid.
-        self._working: Optional[list[int]] = (
-            None if env.scale is not None else [UNKNOWN] * env.ell)
-        # Invariant: number of UNKNOWN entries in ``working``.  Learned
-        # bits are never overwritten, so the count only decreases; it
-        # makes ``all_known``/``known_count`` O(1) instead of a scan
-        # per delivered message.
+        # Working copy of the output, one byte per bit so the range
+        # helpers below are count/find/translate/slice calls; it is
+        # packed into a BitArray only at finish time.  Allocated on
+        # first touch: the scale path's board-driven protocols never
+        # touch it, and n * ell sentinel arrays are exactly the
+        # per-object memory that path exists to avoid.
+        self._working: Optional[bytearray] = None
+        # Invariant: number of unknown entries in the working array.
+        # Learned bits are never overwritten, so the count only
+        # decreases; it makes ``all_known``/``known_count`` O(1)
+        # instead of a scan per delivered message.
         self._unknown_count = env.ell
 
-    @property
-    def working(self) -> list[int]:
+    def _array(self) -> bytearray:
+        """The working array; protocols go through the helpers below."""
         array = self._working
         if array is None:
-            array = self._working = [UNKNOWN] * self.env.ell
+            array = self._working = bytearray((_UNKNOWN,)) * self.ell
         return array
-
-    @working.setter
-    def working(self, array: list[int]) -> None:
-        self._working = array
 
     @classmethod
     def factory(cls, **params) -> Callable[[int, SimEnv], "DownloadPeer"]:
@@ -117,35 +121,47 @@ class DownloadPeer(Peer):
         """
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-        working = self.working
-        if working[index] == UNKNOWN:
+        working = self._array()
+        if working[index] == _UNKNOWN:
             working[index] = bit
             self._note_learned(1)
 
     def learn_many(self, values: dict[int, int]) -> None:
         """Record several bits at once."""
-        working = self.working
+        working = self._array()
         learned = 0
-        for index, bit in values.items():
-            if bit not in (0, 1):
-                raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-            if working[index] == UNKNOWN:
-                working[index] = bit
-                learned += 1
-        if learned:
-            self._note_learned(learned)
+        try:
+            for index, bit in values.items():
+                if bit not in (0, 1):
+                    raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+                if working[index] == _UNKNOWN:
+                    working[index] = bit
+                    learned += 1
+        finally:
+            # Also on a bad entry: what was applied before it stays
+            # applied, so it must stay counted.
+            if learned:
+                self._note_learned(learned)
 
     def learn_string(self, lo: int, string: str) -> None:
         """Record a segment string starting at bit ``lo``."""
-        working = self.working
-        learned = 0
-        for offset, ch in enumerate(string):
-            index = lo + offset
-            if working[index] == UNKNOWN:
-                working[index] = 1 if ch == "1" else 0
-                learned += 1
-        if learned:
-            self._note_learned(learned)
+        hi = lo + len(string)
+        if lo < 0 or hi > self.ell:
+            raise IndexError(
+                f"segment [{lo}, {hi}) outside the {self.ell}-bit array")
+        working = self._array()
+        unknown = working.count(_UNKNOWN, lo, hi)
+        if not unknown:
+            return
+        bits = string.encode("ascii", "replace").translate(_CHAR_TO_BIT)
+        if unknown == hi - lo:
+            working[lo:hi] = bits
+        else:
+            index = working.find(_UNKNOWN, lo, hi)
+            while index != -1:
+                working[index] = bits[index - lo]
+                index = working.find(_UNKNOWN, index + 1, hi)
+        self._note_learned(unknown)
 
     def _note_learned(self, count: int) -> None:
         """Shrink the unknown-count invariant by ``count`` bits, and
@@ -162,8 +178,8 @@ class DownloadPeer(Peer):
         """Sorted indices this peer has not learned yet."""
         if self._unknown_count == 0:
             return []
-        return [index for index, bit in enumerate(self.working)
-                if bit == UNKNOWN]
+        return list(compress(range(self.ell),
+                             self._array().translate(_UNKNOWN_MASK)))
 
     def known_count(self) -> int:
         """Number of learned bits."""
@@ -173,10 +189,24 @@ class DownloadPeer(Peer):
         """True when every bit is learned."""
         return self._unknown_count == 0
 
+    def is_known(self, index: int) -> bool:
+        """True when bit ``index`` is learned."""
+        return self._array()[index] != _UNKNOWN
+
+    def known_range(self, lo: int, hi: int) -> bool:
+        """True when every bit of ``[lo, hi)`` is learned."""
+        return self._array().find(_UNKNOWN, lo, hi) == -1
+
     def known_subset(self, indices) -> dict[int, int]:
         """The subset of ``indices`` this peer knows, with values."""
-        return {index: self.working[index] for index in indices
-                if self.working[index] != UNKNOWN}
+        working = self._array()
+        return {index: bit for index in indices
+                if (bit := working[index]) != _UNKNOWN}
+
+    def working_string(self, lo: int = 0, hi: Optional[int] = None) -> str:
+        """Bits ``[lo, hi)`` as a '0'/'1' string, the segment wire
+        format (default: the whole array).  Unknown bits read as '0'."""
+        return self._array()[lo:hi].translate(_BIT_TO_CHAR).decode("ascii")
 
     def finish_with_working(self) -> None:
         """Terminate, packing the working array into the output.
@@ -189,4 +219,4 @@ class DownloadPeer(Peer):
             raise RuntimeError(
                 f"peer {self.pid} tried to terminate with "
                 f"{len(missing)} unknown bits (first: {missing[:5]})")
-        self.finish(BitArray.from_bits(self.working))
+        self.finish(BitArray.from_string(self.working_string()))

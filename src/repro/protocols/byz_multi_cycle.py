@@ -178,11 +178,9 @@ class ByzMultiCycleDownloadPeer(DownloadPeer):
         pieces: list[str] = []
         for child in self.hierarchy.children(cycle, segment):
             lo, hi = self.hierarchy.bounds(cycle - 1, child)
-            if all(self.working[index] != -1 for index in range(lo, hi)):
+            if self.known_range(lo, hi):
                 # Already learned (e.g. our own cycle-1 segment).
-                pieces.append("".join(
-                    "1" if self.working[index] else "0"
-                    for index in range(lo, hi)))
+                pieces.append(self.working_string(lo, hi))
                 continue
             candidates = table.frequent(child, tau)
             if not candidates:

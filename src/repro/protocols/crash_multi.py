@@ -48,7 +48,7 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from repro.core.assignment import group_by_digit_owner
-from repro.protocols.base import UNKNOWN, DownloadPeer
+from repro.protocols.base import DownloadPeer
 from repro.sim.messages import Message
 from repro.sim.peer import SimEnv
 
@@ -85,7 +85,7 @@ class MissingRequest(Message):
     phase: int
     needs: dict[int, tuple[int, ...]]
 
-    def size_bits(self) -> int:
+    def measure_bits(self) -> int:
         from repro.sim.messages import FIELD_BITS, HEADER_BITS
         payload = sum(FIELD_BITS * (1 + len(indices))
                       for indices in self.needs.values())
@@ -100,7 +100,7 @@ class MissingResponse(Message):
     phase: int
     found: dict[int, Optional[dict[int, int]]]
 
-    def size_bits(self) -> int:
+    def measure_bits(self) -> int:
         from repro.sim.messages import FIELD_BITS, HEADER_BITS
         payload = 0
         for values in self.found.values():
@@ -276,8 +276,8 @@ class CrashMultiDownloadPeer(DownloadPeer):
             self._enter(self.total_phases + 1, 1)
             residue = yield from self.query_bits(self.unknown_indices())
             self.learn_many(residue)
-        bits = "".join("1" if bit == 1 else "0" for bit in self.working)
-        self.broadcast(FullArray(sender=self.pid, bits=bits))
+        self.broadcast(FullArray(sender=self.pid,
+                                 bits=self.working_string()))
         self.finish_with_working()
 
     def _stage3_done(self, phase: int, needed: int,
@@ -292,9 +292,8 @@ class CrashMultiDownloadPeer(DownloadPeer):
             # Thm 2.13: each missing peer either resolved through a
             # helper/by its own late response (its bits are learned) or
             # is still genuinely unresolved.
-            return all(
-                all(self.working[index] != UNKNOWN for index in indices)
-                for indices in needs.values())
+            return all(all(map(self.is_known, indices))
+                       for indices in needs.values())
         return False
 
 

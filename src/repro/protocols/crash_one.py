@@ -197,7 +197,7 @@ class CrashOneDownloadPeer(DownloadPeer):
             self.phase, self.stage = 2, 1
             my_slice = [index for index, owner in self._reassignment.items()
                         if owner == self.pid
-                        and self.working[index] == -1]
+                        and not self.is_known(index)]
             values = yield from self.query_bits(my_slice)
             self.learn_many(values)
             known_slice = self.known_subset(
@@ -229,8 +229,8 @@ class CrashOneDownloadPeer(DownloadPeer):
         # ---------------- completion ----------------
         self.phase, self.stage = 3, 1
         self._serve_probes()
-        bits = "".join("1" if bit == 1 else "0" for bit in self.working)
-        self.broadcast(FullBits(sender=self.pid, bits=bits))
+        self.broadcast(FullBits(sender=self.pid,
+                                bits=self.working_string()))
         self.finish_with_working()
 
     def _single_missing(self, phase: int) -> Optional[int]:

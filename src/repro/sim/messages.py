@@ -87,7 +87,26 @@ class Message:
     sender: int
 
     def size_bits(self) -> int:
-        """Size of this message in bits (header + all payload fields)."""
+        """Size of this message in bits, measured once per instance.
+
+        A broadcast shares one frozen object among ``n - 1`` sends (and
+        every relay hop, trace record and sync-engine charge), so the
+        first call stores :meth:`measure_bits` in the instance dict and
+        later calls read it back.  The entry is not a dataclass field:
+        ``==``, ``repr``, ``fields`` and ``dataclasses.replace`` never
+        see it, and a replaced message is a new object that measures
+        itself afresh.  Safe because payloads are never mutated after
+        the message is handed to the network.
+        """
+        try:
+            return self.__dict__["_size_bits"]
+        except KeyError:
+            size = self.__dict__["_size_bits"] = self.measure_bits()
+            return size
+
+    def measure_bits(self) -> int:
+        """Walk the payload: header + all payload fields.  Message types
+        with a cheaper closed form override this, not :meth:`size_bits`."""
         payload = 0
         for name in _payload_fields(type(self)):
             payload += bits_for(getattr(self, name))
@@ -106,7 +125,7 @@ class SourceResponse(Message):
     request_id: int
     values: dict[int, int]
 
-    def size_bits(self) -> int:
+    def measure_bits(self) -> int:
         # The source answers with raw bits; indices are implied by the
         # request, so only the bits themselves are charged.
         return HEADER_BITS + FIELD_BITS + len(self.values)

@@ -16,7 +16,6 @@ The three measures the paper optimizes (Section 1.2):
 
 from __future__ import annotations
 
-import warnings
 from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
@@ -108,23 +107,6 @@ class MetricsCollector:
             per_peer_query_bits=per_query,
             per_peer_messages=per_msgs,
         )
-
-    def queried_bits_of(self, pid: int) -> int:
-        """Deprecated accessor for one peer's query-bit count.
-
-        .. deprecated::
-            Read ``report(honest).per_peer_query_bits`` — or, for a
-            finished run, :func:`repro.obs.schema.unified_metrics` —
-            instead of poking at the collector's internal dicts.
-            Scheduled for removal in the 2026.10 release.
-        """
-        warnings.warn(
-            "MetricsCollector.queried_bits_of is deprecated; use "
-            "report(...).per_peer_query_bits or "
-            "repro.obs.schema.unified_metrics(result); scheduled for "
-            "removal in the 2026.10 release",
-            DeprecationWarning, stacklevel=2)
-        return self.query_bits.get(pid, 0)
 
 
 @dataclass

@@ -282,7 +282,6 @@ class Network:
         hop = index + 1
         node = hops[index + 1]
         receiver = self._receivers[node]
-        size = message.size_bits()
         if index + 2 == len(hops):
             if not receiver.live:
                 return
@@ -300,6 +299,7 @@ class Network:
         if getattr(receiver, "halted", False):
             return  # route severed at a crashed relay
         next_node = hops[index + 2]
+        size = message.size_bits()
         if self.trace is not None:
             self.trace.record(self.kernel.now, "deliver",
                               sender=hops[index], destination=node,
@@ -386,7 +386,6 @@ class Network:
         metrics = self.metrics
         sender = self._receivers.get(sender_pid)
         now = kernel.now
-        size = message.size_bits()
         sent = 0          # untransformed sends, for one batched charge
         run_lo = -1       # current groupable destination run [lo, hi)
         run_hi = -1
@@ -452,7 +451,7 @@ class Network:
                                                destination + 1, latency)
         flush()
         if sent:
-            metrics.record_messages(sender_pid, sent, size)
+            metrics.record_messages(sender_pid, sent, message.size_bits())
 
     def _deliver_span(self, message: Message, lo: int, hi: int,
                       sink) -> None:

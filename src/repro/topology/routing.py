@@ -38,7 +38,10 @@ class Router:
         table[dst] = -1
         rng = SplittableRNG(derive_seed(self.seed, f"route-{dst}"))
         frontier = [dst]
-        while frontier:
+        # Once every node has its next hop the remaining shuffles can
+        # assign nothing, and this table's RNG is never used again.
+        unreached = topology.n - 1
+        while frontier and unreached:
             next_frontier = []
             for node in frontier:
                 adjacent = list(topology.neighbors(node))
@@ -49,8 +52,11 @@ class Router:
                         # other's first hop *toward* dst.
                         table[other] = node
                         next_frontier.append(other)
+                        unreached -= 1
+                if not unreached:
+                    break
             frontier = next_frontier
-        if any(entry == -2 for entry in table):
+        if unreached:
             unreachable = [pid for pid, entry in enumerate(table)
                            if entry == -2]
             raise ValueError(

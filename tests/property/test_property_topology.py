@@ -22,15 +22,18 @@ grammar; the invariants are the ones every engine leans on:
 
 import math
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.topology import (
     CompleteTopology,
     Router,
+    Topology,
     build_topology,
     flood_layers,
     resolve_topology,
 )
+from repro.util.rng import SplittableRNG, derive_seed
 
 COMMON = dict(max_examples=40, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
@@ -142,6 +145,49 @@ class TestRouting:
         dst = data.draw(st.integers(min_value=0, max_value=topology.n - 1))
         assert Router(topology, seed).path(src, dst) == \
             Router(topology, seed).path(src, dst)
+
+
+    @settings(**COMMON)
+    @given(name=st.sampled_from(["ring", "star", "random-dregular:4",
+                                 "expander"]),
+           n=st.sampled_from([6, 16, 33, 64, 96]),
+           seed=st.integers(min_value=0, max_value=2 ** 32))
+    def test_early_exit_tables_equal_full_bfs(self, name, n, seed):
+        # The table builder stops shuffling once all n - 1 nodes have a
+        # next hop; the walk below never stops early.  Same seed, same
+        # per-destination stream, so every table must be identical.
+        topology = build_topology(name, n, seed)
+        router = Router(topology, seed)
+        for dst in range(n):
+            assert router._table(dst) == full_bfs_table(topology, seed, dst)
+
+    def test_disconnected_graph_still_raises(self):
+        split = Topology(5, "split", [[1], [0], [3, 4], [2], [2]])
+        with pytest.raises(ValueError, match=r"'split' is disconnected: "
+                                             r"\[2, 3, 4\] cannot reach 0"):
+            Router(split, seed=3).path(1, 0)
+        with pytest.raises(ValueError, match=r"\[0, 1\] cannot reach 4"):
+            Router(split, seed=3).path(2, 4)
+
+
+def full_bfs_table(topology, seed, dst):
+    """``Router._table`` as first written: every frontier node's
+    adjacency is shuffled until the frontier runs dry."""
+    table = [-2] * topology.n
+    table[dst] = -1
+    rng = SplittableRNG(derive_seed(seed, f"route-{dst}"))
+    frontier = [dst]
+    while frontier:
+        next_frontier = []
+        for node in frontier:
+            adjacent = list(topology.neighbors(node))
+            rng.shuffle(adjacent)
+            for other in adjacent:
+                if table[other] == -2:
+                    table[other] = node
+                    next_frontier.append(other)
+        frontier = next_frontier
+    return table
 
 
 class TestCompleteResolvesToPreTopologyPath:

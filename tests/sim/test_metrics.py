@@ -22,39 +22,18 @@ class TestQueryAccounting:
         per_peer = MetricsCollector().report(honest=[9]).per_peer_query_bits
         assert per_peer == {9: 0}
 
-    def test_queried_bits_of_is_deprecated(self):
-        metrics = MetricsCollector()
-        metrics.record_query(0, 7)
-        with pytest.warns(DeprecationWarning, match="per_peer_query_bits"):
-            assert metrics.queried_bits_of(0) == 7
-
-    def test_queried_bits_of_warning_pins_message_and_removal(self):
-        # The full text is pinned so a reworded warning (or a slipped
-        # removal date) fails loudly instead of silently drifting from
-        # the docs (docs/MODEL.md, docs/OBSERVABILITY.md).
-        metrics = MetricsCollector()
-        with pytest.warns(DeprecationWarning) as caught:
-            assert metrics.queried_bits_of(3) == 0
-        messages = {str(record.message) for record in caught}
-        assert messages == {
-            "MetricsCollector.queried_bits_of is deprecated; use "
-            "report(...).per_peer_query_bits or "
-            "repro.obs.schema.unified_metrics(result); scheduled for "
-            "removal in the 2026.10 release"}
-
     def test_queried_bits_of_has_no_in_repo_callers(self):
-        # Removal-readiness: the deprecated accessor must have no
-        # callers left in the library (its definition site is the only
-        # permitted mention).
+        # Deprecated in PR 4, removed on schedule (2026.10): the
+        # accessor is gone and nothing in the library mentions it.
         import pathlib
 
         import repro
+        assert not hasattr(MetricsCollector, "queried_bits_of")
         root = pathlib.Path(repro.__file__).resolve().parent
         offenders = [
             str(path.relative_to(root))
             for path in sorted(root.rglob("*.py"))
-            if path.name != "metrics.py"
-            and "queried_bits_of" in path.read_text(encoding="utf-8")]
+            if "queried_bits_of" in path.read_text(encoding="utf-8")]
         assert offenders == []
 
 
