@@ -118,6 +118,38 @@ CASES: list[dict] = [
      "peer": "cross-validate-escalate", "n": 6, "ell": 256, "t": 0,
      "seed": 61, "peer_params": {"f": 1, "alert": True}, "sources": 3,
      "source_faults": ["wrong-bits"], "topology": "ring"},
+    # -- asynchronous kernel over routed topologies ---------------------
+    # Every case with a "topology" runs traced, and its record carries
+    # ``messages_sha``: a digest of every send/deliver record in order,
+    # relay hops included (time, endpoints, type, bits, relay, hop).
+    # The telemetry runner recomputes the same digest from the
+    # recording backend's events, so both instrumentations are pinned.
+    {"name": "routed-balanced-ring", "engine": "async",
+     "protocol": "balanced", "n": 8, "ell": 128, "fault_model": "none",
+     "beta": 0.0, "seed": 67, "topology": "ring"},
+    {"name": "routed-balanced-expander", "engine": "async",
+     "protocol": "balanced", "n": 16, "ell": 128, "fault_model": "none",
+     "beta": 0.0, "seed": 71, "topology": "expander"},
+    {"name": "routed-balanced-star", "engine": "async",
+     "protocol": "balanced", "n": 8, "ell": 128, "fault_model": "none",
+     "beta": 0.0, "seed": 73, "topology": "star"},
+    # Every hop leaving peers 2 and 5 — their own sends and the hops
+    # they relay — is withheld; a relay hop released at quiescence must
+    # land at the hop's destination and continue its route from there.
+    {"name": "routed-withhold-ring", "engine": "async",
+     "protocol": "balanced", "n": 8, "ell": 128, "fault_model": "none",
+     "beta": 0.0, "seed": 79, "topology": "ring",
+     "withhold_from": [2, 5]},
+    # One peer crashes mid-run: routes through it are severed (19 relay
+    # arrivals die there) while finished relays keep forwarding (85).
+    {"name": "routed-crash-one-ring", "engine": "async",
+     "protocol": "crash-one", "n": 8, "ell": 128, "fault_model": "crash",
+     "beta": 0.125, "seed": 3, "topology": "ring"},
+    # Per-link FIFO and multi-packet latency on every relay hop.
+    {"name": "routed-fifo-packetize-ring", "engine": "async",
+     "protocol": "balanced", "n": 8, "ell": 128, "fault_model": "none",
+     "beta": 0.0, "seed": 83, "topology": "ring", "fifo": True,
+     "packetize": True, "message_size_limit": 16},
 ]
 
 
@@ -137,6 +169,52 @@ def _queried_digest(queried: dict) -> str:
     return _sha("|".join(parts))
 
 
+def _message_line(kind, time, src, dst, name, bits, honest, relay,
+                  hop) -> str:
+    return (f"{kind}|{time!r}|{src}|{dst}|{name}|{bits}|{honest}|"
+            f"{relay}|{hop}")
+
+
+def trace_messages_digest(trace) -> str:
+    """Digest of a TraceRecorder's send/deliver records, in order."""
+    return _sha("\n".join(
+        _message_line(record.kind, record.time, record["sender"],
+                      record["destination"], record["message"],
+                      record.details.get("bits"),
+                      record.details.get("honest"),
+                      record.details.get("relay"),
+                      record.details.get("hop"))
+        for record in trace.records
+        if record.kind in ("send", "deliver")))
+
+
+def telemetry_messages_digest(events) -> str:
+    """The same digest, from a recording backend's event dicts."""
+    return _sha("\n".join(
+        _message_line(event["event"], event["t"], event["src"],
+                      event["dst"], event["type"], event.get("bits"),
+                      event.get("honest"), event.get("relay"),
+                      event.get("hop"))
+        for event in events if event["event"] in ("send", "deliver")))
+
+
+def _withholding_adversary(peers):
+    """UniformRandomDelay that withholds every hop leaving ``peers``
+    until quiescence (then releases them all, the base policy)."""
+    from repro.adversary.latency import UniformRandomDelay
+    from repro.sim.network import WITHHOLD
+
+    class WithholdFrom(UniformRandomDelay):
+        def message_latency(self, sender, destination, message, now,
+                            cycle):
+            if sender in peers:
+                return WITHHOLD
+            return super().message_latency(sender, destination, message,
+                                           now, cycle)
+
+    return WithholdFrom()
+
+
 def _capture_async(case: dict, *, force_sourceset: bool = False) -> dict:
     from repro.experiments import ExperimentSpec
     from repro.sim import run_download
@@ -149,22 +227,29 @@ def _capture_async(case: dict, *, force_sourceset: bool = False) -> dict:
         protocol_params=case.get("protocol_params", {}),
         base_seed=case["seed"],
         sources=case.get("sources", 1),
-        source_faults=tuple(case.get("source_faults", ())))
+        source_faults=tuple(case.get("source_faults", ())),
+        topology=case.get("topology", "complete"))
     source_faults = spec.source_faults
     if force_sourceset and spec.sources == 1 and not source_faults:
         # Route the run through a k=1 honest SourceSet instead of the
         # plain DataSource; the record must stay bit-identical (same
         # seed, same accounting, same trace — the tentpole contract).
         source_faults = ("honest",)
+    routed = "topology" in case
+    adversary = (_withholding_adversary(frozenset(case["withhold_from"]))
+                 if "withhold_from" in case else spec.build_adversary())
     result = run_download(
         n=spec.n, ell=spec.ell, peer_factory=spec.peer_factory(),
-        adversary=spec.build_adversary(), t=spec.t,
+        adversary=adversary, t=spec.t,
         seed=spec.seed_for(0), sources=spec.sources,
-        source_faults=source_faults)
+        source_faults=source_faults, topology=spec.topology,
+        fifo=case.get("fifo", False),
+        packetize=case.get("packetize", False),
+        message_size_limit=case.get("message_size_limit"), trace=routed)
     outputs = {str(pid): _array_digest(result.outputs[pid])
                for pid in sorted(result.honest)
                if result.outputs[pid] is not None}
-    return {
+    record = {
         "correct": bool(result.download_correct),
         "query_complexity": result.report.query_complexity,
         "total_query_bits": result.report.total_query_bits,
@@ -178,6 +263,9 @@ def _capture_async(case: dict, *, force_sourceset: bool = False) -> dict:
         "outputs_sha": outputs,
         "queried_sha": _queried_digest(result.queried_indices),
     }
+    if routed:
+        record["messages_sha"] = trace_messages_digest(result.trace)
+    return record
 
 
 _SYNC_PEERS = {

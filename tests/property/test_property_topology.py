@@ -223,7 +223,7 @@ class TestCompleteGoldenIdentity:
 
         fixture = capture.load_fixture()
         for case in capture.CASES:
-            if case["engine"] != "async":
+            if case["engine"] != "async" or "topology" in case:
                 continue
             spec = ExperimentSpec(
                 protocol=case["protocol"], n=case["n"], ell=case["ell"],
