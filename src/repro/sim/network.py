@@ -73,6 +73,104 @@ class WithheldMessage:
     resume: Optional[object] = None
 
 
+class _Route:
+    """One topology-routed delivery, carried through all its hops.
+
+    Send-side adversary hooks (``permit_send``, ``transform_message``)
+    fired once, at the origin; the relay is a transport service of the
+    network layer, so what the adversary keeps for every hop is its
+    scheduling power — each hop draws its own ``message_latency`` and
+    may be withheld independently (a withheld hop released at
+    quiescence lands at the hop's destination and the route continues
+    from there, so the adversary can stall a route one quiescence per
+    hop but never forever).  Only one hop is ever pending, so the
+    bound :meth:`arrive` is every hop's scheduled action and a
+    withheld hop's ``resume``.
+    """
+
+    __slots__ = ("network", "hops", "index", "message", "cycle", "honest")
+
+    def __init__(self, network: "Network", hops: list, message: Message,
+                 cycle: int, honest: bool) -> None:
+        self.network = network
+        self.hops = hops
+        self.index = 0  # pending hop: hops[index] -> hops[index + 1]
+        self.message = message
+        self.cycle = cycle
+        self.honest = honest
+
+    def forward(self) -> None:
+        """Dispatch the pending hop."""
+        network, message, index = self.network, self.message, self.index
+        hop_src, hop_dst = self.hops[index], self.hops[index + 1]
+        latency = network.adversary.message_latency(
+            hop_src, hop_dst, message, network.kernel.now, self.cycle)
+        if (network.packetize and network.message_size_limit is not None
+                and isinstance(latency, (int, float))):
+            latency = float(latency) * -(
+                -message.size_bits() // network.message_size_limit)
+        network._dispatch(
+            hop_src, hop_dst, message, latency, self.arrive,
+            "deliver" if index + 2 == len(self.hops) else "relay")
+
+    def arrive(self) -> None:
+        """The pending hop arrived at ``hops[index + 1]``.
+
+        At the final destination this is a delivery (telemetry carries
+        the total ``hop`` count; ``src`` stays the original sender, as
+        on the direct path).  At an intermediate node the message is
+        forwarded to the next hop — unless the relay *crashed*, in
+        which case the route is severed and the message dies (sparse
+        topologies make crash faults cut routes; that is the model).
+        A relay that merely finished still forwards: relaying is the
+        network layer's transport service, and a terminated-but-correct
+        node's links stay up.
+        """
+        network, message, hops = self.network, self.message, self.hops
+        hop = self.index + 1
+        node = hops[hop]
+        receiver = network._receivers[node]
+        now = network.kernel.now
+        trace, telemetry = network.trace, network.telemetry
+        if hop + 1 == len(hops):
+            if not receiver.live:
+                return
+            if trace is not None:
+                trace.record(now, "deliver",
+                             sender=message.sender, destination=node,
+                             message=type(message).__name__, hop=hop)
+            if telemetry is not None:
+                telemetry.emit("deliver", {
+                    "t": now, "src": message.sender, "dst": node,
+                    "type": type(message).__name__, "hop": hop})
+            receiver.deliver(message)
+            return
+        if getattr(receiver, "halted", False):
+            return  # route severed at a crashed relay
+        size = message.size_bits()
+        if trace is not None:
+            trace.record(now, "deliver",
+                         sender=hops[hop - 1], destination=node,
+                         message=type(message).__name__,
+                         relay=True, hop=hop)
+            trace.record(now, "send",
+                         sender=node, destination=hops[hop + 1],
+                         message=type(message).__name__, bits=size,
+                         honest=self.honest, relay=True, hop=hop + 1)
+        if telemetry is not None:
+            telemetry.emit("deliver", {
+                "t": now, "src": hops[hop - 1], "dst": node,
+                "type": type(message).__name__, "relay": True, "hop": hop})
+            telemetry.emit("send", {
+                "t": now, "src": node, "dst": hops[hop + 1],
+                "type": type(message).__name__, "bits": size,
+                "honest": self.honest, "relay": True, "hop": hop + 1})
+        if self.honest:
+            network.metrics.record_message(node, size)
+        self.index = hop
+        self.forward()
+
+
 class Network:
     """Complete network over ``n`` peers with per-message adversary delays."""
 
@@ -206,7 +304,7 @@ class Network:
         if self._router is not None:
             hops = self._router.path(sender_pid, destination)
             if len(hops) > 2:
-                self._forward(hops, 0, message, sender_cycle, honest)
+                _Route(self, hops, message, sender_cycle, honest).forward()
                 return True
         latency = self.adversary.message_latency(
             sender_pid, destination, message, self.kernel.now, sender_cycle)
@@ -217,119 +315,17 @@ class Network:
         self._dispatch(sender_pid, destination, message, latency)
         return True
 
-    # -- topology-routed relay ---------------------------------------------
-
-    def _forward(self, hops: list, index: int, message: Message,
-                 sender_cycle: int, honest: bool) -> None:
-        """Dispatch hop ``index`` of a routed delivery.
-
-        Send-side adversary hooks (``permit_send``,
-        ``transform_message``) fired once, at the origin; the relay is
-        a transport service of the network layer, so what the
-        adversary keeps for every hop is its scheduling power — each
-        hop draws its own ``message_latency`` and may be withheld
-        independently (a withheld hop released at quiescence lands at
-        the hop's destination and the route continues from there, so
-        the adversary can stall a route one quiescence per hop but
-        never forever).
-        """
-        hop_src, hop_dst = hops[index], hops[index + 1]
-        latency = self.adversary.message_latency(
-            hop_src, hop_dst, message, self.kernel.now, sender_cycle)
-        if isinstance(latency, _Withhold):
-            if self.telemetry is not None:
-                self.telemetry.emit("withhold", {
-                    "t": self.kernel.now, "src": hop_src,
-                    "dst": hop_dst, "type": type(message).__name__})
-            self._withheld.append(WithheldMessage(
-                hop_src, hop_dst, message, self.kernel.now,
-                resume=lambda: self._arrive(hops, index, message,
-                                            sender_cycle, honest)))
-            return
-        if not isinstance(latency, (int, float)) or latency < 0:
-            raise ValueError(
-                f"adversary returned invalid latency {latency!r}")
-        delay = float(latency)
-        if (self.packetize and self.message_size_limit is not None):
-            delay *= -(-message.size_bits() // self.message_size_limit)
-        if self.fifo:
-            link = (hop_src, hop_dst)
-            earliest = self._last_delivery.get(link, 0.0) + 1e-9
-            arrival = max(self.kernel.now + delay, earliest)
-            self._last_delivery[link] = arrival
-            delay = arrival - self.kernel.now
-        final = index + 2 == len(hops)
-        self.kernel.schedule(
-            delay,
-            lambda: self._arrive(hops, index, message, sender_cycle, honest),
-            kind=(f"deliver:{hop_src}->{hop_dst}" if final
-                  else f"relay:{hop_src}->{hop_dst}"))
-
-    def _arrive(self, hops: list, index: int, message: Message,
-                sender_cycle: int, honest: bool) -> None:
-        """One routed hop arrived at ``hops[index + 1]``.
-
-        At the final destination this is a delivery (telemetry carries
-        the total ``hop`` count; ``src`` stays the original sender, as
-        on the direct path).  At an intermediate node the message is
-        forwarded to the next hop — unless the relay *crashed*, in
-        which case the route is severed and the message dies (sparse
-        topologies make crash faults cut routes; that is the model).
-        A relay that merely finished still forwards: relaying is the
-        network layer's transport service, and a terminated-but-correct
-        node's links stay up.
-        """
-        hop = index + 1
-        node = hops[index + 1]
-        receiver = self._receivers[node]
-        if index + 2 == len(hops):
-            if not receiver.live:
-                return
-            if self.trace is not None:
-                self.trace.record(self.kernel.now, "deliver",
-                                  sender=message.sender, destination=node,
-                                  message=type(message).__name__, hop=hop)
-            if self.telemetry is not None:
-                self.telemetry.emit("deliver", {
-                    "t": self.kernel.now, "src": message.sender,
-                    "dst": node, "type": type(message).__name__,
-                    "hop": hop})
-            receiver.deliver(message)
-            return
-        if getattr(receiver, "halted", False):
-            return  # route severed at a crashed relay
-        next_node = hops[index + 2]
-        size = message.size_bits()
-        if self.trace is not None:
-            self.trace.record(self.kernel.now, "deliver",
-                              sender=hops[index], destination=node,
-                              message=type(message).__name__,
-                              relay=True, hop=hop)
-            self.trace.record(self.kernel.now, "send",
-                              sender=node, destination=next_node,
-                              message=type(message).__name__, bits=size,
-                              honest=honest, relay=True, hop=hop + 1)
-        if self.telemetry is not None:
-            self.telemetry.emit("deliver", {
-                "t": self.kernel.now, "src": hops[index], "dst": node,
-                "type": type(message).__name__, "relay": True, "hop": hop})
-            self.telemetry.emit("send", {
-                "t": self.kernel.now, "src": node, "dst": next_node,
-                "type": type(message).__name__, "bits": size,
-                "honest": honest, "relay": True, "hop": hop + 1})
-        if honest:
-            self.metrics.record_message(node, size)
-        self._forward(hops, index + 1, message, sender_cycle, honest)
-
     def _dispatch(self, sender_pid: int, destination: int, message: Message,
-                  latency) -> None:
+                  latency, arrive=None, kind: str = "deliver") -> None:
+        """Park or schedule one link traversal; a routed hop passes its
+        route's ``arrive``, so landing continues the route."""
         if isinstance(latency, _Withhold):
             if self.telemetry is not None:
                 self.telemetry.emit("withhold", {
                     "t": self.kernel.now, "src": sender_pid,
                     "dst": destination, "type": type(message).__name__})
             self._withheld.append(WithheldMessage(
-                sender_pid, destination, message, self.kernel.now))
+                sender_pid, destination, message, self.kernel.now, arrive))
             return
         if not isinstance(latency, (int, float)) or latency < 0:
             raise ValueError(
@@ -343,8 +339,8 @@ class Network:
             delay = arrival - self.kernel.now
         self.kernel.schedule(
             delay,
-            lambda: self._deliver(destination, message),
-            kind=f"deliver:{sender_pid}->{destination}")
+            arrive or (lambda: self._deliver(destination, message)),
+            kind=f"{kind}:{sender_pid}->{destination}")
 
     # -- the scale path's bulk broadcast ----------------------------------
 

@@ -211,11 +211,26 @@ class Simulation:
     def run(self, *, max_events: int = DEFAULT_MAX_EVENTS,
             max_time: Optional[float] = None) -> RunResult:
         """Execute the simulation to completion and summarize it."""
-        scale_config = self.scale_config
         kernel = Kernel(use_calendar=(
-            scale_config is not None
-            and use_calendar_queue(scale_config, self.n)))
-        metrics = MetricsCollector()
+            self.scale_config is not None
+            and use_calendar_queue(self.scale_config, self.n)))
+        network = Network(kernel, MetricsCollector(), self.adversary,
+                          message_size_limit=self.message_size_limit,
+                          packetize=self.packetize, fifo=self.fifo,
+                          topology=self.topology,
+                          route_seed=derive_seed(self.seed, "routing"))
+        try:
+            return self._run(kernel, network, max_events, max_time)
+        finally:
+            # Kernel, network and peers reference each other in rings;
+            # cut them, also when the run raised (see Kernel.unlink).
+            kernel.unlink()
+            network._receivers.clear()
+
+    def _run(self, kernel: Kernel, network: Network, max_events: int,
+             max_time: Optional[float]) -> RunResult:
+        scale_config = self.scale_config
+        metrics = network.metrics
         trace = TraceRecorder() if self.trace_enabled else None
         # Resolve the process-global telemetry backend exactly once per
         # run: every instrumentation site below holds either the live
@@ -223,11 +238,6 @@ class Simulation:
         # ``is not None`` check and the kernel's event loop nothing.
         backend = get_backend()
         sink = backend if backend.enabled else None
-        network = Network(kernel, metrics, self.adversary,
-                          message_size_limit=self.message_size_limit,
-                          packetize=self.packetize, fifo=self.fifo,
-                          topology=self.topology,
-                          route_seed=derive_seed(self.seed, "routing"))
         network.trace = trace
         kernel.telemetry = sink
         network.telemetry = sink

@@ -122,6 +122,19 @@ class Kernel:
         self.schedule(start_at - self.now, process._resume,
                       kind=f"start:{process.name}")
 
+    def unlink(self) -> None:
+        """Cut a finished run's reference cycles (each process's cached
+        closures, suspended body and wait; pending events; the
+        quiescence hook): reference counting then frees the run."""
+        for process in self._processes:
+            process._resume = process._wake_cb = None
+            process._generator = process._waiting = None
+        self._processes.clear()
+        self._heap.clear()
+        if self._cal is not None:
+            self._cal = CalendarQueue()
+        self.on_quiescence = None
+
     def notify(self, process: Process) -> None:
         """Re-evaluate ``process``'s wait predicate after new input.
 

@@ -9,9 +9,13 @@ reproduces the same routes (cache/journal replays and golden traces
 depend on that).
 
 Routes are computed from per-destination BFS trees ("which neighbor
-moves me one hop closer to ``dst``"), built lazily and cached: a run
-that only ever broadcasts touches every destination once and then
-routes from the table.
+moves me one hop closer to ``dst``"), built lazily and cached, per
+requested *source*: the first request toward ``dst`` runs the BFS only
+until the asking source has its next hop (every node on its route is
+nearer to ``dst``, so already filled in); a later source the partial
+table did not reach rebuilds it to the end from the same seed, which
+reproduces every entry already handed out.  One broadcast pays a prefix
+of each table, all-to-all traffic at most two builds per destination.
 """
 
 from __future__ import annotations
@@ -26,14 +30,30 @@ class Router:
     def __init__(self, topology: Topology, seed: int = 0) -> None:
         self.topology = topology
         self.seed = seed
-        #: dst -> per-source next hop toward dst (-1 at dst itself).
+        #: dst -> per-source next hop toward dst (-1 at dst itself,
+        #: -2 where a partial build has not reached).
         self._next_hop: dict[int, list[int]] = {}
+        self._connected = False  # until one reachability pass says so
 
-    def _table(self, dst: int) -> list[int]:
+    def _table(self, dst: int, src: int) -> list[int]:
+        """The table toward ``dst``, grown at least as far as ``src``."""
         table = self._next_hop.get(dst)
-        if table is not None:
+        if table is not None and table[src] != -2:
             return table
         topology = self.topology
+        if not self._connected:
+            # One unshuffled pass (no RNG draw): the graph is
+            # undirected, so reaching everyone once vouches for all.
+            reached = set().union(*flood_layers(topology, dst))
+            if len(reached) < topology.n:
+                raise ValueError(
+                    f"topology {topology.name!r} is disconnected: "
+                    f"{sorted(set(range(topology.n)) - reached)} "
+                    f"cannot reach {dst}")
+            self._connected = True
+        # The first build stops once ``src`` has its entry; a second
+        # one never stops early (``dst``'s own entry stays -1).
+        stop = src if table is None else dst
         table = [-2] * topology.n  # -2 = unreached
         table[dst] = -1
         rng = SplittableRNG(derive_seed(self.seed, f"route-{dst}"))
@@ -41,7 +61,7 @@ class Router:
         # Once every node has its next hop the remaining shuffles can
         # assign nothing, and this table's RNG is never used again.
         unreached = topology.n - 1
-        while frontier and unreached:
+        while unreached and table[stop] < 0:
             next_frontier = []
             for node in frontier:
                 adjacent = list(topology.neighbors(node))
@@ -53,15 +73,9 @@ class Router:
                         table[other] = node
                         next_frontier.append(other)
                         unreached -= 1
-                if not unreached:
+                if not unreached or table[stop] >= 0:
                     break
             frontier = next_frontier
-        if unreached:
-            unreachable = [pid for pid, entry in enumerate(table)
-                           if entry == -2]
-            raise ValueError(
-                f"topology {topology.name!r} is disconnected: "
-                f"{unreachable} cannot reach {dst}")
         self._next_hop[dst] = table
         return table
 
@@ -69,17 +83,24 @@ class Router:
         """The neighbor of ``src`` one hop closer to ``dst``."""
         if src == dst:
             raise ValueError(f"no hop from {src} to itself")
-        return self._table(dst)[src]
+        return self._table(dst, src)[src]
 
     def distance(self, src: int, dst: int) -> int:
         """Hop count of the shortest path from ``src`` to ``dst``."""
-        return len(self.path(src, dst)) - 1
+        if src == dst:
+            return 0
+        table = self._table(dst, src)
+        hops = 0
+        while src != dst:
+            src = table[src]
+            hops += 1
+        return hops
 
     def path(self, src: int, dst: int) -> list[int]:
         """The full hop path ``[src, ..., dst]`` (length >= 1)."""
         if src == dst:
             return [src]
-        table = self._table(dst)
+        table = self._table(dst, src)
         path = [src]
         node = src
         while node != dst:

@@ -21,6 +21,7 @@ grammar; the invariants are the ones every engine leans on:
 """
 
 import math
+from collections import Counter
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -154,12 +155,79 @@ class TestRouting:
            seed=st.integers(min_value=0, max_value=2 ** 32))
     def test_early_exit_tables_equal_full_bfs(self, name, n, seed):
         # The table builder stops shuffling once all n - 1 nodes have a
-        # next hop; the walk below never stops early.  Same seed, same
+        # next hop (and, on a first request, once the asking source
+        # has); the walk below never stops early.  Same seed, same
         # per-destination stream, so every table must be identical.
         topology = build_topology(name, n, seed)
         router = Router(topology, seed)
         for dst in range(n):
-            assert router._table(dst) == full_bfs_table(topology, seed, dst)
+            for src in range(n):
+                table = router._table(dst, src)
+            assert table == full_bfs_table(topology, seed, dst)
+
+    @settings(**COMMON)
+    @given(topology=topologies(),
+           seed=st.integers(min_value=0, max_value=2 ** 32),
+           data=st.data())
+    def test_any_request_order_reads_off_the_full_bfs_tables(
+            self, topology, seed, data):
+        # Tables grow on demand (first request: as far as the asking
+        # source; a source beyond that: one rebuild to the end), so
+        # the order of requests must not show in any answer.
+        n = topology.n
+        reference = [full_bfs_table(topology, seed, dst)
+                     for dst in range(n)]
+        pairs = [(src, dst) for src in range(n) for dst in range(n)]
+        requests = data.draw(st.permutations(pairs))
+        if data.draw(st.booleans()):
+            requests = requests[:data.draw(
+                st.integers(min_value=0, max_value=len(pairs)))]
+        router = Router(topology, seed)
+        for src, dst in requests:
+            expected = [src]
+            while expected[-1] != dst:
+                expected.append(reference[dst][expected[-1]])
+            method = data.draw(st.sampled_from(
+                ["path", "next_hop", "distance"]))
+            if method == "path":
+                assert router.path(src, dst) == expected
+            elif method == "distance":
+                assert router.distance(src, dst) == len(expected) - 1
+            elif src != dst:
+                assert router.next_hop(src, dst) == expected[1]
+            else:
+                with pytest.raises(ValueError, match="to itself"):
+                    router.next_hop(src, dst)
+        if len(requests) == len(pairs) and n > 1:
+            # Every source asked: what is stored is the full table.
+            assert router._next_hop == dict(enumerate(reference))
+
+    @pytest.mark.parametrize("name", ["ring", "star", "expander",
+                                      "random-dregular:4"])
+    def test_no_table_is_started_more_than_twice(self, name, monkeypatch):
+        from repro.topology import routing
+        started = Counter()
+
+        def counting_derive_seed(seed, label):
+            started[label] += 1
+            return derive_seed(seed, label)
+
+        monkeypatch.setattr(routing, "derive_seed", counting_derive_seed)
+        topology = build_topology(name, 32, 5)
+        router = Router(topology, 9)
+        # One broadcast: one (partial) build per destination.
+        for dst in range(1, 32):
+            router.path(0, dst)
+        assert started == Counter(
+            {f"route-{dst}": 1 for dst in range(1, 32)})
+        # Everyone to everyone, nearest pids first, so first builds
+        # stop early and later sources force the one rebuild.
+        for dst in range(32):
+            for src in sorted(range(32), key=lambda pid: abs(pid - dst)):
+                router.distance(src, dst)
+                router.path(src, dst)
+        assert set(started) == {f"route-{dst}" for dst in range(32)}
+        assert max(started.values()) == 2
 
     def test_disconnected_graph_still_raises(self):
         split = Topology(5, "split", [[1], [0], [3, 4], [2], [2]])
