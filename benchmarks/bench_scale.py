@@ -1,33 +1,34 @@
-"""Scale-path gate benchmark: six-figure-n byz-committee downloads.
+"""Six-figure-n gate benchmark: byz-committee downloads at n = 10^3..10^5.
 
-This is the tentpole's evidence file.  Each *arm* is one seeded
-byz-committee run (``ell = 4096``, ``block_size = 128``, ``t = 3`` —
-committees of 7 over 32 blocks) at ``n`` in {10^3, 10^4, 10^5}, with
-the vectorized scale path off (``baseline``) or on (``scale``):
+Each *arm* is one seeded byz-committee run (``ell = 4096``,
+``block_size = 128``, ``t = 3`` — committees of 7 over 32 blocks) at
+``n`` in {10^3, 10^4, 10^5}: ``n1e3``, ``n1e4``, ``n1e5``.  Fault-free
+with unit latencies every broadcast collapses to two pid spans, so
+this is the span-broadcast + committee-board path at its best case —
+and the sizes the pytest battery does not reach.
 
-- ``n1e3_baseline`` / ``n1e3_scale`` — the *equality* pair: both runs
-  must produce identical accounting records (Q/T/M, event counts,
-  queried sets) — the golden contract, re-checked here at a size the
-  pytest battery does not reach;
-- ``n1e4_baseline`` / ``n1e4_scale`` — the *speedup* pair: the scale
-  path must beat the per-event engine by a wide margin (the acceptance
-  gate is 5x wall-clock);
-- ``n1e5_scale`` — the *headline* arm: 10^5 peers, ~22M (compensated)
-  delivery events, completing in seconds on the calendar queue.
+``BENCH_SCALE.json`` pins, per arm, the *accounting record* (Q/T/M,
+event counts, a digest of the queried sets) and the host numbers
+(``wall_seconds``, ``peak_rss_mb``).  The records were pinned while
+the simulator still had two engines (the per-peer one and the opt-in
+batched one this is now) and both produced them byte for byte, so
+``--check`` comparing a fresh record with the pinned one still
+enforces equality with the deleted engine.  ``--write`` therefore
+re-pins the host numbers only and refuses a record that moved.  The
+two-engine measurements themselves are kept under
+``retired_baseline`` as the before-numbers.
 
 Every arm runs in its own subprocess so ``peak_rss_mb``
 (``getrusage(RUSAGE_SELF).ru_maxrss``) is an honest per-arm figure and
-no arm warms another's allocator.  Results go to ``BENCH_SCALE.json``
-at the repo root, bench_kernel-style: ``current`` (+ ``_quick``),
-``baseline`` pins, and derived ``speedup`` figures.
+no arm warms another's allocator.
 
 Usage::
 
     python benchmarks/bench_scale.py                 # all arms + print
-    python benchmarks/bench_scale.py --quick         # n=10^3 arms only
-    python benchmarks/bench_scale.py --write         # update `current`
-    python benchmarks/bench_scale.py --quick --check # CI scale-smoke:
-        # equality pair must match; wall-clock within 30% of `current`
+    python benchmarks/bench_scale.py --quick         # n=10^3 only
+    python benchmarks/bench_scale.py --write         # re-pin host numbers
+    python benchmarks/bench_scale.py --quick --check # CI perf-smoke:
+        # record must equal the pin; wall-clock within 30% of it
 """
 
 from __future__ import annotations
@@ -55,24 +56,8 @@ T = 3
 SEED = 101
 MAX_EVENTS = 50_000_000
 
-QUICK_ARMS = ["n1e3_baseline", "n1e3_scale"]
-FULL_ARMS = QUICK_ARMS + ["n1e4_baseline", "n1e4_scale", "n1e5_scale"]
-
-#: Equality pairs: (baseline arm, scale arm) whose accounting records
-#: must be identical.
-EQUALITY_PAIRS = [("n1e3_baseline", "n1e3_scale"),
-                  ("n1e4_baseline", "n1e4_scale")]
-
-#: Speedup pairs: wall-clock baseline / scale, recorded per n.
-SPEEDUP_PAIRS = {"n1e3": ("n1e3_baseline", "n1e3_scale"),
-                 "n1e4": ("n1e4_baseline", "n1e4_scale")}
-
-
-def _arm_config(name: str) -> dict:
-    n = {"n1e3": 1_000, "n1e4": 10_000, "n1e5": 100_000}[name.split("_")[0]]
-    # ``scale=False`` pins the baseline engine even if REPRO_SCALE is
-    # exported; ``"auto"`` resolves numpy-else-python.
-    return {"n": n, "scale": False if name.endswith("_baseline") else "auto"}
+ARMS = {"n1e3": 1_000, "n1e4": 10_000, "n1e5": 100_000}
+QUICK_ARMS = ["n1e3"]
 
 
 def _queried_sha(queried: dict) -> str:
@@ -82,34 +67,27 @@ def _queried_sha(queried: dict) -> str:
 
 
 def run_arm(name: str) -> dict:
-    """Execute one arm in this process and return its record."""
+    """Execute one arm in this process and return its row."""
     import resource
 
     from repro.protocols.byz_committee import ByzCommitteeDownloadPeer
     from repro.sim import run_download
-    from repro.sim.scalepath import resolve_scale, use_calendar_queue
 
-    config = _arm_config(name)
-    scale_config = resolve_scale(config["scale"])
+    n = ARMS[name]
     start = time.perf_counter()
     result = run_download(
-        n=config["n"], ell=ELL,
+        n=n, ell=ELL,
         peer_factory=ByzCommitteeDownloadPeer.factory(block_size=BLOCK_SIZE),
-        t=T, seed=SEED, scale=config["scale"], max_events=MAX_EVENTS)
+        t=T, seed=SEED, max_events=MAX_EVENTS)
     wall = time.perf_counter() - start
     if not result.download_correct:
         raise RuntimeError(f"arm {name}: incorrect download — "
                            f"refusing to time it")
     rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     return {
-        "n": config["n"],
-        "backend": scale_config.backend if scale_config else "off",
-        "queue": ("calendar"
-                  if use_calendar_queue(scale_config, config["n"])
-                  else "heap"),
+        "n": n,
         "wall_seconds": round(wall, 4),
         "peak_rss_mb": round(rss_kb / 1024.0, 1),
-        # -- the accounting record the equality pairs compare ----------
         "record": {
             "correct": True,
             "query_complexity": result.report.query_complexity,
@@ -126,7 +104,7 @@ def run_arm(name: str) -> dict:
 
 def _run_arm_subprocess(name: str) -> dict:
     """Run one arm in a fresh interpreter (honest peak-RSS, no shared
-    allocator warm-up) and parse its JSON record."""
+    allocator warm-up) and parse its JSON row."""
     env = dict(os.environ)
     src = str(REPO_ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
@@ -140,77 +118,60 @@ def _run_arm_subprocess(name: str) -> dict:
 
 def measure(quick: bool) -> dict:
     arms = {}
-    for name in (QUICK_ARMS if quick else FULL_ARMS):
+    for name in (QUICK_ARMS if quick else ARMS):
         print(f"  running {name} ...", flush=True)
         arms[name] = _run_arm_subprocess(name)
-    result = {
-        "quick": quick,
-        "python": sys.version.split()[0],
-        "config": {"ell": ELL, "block_size": BLOCK_SIZE, "t": T,
-                   "seed": SEED},
-        "arms": arms,
-        "golden_equal": {},
-        "speedup": {},
-    }
-    for base_name, scale_name in EQUALITY_PAIRS:
-        if base_name in arms and scale_name in arms:
-            result["golden_equal"][scale_name] = (
-                arms[base_name]["record"] == arms[scale_name]["record"])
-    for label, (base_name, scale_name) in SPEEDUP_PAIRS.items():
-        if base_name in arms and scale_name in arms:
-            result["speedup"][label] = round(
-                arms[base_name]["wall_seconds"]
-                / arms[scale_name]["wall_seconds"], 2)
-    return result
+    return arms
 
 
-def _print_report(result: dict) -> None:
-    print(f"== bench_scale ({'quick' if result['quick'] else 'full'}) ==")
-    for name, arm in result["arms"].items():
+def _print_report(arms: dict, pinned: dict) -> None:
+    print("== bench_scale ==")
+    for name, arm in arms.items():
         record = arm["record"]
-        print(f"  {name:<14} n={arm['n']:>6}  {arm['queue']:<8} "
-              f"{arm['backend']:<6} {arm['wall_seconds']:>8.2f} s  "
+        same = record == (pinned.get(name) or {}).get("record")
+        print(f"  {name:<5} n={arm['n']:>6}  "
+              f"{arm['wall_seconds']:>8.2f} s  "
               f"{arm['peak_rss_mb']:>7.1f} MB  "
               f"Q={record['query_complexity']} "
               f"M={record['message_complexity']} "
-              f"events={record['events_processed']}")
-    for name, equal in result["golden_equal"].items():
-        print(f"  equality {name}: {'IDENTICAL' if equal else 'DIVERGED'}")
-    for label, speedup in result["speedup"].items():
-        print(f"  speedup  {label}: {speedup}x")
+              f"events={record['events_processed']}  "
+              f"record {'= pin' if same else 'DIVERGED from pin'}")
 
 
-def _check(result: dict, reference: dict, tolerance: float) -> list[str]:
+def _check(arms: dict, pinned: dict, tolerance=None) -> list[str]:
+    """Failures of ``arms`` against their pins: a record that moved,
+    and (given a ``tolerance``) a wall-clock that regressed."""
     failures = []
-    for name, equal in result["golden_equal"].items():
-        if not equal:
-            failures.append(f"equality pair {name}: records diverged "
-                            f"between baseline and scale engines")
-    for name, arm in result["arms"].items():
-        ref = (reference.get("arms") or {}).get(name)
-        if ref and arm["wall_seconds"] > \
-                ref["wall_seconds"] * (1.0 + tolerance):
+    for name, arm in arms.items():
+        pin = pinned.get(name)
+        if not pin:
+            failures.append(f"arm {name}: nothing pinned")
+            continue
+        if arm["record"] != pin["record"]:
+            moved = sorted(key for key in pin["record"]
+                           if arm["record"].get(key) != pin["record"][key])
+            failures.append(f"arm {name}: accounting record diverged "
+                            f"from the pin in {moved}")
+        if tolerance is not None and \
+                arm["wall_seconds"] > pin["wall_seconds"] * (1.0 + tolerance):
             failures.append(
-                f"arm {name}: {arm['wall_seconds']:.2f} s vs reference "
-                f"{ref['wall_seconds']:.2f} s (> {tolerance:.0%} slower)")
+                f"arm {name}: {arm['wall_seconds']:.2f} s vs pinned "
+                f"{pin['wall_seconds']:.2f} s (> {tolerance:.0%} slower)")
     return failures
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="scale-path gate benchmark (see module docstring)")
+        description="six-figure-n gate benchmark (see module docstring)")
     parser.add_argument("--quick", action="store_true",
-                        help="n=10^3 arms only (CI-sized)")
+                        help="n=10^3 arm only (CI-sized)")
     parser.add_argument("--write", action="store_true",
-                        help="update the `current` section of "
-                             "BENCH_SCALE.json (keeps `baseline`)")
-    parser.add_argument("--as-baseline", action="store_true",
-                        help="store this measurement as the `baseline` "
-                             "section instead")
+                        help="re-pin wall_seconds / peak_rss_mb of the "
+                             "measured arms in BENCH_SCALE.json (records "
+                             "are never rewritten)")
     parser.add_argument("--check", action="store_true",
-                        help="fail (exit 1) if the equality pair "
-                             "diverges or any arm regresses >tolerance "
-                             "vs the checked-in `current`")
+                        help="fail (exit 1) if an arm's record differs "
+                             "from its pin or it runs >tolerance slower")
     parser.add_argument("--tolerance", type=float,
                         default=DEFAULT_TOLERANCE,
                         help="relative slowdown allowed by --check "
@@ -222,41 +183,37 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     if args.arm:
-        # Subprocess mode: run one arm, print its record as JSON.
+        # Subprocess mode: run one arm, print its row as JSON.
         print(json.dumps(run_arm(args.arm)))
         return 0
 
-    stored: dict = {}
-    if args.json.exists():
-        stored = json.loads(args.json.read_text(encoding="utf-8"))
+    stored = json.loads(args.json.read_text(encoding="utf-8"))
+    pinned = stored["arms"]
+    arms = measure(args.quick)
+    _print_report(arms, pinned)
 
-    result = measure(args.quick)
-    reference_key = "current_quick" if args.quick else "current"
-    baseline_key = "baseline_quick" if args.quick else "baseline"
-    _print_report(result)
-
-    if args.check:
-        reference = stored.get(reference_key)
-        if not reference:
-            print(f"--check: no {reference_key!r} section in {args.json}; "
-                  f"run with --write first", file=sys.stderr)
-            return 2
-        failures = _check(result, reference, args.tolerance)
+    if args.check or args.write:
+        # --write gates on the records too: only host numbers move.
+        failures = _check(arms, pinned,
+                          args.tolerance if args.check else None)
         if failures:
             print("SCALE GATE FAILURE:", file=sys.stderr)
             for failure in failures:
                 print(f"  {failure}", file=sys.stderr)
             return 1
-        print(f"scale check ok (equality pairs identical, every arm "
-              f"within {args.tolerance:.0%} of {reference_key})")
+        if args.check:
+            print(f"scale check ok (records equal the pins, every arm "
+                  f"within {args.tolerance:.0%} of its pinned wall-clock)")
 
-    if args.write or args.as_baseline:
-        key = baseline_key if args.as_baseline else reference_key
-        stored[key] = result
+    if args.write:
+        for name, arm in arms.items():
+            pinned[name]["wall_seconds"] = arm["wall_seconds"]
+            pinned[name]["peak_rss_mb"] = arm["peak_rss_mb"]
+        stored["python"] = sys.version.split()[0]
         args.json.write_text(
             json.dumps(stored, indent=2, sort_keys=True) + "\n",
             encoding="utf-8")
-        print(f"{key} written to {args.json}")
+        print(f"host numbers of {', '.join(arms)} re-pinned in {args.json}")
     return 0
 
 

@@ -20,7 +20,7 @@ including every HTTP round trip.  Arms:
 
 Each arm records throughput (jobs/s over the whole burst), latency
 percentiles (p50/p95/p99), and the server's own dedup/cache counters.
-Results go to ``BENCH_SERVICE.json`` at the repo root, bench_scale
+Results go to ``BENCH_SERVICE.json`` at the repo root, bench_kernel
 style: ``current`` (+ ``_quick``) sections and ``--check`` gating.
 
 Usage::
@@ -265,7 +265,7 @@ def main(argv=None) -> int:
                         help="relative p95 slowdown allowed by --check "
                              f"(default {DEFAULT_TOLERANCE}; latency "
                              "is noisier than wall-clock compute, so "
-                             "this gate is looser than bench_scale's)")
+                             "this gate is looser than bench_kernel's)")
     parser.add_argument("--table", action="store_true",
                         help="print the E18 markdown table and exit "
                              "(reads the stored `current` section; "

@@ -19,7 +19,7 @@ levels:
   infeasible.
 
 Results go to ``BENCH_TOPOLOGY.json`` at the repo root,
-bench_scale-style (``current`` / ``current_quick`` sections).
+bench_kernel-style (``current`` / ``current_quick`` sections).
 ``--check`` enforces the *semantic* gates — Q equal across
 topologies, M strictly ordered complete < expander < ring — and a
 >30% wall-clock regression versus the checked-in section.

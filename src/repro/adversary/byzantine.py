@@ -23,6 +23,7 @@ from typing import Callable, Iterator, Optional
 
 from repro.adversary.base import Adversary, PeerFactory
 from repro.sim.messages import Message
+from repro.sim.network import send_to_each
 from repro.sim.peer import SimEnv
 from repro.sim.process import Process, WaitUntil
 from repro.util.validation import check_fraction
@@ -181,6 +182,14 @@ class _CorruptingNetworkProxy:
             return True  # silently dropped by the attacker
         return self._network.send(sender_pid, destination, corrupted,
                                   sender_cycle=sender_cycle, honest=False)
+
+    def broadcast(self, sender_pid: int, n: int, message: Message,
+                  *, sender_cycle: int = 0) -> None:
+        # Corruption is per destination, so never grouped into spans.
+        send_to_each(self, sender_pid, n, message, sender_cycle)
+
+    def span_sink(self, message_type: type, factory):
+        return self._network.span_sink(message_type, factory)
 
     def deliver_direct(self, destination: int, message: Message,
                        latency) -> None:

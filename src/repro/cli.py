@@ -122,15 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
                             help="profile the run with cProfile and "
                                  "print the pstats top table to stderr "
                                  "(also: REPRO_PROFILE=1)")
-    run_parser.add_argument("--scale", nargs="?", const="auto",
-                            default=None, metavar="BACKEND",
-                            help="vectorized scale path for six-figure "
-                                 "n: bare --scale picks numpy when "
-                                 "installed (pip install repro[scale]) "
-                                 "and the pure-python fallback "
-                                 "otherwise; --scale numpy|python "
-                                 "forces a backend (also: "
-                                 "REPRO_SCALE=1)")
     run_parser.add_argument("--telemetry", metavar="PATH", default=None,
                             help="record the run's telemetry events to "
                                  "this JSONL file (inspect with "
@@ -216,12 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--workers", type=int, default=1,
                               help="processes to fan repeats/points "
                                    "over (1 = in-process serial)")
-    sweep_parser.add_argument("--scale", nargs="?", const="auto",
-                              default=None, metavar="BACKEND",
-                              help="vectorized scale path (see "
-                                   "`repro run --scale`); exported as "
-                                   "REPRO_SCALE so pool workers "
-                                   "inherit it")
     sweep_parser.add_argument("--no-cache", action="store_true",
                               help="recompute every point instead of "
                                    "reusing the on-disk result cache")
@@ -890,23 +875,10 @@ def _command_cancel(args, out) -> int:
     return 0
 
 
-def _apply_scale(args) -> None:
-    """Export ``--scale`` through the environment flag: the run itself
-    and every pool worker then resolve the same setting (the scale
-    path deliberately stays out of spec/cache identity)."""
-    if getattr(args, "scale", None) is not None:
-        import os
-
-        from repro.sim.scalepath import ENV_FLAG, resolve_scale
-        os.environ[ENV_FLAG] = args.scale
-        resolve_scale(args.scale)  # fail fast on a bad backend name
-
-
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """CLI entry point; returns the process exit code."""
     out = out if out is not None else sys.stdout
     args = build_parser().parse_args(argv)
-    _apply_scale(args)
     if args.command == "list":
         return _command_list(out)
     if args.command == "run":

@@ -22,11 +22,6 @@ from typing import Iterable, Sequence
 
 from repro.util.validation import check_nonnegative, check_positive
 
-try:  # numpy is an optional extra (`pip install repro[scale]`)
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on the no-numpy CI
-    _np = None
-
 
 def round_robin_owner(index: int, n: int) -> int:
     """Phase-1 owner of bit ``index``: simple modulo round-robin."""
@@ -200,8 +195,8 @@ def committees_by_peer(blocks: int, committee_size: int,
 
     One ``O(blocks * committee_size)`` pass instead of ``n`` calls to
     :func:`committees_of_peer` (each ``O(blocks * committee_size)``) —
-    the scale path's committee board precomputes the whole membership
-    map this way.  Each peer's block list is ascending, matching
+    the committee board precomputes the whole membership map this
+    way.  Each peer's block list is ascending, matching
     :func:`committees_of_peer` exactly; peers serving on no committee
     are absent from the dict.
     """
@@ -218,31 +213,6 @@ def committees_by_peer(blocks: int, committee_size: int,
             else:
                 bucket.append(block)
     return by_peer
-
-
-def digit_owners(indices: Sequence[int], phase: int, n: int) -> list[int]:
-    """Batched :func:`digit_owner` over ``indices`` (argument order).
-
-    Validates once and computes the ``n ** (phase - 1)`` divisor once;
-    vectorized through numpy when the optional scale extra is
-    installed and the values fit machine integers, with the pure-python
-    path as the exact fallback.  Element-for-element equal to the
-    scalar function (pinned by a Hypothesis property).
-    """
-    check_positive("phase", phase)
-    check_positive("n", n)
-    indices = list(indices)
-    if not indices:
-        return []
-    lowest = min(indices)
-    if lowest < 0:
-        check_nonnegative("index", lowest)
-    width = n ** (phase - 1)
-    if (_np is not None and width < 2 ** 62
-            and max(indices) < 2 ** 62):
-        array = _np.asarray(indices, dtype=_np.int64)
-        return ((array // width) % n).tolist()
-    return [(index // width) % n for index in indices]
 
 
 def invert(assignment: dict[int, int], n: int) -> list[list[int]]:

@@ -18,8 +18,8 @@ space — *bit-for-bit*, not just statistically:
   sums, ``T`` is a max (all peers start at 0 under the supported
   adversaries).
 
-:func:`run_sharded` exploits this for the scale path's last layer —
-six-figure ``n`` split over worker processes via the same
+:func:`run_sharded` exploits this to split a six-figure ``n`` over
+worker processes via the same
 :func:`~repro.execution.parallel.run_tasks` machinery the experiment
 engine uses (retry policy, pool-rebuild fault tolerance included).
 Protocols that message (``peer_to_peer = True``) are rejected at the
@@ -115,14 +115,14 @@ def merge_results(parts: Sequence[RunResult]) -> RunResult:
 def run_sharded(*, n: int, peer_factory, shards: int, workers: int = 1,
                 ell: Optional[int] = None, data=None,
                 t: Optional[int] = None, adversary=None, seed: int = 0,
-                sources: int = 1, source_faults=(), scale=None,
+                sources: int = 1, source_faults=(),
                 max_events: int = DEFAULT_MAX_EVENTS) -> RunResult:
     """Run one message-free download split over ``shards`` pid ranges.
 
     Each shard is a full :class:`Simulation` restricted to its pid
     subset (``peer_subset=``) with untouched global parameters, so the
     merged result is bit-identical to the unsharded run — pinned by
-    ``tests/integration/test_scale_golden.py``.  ``workers > 1``
+    ``tests/integration/test_determinism.py``.  ``workers > 1``
     distributes shards over a process pool.
     """
     protocol_class = getattr(peer_factory, "protocol_class", None)
@@ -135,7 +135,7 @@ def run_sharded(*, n: int, peer_factory, shards: int, workers: int = 1,
             f"and cannot be split across shards")
     kwargs = dict(n=n, peer_factory=peer_factory, ell=ell, data=data,
                   t=t, adversary=adversary, seed=seed, sources=sources,
-                  source_faults=source_faults, scale=scale)
+                  source_faults=source_faults)
     payloads = [{"kwargs": kwargs, "subset": list(subset),
                  "max_events": max_events}
                 for subset in shard_pids(n, shards)]

@@ -89,6 +89,7 @@ EVENT_FIELDS: dict[str, tuple[tuple[str, ...], tuple[str, ...]]] = {
     # -- scheduler --------------------------------------------------------
     "proc_start": (("t", "proc"), ()),
     "wake": (("t", "proc"), ()),
+    # Retired (nothing emits it); kept so older exports validate.
     "scheduler_stats": (("t", "queue", "events", "max_depth"), ()),
     # -- net backend (``t`` is wall-clock seconds since run start — the
     # -- one documented exception to the virtual-time convention) ---------

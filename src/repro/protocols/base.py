@@ -69,9 +69,9 @@ class DownloadPeer(Peer):
         # Working copy of the output, one byte per bit so the range
         # helpers below are count/find/translate/slice calls; it is
         # packed into a BitArray only at finish time.  Allocated on
-        # first touch: the scale path's board-driven protocols never
-        # touch it, and n * ell sentinel arrays are exactly the
-        # per-object memory that path exists to avoid.
+        # first touch: a board-driven protocol (byz-committee) never
+        # touches it, and n * ell sentinel arrays are what keeps a
+        # six-figure-n run from fitting in memory.
         self._working: Optional[bytearray] = None
         # Invariant: number of unknown entries in the working array.
         # Learned bits are never overwritten, so the count only
@@ -101,9 +101,6 @@ class DownloadPeer(Peer):
         (``repro trace summary``'s per-phase histogram).  Free when
         telemetry is disabled; never affects the run either way.
         """
-        scale = self.env.scale
-        if scale is not None:
-            scale.state.set_phase(self.pid, name)
         telemetry = self.env.telemetry
         if telemetry is not None:
             telemetry.emit("phase", {"t": self.env.kernel.now,
@@ -124,7 +121,7 @@ class DownloadPeer(Peer):
         working = self._array()
         if working[index] == _UNKNOWN:
             working[index] = bit
-            self._note_learned(1)
+            self._unknown_count -= 1
 
     def learn_many(self, values: dict[int, int]) -> None:
         """Record several bits at once."""
@@ -140,8 +137,7 @@ class DownloadPeer(Peer):
         finally:
             # Also on a bad entry: what was applied before it stays
             # applied, so it must stay counted.
-            if learned:
-                self._note_learned(learned)
+            self._unknown_count -= learned
 
     def learn_string(self, lo: int, string: str) -> None:
         """Record a segment string starting at bit ``lo``."""
@@ -161,18 +157,7 @@ class DownloadPeer(Peer):
             while index != -1:
                 working[index] = bits[index - lo]
                 index = working.find(_UNKNOWN, index + 1, hi)
-        self._note_learned(unknown)
-
-    def _note_learned(self, count: int) -> None:
-        """Shrink the unknown-count invariant by ``count`` bits, and
-        mirror the new known count into the run's contiguous
-        :class:`~repro.sim.peerstate.PeerStateArrays` when the scale
-        path is active (one array write per batch, so whole-fleet
-        progress reads never touch the peer objects)."""
-        self._unknown_count -= count
-        scale = self.env.scale
-        if scale is not None:
-            scale.state.unknown_count[self.pid] = self._unknown_count
+        self._unknown_count -= unknown
 
     def unknown_indices(self) -> list[int]:
         """Sorted indices this peer has not learned yet."""

@@ -1,8 +1,9 @@
-"""Batched committee tallies for the scale path's byz-committee runs.
+"""The run-shared committee tally of the byz-committee protocol.
 
-The baseline :class:`~repro.protocols.byz_committee.ByzCommitteeDownloadPeer`
-keeps one ``(block, string) -> supporters`` tally *per peer*; every
-report delivery touches one peer's dict.  At ``n = 10^5`` that is
+Theorem 3.4's acceptance rule is per peer: accept a block once
+``t + 1`` distinct members of its committee reported the same string.
+Kept per peer it is one ``(block, string) -> supporters`` dict in every
+peer, touched once per delivered report — at ``n = 10^5`` that is
 ``O(n)`` dicts updated ``O(blocks * committee)`` times each.  The
 :class:`CommitteeBoard` stores the same information *per column*: one
 column per distinct ``(block, string)`` report value, with the vote
@@ -14,30 +15,31 @@ report for a whole span of peers is then ``t + 1`` big-int AND/ORs
 ``n`` dict updates, and the peers newly reaching the ``t + 1``
 acceptance threshold fall out as a bitmask.
 
-Observational equivalence to the per-peer engine (pinned by the golden
-battery with the scale path forced on):
+The rule, restated column-wise (a Hypothesis model test checks it peer
+by peer against the dict-of-sets statement above):
 
 * Dedup by *distinct sender* is per ``(column, sender)`` delivered-set
-  bitmask — the same "count each committee member once" rule.
-* A peer accepts a block exactly once (``accepted_mask`` filters), and
-  acceptance fires at the exact delivery event where that peer's
-  ``t + 1``-th distinct vote lands — the same event as baseline.
-* Completion wake-ups go to newly-completed peers in ascending pid
-  order, matching the baseline's per-destination delivery order; all
-  other notifies in the baseline evaluate a false predicate and
-  schedule nothing, so skipping them is invisible.
+  bitmask — "count each committee member once".
+* A peer accepts a block exactly once (``accepted_mask`` filters), at
+  the delivery event where its ``t + 1``-th distinct vote lands.
+* A span delivery wakes the peers it completed, in ascending pid order
+  — the order their own delivery events would have run in.  For any
+  other peer the notify of a per-message delivery evaluates a false
+  wait predicate and schedules nothing, so skipping it is invisible.
+  (The one predicate a delivery can satisfy without completing the
+  peer is a passed ``give_up_time``; see :meth:`deliver_span`.)
 * Votes tallied for crashed/finished peers are never read again
-  (their output, if any, was packed at finish time), mirroring the
-  baseline where such deliveries evaporate.
+  (their output, if any, was packed at finish time); per-message
+  deliveries to such peers evaporate the same way.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from array import array
+from typing import Iterable, Optional
 
 from repro.core.assignment import committee_for, committees_by_peer
 from repro.core.segments import Segmentation
-from repro.sim.peerstate import numpy_or_none
 from repro.util.bitarrays import BitArray
 
 
@@ -93,7 +95,7 @@ class CommitteeBoard:
     """Shared column-major report tally for one byz-committee run."""
 
     def __init__(self, *, kernel, n: int, t: int, blocks: Segmentation,
-                 committee_size: int, backend: str = "python") -> None:
+                 committee_size: int) -> None:
         self.kernel = kernel
         self.n = n
         self.t = t
@@ -101,7 +103,9 @@ class CommitteeBoard:
         self.blocks = blocks
         self.num_blocks = blocks.num_segments
         self.committee_size = committee_size
-        self._np = numpy_or_none() if backend == "numpy" else None
+        #: Absolute give-up deadline of the run's peers, or ``None``
+        #: (set by :meth:`register`).
+        self.deadline: Optional[float] = None
         #: Registered receivers (the run's peers), indexed by pid; a
         #: Byzantine shell's inner honest peer registers too.
         self.receivers: list[Optional[object]] = [None] * n
@@ -123,16 +127,9 @@ class CommitteeBoard:
         self._seen: list[dict[int, int]] = []
         #: Per-block bitmask of peers that accepted the block.
         self._accepted_mask: list[int] = [0] * self.num_blocks
-        np = self._np
-        if np is not None:
-            self._accepted_col = np.full((self.num_blocks, n), -1,
-                                         dtype=np.int32)
-            self._accepted_count = np.zeros(n, dtype=np.int64)
-        else:
-            from array import array
-            self._accepted_col = [array("l", [-1]) * n
-                                  for _ in range(self.num_blocks)]
-            self._accepted_count = array("q", [0]) * n
+        self._accepted_col = [array("l", [-1]) * n
+                              for _ in range(self.num_blocks)]
+        self._accepted_count = array("q", [0]) * n
         #: Interned outputs keyed by the tuple of accepted column ids —
         #: in a normal run every honest peer accepts the same columns,
         #: so the whole fleet shares one packed BitArray.
@@ -141,7 +138,15 @@ class CommitteeBoard:
     # -- wiring ------------------------------------------------------------
 
     def register(self, peer) -> None:
+        """Make ``peer`` a receiver.  One factory builds every peer of
+        a run, so they agree on ``give_up_time``."""
         self.receivers[peer.pid] = peer
+        self.deadline = peer.give_up_time
+
+    def owns(self, pid: int) -> bool:
+        """True when ``pid`` registered (span-sink contract: only an
+        owned destination may be part of a span)."""
+        return self.receivers[pid] is not None
 
     def blocks_of(self, pid: int) -> list[int]:
         """Blocks whose committee contains ``pid`` (ascending)."""
@@ -162,8 +167,10 @@ class CommitteeBoard:
 
     def _valid_col(self, block: int, sender: int,
                    string: str) -> Optional[int]:
-        """Column for a report, or ``None`` for reports the baseline
-        acceptance rule ignores (bad block, non-member, wrong width)."""
+        """Column for a report, or ``None`` for reports the acceptance
+        rule ignores: no such block (Byzantine garbage), a sender
+        outside the block's committee (only members may vouch for it),
+        a string of the wrong width (it can never be the block)."""
         if not 0 <= block < self.num_blocks:
             return None
         if sender not in self._committees[block]:
@@ -175,8 +182,10 @@ class CommitteeBoard:
     # -- delivery ----------------------------------------------------------
 
     def on_single(self, pid: int, message) -> None:
-        """Per-delivery path: one report reached one peer (Byzantine
-        proxy sends and non-groupable latencies land here)."""
+        """Per-message path: one report reached one peer (whatever
+        :meth:`~repro.sim.network.Network.broadcast` could not group).
+        The peer's own ``deliver`` notifies it, so nothing is woken
+        from here."""
         col = self._valid_col(message.block, message.sender, message.string)
         if col is None:
             return
@@ -188,72 +197,56 @@ class CommitteeBoard:
         seen[message.sender] = prev | bit
         newly = self._tally[col].add(bit)
         if newly:
-            # The receiving peer's own deliver() notify covers it, as
-            # in the baseline — no extra notify from here.
-            self._apply_acceptances(col, newly, notify=False)
+            # t + 1 identical reports include at least one honest one.
+            self._accept(col, newly)
 
     def deliver_span(self, message, lo: int, hi: int) -> None:
-        """Bulk path: one report reached the whole pid span [lo, hi)."""
-        col = self._valid_col(message.block, message.sender, message.string)
-        if col is None:
-            return
-        span = (1 << hi) - (1 << lo)
-        seen = self._seen[col]
-        sender = message.sender
-        prev = seen.get(sender, 0)
-        mask = span & ~prev if prev & span else span
-        seen[sender] = prev | span
-        if not mask:
-            return
-        newly = self._tally[col].add(mask)
-        if newly:
-            self._apply_acceptances(col, newly, notify=True)
+        """Span path: one report reached the whole pid span [lo, hi).
 
-    def _apply_acceptances(self, col: int, newly: int,
-                           notify: bool) -> None:
+        Wakes the peers the report completed.  Past ``deadline`` a
+        peer's wait is satisfied by the clock alone, so every peer of
+        the span is notified, as its own delivery event would have."""
+        completed: Iterable[int] = ()
+        col = self._valid_col(message.block, message.sender, message.string)
+        if col is not None:
+            span = (1 << hi) - (1 << lo)
+            seen = self._seen[col]
+            sender = message.sender
+            prev = seen.get(sender, 0)
+            mask = span & ~prev if prev & span else span
+            seen[sender] = prev | span
+            newly = self._tally[col].add(mask) if mask else 0
+            if newly:
+                completed = self._accept(col, newly)
+        kernel = self.kernel
+        if self.deadline is not None and kernel.now >= self.deadline:
+            completed = range(lo, hi)
+        receivers = self.receivers
+        for pid in completed:  # ascending = per-message delivery order
+            kernel.notify(receivers[pid])
+
+    def _accept(self, col: int, newly: int) -> list[int]:
+        """Record that the peers in ``newly`` reached ``t + 1`` votes
+        for ``col``; returns those that thereby hold every block."""
         block = self._col_block[col]
         pending = newly & ~self._accepted_mask[block]
-        if not pending:
-            return
         self._accepted_mask[block] |= pending
-        np = self._np
-        if np is not None:
-            indices = self._mask_to_indices(pending)
-            self._accepted_col[block][indices] = col
-            counts = self._accepted_count
-            counts[indices] += 1
-            completed = indices[counts[indices] == self.num_blocks]
-            completed = completed.tolist()
-        else:
-            row = self._accepted_col[block]
-            counts = self._accepted_count
-            completed = []
-            for pid in iter_bits(pending):
-                row[pid] = col
-                counts[pid] += 1
-                if counts[pid] == self.num_blocks:
-                    completed.append(pid)
-        if notify and completed:
-            kernel = self.kernel
-            receivers = self.receivers
-            for pid in completed:  # ascending = baseline delivery order
-                receiver = receivers[pid]
-                if receiver is not None:
-                    kernel.notify(receiver)
-
-    def _mask_to_indices(self, mask: int):
-        np = self._np
-        nbytes = (self.n + 7) // 8
-        raw = np.frombuffer(mask.to_bytes(nbytes, "little"), dtype=np.uint8)
-        return np.nonzero(np.unpackbits(raw, bitorder="little",
-                                        count=self.n))[0]
+        row = self._accepted_col[block]
+        counts = self._accepted_count
+        completed = []
+        for pid in iter_bits(pending):
+            row[pid] = col
+            counts[pid] += 1
+            if counts[pid] == self.num_blocks:
+                completed.append(pid)
+        return completed
 
     # -- the peer-facing read side ----------------------------------------
 
     def self_accept(self, pid: int, block: int, string: str) -> None:
-        """A committee member accepts its own reading — unless a
-        ``t+1``-supported report already settled the block (the
-        baseline's ``accepted.setdefault`` semantics)."""
+        """``pid`` read ``block`` from the source itself and accepts
+        its own reading — unless a ``t + 1``-supported report already
+        settled the block (first acceptance wins)."""
         bit = 1 << pid
         if self._accepted_mask[block] & bit:
             return
@@ -264,7 +257,12 @@ class CommitteeBoard:
 
     def accepted_blocks(self, pid: int) -> int:
         """How many blocks ``pid`` has accepted so far."""
-        return int(self._accepted_count[pid])
+        return self._accepted_count[pid]
+
+    def unaccepted_blocks(self, pid: int) -> list[int]:
+        """The blocks ``pid`` has not accepted yet (ascending)."""
+        return [block for block, mask in enumerate(self._accepted_mask)
+                if not (mask >> pid) & 1]
 
     def output_for(self, pid: int) -> BitArray:
         """Pack ``pid``'s accepted strings into the output array.
@@ -273,7 +271,7 @@ class CommitteeBoard:
         every honest peer accepted identical columns and the whole
         fleet shares one :class:`BitArray` instead of ``n`` copies.
         """
-        cols = tuple(int(self._accepted_col[block][pid])
+        cols = tuple(self._accepted_col[block][pid]
                      for block in range(self.num_blocks))
         output = self._outputs.get(cols)
         if output is None:

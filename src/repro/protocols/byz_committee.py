@@ -26,11 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterator
 
-from repro.core.assignment import committee_for
 from repro.core.segments import Segmentation
 from repro.protocols.base import DownloadPeer
+from repro.protocols.board import CommitteeBoard
 from repro.sim.errors import ConfigurationError
 from repro.sim.messages import Message
 from repro.sim.peer import SimEnv
@@ -68,94 +69,53 @@ class ByzCommitteeDownloadPeer(DownloadPeer):
         self.blocks = Segmentation(env.ell,
                                    max(1, math.ceil(env.ell / block_size)))
         self.committee_size = 2 * env.t + 1
-        self.accepted: dict[int, str] = {}
-        #: Incremental tally: ``(block, string) -> distinct committee
-        #: senders`` seen so far.  Equivalent to rescanning the inbox on
-        #: every report (every counted report passed the same filters
-        #: when it arrived), but each report is processed once instead
-        #: of once per later report.
-        self._support: dict[tuple[int, str], set[int]] = {}
-        self._committee_cache: dict[int, frozenset[int]] = {}
-        #: Scale path: the run-shared column-major tally
-        #: (:class:`~repro.protocols.board.CommitteeBoard`) replaces
-        #: the per-peer ``accepted``/``_support`` dicts — same
-        #: acceptance rule, applied per span of peers instead of per
-        #: peer.  The deadline variant keeps the per-peer engine (its
-        #: leftover-query path reads the working array).
-        self._board = None
-        if env.scale is not None and give_up_time is None:
-            self._board = env.scale.committee_board(self)
-            self.on_message(CommitteeReport, self._on_report_scale)
-        else:
-            self.on_message(CommitteeReport, self._on_report)
+        #: The acceptance rule lives in the run-shared column-major
+        #: tally (:mod:`repro.protocols.board`), not in per-peer dicts:
+        #: the first peer of a run builds the board, every peer
+        #: registers with it and feeds it the reports delivered one by
+        #: one; grouped deliveries reach it as whole pid spans.
+        self._board = env.network.span_sink(CommitteeReport, lambda: (
+            CommitteeBoard(kernel=env.kernel, n=env.n, t=env.t,
+                           blocks=self.blocks,
+                           committee_size=self.committee_size)))
+        self._board.register(self)
+        self.on_message(CommitteeReport,
+                        partial(self._board.on_single, pid))
 
-    def _committee(self, block: int) -> frozenset[int]:
-        committee = self._committee_cache.get(block)
-        if committee is None:
-            committee = frozenset(
-                committee_for(block, self.committee_size, self.n))
-            self._committee_cache[block] = committee
-        return committee
-
-    # -- acceptance rule ---------------------------------------------------
-
-    def _on_report(self, message: CommitteeReport) -> None:
-        block = message.block
-        if block in self.accepted:
-            return
-        if not 0 <= block < self.blocks.num_segments:
-            return  # Byzantine garbage: no such block
-        if message.sender not in self._committee(block):
-            return  # only committee members may vouch for a block
-        lo, hi = self.blocks.bounds(block)
-        if len(message.string) != hi - lo:
-            return  # wrong length can never be the block's value
-        supporters = self._support.setdefault((block, message.string), set())
-        supporters.add(message.sender)
-        if len(supporters) >= self.t + 1:
-            # t + 1 identical reports include at least one honest one.
-            self.accepted[block] = message.string
-            self.learn_string(lo, message.string)
-
-    def _on_report_scale(self, message: CommitteeReport) -> None:
-        # Per-destination fallback on the scale path (Byzantine runs,
-        # where the corrupting network proxy forces singleton sends):
-        # feed the shared board one vote at a time.  The bulk path
-        # (``deliver_span``) bypasses this handler entirely.
-        self._board.on_single(self.pid, message)
-
-    # -- body --------------------------------------------------------------------
+    def _read_blocks(self, blocks: list[int]) -> Iterator:
+        """Query ``blocks`` in one batched request and accept each
+        reading; returns the ``(block, string)`` pairs."""
+        wanted: list[int] = []
+        for block in blocks:
+            lo, hi = self.blocks.bounds(block)
+            wanted.extend(range(lo, hi))
+        values = yield from self.query_bits(wanted)
+        readings = []
+        for block in blocks:
+            lo, hi = self.blocks.bounds(block)
+            string = "".join("1" if values[index] else "0"
+                             for index in range(lo, hi))
+            self._board.self_accept(self.pid, block, string)
+            readings.append((block, string))
+        return readings
 
     def body(self) -> Iterator:
-        if self._board is not None:
-            yield from self._body_scale()
-            return
+        board = self._board
         self.begin_cycle()
         self.note_phase("report")
-        my_blocks = [block for block in range(self.blocks.num_segments)
-                     if self.pid in committee_for(block, self.committee_size,
-                                                  self.n)]
         # One batched request for all committee duties: the committees
         # a peer serves on are known up front, so their queries can be
         # issued in parallel (the paper's committees operate in
         # parallel up to the n/(2t+1) concurrency it notes).
-        wanted: list[int] = []
-        for block in my_blocks:
-            lo, hi = self.blocks.bounds(block)
-            wanted.extend(range(lo, hi))
-        values = yield from self.query_bits(wanted)
-        self.learn_many(values)
-        for block in my_blocks:
-            lo, hi = self.blocks.bounds(block)
-            string = "".join("1" if values[index] else "0"
-                             for index in range(lo, hi))
-            self.accepted.setdefault(block, string)
+        readings = yield from self._read_blocks(board.blocks_of(self.pid))
+        for block, string in readings:
             self.broadcast(CommitteeReport(sender=self.pid, block=block,
                                            string=string))
 
         self.begin_cycle()
         self.note_phase("collect")
-        done = lambda: len(self.accepted) == self.blocks.num_segments  # noqa: E731
+        num_blocks = self.blocks.num_segments
+        done = lambda: board.accepted_blocks(self.pid) == num_blocks  # noqa: E731
         if self.give_up_time is None:
             yield self.wait_until(done,
                                   "t+1 matching reports for every block")
@@ -166,46 +126,6 @@ class ByzCommitteeDownloadPeer(DownloadPeer):
             if not done():
                 # The source broke its trust contract (possible only in
                 # the oracle application); read the leftovers ourselves.
-                leftovers: list[int] = []
-                for block in range(self.blocks.num_segments):
-                    if block not in self.accepted:
-                        lo, hi = self.blocks.bounds(block)
-                        leftovers.extend(range(lo, hi))
-                values = yield from self.query_bits(leftovers)
-                self.learn_many(values)
-        self.finish_with_working()
-
-    def _body_scale(self) -> Iterator:
-        """The same protocol driven through the shared board.
-
-        Step-for-step identical to :meth:`body` in every externally
-        observable way (queries issued, messages sent, wait points,
-        virtual timestamps); only the tally bookkeeping moves from
-        per-peer dicts to the run-shared column store, and the output
-        is assembled from accepted block strings instead of a per-peer
-        working array (the strings are the same bits).
-        """
-        board = self._board
-        self.begin_cycle()
-        self.note_phase("report")
-        my_blocks = board.blocks_of(self.pid)
-        wanted: list[int] = []
-        for block in my_blocks:
-            lo, hi = self.blocks.bounds(block)
-            wanted.extend(range(lo, hi))
-        values = yield from self.query_bits(wanted)
-        for block in my_blocks:
-            lo, hi = self.blocks.bounds(block)
-            string = "".join("1" if values[index] else "0"
-                             for index in range(lo, hi))
-            board.self_accept(self.pid, block, string)
-            self.broadcast(CommitteeReport(sender=self.pid, block=block,
-                                           string=string))
-
-        self.begin_cycle()
-        self.note_phase("collect")
-        num_blocks = self.blocks.num_segments
-        yield self.wait_until(
-            lambda: board.accepted_blocks(self.pid) == num_blocks,
-            "t+1 matching reports for every block")
+                yield from self._read_blocks(
+                    board.unaccepted_blocks(self.pid))
         self.finish(board.output_for(self.pid))

@@ -5,8 +5,8 @@
 so the same routing and JSON shapes back every transport: the
 stdlib asyncio server in :mod:`repro.service.server` (always
 available), and the optional FastAPI app in :func:`fastapi_app`
-(mirroring the numpy ``[scale]`` extra pattern: ``pip install
-repro[serve]`` adds it, its absence costs nothing).
+(an optional extra: ``pip install repro[serve]`` adds it, its absence
+costs nothing).
 
 Endpoints (the full operator reference lives in docs/SERVICE.md):
 

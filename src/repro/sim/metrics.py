@@ -65,9 +65,8 @@ class MetricsCollector:
     def record_messages(self, pid: int, count: int, bits_each: int) -> None:
         """Charge ``count`` equal-sized sends to ``pid`` in one update.
 
-        Bulk companion to :meth:`record_message` for the scale path's
-        grouped broadcasts; totals are identical to ``count`` scalar
-        calls.
+        Bulk companion to :meth:`record_message` for span-grouped
+        broadcasts; totals are identical to ``count`` scalar calls.
         """
         if count <= 0:
             return

@@ -171,14 +171,19 @@ class _Route:
         self.forward()
 
 
+def send_to_each(network, sender_pid: int, n: int, message: Message,
+                 sender_cycle: int) -> None:
+    """A broadcast as ``n - 1`` separate ``network.send`` calls, in
+    ascending destination order (shared with the Byzantine corrupting
+    proxy, whose ``send`` rewrites per destination)."""
+    for destination in range(n):
+        if destination != sender_pid:
+            network.send(sender_pid, destination, message,
+                         sender_cycle=sender_cycle)
+
+
 class Network:
     """Complete network over ``n`` peers with per-message adversary delays."""
-
-    #: Class marker checked by the scale path: bulk broadcasts require
-    #: the real network.  The Byzantine corrupting proxy lacks the
-    #: marker, so wrapped senders fall back to exact per-destination
-    #: sends.
-    BULK_CAPABLE = True
 
     def __init__(self, kernel: Kernel, metrics: MetricsCollector,
                  adversary, message_size_limit: Optional[int] = None,
@@ -217,12 +222,9 @@ class Network:
         self._router = None
         if topology is not None and not topology.is_complete:
             self._router = Router(topology, seed=route_seed)
-            #: Instance shadow of the class marker: the bulk span path
-            #: assumes one-hop delivery to a contiguous pid span, so
-            #: the scale path degrades to exact per-edge sends on any
-            #: routed topology.
-            self.BULK_CAPABLE = False
         self._receivers: dict[int, Receiver] = {}
+        #: ``message type -> span sink`` (see :meth:`span_sink`).
+        self._span_sinks: dict[type, object] = {}
         self._withheld: list[WithheldMessage] = []
         self._last_delivery: dict[tuple[int, int], float] = {}
         #: Optional TraceRecorder; when set, every send/delivery is
@@ -240,6 +242,12 @@ class Network:
         if receiver.pid in self._receivers:
             raise ValueError(f"peer {receiver.pid} attached twice")
         self._receivers[receiver.pid] = receiver
+
+    def unlink(self) -> None:
+        """Drop the references to receivers and span sinks, which
+        reference the network back (see :meth:`Kernel.unlink`)."""
+        self._receivers.clear()
+        self._span_sinks.clear()
 
     def receiver(self, pid: int) -> Receiver:
         """Look up the attached receiver for ``pid``."""
@@ -342,40 +350,56 @@ class Network:
             arrive or (lambda: self._deliver(destination, message)),
             kind=f"{kind}:{sender_pid}->{destination}")
 
-    # -- the scale path's bulk broadcast ----------------------------------
+    # -- broadcasting ------------------------------------------------------
 
-    def broadcast_message(self, sender_pid: int, n: int, message: Message,
-                          *, sender_cycle: int = 0, sink=None) -> None:
-        """Broadcast ``message`` to every peer but the sender, grouping
-        equal-latency runs of destinations into single delivery events.
+    def span_sink(self, message_type: type, factory):
+        """The run's span sink for ``message_type``, built by
+        ``factory()`` on first request.
 
-        Semantics are exactly :meth:`Peer.broadcast`'s per-destination
-        loop: every adversary hook (``permit_send``,
-        ``transform_message``, ``message_latency``) fires once per
-        destination, in ascending destination order, so RNG draw order
-        and crash-mid-batch behaviour are bit-identical to the
-        baseline.  Only the *scheduling* is collapsed: a maximal run of
-        consecutive destinations whose message passed through
-        untransformed with the same numeric latency becomes one queued
-        event delivered by ``sink.deliver_span``.  Because the run's
-        per-destination events would have carried consecutive sequence
-        numbers, no other event can order between them — the pop order
-        of the whole queue is provably unchanged (the golden battery
-        pins this with the scale path forced on).
-
-        Callers must ensure no per-delivery instrumentation is active
-        (see ``ScaleContext.bulk_eligible``); withheld, transformed,
-        and singleton deliveries fall back to the exact per-message
-        paths.
+        A span sink is a run-shared object that owns the delivery
+        semantics of one message type: a protocol that reads those
+        messages only through its handler (never from the inbox)
+        registers one here, and :meth:`broadcast` may then hand it a
+        whole run of destinations as a single event.  It provides
+        ``deliver_span(message, lo, hi)`` — the message reached every
+        pid in ``[lo, hi)`` — and ``owns(pid)`` — ``pid``'s deliveries
+        of this type go through the sink; a destination it does not own
+        (a scripted attacker, say) always gets its own delivery event.
         """
-        if self._router is not None:
-            # Routed topologies never qualify for span grouping (the
-            # instance shadows BULK_CAPABLE off); if a caller gets here
-            # anyway, degrade gracefully to exact per-edge sends.
-            for destination in range(n):
-                if destination != sender_pid:
-                    self.send(sender_pid, destination, message,
-                              sender_cycle=sender_cycle)
+        sink = self._span_sinks.get(message_type)
+        if sink is None:
+            sink = self._span_sinks[message_type] = factory()
+        return sink
+
+    def broadcast(self, sender_pid: int, n: int, message: Message,
+                  *, sender_cycle: int = 0) -> None:
+        """Send ``message`` to every peer ``0 .. n-1`` but the sender,
+        in ascending destination order.
+
+        Every adversary hook (``permit_send``, ``transform_message``,
+        ``message_latency``) fires once per destination in that order,
+        so RNG draw order and crash-mid-batch behaviour (a prefix of
+        the ID order goes out) do not depend on how deliveries are
+        scheduled.  Only the *scheduling* may be collapsed: when the
+        message type has a :meth:`span_sink` and nothing acts per
+        delivery — no trace or telemetry (they record each delivery),
+        no FIFO links or size limit (they act per message), no routed
+        topology (a span is one hop to consecutive pids) — a maximal
+        run of consecutive destinations that got the message
+        untransformed with the same numeric latency becomes one queued
+        event, delivered by ``sink.deliver_span``.  The run's
+        per-destination events would have carried consecutive sequence
+        numbers, so no other event can order between them and the pop
+        order of the whole queue is unchanged.  Withheld, transformed
+        and lone deliveries, and destinations the sink does not own,
+        take the per-message path; so does every send of a Byzantine
+        sender, whose corrupting proxy never reaches this method.
+        """
+        sink = self._span_sinks.get(type(message))
+        if (sink is None or self._router is not None
+                or self.telemetry is not None or self.trace is not None
+                or self.fifo or self.message_size_limit is not None):
+            send_to_each(self, sender_pid, n, message, sender_cycle)
             return
         kernel = self.kernel
         adversary = self.adversary
@@ -429,10 +453,9 @@ class Network:
             sent += 1
             latency = adversary.message_latency(
                 sender_pid, destination, message, now, sender_cycle)
-            if isinstance(latency, _Withhold):
+            if isinstance(latency, _Withhold) or not sink.owns(destination):
                 flush()
-                self._withheld.append(WithheldMessage(
-                    sender_pid, destination, message, now))
+                self._dispatch(sender_pid, destination, message, latency)
                 continue
             if not isinstance(latency, (int, float)) or latency < 0:
                 raise ValueError(
@@ -452,12 +475,12 @@ class Network:
     def _deliver_span(self, message: Message, lo: int, hi: int,
                       sink) -> None:
         """Deliver ``message`` to the contiguous pid span ``[lo, hi)``
-        as one event.  ``events_processed`` is compensated so event
-        accounting matches the per-destination engine exactly; the sink
-        owns the per-peer effects (tallies and completion notifies).
-        Crashed/finished receivers need no check here: the baseline
-        pops their delivery events too (then evaporates them), and the
-        sink's tally state for non-live peers is never read again.
+        as one event.  ``events_processed`` counts deliveries, so the
+        span is charged one event per destination; the sink owns the
+        per-peer effects (tallies and completion notifies).
+        Crashed/finished receivers need no check here: a delivery to
+        one is an event that evaporates, and the sink's state for a
+        peer that is no longer live is never read again.
         """
         self.kernel.events_processed += (hi - lo) - 1
         sink.deliver_span(message, lo, hi)

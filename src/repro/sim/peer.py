@@ -55,10 +55,6 @@ class SimEnv:
     #: once per run so per-event sites pay a single ``is not None``.
     telemetry: Optional[object] = None
     extras: dict = field(default_factory=dict)
-    #: The run's :class:`~repro.sim.scalepath.ScaleContext` when the
-    #: opt-in vectorized scale path is active, else ``None`` (the
-    #: default engine; every scale hook is then skipped).
-    scale: Optional[object] = None
     #: The run's :class:`~repro.topology.Topology` when connectivity is
     #: sparse, else ``None`` (the model's complete graph).  Protocols
     #: may inspect it (e.g. ``env.topology.neighbors(pid)``); sends to
@@ -200,27 +196,9 @@ class Peer(Process):
 
         A crash mid-broadcast leaves a prefix of the ID order delivered
         — exactly the partial-send behaviour the crash model allows.
-
-        On the scale path, a broadcast of a message type with a
-        registered bulk sink is handed to
-        :meth:`~repro.sim.network.Network.broadcast_message`, which
-        fires the same per-destination adversary hooks in the same
-        order but schedules one event per equal-latency destination
-        run instead of one per destination.
         """
-        env = self.env
-        scale = env.scale
-        if scale is not None:
-            sink = scale.sinks.get(type(message))
-            if sink is not None and scale.bulk_eligible(env.network):
-                env.network.broadcast_message(self.pid, env.n, message,
-                                              sender_cycle=self.cycle,
-                                              sink=sink)
-                return
-        for destination in env.peer_ids:
-            if destination != self.pid:
-                env.network.send(self.pid, destination, message,
-                                 sender_cycle=self.cycle)
+        self.env.network.broadcast(self.pid, self.env.n, message,
+                                   sender_cycle=self.cycle)
 
     # -- querying the source -------------------------------------------------------
 
@@ -343,9 +321,6 @@ class Peer(Process):
     def finish(self, output: BitArray) -> None:
         """Terminate with ``output`` (call immediately before returning)."""
         self.output = output
-        scale = self.env.scale
-        if scale is not None:
-            scale.state.terminated[self.pid] = 1
         self.env.metrics.record_termination(self.pid, self.env.kernel.now)
         if self.env.trace is not None:
             self.env.trace.record(self.env.kernel.now, "terminate",

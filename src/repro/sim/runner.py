@@ -31,8 +31,6 @@ from repro.sim.metrics import ComplexityReport, MetricsCollector, RunStatus
 from repro.sim.network import Network
 from repro.sim.peer import Peer, SimEnv
 from repro.sim.process import Process
-from repro.sim.scalepath import (ScaleContext, resolve_scale,
-                                 use_calendar_queue)
 from repro.sim.scheduler import DEFAULT_MAX_EVENTS, Kernel
 from repro.sim.source import DataSource, MutableDataSource
 from repro.sim.sourceset import SourceSet, parse_faults
@@ -110,7 +108,6 @@ class Simulation:
                  source_faults=(),
                  mutations=(),
                  extras: Optional[dict] = None,
-                 scale=None,
                  peer_subset=None,
                  topology=None) -> None:
         check_positive("n", n)
@@ -176,12 +173,6 @@ class Simulation:
                 "pass either source_factory= or mutations=, not both "
                 "(a custom factory owns the whole source layer)")
         self.extras = dict(extras or {})
-        #: Opt-in vectorized scale path.  ``None`` consults the
-        #: ``REPRO_SCALE`` environment flag (the default, so pool
-        #: workers inherit the CLI's ``--scale`` choice); True/False
-        #: and the explicit backend grammar force it.  Resolved at
-        #: construction so a bad value fails fast.
-        self.scale_config = resolve_scale(scale)
         #: Restrict instantiation to these pids (sharded execution of
         #: message-free protocols; see :mod:`repro.execution.sharding`).
         #: Global parameters — ``n``, seeds, the input — are untouched,
@@ -211,9 +202,7 @@ class Simulation:
     def run(self, *, max_events: int = DEFAULT_MAX_EVENTS,
             max_time: Optional[float] = None) -> RunResult:
         """Execute the simulation to completion and summarize it."""
-        kernel = Kernel(use_calendar=(
-            self.scale_config is not None
-            and use_calendar_queue(self.scale_config, self.n)))
+        kernel = Kernel()
         network = Network(kernel, MetricsCollector(), self.adversary,
                           message_size_limit=self.message_size_limit,
                           packetize=self.packetize, fifo=self.fifo,
@@ -225,11 +214,10 @@ class Simulation:
             # Kernel, network and peers reference each other in rings;
             # cut them, also when the run raised (see Kernel.unlink).
             kernel.unlink()
-            network._receivers.clear()
+            network.unlink()
 
     def _run(self, kernel: Kernel, network: Network, max_events: int,
              max_time: Optional[float]) -> RunResult:
-        scale_config = self.scale_config
         metrics = network.metrics
         trace = TraceRecorder() if self.trace_enabled else None
         # Resolve the process-global telemetry backend exactly once per
@@ -257,18 +245,12 @@ class Simulation:
             source = DataSource(self.data.copy(), metrics, network,
                                 self.adversary)
         source.telemetry = sink
-        scale_ctx = None
-        if scale_config is not None:
-            scale_ctx = ScaleContext(scale_config, self.n, self.ell)
-            bind = getattr(source, "bind_scale_state", None)
-            if bind is not None:
-                bind(scale_ctx.state)
         env = SimEnv(kernel=kernel, network=network, source=source,
                      metrics=metrics, adversary=self.adversary,
                      n=self.n, t=self.t, ell=self.ell, rng=self.rng,
                      message_size_limit=self.message_size_limit,
                      trace=trace, telemetry=sink, extras=self.extras,
-                     scale=scale_ctx, topology=self.topology)
+                     topology=self.topology)
         self.adversary.bind(env)
 
         processes: dict[int, Process] = {}
@@ -306,11 +288,6 @@ class Simulation:
 
         kernel.run(max_events=max_events, max_time=max_time)
 
-        if sink is not None and scale_ctx is not None:
-            sink.emit("scheduler_stats", {
-                "t": kernel.now, "queue": kernel.queue_kind,
-                "events": kernel.events_processed,
-                "max_depth": kernel.max_depth})
         actually_faulty = set(self.adversary.actually_faulty())
         honest = set(pids) - actually_faulty
         statuses = {}
@@ -357,7 +334,6 @@ def run_download(*, n: int, peer_factory: PeerFactory,
                  source_faults=(),
                  mutations=(),
                  extras: Optional[dict] = None,
-                 scale=None,
                  topology=None,
                  max_events: int = DEFAULT_MAX_EVENTS) -> RunResult:
     """One-call convenience: build a :class:`Simulation` and run it."""
@@ -367,5 +343,5 @@ def run_download(*, n: int, peer_factory: PeerFactory,
         message_size_limit=message_size_limit, packetize=packetize,
         fifo=fifo, trace=trace, sources=sources,
         source_faults=source_faults, mutations=mutations, extras=extras,
-        scale=scale, topology=topology)
+        topology=topology)
     return simulation.run(max_events=max_events)

@@ -22,7 +22,6 @@ from __future__ import annotations
 import heapq
 from typing import Callable, Optional
 
-from repro.sim.calqueue import CalendarQueue
 from repro.sim.errors import BudgetExceeded, DeadlockError
 from repro.sim.events import Event
 from repro.sim.process import Process, Sleep, WaitUntil
@@ -33,31 +32,14 @@ DEFAULT_MAX_EVENTS = 5_000_000
 
 
 class Kernel:
-    """Event loop + process scheduler for one simulation run.
+    """Event loop + process scheduler for one simulation run."""
 
-    The event store is chosen **once**, at construction: the default
-    binary heap, or (``use_calendar=True``) the bucketed
-    :class:`~repro.sim.calqueue.CalendarQueue` the scale path selects
-    for six-figure event counts.  Both order events by ``(time, seq)``
-    exactly, and a run can never switch stores mid-way — the
-    heap↔calendar crossover is therefore incapable of perturbing a
-    trace (pinned by ``tests/integration/test_scale_golden.py``).
-    """
-
-    def __init__(self, *, use_calendar: bool = False) -> None:
+    def __init__(self) -> None:
         self.now = 0.0
         #: Heap of ``(time, seq, action, kind)`` tuples; ``seq`` is
         #: unique, so C-level tuple comparison settles every heap swap
         #: without ever reaching the ``action`` slot.
         self._heap: list[tuple[float, int, Callable[[], None], str]] = []
-        self._cal: Optional[CalendarQueue] = (
-            CalendarQueue() if use_calendar else None)
-        #: Which event store this kernel runs on ("heap" | "calendar");
-        #: reported by the ``scheduler_stats`` telemetry event.
-        self.queue_kind = "calendar" if use_calendar else "heap"
-        #: High-water mark of the event queue depth (O(1) to maintain:
-        #: one comparison per push).
-        self.max_depth = 0
         self._seq = 0
         self._processes: list[Process] = []
         self.events_processed = 0
@@ -75,28 +57,9 @@ class Kernel:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if delay < 0:
             raise ValueError(f"delay must be non-negative, got {delay}")
-        entry = (self.now + delay, self._seq, action, kind)
-        if self._cal is None:
-            heapq.heappush(self._heap, entry)
-            depth = len(self._heap)
-        else:
-            self._cal.push(entry)
-            depth = len(self._cal)
+        heapq.heappush(self._heap, (self.now + delay, self._seq, action,
+                                    kind))
         self._seq += 1
-        if depth > self.max_depth:
-            self.max_depth = depth
-
-    def __len__(self) -> int:
-        """Number of pending events — O(1) on both stores."""
-        return len(self._heap) if self._cal is None else len(self._cal)
-
-    def peek(self) -> Optional[tuple]:
-        """The next ``(time, seq, action, kind)`` entry without popping
-        it, or ``None`` when the queue is empty — O(1) on both stores
-        (the calendar queue caches its minimum)."""
-        if self._cal is None:
-            return self._heap[0] if self._heap else None
-        return self._cal.peek()
 
     # -- process management --------------------------------------------------
 
@@ -131,8 +94,6 @@ class Kernel:
             process._generator = process._waiting = None
         self._processes.clear()
         self._heap.clear()
-        if self._cal is not None:
-            self._cal = CalendarQueue()
         self.on_quiescence = None
 
     def notify(self, process: Process) -> None:
@@ -216,9 +177,6 @@ class Kernel:
             DeadlockError: no events remain, the quiescence hook
                 produced nothing, and live processes are still waiting.
         """
-        if self._cal is not None:
-            self._run_calendar(max_events=max_events, max_time=max_time)
-            return
         heap = self._heap
         heappop = heapq.heappop
         while True:
@@ -228,31 +186,6 @@ class Kernel:
                 self._check_deadlock()
                 return
             time, seq, action, kind = heappop(heap)
-            if max_time is not None and time > max_time:
-                raise BudgetExceeded(
-                    f"virtual time budget {max_time} exceeded at "
-                    f"{Event(time, seq, action, kind)!r}")
-            self.now = time
-            self.events_processed += 1
-            if self.events_processed > max_events:
-                raise BudgetExceeded(
-                    f"event budget {max_events} exceeded at "
-                    f"{Event(time, seq, action, kind)!r}")
-            action()
-
-    def _run_calendar(self, *, max_events: int,
-                      max_time: Optional[float]) -> None:
-        """The :meth:`run` loop over the calendar-queue store.  Kept as
-        a verbatim twin of the heap loop so the default path pays no
-        per-event branch for a store it never uses."""
-        cal = self._cal
-        while True:
-            if not cal:
-                if self.on_quiescence is not None and self.on_quiescence():
-                    continue
-                self._check_deadlock()
-                return
-            time, seq, action, kind = cal.pop()
             if max_time is not None and time > max_time:
                 raise BudgetExceeded(
                     f"virtual time budget {max_time} exceeded at "

@@ -42,20 +42,9 @@ class DataSource:
         #: peer (bit ``i`` set = position ``i`` was queried).  Exposed
         #: as plain sets through :attr:`queried_indices`.
         self._queried_masks: dict[int, int] = {}
-        #: Scale path: the run's shared
-        #: :class:`~repro.sim.peerstate.PeerStateArrays`, which then
-        #: holds the query masks contiguously instead of in the dict
-        #: above (see :meth:`bind_scale_state`).
-        self._scale_state = None
         #: Resolved telemetry backend, or ``None`` when disabled (the
         #: runner wires this after construction).
         self.telemetry = None
-
-    def bind_scale_state(self, state) -> None:
-        """Route query-mask accounting into the scale path's
-        struct-of-arrays store (the runner calls this once per
-        scale-mode run, before any peer starts)."""
-        self._scale_state = state
 
     def __len__(self) -> int:
         return len(self.data)
@@ -73,10 +62,6 @@ class DataSource:
         Materialized fresh from the per-peer bitmasks on each access;
         mutating the returned sets does not affect the accounting.
         """
-        state = self._scale_state
-        if state is not None:
-            return {pid: mask_to_set(state.query_masks[pid])
-                    for pid in range(state.n) if state.query_touched[pid]}
         return {pid: mask_to_set(mask)
                 for pid, mask in self._queried_masks.items()}
 
@@ -84,12 +69,7 @@ class DataSource:
                       mask: int) -> None:
         """Charge ``pid`` for one request covering ``unique``."""
         self.metrics.record_query(pid, len(unique))
-        state = self._scale_state
-        if state is not None:
-            state.query_masks[pid] |= mask
-            state.query_touched[pid] = 1
-        else:
-            self._queried_masks[pid] = self._queried_masks.get(pid, 0) | mask
+        self._queried_masks[pid] = self._queried_masks.get(pid, 0) | mask
         self._requests_served += 1
         if self.telemetry is not None:
             self.telemetry.emit("query", {

@@ -150,8 +150,8 @@ class BitArray:
         Batched companion to :meth:`set_segment`: assembling an output
         from ``k`` accepted block strings costs one join and one
         int conversion instead of ``k`` shift-and-mask writes.
-        Equivalent to ``from_string("".join(segments))``; the scale
-        path packs whole-peer outputs this way.
+        Equivalent to ``from_string("".join(segments))``; the
+        committee board packs whole-peer outputs this way.
         """
         return cls.from_string("".join(segments))
 

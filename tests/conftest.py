@@ -64,9 +64,35 @@ def assert_download_correct(result, context: str = "") -> None:
             f"faulty set {sorted(result.faulty)}")
 
 
+def full_record(result) -> dict:
+    """Everything a run reports, for equality checks between two ways
+    of executing the same configuration."""
+    return {
+        "correct": bool(result.download_correct),
+        "query_complexity": result.report.query_complexity,
+        "total_query_bits": result.report.total_query_bits,
+        "message_complexity": result.report.message_complexity,
+        "message_bits": result.report.message_bits,
+        "time_complexity": repr(result.report.time_complexity),
+        "per_peer_query_bits": dict(result.report.per_peer_query_bits),
+        "per_peer_messages": dict(result.report.per_peer_messages),
+        "elapsed_virtual_time": repr(result.elapsed_virtual_time),
+        "events_processed": result.events_processed,
+        "honest": sorted(result.honest),
+        "faulty": sorted(result.faulty),
+        "statuses": dict(result.statuses),
+        "outputs": {pid: (None if output is None
+                          else output.segment(0, len(output)))
+                    for pid, output in result.outputs.items()},
+        "queried": {pid: sorted(indices)
+                    for pid, indices in result.queried_indices.items()},
+    }
+
+
 __all__ = [
     "assert_download_correct",
     "byzantine_async_adversary",
     "crash_async_adversary",
+    "full_record",
     "run_download",
 ]

@@ -68,6 +68,22 @@ class TestLargeNetworks:
         # ell(2t+1)/n = 1600.
         assert result.report.query_complexity <= 1700
 
+    def test_committee_at_n_2000(self):
+        # Fault-free with unit latencies every broadcast collapses to
+        # two pid spans, so the event *count* is per delivery while the
+        # queue and the tally work are per span: two thousand peers
+        # finish in well under a second.
+        n, blocks, committee = 2000, 8, 7
+        result = run_download(
+            n=n, ell=1024, t=3,
+            peer_factory=ByzCommitteeDownloadPeer.factory(block_size=128),
+            seed=6)
+        assert result.download_correct
+        assert result.report.query_complexity == 128
+        assert result.report.message_complexity == \
+            blocks * committee * (n - 1)
+        assert result.events_processed > result.report.message_complexity
+
     def test_crash_multi_at_n_48(self):
         result = run_download(
             n=48, ell=9600,

@@ -1,21 +1,23 @@
-"""Property-based tests for the scale path's batched kernels.
+"""Property-based tests for the engine's batched kernels.
 
-Each batched primitive (tier-mask vote tallies, whole-run assignment
-maps, segment-packed BitArray construction) must be *extensionally
-equal* to the incremental code it replaces — the golden battery pins
-whole runs, these pin the kernels element for element on arbitrary
-inputs.
+Each batched primitive (tier-mask vote tallies, the committee board
+built on them, whole-run assignment maps, segment-packed BitArray
+construction) must be *extensionally equal* to the per-peer,
+per-message statement of the same rule — the golden battery pins whole
+runs, these pin the kernels element for element on arbitrary inputs.
 """
+
+from types import SimpleNamespace
 
 from hypothesis import given, settings, strategies as st
 
 from repro.core.assignment import (
+    committee_for,
     committees_by_peer,
     committees_of_peer,
-    digit_owner,
-    digit_owners,
 )
-from repro.protocols.board import TierTally
+from repro.core.segments import Segmentation
+from repro.protocols.board import CommitteeBoard, TierTally
 from repro.util.bitarrays import BitArray
 
 # A vote mask over a small peer universe; small enough that sequences
@@ -60,25 +62,175 @@ class TestTierTally:
             seen |= newly
 
 
-class TestDigitOwnersBatch:
-    @given(st.lists(st.integers(min_value=0, max_value=50_000),
-                    max_size=60),
-           st.integers(min_value=1, max_value=4),
-           st.integers(min_value=1, max_value=40))
-    @settings(max_examples=200, deadline=None)
-    def test_equals_scalar_map(self, indices, phase, n):
-        assert digit_owners(indices, phase, n) == [
-            digit_owner(index, phase, n) for index in indices]
+class _RecordingKernel:
+    """Stands in for the kernel: the board only reads ``now`` and
+    calls ``notify``."""
 
-    @given(st.integers(min_value=1, max_value=4),
-           st.integers(min_value=1, max_value=20))
-    @settings(max_examples=50, deadline=None)
-    def test_huge_indices_take_the_exact_path(self, phase, n):
-        # Values past any machine-integer range must still match the
-        # scalar function (the numpy fast path bows out here).
-        indices = [10**30, 10**30 + 1, 2**70]
-        assert digit_owners(indices, phase, n) == [
-            digit_owner(index, phase, n) for index in indices]
+    def __init__(self) -> None:
+        self.now = 0.0
+        self.notified: list[int] = []
+
+    def notify(self, receiver) -> None:
+        self.notified.append(receiver.pid)
+
+
+class _ModelPeer:
+    """Theorem 3.4's acceptance rule for ONE peer, as the paper states
+    it: accept a block once ``t + 1`` distinct members of its committee
+    reported the same string; the first acceptance wins."""
+
+    def __init__(self, n, t, blocks):
+        self.n, self.t, self.blocks = n, t, blocks
+        self.accepted: dict[int, str] = {}
+        self.support: dict[tuple[int, str], set[int]] = {}
+
+    def report(self, sender, block, string):
+        if block in self.accepted:
+            return
+        if not 0 <= block < self.blocks.num_segments:
+            return
+        if sender not in committee_for(block, 2 * self.t + 1, self.n):
+            return
+        if len(string) != self.blocks.length(block):
+            return
+        supporters = self.support.setdefault((block, string), set())
+        supporters.add(sender)
+        if len(supporters) >= self.t + 1:
+            self.accepted[block] = string
+
+    def self_accept(self, block, string):
+        self.accepted.setdefault(block, string)
+
+    @property
+    def complete(self):
+        return len(self.accepted) == self.blocks.num_segments
+
+
+@st.composite
+def board_scenarios(draw):
+    """A board shape plus a random interleaving of deliveries: honest
+    and forged reports, duplicates, non-members, out-of-range blocks
+    and senders, wrong-width strings."""
+    n = draw(st.integers(min_value=3, max_value=9))
+    t = draw(st.integers(min_value=0, max_value=(n - 1) // 2))
+    ell = draw(st.integers(min_value=1, max_value=9))
+    blocks = Segmentation(ell, draw(st.integers(min_value=1,
+                                                max_value=min(ell, 4))))
+    num_blocks = blocks.num_segments
+    any_block = st.integers(min_value=-1, max_value=num_blocks)
+    any_sender = st.integers(min_value=-1, max_value=n)
+
+    def report():
+        block = draw(any_block)
+        width = blocks.length(min(max(block, 0), num_blocks - 1))
+        # Two candidate values per block (so equal strings recur and
+        # reach t + 1), now and then one of the wrong width.
+        string = draw(st.sampled_from(
+            ["0" * width, "1" * width, "1" * (width + 1), ""]))
+        return draw(any_sender), block, string
+
+    # A small pool of reports, so the same one is delivered again and
+    # again (to the same peer too: duplicates must count once).
+    pool = st.sampled_from([report() for _ in range(
+        draw(st.integers(min_value=1, max_value=6)))])
+    ops = []
+    for _ in range(draw(st.integers(min_value=0, max_value=40))):
+        kind = draw(st.sampled_from(["single", "single", "span", "span",
+                                     "self"]))
+        if kind == "single":
+            ops.append(("single", draw(st.integers(0, n - 1)), *draw(pool)))
+        elif kind == "span":
+            lo = draw(st.integers(0, n - 1))
+            hi = draw(st.integers(lo + 1, n))
+            ops.append(("span", lo, hi, *draw(pool)))
+        else:
+            block = draw(st.integers(0, num_blocks - 1))
+            ops.append(("self", draw(st.integers(0, n - 1)), block,
+                        draw(st.sampled_from("01")) * blocks.length(block)))
+    return n, t, blocks, ops
+
+
+class TestCommitteeBoardModel:
+    @given(board_scenarios())
+    @settings(max_examples=300, deadline=None)
+    def test_board_equals_the_per_peer_rule(self, scenario):
+        """After every delivery the board and ``n`` independent model
+        peers agree, peer by peer, on which blocks are accepted; a span
+        wakes exactly the peers it completed, in ascending order, and a
+        single delivery wakes nobody (the peer's own ``deliver`` does);
+        the final outputs show every accepted string is the model's."""
+        n, t, blocks, ops = scenario
+        num_blocks = blocks.num_segments
+        kernel = _RecordingKernel()
+        board = CommitteeBoard(kernel=kernel, n=n, t=t, blocks=blocks,
+                               committee_size=2 * t + 1)
+        for pid in range(n):
+            board.register(SimpleNamespace(pid=pid, give_up_time=None))
+        model = [_ModelPeer(n, t, blocks) for _ in range(n)]
+        for op in ops:
+            kernel.notified.clear()
+            was_complete = [peer.complete for peer in model]
+            if op[0] == "single":
+                _, pid, sender, block, string = op
+                board.on_single(pid, SimpleNamespace(
+                    sender=sender, block=block, string=string))
+                model[pid].report(sender, block, string)
+                assert kernel.notified == []
+            elif op[0] == "span":
+                _, lo, hi, sender, block, string = op
+                board.deliver_span(SimpleNamespace(
+                    sender=sender, block=block, string=string), lo, hi)
+                for pid in range(lo, hi):
+                    model[pid].report(sender, block, string)
+                assert kernel.notified == [
+                    pid for pid in range(lo, hi)
+                    if model[pid].complete and not was_complete[pid]]
+            else:
+                _, pid, block, string = op
+                board.self_accept(pid, block, string)
+                model[pid].self_accept(block, string)
+            for pid in range(n):
+                assert board.accepted_blocks(pid) == len(model[pid].accepted)
+                assert board.unaccepted_blocks(pid) == [
+                    block for block in range(num_blocks)
+                    if block not in model[pid].accepted]
+        # Settle what is left with a per-peer filler, then read every
+        # accepted string back through the only read side peers have.
+        for pid in range(n):
+            filler = "01"[pid % 2]
+            for block in board.unaccepted_blocks(pid):
+                string = filler * blocks.length(block)
+                board.self_accept(pid, block, string)
+                model[pid].self_accept(block, string)
+            output = board.output_for(pid)
+            assert output.segment(0, len(output)) == "".join(
+                model[pid].accepted[block] for block in range(num_blocks))
+
+    @given(board_scenarios(), st.floats(min_value=0.0, max_value=2.0))
+    @settings(max_examples=100, deadline=None)
+    def test_past_the_deadline_a_span_notifies_every_peer_in_it(
+            self, scenario, now):
+        """``give_up_time`` waits are satisfied by the clock alone, so
+        from the deadline on a span notifies its whole pid range (as
+        per-message deliveries would); before it, only completions."""
+        n, t, blocks, ops = scenario
+        kernel = _RecordingKernel()
+        kernel.now = now
+        board = CommitteeBoard(kernel=kernel, n=n, t=t, blocks=blocks,
+                               committee_size=2 * t + 1)
+        for pid in range(n):
+            board.register(SimpleNamespace(pid=pid, give_up_time=1.0))
+        for op in ops:
+            if op[0] != "span":
+                continue
+            _, lo, hi, sender, block, string = op
+            kernel.notified.clear()
+            board.deliver_span(SimpleNamespace(
+                sender=sender, block=block, string=string), lo, hi)
+            if now >= 1.0:
+                assert kernel.notified == list(range(lo, hi))
+            else:
+                assert set(kernel.notified) <= set(range(lo, hi))
 
 
 class TestCommitteesByPeer:

@@ -14,11 +14,14 @@ from repro.adversary import (
     UniformRandomDelay,
     WrongBitsStrategy,
 )
+from repro.adversary.base import Adversary
 from repro.core.bounds import committee_query_bound
+from repro.oracle.feeds import EquivocatingFeed
 from repro.protocols import ByzCommitteeDownloadPeer
-from repro.sim import ConfigurationError, run_download
+from repro.sim import ConfigurationError, Simulation, run_download
 
-from tests.conftest import assert_download_correct, byzantine_async_adversary
+from tests.conftest import (assert_download_correct,
+                            byzantine_async_adversary, full_record)
 
 ALL_STRATEGIES = [SilentStrategy, WrongBitsStrategy, EquivocateStrategy,
                   SelectiveSilenceStrategy]
@@ -160,3 +163,109 @@ class TestAcceptanceRule:
                 0.25, lambda pid: WrongBitsStrategy()),
             seed=7)
         assert_download_correct(result)
+
+
+class _OneStreamQueryDelay(Adversary):
+    """Unit message latency; the first ``n`` query answers stagger the
+    peers (even pids at 0.5, odd at 1.0), every later one draws from a
+    single sequential stream — so the *order* in which peers wake and
+    re-query shows up in T."""
+
+    def on_bind(self):
+        self.answered = 0
+
+    def query_latency(self, pid, now):
+        self.answered += 1
+        if self.answered <= self.env.n:
+            return 1.0 if pid % 2 else 0.5
+        return 1.0 + self.rng.random()
+
+
+class TestSpanVsPerMessage:
+    """A broadcast the network groups into pid spans and the same
+    broadcast delivered message by message (a trace recorder forces
+    that) are one execution: same record, field for field."""
+
+    def test_fault_free_broadcasts_become_spans(self):
+        # Unit latencies: every broadcast is one span per side of the
+        # sender, every tally lands on the board span-at-a-time.
+        kwargs = dict(
+            n=40, ell=512, t=3, seed=77,
+            peer_factory=ByzCommitteeDownloadPeer.factory(block_size=64))
+        spans = run_download(**kwargs)
+        singles = run_download(trace=True, **kwargs)
+        assert full_record(spans) == full_record(singles)
+        # 8 blocks x 7 committee members x 39 destinations, each one
+        # counted as an event although a span queues a single one.
+        assert spans.report.message_complexity == 8 * 7 * 39
+        assert spans.events_processed > spans.report.message_complexity
+
+    def test_a_scripted_attacker_still_hears_every_report(self):
+        # The board owns the deliveries of the peers registered with
+        # it, nobody else's: a span must split around an attacker that
+        # reads honest reports from its own inbox.
+        from repro.adversary import ScriptedByzantinePeer
+        from repro.core.assignment import committee_for
+        from repro.sim.process import WaitUntil
+
+        class Eavesdropper(ScriptedByzantinePeer):
+            def body(self):
+                yield WaitUntil(lambda: False, "listening forever")
+
+        def run(trace):
+            attackers = []
+
+            def make(pid, env):
+                attackers.append(Eavesdropper(pid, env))
+                return attackers[-1]
+
+            result = run_download(
+                n=9, ell=72, t=2, seed=9, trace=trace,
+                peer_factory=ByzCommitteeDownloadPeer.factory(block_size=8),
+                adversary=ByzantineAdversary(corrupted={4},
+                                             scripted_factory=make))
+            assert_download_correct(result)
+            return result, attackers[0].inbox
+
+        (spans, heard), (singles, heard_singly) = run(False), run(True)
+        assert full_record(spans) == full_record(singles)
+        assert heard == heard_singly
+        # One report per honest member of each of the 9 committees.
+        assert len(heard) == sum(
+            len(set(committee_for(block, 5, 9)) - {4}) for block in range(9))
+
+    @pytest.mark.parametrize("give_up_time", [1.5, 2.0, 2.5, 50.0])
+    def test_give_up_under_equivocating_source(self, give_up_time):
+        """The oracle application's escape hatch, through the board: a
+        feed that shows two of every three readers a private vector
+        never yields t+1 matching reports, so every peer waits out the
+        deadline, reads the unresolved blocks itself and terminates —
+        identically on the span and the per-message path, including
+        when the deadline coincides with report arrivals (1.5, 2.0)."""
+        n, value_bits = 12, 8
+        default = [10, 20, 30, 40, 50, 60]
+        feed = EquivocatingFeed(
+            0, {pid: [value + pid for value in default]
+                for pid in range(n) if pid % 3},
+            default, value_bits)
+
+        def run(trace):
+            return Simulation(
+                n=n, data=feed.encoded_for(0), t=2, seed=3,
+                peer_factory=ByzCommitteeDownloadPeer.factory(
+                    block_size=value_bits, give_up_time=give_up_time),
+                source_factory=feed.source_factory(),
+                adversary=_OneStreamQueryDelay(), trace=trace).run()
+
+        spans, singles = run(False), run(True)
+        assert full_record(spans) == full_record(singles)
+        assert spans.all_honest_terminated
+        # Nobody finished before the deadline, and everybody paid for
+        # the whole array: own committee blocks, then the leftovers.
+        assert min(status.termination_time
+                   for status in spans.statuses.values()) > give_up_time
+        assert set(spans.report.per_peer_query_bits.values()) == {
+            len(default) * value_bits}
+        # Each reader ends with the vector the feed showed *it*.
+        for pid, output in spans.outputs.items():
+            assert output == feed.encoded_for(pid)
