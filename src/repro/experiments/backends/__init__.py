@@ -38,6 +38,9 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
+from repro.sim.source import parse_faults
+from repro.util.validation import check_positive
+
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.outcome import RepeatRecord
     from repro.experiments.spec import ExperimentSpec
@@ -46,6 +49,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ExecutionBackend",
     "all_backends",
+    "check_sources_and_topology",
     "get_backend",
     "register_backend",
     "telemetry_scope",
@@ -107,6 +111,39 @@ def telemetry_scope(telemetry: Optional["Telemetry"]):
     else:
         with using(telemetry):
             yield
+
+
+def check_sources_and_topology(spec: "ExperimentSpec", *,
+                               no_proxy_because: Optional[str] = None):
+    """The spec checks every backend shares: source count and fault
+    grammar, ``q``/``f``-vs-``sources`` feasibility and the topology
+    grammar fail at spec construction, not mid-sweep.
+
+    ``no_proxy_because`` is given by backends with no sockets for a
+    chaos proxy to sit on; it ends their ``proxy_faults`` rejection.
+    Returns the parsed source faults.
+    """
+    check_positive("sources", spec.sources)
+    faults = parse_faults(spec.source_faults, spec.sources)
+    if no_proxy_because is not None and spec.proxy_faults:
+        raise ValueError(
+            f"proxy_faults apply only to backend='net' — the chaos "
+            f"proxy sits on its sockets; {no_proxy_because}")
+    q = spec.protocol_params.get("q")
+    if q is not None and not 1 <= q <= spec.sources:
+        raise ValueError(f"q={q} must be in [1, sources="
+                         f"{spec.sources}]")
+    f = spec.protocol_params.get("f")
+    if (spec.protocol == "cross-validate-escalate" and f is not None
+            and 2 * f + 1 > spec.sources):
+        raise ValueError(f"escalation needs 2f + 1 <= sources, got "
+                         f"f={f}, sources={spec.sources}")
+    if spec.topology != "complete":
+        # The build is cheap and discarded; runs rebuild from the
+        # per-repeat seed.
+        from repro.topology import build_topology
+        build_topology(spec.topology, spec.n)
+    return faults
 
 
 # Built-ins register at import time so that ExperimentSpec validation

@@ -47,9 +47,9 @@ class NetBackend:
     """Runs specs over real sockets (:mod:`repro.net`)."""
 
     def validate(self, spec: "ExperimentSpec") -> None:
+        from repro.experiments.backends import check_sources_and_topology
         from repro.net.chaos import parse_proxy_faults
         from repro.net.peers import NET_PARAMS, NET_PEERS
-        from repro.sim.sourceset import parse_faults
         if spec.protocol not in NET_PEERS:
             raise KeyError(
                 f"protocol {spec.protocol!r} has no net-backend "
@@ -75,27 +75,13 @@ class NetBackend:
             raise ValueError(
                 f"protocol {spec.protocol!r} takes no net params "
                 f"{sorted(unknown)}; accepted: {sorted(allowed)}")
-        check_positive("sources", spec.sources)
-        faults = parse_faults(spec.source_faults, spec.sources)
-        for fault in faults:
+        for fault in check_sources_and_topology(spec):
             if fault.onset > 0:
                 raise ValueError(
                     f"source fault {fault.describe()!r}: @onset gating "
                     f"needs the simulator's virtual clock; backend="
                     f"'net' has none")
-        q = spec.protocol_params.get("q")
-        if q is not None and not 1 <= q <= spec.sources:
-            raise ValueError(f"q={q} must be in [1, sources="
-                             f"{spec.sources}]")
-        f = spec.protocol_params.get("f")
-        if (spec.protocol == "cross-validate-escalate" and f is not None
-                and 2 * f + 1 > spec.sources):
-            raise ValueError(f"escalation needs 2f + 1 <= sources, got "
-                             f"f={f}, sources={spec.sources}")
         parse_proxy_faults(spec.proxy_faults)  # grammar check
-        if spec.topology != "complete":
-            from repro.topology import build_topology
-            build_topology(spec.topology, spec.n)  # grammar/feasibility
 
     def run_one(self, spec: "ExperimentSpec", repeat: int, seed: int,
                 telemetry: Optional["Telemetry"]) -> RepeatRecord:

@@ -41,39 +41,10 @@ class SimBackend:
                              f"{sorted(_STRATEGIES)}, got {spec.strategy!r}")
         if spec.fault_model != "none" and spec.beta <= 0:
             raise ValueError("faulty models need beta > 0")
-        self._validate_topology(spec)
-        self._validate_sources(spec)
-
-    @staticmethod
-    def _validate_topology(spec: "ExperimentSpec") -> None:
-        """Reject a bad topology grammar (or an ``(n, parameter)``
-        combination with no valid graph) at construction, not mid-run.
-        The build is cheap and discarded; runs rebuild from the
-        per-repeat seed."""
-        if spec.topology != "complete":
-            from repro.topology import build_topology
-            build_topology(spec.topology, spec.n)
-
-    def _validate_sources(self, spec: "ExperimentSpec") -> None:
-        """Multi-source sanity: fault grammar and q/f-vs-k feasibility
-        fail at spec construction, not mid-sweep."""
-        from repro.sim.sourceset import parse_faults
-        check_positive("sources", spec.sources)
-        parse_faults(spec.source_faults, spec.sources)  # grammar check
-        if spec.proxy_faults:
-            raise ValueError(
-                "proxy_faults apply only to backend='net' — the chaos "
-                "proxy sits on its sockets; the simulator's transport "
-                "adversary is the network/fault model")
-        q = spec.protocol_params.get("q")
-        if q is not None and not 1 <= q <= spec.sources:
-            raise ValueError(f"q={q} must be in [1, sources="
-                             f"{spec.sources}]")
-        f = spec.protocol_params.get("f")
-        if (spec.protocol == "cross-validate-escalate" and f is not None
-                and 2 * f + 1 > spec.sources):
-            raise ValueError(f"escalation needs 2f + 1 <= sources, got "
-                             f"f={f}, sources={spec.sources}")
+        from repro.experiments.backends import check_sources_and_topology
+        check_sources_and_topology(
+            spec, no_proxy_because="the simulator's transport adversary "
+                                   "is the network/fault model")
 
     def run_one(self, spec: "ExperimentSpec", repeat: int, seed: int,
                 telemetry: Optional["Telemetry"]) -> RepeatRecord:

@@ -115,26 +115,10 @@ class SyncBackend:
         if spec.protocol == "byz-committee" and 2 * spec.t >= spec.n:
             raise ValueError(f"committee protocol needs 2t < n, got "
                              f"t={spec.t}, n={spec.n}")
-        from repro.sim.sourceset import parse_faults
-        check_positive("sources", spec.sources)
-        parse_faults(spec.source_faults, spec.sources)  # grammar check
-        if spec.proxy_faults:
-            raise ValueError(
-                "proxy_faults apply only to backend='net' — the chaos "
-                "proxy sits on its sockets; the lockstep engine has no "
-                "transport to shake")
-        q = spec.protocol_params.get("q")
-        if q is not None and not 1 <= q <= spec.sources:
-            raise ValueError(f"q={q} must be in [1, sources="
-                             f"{spec.sources}]")
-        f = spec.protocol_params.get("f")
-        if (spec.protocol == "cross-validate-escalate" and f is not None
-                and 2 * f + 1 > spec.sources):
-            raise ValueError(f"escalation needs 2f + 1 <= sources, got "
-                             f"f={f}, sources={spec.sources}")
-        if spec.topology != "complete":
-            from repro.topology import build_topology
-            build_topology(spec.topology, spec.n)  # grammar/feasibility
+        from repro.experiments.backends import check_sources_and_topology
+        check_sources_and_topology(
+            spec, no_proxy_because="the lockstep engine has no "
+                                   "transport to shake")
 
     def run_one(self, spec: "ExperimentSpec", repeat: int, seed: int,
                 telemetry: Optional["Telemetry"]) -> RepeatRecord:

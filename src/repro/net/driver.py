@@ -4,8 +4,8 @@
 :func:`repro.sim.run_download`.  It rebuilds the *identical
 experiment* the simulator would run for the same seed — the input
 array from the seed's ``"input"`` RNG split, the per-endpoint source
-views from the same ``"source-{sid}"`` splits — then executes it over
-real sockets:
+views from the same :class:`~repro.sim.source.SourceCore` — then
+executes it over real sockets:
 
 1. a socket directory is created; the :class:`SourceServer` (and, for
    peer-to-peer protocols, one :class:`PeerInbox` per peer) starts on
@@ -45,7 +45,6 @@ from typing import Optional
 
 from repro.execution.retry import RetryPolicy
 from repro.obs.telemetry import event
-from repro.sim.sourceset import parse_faults
 from repro.topology import resolve_topology
 from repro.util.bitarrays import BitArray
 from repro.util.rng import SplittableRNG, derive_seed
@@ -149,9 +148,6 @@ async def _run(*, n, ell, protocol, protocol_params, sources,
     # Same construction seed as the simulator, so a random-dregular
     # graph here has the identical edge set for the identical run seed.
     topo = resolve_topology(topology, n, seed)
-    faults = parse_faults(source_faults, sources)
-    views = [fault.build_view(data, root.split(f"source-{sid}"))
-             for sid, fault in enumerate(faults)]
     plan = (ChaosPlan(proxy_faults, derive_seed(seed, "net-chaos"))
             if proxy_faults else None)
     started = time.monotonic()
@@ -159,12 +155,13 @@ async def _run(*, n, ell, protocol, protocol_params, sources,
     def clock() -> float:
         return time.monotonic() - started
 
+    source = SourceServer(data, k=sources, faults=source_faults, rng=root,
+                          base_delay=base_delay,
+                          withhold_delay=withhold_delay)
     # Socket dir under the system tmp (Unix socket paths are length-
     # limited, so never under a deep pytest tmp_path).
     sock_dir = tempfile.mkdtemp(prefix="rnet-")
     needs_inboxes = protocol == "balanced"
-    source = SourceServer(data, views, faults, base_delay=base_delay,
-                          withhold_delay=withhold_delay)
     proxy = ChaosProxy(plan, clock=clock)
     inboxes: dict[int, PeerInbox] = {}
     procs: list[asyncio.subprocess.Process] = []

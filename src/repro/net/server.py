@@ -1,20 +1,18 @@
 """Socket servers for the net backend: the source set and peer inboxes.
 
-:class:`SourceServer` is the external data source as an actual server.
-One listener serves all ``k`` endpoints of a
-:class:`~repro.sim.sourceset.SourceSet`-style configuration: a query
-frame names its endpoint, and the server answers from that endpoint's
-*view* — built with the same fault models, the same RNG splits, and
-therefore the same bits as the simulator builds for the same seed.
+:class:`SourceServer` is the external data source as an actual server:
+the socket front of :class:`~repro.sim.source.SourceCore`.  One
+listener serves all ``k`` endpoints; a query frame names its endpoint,
+and the server answers from that endpoint's *view* — the same fault
+models, the same RNG splits, and therefore the same bits as the
+simulator builds for the same seed.
 
-Query accounting mirrors the simulator exactly, with one new rule on
-top — **idempotent request IDs**.  The first time a request ID is
-seen, its unique indices are charged (duplicates within the request
-collapsed, re-queries across requests charged again, exactly like
-:meth:`SourceSet.request_bits_from`) and the response is cached; any
-later frame with the same ID — a client retry after a dropped
-response, a proxy-duplicated request — is answered from the cache
-without touching a counter.  That is what makes query complexity under
+Query accounting is the core's, with one rule on top — **idempotent
+request IDs**.  The first time a request ID is seen, its unique
+indices are charged and the response is cached; any later frame with
+the same ID — a client retry after a dropped response, a
+proxy-duplicated request — is answered from the cache without
+touching a counter.  That is what makes query complexity under
 a faulty proxy *equal* to the fault-free run's, which the conformance
 tests gate.  Replayed responses carry an incremented ``resend`` field
 so their bytes differ per send — a content-hashing proxy that dropped
@@ -23,9 +21,9 @@ the original must get a fresh decision for the replay.
 Source-fault latency semantics (net has no virtual clock, so ``@onset``
 is rejected at validation):
 
-- ``withhold`` answers the *truth* after an extra fixed delay — the
-  sim's "released at quiescence" compressed to wall clock: it costs
-  time, never liveness, and never Q;
+- ``withhold`` answers after an extra fixed delay — the sim's
+  "released at quiescence" compressed to wall clock: it costs time,
+  never liveness, and never Q;
 - ``slow:factor`` multiplies the base response delay;
 - everything else answers its view after the base delay (0 by
   default).
@@ -39,32 +37,26 @@ counter), never double-counted.
 from __future__ import annotations
 
 import asyncio
-from collections import defaultdict
-from typing import Callable, Optional, Sequence
+import math
+from typing import Callable, Optional
 
-from repro.sim.sourceset import SourceFault
-from repro.util.bitarrays import BitArray, canonical_indices, mask_to_set
+from repro.sim.source import SourceCore
+from repro.util.bitarrays import BitArray
+from repro.util.rng import SplittableRNG
 
 from repro.net.wire import WireError, encode_frame, read_frame
 
 
-class SourceServer:
+class SourceServer(SourceCore):
     """All ``k`` source endpoints behind one Unix-socket listener."""
 
-    def __init__(self, data: BitArray, views: Sequence[BitArray],
-                 faults: Sequence[SourceFault], *,
+    def __init__(self, data: BitArray, *, k: int = 1, faults=(),
+                 rng: Optional[SplittableRNG] = None,
                  base_delay: float = 0.0,
                  withhold_delay: float = 0.2) -> None:
-        self.data = data
-        self.views = list(views)
-        self.faults = list(faults)
+        super().__init__(data, k=k, faults=faults, rng=rng)
         self.base_delay = base_delay
         self.withhold_delay = withhold_delay
-        self.k = len(self.views)
-        self.query_bits: dict[int, int] = defaultdict(int)
-        self.requests_served = 0
-        self._queried_masks: dict[int, int] = {}
-        self._per_source_masks: dict[tuple[int, int], int] = {}
         self._responses: dict[str, dict] = {}
         self._resends: dict[str, int] = {}
         self._server: Optional[asyncio.AbstractServer] = None
@@ -78,20 +70,6 @@ class SourceServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-
-    # -- accounting (read by the driver after the run) --------------------
-
-    @property
-    def queried_indices(self) -> dict[int, set[int]]:
-        """Positions each peer queried, unioned over endpoints."""
-        return {pid: mask_to_set(mask)
-                for pid, mask in self._queried_masks.items()}
-
-    @property
-    def queried_by_source(self) -> dict[tuple[int, int], set[int]]:
-        """Positions queried per ``(peer, source)`` pair."""
-        return {key: mask_to_set(mask)
-                for key, mask in self._per_source_masks.items()}
 
     # -- serving ----------------------------------------------------------
 
@@ -118,21 +96,13 @@ class SourceServer:
             response["resend"] = self._resends[rid]
             return response, delay
         pid = int(frame["peer"])
-        unique, mask = canonical_indices(frame["indices"], len(self.data))
-        self.query_bits[pid] += len(unique)
-        self._queried_masks[pid] = self._queried_masks.get(pid, 0) | mask
-        key = (pid, source_id)
-        self._per_source_masks[key] = \
-            self._per_source_masks.get(key, 0) | mask
-        self.requests_served += 1
-        # A withholding endpoint delays the truth (the sim's quiescence
-        # release); every other fault answers its standing view.
-        view = self.data if fault.withholding else self.views[source_id]
+        unique = self.charge(pid, source_id, frame["indices"])
+        # No virtual clock on sockets: every fault is active throughout.
+        values = self.read(source_id, pid, unique, math.inf)
         response = {
             "type": "bits",
             "rid": rid,
-            "values": {str(index): bit for index, bit
-                       in zip(unique, view.get_many(unique))},
+            "values": {str(index): bit for index, bit in values.items()},
             "resend": 0,
         }
         self._responses[rid] = response

@@ -16,7 +16,6 @@ from repro.oracle.feeds import (
     EquivocatingFeed,
     Feed,
     HonestFeed,
-    feeds_source_factory,
     honest_range,
     in_honest_range,
 )
@@ -50,7 +49,6 @@ __all__ = [
     "cell_bounds",
     "decode_values",
     "encode_values",
-    "feeds_source_factory",
     "honest_range",
     "in_honest_range",
     "make_setup",

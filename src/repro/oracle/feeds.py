@@ -15,18 +15,14 @@ Three feed behaviours:
   lying);
 - :class:`EquivocatingFeed` — per-reader adversarial vectors.
 
-Each feed can hand the DR simulation a source object
-(:meth:`Feed.source_factory`), so a Download protocol can be run
-*against* the feed; honest feeds yield the standard trusted
-:class:`~repro.sim.source.DataSource`, equivocating feeds yield a
-source that answers by reader identity.
-
-Feeds also plug into the multi-source layer
-(:mod:`repro.sim.sourceset`): :meth:`Feed.source_fault` renders one
-feed as a per-endpoint fault model, and :func:`feeds_source_factory`
-turns a whole feed set into a :class:`~repro.sim.sourceset.SourceSet`,
-so the cross-validation protocols (``cross-validate`` and friends) run
-directly against feeds with full per-(peer, source) query accounting.
+Feeds plug into the DR simulation's source layer
+(:mod:`repro.sim.source`): :meth:`Feed.source_fault` renders one feed
+as a per-endpoint fault model (an equivocating feed answers by reader
+identity), so ``Simulation(source_faults=[feed.source_fault()])`` runs
+a Download protocol *against* the feed, and ``sources=len(feeds),
+source_faults=[feed.source_fault() for feed in feeds]`` runs the
+cross-validation protocols (``cross-validate`` and friends) against a
+whole feed set with full per-(peer, source) query accounting.
 """
 
 from __future__ import annotations
@@ -34,7 +30,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from repro.oracle.numeric import encode_values, max_value
-from repro.sim.source import DataSource
+from repro.sim.source import PerReaderViewFault, ViewFault
 from repro.util.bitarrays import BitArray
 from repro.util.rng import SplittableRNG
 from repro.util.validation import check_nonnegative, check_positive
@@ -62,18 +58,11 @@ class Feed:
         """Bit encoding of :meth:`values_for` (Download's input)."""
         return encode_values(self.values_for(reader), self.value_bits)
 
-    def source_factory(self):
-        """Factory for the DR simulation's source when downloading
-        from this feed (None = default trusted DataSource over
-        :meth:`encoded_for` of any reader)."""
-        return None
-
     def source_fault(self):
-        """This feed as a :class:`~repro.sim.sourceset.SourceFault`:
+        """This feed as a :class:`~repro.sim.source.SourceFault`:
         an endpoint answering from the feed's encoded vector.  Honest
         feeds keep the honest flag (their bounded noise is legitimate
         disagreement, not a fault)."""
-        from repro.sim.sourceset import ViewFault
         return ViewFault(self.encoded_for(0), honest=self.honest)
 
 
@@ -136,76 +125,12 @@ class EquivocatingFeed(Feed):
     def read(self, reader: int, cell: int) -> int:
         return self.per_reader.get(reader, self.default)[cell]
 
-    def source_factory(self):
-        per_reader_bits = {
-            pid: encode_values(values, self.value_bits)
-            for pid, values in self.per_reader.items()}
-
-        def make(data, metrics, network, adversary):
-            return _EquivocatingSource(data, metrics, network, adversary,
-                                       per_reader=per_reader_bits)
-        return make
-
     def source_fault(self):
-        from repro.sim.sourceset import PerReaderViewFault
         per_reader_bits = {
             pid: encode_values(values, self.value_bits)
             for pid, values in self.per_reader.items()}
         return PerReaderViewFault(
             per_reader_bits, encode_values(self.default, self.value_bits))
-
-
-class _EquivocatingSource(DataSource):
-    """DataSource that answers from a per-reader array when one exists.
-
-    Queries are still charged normally — the *reader* pays regardless
-    of whether the feed lies to it.
-    """
-
-    def __init__(self, data, metrics, network, adversary, *,
-                 per_reader: dict[int, BitArray]) -> None:
-        super().__init__(data, metrics, network, adversary)
-        self.per_reader = per_reader
-
-    def request_bits(self, pid: int, request_id: int, indices) -> None:
-        view = self.per_reader.get(pid)
-        if view is None:
-            super().request_bits(pid, request_id, indices)
-            return
-        # Same accounting as the honest path, different answers.  (No
-        # requests_served bump: this mirrors the historical behaviour of
-        # the equivocating path, which never counted toward it.)
-        from repro.util.bitarrays import canonical_indices
-        unique, mask = canonical_indices(indices, len(self.data))
-        self.metrics.record_query(pid, len(unique))
-        self._queried_masks[pid] = self._queried_masks.get(pid, 0) | mask
-        from repro.sim.messages import SOURCE_ID, SourceResponse
-        response = SourceResponse(
-            sender=SOURCE_ID, request_id=request_id,
-            values=dict(zip(unique, view.get_many(unique))))
-        latency = self.adversary.query_latency(pid, self.network.kernel.now)
-        self.network.deliver_direct(pid, response, latency)
-
-
-def feeds_source_factory(feeds: Sequence[Feed]):
-    """``source_factory=`` adapter: the whole feed set as a
-    :class:`~repro.sim.sourceset.SourceSet` of ``len(feeds)``
-    endpoints.
-
-    Endpoint ``i`` answers from ``feeds[i]``'s vectors (including
-    per-reader equivocation), so the multi-source cross-validation
-    protocols run against feeds unchanged — and the per-(peer, source)
-    query accounting shows exactly which feeds each reader consulted.
-    """
-    faults = [feed.source_fault() for feed in feeds]
-    if not faults:
-        raise ValueError("feeds_source_factory needs at least one feed")
-
-    def make(data, metrics, network, adversary):
-        from repro.sim.sourceset import SourceSet
-        return SourceSet(data, metrics, network, adversary,
-                         k=len(faults), faults=faults)
-    return make
 
 
 def honest_range(feeds: Sequence[Feed], cell: int) -> tuple[int, int]:

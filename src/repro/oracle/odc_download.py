@@ -76,7 +76,7 @@ def run_download_odc(setup: OracleSetup, *,
             t=setup.node_fault_bound,
             adversary=adversary,
             seed=derive_seed(seed, f"feed-{feed.feed_id}"),
-            source_factory=feed.source_factory(),
+            source_faults=[feed.source_fault()],
         ).run()
         feed_runs.append((feed.feed_id, run))
         for node in setup.honest_nodes:

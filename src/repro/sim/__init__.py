@@ -4,7 +4,7 @@ The subpackage provides the asynchronous message-passing substrate the
 paper's protocols run on: a virtual-time kernel
 (:mod:`~repro.sim.scheduler`), a complete peer-to-peer network whose
 per-message delays are chosen by a pluggable adversary
-(:mod:`~repro.sim.network`), the trusted external data source with
+(:mod:`~repro.sim.network`), the external data source with
 query accounting (:mod:`~repro.sim.source`), and the :class:`Peer` API
 protocols are written against (:mod:`~repro.sim.peer`).
 
@@ -26,13 +26,10 @@ from repro.sim.peer import MessageLog, Peer, SimEnv
 from repro.sim.process import Process, Sleep, WaitUntil
 from repro.sim.runner import RunResult, Simulation, run_download
 from repro.sim.scheduler import Kernel
-from repro.sim.source import (DataSource, MutableDataSource,
-                              mutable_source_factory)
-from repro.sim.sourceset import (
+from repro.sim.source import (
     PerReaderViewFault,
     SlowFault,
     SourceFault,
-    SourceSet,
     StaleFault,
     ViewFault,
     WithholdFault,
@@ -40,13 +37,13 @@ from repro.sim.sourceset import (
     parse_fault,
     parse_faults,
 )
+from repro.sim.sourceset import SourceSet
 from repro.sim.trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "BudgetExceeded",
     "ComplexityReport",
     "ConfigurationError",
-    "DataSource",
     "DeadlockError",
     "FIELD_BITS",
     "HEADER_BITS",
@@ -54,8 +51,6 @@ __all__ = [
     "Message",
     "MessageLog",
     "MetricsCollector",
-    "MutableDataSource",
-    "mutable_source_factory",
     "Network",
     "Peer",
     "Process",

@@ -204,9 +204,8 @@ class Peer(Process):
 
     @property
     def source_count(self) -> int:
-        """Number of external source endpoints (1 unless the run uses
-        a :class:`~repro.sim.sourceset.SourceSet`)."""
-        return getattr(self.env.source, "k", 1)
+        """Number of external source endpoints."""
+        return self.env.source.k
 
     def start_query(self, indices: Iterable[int], source: int = 0) -> int:
         """Issue a query to endpoint ``source`` without waiting.

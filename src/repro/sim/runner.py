@@ -32,8 +32,8 @@ from repro.sim.network import Network
 from repro.sim.peer import Peer, SimEnv
 from repro.sim.process import Process
 from repro.sim.scheduler import DEFAULT_MAX_EVENTS, Kernel
-from repro.sim.source import DataSource, MutableDataSource
-from repro.sim.sourceset import SourceSet, parse_faults
+from repro.sim.source import parse_faults
+from repro.sim.sourceset import SourceSet
 from repro.sim.trace import TraceRecorder
 from repro.topology import resolve_topology
 from repro.util.bitarrays import BitArray
@@ -58,8 +58,9 @@ class RunResult:
     trace: Optional[TraceRecorder] = None
     #: Per-peer sets of queried bit positions (from the source's log).
     queried_indices: dict[int, set[int]] = field(default_factory=dict)
-    #: Per-(peer, source) queried positions; empty unless the run used
-    #: a :class:`~repro.sim.sourceset.SourceSet`.
+    #: Per-(peer, source) queried positions; empty unless the run had
+    #: more than one source endpoint (with one, ``queried_indices`` is
+    #: the whole breakdown).
     queried_by_source: dict[tuple[int, int], set[int]] = \
         field(default_factory=dict)
 
@@ -103,7 +104,6 @@ class Simulation:
                  fifo: bool = False,
                  trace: bool = False,
                  allow_fault_overrun: bool = False,
-                 source_factory=None,
                  sources: int = 1,
                  source_faults=(),
                  mutations=(),
@@ -146,32 +146,17 @@ class Simulation:
         #: the adversary's real corruption plan; this flag waives the
         #: sanity check that normally rejects such configurations.
         self.allow_fault_overrun = allow_fault_overrun
-        #: Optional replacement for the default trusted DataSource —
-        #: the oracle layer uses it to model equivocating feeds.
-        #: Signature: (data, metrics, network, adversary) -> source.
-        self.source_factory = source_factory
-        #: Multi-source configuration: ``sources`` endpoints, each with
-        #: an optional fault spec (see :mod:`repro.sim.sourceset`).
-        #: Faults are parsed here so a bad grammar fails at
-        #: construction, not mid-run.
+        #: The external source: ``sources`` endpoints, each with an
+        #: optional fault spec (see :mod:`repro.sim.source`; a custom
+        #: endpoint is a :class:`~repro.sim.source.SourceFault`
+        #: instance in this list).  Faults are parsed here so a bad
+        #: grammar fails at construction, not mid-run.
         check_positive("sources", sources)
         self.sources = sources
-        self.source_faults = parse_faults(tuple(source_faults), sources) \
-            if (sources > 1 or source_faults) else []
-        if source_factory is not None and (sources > 1 or source_faults):
-            raise ConfigurationError(
-                "pass either source_factory= or sources=/source_faults=, "
-                "not both (a custom factory owns the whole source layer)")
-        #: Scheduled truth flips ``(time, index)``: a mutable ``X``.
-        #: Alone they select :class:`MutableDataSource`; combined with
-        #: sources/source_faults they ride on the :class:`SourceSet`,
-        #: where honest endpoints track the live array and stale
-        #: endpoints keep serving their frozen pre-mutation snapshot.
+        self.source_faults = parse_faults(tuple(source_faults), sources)
+        #: Scheduled truth flips ``(time, index)``: a mutable ``X``
+        #: (read-time rule in :mod:`repro.sim.sourceset`).
         self.mutations = tuple(mutations)
-        if source_factory is not None and self.mutations:
-            raise ConfigurationError(
-                "pass either source_factory= or mutations=, not both "
-                "(a custom factory owns the whole source layer)")
         self.extras = dict(extras or {})
         #: Restrict instantiation to these pids (sharded execution of
         #: message-free protocols; see :mod:`repro.execution.sharding`).
@@ -229,21 +214,10 @@ class Simulation:
         network.trace = trace
         kernel.telemetry = sink
         network.telemetry = sink
-        if self.source_factory is not None:
-            source = self.source_factory(self.data.copy(), metrics,
-                                         network, self.adversary)
-        elif self.source_faults:
-            source = SourceSet(self.data.copy(), metrics, network,
-                               self.adversary, k=self.sources,
-                               faults=self.source_faults, rng=self.rng,
-                               mutations=self.mutations)
-        elif self.mutations:
-            source = MutableDataSource(self.data.copy(), metrics,
-                                       network, self.adversary,
-                                       mutations=self.mutations)
-        else:
-            source = DataSource(self.data.copy(), metrics, network,
-                                self.adversary)
+        source = SourceSet(self.data.copy(), metrics, network,
+                           self.adversary, k=self.sources,
+                           faults=self.source_faults, rng=self.rng,
+                           mutations=self.mutations)
         source.telemetry = sink
         env = SimEnv(kernel=kernel, network=network, source=source,
                      metrics=metrics, adversary=self.adversary,
@@ -315,8 +289,8 @@ class Simulation:
             # The accessor already materializes fresh sets per peer, so
             # the result can own them without another copy.
             queried_indices=dict(source.queried_indices),
-            queried_by_source=dict(getattr(source, "queried_by_source",
-                                           {})),
+            queried_by_source=(source.queried_by_source
+                               if self.sources > 1 else {}),
         )
         if sink is not None:
             sink.emit("run_summary", unified_metrics(result))

@@ -1,207 +1,382 @@
-"""The trusted external data source.
+"""The external data source: one query ledger, ``k`` endpoint views.
 
 The source stores the ``ell``-bit input array ``X`` and answers
-read-only queries ``Query(i) -> X[i]``.  Source-to-peer communication
-is asynchronous like everything else: a query's response travels with
-an adversary-chosen latency (the adversary may also withhold it until
-quiescence).
+read-only queries ``Query(i) -> X[i]``.  The paper's source is single
+and trusted; "Byzantine Resilient Computing with the Cloud" (arXiv
+2309.16359, the same author team) relaxes exactly this: peers may query
+``k`` external endpoints of which up to ``f`` return wrong, stale, or
+no answers, and correctness must be recovered by cross-validating
+answers across endpoints.
 
-Query accounting happens here and only here: the number of bits a peer
-has queried is the number of distinct positions in all requests it has
-issued (charged at request time — an in-flight query already counts, so
-a peer cannot dodge the charge by crashing before the answer arrives).
+:class:`SourceCore` is that model with no transport in it — who is
+charged what, and which array answers.  Every engine's source is this
+class plus a way to carry the answer back: the simulator's
+:class:`~repro.sim.sourceset.SourceSet` (adversary-chosen latency),
+the lockstep :class:`~repro.sync.engine.SyncSource` (answered within
+the round) and the socket :class:`~repro.net.server.SourceServer`
+(idempotent request IDs).  This module imports only :mod:`repro.util`.
 
-The source is *trusted*: it never lies and never fails.  Byzantine
-data sources exist only in the blockchain-oracle application layer
-(:mod:`repro.oracle.feeds`), where each feed embeds its own honest or
-corrupt :class:`DataSource`-like behaviour.
+Query accounting happens here and only here: a peer is charged for the
+distinct positions of each request at request time — an in-flight
+query already counts, so a peer cannot dodge the charge by crashing
+before the answer arrives — and **every request to every endpoint is
+charged** (querying ``q`` sources per digit costs ``q`` times the
+bits).
+
+Every endpoint answers from its own *view* of the input array; the
+view is determined by a pluggable per-source fault model
+(:class:`SourceFault` subclasses).  Fault grammar (used by
+:class:`~repro.experiments.ExperimentSpec`'s ``source_faults`` field,
+the CLI, and the fuzzer) — one string per endpoint,
+``kind[:param][@onset]``:
+
+- ``honest`` — answers the live truth (the trusted baseline);
+- ``wrong-bits[:rate]`` — a fixed lying view: each bit independently
+  flipped with probability ``rate`` (default 0.5), seeded;
+- ``stale[:rate]`` — a coherent lagging snapshot: the view is frozen
+  at construction (later mutations of a mutable ``X`` are invisible to
+  it) and a seeded ``rate`` fraction of positions additionally hold
+  missed-update values (default 0.05);
+- ``withhold`` — answers are withheld (how long is the engine's rule:
+  until quiescence in the simulator, this round in lockstep, a fixed
+  delay on sockets — it costs time, never liveness, never Q);
+- ``slow[:factor]`` — answers arrive ``factor`` times later than the
+  engine's normal latency (default 4.0).
+
+``@onset`` delays the fault: before time ``onset`` (virtual time, or
+the round number in lockstep) the endpoint behaves honestly (e.g.
+``wrong-bits:0.5@10`` starts lying at ``t = 10``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Optional, Sequence, Union
 
-from repro.sim.messages import SOURCE_ID, SourceResponse
-from repro.sim.metrics import MetricsCollector
-from repro.sim.network import Network
 from repro.util.bitarrays import BitArray, canonical_indices, mask_to_set
-from repro.util.validation import check_index, check_range
+from repro.util.rng import SplittableRNG
+from repro.util.validation import check_positive
 
 
-class DataSource:
-    """Read-only bit array with per-peer query accounting."""
+class SourceFault:
+    """Per-endpoint fault model; the base class *is* the honest model.
 
-    def __init__(self, data: BitArray, metrics: MetricsCollector,
-                 network: Network, adversary) -> None:
+    Subclasses override :meth:`build_view` (what the endpoint answers
+    from once the fault is active) and/or the latency knobs
+    (:attr:`withholding`, :attr:`latency_factor`).  Before ``onset``
+    every endpoint answers the live truth at normal latency.
+    """
+
+    kind = "honest"
+    #: When True, active-fault responses are withheld by the engine's
+    #: rule (the simulator's kernel releases them at quiescence, so
+    #: runs still terminate).
+    withholding = False
+    #: Numeric latencies are multiplied by this once the fault is
+    #: active (1.0 = untouched: the multiply is then skipped entirely,
+    #: so float identity is preserved bit-for-bit).
+    latency_factor = 1.0
+
+    def __init__(self, onset: float = 0.0) -> None:
+        self.onset = float(onset)
+
+    def build_view(self, data: BitArray, rng: SplittableRNG) -> BitArray:
+        """The array this endpoint answers from while the fault is
+        active.  The honest model returns ``data`` itself (sharing the
+        reference, so mutations of a mutable ``X`` stay visible)."""
+        return data
+
+    def view_for(self, pid: int) -> Optional[BitArray]:
+        """Per-reader view override (equivocating endpoints), or None
+        to use the shared :meth:`build_view` array."""
+        return None
+
+    def describe(self) -> str:
+        suffix = f"@{self.onset:g}" if self.onset else ""
+        return f"{self.kind}{suffix}"
+
+    def __repr__(self) -> str:  # pragma: no cover - debug aid
+        return f"<SourceFault {self.describe()}>"
+
+
+class WrongBitsFault(SourceFault):
+    """A fixed lying view: each bit flipped independently with
+    probability ``rate`` (seeded, so the lie is reproducible)."""
+
+    kind = "wrong-bits"
+
+    def __init__(self, rate: float = 0.5, onset: float = 0.0) -> None:
+        super().__init__(onset)
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"wrong-bits rate must be in [0, 1], "
+                             f"got {rate}")
+        self.rate = rate
+
+    def build_view(self, data: BitArray, rng: SplittableRNG) -> BitArray:
+        view = data.copy()
+        for index in range(len(view)):
+            if rng.random() < self.rate:
+                view[index] = 1 - view[index]
+        return view
+
+    def describe(self) -> str:
+        suffix = f"@{self.onset:g}" if self.onset else ""
+        return f"{self.kind}:{self.rate:g}{suffix}"
+
+
+class StaleFault(SourceFault):
+    """A coherent lagging snapshot of a possibly-mutable ``X``.
+
+    The view is frozen at construction time — mutations applied to the
+    live array later (e.g. by a mutable-source schedule) never reach
+    it — and a seeded ``rate`` fraction of positions additionally hold
+    flipped "missed update" values, so staleness is observable even
+    when the truth is static.
+    """
+
+    kind = "stale"
+
+    def __init__(self, rate: float = 0.05, onset: float = 0.0) -> None:
+        super().__init__(onset)
+        if not 0.0 <= rate <= 1.0:
+            raise ValueError(f"stale rate must be in [0, 1], got {rate}")
+        self.rate = rate
+
+    def build_view(self, data: BitArray, rng: SplittableRNG) -> BitArray:
+        view = data.copy()
+        missed = max(1, round(self.rate * len(view))) if self.rate else 0
+        for index in sorted(rng.sample(range(len(view)),
+                                       min(missed, len(view)))):
+            view[index] = 1 - view[index]
+        return view
+
+    def describe(self) -> str:
+        suffix = f"@{self.onset:g}" if self.onset else ""
+        return f"{self.kind}:{self.rate:g}{suffix}"
+
+
+class WithholdFault(SourceFault):
+    """Answers truthfully but withholds responses until quiescence."""
+
+    kind = "withhold"
+    withholding = True
+
+
+class SlowFault(SourceFault):
+    """Answers truthfully but ``factor`` times slower."""
+
+    kind = "slow"
+
+    def __init__(self, factor: float = 4.0, onset: float = 0.0) -> None:
+        super().__init__(onset)
+        if factor < 1.0:
+            raise ValueError(f"slow factor must be >= 1, got {factor}")
+        self.latency_factor = factor
+
+    def describe(self) -> str:
+        suffix = f"@{self.onset:g}" if self.onset else ""
+        return f"{self.kind}:{self.latency_factor:g}{suffix}"
+
+
+class ViewFault(SourceFault):
+    """An endpoint answering from an explicit fixed array.
+
+    The adapter the oracle layer uses: a feed's encoded value vector
+    becomes the endpoint's view, so a Download protocol can run
+    *against* a feed set through the standard source-set machinery.
+    """
+
+    kind = "view"
+
+    def __init__(self, view: BitArray, *, honest: bool = False,
+                 onset: float = 0.0) -> None:
+        super().__init__(onset)
+        self.view = view
+        self.honest = honest
+
+    def build_view(self, data: BitArray, rng: SplittableRNG) -> BitArray:
+        if len(self.view) != len(data):
+            raise ValueError(
+                f"view has {len(self.view)} bits, input has {len(data)}")
+        return self.view
+
+
+class PerReaderViewFault(ViewFault):
+    """An equivocating endpoint: each reader may see a different array
+    (the nastiest feed behaviour in the paper's oracle model)."""
+
+    kind = "equivocate"
+
+    def __init__(self, per_reader: dict[int, BitArray], default: BitArray,
+                 *, onset: float = 0.0) -> None:
+        super().__init__(default, onset=onset)
+        self.per_reader = dict(per_reader)
+
+    def view_for(self, pid: int) -> Optional[BitArray]:
+        return self.per_reader.get(pid)
+
+
+_FAULT_KINDS = {
+    "honest": SourceFault,
+    "wrong-bits": WrongBitsFault,
+    "stale": StaleFault,
+    "withhold": WithholdFault,
+    "slow": SlowFault,
+}
+
+
+def parse_fault(spec: Union[str, SourceFault]) -> SourceFault:
+    """Parse one ``kind[:param][@onset]`` fault spec string.
+
+    Ready :class:`SourceFault` instances pass through, so programmatic
+    callers (the oracle layer, tests) can mix instances and strings.
+    """
+    if isinstance(spec, SourceFault):
+        return spec
+    text = str(spec).strip()
+    onset = 0.0
+    if "@" in text:
+        text, _, onset_text = text.rpartition("@")
+        try:
+            onset = float(onset_text)
+        except ValueError:
+            raise ValueError(f"bad fault onset {onset_text!r} in {spec!r}")
+        if onset < 0:
+            raise ValueError(f"fault onset must be >= 0 in {spec!r}")
+    kind, _, param = text.partition(":")
+    kind = kind.strip()
+    if kind not in _FAULT_KINDS:
+        raise ValueError(f"unknown source fault {kind!r} in {spec!r}; "
+                         f"known: {sorted(_FAULT_KINDS)}")
+    cls = _FAULT_KINDS[kind]
+    if not param:
+        return cls(onset=onset)
+    if kind in ("honest", "withhold"):
+        raise ValueError(f"fault {kind!r} takes no parameter ({spec!r})")
+    try:
+        value = float(param)
+    except ValueError:
+        raise ValueError(f"bad fault parameter {param!r} in {spec!r}")
+    return cls(value, onset=onset)
+
+
+def parse_faults(specs: Sequence[Union[str, SourceFault]], k: int
+                 ) -> list[SourceFault]:
+    """Faults for ``k`` endpoints; unspecified endpoints are honest.
+
+    ``specs[i]`` applies to endpoint ``i`` — the positional convention
+    the spec layer, CLI, and fuzzer share.
+    """
+    if len(specs) > k:
+        raise ValueError(f"{len(specs)} source faults for only {k} "
+                         f"sources")
+    faults = [parse_fault(spec) for spec in specs]
+    faults.extend(SourceFault() for _ in range(k - len(faults)))
+    return faults
+
+
+class SourceCore:
+    """``k`` endpoint views over one array, and the ledger of who
+    queried what.
+
+    An engine's source calls :meth:`charge` once per request (never
+    for a replayed one), :meth:`active_fault` for the endpoint's
+    latency rule and :meth:`read` for the answered bits; how and when
+    the answer travels is the engine's business.
+    """
+
+    def __init__(self, data: BitArray, *, k: Optional[int] = None,
+                 faults: Sequence[Union[str, SourceFault]] = (),
+                 rng: Optional[SplittableRNG] = None) -> None:
         self.data = data
-        self.metrics = metrics
-        self.network = network
-        self.adversary = adversary
-        self._requests_served = 0
+        self.k = check_positive(
+            "sources", k if k is not None else max(1, len(faults)))
+        self.faults = parse_faults(faults, self.k)
+        #: Bits charged to each peer, over all its requests.
+        self.query_bits: dict[int, int] = {}
+        #: Requests charged so far, across all endpoints.
+        self.requests_served = 0
         #: Which positions each peer has queried, as one bitmask per
-        #: peer (bit ``i`` set = position ``i`` was queried).  Exposed
-        #: as plain sets through :attr:`queried_indices`.
+        #: peer (bit ``i`` set = position ``i`` was queried), and per
+        #: ``(peer, source)`` when there is more than one endpoint.
         self._queried_masks: dict[int, int] = {}
-        #: Resolved telemetry backend, or ``None`` when disabled (the
-        #: runner wires this after construction).
-        self.telemetry = None
+        self._per_source_masks: dict[tuple[int, int], int] = {}
+        # Views come from stateless RNG splits labelled by endpoint, so
+        # building them never perturbs any other stream (peer RNGs, the
+        # input array) and every engine builds the same bits for the
+        # same seed.  Honest endpoints alias ``data`` itself, so flips
+        # of a mutable ``X`` reach them; stale/wrong-bits views are
+        # copies frozen here.
+        view_rng = rng if rng is not None else SplittableRNG(0)
+        self._views = [
+            fault.build_view(data, view_rng.split(f"source-{sid}"))
+            for sid, fault in enumerate(self.faults)]
 
-    def __len__(self) -> int:
-        return len(self.data)
+    # -- the ledger ---------------------------------------------------------
 
-    @property
-    def requests_served(self) -> int:
-        """Total number of query requests answered so far."""
-        return self._requests_served
+    def charge(self, pid: int, source_id: int,
+               indices: Sequence[int]) -> list[int]:
+        """Charge ``pid`` for one request to endpoint ``source_id`` and
+        return its sorted distinct indices.
+
+        Duplicates within a request are collapsed (and charged once);
+        re-querying a bit across requests or endpoints is charged again
+        — the model counts queries, not distinct learned bits.
+        """
+        if not 0 <= source_id < self.k:
+            raise ValueError(f"source {source_id} out of range "
+                             f"[0, {self.k})")
+        unique, mask = canonical_indices(indices, len(self.data))
+        self.query_bits[pid] = self.query_bits.get(pid, 0) + len(unique)
+        self._queried_masks[pid] = self._queried_masks.get(pid, 0) | mask
+        if self.k > 1:
+            key = (pid, source_id)
+            self._per_source_masks[key] = \
+                self._per_source_masks.get(key, 0) | mask
+        self.requests_served += 1
+        return unique
 
     @property
     def queried_indices(self) -> dict[int, set[int]]:
-        """Which positions each peer has queried (the lower-bound
-        constructions pick their target bit outside this set).
-
-        Materialized fresh from the per-peer bitmasks on each access;
-        mutating the returned sets does not affect the accounting.
-        """
+        """Positions each peer queried, unioned over endpoints (the
+        lower-bound constructions pick their target bit outside this
+        set).  Materialized fresh from the bitmasks on each access."""
         return {pid: mask_to_set(mask)
                 for pid, mask in self._queried_masks.items()}
 
-    def _record_query(self, pid: int, unique: Sequence[int],
-                      mask: int) -> None:
-        """Charge ``pid`` for one request covering ``unique``."""
-        self.metrics.record_query(pid, len(unique))
-        self._queried_masks[pid] = self._queried_masks.get(pid, 0) | mask
-        self._requests_served += 1
-        if self.telemetry is not None:
-            self.telemetry.emit("query", {
-                "t": self.network.kernel.now, "peer": pid,
-                "bits": len(unique)})
-            self.telemetry.add("queries", 1, {"peer": pid})
+    @property
+    def queried_by_source(self) -> dict[tuple[int, int], set[int]]:
+        """Positions queried per ``(peer, source)`` pair."""
+        if self.k == 1:
+            return {(pid, 0): indices
+                    for pid, indices in self.queried_indices.items()}
+        return {key: mask_to_set(mask)
+                for key, mask in self._per_source_masks.items()}
 
-    # -- querying -----------------------------------------------------------
+    def honest_sources(self) -> list[int]:
+        """Endpoint IDs whose fault model is the honest baseline."""
+        return [sid for sid, fault in enumerate(self.faults)
+                if type(fault) is SourceFault
+                or getattr(fault, "honest", False)]
 
-    def request_bits(self, pid: int, request_id: int,
-                     indices: Sequence[int]) -> None:
-        """Serve a query for the given bit ``indices`` from peer ``pid``.
+    # -- the views ----------------------------------------------------------
 
-        The response is a single :class:`SourceResponse` delivered with
-        adversary-chosen latency.  Duplicate indices within one request
-        are collapsed (and charged once); re-querying a bit across
-        requests is charged again — the model counts queries, not
-        distinct learned bits, and the protocols avoid re-queries
-        themselves.
-        """
-        unique, mask = canonical_indices(indices, len(self.data))
-        self._record_query(pid, unique, mask)
-        values = dict(zip(unique, self.data.get_many(unique)))
-        response = SourceResponse(sender=SOURCE_ID, request_id=request_id,
-                                  values=values)
-        latency = self.adversary.query_latency(pid, self.network.kernel.now)
-        self.network.deliver_direct(pid, response, latency)
+    def active_fault(self, source_id: int,
+                     now: float) -> Optional[SourceFault]:
+        """Endpoint ``source_id``'s fault model once ``now`` has
+        reached its onset, else ``None`` (it still behaves honestly)."""
+        fault = self.faults[source_id]
+        return fault if now >= fault.onset else None
 
-    def request_segment(self, pid: int, request_id: int,
-                        lo: int, hi: int) -> None:
-        """Serve a query for the contiguous segment ``[lo, hi)``."""
-        check_range("segment query", lo, hi, len(self.data))
-        self.request_bits(pid, request_id, range(lo, hi))
-
-    #: A lone trusted source is a source set of one.  The attribute and
-    #: the delegating method below give protocols one uniform querying
-    #: surface (:class:`~repro.sim.sourceset.SourceSet` generalizes
-    #: both), so cross-validation code with ``q = 1`` runs unchanged
-    #: against the plain single source.
-    k = 1
-
-    def request_bits_from(self, source_id: int, pid: int, request_id: int,
-                          indices: Sequence[int]) -> None:
-        """Endpoint-addressed querying; a single source only has 0."""
-        if source_id != 0:
-            raise ValueError(f"single source has only endpoint 0, "
-                             f"got {source_id}")
-        self.request_bits(pid, request_id, indices)
-
-    # -- test/bench conveniences (no accounting side effects) ----------------
-
-    def peek(self, index: int) -> int:
-        """Read a bit without charging anyone (test helper only)."""
-        return self.data[index]
-
-    def peek_segment(self, lo: int, hi: int) -> str:
-        """Read a segment without charging anyone (test helper only)."""
-        return self.data.segment(lo, hi)
-
-
-class MutableDataSource(DataSource):
-    """A source whose contents change *during* the execution.
-
-    The paper's closing open problem: all its protocols assume static
-    data — two honest peers querying the same position at different
-    times must see the same bit.  This source deliberately violates
-    that assumption (bit flips at scheduled virtual times) so the test
-    suite can *demonstrate* the failure mode the open problem is about:
-    peers download inconsistent snapshots, and "the" correct output
-    stops being well-defined.
-
-    Use via :func:`mutable_source_factory` as a ``source_factory`` for
-    :class:`~repro.sim.runner.Simulation`.
-    """
-
-    def __init__(self, data, metrics, network, adversary, *,
-                 mutations: Sequence[tuple[float, int]] = ()) -> None:
-        super().__init__(data, metrics, network, adversary)
-        self.mutations = list(mutations)
-        self.applied_mutations: list[tuple[float, int]] = []
-        for time, index in self.mutations:
-            check_index("mutation index", index, len(self.data))
-            network.kernel.schedule(time,
-                                    lambda i=index: self._flip(i),
-                                    kind=f"mutate:{index}")
-
-    def _flip(self, index: int) -> None:
-        self.data[index] = 1 - self.data[index]
-        self.applied_mutations.append((self.network.kernel.now, index))
-
-    def request_bits(self, pid: int, request_id: int, indices) -> None:
-        """Read *when the query reaches the source*, not at send time.
-
-        The static source snapshots values immediately (it makes no
-        difference there); with mutable data the timing is the whole
-        point: the request travels for half the round-trip latency,
-        the array is read at arrival, and the response travels back.
-        """
-        unique, mask = canonical_indices(indices, len(self.data))
-        self._record_query(pid, unique, mask)
-        latency = self.adversary.query_latency(pid, self.network.kernel.now)
-        if not isinstance(latency, (int, float)):
-            # Withheld query: snapshot now, park the response.
-            values = dict(zip(unique, self.data.get_many(unique)))
-            response = SourceResponse(sender=SOURCE_ID,
-                                      request_id=request_id, values=values)
-            self.network.deliver_direct(pid, response, latency)
-            return
-
-        def read_and_respond() -> None:
-            values = dict(zip(unique, self.data.get_many(unique)))
-            response = SourceResponse(sender=SOURCE_ID,
-                                      request_id=request_id, values=values)
-            self.network.deliver_direct(pid, response, latency / 2.0)
-        self.network.kernel.schedule(latency / 2.0, read_and_respond,
-                                     kind=f"source-read:{pid}")
-
-
-def mutable_source_factory(mutations: Sequence[tuple[float, int]]):
-    """Build a ``source_factory`` that flips bits at scheduled times."""
-    def make(data, metrics, network, adversary):
-        return MutableDataSource(data, metrics, network, adversary,
-                                 mutations=mutations)
-    return make
-
-
-def ground_truth(source: DataSource) -> BitArray:
-    """Return an independent copy of the source array for verification."""
-    return source.data.copy()
-
-
-def indices_are_valid(source: DataSource, indices: Iterable[int]) -> bool:
-    """True when every index is a legal query position."""
-    length = len(source)
-    return all(isinstance(i, int) and 0 <= i < length for i in indices)
+    def read(self, source_id: int, pid: int, unique: Sequence[int],
+             now: float) -> dict[int, int]:
+        """What endpoint ``source_id`` answers ``pid`` at time ``now``:
+        the live truth before the fault's onset, the reader's own view
+        or the endpoint's standing view after it.  Charges nothing."""
+        fault = self.active_fault(source_id, now)
+        if fault is None:
+            view = self.data
+        else:
+            view = fault.view_for(pid)
+            if view is None:
+                view = self._views[source_id]
+        return dict(zip(unique, view.get_many(unique)))

@@ -1,45 +1,27 @@
-"""A set of ``k`` external sources, up to ``f`` of them faulty.
+"""The simulator's source: :class:`~repro.sim.source.SourceCore` plus
+asynchronous transport.
 
-The paper's source is single and trusted — the strongest assumption in
-the model.  "Byzantine Resilient Computing with the Cloud" (arXiv
-2309.16359, the same author team) relaxes exactly this: peers may
-query ``k`` external endpoints of which up to ``f`` return wrong,
-stale, or no answers, and correctness must be recovered by
-cross-validating answers across endpoints.
+Source-to-peer communication is asynchronous like everything else: a
+query's response travels with an adversary-chosen latency (the
+adversary may also withhold it until quiescence).  An active
+``withhold`` fault withholds the answer the same way — the kernel
+eventually compels release, so a withholding source costs time, never
+liveness — and ``slow:factor`` multiplies the adversary's numeric
+latency.  The whole set shares one metrics collector, so Q comparisons
+against a single-source run stay honest.
 
-:class:`SourceSet` generalizes :class:`~repro.sim.source.DataSource`
-into such a set.  Every endpoint answers from its own *view* of the
-input array; the view is determined by a pluggable per-source fault
-model (:class:`SourceFault` subclasses).  The whole set shares one
-metrics collector, so Q comparisons against the single-source baseline
-stay honest: **every request to every endpoint is charged** (querying
-``q`` sources per digit costs ``q`` times the bits).
-
-Fault grammar (used by :class:`~repro.experiments.ExperimentSpec`'s
-``source_faults`` field, the CLI, and the fuzzer) — one string per
-endpoint, ``kind[:param][@onset]``:
-
-- ``honest`` — answers the live truth (the trusted baseline);
-- ``wrong-bits[:rate]`` — a fixed lying view: each bit independently
-  flipped with probability ``rate`` (default 0.5), seeded;
-- ``stale[:rate]`` — a coherent lagging snapshot: the view is frozen
-  at construction (later mutations of a mutable ``X`` are invisible to
-  it) and a seeded ``rate`` fraction of positions additionally hold
-  missed-update values (default 0.05);
-- ``withhold`` — answers are withheld until quiescence (the async
-  kernel eventually compels release, so runs still terminate — a
-  withholding source costs time, never liveness);
-- ``slow[:factor]`` — answers arrive ``factor`` times later than the
-  adversary's chosen latency (default 4.0).
-
-``@onset`` delays the fault: before virtual time ``onset`` the
-endpoint behaves honestly (e.g. ``wrong-bits:0.5@10`` starts lying at
-``t = 10``).
-
-A ``k = 1`` honest :class:`SourceSet` is bit-identical to the plain
-:class:`~repro.sim.source.DataSource` — same accounting, same
-latencies, same telemetry, no extra RNG draws — which the golden-trace
-battery pins (``tests/integration/test_golden_traces.py``).
+**A mutable ``X``** (``mutations=``, the paper's closing open problem):
+all the paper's protocols assume static data — two honest peers
+querying the same position at different times must see the same bit.
+Scheduled bit flips deliberately violate that, so the test suite can
+*demonstrate* the failure mode.  One read-time rule, with or without
+source faults: a query with a numeric latency is read *when it reaches
+the source* — the request travels for half the round trip, the array
+is read at arrival, the response travels back — and a withheld query
+snapshots at request time.  Honest endpoints alias the live array;
+stale/wrong-bits views are copies frozen at construction (flips only
+run once the kernel does), so a ``stale:0`` endpoint is a pure
+pre-mutation snapshot — the lagging replica of the open problem.
 """
 
 from __future__ import annotations
@@ -48,239 +30,20 @@ from typing import Optional, Sequence, Union
 
 from repro.sim.messages import SOURCE_ID, SourceResponse
 from repro.sim.network import WITHHOLD
-from repro.util.bitarrays import BitArray, canonical_indices, mask_to_set
+from repro.sim.source import SourceCore, SourceFault
+from repro.util.bitarrays import BitArray
 from repro.util.rng import SplittableRNG
 from repro.util.validation import check_index, check_range
 
 
-class SourceFault:
-    """Per-endpoint fault model; the base class *is* the honest model.
+class SourceSet(SourceCore):
+    """``k`` endpoints over one ground-truth array, answering through
+    the simulated network.
 
-    Subclasses override :meth:`build_view` (what the endpoint answers
-    from once the fault is active) and/or the latency knobs
-    (:attr:`withholding`, :attr:`latency_factor`).  Before ``onset``
-    every endpoint answers the live truth at normal latency.
-    """
-
-    kind = "honest"
-    #: When True, active-fault responses get the WITHHOLD latency (the
-    #: kernel releases them at quiescence, so runs still terminate).
-    withholding = False
-    #: Numeric latencies are multiplied by this once the fault is
-    #: active (1.0 = untouched; the honest/k=1 fast path skips the
-    #: multiply entirely so float identity is preserved bit-for-bit).
-    latency_factor = 1.0
-
-    def __init__(self, onset: float = 0.0) -> None:
-        self.onset = float(onset)
-
-    def build_view(self, data: BitArray, rng: SplittableRNG) -> BitArray:
-        """The array this endpoint answers from while the fault is
-        active.  The honest model returns ``data`` itself (sharing the
-        reference, so mutations of a mutable ``X`` stay visible)."""
-        return data
-
-    def view_for(self, pid: int) -> Optional[BitArray]:
-        """Per-reader view override (equivocating endpoints), or None
-        to use the shared :meth:`build_view` array."""
-        return None
-
-    def describe(self) -> str:
-        suffix = f"@{self.onset:g}" if self.onset else ""
-        return f"{self.kind}{suffix}"
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"<SourceFault {self.describe()}>"
-
-
-class WrongBitsFault(SourceFault):
-    """A fixed lying view: each bit flipped independently with
-    probability ``rate`` (seeded, so the lie is reproducible)."""
-
-    kind = "wrong-bits"
-
-    def __init__(self, rate: float = 0.5, onset: float = 0.0) -> None:
-        super().__init__(onset)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"wrong-bits rate must be in [0, 1], "
-                             f"got {rate}")
-        self.rate = rate
-
-    def build_view(self, data: BitArray, rng: SplittableRNG) -> BitArray:
-        view = data.copy()
-        for index in range(len(view)):
-            if rng.random() < self.rate:
-                view[index] = 1 - view[index]
-        return view
-
-    def describe(self) -> str:
-        suffix = f"@{self.onset:g}" if self.onset else ""
-        return f"{self.kind}:{self.rate:g}{suffix}"
-
-
-class StaleFault(SourceFault):
-    """A coherent lagging snapshot of a possibly-mutable ``X``.
-
-    The view is frozen at construction time — mutations applied to the
-    live array later (e.g. by a mutable-source schedule) never reach
-    it — and a seeded ``rate`` fraction of positions additionally hold
-    flipped "missed update" values, so staleness is observable even
-    when the truth is static.
-    """
-
-    kind = "stale"
-
-    def __init__(self, rate: float = 0.05, onset: float = 0.0) -> None:
-        super().__init__(onset)
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"stale rate must be in [0, 1], got {rate}")
-        self.rate = rate
-
-    def build_view(self, data: BitArray, rng: SplittableRNG) -> BitArray:
-        view = data.copy()
-        missed = max(1, round(self.rate * len(view))) if self.rate else 0
-        for index in sorted(rng.sample(range(len(view)),
-                                       min(missed, len(view)))):
-            view[index] = 1 - view[index]
-        return view
-
-    def describe(self) -> str:
-        suffix = f"@{self.onset:g}" if self.onset else ""
-        return f"{self.kind}:{self.rate:g}{suffix}"
-
-
-class WithholdFault(SourceFault):
-    """Answers truthfully but withholds responses until quiescence."""
-
-    kind = "withhold"
-    withholding = True
-
-
-class SlowFault(SourceFault):
-    """Answers truthfully but ``factor`` times slower."""
-
-    kind = "slow"
-
-    def __init__(self, factor: float = 4.0, onset: float = 0.0) -> None:
-        super().__init__(onset)
-        if factor < 1.0:
-            raise ValueError(f"slow factor must be >= 1, got {factor}")
-        self.latency_factor = factor
-
-    def describe(self) -> str:
-        suffix = f"@{self.onset:g}" if self.onset else ""
-        return f"{self.kind}:{self.latency_factor:g}{suffix}"
-
-
-class ViewFault(SourceFault):
-    """An endpoint answering from an explicit fixed array.
-
-    The adapter the oracle layer uses: a feed's encoded value vector
-    becomes the endpoint's view, so a Download protocol can run
-    *against* a feed set through the standard source-set machinery.
-    """
-
-    kind = "view"
-
-    def __init__(self, view: BitArray, *, honest: bool = False,
-                 onset: float = 0.0) -> None:
-        super().__init__(onset)
-        self.view = view
-        self.honest = honest
-
-    def build_view(self, data: BitArray, rng: SplittableRNG) -> BitArray:
-        if len(self.view) != len(data):
-            raise ValueError(
-                f"view has {len(self.view)} bits, input has {len(data)}")
-        return self.view
-
-
-class PerReaderViewFault(ViewFault):
-    """An equivocating endpoint: each reader may see a different array
-    (the nastiest feed behaviour in the paper's oracle model)."""
-
-    kind = "equivocate"
-
-    def __init__(self, per_reader: dict[int, BitArray], default: BitArray,
-                 *, onset: float = 0.0) -> None:
-        super().__init__(default, onset=onset)
-        self.per_reader = dict(per_reader)
-
-    def view_for(self, pid: int) -> Optional[BitArray]:
-        return self.per_reader.get(pid)
-
-
-_FAULT_KINDS = {
-    "honest": SourceFault,
-    "wrong-bits": WrongBitsFault,
-    "stale": StaleFault,
-    "withhold": WithholdFault,
-    "slow": SlowFault,
-}
-
-
-def parse_fault(spec: Union[str, SourceFault]) -> SourceFault:
-    """Parse one ``kind[:param][@onset]`` fault spec string.
-
-    Ready :class:`SourceFault` instances pass through, so programmatic
-    callers (the oracle layer, tests) can mix instances and strings.
-    """
-    if isinstance(spec, SourceFault):
-        return spec
-    text = str(spec).strip()
-    onset = 0.0
-    if "@" in text:
-        text, _, onset_text = text.rpartition("@")
-        try:
-            onset = float(onset_text)
-        except ValueError:
-            raise ValueError(f"bad fault onset {onset_text!r} in {spec!r}")
-        if onset < 0:
-            raise ValueError(f"fault onset must be >= 0 in {spec!r}")
-    kind, _, param = text.partition(":")
-    kind = kind.strip()
-    if kind not in _FAULT_KINDS:
-        raise ValueError(f"unknown source fault {kind!r} in {spec!r}; "
-                         f"known: {sorted(_FAULT_KINDS)}")
-    cls = _FAULT_KINDS[kind]
-    if not param:
-        return cls(onset=onset)
-    if kind in ("honest", "withhold"):
-        raise ValueError(f"fault {kind!r} takes no parameter ({spec!r})")
-    try:
-        value = float(param)
-    except ValueError:
-        raise ValueError(f"bad fault parameter {param!r} in {spec!r}")
-    return cls(value, onset=onset)
-
-
-def parse_faults(specs: Sequence[Union[str, SourceFault]], k: int
-                 ) -> list[SourceFault]:
-    """Faults for ``k`` endpoints; unspecified endpoints are honest.
-
-    ``specs[i]`` applies to endpoint ``i`` — the positional convention
-    the spec layer, CLI, and fuzzer share.
-    """
-    if len(specs) > k:
-        raise ValueError(f"{len(specs)} source faults for only {k} "
-                         f"sources")
-    faults = [parse_fault(spec) for spec in specs]
-    faults.extend(SourceFault() for _ in range(k - len(faults)))
-    return faults
-
-
-class SourceSet:
-    """``k`` DataSource-like endpoints over one ground-truth array.
-
-    Duck-types the full :class:`~repro.sim.source.DataSource` surface
-    (``request_bits`` routes to endpoint 0, so single-source protocols
-    run unchanged against a set), and adds
-    :meth:`request_bits_from` for protocols that pick their endpoint.
-
-    Accounting is per (peer, source, position):
-    :attr:`queried_indices` unions over endpoints for baseline
-    compatibility, :attr:`queried_by_source` keeps the full breakdown,
-    and :class:`~repro.sim.metrics.MetricsCollector` is charged for
+    ``request_bits`` routes to endpoint 0, so single-source protocols
+    run unchanged against a set; :meth:`request_bits_from` is for
+    protocols that pick their endpoint.
+    :class:`~repro.sim.metrics.MetricsCollector` is charged for
     **every** request — cross-validation's q-fold query cost is never
     hidden.
     """
@@ -290,36 +53,13 @@ class SourceSet:
                  faults: Sequence[Union[str, SourceFault]] = (),
                  rng: Optional[SplittableRNG] = None,
                  mutations: Sequence[tuple] = ()) -> None:
-        self.data = data
+        super().__init__(data, k=k, faults=faults, rng=rng)
         self.metrics = metrics
         self.network = network
         self.adversary = adversary
-        self.k = k if k is not None else max(1, len(faults))
-        if self.k < 1:
-            raise ValueError(f"a source set needs k >= 1, got {self.k}")
-        self.faults = parse_faults(faults, self.k)
-        self._requests_served = 0
-        self._queried_masks: dict[int, int] = {}
-        self._per_source_masks: dict[tuple[int, int], int] = {}
+        #: Resolved telemetry backend, or ``None`` when disabled (the
+        #: runner wires this after construction).
         self.telemetry = None
-        # Faulty views are derived from stateless RNG splits labelled
-        # by endpoint, so building them never perturbs any other
-        # stream (peer RNGs, the input array) — the k=1 honest path
-        # stays bit-identical to the plain DataSource.
-        view_rng = rng if rng is not None else SplittableRNG(0)
-        self._views = [
-            fault.build_view(self.data,
-                             view_rng.split(f"source-{sid}"))
-            for sid, fault in enumerate(self.faults)]
-        # Mutable truth composes with the fault models through view
-        # *aliasing*: honest endpoints answer from ``self.data`` itself
-        # (build_view returns the reference), so scheduled flips reach
-        # them immediately, while stale/wrong-bits views are copies
-        # frozen above — a ``stale:0`` endpoint is therefore a pure
-        # pre-mutation snapshot of a mutable ``X``, exactly the lagging
-        # replica of the paper's closing open problem.  Views freeze
-        # BEFORE the first flip can fire because mutations only run
-        # once the kernel does.
         self.mutations = list(mutations)
         self.applied_mutations: list[tuple[float, int]] = []
         for time, index in self.mutations:
@@ -335,30 +75,6 @@ class SourceSet:
     def __len__(self) -> int:
         return len(self.data)
 
-    @property
-    def requests_served(self) -> int:
-        """Total query requests answered, across all endpoints."""
-        return self._requests_served
-
-    @property
-    def queried_indices(self) -> dict[int, set[int]]:
-        """Positions each peer queried, unioned over endpoints (the
-        single-source-compatible view the runner exports)."""
-        return {pid: mask_to_set(mask)
-                for pid, mask in self._queried_masks.items()}
-
-    @property
-    def queried_by_source(self) -> dict[tuple[int, int], set[int]]:
-        """Positions queried per ``(peer, source)`` pair."""
-        return {key: mask_to_set(mask)
-                for key, mask in self._per_source_masks.items()}
-
-    def honest_sources(self) -> list[int]:
-        """Endpoint IDs whose fault model is the honest baseline."""
-        return [sid for sid, fault in enumerate(self.faults)
-                if type(fault) is SourceFault
-                or getattr(fault, "honest", False)]
-
     # -- querying -----------------------------------------------------------
 
     def request_bits(self, pid: int, request_id: int,
@@ -370,46 +86,43 @@ class SourceSet:
                           indices: Sequence[int]) -> None:
         """Serve a query for ``indices`` from endpoint ``source_id``.
 
-        Charged exactly like the single source charges — at request
-        time, duplicates within a request collapsed, re-queries across
-        requests (or across endpoints) charged again.
+        The response is a single :class:`SourceResponse` delivered with
+        adversary-chosen latency.
         """
-        if not 0 <= source_id < self.k:
-            raise ValueError(f"source {source_id} out of range "
-                             f"[0, {self.k})")
-        unique, mask = canonical_indices(indices, len(self.data))
+        unique = self.charge(pid, source_id, indices)
         self.metrics.record_query(pid, len(unique))
-        self._queried_masks[pid] = self._queried_masks.get(pid, 0) | mask
-        key = (pid, source_id)
-        self._per_source_masks[key] = \
-            self._per_source_masks.get(key, 0) | mask
-        self._requests_served += 1
-        now = self.network.kernel.now
+        kernel = self.network.kernel
+        now = kernel.now
         if self.telemetry is not None:
             event = {"t": now, "peer": pid, "bits": len(unique)}
             if self.k > 1:
                 event["source"] = source_id
             self.telemetry.emit("query", event)
             self.telemetry.add("queries", 1, {"peer": pid})
-        fault = self.faults[source_id]
-        active = now >= fault.onset
-        if active:
-            view = fault.view_for(pid)
-            if view is None:
-                view = self._views[source_id]
-        else:
-            view = self.data
-        values = dict(zip(unique, view.get_many(unique)))
-        response = SourceResponse(sender=SOURCE_ID, request_id=request_id,
-                                  values=values)
         latency = self.adversary.query_latency(pid, now)
-        if active:
+        fault = self.active_fault(source_id, now)
+        if fault is not None:
             if fault.withholding:
                 latency = WITHHOLD
             elif (fault.latency_factor != 1.0
                   and isinstance(latency, (int, float))):
                 latency = latency * fault.latency_factor
-        self.network.deliver_direct(pid, response, latency)
+        if self.mutations and isinstance(latency, (int, float)):
+            half = latency / 2.0
+            kernel.schedule(
+                half, lambda: self._respond(source_id, pid, request_id,
+                                            unique, half),
+                kind=f"source-read:{pid}")
+        else:
+            self._respond(source_id, pid, request_id, unique, latency)
+
+    def _respond(self, source_id: int, pid: int, request_id: int,
+                 unique: Sequence[int], latency) -> None:
+        """Read the array now and send the answer on its way."""
+        values = self.read(source_id, pid, unique, self.network.kernel.now)
+        self.network.deliver_direct(
+            pid, SourceResponse(sender=SOURCE_ID, request_id=request_id,
+                                values=values), latency)
 
     def request_segment(self, pid: int, request_id: int,
                         lo: int, hi: int) -> None:

@@ -27,9 +27,10 @@ from typing import Optional, Sequence
 from repro.obs.schema import SCHEMA_VERSION
 from repro.obs.telemetry import get_backend as _get_telemetry
 from repro.sim.messages import Message
+from repro.sim.source import SourceCore
 from repro.topology import resolve_topology
 from repro.topology.routing import Router
-from repro.util.bitarrays import BitArray, canonical_indices, mask_to_set
+from repro.util.bitarrays import BitArray
 from repro.util.rng import SplittableRNG, derive_seed
 from repro.util.validation import check_nonnegative, check_positive
 
@@ -61,50 +62,26 @@ class SyncConfig:
             raise ValueError(f"t={self.t} must be below n={self.n}")
 
 
-class SyncSource:
+class SyncSource(SourceCore):
     """Round-synchronous source: queries are answered immediately.
 
-    With ``k > 1`` the source becomes a round-native analogue of the
-    async :class:`~repro.sim.sourceset.SourceSet`: ``k`` endpoints,
-    each answering from a per-source fault model's view
-    (:mod:`repro.sim.sourceset` fault classes are reused verbatim).
-    Round-model mapping of the fault grammar: ``@onset`` compares
-    against the round number; ``withhold`` answers nothing (an empty
-    response this round — synchrony means there is no "later");
-    ``slow`` degenerates to honest, since the model answers every query
-    within the round by definition.
+    The round-native front of :class:`~repro.sim.source.SourceCore`
+    (same ledger, same fault models, same views for the same seed as
+    the async :class:`~repro.sim.sourceset.SourceSet`).  Round-model
+    mapping of the fault grammar: ``@onset`` compares against the
+    round number; ``withhold`` answers nothing (an empty response this
+    round — synchrony means there is no "later"); ``slow`` degenerates
+    to honest, since the model answers every query within the round by
+    definition.
     """
 
     def __init__(self, data: BitArray, *, k: int = 1, faults=(),
                  rng: Optional[SplittableRNG] = None) -> None:
-        from repro.sim.sourceset import parse_faults
-        self.data = data
-        check_positive("sources", k)
-        self.k = k
-        self.faults = parse_faults(faults, k)
-        self.query_bits_by_peer: dict[int, int] = {}
-        self._queried_masks: dict[int, int] = {}
-        self._per_source_masks: dict[tuple[int, int], int] = {}
+        super().__init__(data, k=k, faults=faults, rng=rng)
         #: Live telemetry backend (or None) + current round, both set by
         #: the engine so query events carry round-native timestamps.
         self.telemetry = None
         self.telemetry_round = 0
-        view_rng = rng if rng is not None else SplittableRNG(0)
-        self._views = [
-            fault.build_view(self.data, view_rng.split(f"source-{sid}"))
-            for sid, fault in enumerate(self.faults)]
-
-    @property
-    def queried_indices(self) -> dict[int, set[int]]:
-        """Distinct positions each peer has queried, as plain sets."""
-        return {pid: mask_to_set(mask)
-                for pid, mask in self._queried_masks.items()}
-
-    @property
-    def queried_by_source(self) -> dict[tuple[int, int], set[int]]:
-        """Positions queried per ``(peer, source)`` pair."""
-        return {key: mask_to_set(mask)
-                for key, mask in self._per_source_masks.items()}
 
     def query(self, pid: int, indices: Sequence[int]) -> dict[int, int]:
         return self.query_from(0, pid, indices)
@@ -117,32 +94,17 @@ class SyncSource:
         bits were requested); other faults answer from their view once
         the round has reached their onset.
         """
-        if not 0 <= source_id < self.k:
-            raise ValueError(f"source {source_id} out of range "
-                             f"[0, {self.k})")
-        unique, mask = canonical_indices(indices, len(self.data))
-        self.query_bits_by_peer[pid] = \
-            self.query_bits_by_peer.get(pid, 0) + len(unique)
-        self._queried_masks[pid] = self._queried_masks.get(pid, 0) | mask
-        key = (pid, source_id)
-        self._per_source_masks[key] = \
-            self._per_source_masks.get(key, 0) | mask
+        unique = self.charge(pid, source_id, indices)
+        now = self.telemetry_round
         if self.telemetry is not None:
-            event = {"t": float(self.telemetry_round), "peer": pid,
-                     "bits": len(unique)}
+            event = {"t": float(now), "peer": pid, "bits": len(unique)}
             if self.k > 1:
                 event["source"] = source_id
             self.telemetry.emit("query", event)
-        fault = self.faults[source_id]
-        if self.telemetry_round < fault.onset:
-            view = self.data
-        elif fault.withholding:
+        fault = self.active_fault(source_id, now)
+        if fault is not None and fault.withholding:
             return {}
-        else:
-            view = fault.view_for(pid)
-            if view is None:
-                view = self._views[source_id]
-        return dict(zip(unique, view.get_many(unique)))
+        return self.read(source_id, pid, unique, now)
 
 
 class SyncPeer:
@@ -301,9 +263,6 @@ class SyncEngine:
         #: ``hops[index + 1]``, forwarded at the next delivery step.
         self._relays: list[tuple] = []
         root = SplittableRNG(seed)
-        # Faulty views come from stateless splits labelled by endpoint,
-        # so a k=1 honest run draws nothing extra and stays identical
-        # to the single-source engine (the golden traces pin this).
         self.source = SyncSource(self.data.copy(), k=sources,
                                  faults=source_faults, rng=root)
         self.corrupted = set(self.adversary.corrupted(config.n))
@@ -510,7 +469,7 @@ class SyncEngine:
                 quiet_rounds = 0
 
         honest = set(self.peers) - self.crashed
-        per_peer = {pid: self.source.query_bits_by_peer.get(pid, 0)
+        per_peer = {pid: self.source.query_bits.get(pid, 0)
                     for pid in honest}
         per_messages = {pid: self.per_peer_messages.get(pid, 0)
                         for pid in honest}

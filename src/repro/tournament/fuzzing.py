@@ -63,7 +63,7 @@ class SourceFaultPlan:
 
     ``specs`` holds grammar strings (``kind[:param][@onset]``), one per
     endpoint, accepted verbatim by
-    :func:`repro.sim.sourceset.parse_faults`, the spec layer, and the
+    :func:`repro.sim.source.parse_faults`, the spec layer, and the
     CLI; ``faulty`` lists the non-honest endpoint IDs.
     """
 

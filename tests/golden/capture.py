@@ -215,7 +215,7 @@ def _withholding_adversary(peers):
     return WithholdFrom()
 
 
-def _capture_async(case: dict, *, force_sourceset: bool = False) -> dict:
+def _capture_async(case: dict) -> dict:
     from repro.experiments import ExperimentSpec
     from repro.sim import run_download
 
@@ -229,12 +229,6 @@ def _capture_async(case: dict, *, force_sourceset: bool = False) -> dict:
         sources=case.get("sources", 1),
         source_faults=tuple(case.get("source_faults", ())),
         topology=case.get("topology", "complete"))
-    source_faults = spec.source_faults
-    if force_sourceset and spec.sources == 1 and not source_faults:
-        # Route the run through a k=1 honest SourceSet instead of the
-        # plain DataSource; the record must stay bit-identical (same
-        # seed, same accounting, same trace — the tentpole contract).
-        source_faults = ("honest",)
     routed = "topology" in case
     adversary = (_withholding_adversary(frozenset(case["withhold_from"]))
                  if "withhold_from" in case else spec.build_adversary())
@@ -242,7 +236,7 @@ def _capture_async(case: dict, *, force_sourceset: bool = False) -> dict:
         n=spec.n, ell=spec.ell, peer_factory=spec.peer_factory(),
         adversary=adversary, t=spec.t,
         seed=spec.seed_for(0), sources=spec.sources,
-        source_faults=source_faults, topology=spec.topology,
+        source_faults=spec.source_faults, topology=spec.topology,
         fifo=case.get("fifo", False),
         packetize=case.get("packetize", False),
         message_size_limit=case.get("message_size_limit"), trace=routed)
@@ -290,21 +284,17 @@ _SYNC_PEERS = {
 }
 
 
-def _capture_sync(case: dict, *, force_sourceset: bool = False) -> dict:
+def _capture_sync(case: dict) -> dict:
     from repro.sync.engine import run_sync_download
 
     peer_class = _SYNC_PEERS[case["peer"]]()
     peer_params = case.get("peer_params", {})
-    source_faults = tuple(case.get("source_faults", ()))
-    if force_sourceset and case.get("sources", 1) == 1 \
-            and not source_faults:
-        source_faults = ("honest",)
     result = run_sync_download(
         n=case["n"], ell=case["ell"], t=case["t"],
         peer_factory=lambda pid, config, rng: peer_class(
             pid, config, rng, **peer_params),
         seed=case["seed"], sources=case.get("sources", 1),
-        source_faults=source_faults,
+        source_faults=tuple(case.get("source_faults", ())),
         topology=case.get("topology"))
     outputs = {str(pid): _array_digest(result.outputs[pid])
                for pid in sorted(result.honest)
@@ -324,18 +314,12 @@ def _capture_sync(case: dict, *, force_sourceset: bool = False) -> dict:
     }
 
 
-def capture_case(case: dict, *, force_sourceset: bool = False) -> dict:
-    """Run one case and reduce it to its canonical golden record.
-
-    ``force_sourceset=True`` reroutes single-source cases through a
-    ``k=1`` honest :class:`~repro.sim.sourceset.SourceSet`; the record
-    must come out bit-identical (the multi-source layer's identity
-    contract, pinned by the golden-trace battery).
-    """
+def capture_case(case: dict) -> dict:
+    """Run one case and reduce it to its canonical golden record."""
     if case["engine"] == "async":
-        return _capture_async(case, force_sourceset=force_sourceset)
+        return _capture_async(case)
     if case["engine"] == "sync":
-        return _capture_sync(case, force_sourceset=force_sourceset)
+        return _capture_sync(case)
     raise ValueError(f"unknown engine {case['engine']!r}")
 
 

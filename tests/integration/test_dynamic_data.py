@@ -12,36 +12,33 @@ import pytest
 
 from repro.adversary import TargetedSlowdown, UniformRandomDelay
 from repro.protocols import BalancedDownloadPeer, NaiveDownloadPeer
-from repro.sim import MutableDataSource, Simulation, mutable_source_factory
+from repro.sim import Simulation
 
 
 class TestMutableSource:
     def test_no_mutations_behaves_like_static(self):
         result = Simulation(
             n=4, data="10110011", peer_factory=NaiveDownloadPeer.factory(),
-            source_factory=mutable_source_factory([]), seed=1).run()
+            mutations=[], seed=1).run()
         assert result.download_correct
 
     def test_mutation_applied_at_scheduled_time(self):
-        factory = mutable_source_factory([(0.5, 3)])
         holder = {}
+        make_peer = NaiveDownloadPeer.factory()
 
-        def capture(data, metrics, network, adversary):
-            source = MutableDataSource(data, metrics, network, adversary,
-                                       mutations=[(0.5, 3)])
-            holder["source"] = source
-            return source
+        def capture(pid, env):
+            holder["source"] = env.source
+            return make_peer(pid, env)
 
-        Simulation(n=2, data="0000", t=0,
-                   peer_factory=NaiveDownloadPeer.factory(),
-                   source_factory=capture, seed=1).run()
+        Simulation(n=2, data="0000", t=0, peer_factory=capture,
+                   mutations=[(0.5, 3)], seed=1).run()
         assert holder["source"].applied_mutations == [(0.5, 3)]
 
     def test_invalid_mutation_index_rejected(self):
         with pytest.raises(ValueError):
             Simulation(n=2, data="00",
                        peer_factory=NaiveDownloadPeer.factory(),
-                       source_factory=mutable_source_factory([(1.0, 5)]),
+                       mutations=[(1.0, 5)],
                        seed=1).run()
 
 
@@ -60,7 +57,7 @@ class TestOpenProblemDemonstration:
             # source reads peer 1's query at ~9.5-10 — after the flip.
             adversary=TargetedSlowdown({1}, fast_delay=0.05,
                                        slow_delay=4 * flip_at),
-            source_factory=mutable_source_factory([(flip_at, 7)]),
+            mutations=[(flip_at, 7)],
             seed=2).run()
         fast_view = result.outputs[0]
         slow_view = result.outputs[1]
@@ -77,7 +74,7 @@ class TestOpenProblemDemonstration:
             peer_factory=NaiveDownloadPeer.factory(),
             adversary=TargetedSlowdown({0, 1}, fast_delay=6.0,
                                        slow_delay=8.0),
-            source_factory=mutable_source_factory([(1.0, 0)]),
+            mutations=[(1.0, 0)],
             seed=3).run()
         assert not result.download_correct
 
@@ -92,8 +89,7 @@ class TestOpenProblemDemonstration:
             peer_factory=BalancedDownloadPeer.factory(),
             adversary=TargetedSlowdown({2, 3}, fast_delay=0.1,
                                        slow_delay=4.0),
-            source_factory=mutable_source_factory(
-                [(0.5, index) for index in range(ell)]),
+            mutations=[(0.5, index) for index in range(ell)],
             seed=4).run()
         for pid in range(4):
             view = result.outputs[pid]

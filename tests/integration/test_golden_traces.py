@@ -52,19 +52,3 @@ def test_trace_is_bit_identical(case, golden):
         assert actual.get(key) == expected.get(key), (
             f"{case['name']}: golden mismatch in {key!r}: "
             f"expected {expected.get(key)!r}, got {actual.get(key)!r}")
-
-
-@pytest.mark.parametrize("case", CASES, ids=lambda case: case["name"])
-def test_k1_honest_sourceset_is_bit_identical(case, golden):
-    """A ``k=1`` honest SourceSet must be indistinguishable from the
-    plain trusted DataSource: same seeds, same accounting, same output
-    digests, same event schedule — on every pinned case.  This is the
-    multi-source layer's identity contract; without it, enabling the
-    subsystem would silently invalidate every existing trace, cache
-    entry, and journal."""
-    expected = golden[case["name"]]
-    actual = capture_case(case, force_sourceset=True)
-    for key in sorted(set(expected) | set(actual)):
-        assert actual.get(key) == expected.get(key), (
-            f"{case['name']}: k=1 SourceSet diverges in {key!r}: "
-            f"expected {expected.get(key)!r}, got {actual.get(key)!r}")

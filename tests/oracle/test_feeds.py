@@ -37,8 +37,10 @@ class TestHonestFeed:
         feed = HonestFeed(0, [7, 9], value_bits=8, noise_bound=0)
         assert decode_values(feed.encoded_for(0), 8) == [7, 9]
 
-    def test_default_source_factory_is_none(self):
-        assert HonestFeed(0, [1], value_bits=4).source_factory() is None
+    def test_source_fault_keeps_the_honest_flag(self):
+        fault = HonestFeed(0, [1], value_bits=4).source_fault()
+        assert fault.honest
+        assert not CorruptFeed(1, [9], value_bits=4).source_fault().honest
 
 
 class TestByzantineFeeds:
@@ -54,7 +56,7 @@ class TestByzantineFeeds:
         assert feed.read(1, 0) == 2
         assert feed.read(9, 0) == 3
 
-    def test_equivocating_source_factory_answers_per_reader(self):
+    def test_equivocating_source_fault_answers_per_reader(self):
         from repro.protocols import NaiveDownloadPeer
         from repro.sim import Simulation
         feed = EquivocatingFeed(2, per_reader={0: [5], 1: [10]},
@@ -62,7 +64,7 @@ class TestByzantineFeeds:
         result = Simulation(
             n=2, data=feed.encoded_for(0),
             peer_factory=NaiveDownloadPeer.factory(),
-            source_factory=feed.source_factory(), seed=1).run()
+            source_faults=[feed.source_fault()], seed=1).run()
         from repro.oracle.numeric import decode_values
         assert decode_values(result.outputs[0], 8) == [5]
         assert decode_values(result.outputs[1], 8) == [10]
@@ -72,11 +74,22 @@ class TestByzantineFeeds:
         from repro.sim import Simulation
         feed = EquivocatingFeed(2, per_reader={0: [5]},
                                 default=[3], value_bits=8)
+        sources = []
+        make_peer = NaiveDownloadPeer.factory()
+
+        def capture(pid, env):
+            sources.append(env.source)
+            return make_peer(pid, env)
+
         result = Simulation(
-            n=2, data=feed.encoded_for(0),
-            peer_factory=NaiveDownloadPeer.factory(),
-            source_factory=feed.source_factory(), seed=1).run()
+            n=2, data=feed.encoded_for(0), peer_factory=capture,
+            source_faults=[feed.source_fault()], seed=1).run()
         assert result.report.query_complexity == 8
+        # The reader the feed lies to is served (and counted) like the
+        # one it does not lie to.
+        assert sources[0].requests_served == 2
+        assert result.queried_indices == {0: set(range(8)),
+                                          1: set(range(8))}
 
 
 class TestHonestRange:

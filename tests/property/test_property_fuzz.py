@@ -18,7 +18,7 @@ from repro.protocols import (
     majority_decode,
 )
 from repro.sim import run_download
-from repro.sim.sourceset import parse_faults
+from repro.sim.source import parse_faults
 from repro.util.bitarrays import BitArray
 from repro.util.rng import SplittableRNG
 

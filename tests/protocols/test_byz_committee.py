@@ -254,7 +254,7 @@ class TestSpanVsPerMessage:
                 n=n, data=feed.encoded_for(0), t=2, seed=3,
                 peer_factory=ByzCommitteeDownloadPeer.factory(
                     block_size=value_bits, give_up_time=give_up_time),
-                source_factory=feed.source_factory(),
+                source_faults=[feed.source_fault()],
                 adversary=_OneStreamQueryDelay(), trace=trace).run()
 
         spans, singles = run(False), run(True)

@@ -1,18 +1,14 @@
-"""Unit tests for MutableDataSource semantics."""
+"""Unit tests for a mutable ``X``: the source's one read-time rule."""
 
 import pytest
 
 from repro.adversary.base import Adversary
 from repro.protocols import NaiveDownloadPeer
-from repro.sim import (
-    MutableDataSource,
-    Simulation,
-    WITHHOLD,
-    mutable_source_factory,
-)
+from repro.sim import WITHHOLD, Simulation
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
 from repro.sim.scheduler import Kernel
+from repro.sim.sourceset import SourceSet
 from repro.util.bitarrays import BitArray
 
 
@@ -26,15 +22,15 @@ class StubReceiver:
         self.received.append(message)
 
 
-def build(bits="0000", mutations=(), adversary=None):
+def build(bits="0000", mutations=(), adversary=None, faults=()):
     kernel = Kernel()
     metrics = MetricsCollector()
     adversary = adversary or Adversary()
     network = Network(kernel, metrics, adversary)
     receiver = StubReceiver(0)
     network.attach(receiver)
-    source = MutableDataSource(BitArray.from_string(bits), metrics, network,
-                               adversary, mutations=mutations)
+    source = SourceSet(BitArray.from_string(bits), metrics, network,
+                       adversary, faults=faults, mutations=mutations)
     return kernel, metrics, source, receiver
 
 
@@ -47,6 +43,19 @@ class TestReadAtArrival:
         kernel.run()
         (response,) = receiver.received
         assert response.values == {2: 1}
+
+    def test_every_endpoint_of_a_set_reads_at_arrival(self):
+        # The same rule behind source faults: the honest endpoints of a
+        # set see a flip that lands while the query is in flight, the
+        # stale one keeps its frozen pre-mutation snapshot.
+        kernel, _, source, receiver = build(
+            "0000", mutations=[(0.4, 2)],
+            faults=("honest", "slow:1", "stale:0"))
+        for sid in range(3):
+            source.request_bits_from(sid, 0, sid, [2])
+        kernel.run()
+        assert {m.request_id: m.values for m in receiver.received} == {
+            0: {2: 1}, 1: {2: 1}, 2: {2: 0}}
 
     def test_flip_after_read_invisible(self):
         kernel, _, source, receiver = build("0000", mutations=[(0.9, 2)])
@@ -133,21 +142,13 @@ class TestWithheldQueries:
         # still reconstructs the *original* array.
         result = Simulation(
             n=2, data="1100", peer_factory=NaiveDownloadPeer.factory(),
-            source_factory=mutable_source_factory([(5.0, 0), (5.0, 3)]),
+            mutations=[(5.0, 0), (5.0, 3)],
             adversary=self.WithholdingQueries(), seed=3).run()
         assert result.download_correct
 
 
-class TestFactory:
-    def test_factory_builds_mutable_source(self):
-        result = Simulation(
-            n=2, data="1100", peer_factory=NaiveDownloadPeer.factory(),
-            source_factory=mutable_source_factory([]), seed=1).run()
-        assert result.download_correct
-
-
 class TestMutationsParameter:
-    """`mutations=` on Simulation/run_download, without a factory."""
+    """`mutations=` on Simulation/run_download."""
 
     def test_mutations_alone_select_mutable_source(self):
         # A late flip (after all round-trips complete) leaves the
@@ -169,11 +170,13 @@ class TestMutationsParameter:
             mutations=[(50.0, 7)])
         assert result.download_correct
 
-    def test_factory_and_mutations_are_mutually_exclusive(self):
-        from repro.sim.errors import ConfigurationError
-        with pytest.raises(ConfigurationError):
-            Simulation(
-                n=2, data="1100",
-                peer_factory=NaiveDownloadPeer.factory(),
-                source_factory=mutable_source_factory([]),
-                mutations=[(0.1, 0)], seed=1)
+    @pytest.mark.parametrize("source_faults", [(), ("honest",)])
+    def test_read_time_does_not_depend_on_source_faults(self,
+                                                        source_faults):
+        # Flip at 0.4, unit round trip: the read at 0.5 sees it.  The
+        # run with an explicit honest endpoint used to read at request
+        # time and download 0000.
+        result = Simulation(
+            n=1, data="0000", peer_factory=NaiveDownloadPeer.factory(),
+            mutations=[(0.4, 2)], source_faults=source_faults).run()
+        assert result.outputs[0] == BitArray.from_string("0010")

@@ -1,4 +1,4 @@
-"""Unit tests for the external data source."""
+"""Unit tests for the external data source (one honest endpoint)."""
 
 import pytest
 
@@ -7,7 +7,7 @@ from repro.sim.messages import SOURCE_ID, SourceResponse
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
 from repro.sim.scheduler import Kernel
-from repro.sim.source import DataSource, ground_truth, indices_are_valid
+from repro.sim.sourceset import SourceSet
 from repro.util.bitarrays import BitArray
 
 
@@ -28,8 +28,8 @@ def build(bits="10110100"):
     network = Network(kernel, metrics, adversary)
     receiver = StubReceiver(0)
     network.attach(receiver)
-    source = DataSource(BitArray.from_string(bits), metrics, network,
-                        adversary)
+    source = SourceSet(BitArray.from_string(bits), metrics, network,
+                       adversary)
     return kernel, metrics, source, receiver
 
 
@@ -95,18 +95,6 @@ class TestHelpers:
     def test_peek_segment(self):
         _, _, source, _ = build("0110")
         assert source.peek_segment(1, 3) == "11"
-
-    def test_ground_truth_is_a_copy(self):
-        _, _, source, _ = build("0110")
-        truth = ground_truth(source)
-        truth[0] = 1
-        assert source.peek(0) == 0
-
-    def test_indices_are_valid(self):
-        _, _, source, _ = build("0110")
-        assert indices_are_valid(source, [0, 3])
-        assert not indices_are_valid(source, [0, 4])
-        assert not indices_are_valid(source, ["x"])
 
     def test_len(self):
         _, _, source, _ = build("0110")

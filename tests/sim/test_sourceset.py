@@ -7,14 +7,14 @@ from repro.sim.messages import SourceResponse
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
 from repro.sim.scheduler import Kernel
-from repro.sim.sourceset import (
+from repro.sim.source import (
     PerReaderViewFault,
-    SourceSet,
     ViewFault,
     WrongBitsFault,
     parse_fault,
     parse_faults,
 )
+from repro.sim.sourceset import SourceSet
 from repro.util.bitarrays import BitArray
 from repro.util.rng import SplittableRNG
 
