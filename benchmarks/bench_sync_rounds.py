@@ -7,10 +7,11 @@ adversary — the strongest scheduler the synchronous model allows.
 
 Every case runs through :func:`repro.execution.run_tasks`, so
 ``REPRO_BENCH_WORKERS=4`` fans the cases over a process pool (payloads
-name the peer class; adversary objects pickle as-is).
+name the registry protocol; adversary objects pickle as-is).
 """
 
 from repro.execution import run_tasks
+from repro.experiments.backends.sync import sync_peer_factory
 from repro.sync import (
     RoundCrashAdversary,
     RushingEchoAdversary,
@@ -28,20 +29,15 @@ ELL = 4000
 def _run_sync_case(payload: dict) -> dict:
     """One lockstep run, reduced to table cells.
 
-    Module-level (and peer classes referenced by name) so the payload
-    pickles into the engine's worker processes.
+    Module-level (and protocols referenced by registry name, resolved
+    the way ``backend="sync"`` resolves them) so the payload pickles
+    into the engine's worker processes.
     """
-    import repro.sync as sync
-    peer_cls = getattr(sync, payload["peer_cls"])
-    kwargs = payload["peer_kwargs"]
-
-    def peer_factory(pid, config, rng):
-        return peer_cls(pid, config, rng, **kwargs)
-
     result = run_sync_download(
         n=payload["n"], ell=payload["ell"], t=payload["t"],
-        peer_factory=peer_factory, adversary=payload["adversary"],
-        seed=payload["seed"])
+        peer_factory=sync_peer_factory(payload["protocol"],
+                                       payload["params"]),
+        adversary=payload["adversary"], seed=payload["seed"])
     return {"rounds": result.rounds,
             "Q": result.query_complexity,
             "M": result.message_complexity,
@@ -52,23 +48,22 @@ def _rows():
     # beta=0.3: the regime where sampling beats 2t+1 replication.
     corrupted = fraction_corrupted(N, 0.3, seed=161)
     cases = [
-        ("naive (1 round)", "SyncNaivePeer", {}, 0, None),
-        ("balanced (fault-free)", "SyncBalancedPeer", {}, 0, None),
-        ("committee [3]", "SyncCommitteePeer", {"block_size": 40}, 12,
+        ("naive (1 round)", "naive", {}, 0, None),
+        ("balanced (fault-free)", "balanced", {}, 0, None),
+        ("committee [3]", "byz-committee", {"block_size": 40}, 12,
          RushingEchoAdversary(corrupted=corrupted, seed=161)),
-        ("2-round Protocol 4", "SyncTwoRoundPeer",
+        ("2-round Protocol 4", "byz-two-cycle",
          {"num_segments": 4, "tau": 2}, 12,
          RushingEchoAdversary(corrupted=corrupted, seed=161)),
-        ("2-round (silent byz)", "SyncTwoRoundPeer",
+        ("2-round (silent byz)", "byz-two-cycle",
          {"num_segments": 4, "tau": 2}, 12,
          SilentSyncAdversary(corrupted=corrupted)),
-        ("sync-crash (4 crashes)", "SyncCrashPeer", {}, 4,
+        ("sync-crash (4 crashes)", "crash-multi", {}, 4,
          RoundCrashAdversary({pid: (pid, 2) for pid in range(1, 5)})),
     ]
-    payloads = [dict(n=N, ell=ELL, t=t, peer_cls=peer_cls,
-                     peer_kwargs=peer_kwargs, adversary=adversary,
-                     seed=162)
-                for _, peer_cls, peer_kwargs, t, adversary in cases]
+    payloads = [dict(n=N, ell=ELL, t=t, protocol=protocol, params=params,
+                     adversary=adversary, seed=162)
+                for _, protocol, params, t, adversary in cases]
     measured = run_tasks(_run_sync_case, payloads, workers=BENCH_WORKERS,
                          policy=BENCH_POLICY,
                          task_seeds=[payload["seed"]

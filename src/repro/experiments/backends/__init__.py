@@ -35,6 +35,7 @@ Registered built-ins:
 
 from __future__ import annotations
 
+import inspect
 from contextlib import contextmanager
 from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
@@ -49,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = [
     "ExecutionBackend",
     "all_backends",
+    "check_protocol_params",
     "check_sources_and_topology",
     "get_backend",
     "register_backend",
@@ -111,6 +113,21 @@ def telemetry_scope(telemetry: Optional["Telemetry"]):
     else:
         with using(telemetry):
             yield
+
+
+def check_protocol_params(spec: "ExperimentSpec", peer_class: type) -> None:
+    """``protocol_params`` may name only what the class the backend
+    runs takes: its constructor's defaulted arguments, i.e. those after
+    what the engine supplies (``pid, env``; ``pid, config, rng`` for a
+    lockstep-native class)."""
+    allowed = {name for name, parameter
+               in inspect.signature(peer_class).parameters.items()
+               if parameter.default is not parameter.empty}
+    unknown = set(spec.protocol_params) - allowed
+    if unknown:
+        raise ValueError(
+            f"protocol {spec.protocol!r} takes no {spec.backend} params "
+            f"{sorted(unknown)}; accepted: {sorted(allowed)}")
 
 
 def check_sources_and_topology(spec: "ExperimentSpec", *,

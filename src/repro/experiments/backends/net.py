@@ -47,13 +47,16 @@ class NetBackend:
     """Runs specs over real sockets (:mod:`repro.net`)."""
 
     def validate(self, spec: "ExperimentSpec") -> None:
-        from repro.experiments.backends import check_sources_and_topology
+        from repro.experiments.backends import (
+            check_protocol_params,
+            check_sources_and_topology,
+        )
         from repro.net.chaos import parse_proxy_faults
-        from repro.net.peers import NET_PARAMS, NET_PEERS
-        if spec.protocol not in NET_PEERS:
+        from repro.protocols import registry
+        if spec.protocol not in registry.hosted_on("net"):
             raise KeyError(
                 f"protocol {spec.protocol!r} has no net-backend "
-                f"implementation; available: {sorted(NET_PEERS)}")
+                f"implementation; available: {registry.hosted_on('net')}")
         check_positive("n", spec.n)
         check_positive("ell", spec.ell)
         check_fraction("beta", spec.beta, inclusive_high=False)
@@ -69,12 +72,7 @@ class NetBackend:
                 f"backend='net' requires network='asynchronous', got "
                 f"{spec.network!r}: real sockets are the asynchronous "
                 f"model; there is no lockstep round to emulate")
-        allowed = set(NET_PARAMS[spec.protocol])
-        unknown = set(spec.protocol_params) - allowed
-        if unknown:
-            raise ValueError(
-                f"protocol {spec.protocol!r} takes no net params "
-                f"{sorted(unknown)}; accepted: {sorted(allowed)}")
+        check_protocol_params(spec, registry.get(spec.protocol).peer_class)
         for fault in check_sources_and_topology(spec):
             if fault.onset > 0:
                 raise ValueError(

@@ -1,7 +1,9 @@
 """The round-native lockstep backend (``backend="sync"``).
 
-Maps registry protocol names onto the ``Sync*Peer`` originals and the
-spec's fault model onto the synchronous adversaries, then runs
+Maps the spec's fault model onto the synchronous adversaries and its
+protocol onto a lockstep peer — the registry's own class on
+:class:`repro.sync.LockstepHost` when its entry lists ``"sync"``, a
+lockstep-native ``Sync*Peer`` algorithm otherwise — then runs
 :class:`repro.sync.SyncEngine`.  The time measure is the *exact round
 count* — ``RepeatRecord.time`` is ``float(rounds)`` and
 ``RepeatRecord.rounds`` carries the integer, which aggregation surfaces
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
+from repro.protocols.registry import get, hosted_on
 from repro.util.rng import SplittableRNG, derive_seed
 from repro.util.validation import check_fraction, check_positive
 
@@ -29,26 +32,43 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import ExperimentSpec
     from repro.obs.telemetry import Telemetry
 
-#: Registry protocol name -> (sync peer class name, accepted params).
-#: Resolved lazily so importing the backends package stays cheap.
-_SYNC_PROTOCOLS: dict[str, tuple[str, tuple[str, ...]]] = {
-    "naive": ("SyncNaivePeer", ()),
-    "balanced": ("SyncBalancedPeer", ()),
-    "crash-multi": ("SyncCrashPeer", ()),
-    "byz-committee": ("SyncCommitteePeer", ("block_size",)),
-    "byz-two-cycle": ("SyncTwoRoundPeer", ("num_segments", "tau")),
-    "cross-validate": ("SyncCrossValidatePeer",
-                       ("q", "decode", "threshold")),
-    "cross-validate-escalate": ("SyncCrossValidateEscalatePeer",
-                                ("f", "alert")),
+#: Registry protocol name -> sync peer class name, for the protocols
+#: whose round-model form is its own algorithm.  Resolved lazily so
+#: importing the backends package stays cheap.
+_SYNC_PROTOCOLS: dict[str, str] = {
+    "crash-multi": "SyncCrashPeer",
+    "byz-committee": "SyncCommitteePeer",
+    "byz-two-cycle": "SyncTwoRoundPeer",
+}
+
+#: Hosted protocol name -> the subclass that states what the round
+#: model knows beyond the registry's body (same lazy resolution).
+_LOCKSTEP_REFINEMENTS: dict[str, str] = {
+    "cross-validate-escalate": "LockstepEscalatePeer",
 }
 
 _SYNC_FAULT_MODELS = ("none", "crash", "byzantine")
 
 
-def _peer_class(protocol: str):
+def _lockstep_class(protocol: str) -> type:
+    """The class that runs ``protocol`` in lockstep: its own round
+    algorithm, else the registry's body (or its refinement), hosted."""
+    name = (_SYNC_PROTOCOLS.get(protocol)
+            or _LOCKSTEP_REFINEMENTS.get(protocol))
+    if name is None:
+        return get(protocol).peer_class
     import repro.sync as sync
-    return getattr(sync, _SYNC_PROTOCOLS[protocol][0])
+    return getattr(sync, name)
+
+
+def sync_peer_factory(protocol: str, params: dict):
+    """``peer_factory`` for :class:`repro.sync.SyncEngine` running
+    ``protocol`` with ``params`` bound."""
+    import repro.sync as sync
+    peer_cls = _lockstep_class(protocol)
+    if issubclass(peer_cls, sync.SyncPeer):
+        return lambda pid, config, rng: peer_cls(pid, config, rng, **params)
+    return sync.hosted_factory(peer_cls, **params)
 
 
 def _build_adversary(spec: "ExperimentSpec", seed: int):
@@ -81,10 +101,11 @@ class SyncBackend:
     """Runs specs on :class:`repro.sync.SyncEngine`."""
 
     def validate(self, spec: "ExperimentSpec") -> None:
-        if spec.protocol not in _SYNC_PROTOCOLS:
+        if spec.protocol not in {*_SYNC_PROTOCOLS, *hosted_on("sync")}:
             raise KeyError(
                 f"protocol {spec.protocol!r} has no sync-backend "
-                f"implementation; available: {sorted(_SYNC_PROTOCOLS)}")
+                f"implementation; available: "
+                f"{sorted({*_SYNC_PROTOCOLS, *hosted_on('sync')})}")
         check_positive("n", spec.n)
         check_positive("ell", spec.ell)
         check_fraction("beta", spec.beta, inclusive_high=False)
@@ -106,16 +127,14 @@ class SyncBackend:
                              f"{sorted(_STRATEGIES)}, got {spec.strategy!r}")
         if spec.fault_model != "none" and spec.beta <= 0:
             raise ValueError("faulty models need beta > 0")
-        allowed = set(_SYNC_PROTOCOLS[spec.protocol][1])
-        unknown = set(spec.protocol_params) - allowed
-        if unknown:
-            raise ValueError(
-                f"protocol {spec.protocol!r} takes no sync params "
-                f"{sorted(unknown)}; accepted: {sorted(allowed)}")
+        from repro.experiments.backends import (
+            check_protocol_params,
+            check_sources_and_topology,
+        )
+        check_protocol_params(spec, _lockstep_class(spec.protocol))
         if spec.protocol == "byz-committee" and 2 * spec.t >= spec.n:
             raise ValueError(f"committee protocol needs 2t < n, got "
                              f"t={spec.t}, n={spec.n}")
-        from repro.experiments.backends import check_sources_and_topology
         check_sources_and_topology(
             spec, no_proxy_because="the lockstep engine has no "
                                    "transport to shake")
@@ -125,15 +144,11 @@ class SyncBackend:
         from repro.sync import run_sync_download
 
         from repro.experiments.backends import telemetry_scope
-        peer_cls = _peer_class(spec.protocol)
-        params = dict(spec.protocol_params)
-
-        def factory(pid, config, rng):
-            return peer_cls(pid, config, rng, **params)
-
         with telemetry_scope(telemetry):
             result = run_sync_download(
-                n=spec.n, ell=spec.ell, t=spec.t, peer_factory=factory,
+                n=spec.n, ell=spec.ell, t=spec.t,
+                peer_factory=sync_peer_factory(
+                    spec.protocol, dict(spec.protocol_params)),
                 adversary=_build_adversary(spec, seed), seed=seed,
                 sources=spec.sources, source_faults=spec.source_faults,
                 topology=spec.topology)

@@ -60,6 +60,10 @@ class NetClient:
         self.task_seed = task_seed
         self.clock = clock if clock is not None else time.monotonic
         self.retries = 0  #: retry attempts consumed (attempts beyond 1)
+        #: One request at a time: ``_attempt`` discards every response
+        #: whose rid is not its own, so two requests sharing the
+        #: connection would starve each other into retries.
+        self._busy = asyncio.Lock()
         self._reader = None
         self._writer = None
 
@@ -93,6 +97,10 @@ class NetClient:
         """Send ``payload`` and await the response with a matching
         ``rid``, retrying per the policy.  Raises
         :class:`NetRequestError` after the final attempt."""
+        async with self._busy:
+            return await self._request(payload)
+
+    async def _request(self, payload: dict) -> dict:
         rid = payload["rid"]
         last_error: Optional[BaseException] = None
         for attempt in range(1, self.retry.max_attempts + 1):

@@ -45,13 +45,14 @@ from typing import Optional
 
 from repro.execution.retry import RetryPolicy
 from repro.obs.telemetry import event
+from repro.protocols.registry import get, hosted_on
 from repro.topology import resolve_topology
 from repro.util.bitarrays import BitArray
 from repro.util.rng import SplittableRNG, derive_seed
 
 from repro.net.chaos import ChaosPlan
 from repro.net.client import DEFAULT_NET_RETRY, NetClient
-from repro.net.peers import NET_PEERS
+from repro.net.peers import NetPeer
 from repro.net.proxy import ChaosProxy
 from repro.net.server import PeerInbox, SourceServer
 
@@ -122,9 +123,9 @@ def run_net_download(*, n: int, ell: int, protocol: str,
     """Run one seeded download over real sockets (blocking wrapper)."""
     if mode not in NET_MODES:
         raise ValueError(f"mode must be one of {NET_MODES}, got {mode!r}")
-    if protocol not in NET_PEERS:
+    if protocol not in hosted_on("net"):
         raise KeyError(f"protocol {protocol!r} has no net-backend "
-                       f"implementation; available: {sorted(NET_PEERS)}")
+                       f"implementation; available: {hosted_on('net')}")
     return asyncio.run(_run(
         n=n, ell=ell, protocol=protocol,
         protocol_params=dict(protocol_params or {}),
@@ -161,7 +162,7 @@ async def _run(*, n, ell, protocol, protocol_params, sources,
     # Socket dir under the system tmp (Unix socket paths are length-
     # limited, so never under a deep pytest tmp_path).
     sock_dir = tempfile.mkdtemp(prefix="rnet-")
-    needs_inboxes = protocol == "balanced"
+    needs_inboxes = get(protocol).peer_class.peer_to_peer
     proxy = ChaosProxy(plan, clock=clock)
     inboxes: dict[int, PeerInbox] = {}
     procs: list[asyncio.subprocess.Process] = []
@@ -259,20 +260,20 @@ async def _run_tasks(*, n, ell, protocol, protocol_params, sources,
             inbox = PeerInbox(pid)
             await inbox.start(f"{sock_dir}/p{pid}.sock")
             inboxes[pid] = inbox
-    peer_cls = NET_PEERS[protocol]
+    protocol_class = get(protocol).peer_class
     for pid in range(n):
         def factory(path, proc, _pid=pid):
             return NetClient(path, proc=proc, retry=retry,
                              timeout=request_timeout,
                              task_seed=derive_seed(seed, proc),
                              clock=clock)
-        peers.append(peer_cls(
-            pid, n=n, ell=ell, sources=sources,
+        peers.append(NetPeer(
+            pid, protocol_class, protocol_params,
+            n=n, ell=ell, sources=sources,
             client_factory=factory,
             source_path=f"{sock_dir}/src-proxy.sock",
             peer_paths=paths_for.get(pid), inbox=inboxes.get(pid),
-            neighbors=neighbors_for.get(pid),
-            clock=clock, **protocol_params))
+            neighbors=neighbors_for.get(pid), clock=clock))
     tasks.extend(asyncio.ensure_future(peer.run()) for peer in peers)
     try:
         results = await asyncio.wait_for(asyncio.gather(*tasks),

@@ -1,70 +1,64 @@
-"""Peer logic for the net backend, one coroutine per peer.
+"""The socket host: a registry protocol's one body, driven over sockets.
 
-Each class mirrors its simulator counterpart's *query structure*
-exactly — same chunking (:data:`CHUNK`), same round-robin index
-assignment, same source rotation, same decode and escalation rules —
-because that structure is what the net↔sim conformance tests gate:
-a fault-free proxy replay of a sim spec must charge the identical
-query complexity and decode the identical array.  What differs is the
-substrate: queries are frames over sockets with timeouts and retries,
-and "wait for responses" is ``asyncio.gather`` instead of a virtual
-clock.
+A protocol body (``repro.protocols``) reaches the world only through
+``self.env``, so the net backend does not re-implement protocols — it
+hands the registry's class a set of ports whose far side is real
+transport.  :class:`NetPeer` owns the clients, request IDs and
+counters, and its :meth:`~NetPeer.run` steps ``body()``:
 
-The four protocols whose query sets are pure functions of
-``(pid, n, ell, source views)`` run here:
+- ``request_bits_from`` becomes a ``query`` frame (timeouts and retries
+  ride inside the :class:`~repro.net.client.NetClient`), its answer a
+  delivered ``SourceResponse``;
+- ``broadcast`` of a :class:`~repro.protocols.balanced.ShareMessage`
+  becomes ``share`` frames — to every other peer on the complete graph,
+  to the neighbours under a sparse topology, where every first-seen
+  share is also relayed onward (flooding is transport, not protocol:
+  inboxes dedupe by origin, so the body's ``n - 1`` distinct-sender
+  wait is unchanged);
+- "wait" is an ``asyncio.Event`` set by whatever the body is waiting
+  for, instead of a virtual clock.
 
-- ``naive`` — every peer downloads everything from endpoint 0;
-- ``balanced`` — round-robin slices shared peer-to-peer (the protocol
-  that exercises the peer↔peer transport);
-- ``cross-validate`` — ``q`` rotated endpoints per chunk, majority or
-  threshold decode, lowest-endpoint fallback on a defeated decode;
-- ``cross-validate-escalate`` — optimistic ``f + 1`` endpoints,
-  escalating a chunk to all ``2f + 1`` on any disagreement.
-
-Protocols whose query sets depend on latency or on adversarial peer
-behaviour (the crash/Byzantine families) stay simulator-only: the net
+That the body is the simulator's is what makes the net↔sim conformance
+tests hold by construction: a fault-free proxy replay of a sim spec
+charges the identical query complexity to the identical endpoints and
+decodes the identical array.  Which protocols run here is the
+``backends`` field of their registry entries — those whose query sets
+are pure functions of ``(pid, n, ell, source views)``; the net
 backend's adversary is the chaos proxy, not the peers.
 """
 
 from __future__ import annotations
 
 import asyncio
+from itertools import islice
 from typing import Callable, Optional
 
-from repro.core.assignment import round_robin_indices
-from repro.obs.telemetry import counter, event
-from repro.protocols.decode import (
-    majority_decode,
-    majority_threshold,
-    threshold_decode,
-)
+from repro.obs.telemetry import counter, get_backend
+from repro.protocols.balanced import ShareMessage
+from repro.protocols.ports import HostPorts
+from repro.sim.messages import SOURCE_ID, Message, SourceResponse
 from repro.util.bitarrays import BitArray
+from repro.util.rng import SplittableRNG
 
 from repro.net.client import NetClient, NetRequestError
 from repro.net.server import PeerInbox
 
-#: Bits per source request — the simulator protocols' chunk size.
-CHUNK = 4096
 
-_DECODE_RULES = ("majority", "threshold")
+class NetPeer(HostPorts):
+    """Runs ``protocol_class``'s body as one peer on real sockets: the
+    body's env has this object for every port.  (No ``schedule``: no
+    net-hosted body waits on a deadline.)"""
 
-
-class NetPeer:
-    """Shared plumbing: clients, request IDs, the working array."""
-
-    protocol_name = "net"
-
-    def __init__(self, pid: int, *, n: int, ell: int, sources: int,
+    def __init__(self, pid: int, protocol_class: type, params: dict, *,
+                 n: int, ell: int, sources: int,
                  client_factory: Callable[[str, str], NetClient],
                  source_path: str,
                  peer_paths: Optional[dict[int, str]] = None,
                  inbox: Optional[PeerInbox] = None,
                  neighbors: Optional[list[int]] = None,
                  clock: Callable[[], float] = None) -> None:
+        super().__init__(sources)
         self.pid = pid
-        self.n = n
-        self.ell = ell
-        self.k = sources
         self.inbox = inbox
         #: ``None`` means the complete graph (every other peer is one
         #: hop away); a list restricts peer traffic to those links and
@@ -74,41 +68,67 @@ class NetPeer:
         self._client_factory = client_factory
         self._source_path = source_path
         self._peer_paths = dict(peer_paths or {})
-        self._source_clients: dict[int, NetClient] = {}
-        self._peer_clients: dict[int, NetClient] = {}
+        self._clients: dict[str, NetClient] = {}
         self._seq = 0
-        self._working: dict[int, int] = {}
         self.messages = 0  #: logical peer-to-peer sends (not retries)
-        self.shares_abandoned = 0  #: shares unacked past the retry budget
+        #: Every task this peer started and has not seen finish; a
+        #: failed one parks its exception in ``_failure`` for ``run``.
+        self._tasks: set[asyncio.Task] = set()
+        self._failure: Optional[BaseException] = None
+        self._wake = asyncio.Event()
+        telemetry = get_backend()
+        # The rng is never drawn from: a body runs here because its
+        # query sets are a pure function of (pid, n, ell, source views).
+        self.peer = protocol_class(pid, self.env(
+            n=n, t=0, ell=ell, rng=SplittableRNG(0),
+            telemetry=telemetry if telemetry.enabled else None), **params)
+
+    # -- kernel port: wall clock, and an event to wake the stepping loop --
+
+    @property
+    def now(self) -> float:
+        return self.clock()
+
+    def notify(self, process) -> None:
+        self._wake.set()
+
+    # -- network port: share frames ---------------------------------------
+
+    def send(self, sender: int, destination: int, message: Message,
+             sender_cycle: int = 0) -> None:
+        if not isinstance(message, ShareMessage):
+            raise TypeError(f"the net wire carries ShareMessage only, "
+                            f"not {type(message).__name__}")
+        self._spawn(self.send_share(destination, message.values))
+
+    def broadcast(self, sender: int, n: int, message: Message,
+                  sender_cycle: int = 0) -> None:
+        if self.neighbors is None:
+            super().broadcast(sender, n, message)
+        else:  # flooding: the neighbours relay it onward
+            for other in self.neighbors:
+                self.send(sender, other, message)
+
+    # -- source port: query frames ----------------------------------------
+
+    def request_bits_from(self, source_id: int, pid: int, request_id: int,
+                          indices) -> None:
+        self._spawn(self._ask(source_id, request_id, indices))
 
     # -- transport helpers ------------------------------------------------
 
-    def _source_client(self, sid: int) -> NetClient:
-        """One client per endpoint so a chunk's ``q`` queries can fly
-        concurrently (each client serializes its own connection)."""
-        if sid not in self._source_clients:
-            self._source_clients[sid] = self._client_factory(
-                self._source_path, f"peer-{self.pid}:src{sid}")
-        return self._source_clients[sid]
-
-    def _peer_client(self, other: int) -> NetClient:
-        if other not in self._peer_clients:
-            self._peer_clients[other] = self._client_factory(
-                self._peer_paths[other], f"peer-{self.pid}:p{other}")
-        return self._peer_clients[other]
+    def _client(self, path: str, name: str) -> NetClient:
+        """The client for one address — one per source endpoint, so a
+        chunk's ``q`` queries can fly concurrently, and one per peer
+        link (each client serializes its own connection)."""
+        proc = f"peer-{self.pid}:{name}"
+        if proc not in self._clients:
+            self._clients[proc] = self._client_factory(path, proc)
+        return self._clients[proc]
 
     def _next_rid(self) -> str:
         self._seq += 1
         return f"p{self.pid}:{self._seq}"
-
-    async def query(self, sid: int, indices) -> dict[int, int]:
-        """Query endpoint ``sid`` for ``indices``; returns index->bit."""
-        response = await self._source_client(sid).request({
-            "type": "query", "rid": self._next_rid(),
-            "peer": self.pid, "source": sid,
-            "indices": list(indices)})
-        return {int(index): bit
-                for index, bit in response["values"].items()}
 
     async def send_share(self, other: int, values: dict[int, int], *,
                          origin: Optional[int] = None) -> None:
@@ -128,221 +148,95 @@ class NetPeer:
         therefore never hide a failure; it only avoids manufacturing
         one."""
         self.messages += 1
+        client = self._client(self._peer_paths[other], f"p{other}")
         try:
-            await self._peer_client(other).request({
+            await client.request({
                 "type": "share", "rid": self._next_rid(),
                 "src": self.pid if origin is None else origin, "mid": 0,
                 "values": {str(index): bit
                            for index, bit in values.items()}})
         except NetRequestError:
-            self.shares_abandoned += 1
             counter("net_shares_abandoned")
 
     def close(self) -> None:
-        for client in (list(self._source_clients.values())
-                       + list(self._peer_clients.values())):
+        for client in self._clients.values():
             client.close()
 
     @property
     def retries(self) -> int:
-        return sum(client.retries
-                   for client in (list(self._source_clients.values())
-                                  + list(self._peer_clients.values())))
+        return sum(client.retries for client in self._clients.values())
 
-    # -- protocol helpers -------------------------------------------------
+    # -- hosting the body -------------------------------------------------
 
-    def learn_many(self, values: dict[int, int]) -> None:
-        self._working.update(values)
+    def _spawn(self, coroutine) -> asyncio.Task:
+        task = asyncio.ensure_future(coroutine)
+        self._tasks.add(task)
+        task.add_done_callback(self._reap)
+        return task
 
-    def output(self) -> BitArray:
-        if len(self._working) != self.ell:
-            missing = self.ell - len(self._working)
-            raise RuntimeError(f"peer {self.pid} finished with "
-                               f"{missing} bits unresolved")
-        return BitArray.from_bits(self._working[index]
-                                  for index in range(self.ell))
+    def _reap(self, task: asyncio.Task) -> None:
+        self._tasks.discard(task)
+        if not task.cancelled() and task.exception() is not None:
+            self._failure = self._failure or task.exception()
+        self._wake.set()
 
-    def _note_disagreement(self, index: int, votes: list[int]) -> None:
-        event("source_disagreement", t=self.clock(), peer=self.pid,
-              index=index, votes=list(votes))
+    async def _ask(self, sid: int, request_id: int, indices) -> None:
+        """Query endpoint ``sid``; hand the body its answer."""
+        response = await self._client(
+            self._source_path, f"src{sid}").request({
+                "type": "query", "rid": self._next_rid(),
+                "peer": self.pid, "source": sid,
+                "indices": list(indices)})
+        self.peer.deliver(SourceResponse(
+            sender=SOURCE_ID, request_id=request_id,
+            values={int(index): bit
+                    for index, bit in response["values"].items()}))
 
-    async def run(self) -> BitArray:
-        raise NotImplementedError
+    async def _pump_shares(self) -> None:
+        """Hand every first-seen share to the body (its ``values`` is
+        the inbox's parsed dict, not a copy) and, under a sparse
+        topology, relay it to the neighbours."""
+        handled = 0  # shares are only ever added, and dicts keep order
+        while True:
+            await self.inbox.wait_for_shares(handled + 1)
+            # No await below, so the dict cannot grow under the slice.
+            for (src, _mid), values in islice(self.inbox.shares.items(),
+                                              handled, None):
+                handled += 1
+                if src == self.pid:
+                    continue  # own share, echoed by a neighbour's relay
+                self.peer.deliver(ShareMessage(sender=src, values=values))
+                for other in self.neighbors or ():
+                    self._spawn(self.send_share(other, values, origin=src))
 
-
-class NetNaivePeer(NetPeer):
-    """Download everything from endpoint 0 (Q = ell per peer)."""
-
-    protocol_name = "naive"
-
-    async def run(self) -> BitArray:
-        for lo in range(0, self.ell, CHUNK):
-            hi = min(self.ell, lo + CHUNK)
-            self.learn_many(await self.query(0, range(lo, hi)))
-        return self.output()
-
-
-class NetBalancedPeer(NetPeer):
-    """Round-robin slices shared peer-to-peer (Q = ceil(ell / n)).
-
-    On the complete graph every peer sends its slice to every other
-    directly.  Under a sparse topology the exchange becomes flooding:
-    each peer sends its slice to its neighbours and relays every
-    first-seen share onward, so every slice reaches every peer over
-    the graph's links only (inboxes dedupe by origin, so the n - 1
-    distinct-sender wait is unchanged)."""
-
-    protocol_name = "balanced"
-
-    async def run(self) -> BitArray:
-        mine = round_robin_indices(self.pid, self.ell, self.n)
-        values = await self.query(0, mine)
-        self.learn_many(values)
-        if self.neighbors is None:
-            others = [pid for pid in range(self.n) if pid != self.pid]
-            await asyncio.gather(*(self.send_share(other, values)
-                                   for other in others))
-            await self.inbox.wait_for_shares(self.n - 1)
-        else:
-            await self._flood(values)
-        self.learn_many(self.inbox.merged_values())
-        return self.output()
-
-    async def _flood(self, values: dict[int, int]) -> None:
-        """Flood own share, relay every first-seen share, until all
-        ``n - 1`` other origins have arrived (and been relayed)."""
-        await asyncio.gather(*(self.send_share(nb, values)
-                               for nb in self.neighbors))
-        relayed: set = {self.pid}
-        while len(relayed) - 1 < self.n - 1:
-            await self.inbox.wait_for_shares(len(relayed))
-            for (src, _mid), vals in list(self.inbox.shares.items()):
-                if src in relayed:
-                    continue
-                relayed.add(src)
-                await asyncio.gather(
-                    *(self.send_share(nb, vals, origin=src)
-                      for nb in self.neighbors))
-
-
-class NetCrossValidatePeer(NetPeer):
-    """``q`` rotated endpoints per chunk, decoded by vote."""
-
-    protocol_name = "cross-validate"
-
-    def __init__(self, pid: int, *, q: Optional[int] = None,
-                 decode: str = "majority",
-                 threshold: Optional[int] = None, **kwargs) -> None:
-        super().__init__(pid, **kwargs)
-        if decode not in _DECODE_RULES:
-            raise ValueError(f"decode must be one of {_DECODE_RULES}, "
-                             f"got {decode!r}")
-        self.q = q if q is not None else self.k
-        if not 1 <= self.q <= self.k:
-            raise ValueError(f"q={self.q} must be in [1, k={self.k}]")
-        self.decode = decode
-        self.threshold = (threshold if threshold is not None
-                          else majority_threshold(self.q))
-        if not 1 <= self.threshold <= self.q:
-            raise ValueError(f"threshold={self.threshold} must be in "
-                             f"[1, q={self.q}]")
-
-    def _decode(self, votes: list[int]) -> Optional[int]:
-        if self.decode == "majority":
-            return majority_decode(votes, self.q)
-        return threshold_decode(votes, self.threshold)
-
-    def _chunk_sources(self, chunk_no: int) -> list[int]:
-        """The simulator's rotation rule, verbatim."""
-        return [(self.pid + chunk_no + j) % self.k
-                for j in range(self.q)]
-
-    async def _resolve_chunk(self, lo: int, hi: int,
-                             chunk_no: int) -> None:
-        sids = self._chunk_sources(chunk_no)
-        answers = await asyncio.gather(*(self.query(sid, range(lo, hi))
-                                         for sid in sids))
-        by_sid = dict(zip(sids, answers))
-        decided: dict[int, int] = {}
-        for index in range(lo, hi):
-            votes = [by_sid[sid][index] for sid in sids]
-            bit = self._decode(votes)
-            if bit is None:
-                # The sources defeated the decode rule: record it and
-                # fall back to the lowest-numbered endpoint's answer so
-                # the run terminates (incorrectly, and reported so).
-                self._note_disagreement(index, votes)
-                bit = by_sid[min(sids)][index]
-            decided[index] = bit
-        self.learn_many(decided)
+    async def _until(self, predicate: Callable[[], bool]) -> None:
+        """Sleep until ``predicate()`` holds; a task of this peer that
+        failed meanwhile ends the wait with its exception."""
+        while True:
+            if self._failure is not None:
+                raise self._failure
+            if predicate():
+                return
+            self._wake.clear()
+            await self._wake.wait()
 
     async def run(self) -> BitArray:
-        for chunk_no, lo in enumerate(range(0, self.ell, CHUNK)):
-            hi = min(self.ell, lo + CHUNK)
-            await self._resolve_chunk(lo, hi, chunk_no)
-        return self.output()
+        """Step the body to its end; returns the peer's output.
 
-
-class NetCrossValidateEscalatePeer(NetCrossValidatePeer):
-    """Optimistic ``f + 1`` endpoints; escalate chunks on
-    disagreement to the full ``2f + 1`` with majority decode."""
-
-    protocol_name = "cross-validate-escalate"
-
-    def __init__(self, pid: int, *, f: int = 0, **kwargs) -> None:
-        k = kwargs.get("sources", 1)
-        if f < 0:
-            raise ValueError(f"f must be >= 0, got {f}")
-        if 2 * f + 1 > k:
-            raise ValueError(f"escalation needs 2f + 1 <= k sources, "
-                             f"got f={f}, k={k}")
-        super().__init__(pid, q=2 * f + 1, decode="majority", **kwargs)
-        self.f = f
-
-    async def _resolve_chunk(self, lo: int, hi: int,
-                             chunk_no: int) -> None:
-        chosen = self._chunk_sources(chunk_no)
-        first, extra = chosen[:self.f + 1], chosen[self.f + 1:]
-        answers = await asyncio.gather(*(self.query(sid, range(lo, hi))
-                                         for sid in first))
-        by_sid = dict(zip(first, answers))
-        disagreeing = [
-            index for index in range(lo, hi)
-            if threshold_decode([by_sid[sid][index] for sid in first],
-                                len(first)) is None]
-        if not disagreeing:
-            self.learn_many({index: by_sid[first[0]][index]
-                             for index in range(lo, hi)})
-            return
-        for index in disagreeing:
-            self._note_disagreement(
-                index, [by_sid[sid][index] for sid in first])
-        more = await asyncio.gather(*(self.query(sid, range(lo, hi))
-                                      for sid in extra))
-        by_sid.update(zip(extra, more))
-        decided: dict[int, int] = {}
-        for index in range(lo, hi):
-            votes = [by_sid[sid][index] for sid in chosen]
-            bit = majority_decode(votes, self.q)
-            if bit is None:
-                self._note_disagreement(index, votes)
-                bit = by_sid[min(chosen)][index]
-            decided[index] = bit
-        self.learn_many(decided)
-
-
-#: Registry protocol name -> net peer class.
-NET_PEERS: dict[str, type] = {
-    "naive": NetNaivePeer,
-    "balanced": NetBalancedPeer,
-    "cross-validate": NetCrossValidatePeer,
-    "cross-validate-escalate": NetCrossValidateEscalatePeer,
-}
-
-#: Accepted protocol params per protocol (validated by the backend).
-NET_PARAMS: dict[str, tuple[str, ...]] = {
-    "naive": (),
-    "balanced": (),
-    "cross-validate": ("q", "decode", "threshold"),
-    "cross-validate-escalate": ("f",),
-}
+        Returns only once every query and share this peer issued has
+        been answered (so each has reached the source server's ledger,
+        or its receiver), raises the first failure of any of them, and
+        leaves no task behind on any exit path.
+        """
+        pump = (self._spawn(self._pump_shares())
+                if self.inbox is not None else None)
+        try:
+            for wait in self.peer.body():
+                await self._until(wait.predicate)
+            await self._until(lambda: self._tasks <= {pump})
+            return self.peer.output
+        finally:
+            tasks = list(self._tasks)
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)

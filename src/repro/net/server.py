@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import asyncio
 import math
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.sim.source import SourceCore
 from repro.util.bitarrays import BitArray
@@ -136,14 +136,11 @@ class SourceServer(SourceCore):
 class PeerInbox:
     """One peer's server side: receive shares, dedupe, acknowledge."""
 
-    def __init__(self, pid: int, *,
-                 on_share: Optional[Callable[[dict], None]] = None
-                 ) -> None:
+    def __init__(self, pid: int) -> None:
         self.pid = pid
         self.shares: dict[tuple[int, int], dict[int, int]] = {}
         self._resends: dict[tuple[int, int], int] = {}
         self._changed = asyncio.Event()
-        self._on_share = on_share
         self._server: Optional[asyncio.AbstractServer] = None
 
     async def start(self, path: str) -> None:
@@ -157,17 +154,10 @@ class PeerInbox:
             self._server = None
 
     async def wait_for_shares(self, count: int) -> None:
-        """Block until shares from ``count`` distinct senders arrived."""
-        while len({src for src, _ in self.shares}) < count:
+        """Block until ``count`` distinct shares have arrived."""
+        while len(self.shares) < count:
             self._changed.clear()
             await self._changed.wait()
-
-    def merged_values(self) -> dict[int, int]:
-        """Every learned (index, bit) across all deduplicated shares."""
-        merged: dict[int, int] = {}
-        for values in self.shares.values():
-            merged.update(values)
-        return merged
 
     async def _handle(self, reader, writer) -> None:
         try:
@@ -183,8 +173,6 @@ class PeerInbox:
                     self.shares[key] = {int(index): bit for index, bit
                                         in frame["values"].items()}
                     self._resends[key] = 0
-                    if self._on_share is not None:
-                        self._on_share(frame)
                     self._changed.set()
                 else:
                     self._resends[key] += 1

@@ -21,10 +21,11 @@ import json
 import sys
 
 from repro.execution.retry import RetryPolicy
+from repro.protocols.registry import get
 from repro.util.rng import derive_seed
 
 from repro.net.client import NetClient
-from repro.net.peers import NET_PEERS
+from repro.net.peers import NetPeer
 from repro.net.server import PeerInbox
 
 
@@ -42,15 +43,15 @@ async def _work(config: dict) -> dict:
                          timeout=float(config["request_timeout"]),
                          task_seed=derive_seed(seed, proc))
 
-    peer_cls = NET_PEERS[config["protocol"]]
-    peer = peer_cls(
-        pid, n=int(config["n"]), ell=int(config["ell"]),
+    peer = NetPeer(
+        pid, get(config["protocol"]).peer_class,
+        config.get("protocol_params", {}),
+        n=int(config["n"]), ell=int(config["ell"]),
         sources=int(config["sources"]), client_factory=factory,
         source_path=config["source_path"],
         peer_paths={int(other): path for other, path
                     in config.get("peer_paths", {}).items()},
-        inbox=inbox, neighbors=config.get("neighbors"),
-        **config.get("protocol_params", {}))
+        inbox=inbox, neighbors=config.get("neighbors"))
     try:
         output = await peer.run()
     finally:

@@ -149,11 +149,15 @@ class CrossValidateDownloadPeer(DownloadPeer):
             decided[index] = fallback[index][1]
         self.learn_many(decided)
 
+    def _chunks(self) -> list[Iterator]:
+        """One resolver per chunk, in array order; none has started."""
+        return [self._resolve_chunk(lo, min(self.ell, lo + _CHUNK), chunk_no)
+                for chunk_no, lo in enumerate(range(0, self.ell, _CHUNK))]
+
     def body(self) -> Iterator:
         self.begin_cycle()
-        for chunk_no, lo in enumerate(range(0, self.ell, _CHUNK)):
-            hi = min(self.ell, lo + _CHUNK)
-            yield from self._resolve_chunk(lo, hi, chunk_no)
+        for chunk in self._chunks():
+            yield from chunk
         self.finish_with_working()
 
 
@@ -168,7 +172,7 @@ class CrossValidateEscalateDownloadPeer(CrossValidateDownloadPeer):
     protocol_name = "cross-validate-escalate"
 
     def __init__(self, pid: int, env: SimEnv, f: int = 0) -> None:
-        k = getattr(env.source, "k", 1)
+        k = env.source.k
         if f < 0:
             raise ValueError(f"f must be >= 0, got {f}")
         if 2 * f + 1 > k:
@@ -183,6 +187,37 @@ class CrossValidateEscalateDownloadPeer(CrossValidateDownloadPeer):
         chosen = self._chunk_sources(chunk_no)
         return chosen[:self.f + 1], chosen[self.f + 1:]
 
+    # The four steps below are where a model that knows more than "every
+    # answer arrives eventually" says so; the lockstep refinement
+    # (repro.sync.escalate) overrides them, nothing else does.
+
+    def _gather(self, pending: dict[int, int], absorb, what: str) -> Iterator:
+        """Wait out every answer in ``pending``, absorbing them as they
+        come (a round model knows at once which ones never will)."""
+        while pending:
+            yield self.wait_until(
+                lambda: any(rid in self._source_responses
+                            for rid in pending), what)
+            absorb()
+
+    def _on_disagreement(self) -> None:
+        """Step taken once a chunk's optimistic votes disagree, before
+        it escalates (nothing here; a cooperative variant tells the
+        other peers)."""
+
+    def _on_unanimous(self) -> Iterator:
+        """Step taken once a chunk's optimistic votes all agree;
+        returns True to escalate the chunk anyway (never here; a
+        cooperative variant first waits for the other peers' word)."""
+        yield from ()
+        return False
+
+    def _second_step(self) -> Iterator:
+        """Step between the ``escalate:`` marker and the escalation
+        queries, which react to answers (nothing to wait for under
+        continuous time; a round model lets the round end first)."""
+        yield from ()
+
     def _resolve_chunk(self, lo: int, hi: int,
                        chunk_no: int) -> Iterator:
         first, extra = self._escalation_sources(chunk_no)
@@ -192,7 +227,8 @@ class CrossValidateEscalateDownloadPeer(CrossValidateDownloadPeer):
                                        for index in range(lo, hi)}
         fallback: dict[int, tuple[int, int]] = {}
 
-        def absorb() -> None:
+        def absorb() -> bool:
+            """Tally what has arrived; True once the chunk has a vote."""
             for rid in [rid for rid in pending
                         if self.response_ready(rid)]:
                 sid = pending.pop(rid)
@@ -201,33 +237,29 @@ class CrossValidateEscalateDownloadPeer(CrossValidateDownloadPeer):
                     best = fallback.get(index)
                     if best is None or sid < best[0]:
                         fallback[index] = (sid, bit)
+            return bool(fallback)
 
-        while pending:
-            yield self.wait_until(
-                lambda: any(rid in self._source_responses
-                            for rid in pending),
-                f"optimistic votes for chunk [{lo}, {hi})")
-            absorb()
+        yield from self._gather(
+            pending, absorb, f"optimistic votes for chunk [{lo}, {hi})")
         disagreeing = [index for index in range(lo, hi)
                        if threshold_decode(votes[index],
                                            len(first)) is None]
-        if not disagreeing:
+        if disagreeing:
+            for index in disagreeing:
+                self._note_disagreement(index, votes[index])
+            self._on_disagreement()
+        elif not (yield from self._on_unanimous()):
             self.learn_many({index: votes[index][0]
                              for index in range(lo, hi)})
             return
-        for index in disagreeing:
-            self._note_disagreement(index, votes[index])
         self.note_phase(f"escalate:[{lo},{hi})")
+        yield from self._second_step()
         # Escalate: the remaining f endpoints bring the chunk to the
         # full 2f + 1 votes; decode by strict majority of 2f + 1.
         pending = {self.start_query(range(lo, hi), source=sid): sid
                    for sid in extra}
-        while pending:
-            yield self.wait_until(
-                lambda: any(rid in self._source_responses
-                            for rid in pending),
-                f"escalated votes for chunk [{lo}, {hi})")
-            absorb()
+        yield from self._gather(
+            pending, absorb, f"escalated votes for chunk [{lo}, {hi})")
         decided = {}
         for index in range(lo, hi):
             bit = majority_decode(votes[index], self.q)

@@ -8,7 +8,7 @@ without hard-coding the list.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 from repro.protocols.balanced import BalancedDownloadPeer
 from repro.protocols.base import DownloadPeer
@@ -39,6 +39,11 @@ class ProtocolEntry:
     max_crash_fraction: float  # largest beta the protocol tolerates
     max_byzantine_fraction: float
     description: str
+    #: Execution backends that can host this class's ``body`` — every
+    #: protocol runs on the simulator it was written against; the
+    #: lockstep (``"sync"``) and socket (``"net"``) hosts drive the
+    #: same body through their own ports (docs/EXTENDING.md).
+    backends: tuple[str, ...] = ("sim",)
 
     def supports(self, *, fault_model: str, beta: float) -> bool:
         """True when the protocol is claimed correct for this setup."""
@@ -60,6 +65,10 @@ class ProtocolEntry:
 
 _REGISTRY: dict[str, ProtocolEntry] = {}
 
+#: The protocols whose query sets are pure functions of ``(pid, n, ell,
+#: source views)`` run unchanged on all three substrates.
+_EVERYWHERE = ("sim", "sync", "net")
+
 
 def _register(entry: ProtocolEntry) -> None:
     _REGISTRY[entry.name] = entry
@@ -68,11 +77,13 @@ def _register(entry: ProtocolEntry) -> None:
 _register(ProtocolEntry(
     name="naive", peer_class=NaiveDownloadPeer, fault_model="byzantine",
     randomized=False, max_crash_fraction=0.999, max_byzantine_fraction=0.999,
-    description="every peer queries all ell bits (correct for any beta < 1)"))
+    description="every peer queries all ell bits (correct for any beta < 1)",
+    backends=_EVERYWHERE))
 _register(ProtocolEntry(
     name="balanced", peer_class=BalancedDownloadPeer, fault_model="none",
     randomized=False, max_crash_fraction=0.0, max_byzantine_fraction=0.0,
-    description="fault-free round-robin sharing (Q = ell/n)"))
+    description="fault-free round-robin sharing (Q = ell/n)",
+    backends=_EVERYWHERE))
 _register(ProtocolEntry(
     name="crash-one", peer_class=CrashOneDownloadPeer, fault_model="crash",
     randomized=False, max_crash_fraction=0.0, max_byzantine_fraction=0.0,
@@ -115,14 +126,16 @@ _register(ProtocolEntry(
     fault_model="byzantine", randomized=False,
     max_crash_fraction=0.999, max_byzantine_fraction=0.999,
     description="query q of k sources per digit, majority/threshold "
-                "decode (tolerates f = (q-1)/2 faulty sources)"))
+                "decode (tolerates f = (q-1)/2 faulty sources)",
+    backends=_EVERYWHERE))
 _register(ProtocolEntry(
     name="cross-validate-escalate",
     peer_class=CrossValidateEscalateDownloadPeer,
     fault_model="byzantine", randomized=False,
     max_crash_fraction=0.999, max_byzantine_fraction=0.999,
     description="query f+1 sources, escalate to 2f+1 with majority "
-                "decode on disagreement"))
+                "decode on disagreement",
+    backends=_EVERYWHERE))
 
 
 def get(name: str) -> ProtocolEntry:
@@ -131,6 +144,12 @@ def get(name: str) -> ProtocolEntry:
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown protocol {name!r}; known: {known}")
     return _REGISTRY[name]
+
+
+def hosted_on(backend: str) -> list[str]:
+    """Names of the protocols ``backend`` hosts, sorted."""
+    return sorted(name for name, entry in _REGISTRY.items()
+                  if backend in entry.backends)
 
 
 def all_protocols() -> list[ProtocolEntry]:

@@ -1,10 +1,13 @@
 """Round-native synchronous DR model (the prior-work setting).
 
-A lockstep engine (:mod:`~repro.sync.engine`), the synchronous
-originals of the paper's protocols (:mod:`~repro.sync.protocols`), and
-round-model adversaries including the classic *rushing* Byzantine
-adversary (:mod:`~repro.sync.adversaries`).  Round counts here are the
-exact round complexity the synchronous papers report.
+A lockstep engine (:mod:`~repro.sync.engine`), a host that runs the
+registry's protocol bodies on it unchanged (:mod:`~repro.sync.host`;
+:mod:`~repro.sync.escalate` is the one round-model refinement of such
+a body), the lockstep-native committee / two-round / crash algorithms
+(:mod:`~repro.sync.protocols`), and round-model adversaries including
+the classic *rushing* Byzantine adversary
+(:mod:`~repro.sync.adversaries`).  Round counts here are the exact
+round complexity the synchronous papers report.
 """
 
 from repro.sync.adversaries import (
@@ -22,35 +25,31 @@ from repro.sync.engine import (
     SyncSource,
     run_sync_download,
 )
+from repro.sync.escalate import EscalationAlert, LockstepEscalatePeer
+from repro.sync.host import LockstepHost, hosted_factory
 from repro.sync.protocols import (
-    EscalationAlert,
-    SyncBalancedPeer,
     SyncCrashPeer,
     SyncCommitteePeer,
-    SyncCrossValidateEscalatePeer,
-    SyncCrossValidatePeer,
-    SyncNaivePeer,
     SyncTwoRoundPeer,
 )
 
 __all__ = [
     "EscalationAlert",
+    "LockstepEscalatePeer",
+    "LockstepHost",
     "RoundCrashAdversary",
     "RushingEchoAdversary",
     "SilentSyncAdversary",
     "SyncAdversary",
-    "SyncBalancedPeer",
     "SyncCommitteePeer",
     "SyncConfig",
     "SyncCrashPeer",
-    "SyncCrossValidateEscalatePeer",
-    "SyncCrossValidatePeer",
     "SyncEngine",
-    "SyncNaivePeer",
     "SyncPeer",
     "SyncRunResult",
     "SyncSource",
     "SyncTwoRoundPeer",
     "fraction_corrupted",
+    "hosted_factory",
     "run_sync_download",
 ]

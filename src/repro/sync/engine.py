@@ -124,6 +124,8 @@ class SyncPeer:
         self.rng = rng
         self.output: Optional[BitArray] = None
         self.finished_round: Optional[int] = None
+        #: What ``run_header.protocol`` calls this peer's protocol.
+        self.protocol_label = type(self).__name__
         #: Deadline-aware waiting: a peer parked until round ``r`` (set
         #: this to ``r``) is deliberate silence, not a stall — the
         #: engine's quiet-round detector skips rounds where any live
@@ -301,8 +303,8 @@ class SyncEngine:
                       "adversary": type(self.adversary).__name__,
                       "planned_faulty": sorted(self.corrupted)}
             if self.peers:
-                header["protocol"] = type(
-                    next(iter(self.peers.values()))).__name__
+                header["protocol"] = next(
+                    iter(self.peers.values())).protocol_label
             sink.emit("run_header", header)
         inboxes: dict[int, list[Message]] = {pid: []
                                              for pid in range(self.config.n)}

@@ -1,27 +1,24 @@
-"""Round-native synchronous Download protocols.
+"""Lockstep-native synchronous Download algorithms.
 
-The paper's prior-work rows, implemented in their native form — one
-``round()`` method per paper round, so the engine's round counter *is*
-the round complexity the synchronous papers report:
+The paper's prior-work rows that are *different algorithms* in the
+round model, not ports of an asynchronous body — one ``round()``
+method per paper round, so the engine's round counter *is* the round
+complexity the synchronous papers report:
 
-- :class:`SyncNaivePeer` — 1 round (query everything, say nothing);
-- :class:`SyncBalancedPeer` — 2 rounds, fault-free ``ell/n``;
 - :class:`SyncCommitteePeer` — 2 rounds, the deterministic committee
   protocol of [3] (the protocol Theorem 3.4 asynchronizes);
 - :class:`SyncTwoRoundPeer` — 2 rounds, Protocol 4's synchronous
   original: sample-and-broadcast, then decision trees, with the
-  separating-index queries answered inside round 2.
-- :class:`SyncCrossValidatePeer` — 1 round, the round-native form of
-  the multi-source cross-validation protocol (query ``q`` of the
-  engine's ``k`` endpoints, vote-decode every position).
-- :class:`SyncCrossValidateEscalatePeer` — 1 round optimistically
-  (``f + 1`` endpoints, unanimity), 2 on disagreement (escalate to
-  all ``2f + 1``, majority decode).
+  separating-index queries answered inside round 2;
+- :class:`SyncCrashPeer` — the lockstep ancestor of Algorithm 2.
+
+``naive``, ``balanced``, ``cross-validate`` and
+``cross-validate-escalate`` are not here: the registry's one body of
+each runs in lockstep on :class:`~repro.sync.host.LockstepHost`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.core.assignment import committee_for, round_robin_indices
@@ -31,29 +28,9 @@ from repro.core.segments import Segmentation
 from repro.protocols.balanced import ShareMessage
 from repro.protocols.byz_committee import CommitteeReport
 from repro.protocols.byz_two_cycle import SegmentReport
-from repro.protocols.decode import (
-    majority_decode,
-    majority_threshold,
-    threshold_decode,
-)
-from repro.sim.messages import Message
 from repro.sync.engine import SyncConfig, SyncPeer
 from repro.util.bitarrays import BitArray
 from repro.util.rng import SplittableRNG
-
-
-@dataclass(frozen=True)
-class EscalationAlert(Message):
-    """Disagreement notice of the escalate protocol's ``alert`` path.
-
-    Broadcast by a peer whose optimistic ``f + 1`` votes were not
-    unanimous; every receiver escalates to the full ``2f + 1``
-    endpoints.  Routed topologies deliver it up to ``diameter`` rounds
-    late, which is exactly the waiting window alert-mode peers hold
-    open before trusting their unanimous round-1 votes.
-    """
-
-    round_no: int = 0
 
 
 class _ArrayBuilder:
@@ -80,38 +57,6 @@ class _ArrayBuilder:
 
     def to_array(self) -> BitArray:
         return BitArray.from_bits([bit or 0 for bit in self.bits])
-
-
-class SyncNaivePeer(SyncPeer):
-    """Round 1: query all ``ell`` bits, output, stop."""
-
-    def round(self, round_no: int, inbox) -> None:
-        values = self.query(range(self.ell))
-        builder = _ArrayBuilder(self.ell)
-        builder.put_values(values)
-        self.finish(builder.to_array())
-
-
-class SyncBalancedPeer(SyncPeer):
-    """Round 1: query own slice, broadcast.  Round 2: assemble."""
-
-    def __init__(self, pid: int, config: SyncConfig,
-                 rng: SplittableRNG) -> None:
-        super().__init__(pid, config, rng)
-        self.builder = _ArrayBuilder(config.ell)
-
-    def round(self, round_no: int, inbox) -> None:
-        if round_no == 1:
-            values = self.query(round_robin_indices(self.pid, self.ell,
-                                                    self.n))
-            self.builder.put_values(values)
-            self.broadcast(ShareMessage(sender=self.pid, values=values))
-            return
-        for message in inbox:
-            if isinstance(message, ShareMessage):
-                self.builder.put_values(message.values)
-        if self.builder.complete:
-            self.finish(self.builder.to_array())
 
 
 class SyncCommitteePeer(SyncPeer):
@@ -218,195 +163,6 @@ class SyncTwoRoundPeer(SyncPeer):
                 lambda index, base=lo: self.query([base + index])[base + index])
             self.builder.put_string(lo, string)
         self.finish(self.builder.to_array())
-
-
-class SyncCrossValidatePeer(SyncPeer):
-    """Round 1: query ``q`` of the ``k`` endpoints for everything,
-    decode every position by vote, output, stop.
-
-    The round-native form of
-    :class:`~repro.protocols.multisource.CrossValidateDownloadPeer`:
-    the synchronous source answers within the round, so the whole
-    cross-validation collapses into a single round at ``q`` times the
-    query bits.  Positions the decode rule cannot settle (the source
-    faults defeated it) fall back to the lowest-numbered answering
-    endpoint's bit, so the run terminates — incorrectly, which the
-    engine's correctness check reports.
-    """
-
-    def __init__(self, pid: int, config: SyncConfig, rng: SplittableRNG,
-                 q: Optional[int] = None, decode: str = "majority",
-                 threshold: Optional[int] = None) -> None:
-        super().__init__(pid, config, rng)
-        if decode not in ("majority", "threshold"):
-            raise ValueError(f"decode must be 'majority' or "
-                             f"'threshold', got {decode!r}")
-        self.decode = decode
-        # q and threshold resolve against the source's k, which the
-        # engine attaches after construction; validated in round 1.
-        self._q = q
-        self._threshold = threshold
-
-    def round(self, round_no: int, inbox) -> None:
-        source = self._source
-        k = getattr(source, "k", 1)
-        q = self._q if self._q is not None else k
-        if not 1 <= q <= k:
-            raise ValueError(f"q={q} must be in [1, k={k}]")
-        threshold = (self._threshold if self._threshold is not None
-                     else majority_threshold(q))
-        if not 1 <= threshold <= q:
-            raise ValueError(f"threshold={threshold} must be in "
-                             f"[1, q={q}]")
-        votes: dict[int, list[int]] = {index: []
-                                       for index in range(self.ell)}
-        fallback: dict[int, tuple[int, int]] = {}
-        for j in range(q):
-            sid = (self.pid + j) % k
-            for index, bit in source.query_from(sid, self.pid,
-                                                range(self.ell)).items():
-                votes[index].append(bit)
-                best = fallback.get(index)
-                if best is None or sid < best[0]:
-                    fallback[index] = (sid, bit)
-        builder = _ArrayBuilder(self.ell)
-        for index in range(self.ell):
-            if self.decode == "majority":
-                bit = majority_decode(votes[index], q)
-            else:
-                bit = threshold_decode(votes[index], threshold)
-            if bit is None:
-                if source.telemetry is not None:
-                    source.telemetry.emit("source_disagreement", {
-                        "t": float(round_no), "peer": self.pid,
-                        "index": index, "votes": list(votes[index])})
-                best = fallback.get(index)
-                bit = best[1] if best is not None else 0
-            builder.put(index, bit)
-        self.finish(builder.to_array())
-
-
-class SyncCrossValidateEscalatePeer(SyncPeer):
-    """Optimistic round-native cross-validation with escalation.
-
-    Round 1 queries the ``f + 1`` rotated endpoints
-    ``(pid + j) % k`` for everything; a position whose votes are
-    unanimous is settled, and if *every* position is, the peer
-    finishes — one round at ``(f + 1) ell`` query bits, the
-    optimistic case.  Any disagreement escalates the whole download:
-    round 2 brings in the remaining ``f`` endpoints for the full
-    ``2f + 1`` votes, decodes by strict majority, and falls back to
-    the lowest-numbered answering endpoint where even that fails
-    (terminating incorrectly, which the engine's correctness check
-    reports).  Round complexity is therefore exactly 1 or 2 — the
-    lockstep form of
-    :class:`~repro.protocols.multisource.CrossValidateEscalateDownloadPeer`.
-    """
-
-    def __init__(self, pid: int, config: SyncConfig, rng: SplittableRNG,
-                 f: int = 0, alert: bool = False) -> None:
-        super().__init__(pid, config, rng)
-        if f < 0:
-            raise ValueError(f"f must be >= 0, got {f}")
-        self.f = f
-        #: The cooperative escalation path: a peer that sees
-        #: disagreement broadcasts an :class:`EscalationAlert`, and
-        #: *every* peer escalates on receipt — per-reader equivocation
-        #: detected by one peer then hardens everyone's decode.
-        #: Unanimous peers hold their output for the topology's
-        #: ``diameter`` rounds (the routed broadcast's worst case)
-        #: before trusting silence.  Off by default: the classic
-        #: local-escalation behaviour (and its golden traces) is
-        #: untouched.
-        self.alert = alert
-        self._alerted = False
-        # k attaches with the source after construction; votes persist
-        # across the escalation round.
-        self._votes: Optional[dict[int, list[int]]] = None
-        self._fallback: dict[int, tuple[int, int]] = {}
-        self._held: Optional[BitArray] = None
-
-    def _absorb(self, sid: int, answers: dict[int, int]) -> None:
-        for index, bit in answers.items():
-            self._votes[index].append(bit)
-            best = self._fallback.get(index)
-            if best is None or sid < best[0]:
-                self._fallback[index] = (sid, bit)
-
-    def _emit_disagreement(self, round_no: int, index: int) -> None:
-        source = self._source
-        if source.telemetry is not None:
-            source.telemetry.emit("source_disagreement", {
-                "t": float(round_no), "peer": self.pid,
-                "index": index, "votes": list(self._votes[index])})
-
-    def _alert_window(self) -> int:
-        """Rounds a routed :class:`EscalationAlert` may take to arrive."""
-        topology = self.config.topology
-        return topology.diameter if topology is not None else 1
-
-    def _escalate(self, round_no: int, chosen) -> None:
-        """Bring in the remaining ``f`` endpoints and decide."""
-        source = self._source
-        for sid in chosen[self.f + 1:]:
-            self._absorb(sid, source.query_from(
-                sid, self.pid, range(self.ell)))
-        builder = _ArrayBuilder(self.ell)
-        for index in range(self.ell):
-            bit = majority_decode(self._votes[index], 2 * self.f + 1)
-            if bit is None:
-                self._emit_disagreement(round_no, index)
-                bit = self._fallback[index][1]
-            builder.put(index, bit)
-        self.finish(builder.to_array())
-
-    def round(self, round_no: int, inbox) -> None:
-        source = self._source
-        k = getattr(source, "k", 1)
-        if 2 * self.f + 1 > k:
-            raise ValueError(f"escalation needs 2f + 1 <= k sources, "
-                             f"got f={self.f}, k={k}")
-        chosen = [(self.pid + j) % k for j in range(2 * self.f + 1)]
-        if self._votes is None:
-            self._votes = {index: [] for index in range(self.ell)}
-            for sid in chosen[:self.f + 1]:
-                self._absorb(sid, source.query_from(
-                    sid, self.pid, range(self.ell)))
-            disagreeing = [
-                index for index in range(self.ell)
-                if threshold_decode(self._votes[index],
-                                    self.f + 1) is None]
-            if not disagreeing:
-                builder = _ArrayBuilder(self.ell)
-                for index in range(self.ell):
-                    builder.put(index, self._votes[index][0])
-                if not self.alert:
-                    self.finish(builder.to_array())
-                    return
-                # Alert mode: hold the unanimous output open for the
-                # worst-case alert transit before trusting silence.
-                self._held = builder.to_array()
-                self.waiting_until = round_no + self._alert_window()
-                return
-            for index in disagreeing:
-                self._emit_disagreement(round_no, index)
-            if self.alert:
-                self._alerted = True
-                self.broadcast(EscalationAlert(sender=self.pid,
-                                               round_no=round_no))
-            return  # escalate next round
-        if not self.alert:
-            self._escalate(round_no, chosen)
-            return
-        heard_alert = any(isinstance(message, EscalationAlert)
-                          for message in inbox)
-        if self._alerted or heard_alert:
-            self.waiting_until = None
-            self._escalate(round_no, chosen)
-            return
-        if self.waiting_until is not None and round_no >= self.waiting_until:
-            # Silence for a full alert window: every peer was unanimous.
-            self.finish(self._held)
 
 
 class SyncCrashPeer(SyncPeer):

@@ -262,37 +262,27 @@ def _capture_async(case: dict) -> dict:
     return record
 
 
+#: ``peer`` key of a sync case -> registry protocol name; the class
+#: (lockstep-native, or the registry's on the lockstep host) is
+#: resolved the way ``backend="sync"`` resolves it.
 _SYNC_PEERS = {
-    "naive": lambda: __import__("repro.sync.protocols",
-                                fromlist=["SyncNaivePeer"]).SyncNaivePeer,
-    "balanced": lambda: __import__(
-        "repro.sync.protocols",
-        fromlist=["SyncBalancedPeer"]).SyncBalancedPeer,
-    "committee": lambda: __import__(
-        "repro.sync.protocols",
-        fromlist=["SyncCommitteePeer"]).SyncCommitteePeer,
-    "two-round": lambda: __import__(
-        "repro.sync.protocols",
-        fromlist=["SyncTwoRoundPeer"]).SyncTwoRoundPeer,
-    "cross-validate": lambda: __import__(
-        "repro.sync.protocols",
-        fromlist=["SyncCrossValidatePeer"]).SyncCrossValidatePeer,
-    "cross-validate-escalate": lambda: __import__(
-        "repro.sync.protocols",
-        fromlist=["SyncCrossValidateEscalatePeer"]
-    ).SyncCrossValidateEscalatePeer,
+    "naive": "naive",
+    "balanced": "balanced",
+    "committee": "byz-committee",
+    "two-round": "byz-two-cycle",
+    "cross-validate": "cross-validate",
+    "cross-validate-escalate": "cross-validate-escalate",
 }
 
 
 def _capture_sync(case: dict) -> dict:
+    from repro.experiments.backends.sync import sync_peer_factory
     from repro.sync.engine import run_sync_download
 
-    peer_class = _SYNC_PEERS[case["peer"]]()
-    peer_params = case.get("peer_params", {})
     result = run_sync_download(
         n=case["n"], ell=case["ell"], t=case["t"],
-        peer_factory=lambda pid, config, rng: peer_class(
-            pid, config, rng, **peer_params),
+        peer_factory=sync_peer_factory(_SYNC_PEERS[case["peer"]],
+                                       case.get("peer_params", {})),
         seed=case["seed"], sources=case.get("sources", 1),
         source_faults=tuple(case.get("source_faults", ())),
         topology=case.get("topology"))

@@ -306,3 +306,168 @@ class TestProcessMode:
                           mode="process",
                           proxy_faults=("drop:0.1", "delay:0.01"))
         assert result.download_correct
+
+
+class TestSocketHost:
+    """Hazards of driving the simulator's bodies over real sockets."""
+
+    #: Two chunks, one withholding endpoint of three.  The shared body
+    #: decodes eagerly, so two honest answers settle a chunk while the
+    #: withheld third is outstanding — and chunk 1's query to that
+    #: endpoint is issued while chunk 0's is still unanswered.
+    TWO_CHUNKS = dict(n=1, ell=2 * 4096, sources=3,
+                      source_faults=("withhold",), seed=13)
+
+    @pytest.fixture(scope="class")
+    def two_chunk_run(self):
+        return run_fast(protocol="cross-validate", protocol_params={"q": 3},
+                        withhold_delay=0.15, **self.TWO_CHUNKS)
+
+    def test_every_issued_query_reaches_the_ledger(self, two_chunk_run):
+        # The body ends with its last query not even sent (it queues
+        # behind chunk 0's on that endpoint's connection).  The
+        # simulator charged it at issue, so the peer must not hang up
+        # before the server has seen it.
+        from repro.protocols import get
+        from repro.sim import run_download
+        sim = run_download(peer_factory=get("cross-validate").factory(q=3),
+                           **self.TWO_CHUNKS)
+        assert two_chunk_run.download_correct
+        assert two_chunk_run.query_bits == {0: 3 * 2 * 4096}
+        assert two_chunk_run.queried_by_source == sim.queried_by_source
+
+    def test_one_request_in_flight_per_client(self, two_chunk_run):
+        # Sharing the connection, the two queries to the withholding
+        # endpoint would discard each other's responses and time out
+        # into retries.
+        assert two_chunk_run.retries == 0
+
+    def test_client_serializes_concurrent_requests(self):
+        from repro.net import NetClient
+
+        hung_up = asyncio.Event()
+
+        async def echo(reader, writer):
+            while (frame := await read_frame(reader)) is not None:
+                await asyncio.sleep(0.02)
+                writer.write(encode_frame({"rid": frame["rid"]}))
+                await writer.drain()
+            writer.close()
+            await writer.wait_closed()
+            hung_up.set()
+
+        async def go():
+            import tempfile
+            with tempfile.TemporaryDirectory(prefix="rnet-") as sock_dir:
+                server = await asyncio.start_unix_server(
+                    echo, path=f"{sock_dir}/echo.sock")
+                client = NetClient(f"{sock_dir}/echo.sock", proc="test",
+                                   retry=FAST_RETRY, timeout=0.5)
+                try:
+                    answers = await asyncio.gather(*(
+                        client.request({"type": "query", "rid": f"r{i}"})
+                        for i in range(4)))
+                finally:
+                    client.close()
+                    await asyncio.wait_for(hung_up.wait(), timeout=5)
+                    server.close()
+                    await server.wait_closed()
+                return [answer["rid"] for answer in answers], client.retries
+
+        assert asyncio.run(go()) == (["r0", "r1", "r2", "r3"], 0)
+
+    def test_a_failed_run_leaves_no_task_behind(self, caplog):
+        import gc
+        import logging
+        with caplog.at_level(logging.ERROR, logger="asyncio"):
+            with pytest.raises(NetRunError, match="NetRequestError"):
+                run_net_download(
+                    n=3, ell=2 * 4096, protocol="cross-validate",
+                    protocol_params={"q": 3}, sources=3,
+                    proxy_faults=("drop:1.0",), seed=3,
+                    retry=RetryPolicy(max_attempts=2, base_delay=0.01,
+                                      jitter=0.0),
+                    request_timeout=0.1, run_timeout=5.0)
+            gc.collect()
+        assert [record.getMessage() for record in caplog.records] == []
+
+    def host(self, protocol, inbox=None, client_factory=None):
+        from repro.net.peers import NetPeer
+        from repro.protocols import get
+        return NetPeer(0, get(protocol).peer_class, {}, n=2, ell=8,
+                       sources=1, client_factory=client_factory,
+                       source_path="unused", inbox=inbox)
+
+    def test_run_reraises_a_failed_task_and_owns_the_rest(self):
+        from repro.net import NetRequestError
+
+        class DeadClient:
+            retries = 0
+
+            async def request(self, payload):
+                await asyncio.sleep(0.01)
+                raise NetRequestError("no route")
+
+            def close(self):
+                pass
+
+        async def go():
+            peer = self.host("naive",
+                             client_factory=lambda path, proc: DeadClient())
+            before = asyncio.all_tasks()
+            with pytest.raises(NetRequestError, match="no route"):
+                await peer.run()
+            return peer._tasks, asyncio.all_tasks() - before
+
+        assert asyncio.run(go()) == (set(), set())
+
+    def test_a_cancelled_run_cancels_what_it_spawned(self):
+        class SilentClient:
+            retries = 0
+
+            async def request(self, payload):
+                await asyncio.Event().wait()
+
+            def close(self):
+                pass
+
+        async def go():
+            peer = self.host("naive",
+                             client_factory=lambda path, proc: SilentClient())
+            before = asyncio.all_tasks()
+            run = asyncio.ensure_future(peer.run())
+            await asyncio.sleep(0.01)
+            assert peer._tasks  # the query is out
+            run.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await run
+            return peer._tasks, asyncio.all_tasks() - before
+
+        assert asyncio.run(go()) == (set(), set())
+
+    def test_each_share_frame_is_parsed_once(self):
+        # The body's ShareMessage carries the inbox's parsed dict
+        # itself, not a second parse or a copy of it.
+        from repro.net import PeerInbox
+        from repro.protocols import ShareMessage
+
+        async def go():
+            inbox = PeerInbox(0)
+            peer = self.host("balanced", inbox=inbox)
+            pump = asyncio.ensure_future(peer._pump_shares())
+            inbox.shares[(1, 0)] = {1: 0, 3: 1, 5: 1, 7: 0}
+            inbox._changed.set()
+            await asyncio.sleep(0.01)
+            pump.cancel()
+            (message,) = peer.peer.inbox.of_type(ShareMessage)
+            return message.values is inbox.shares[(1, 0)]
+
+        assert asyncio.run(go())
+
+    def test_sparse_topology_floods_and_relays(self):
+        result = run_fast(n=5, ell=64, protocol="balanced",
+                          topology="ring", seed=3)
+        assert result.download_correct
+        # Every peer sends its own share and relays the four others',
+        # to both ring neighbours.
+        assert result.messages == 5 * (1 + 4) * 2

@@ -119,12 +119,12 @@ class TestFuzzedSourceEnvironments:
     @settings(**FUZZ_SETTINGS)
     def test_sync_cross_validate_survives_any_generated_source_world(
             self, seed):
-        from repro.sync import SyncCrossValidatePeer, run_sync_download
+        from repro.sync import hosted_factory, run_sync_download
         plan = random_source_faults(seed, k=self.K, f_cap=self.F)
         result = run_sync_download(
             n=4, ell=96,
-            peer_factory=lambda pid, config, rng: SyncCrossValidatePeer(
-                pid, config, rng, q=2 * self.F + 1),
+            peer_factory=hosted_factory(CrossValidateDownloadPeer,
+                                        q=2 * self.F + 1),
             seed=seed, sources=self.K, source_faults=plan.specs)
         assert result.download_correct, plan
 

@@ -17,7 +17,7 @@ import pkgutil
 import pytest
 
 import repro.protocols
-import repro.sync.protocols  # noqa: F401  (defines EscalationAlert)
+import repro.sync.escalate  # noqa: F401  (defines EscalationAlert)
 from repro.adversary.byzantine import flip_bitlike_fields
 from repro.sim.messages import HEADER_BITS, Message, bits_for
 

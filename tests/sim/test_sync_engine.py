@@ -2,16 +2,17 @@
 
 import pytest
 
+from repro.protocols import BalancedDownloadPeer, NaiveDownloadPeer
 from repro.sync import (
+    LockstepEscalatePeer,
     RoundCrashAdversary,
     RushingEchoAdversary,
     SilentSyncAdversary,
-    SyncBalancedPeer,
     SyncCommitteePeer,
     SyncConfig,
-    SyncNaivePeer,
     SyncTwoRoundPeer,
     fraction_corrupted,
+    hosted_factory,
     run_sync_download,
 )
 
@@ -20,19 +21,21 @@ def factory(cls, **kwargs):
     return lambda pid, config, rng: cls(pid, config, rng, **kwargs)
 
 
+#: naive and balanced are the registry's bodies on the lockstep host.
+NAIVE = hosted_factory(NaiveDownloadPeer)
+BALANCED = hosted_factory(BalancedDownloadPeer)
+
+
 class TestEngineBasics:
     def test_naive_is_one_round(self):
-        result = run_sync_download(n=6, ell=120,
-                                   peer_factory=factory(SyncNaivePeer),
-                                   seed=1)
+        result = run_sync_download(n=6, ell=120, peer_factory=NAIVE, seed=1)
         assert result.download_correct
         assert result.rounds == 1
         assert result.query_complexity == 120
         assert result.message_complexity == 0
 
     def test_balanced_is_two_rounds(self):
-        result = run_sync_download(n=6, ell=120,
-                                   peer_factory=factory(SyncBalancedPeer),
+        result = run_sync_download(n=6, ell=120, peer_factory=BALANCED,
                                    seed=1)
         assert result.download_correct
         assert result.rounds == 2
@@ -60,14 +63,13 @@ class TestEngineBasics:
     def test_corruption_budget_enforced(self):
         with pytest.raises(ValueError, match="budget"):
             run_sync_download(
-                n=4, ell=8, t=1,
-                peer_factory=factory(SyncNaivePeer),
+                n=4, ell=8, t=1, peer_factory=NAIVE,
                 adversary=SilentSyncAdversary(corrupted={0, 1}), seed=1)
 
     def test_stall_detection_ends_dead_runs(self):
         adversary = RoundCrashAdversary({2: (1, 0)})  # silent crash
         result = run_sync_download(n=6, ell=60, t=1,
-                                   peer_factory=factory(SyncBalancedPeer),
+                                   peer_factory=BALANCED,
                                    adversary=adversary, seed=1)
         assert not result.download_correct
         assert result.rounds < 10  # stalled, not MAX_ROUNDS
@@ -155,7 +157,7 @@ class TestRoundCrashes:
         # destinations 0, 1, 3 (ascending) hear it.
         adversary = RoundCrashAdversary({2: (1, 3)})
         result = run_sync_download(n=6, ell=60, t=1,
-                                   peer_factory=factory(SyncBalancedPeer),
+                                   peer_factory=BALANCED,
                                    adversary=adversary, seed=8)
         outputs = result.outputs
         # Peers 0, 1, 3 received slice 2 and finish; 4, 5 never do.
@@ -165,7 +167,7 @@ class TestRoundCrashes:
     def test_crashed_peers_counted_faulty(self):
         adversary = RoundCrashAdversary({1: (1, None), 3: (2, None)})
         result = run_sync_download(n=6, ell=60, t=2,
-                                   peer_factory=factory(SyncNaivePeer),
+                                   peer_factory=NAIVE,
                                    adversary=adversary, seed=9)
         # Naive finishes in round 1, before the round-2 crash bites.
         assert result.outputs[1] is not None
@@ -212,11 +214,7 @@ class TestSyncCrashProtocol:
 
 class TestSyncCrossValidateEscalate:
     def factory(self, f=1):
-        from repro.sync import SyncCrossValidateEscalatePeer
-
-        def make(pid, config, rng):
-            return SyncCrossValidateEscalatePeer(pid, config, rng, f=f)
-        return make
+        return hosted_factory(LockstepEscalatePeer, f=f)
 
     def test_honest_sources_finish_in_one_round(self):
         result = run_sync_download(n=4, ell=64, t=0,
