@@ -55,27 +55,9 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.adversary import (
-    ByzantineAdversary,
-    ComposedAdversary,
-    CrashAdversary,
-    EquivocateStrategy,
-    NullAdversary,
-    SelectiveSilenceStrategy,
-    SilentStrategy,
-    UniformRandomDelay,
-    WrongBitsStrategy,
-)
-from repro.adversary.dynamic import DynamicByzantineAdversary
-from repro.protocols import all_protocols, get
+from repro.experiments.spec import _STRATEGIES
+from repro.protocols import all_protocols
 from repro.sim import run_download
-
-_STRATEGIES = {
-    "wrong-bits": WrongBitsStrategy,
-    "equivocate": EquivocateStrategy,
-    "silent": SilentStrategy,
-    "selective-silence": SelectiveSilenceStrategy,
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -467,39 +449,6 @@ def _source_params_for(args) -> dict:
     return params
 
 
-def _adversary_for(args):
-    latency = NullAdversary() if args.synchronous else UniformRandomDelay()
-    if args.fault_model == "none" or args.beta <= 0:
-        return latency, 0
-    t = int(args.beta * args.n)
-    if args.fault_model == "crash":
-        faults = CrashAdversary(crash_fraction=args.beta)
-    elif args.fault_model == "byzantine":
-        strategy = _STRATEGIES[args.strategy]
-        faults = ByzantineAdversary(fraction=args.beta,
-                                    strategy_factory=lambda pid: strategy())
-    else:
-        strategy = _STRATEGIES[args.strategy]
-        faults = DynamicByzantineAdversary(
-            fraction=args.beta, strategy_factory=lambda pid: strategy())
-    return ComposedAdversary(faults=faults, latency=latency), t
-
-
-def _factory_for(args):
-    entry = get(args.protocol)
-    params = {}
-    if args.block_size is not None:
-        params["block_size"] = args.block_size
-    if args.segments is not None:
-        key = ("base_segments" if args.protocol == "byz-multi-cycle"
-               else "num_segments")
-        params[key] = args.segments
-    if args.tau is not None:
-        params["tau"] = args.tau
-    params.update(_source_params_for(args))
-    return entry.factory(**params)
-
-
 def _command_list(out) -> int:
     for entry in all_protocols():
         print(f"{entry.name:18} {entry.description}", file=out)
@@ -509,8 +458,26 @@ def _command_list(out) -> int:
 def _command_run(args, out) -> int:
     import contextlib
 
+    from repro.experiments import ExperimentSpec
     from repro.profiling import maybe_profile, profile_enabled
-    adversary, t = _adversary_for(args)
+    params = _source_params_for(args)
+    if args.block_size is not None:
+        params["block_size"] = args.block_size
+    if args.segments is not None:
+        key = ("base_segments" if args.protocol == "byz-multi-cycle"
+               else "num_segments")
+        params[key] = args.segments
+    if args.tau is not None:
+        params["tau"] = args.tau
+    # The run is the spec's, but for the seed: `run --seed` is the
+    # simulator's seed itself, not a base that `seed_for` derives from.
+    spec = ExperimentSpec(
+        protocol=args.protocol, n=args.n, ell=args.ell,
+        fault_model=args.fault_model, beta=args.beta,
+        strategy=args.strategy,
+        network="synchronous" if args.synchronous else "asynchronous",
+        protocol_params=params, sources=args.sources,
+        source_faults=_source_faults_for(args), topology=args.topology)
     recording = None
     context = contextlib.nullcontext()
     if args.telemetry:
@@ -520,12 +487,13 @@ def _command_run(args, out) -> int:
     with maybe_profile(profile_enabled(args.profile or None),
                        label=f"run {args.protocol}"):
         with context:
-            result = run_download(n=args.n, ell=args.ell,
-                                  peer_factory=_factory_for(args),
-                                  adversary=adversary, t=t, seed=args.seed,
-                                  sources=args.sources,
-                                  source_faults=_source_faults_for(args),
-                                  topology=args.topology)
+            result = run_download(n=spec.n, ell=spec.ell,
+                                  peer_factory=spec.peer_factory(),
+                                  adversary=spec.build_adversary(),
+                                  t=spec.t, seed=args.seed,
+                                  sources=spec.sources,
+                                  source_faults=spec.source_faults,
+                                  topology=spec.topology)
     if recording is not None:
         from repro.obs import export_run
         count = export_run(args.telemetry, recording, result)

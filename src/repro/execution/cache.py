@@ -36,7 +36,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (see below)
 #: Cache invalidation salt.  Bump on any change that alters simulated
 #: outcomes (protocol logic, adversary schedules, seed derivation, the
 #: aggregation arithmetic); old entries then miss and are recomputed.
-CODE_VERSION = "2026.08.1"
+CODE_VERSION = "2026.10.1"
 
 #: On-disk record format tag; bump on incompatible record changes.
 SCHEMA_VERSION = 1

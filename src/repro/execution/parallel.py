@@ -42,7 +42,6 @@ fall back to direct serial calls (with a warning).
 
 from __future__ import annotations
 
-import dataclasses
 import pickle
 import time
 import warnings
@@ -436,14 +435,9 @@ class ParallelRunner:
             completed[task] = record
         for index in pending:
             spec = specs[index]
-            rows = []
-            for repeat in range(spec.repeats):
-                entry = completed[(index, repeat)]
-                if isinstance(entry, TaskFailure):
-                    entry = dataclasses.replace(entry,
-                                                task=f"repeat-{repeat}")
-                rows.append(entry)
-            outcome = aggregate_outcome(spec, rows)
+            outcome = aggregate_outcome(
+                spec, [completed[(index, repeat)]
+                       for repeat in range(spec.repeats)])
             # Failures are environmental, not content: caching them
             # would serve a transient fault forever.
             if self.cache is not None and outcome.failed_runs == 0:

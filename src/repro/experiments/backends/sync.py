@@ -2,12 +2,11 @@
 
 Maps the spec's fault model onto the synchronous adversaries and its
 protocol onto a lockstep peer — the registry's own class on
-:class:`repro.sync.LockstepHost` when its entry lists ``"sync"``, a
-lockstep-native ``Sync*Peer`` algorithm otherwise — then runs
-:class:`repro.sync.SyncEngine`.  The time measure is the *exact round
-count* — ``RepeatRecord.time`` is ``float(rounds)`` and
-``RepeatRecord.rounds`` carries the integer, which aggregation surfaces
-as ``mean_round_complexity``.
+:class:`repro.sync.LockstepHost`, but for the two protocols of
+``_LOCKSTEP_FORMS`` — then runs :class:`repro.sync.SyncEngine`.  The
+time measure is the *exact round count* — ``RepeatRecord.time`` is
+``float(rounds)`` and ``RepeatRecord.rounds`` carries the integer,
+which aggregation surfaces as ``mean_round_complexity``.
 
 ``backend="sync"`` is not ``network="synchronous"``: the latter keeps
 the asynchronous event kernel and merely pins every latency to one
@@ -32,18 +31,13 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import ExperimentSpec
     from repro.obs.telemetry import Telemetry
 
-#: Registry protocol name -> sync peer class name, for the protocols
-#: whose round-model form is its own algorithm.  Resolved lazily so
-#: importing the backends package stays cheap.
-_SYNC_PROTOCOLS: dict[str, str] = {
+#: Registry protocol name -> ``repro.sync`` class name, for the
+#: protocols whose lockstep form says something the async body cannot:
+#: a different round algorithm (silence proves a crash), and a hosted
+#: body's refinement (escalation is a second communication step).
+#: Resolved lazily so importing the backends package stays cheap.
+_LOCKSTEP_FORMS: dict[str, str] = {
     "crash-multi": "SyncCrashPeer",
-    "byz-committee": "SyncCommitteePeer",
-    "byz-two-cycle": "SyncTwoRoundPeer",
-}
-
-#: Hosted protocol name -> the subclass that states what the round
-#: model knows beyond the registry's body (same lazy resolution).
-_LOCKSTEP_REFINEMENTS: dict[str, str] = {
     "cross-validate-escalate": "LockstepEscalatePeer",
 }
 
@@ -51,10 +45,9 @@ _SYNC_FAULT_MODELS = ("none", "crash", "byzantine")
 
 
 def _lockstep_class(protocol: str) -> type:
-    """The class that runs ``protocol`` in lockstep: its own round
-    algorithm, else the registry's body (or its refinement), hosted."""
-    name = (_SYNC_PROTOCOLS.get(protocol)
-            or _LOCKSTEP_REFINEMENTS.get(protocol))
+    """The class that runs ``protocol`` in lockstep: its lockstep
+    form where it has one, else the registry's body, hosted."""
+    name = _LOCKSTEP_FORMS.get(protocol)
     if name is None:
         return get(protocol).peer_class
     import repro.sync as sync
@@ -101,11 +94,11 @@ class SyncBackend:
     """Runs specs on :class:`repro.sync.SyncEngine`."""
 
     def validate(self, spec: "ExperimentSpec") -> None:
-        if spec.protocol not in {*_SYNC_PROTOCOLS, *hosted_on("sync")}:
+        available = {*_LOCKSTEP_FORMS, *hosted_on("sync")}
+        if spec.protocol not in available:
             raise KeyError(
                 f"protocol {spec.protocol!r} has no sync-backend "
-                f"implementation; available: "
-                f"{sorted({*_SYNC_PROTOCOLS, *hosted_on('sync')})}")
+                f"implementation; available: {sorted(available)}")
         check_positive("n", spec.n)
         check_positive("ell", spec.ell)
         check_fraction("beta", spec.beta, inclusive_high=False)

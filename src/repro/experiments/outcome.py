@@ -12,7 +12,7 @@ asynchronous simulator, whose time measure is virtual time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional
 
 from repro.execution.retry import TaskFailure
@@ -83,11 +83,14 @@ def aggregate_outcome(spec: ExperimentSpec,
     floats.  ``records`` may mix :class:`RepeatRecord` with
     :class:`~repro.execution.retry.TaskFailure` entries (graceful
     degradation): failures are excluded from the means and reported via
-    ``failed_runs``/``failures``; with zero completed repeats every
-    mean is 0.0.
+    ``failed_runs``/``failures``, each named ``repeat-N`` after its
+    position here, whatever label the engine that ran it used (a batch
+    position, a point-and-repeat pair); with zero completed repeats
+    every mean is 0.0.
     """
     records = list(records)
-    failures = tuple(record for record in records
+    failures = tuple(replace(record, task=f"repeat-{repeat}")
+                     for repeat, record in enumerate(records)
                      if isinstance(record, TaskFailure))
     measured = [record for record in records
                 if not isinstance(record, TaskFailure)]

@@ -27,6 +27,9 @@ class HostPorts:
 
     def __init__(self, k: int) -> None:
         self.k = k  # source port: the number of endpoints
+        #: ``message type -> tally`` (:meth:`span_sink`); a host whose
+        #: peers share a process points this at one dict per run.
+        self.span_sinks: dict[type, object] = {}
 
     def env(self, *, n: int, t: int, ell: int, rng: SplittableRNG,
             telemetry: Optional[object] = None,
@@ -41,6 +44,16 @@ class HostPorts:
         for other in range(n):
             if other != sender:
                 self.send(sender, other, message, sender_cycle)
+
+    def span_sink(self, message_type: type, factory):
+        """The tally for ``message_type``, built by ``factory()`` on
+        first request (cf. :meth:`repro.sim.network.Network.span_sink`).
+        A host delivers message by message, so only the tally's
+        per-message side is ever driven."""
+        sink = self.span_sinks.get(message_type)
+        if sink is None:
+            sink = self.span_sinks[message_type] = factory()
+        return sink
 
     def request_bits(self, pid: int, request_id: int, indices) -> None:
         self.request_bits_from(0, pid, request_id, indices)

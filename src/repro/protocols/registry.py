@@ -107,12 +107,14 @@ _register(ProtocolEntry(
     name="byz-committee", peer_class=ByzCommitteeDownloadPeer,
     fault_model="byzantine", randomized=False,
     max_crash_fraction=0.499, max_byzantine_fraction=0.499,
-    description="Theorem 3.4: deterministic committees, beta < 1/2"))
+    description="Theorem 3.4: deterministic committees, beta < 1/2",
+    backends=("sim", "sync")))
 _register(ProtocolEntry(
     name="byz-two-cycle", peer_class=ByzTwoCycleDownloadPeer,
     fault_model="byzantine", randomized=True,
     max_crash_fraction=0.499, max_byzantine_fraction=0.499,
-    description="Protocol 4: 2-cycle randomized sampling + decision trees"))
+    description="Protocol 4: 2-cycle randomized sampling + decision trees",
+    backends=("sim", "sync")))
 _register(ProtocolEntry(
     name="byz-multi-cycle", peer_class=ByzMultiCycleDownloadPeer,
     fault_model="byzantine", randomized=True,

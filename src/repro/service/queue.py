@@ -447,16 +447,9 @@ class JobQueue:
             if index in run.point_outcomes:
                 outcomes.append(run.point_outcomes[index])
                 continue
-            rows = []
-            for repeat in range(point.repeats):
-                entry = run.records[(index, repeat)]
-                if isinstance(entry, TaskFailure):
-                    entry = TaskFailure(task=f"repeat-{repeat}",
-                                        error_type=entry.error_type,
-                                        message=entry.message,
-                                        attempts=entry.attempts)
-                rows.append(entry)
-            outcome = aggregate_outcome(point, rows)
+            outcome = aggregate_outcome(
+                point, [run.records[(index, repeat)]
+                        for repeat in range(point.repeats)])
             if self.cache is not None and outcome.failed_runs == 0:
                 self.cache.put(point, outcome)
             outcomes.append(outcome)

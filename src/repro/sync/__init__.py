@@ -3,7 +3,7 @@
 A lockstep engine (:mod:`~repro.sync.engine`), a host that runs the
 registry's protocol bodies on it unchanged (:mod:`~repro.sync.host`;
 :mod:`~repro.sync.escalate` is the one round-model refinement of such
-a body), the lockstep-native committee / two-round / crash algorithms
+a body), the one lockstep-native algorithm, the crash family's
 (:mod:`~repro.sync.protocols`), and round-model adversaries including
 the classic *rushing* Byzantine adversary
 (:mod:`~repro.sync.adversaries`).  Round counts here are the exact
@@ -27,11 +27,7 @@ from repro.sync.engine import (
 )
 from repro.sync.escalate import EscalationAlert, LockstepEscalatePeer
 from repro.sync.host import LockstepHost, hosted_factory
-from repro.sync.protocols import (
-    SyncCrashPeer,
-    SyncCommitteePeer,
-    SyncTwoRoundPeer,
-)
+from repro.sync.protocols import SyncCrashPeer
 
 __all__ = [
     "EscalationAlert",
@@ -41,14 +37,12 @@ __all__ = [
     "RushingEchoAdversary",
     "SilentSyncAdversary",
     "SyncAdversary",
-    "SyncCommitteePeer",
     "SyncConfig",
     "SyncCrashPeer",
     "SyncEngine",
     "SyncPeer",
     "SyncRunResult",
     "SyncSource",
-    "SyncTwoRoundPeer",
     "fraction_corrupted",
     "hosted_factory",
     "run_sync_download",

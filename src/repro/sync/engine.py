@@ -82,6 +82,9 @@ class SyncSource(SourceCore):
         #: the engine so query events carry round-native timestamps.
         self.telemetry = None
         self.telemetry_round = 0
+        #: ``message type -> tally`` the run's hosted bodies share, as
+        #: the simulator's peers share ``Network.span_sink``'s.
+        self.span_sinks: dict[type, object] = {}
 
     def query(self, pid: int, indices: Sequence[int]) -> dict[int, int]:
         return self.query_from(0, pid, indices)
@@ -121,7 +124,10 @@ class SyncPeer:
                  rng: SplittableRNG) -> None:
         self.pid = pid
         self.config = config
-        self.rng = rng
+        #: This peer's coins: the run's root, split once per peer as
+        #: :class:`~repro.sim.peer.Peer` splits ``SimEnv.rng`` — one
+        #: seed, the same coins on both engines.
+        self.rng = rng.split(f"peer-{pid}")
         self.output: Optional[BitArray] = None
         self.finished_round: Optional[int] = None
         #: What ``run_header.protocol`` calls this peer's protocol.
@@ -276,7 +282,7 @@ class SyncEngine:
         for pid in range(config.n):
             if pid in self.corrupted:
                 continue  # corrupted peers exist only through rush()
-            peer = peer_factory(pid, config, root.split(f"peer-{pid}"))
+            peer = peer_factory(pid, config, root)
             peer._source = self.source
             self.peers[pid] = peer
         self.messages_sent = 0

@@ -29,6 +29,7 @@ class _Ports(HostPorts):
     def __init__(self, host: "LockstepHost") -> None:
         super().__init__(host._source.k)
         self.host = host
+        self.span_sinks = host._source.span_sinks  # one tally per run
 
     # -- kernel: the round is the clock --------------------------------------
 
@@ -71,6 +72,7 @@ class LockstepHost(SyncPeer):
     def __init__(self, pid: int, config: SyncConfig, rng: SplittableRNG,
                  protocol_class: type, params: dict) -> None:
         super().__init__(pid, config, rng)
+        self.root = rng  # the body splits its own ``peer-{pid}`` stream
         self.protocol_class = protocol_class
         self.params = params
         self.protocol_label = protocol_class.protocol_name
@@ -86,7 +88,7 @@ class LockstepHost(SyncPeer):
         if self._body is None:
             ports = _Ports(self)
             self.peer = self.protocol_class(self.pid, ports.env(
-                n=self.n, t=self.t, ell=self.ell, rng=self.rng,
+                n=self.n, t=self.t, ell=self.ell, rng=self.root,
                 telemetry=self._source.telemetry,
                 topology=self.config.topology), **self.params)
             self._body = self.peer.body()

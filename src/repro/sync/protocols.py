@@ -1,33 +1,24 @@
-"""Lockstep-native synchronous Download algorithms.
+"""The one lockstep-native synchronous Download algorithm.
 
-The paper's prior-work rows that are *different algorithms* in the
-round model, not ports of an asynchronous body — one ``round()``
-method per paper round, so the engine's round counter *is* the round
-complexity the synchronous papers report:
+:class:`SyncCrashPeer` is the lockstep ancestor of Algorithm 2 and a
+*different algorithm*, not a port of the registry's ``crash-multi``
+body: silence in round ``r`` proves a crash by round ``r + 1``, so it
+needs none of Algorithm 2's phases (measured against the hosted body
+under the backend's crash plans at n 16-64: 2-3 rounds against 9-13,
+Q up to 6x lower, M 2.3-3.7x lower — docs/MODEL.md, "Hosted bodies
+in lockstep").  One ``round()`` call per paper round, so the engine's
+round counter *is* its round complexity.
 
-- :class:`SyncCommitteePeer` — 2 rounds, the deterministic committee
-  protocol of [3] (the protocol Theorem 3.4 asynchronizes);
-- :class:`SyncTwoRoundPeer` — 2 rounds, Protocol 4's synchronous
-  original: sample-and-broadcast, then decision trees, with the
-  separating-index queries answered inside round 2;
-- :class:`SyncCrashPeer` — the lockstep ancestor of Algorithm 2.
-
-``naive``, ``balanced``, ``cross-validate`` and
-``cross-validate-escalate`` are not here: the registry's one body of
-each runs in lockstep on :class:`~repro.sync.host.LockstepHost`.
+Every other protocol the lockstep backend runs is the registry's one
+body on :class:`~repro.sync.host.LockstepHost`.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from repro.core.assignment import committee_for, round_robin_indices
-from repro.core.decision_tree import build_tree, determine
-from repro.core.frequent import FrequencyTable
-from repro.core.segments import Segmentation
+from repro.core.assignment import round_robin_indices
 from repro.protocols.balanced import ShareMessage
-from repro.protocols.byz_committee import CommitteeReport
-from repro.protocols.byz_two_cycle import SegmentReport
 from repro.sync.engine import SyncConfig, SyncPeer
 from repro.util.bitarrays import BitArray
 from repro.util.rng import SplittableRNG
@@ -43,126 +34,12 @@ class _ArrayBuilder:
         if self.bits[index] is None:
             self.bits[index] = bit
 
-    def put_values(self, values: dict[int, int]) -> None:
-        for index, bit in values.items():
-            self.put(index, bit)
-
-    def put_string(self, lo: int, string: str) -> None:
-        for offset, ch in enumerate(string):
-            self.put(lo + offset, int(ch))
-
     @property
     def complete(self) -> bool:
         return all(bit is not None for bit in self.bits)
 
     def to_array(self) -> BitArray:
         return BitArray.from_bits([bit or 0 for bit in self.bits])
-
-
-class SyncCommitteePeer(SyncPeer):
-    """The [3] committee protocol, 2 rounds, ``2t < n``."""
-
-    def __init__(self, pid: int, config: SyncConfig, rng: SplittableRNG,
-                 block_size: int = 1) -> None:
-        super().__init__(pid, config, rng)
-        if 2 * config.t >= config.n:
-            raise ValueError(f"committee protocol needs 2t < n, got "
-                             f"t={config.t}, n={config.n}")
-        import math
-        self.blocks = Segmentation(config.ell,
-                                   max(1, math.ceil(config.ell / block_size)))
-        self.committee_size = 2 * config.t + 1
-        self.builder = _ArrayBuilder(config.ell)
-
-    def round(self, round_no: int, inbox) -> None:
-        if round_no == 1:
-            for block in range(self.blocks.num_segments):
-                committee = committee_for(block, self.committee_size, self.n)
-                if self.pid not in committee:
-                    continue
-                lo, hi = self.blocks.bounds(block)
-                values = self.query(range(lo, hi))
-                self.builder.put_values(values)
-                string = "".join("1" if values[index] else "0"
-                                 for index in range(lo, hi))
-                self.broadcast(CommitteeReport(sender=self.pid, block=block,
-                                               string=string))
-            return
-        # Round 2: accept each block with t+1 identical member reports.
-        support: dict[tuple[int, str], set[int]] = {}
-        for message in inbox:
-            if not isinstance(message, CommitteeReport):
-                continue
-            if not 0 <= message.block < self.blocks.num_segments:
-                continue
-            committee = committee_for(message.block, self.committee_size,
-                                      self.n)
-            if message.sender not in committee:
-                continue
-            lo, hi = self.blocks.bounds(message.block)
-            if len(message.string) != hi - lo:
-                continue
-            support.setdefault((message.block, message.string),
-                               set()).add(message.sender)
-        for (block, string), senders in support.items():
-            if len(senders) >= self.t + 1:
-                lo, _ = self.blocks.bounds(block)
-                self.builder.put_string(lo, string)
-        if self.builder.complete:
-            self.finish(self.builder.to_array())
-
-
-class SyncTwoRoundPeer(SyncPeer):
-    """Protocol 4's synchronous original: sample, then decision trees.
-
-    Round complexity exactly 2; queries in round 2 are the separating
-    indices of the decision trees (answered within the round — the
-    synchronous model's source replies immediately).
-    """
-
-    def __init__(self, pid: int, config: SyncConfig, rng: SplittableRNG,
-                 num_segments: int = 4, tau: int = 2) -> None:
-        super().__init__(pid, config, rng)
-        self.segmentation = Segmentation(config.ell, num_segments)
-        self.tau = tau
-        self.builder = _ArrayBuilder(config.ell)
-        self.picked: Optional[int] = None
-
-    def round(self, round_no: int, inbox) -> None:
-        if round_no == 1:
-            self.picked = self.rng.randrange(self.segmentation.num_segments)
-            lo, hi = self.segmentation.bounds(self.picked)
-            values = self.query(range(lo, hi))
-            self.builder.put_values(values)
-            string = "".join("1" if values[index] else "0"
-                             for index in range(lo, hi))
-            self.broadcast(SegmentReport(sender=self.pid,
-                                         segment=self.picked, string=string))
-            return
-        reports = FrequencyTable()
-        for message in inbox:
-            if not isinstance(message, SegmentReport):
-                continue
-            if not 0 <= message.segment < self.segmentation.num_segments:
-                continue
-            lo, hi = self.segmentation.bounds(message.segment)
-            if len(message.string) != hi - lo:
-                continue
-            reports.add(message.sender, message.segment, message.string)
-        for segment in range(self.segmentation.num_segments):
-            if segment == self.picked:
-                continue
-            lo, hi = self.segmentation.bounds(segment)
-            candidates = reports.frequent(segment, self.tau)
-            if not candidates:
-                self.builder.put_values(self.query(range(lo, hi)))
-                continue
-            tree = build_tree(candidates)
-            string, _ = determine(
-                tree,
-                lambda index, base=lo: self.query([base + index])[base + index])
-            self.builder.put_string(lo, string)
-        self.finish(self.builder.to_array())
 
 
 class SyncCrashPeer(SyncPeer):

@@ -100,7 +100,8 @@ CASES: list[dict] = [
     {"name": "sync-committee", "engine": "sync", "peer": "committee",
      "n": 9, "ell": 128, "t": 2, "seed": 37},
     {"name": "sync-two-round", "engine": "sync", "peer": "two-round",
-     "n": 9, "ell": 240, "t": 2, "seed": 41},
+     "n": 9, "ell": 240, "t": 2, "seed": 41,
+     "peer_params": {"num_segments": 4, "tau": 2}},
     {"name": "sync-cross-validate-k3", "engine": "sync",
      "peer": "cross-validate", "n": 6, "ell": 256, "t": 0, "seed": 53,
      "peer_params": {"q": 3}, "sources": 3,

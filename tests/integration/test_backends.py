@@ -111,6 +111,21 @@ class TestSyncRoundConformance:
         assert outcome.mean_round_complexity == 2
         assert outcome.success_rate == 1.0
 
+    @pytest.mark.parametrize("n, ell, beta", [
+        (9, 240, 0.25), (16, 800, 0.2), (10, 400, 0.3)])
+    def test_default_two_cycle_parameters_hold_inside_the_model(
+            self, n, ell, beta):
+        # The hand-ported lockstep class defaulted to (num_segments,
+        # tau) = (4, 2) whatever n and t; with tau <= t the rushing
+        # peers alone made a flipped string tau-frequent, and 11, 2 and
+        # 18 of these 60 downloads were wrong.  The one body chooses by
+        # the paper's case analysis on every backend.
+        for base_seed in range(60):
+            record = execute_repeat(sync_spec(
+                "byz-two-cycle", n=n, ell=ell, beta=beta,
+                fault_model="byzantine", base_seed=base_seed), 0)
+            assert record.correct, base_seed
+
     def test_repeats_are_seed_deterministic(self):
         spec = sync_spec("byz-two-cycle", n=12, beta=0.25,
                          fault_model="byzantine",

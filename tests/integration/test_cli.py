@@ -72,6 +72,31 @@ class TestRun:
         with pytest.raises(KeyError):
             run_cli("run", "--protocol", "definitely-not-real")
 
+    @pytest.mark.parametrize("argv, faulty, complexity", [
+        ("--protocol balanced --n 6 --ell 96", [],
+         "Q=16 bits/peer (total 96), M=30 msgs (33600 bits), T=1.66"),
+        ("--protocol crash-multi --n 8 --ell 200 --fault-model crash "
+         "--beta 0.5", [0, 2, 4, 6],
+         "Q=57 bits/peer (total 202), M=204 msgs (243696 bits), T=6.58"),
+        ("--protocol byz-committee --n 9 --ell 90 --block-size 9 "
+         "--fault-model byzantine --beta 0.3 --strategy equivocate", [1, 2],
+         "Q=54 bits/peer (total 342), M=304 msgs (31920 bits), T=1.79"),
+        ("--protocol byz-committee --n 9 --ell 90 --block-size 9 "
+         "--fault-model dynamic --beta 0.2", [],
+         "Q=36 bits/peer (total 270), M=240 msgs (25200 bits), T=1.54"),
+    ], ids=["none", "crash", "byzantine", "dynamic"])
+    def test_the_run_is_the_specs(self, argv, faulty, complexity):
+        # The adversary and factory are ``ExperimentSpec``'s; the
+        # numbers are the ones the hand-built pair printed.
+        code, output = run_cli("run", *argv.split(), "--seed", "5")
+        assert code == 0
+        assert f"faulty set : {faulty}\n" in output
+        assert f"complexity : {complexity}\n" in output
+
+    def test_a_fault_model_needs_a_fault_fraction(self):
+        with pytest.raises(ValueError, match="beta > 0"):
+            run_cli("run", "--protocol", "naive", "--fault-model", "crash")
+
 
 class TestLowerBound:
     def test_lower_bound_command(self):

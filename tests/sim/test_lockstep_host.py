@@ -5,7 +5,9 @@ needed a decision (docs/MODEL.md, "Hosted bodies in lockstep"):
 escalation is a second communication step, a withheld answer is never
 delivered, and the body's own telemetry rides the round clock — the
 first two stated by ``cross-validate-escalate``'s lockstep refinement
-(``repro.sync.escalate``), not guessed by the host.
+(``repro.sync.escalate``), not guessed by the host — and what the
+mapping means for ``byz-committee`` and ``byz-two-cycle``, whose hand
+ports the hosted bodies replaced.
 """
 
 import pytest
@@ -15,10 +17,13 @@ from repro.obs.schema import validate_event
 from repro.obs.telemetry import RecordingTelemetry, using
 from repro.protocols import (
     BalancedDownloadPeer,
+    ByzCommitteeDownloadPeer,
+    ByzTwoCycleDownloadPeer,
     CrossValidateDownloadPeer,
     CrossValidateEscalateDownloadPeer,
     NaiveDownloadPeer,
 )
+from repro.sim.errors import ConfigurationError
 from repro.sync import (
     LockstepEscalatePeer,
     LockstepHost,
@@ -195,6 +200,81 @@ class TestWithheldAnswersNeverArrive:
         assert result.query_complexity == 2 * 48
 
 
+class TestCommitteeAndTwoRound:
+    def committee(self, **params):
+        return hosted_factory(ByzCommitteeDownloadPeer, **params)
+
+    def test_committees_of_everyone_leave_nothing_to_wait_for(self):
+        # n = 2t + 1: every peer sits on every committee, read all of
+        # X itself in round 1 and terminates there.
+        result = run_sync_download(n=9, ell=90, t=4, seed=1,
+                                   peer_factory=self.committee(block_size=9))
+        assert result.download_correct
+        assert result.rounds == 1
+        assert set(result.per_peer_query_bits.values()) == {90}
+        # One peer short of that, somebody waits for a report.
+        result = run_sync_download(n=9, ell=90, t=3, seed=1,
+                                   peer_factory=self.committee(block_size=9))
+        assert result.download_correct
+        assert result.rounds == 2
+
+    def test_a_majority_is_the_bodys_error_and_the_specs(self):
+        with pytest.raises(ConfigurationError, match="2t < n"):
+            run_sync_download(n=8, ell=16, t=4, seed=1,
+                              peer_factory=self.committee())
+        with pytest.raises(ValueError, match="2t < n"):
+            ExperimentSpec(backend="sync", network="synchronous",
+                           protocol="byz-committee", n=8, ell=16,
+                           fault_model="byzantine", beta=0.5)
+
+    def test_give_up_time_counts_rounds(self):
+        # Two silent round-1 crashes against t = 1 leave block 0's
+        # committee {0, 1, 2} one report short of t + 1, for good.
+        def run(**params):
+            return run_sync_download(
+                n=5, ell=16, t=1, seed=1,
+                peer_factory=self.committee(block_size=4, **params),
+                adversary=RoundCrashAdversary({0: (1, 0), 1: (1, 0)}))
+        stalled = run()
+        assert not stalled.download_correct
+        assert stalled.rounds <= 1 + SyncEngine.STALL_LIMIT
+        # The wait until round 3 is deliberate silence, not a stall;
+        # there the survivors read the unsettled blocks themselves.
+        gave_up = run(give_up_time=3)
+        assert gave_up.download_correct
+        assert gave_up.rounds == 3
+        assert gave_up.per_peer_query_bits == {2: 12, 3: 16, 4: 12}
+
+    def test_the_spec_takes_what_the_one_constructor_takes(self):
+        fields = dict(backend="sync", network="synchronous", n=5, ell=16)
+        ExperimentSpec(protocol="byz-committee", protocol_params={
+            "block_size": 4, "give_up_time": 3}, **fields)
+        ExperimentSpec(protocol="byz-two-cycle", protocol_params={
+            "num_segments": 2, "tau": 1}, **fields)
+        with pytest.raises(ValueError, match="no sync params"):
+            ExperimentSpec(protocol="byz-two-cycle",
+                           protocol_params={"block_size": 4}, **fields)
+
+    def test_two_cycle_parameters_are_the_bodys_own_choice(self):
+        # The deleted port defaulted to (num_segments, tau) = (4, 2)
+        # whatever n, t and ell.  At n 9, t 2 that is tau <= t — the
+        # corrupted peers alone can vouch for a string — where the
+        # paper's case analysis says: too small to sample, read it all.
+        def run(n, ell, t):
+            return run_sync_download(
+                n=n, ell=ell, t=t, seed=41,
+                peer_factory=hosted_factory(ByzTwoCycleDownloadPeer))
+        small = run(9, 240, 2)
+        assert small.download_correct
+        assert (small.rounds, small.query_complexity,
+                small.message_complexity) == (1, 240, 0)
+        # Large enough to sample: 4 segments, tau = 6 > t.
+        large = run(64, 8192, 6)
+        assert large.download_correct
+        assert large.rounds == 2
+        assert 8192 // 4 <= large.query_complexity < 8192 // 2
+
+
 class TestEventStream:
     def record(self, protocol_class, **kwargs):
         recording = RecordingTelemetry()
@@ -221,6 +301,32 @@ class TestEventStream:
         assert sorted({event["t"]
                        for event in recording.events_of("query")}) == [1.0,
                                                                        2.0]
+
+    @pytest.mark.parametrize("protocol_class, params, phases", [
+        (ByzCommitteeDownloadPeer, {"block_size": 8},
+         {"report", "collect"}),
+        (ByzTwoCycleDownloadPeer, {"num_segments": 2, "tau": 1},
+         {"sample", "determine"})])
+    def test_committee_and_two_round_streams_are_the_bodys(
+            self, protocol_class, params, phases):
+        result, recording = self.record(protocol_class, params=params,
+                                        n=5, ell=32, t=1, seed=3)
+        assert result.rounds == 2
+        for event in recording.events:
+            validate_event(event)
+        (header,) = recording.events_of("run_header")
+        assert header["protocol"] == protocol_class.protocol_name
+        # Both cycles open in round 1: the body enters its second as
+        # soon as it has broadcast, and parks there until round 2.
+        assert {(event["t"], event["cycle"])
+                for event in recording.events_of("cycle")} == {(1.0, 1),
+                                                               (1.0, 2)}
+        assert {event["name"]
+                for event in recording.events_of("phase")} == phases
+        assert sorted(event["peer"] for event in
+                      recording.events_of("terminate")) == [0, 1, 2, 3, 4]
+        assert {event["t"]
+                for event in recording.events_of("terminate")} == {2.0}
 
     def test_one_terminate_per_peer_and_the_header_names_the_protocol(self):
         _, recording = self.record(BalancedDownloadPeer, n=4, ell=32,

@@ -2,28 +2,36 @@
 
 import pytest
 
-from repro.protocols import BalancedDownloadPeer, NaiveDownloadPeer
+from repro.protocols import (
+    BalancedDownloadPeer,
+    ByzCommitteeDownloadPeer,
+    ByzTwoCycleDownloadPeer,
+    NaiveDownloadPeer,
+)
+from repro.sim.errors import ConfigurationError
 from repro.sync import (
     LockstepEscalatePeer,
     RoundCrashAdversary,
     RushingEchoAdversary,
     SilentSyncAdversary,
-    SyncCommitteePeer,
     SyncConfig,
-    SyncTwoRoundPeer,
     fraction_corrupted,
     hosted_factory,
     run_sync_download,
 )
 
-
-def factory(cls, **kwargs):
-    return lambda pid, config, rng: cls(pid, config, rng, **kwargs)
-
-
-#: naive and balanced are the registry's bodies on the lockstep host.
+#: Every protocol here but the crash family's is the registry's body
+#: on the lockstep host.
 NAIVE = hosted_factory(NaiveDownloadPeer)
 BALANCED = hosted_factory(BalancedDownloadPeer)
+
+
+def committee(**params):
+    return hosted_factory(ByzCommitteeDownloadPeer, **params)
+
+
+def two_round(**params):
+    return hosted_factory(ByzTwoCycleDownloadPeer, **params)
 
 
 class TestEngineBasics:
@@ -52,9 +60,7 @@ class TestEngineBasics:
         def run():
             return run_sync_download(
                 n=20, ell=400, t=2,
-                peer_factory=factory(SyncTwoRoundPeer, num_segments=2,
-                                     tau=2),
-                seed=9)
+                peer_factory=two_round(num_segments=2, tau=2), seed=9)
 
         first, second = run(), run()
         assert first.outputs == second.outputs
@@ -79,7 +85,7 @@ class TestSyncCommittee:
     def test_two_rounds_and_theorem_cost(self):
         result = run_sync_download(
             n=9, ell=270, t=2,
-            peer_factory=factory(SyncCommitteePeer, block_size=9), seed=2)
+            peer_factory=committee(block_size=9), seed=2)
         assert result.download_correct
         assert result.rounds == 2
         assert result.query_complexity <= 270 * 5 // 9 + 9
@@ -87,7 +93,7 @@ class TestSyncCommittee:
     def test_survives_silent_corruption(self):
         result = run_sync_download(
             n=9, ell=270, t=4,
-            peer_factory=factory(SyncCommitteePeer, block_size=9),
+            peer_factory=committee(block_size=9),
             adversary=SilentSyncAdversary(corrupted={0, 2, 4, 6}), seed=3)
         assert result.download_correct
 
@@ -96,23 +102,23 @@ class TestSyncCommittee:
         # perfectly formed and perfectly timed; t+1 still saves us.
         result = run_sync_download(
             n=9, ell=270, t=2,
-            peer_factory=factory(SyncCommitteePeer, block_size=9),
+            peer_factory=committee(block_size=9),
             adversary=RushingEchoAdversary(corrupted={1, 5}, seed=4),
             seed=4)
         assert result.download_correct
 
     def test_majority_configuration_rejected(self):
-        with pytest.raises(ValueError, match="2t < n"):
+        # The body's own error, as on the simulator.
+        with pytest.raises(ConfigurationError, match="2t < n"):
             run_sync_download(
-                n=8, ell=16, t=4,
-                peer_factory=factory(SyncCommitteePeer), seed=1)
+                n=8, ell=16, t=4, peer_factory=committee(), seed=1)
 
 
 class TestSyncTwoRound:
     def test_exactly_two_rounds(self):
         result = run_sync_download(
             n=30, ell=600, t=0,
-            peer_factory=factory(SyncTwoRoundPeer, num_segments=3, tau=2),
+            peer_factory=two_round(num_segments=3, tau=2),
             seed=5)
         assert result.download_correct
         assert result.rounds == 2
@@ -120,7 +126,7 @@ class TestSyncTwoRound:
     def test_query_cost_one_segment_plus_trees(self):
         result = run_sync_download(
             n=40, ell=4000, t=0,
-            peer_factory=factory(SyncTwoRoundPeer, num_segments=4, tau=2),
+            peer_factory=two_round(num_segments=4, tau=2),
             seed=6)
         assert result.download_correct
         assert result.query_complexity <= 1000 + 40 + 1000
@@ -131,7 +137,7 @@ class TestSyncTwoRound:
         # price them at one query each.
         result = run_sync_download(
             n=40, ell=2000, t=4,
-            peer_factory=factory(SyncTwoRoundPeer, num_segments=4, tau=2),
+            peer_factory=two_round(num_segments=4, tau=2),
             adversary=RushingEchoAdversary(
                 corrupted=fraction_corrupted(40, 0.1, seed=7), seed=7),
             seed=7)
@@ -142,8 +148,7 @@ class TestSyncTwoRound:
         for seed in range(5):
             result = run_sync_download(
                 n=40, ell=2000, t=4,
-                peer_factory=factory(SyncTwoRoundPeer, num_segments=4,
-                                     tau=2),
+                peer_factory=two_round(num_segments=4, tau=2),
                 adversary=SilentSyncAdversary(
                     corrupted=fraction_corrupted(40, 0.1, seed=seed)),
                 seed=seed)

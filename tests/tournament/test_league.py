@@ -9,6 +9,8 @@ violation exemplars — and every exemplar must replay.
 
 import pytest
 
+from repro.execution import RetryPolicy
+from repro.execution.retry import TaskFailure
 from repro.experiments import ExperimentSpec, execute_repeat
 from repro.tournament import (
     TournamentConfig,
@@ -95,6 +97,31 @@ class TestLeague:
             assert exemplar.seed == cell.spec.seed_for(exemplar.repeat)
             record = execute_repeat(cell.spec, exemplar.repeat)
             assert not record.correct  # the break reproduces
+
+
+def _ring_repeat_one_always_fails(payload):
+    spec, repeat = payload
+    if spec.topology == "ring" and repeat == 1:
+        raise RuntimeError("boom")
+    return execute_repeat(spec, repeat)
+
+
+class TestFailedRepeats:
+    def test_a_failure_is_named_after_its_repeat(self, monkeypatch):
+        # The league's fourth task overall; the record says which
+        # repeat of its cell it was, as sweeps and served jobs do.
+        monkeypatch.setattr("repro.tournament.league._spec_repeat_task",
+                            _ring_repeat_one_always_fails)
+        complete, ring = run_tournament(TournamentConfig(
+            protocols=("naive",), adversaries=("none",),
+            topologies=("complete", "ring"), n=5, ell=32, repeats=2,
+            policy=RetryPolicy(max_attempts=2, base_delay=0.0,
+                               jitter=0.0))).cells
+        assert complete.outcome.failures == ()
+        assert ring.outcome.failures == (TaskFailure(
+            task="repeat-1", error_type="RuntimeError", message="boom",
+            attempts=2),)
+        assert ring.success_rate == 0.5 and ring.violation is None
 
 
 class TestJournalResume:
