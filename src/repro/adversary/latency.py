@@ -25,13 +25,21 @@ from repro.util.validation import check_fraction
 _RESOLUTION = float(1 << 53)
 
 
-@lru_cache(maxsize=16)
-def _seed_prefix(seed: int):
-    """SHA-256 state after the ``"{seed}:"`` prefix every draw of one
-    run shares (:func:`repro.util.rng.derive_seed`'s input format), so
-    a draw copies it and hashes only its own label.  Kept off the
-    adversary object because hash states do not pickle."""
-    return hashlib.sha256(f"{seed}:".encode("utf-8"))
+@lru_cache(maxsize=64)
+def _seed_prefix(seed: int, label: str = ""):
+    """SHA-256 state after the ``"{seed}:{label}"`` prefix every draw
+    of one kind shares in a run (:func:`repro.util.rng.derive_seed`'s
+    input format), so a draw copies it and hashes only the rest of its
+    label.  Kept off the adversary object because hash states do not
+    pickle."""
+    return hashlib.sha256(f"{seed}:{label}".encode("utf-8"))
+
+
+def _draw(prefix, rest: str) -> float:
+    """The uniform [0,1) value of the label ``prefix`` + ``rest``."""
+    hasher = prefix.copy()
+    hasher.update(rest.encode("utf-8"))
+    return (int.from_bytes(hasher.digest()[:8], "big") >> 11) / _RESOLUTION
 
 
 class LatencyAdversary(Adversary):
@@ -51,16 +59,27 @@ class LatencyAdversary(Adversary):
     def _unit(self, *labels: object) -> float:
         """A uniform [0,1) value determined by the seed and ``labels``
         (``derive_seed(seed, ":".join(labels))`` scaled to 53 bits)."""
-        hasher = _seed_prefix(self.rng.seed).copy()
-        hasher.update(":".join(map(str, labels)).encode("utf-8"))
-        return (int.from_bytes(hasher.digest()[:8], "big") >> 11) / _RESOLUTION
+        return _draw(_seed_prefix(self.rng.seed), ":".join(map(str, labels)))
 
     def _edge_unit(self, sender: int, destination: int, cycle: int) -> float:
-        """Per-message uniform value; counter makes repeats independent."""
+        """Per-message uniform value (``_unit("edge", sender,
+        destination, cycle, counter)``); counter makes repeats
+        independent."""
         key = (sender, destination, cycle)
         counter = self._edge_counters[key]
         self._edge_counters[key] = counter + 1
-        return self._unit("edge", sender, destination, cycle, counter)
+        # ``_draw`` spelled out: this is paid once per message.
+        hasher = _seed_prefix(self.rng.seed, "edge:").copy()
+        hasher.update(f"{sender}:{destination}:{cycle}:{counter}".encode())
+        return (int.from_bytes(hasher.digest()[:8], "big") >> 11) / _RESOLUTION
+
+    def _query_unit(self, pid: int) -> float:
+        """Per-query uniform value (``_unit("query", pid, counter)``)."""
+        key = (pid, -1, 0)
+        counter = self._edge_counters[key]
+        self._edge_counters[key] = counter + 1
+        return _draw(_seed_prefix(self.rng.seed, "query:"),
+                     f"{pid}:{counter}")
 
     def _scale(self, unit: float) -> float:
         return self.min_delay + unit * (self.max_delay - self.min_delay)
@@ -78,10 +97,7 @@ class UniformRandomDelay(LatencyAdversary):
         return self._scale(self._edge_unit(sender, destination, cycle))
 
     def query_latency(self, pid: int, now: float) -> float:
-        key = (pid, -1, 0)
-        counter = self._edge_counters[key]
-        self._edge_counters[key] = counter + 1
-        return self._scale(self._unit("query", pid, counter))
+        return self._scale(self._query_unit(pid))
 
 
 class TargetedSlowdown(UniformRandomDelay):
@@ -109,10 +125,7 @@ class TargetedSlowdown(UniformRandomDelay):
         return self.fast_delay * (0.5 + 0.5 * unit)
 
     def query_latency(self, pid: int, now: float) -> float:
-        counter_key = (pid, -1, 0)
-        counter = self._edge_counters[counter_key]
-        self._edge_counters[counter_key] = counter + 1
-        unit = self._unit("query", pid, counter)
+        unit = self._query_unit(pid)
         if pid in self.slow_peers:
             return self.slow_delay * (0.95 + 0.05 * unit)
         return self.fast_delay * (0.5 + 0.5 * unit)
@@ -140,10 +153,7 @@ class BurstyDelay(LatencyAdversary):
                            / max(1e-12, 1.0 - self.stall_fraction) * 0.25)
 
     def query_latency(self, pid: int, now: float) -> float:
-        key = (pid, -1, 0)
-        counter = self._edge_counters[key]
-        self._edge_counters[key] = counter + 1
-        unit = self._unit("query", pid, counter)
+        unit = self._query_unit(pid)
         if unit < self.stall_fraction:
             return self.max_delay
         return self.min_delay

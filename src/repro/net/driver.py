@@ -41,7 +41,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.execution.retry import RetryPolicy
 from repro.obs.telemetry import event
@@ -75,8 +75,8 @@ class NetRunResult:
     data: BitArray
     outputs: dict[int, BitArray]
     query_bits: dict[int, int]
-    queried_indices: dict[int, set] = field(default_factory=dict)
-    queried_by_source: dict[tuple, set] = field(default_factory=dict)
+    queried_indices: Mapping[int, set] = field(default_factory=dict)
+    queried_by_source: Mapping[tuple, set] = field(default_factory=dict)
     messages: int = 0
     retries: int = 0
     elapsed_wall: float = 0.0
@@ -227,8 +227,8 @@ async def _run(*, n, ell, protocol, protocol_params, sources,
         return NetRunResult(
             data=data, outputs=outputs,
             query_bits=dict(source.query_bits),
-            queried_indices=dict(source.queried_indices),
-            queried_by_source=dict(source.queried_by_source),
+            queried_indices=source.queried_indices,
+            queried_by_source=source.queried_by_source,
             messages=messages, retries=retries,
             elapsed_wall=clock(),
             requests_served=source.requests_served,

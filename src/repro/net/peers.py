@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import asyncio
 from itertools import islice
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from repro.obs.telemetry import counter, get_backend
 from repro.protocols.balanced import ShareMessage
@@ -130,7 +130,7 @@ class NetPeer(HostPorts):
         self._seq += 1
         return f"p{self.pid}:{self._seq}"
 
-    async def send_share(self, other: int, values: dict[int, int], *,
+    async def send_share(self, other: int, values: Mapping[int, int], *,
                          origin: Optional[int] = None) -> None:
         """Send one logical share (retries ride inside the client).
 

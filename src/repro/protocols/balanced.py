@@ -17,7 +17,7 @@ crash.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from repro.core.assignment import round_robin_indices
 from repro.protocols.base import DownloadPeer
@@ -28,7 +28,7 @@ from repro.sim.messages import Message
 class ShareMessage(Message):
     """One peer's queried slice: bit index -> value."""
 
-    values: dict[int, int]
+    values: Mapping[int, int]
 
 
 class BalancedDownloadPeer(DownloadPeer):

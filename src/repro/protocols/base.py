@@ -13,20 +13,17 @@ callable :class:`~repro.sim.runner.Simulation` expects, so runs read::
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Optional
+from typing import Callable, Iterable, Mapping, Optional
 
 from repro.sim.peer import Peer, SimEnv
-from repro.util.bitarrays import BitArray
+from repro.util.bitarrays import (BIT_TO_CHAR, CHAR_TO_BIT, BitArray, BitRun,
+                                  cells_at)
 
 #: Byte marking "not learned yet" in a working array; learned bits are
 #: stored as the bytes 0 and 1.
 _UNKNOWN = 2
-#: ``bytes.translate`` tables between the working array and the wire
-#: format.  A segment string maps ``'1'`` to 1 and anything else to 0;
-#: an unknown byte renders as ``'0'``.
-_CHAR_TO_BIT = bytes(1 if byte == ord("1") else 0 for byte in range(256))
-_BIT_TO_CHAR = bytes(ord("1") if byte == 1 else ord("0")
-                     for byte in range(256))
+#: ``bytes.translate`` table marking the unknown entries of a working
+#: array with a 1.
 _UNKNOWN_MASK = bytes(1 if byte == _UNKNOWN else 0 for byte in range(256))
 
 
@@ -109,6 +106,10 @@ class DownloadPeer(Peer):
 
     # -- working-array helpers ---------------------------------------------
 
+    def _out_of_range(self, index: int) -> None:
+        raise IndexError(
+            f"bit index {index} outside the {self.ell}-bit array")
+
     def learn(self, index: int, bit: int) -> None:
         """Record bit ``index``; learned values are never overwritten.
 
@@ -118,19 +119,33 @@ class DownloadPeer(Peer):
         """
         if bit not in (0, 1):
             raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+        if not 0 <= index < self.ell:
+            self._out_of_range(index)
         working = self._array()
         if working[index] == _UNKNOWN:
             working[index] = bit
             self._unknown_count -= 1
 
-    def learn_many(self, values: dict[int, int]) -> None:
-        """Record several bits at once."""
+    def learn_many(self, values: Mapping[int, int]) -> None:
+        """Record several bits at once.
+
+        A :class:`~repro.util.bitarrays.BitRun` is applied as a slice
+        (refused whole when it reaches outside the array); any other
+        mapping entry by entry, and what was applied before a bad entry
+        stays applied.
+        """
+        if type(values) is BitRun:
+            if values:
+                self._learn_run(values.indices, values.bits)
+            return
         working = self._array()
         learned = 0
         try:
             for index, bit in values.items():
                 if bit not in (0, 1):
                     raise ValueError(f"bit must be 0 or 1, got {bit!r}")
+                if index < 0:
+                    self._out_of_range(index)
                 if working[index] == _UNKNOWN:
                     working[index] = bit
                     learned += 1
@@ -138,6 +153,29 @@ class DownloadPeer(Peer):
             # Also on a bad entry: what was applied before it stays
             # applied, so it must stay counted.
             self._unknown_count -= learned
+
+    def _learn_run(self, indices, bits: bytes) -> None:
+        if indices[0] < 0 or indices[-1] >= self.ell:
+            self._out_of_range(indices[0] if indices[0] < 0 else indices[-1])
+        working = self._array()
+        held = cells_at(working, indices)
+        unknown = held.count(_UNKNOWN)
+        if type(indices) is range:
+            window = slice(indices.start, indices.stop, indices.step)
+            if unknown == len(bits):
+                working[window] = bits
+            elif unknown:
+                # ``held`` is 2 exactly where ``gaps`` is 1, so this
+                # swaps each marker for the offered bit, byte by byte.
+                gaps = int.from_bytes(held.translate(_UNKNOWN_MASK), "little")
+                merged = (int.from_bytes(held, "little") - (gaps << 1)
+                          + (int.from_bytes(bits, "little") & gaps))
+                working[window] = merged.to_bytes(len(bits), "little")
+        elif unknown:
+            for index, bit in compress(zip(indices, bits),
+                                       held.translate(_UNKNOWN_MASK)):
+                working[index] = bit
+        self._unknown_count -= unknown
 
     def learn_string(self, lo: int, string: str) -> None:
         """Record a segment string starting at bit ``lo``."""
@@ -149,7 +187,7 @@ class DownloadPeer(Peer):
         unknown = working.count(_UNKNOWN, lo, hi)
         if not unknown:
             return
-        bits = string.encode("ascii", "replace").translate(_CHAR_TO_BIT)
+        bits = string.encode("ascii", "replace").translate(CHAR_TO_BIT)
         if unknown == hi - lo:
             working[lo:hi] = bits
         else:
@@ -176,22 +214,22 @@ class DownloadPeer(Peer):
 
     def is_known(self, index: int) -> bool:
         """True when bit ``index`` is learned."""
+        if not 0 <= index < self.ell:
+            self._out_of_range(index)
         return self._array()[index] != _UNKNOWN
 
     def known_range(self, lo: int, hi: int) -> bool:
         """True when every bit of ``[lo, hi)`` is learned."""
         return self._array().find(_UNKNOWN, lo, hi) == -1
 
-    def known_subset(self, indices) -> dict[int, int]:
+    def known_subset(self, indices: Iterable[int]) -> BitRun:
         """The subset of ``indices`` this peer knows, with values."""
-        working = self._array()
-        return {index: bit for index in indices
-                if (bit := working[index]) != _UNKNOWN}
+        return BitRun.gather(self._array(), indices, _UNKNOWN)
 
     def working_string(self, lo: int = 0, hi: Optional[int] = None) -> str:
         """Bits ``[lo, hi)`` as a '0'/'1' string, the segment wire
         format (default: the whole array).  Unknown bits read as '0'."""
-        return self._array()[lo:hi].translate(_BIT_TO_CHAR).decode("ascii")
+        return self._array()[lo:hi].translate(BIT_TO_CHAR).decode("ascii")
 
     def finish_with_working(self) -> None:
         """Terminate, packing the working array into the output.

@@ -34,7 +34,7 @@ from repro.protocols.base import DownloadPeer
 from repro.protocols.board import CommitteeBoard
 from repro.sim.errors import ConfigurationError
 from repro.sim.messages import Message
-from repro.sim.peer import SimEnv
+from repro.sim.peer import SimEnv, segment_string
 
 
 @dataclass(frozen=True)
@@ -93,8 +93,7 @@ class ByzCommitteeDownloadPeer(DownloadPeer):
         readings = []
         for block in blocks:
             lo, hi = self.blocks.bounds(block)
-            string = "".join("1" if values[index] else "0"
-                             for index in range(lo, hi))
+            string = segment_string(values, lo, hi)
             self._board.self_accept(self.pid, block, string)
             readings.append((block, string))
         return readings

@@ -45,11 +45,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 from repro.core.assignment import group_by_digit_owner
 from repro.protocols.base import DownloadPeer
-from repro.sim.messages import Message
+from repro.sim.messages import FIELD_BITS, HEADER_BITS, Message
 from repro.sim.peer import SimEnv
 
 
@@ -73,7 +73,7 @@ class DataResponse(Message):
     """
 
     phase: int
-    values: dict[int, int]
+    values: Mapping[int, int]
     complete: bool
 
 
@@ -86,7 +86,6 @@ class MissingRequest(Message):
     needs: dict[int, tuple[int, ...]]
 
     def measure_bits(self) -> int:
-        from repro.sim.messages import FIELD_BITS, HEADER_BITS
         payload = sum(FIELD_BITS * (1 + len(indices))
                       for indices in self.needs.values())
         return HEADER_BITS + FIELD_BITS + payload
@@ -98,10 +97,9 @@ class MissingResponse(Message):
     (encoded as None)."""
 
     phase: int
-    found: dict[int, Optional[dict[int, int]]]
+    found: dict[int, Optional[Mapping[int, int]]]
 
     def measure_bits(self) -> int:
-        from repro.sim.messages import FIELD_BITS, HEADER_BITS
         payload = 0
         for values in self.found.values():
             payload += FIELD_BITS  # the peer ID / me-neither marker
@@ -191,7 +189,7 @@ class CrashMultiDownloadPeer(DownloadPeer):
             if not ready:
                 still_pending.append(request)
                 continue
-            found: dict[int, Optional[dict[int, int]]] = {}
+            found: dict[int, Optional[Mapping[int, int]]] = {}
             for missing_peer, indices in request.needs.items():
                 values = self.known_subset(indices)
                 if len(values) == len(set(indices)):
@@ -259,9 +257,10 @@ class CrashMultiDownloadPeer(DownloadPeer):
                 lacked = lacked_by_owner.get(missing_peer)
                 if lacked:
                     needs[missing_peer] = tuple(lacked)
+            request = MissingRequest(sender=self.pid, phase=phase,
+                                     needs=needs)
             for destination in self.others:
-                self.send(destination, MissingRequest(
-                    sender=self.pid, phase=phase, needs=needs))
+                self.send(destination, request)
 
             # ---- stage 3: resolve missing peers or collect n - t shrugs ----
             self._enter(phase, 3)

@@ -34,7 +34,7 @@ Query complexity: ``ceil(ell / n)`` in phase 1 plus at most
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 from repro.core.assignment import distribute_evenly, round_robin_indices
 from repro.protocols.base import DownloadPeer
@@ -48,7 +48,7 @@ class ShareValues(Message):
     """Stage-1 push: the sender's queried share for this phase."""
 
     phase: int
-    values: dict[int, int]
+    values: Mapping[int, int]
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class ProbeReply(Message):
 
     phase: int
     about: Optional[int]
-    values: Optional[dict[int, int]]
+    values: Optional[Mapping[int, int]]
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ class CrashOneDownloadPeer(DownloadPeer):
                     and not (self.full_received or self.all_known()):
                 still_pending.append(probe)
                 continue
-            values: Optional[dict[int, int]] = None
+            values: Optional[Mapping[int, int]] = None
             if probe.missing is None:
                 values = {}
             elif probe.missing in self._heard(probe.phase):

@@ -28,7 +28,7 @@ formalizes.  Algorithm 2 escapes by iterating; this protocol cannot.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from repro.core.assignment import round_robin_indices
 from repro.protocols.base import DownloadPeer
@@ -40,7 +40,7 @@ from repro.sim.peer import SimEnv
 class OneRoundShare(Message):
     """The single exchange: every value the sender queried."""
 
-    values: dict[int, int]
+    values: Mapping[int, int]
 
 
 class OneRoundDownloadPeer(DownloadPeer):

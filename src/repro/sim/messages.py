@@ -23,7 +23,9 @@ insensitive to them.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import Iterable, Mapping
+
+from repro.util.bitarrays import BitRun
 
 #: Bits charged for one scalar field (ID, index, counter).
 FIELD_BITS = 32
@@ -36,7 +38,10 @@ def bits_for(value: object) -> int:
 
     Understands the payload shapes the protocols actually send:
     ints/bools/None/floats are scalars, strings are bit strings, and
-    containers cost the sum of their items plus a length field.
+    containers cost the sum of their items plus a length field.  A
+    :class:`~repro.util.bitarrays.BitRun` and a builtin container
+    holding nothing but plain ``int`` are charged in closed form — the
+    same number the walk arrives at.
 
     Precedence matters for booleans: ``bool`` is a subclass of ``int``
     in Python, so the ``bool``/``None`` check MUST run before the
@@ -52,12 +57,27 @@ def bits_for(value: object) -> int:
         return 2 * FIELD_BITS
     if isinstance(value, str):
         return len(value)
+    if type(value) is BitRun:
+        return FIELD_BITS * (1 + 2 * len(value))
     if isinstance(value, dict):
+        if _all_int(value) and _all_int(value.values()):
+            return FIELD_BITS * (1 + 2 * len(value))
         return FIELD_BITS + sum(bits_for(key) + bits_for(item)
                                 for key, item in value.items())
     if isinstance(value, (list, tuple, set, frozenset)):
+        if _all_int(value):
+            return FIELD_BITS * (1 + len(value))
         return FIELD_BITS + sum(bits_for(item) for item in value)
     raise TypeError(f"cannot size payload of type {type(value).__name__}")
+
+
+_JUST_INT = {int}
+
+
+def _all_int(items: Iterable) -> bool:
+    """True when every item is exactly an ``int`` (a ``bool`` costs one
+    bit, so it leaves the closed form)."""
+    return set(map(type, items)) <= _JUST_INT
 
 
 #: Per-type cache of payload field names (everything except ``sender``),
@@ -123,7 +143,7 @@ class SourceResponse(Message):
     """
 
     request_id: int
-    values: dict[int, int]
+    values: Mapping[int, int]
 
     def measure_bits(self) -> int:
         # The source answers with raw bits; indices are implied by the

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Type, TypeVar
+from typing import (Callable, Iterable, Iterator, Mapping, Optional, Type,
+                    TypeVar)
 
 from repro.sim.messages import Message, SourceResponse
 from repro.sim.process import Process, WaitUntil
-from repro.util.bitarrays import BitArray
+from repro.util.bitarrays import BitArray, BitRun
 from repro.util.rng import SplittableRNG
 
 M = TypeVar("M", bound=Message)
@@ -67,17 +68,26 @@ class SimEnv:
         return range(self.n)
 
 
+def segment_string(values: Mapping[int, int], lo: int, hi: int) -> str:
+    """Positions ``[lo, hi)`` of a query answer as a '0'/'1' string."""
+    if type(values) is BitRun:
+        return values.segment(lo, hi)
+    return "".join("1" if values[index] else "0" for index in range(lo, hi))
+
+
 class MessageLog:
     """A peer's inbox with by-type views for cheap filtered waiting."""
 
     def __init__(self) -> None:
         self._all: list[Message] = []
         self._by_type: dict[type, list[Message]] = defaultdict(list)
+        self._senders: dict[type, set[int]] = defaultdict(set)
 
     def add(self, message: Message) -> None:
         """Record a delivered message."""
         self._all.append(message)
         self._by_type[type(message)].append(message)
+        self._senders[type(message)].add(message.sender)
 
     def __len__(self) -> int:
         return len(self._all)
@@ -102,6 +112,8 @@ class MessageLog:
     def senders(self, message_type: Type[M],
                 predicate: Optional[Callable[[M], bool]] = None) -> set[int]:
         """Distinct senders of matching messages."""
+        if predicate is None:
+            return set(self._senders.get(message_type, ()))
         return {message.sender
                 for message in self.of_type(message_type, predicate)}
 
@@ -131,7 +143,7 @@ class Peer(Process):
         self.rng = env.rng.split(f"peer-{pid}")
         self.output: Optional[BitArray] = None
         self.cycle = 0
-        self._source_responses: dict[int, dict[int, int]] = {}
+        self._source_responses: dict[int, Mapping[int, int]] = {}
         self._request_counter = 0
         self._handlers: dict[Type[Message],
                              list[Callable[[Message], None]]] = {}
@@ -163,7 +175,9 @@ class Peer(Process):
     def deliver(self, message: Message) -> None:
         """Network/source callback: a message arrived."""
         if isinstance(message, SourceResponse):
-            self._source_responses[message.request_id] = dict(message.values)
+            values = message.values
+            self._source_responses[message.request_id] = (
+                values if type(values) is BitRun else dict(values))
         else:
             self.inbox.add(message)
             for handler in self._handlers.get(type(message), ()):
@@ -230,7 +244,7 @@ class Peer(Process):
         """True once the answer to ``request_id`` has arrived."""
         return request_id in self._source_responses
 
-    def take_response(self, request_id: int) -> dict[int, int]:
+    def take_response(self, request_id: int) -> Mapping[int, int]:
         """Pop and return the answer to ``request_id`` (once ready)."""
         return self._source_responses.pop(request_id)
 
@@ -257,8 +271,7 @@ class Peer(Process):
     def query_segment(self, lo: int, hi: int) -> Iterator[WaitUntil]:
         """Query the contiguous segment ``[lo, hi)``; returns a bit string."""
         values = yield from self.query_bits(range(lo, hi))
-        return "".join("1" if values[index] else "0"
-                       for index in range(lo, hi))
+        return segment_string(values, lo, hi)
 
     # -- waiting ---------------------------------------------------------------------
 
@@ -277,6 +290,9 @@ class Peer(Process):
         blunts Byzantine message spam.
         """
         what = description or f"{minimum} x {message_type.__name__}"
+        if predicate is None:
+            heard = self.inbox._senders[message_type]  # kept by ``add``
+            return self.wait_until(lambda: len(heard) >= minimum, what)
         return self.wait_until(
             lambda: len(self.inbox.senders(message_type, predicate)) >= minimum,
             what)

@@ -22,7 +22,7 @@ seed; pass ``data=`` to pin it (the lower-bound constructions do).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Mapping, Optional, Union
 
 from repro.obs.schema import SCHEMA_VERSION, unified_metrics
 from repro.obs.telemetry import get_backend
@@ -57,11 +57,11 @@ class RunResult:
     elapsed_virtual_time: float
     trace: Optional[TraceRecorder] = None
     #: Per-peer sets of queried bit positions (from the source's log).
-    queried_indices: dict[int, set[int]] = field(default_factory=dict)
+    queried_indices: Mapping[int, set[int]] = field(default_factory=dict)
     #: Per-(peer, source) queried positions; empty unless the run had
     #: more than one source endpoint (with one, ``queried_indices`` is
     #: the whole breakdown).
-    queried_by_source: dict[tuple[int, int], set[int]] = \
+    queried_by_source: Mapping[tuple[int, int], set[int]] = \
         field(default_factory=dict)
 
     @property
@@ -286,9 +286,9 @@ class Simulation:
             events_processed=kernel.events_processed,
             elapsed_virtual_time=kernel.now,
             trace=trace,
-            # The accessor already materializes fresh sets per peer, so
-            # the result can own them without another copy.
-            queried_indices=dict(source.queried_indices),
+            # A snapshot of the ledger's masks; a peer's set is built
+            # when somebody reads it, which most runs never do.
+            queried_indices=source.queried_indices,
             queried_by_source=(source.queried_by_source
                                if self.sources > 1 else {}),
         )

@@ -50,9 +50,10 @@ the round number in lockstep) the endpoint behaves honestly (e.g.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
-from repro.util.bitarrays import BitArray, canonical_indices, mask_to_set
+from repro.util.bitarrays import (BitArray, BitRun, MaskSets,
+                                  canonical_indices)
 from repro.util.rng import SplittableRNG
 from repro.util.validation import check_positive
 
@@ -314,9 +315,10 @@ class SourceCore:
     # -- the ledger ---------------------------------------------------------
 
     def charge(self, pid: int, source_id: int,
-               indices: Sequence[int]) -> list[int]:
+               indices: Sequence[int]) -> Union[range, list[int]]:
         """Charge ``pid`` for one request to endpoint ``source_id`` and
-        return its sorted distinct indices.
+        return its sorted distinct indices (a ``range`` when they are
+        an arithmetic progression).
 
         Duplicates within a request are collapsed (and charged once);
         re-querying a bit across requests or endpoints is charged again
@@ -336,21 +338,20 @@ class SourceCore:
         return unique
 
     @property
-    def queried_indices(self) -> dict[int, set[int]]:
+    def queried_indices(self) -> Mapping[int, set[int]]:
         """Positions each peer queried, unioned over endpoints (the
         lower-bound constructions pick their target bit outside this
-        set).  Materialized fresh from the bitmasks on each access."""
-        return {pid: mask_to_set(mask)
-                for pid, mask in self._queried_masks.items()}
+        set).  A snapshot of the bitmasks as they are now; a peer's set
+        is expanded when it is first read."""
+        return MaskSets(dict(self._queried_masks))
 
     @property
-    def queried_by_source(self) -> dict[tuple[int, int], set[int]]:
+    def queried_by_source(self) -> Mapping[tuple[int, int], set[int]]:
         """Positions queried per ``(peer, source)`` pair."""
         if self.k == 1:
-            return {(pid, 0): indices
-                    for pid, indices in self.queried_indices.items()}
-        return {key: mask_to_set(mask)
-                for key, mask in self._per_source_masks.items()}
+            return MaskSets({(pid, 0): mask for pid, mask
+                             in self._queried_masks.items()})
+        return MaskSets(dict(self._per_source_masks))
 
     def honest_sources(self) -> list[int]:
         """Endpoint IDs whose fault model is the honest baseline."""
@@ -367,11 +368,12 @@ class SourceCore:
         fault = self.faults[source_id]
         return fault if now >= fault.onset else None
 
-    def read(self, source_id: int, pid: int, unique: Sequence[int],
-             now: float) -> dict[int, int]:
+    def read(self, source_id: int, pid: int,
+             unique: Union[range, Sequence[int]], now: float) -> BitRun:
         """What endpoint ``source_id`` answers ``pid`` at time ``now``:
         the live truth before the fault's onset, the reader's own view
-        or the endpoint's standing view after it.  Charges nothing."""
+        or the endpoint's standing view after it.  ``unique`` is what
+        :meth:`charge` returned.  Charges nothing."""
         fault = self.active_fault(source_id, now)
         if fault is None:
             view = self.data
@@ -379,4 +381,6 @@ class SourceCore:
             view = fault.view_for(pid)
             if view is None:
                 view = self._views[source_id]
-        return dict(zip(unique, view.get_many(unique)))
+        if isinstance(unique, range):
+            return BitRun(unique, view.read_range(unique))
+        return BitRun(unique, bytes(view.get_many(unique)))

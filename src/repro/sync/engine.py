@@ -22,7 +22,7 @@ the machinery (and sharing it would couple the two time models).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from repro.obs.schema import SCHEMA_VERSION
 from repro.obs.telemetry import get_backend as _get_telemetry
@@ -86,11 +86,12 @@ class SyncSource(SourceCore):
         #: the simulator's peers share ``Network.span_sink``'s.
         self.span_sinks: dict[type, object] = {}
 
-    def query(self, pid: int, indices: Sequence[int]) -> dict[int, int]:
+    def query(self, pid: int,
+              indices: Sequence[int]) -> Mapping[int, int]:
         return self.query_from(0, pid, indices)
 
     def query_from(self, source_id: int, pid: int,
-                   indices: Sequence[int]) -> dict[int, int]:
+                   indices: Sequence[int]) -> Mapping[int, int]:
         """Query endpoint ``source_id``; charged like any query.
 
         A withholding endpoint returns ``{}`` (charged anyway — the
@@ -159,7 +160,7 @@ class SyncPeer:
     def done(self) -> bool:
         return self.output is not None
 
-    def query(self, indices: Sequence[int]) -> dict[int, int]:
+    def query(self, indices: Sequence[int]) -> Mapping[int, int]:
         """Query the source (answered within the round)."""
         return self._source.query(self.pid, indices)
 

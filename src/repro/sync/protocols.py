@@ -15,7 +15,7 @@ body on :class:`~repro.sync.host.LockstepHost`.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Mapping, Optional
 
 from repro.core.assignment import round_robin_indices
 from repro.protocols.balanced import ShareMessage
@@ -71,7 +71,7 @@ class SyncCrashPeer(SyncPeer):
         self.builder = _ArrayBuilder(config.ell)
         self._fresh: dict[int, int] = {}  # learned since last broadcast
 
-    def _learn(self, values: dict[int, int]) -> None:
+    def _learn(self, values: Mapping[int, int]) -> None:
         for index, bit in values.items():
             if self.builder.bits[index] is None:
                 self._fresh[index] = bit

@@ -15,39 +15,197 @@ Bulk operations (:meth:`BitArray.from_bits`, :meth:`BitArray.get_many`,
 LSB-first packing means the whole array *is* the little-endian integer
 ``int.from_bytes(_bytes, "little")``, so segment extraction is a shift
 and a mask, and population count is one ``int.bit_count`` call.
+
+:class:`BitRun` is the other representation in this module: the few
+bits of ``X`` a query answers or a message carries, as a column of
+indices beside a column of 0/1 bytes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from itertools import compress
+from operator import itemgetter, lt
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 from repro.util.validation import check_index, check_nonnegative, check_range
 
+#: ``bytes.translate`` tables between 0/1 bytes and '0'/'1' characters.
+#: A segment string maps ``'1'`` to 1 and anything else to 0; any byte
+#: but 1 (a working array's "unknown" marker too) renders as ``'0'``.
+CHAR_TO_BIT = bytes(1 if byte == ord("1") else 0 for byte in range(256))
+BIT_TO_CHAR = bytes(ord("1") if byte == 1 else ord("0")
+                    for byte in range(256))
+_FLIP_BIT = bytes(1 - byte if byte < 2 else byte for byte in range(256))
+
+
+def _ascends(indices: tuple) -> bool:
+    """True when ``indices`` is strictly ascending."""
+    return all(map(lt, indices, indices[1:]))
+
+
+def cells_at(cells: bytearray,
+             indices: Union[range, tuple]) -> Union[bytes, bytearray]:
+    """A copy of the cells of a byte-per-position array at a
+    positive-step ``range`` or a non-empty tuple of positions."""
+    if type(indices) is range:
+        return cells[indices.start:indices.stop:indices.step]
+    if len(indices) == 1:  # itemgetter of one index is not a tuple
+        return bytes((cells[indices[0]],))
+    return bytes(itemgetter(*indices)(cells))
+
+
+class BitRun(Mapping):
+    """An immutable ``index -> bit`` map kept as two columns.
+
+    ``indices`` is a positive-step ``range`` or a strictly ascending
+    tuple, ``bits`` one 0/1 byte per index.  It is what the source
+    answers a query with and what a peer forwards of its working array,
+    so a consumer that recognises it learns, sizes and flips a whole
+    slice with ``bytes`` operations; to every other reader it is a
+    ``Mapping`` equal to the ``dict`` with the same entries.
+
+    >>> run = BitRun(range(1, 7, 2), b"\x01\x00\x01")
+    >>> run[5], len(run), run == {1: 1, 3: 0, 5: 1}
+    (1, 3, True)
+    """
+
+    __slots__ = ("indices", "bits")
+
+    def __init__(self, indices: Union[range, Iterable[int]],
+                 bits: bytes) -> None:
+        if isinstance(indices, range):
+            if indices.step < 1:
+                raise ValueError(f"index range must ascend, got {indices!r}")
+        else:
+            indices = tuple(indices)
+            if not _ascends(indices):
+                raise ValueError("indices must be strictly ascending")
+        self._fill(indices, bits)
+
+    def _fill(self, indices: Union[range, tuple], bits: bytes) -> None:
+        """Second half of construction, ``indices`` known to ascend."""
+        bits = bytes(bits)
+        if len(bits) != len(indices):
+            raise ValueError(f"{len(indices)} indices for {len(bits)} bits")
+        bad = bits.translate(None, b"\x00\x01")
+        if bad:
+            raise ValueError(f"bit must be 0 or 1, got {bad[0]!r}")
+        object.__setattr__(self, "indices", indices)
+        object.__setattr__(self, "bits", bits)
+
+    @classmethod
+    def gather(cls, cells: bytearray, indices: Iterable[int],
+               absent: int) -> "BitRun":
+        """The run of ``cells[index]`` over ``indices`` (any order,
+        repeats collapsed) without the cells holding the ``absent``
+        marker; ``IndexError`` for an index outside the array."""
+        if not (isinstance(indices, range) and indices.step > 0):
+            indices = tuple(indices)
+            if not _ascends(indices):
+                indices = tuple(sorted(set(indices)))
+        held = b""
+        if indices:
+            if indices[0] < 0 or indices[-1] >= len(cells):
+                raise IndexError(
+                    f"index {indices[0] if indices[0] < 0 else indices[-1]} "
+                    f"outside the {len(cells)}-cell array")
+            held = cells_at(cells, indices)
+            gaps = held.count(absent)
+            if gaps == len(held):
+                indices, held = (), b""
+            elif gaps:
+                indices = tuple(compress(indices, map(absent.__ne__, held)))
+                held = held.translate(None, bytes((absent,)))
+        run = object.__new__(cls)
+        run._fill(indices, held)
+        return run
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError("BitRun is immutable")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return BitRun, (self.indices, self.bits)
+
+    def __len__(self) -> int:
+        return len(self.bits)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.indices)
+
+    def __getitem__(self, index: int) -> int:
+        indices = self.indices
+        try:
+            at = bisect_left(indices, index)
+            if indices[at] == index:
+                return self.bits[at]
+        except (IndexError, TypeError):
+            pass
+        raise KeyError(index)
+
+    def items(self):
+        # The mixin's view would look every key up again.
+        return dict(zip(self.indices, self.bits)).items()
+
+    def segment(self, lo: int, hi: int) -> str:
+        """The bits of positions ``[lo, hi)`` as a '0'/'1' string;
+        ``KeyError`` unless the run holds every one of them."""
+        if hi <= lo:
+            return ""
+        indices = self.indices
+        at = bisect_left(indices, lo)
+        end = at + hi - lo
+        # Ascending distinct ints: the window is [lo, hi) exactly when
+        # its two ends are.
+        if (end > len(indices) or indices[at] != lo
+                or indices[end - 1] != hi - 1):
+            raise KeyError(f"run does not cover [{lo}, {hi})")
+        return self.bits[at:end].translate(BIT_TO_CHAR).decode("ascii")
+
+    def flipped(self) -> "BitRun":
+        """The same indices with every bit inverted."""
+        return BitRun(self.indices, self.bits.translate(_FLIP_BIT))
+
+    def __repr__(self) -> str:
+        return f"BitRun({self.indices!r}, {self.bits!r})"
+
 
 def canonical_indices(indices: Iterable[int],
-                      length: int) -> tuple[list[int], int]:
+                      length: int) -> tuple[Union[range, list[int]], int]:
     """Collapse a query to ``(sorted unique indices, bitmask)``.
 
-    Bounds are validated in bulk off the sorted extremes; contiguous
-    step-1 ``range`` inputs (the segment-query path) skip the sort and
-    dedup entirely and build their mask with one shift.
+    The indices come back as a positive-step ``range`` whenever they
+    are an arithmetic progression (a ``range`` argument is kept as it
+    is, skipping the sort and dedup), else as a sorted list.  Bounds
+    are validated in bulk off the extremes; a contiguous mask is one
+    shift, any other is read off a byte-per-position mark array.
     """
-    if isinstance(indices, range) and indices.step == 1:
-        unique = list(indices)
+    if isinstance(indices, range) and indices.step > 0:
+        unique = indices
     else:
         unique = sorted(set(indices))
-    if not unique:
+    count = len(unique)
+    if not count:
         return unique, 0
-    if unique[0] < 0 or unique[-1] >= length:
-        offender = unique[0] if unique[0] < 0 else unique[-1]
-        check_index("query index", offender, length)
-    if unique[-1] - unique[0] + 1 == len(unique):
-        mask = ((1 << len(unique)) - 1) << unique[0]
+    first, last = unique[0], unique[-1]
+    if first < 0 or last >= length:
+        check_index("query index", first if first < 0 else last, length)
+    if type(unique) is list:
+        span = range(first, last + 1, unique[1] - first if count > 1 else 1)
+        if len(span) == count and (count < 3 or unique == list(span)):
+            unique = span
+    if last - first + 1 == count:
+        return unique, ((1 << count) - 1) << first
+    marks = bytearray(b"0") * (last + 1)
+    if type(unique) is range:
+        marks[first::unique.step] = b"1" * count
     else:
-        mask = 0
         for index in unique:
-            mask |= 1 << index
-    return unique, mask
+            marks[index] = 49  # ord("1")
+    marks.reverse()  # index order is LSB order
+    return unique, int(marks, 2)
 
 
 #: byte value -> positions of its set bits, for mask expansion.
@@ -75,6 +233,27 @@ def mask_to_set(mask: int) -> set[int]:
                 add(base + bit)
         base += 8
     return result
+
+
+class MaskSets(Mapping):
+    """``key -> set of positions`` over one bitmask per key, each
+    expanded (:func:`mask_to_set`) the first time it is read."""
+
+    def __init__(self, masks: dict) -> None:
+        self._masks = masks
+        self._sets: dict = {}
+
+    def __getitem__(self, key) -> set[int]:
+        found = self._sets.get(key)
+        if found is None:
+            found = self._sets[key] = mask_to_set(self._masks[key])
+        return found
+
+    def __iter__(self) -> Iterator:
+        return iter(self._masks)
+
+    def __len__(self) -> int:
+        return len(self._masks)
 
 
 class BitArray:
@@ -200,6 +379,14 @@ class BitArray:
                         self._length)
         data = self._bytes
         return [(data[index >> 3] >> (index & 7)) & 1 for index in indices]
+
+    def read_range(self, indices: range) -> bytes:
+        """The bits at a positive-step ``range`` of positions, one 0/1
+        byte each: the covering segment rendered once and strided."""
+        if not indices:
+            return b""
+        covering = self.segment(indices[0], indices[-1] + 1)
+        return covering[::indices.step].encode("ascii").translate(CHAR_TO_BIT)
 
     def set_many(self, values: Union[Mapping[int, int],
                                      Iterable[tuple[int, int]]]) -> None:

@@ -6,6 +6,11 @@ message to the network.  Each protocol family of the ``sim_dense``
 benchmark workload and both multisource protocols run here with a hook
 on every delivery that re-measures the message from scratch and
 compares it with the size recorded when it was sent.
+
+The same hook pins the payload type on the source → share path: every
+source answer is a :class:`~repro.util.bitarrays.BitRun`, and so is the
+bit map of every message an honest peer builds from answers or from its
+working array (a Byzantine peer's flipped copy included).
 """
 
 from collections import Counter
@@ -15,6 +20,7 @@ import pytest
 from repro.experiments import ExperimentSpec, execute_repeat
 from repro.sim.messages import SourceResponse
 from repro.sim.peer import Peer
+from repro.util.bitarrays import BitRun
 
 CASES = [
     {"protocol": "byz-committee", "n": 32, "ell": 256,
@@ -36,6 +42,10 @@ CASES = [
      "protocol_params": {"f": 1}},
 ]
 
+#: Message type whose ``values`` each family forwards as it got them.
+SHARES = {"crash-multi": "DataResponse", "balanced": "ShareMessage",
+          "one-round": "OneRoundShare", "crash-one": "ShareValues"}
+
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case["protocol"])
 def test_delivered_size_equals_charged_size(case, monkeypatch):
@@ -49,12 +59,17 @@ def test_delivered_size_equals_charged_size(case, monkeypatch):
             charged = vars(message)["_size_bits"]
             assert message.measure_bits() == charged, message
         assert message.size_bits() == message.measure_bits()
-        delivered[type(message).__name__] += 1
+        name = type(message).__name__
+        delivered[name] += 1
+        if name in ("SourceResponse", SHARES.get(case["protocol"])):
+            assert type(message.values) is BitRun, message
         deliver(self, message)
 
     monkeypatch.setattr(Peer, "deliver", checking_deliver)
     record = execute_repeat(ExperimentSpec(base_seed=12, **case), 0)
     assert record.correct
     assert delivered["SourceResponse"] > 0
+    if case["protocol"] in SHARES:
+        assert delivered[SHARES[case["protocol"]]] > 0
     assert (sum(delivered.values()) > delivered["SourceResponse"]) \
         == (record.messages > 0)

@@ -141,3 +141,26 @@ def test_segment_outside_the_array_is_refused(lo, string):
         peer.learn_string(lo, string)
     assert peer.unknown_indices() == [0, 1, 2, 3]
     assert len(peer._array()) == 4
+
+
+@pytest.mark.parametrize("call", [
+    lambda peer: peer.learn(-2, 1),
+    lambda peer: peer.learn(4, 1),
+    lambda peer: peer.learn_many({-1: 1}),
+    lambda peer: peer.learn_many({1: 1, -4: 0}),
+    lambda peer: peer.learn_many({4: 1}),
+    lambda peer: peer.is_known(-1),
+    lambda peer: peer.is_known(4),
+    lambda peer: peer.known_subset([-1]),
+    lambda peer: peer.known_subset([0, 4]),
+    lambda peer: peer.known_subset(range(2, 6)),
+], ids=["learn-2", "learn+4", "many-1", "many-mid-batch", "many+4",
+        "is_known-1", "is_known+4", "subset-1", "subset+4", "subset-range"])
+def test_index_outside_the_array_is_refused(call):
+    """A negative index used to wrap to the array's far end."""
+    peer = make_peer(4)
+    peer.learn(1, 0)
+    with pytest.raises(IndexError):
+        call(peer)
+    assert peer.unknown_indices() == [0, 2, 3]
+    assert peer.working_string() == "0000"

@@ -20,6 +20,7 @@ import repro.protocols
 import repro.sync.escalate  # noqa: F401  (defines EscalationAlert)
 from repro.adversary.byzantine import flip_bitlike_fields
 from repro.sim.messages import HEADER_BITS, Message, bits_for
+from repro.util.bitarrays import BitRun
 
 for _module in pkgutil.walk_packages(repro.protocols.__path__,
                                      "repro.protocols."):
@@ -33,10 +34,11 @@ _SAMPLES = {
     "str": "0110",
     "Optional[int]": None,
     "tuple[int, ...]": (1, 4, 6),
-    "dict[int, int]": {3: 0, 9: 1},
-    "Optional[dict[int, int]]": {2: 1},
+    "Mapping[int, int]": BitRun((3, 9), b"\x00\x01"),
+    "Optional[Mapping[int, int]]": BitRun(range(2, 3), b"\x01"),
     "dict[int, tuple[int, ...]]": {4: (1, 2), 6: ()},
-    "dict[int, Optional[dict[int, int]]]": {4: {1: 0}, 6: None},
+    "dict[int, Optional[Mapping[int, int]]]": {
+        4: BitRun(range(1, 2), b"\x00"), 6: None},
 }
 
 
