@@ -26,21 +26,18 @@ from repro.sim.messages import Message
 from repro.sim.network import send_to_each
 from repro.sim.peer import SimEnv
 from repro.sim.process import Process, WaitUntil
-from repro.util.bitarrays import BitRun
+from repro.util.bitarrays import FLIP_CHARS, BitRun
 from repro.util.validation import check_fraction
-
-
-_FLIP_CHARS = str.maketrans("01", "10")
 
 
 def flip_bitlike_fields(message: Message) -> Message:
     """Return a copy of ``message`` with every bit-like payload inverted.
 
     Bit-like fields: ``str`` values over the 0/1 alphabet (segment
-    strings), :class:`~repro.util.bitarrays.BitRun` values and ``dict``
-    values whose entries are 0/1 ints (bit maps).
-    Scalar 0/1 ``int`` fields named ``value`` or ``bit`` are flipped
-    too.  Messages with no bit-like payload are returned unchanged.
+    strings) and :class:`~repro.util.bitarrays.BitRun` values (bit
+    maps).  Scalar 0/1 ``int`` fields named ``value`` or ``bit`` are
+    flipped too.  Messages with no bit-like payload are returned
+    unchanged.
     """
     replacements = {}
     for field in dataclasses.fields(message):
@@ -48,14 +45,10 @@ def flip_bitlike_fields(message: Message) -> Message:
             continue
         value = getattr(message, field.name)
         if isinstance(value, str) and value and set(value) <= {"0", "1"}:
-            replacements[field.name] = value.translate(_FLIP_CHARS)
+            replacements[field.name] = value.translate(FLIP_CHARS)
         elif type(value) is BitRun:
             if value:
                 replacements[field.name] = value.flipped()
-        elif isinstance(value, dict) and value and all(
-                bit in (0, 1) for bit in value.values()):
-            replacements[field.name] = {key: 1 - bit
-                                        for key, bit in value.items()}
         elif field.name in ("value", "bit") and value in (0, 1):
             replacements[field.name] = 1 - value
     if not replacements:

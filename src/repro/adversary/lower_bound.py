@@ -32,7 +32,7 @@ from repro.sim.messages import SOURCE_ID, Message, SourceResponse
 from repro.sim.network import WITHHOLD
 from repro.sim.peer import SimEnv
 from repro.sim.process import Process
-from repro.util.bitarrays import BitArray
+from repro.util.bitarrays import BitArray, BitRun
 from repro.util.rng import SplittableRNG
 
 
@@ -53,9 +53,10 @@ class _FakeSource:
         return len(self.data)
 
     def request_bits(self, pid: int, request_id: int, indices) -> None:
-        values = {index: self.data[index] for index in set(indices)}
-        response = SourceResponse(sender=SOURCE_ID, request_id=request_id,
-                                  values=values)
+        asked = sorted(set(indices))
+        response = SourceResponse(
+            sender=SOURCE_ID, request_id=request_id,
+            values=BitRun(asked, bytes(self.data.get_many(asked))))
         latency = self.env.adversary.query_latency(pid, self.env.kernel.now)
         self.env.network.deliver_direct(pid, response, latency)
 

@@ -18,6 +18,7 @@ round-robin over all ``n`` peers.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Iterable, Sequence
 
 from repro.util.validation import check_nonnegative, check_positive
@@ -79,29 +80,32 @@ def digit_owner(index: int, phase: int, n: int) -> int:
     return (index // n ** (phase - 1)) % n
 
 
-def group_by_digit_owner(indices: Iterable[int], phase: int,
+def group_by_digit_owner(marks: bytes, phase: int,
                          n: int) -> dict[int, list[int]]:
-    """Group ``indices`` by their :func:`digit_owner` for ``phase``.
+    """Group the positions ``marks`` flags (a nonzero byte each) by
+    their :func:`digit_owner` for ``phase``, ascending per owner.
 
-    Bulk companion to :func:`digit_owner`: arguments are validated once
-    and the ``n ** (phase - 1)`` divisor is computed once, so grouping
-    a whole residue costs one divmod per index instead of three checks
-    and an exponentiation each.  Index order is preserved within each
-    owner's list; owners appear in first-encounter order.
+    Bulk companion to :func:`digit_owner`, and one pass over the
+    bytes: an owner's positions are every ``n``-th block of
+    ``n ** (phase - 1)`` (in phase 1, every ``n``-th byte), so each
+    block is sliced out and only its flagged positions are touched.
     """
     check_positive("phase", phase)
     check_positive("n", n)
     width = n ** (phase - 1)
+    ell = len(marks)
     by_owner: dict[int, list[int]] = {}
-    for index in indices:
-        if index < 0:
-            check_nonnegative("index", index)
-        owner = (index // width) % n
-        bucket = by_owner.get(owner)
-        if bucket is None:
-            by_owner[owner] = [index]
-        else:
-            bucket.append(index)
+    if width == 1:
+        for owner in range(min(n, ell)):
+            flagged = list(compress(range(owner, ell, n), marks[owner::n]))
+            if flagged:
+                by_owner[owner] = flagged
+        return by_owner
+    for block, lo in enumerate(range(0, ell, width)):
+        flags = marks[lo:lo + width]
+        if flags.count(0) < len(flags):
+            by_owner.setdefault(block % n, []).extend(
+                compress(range(lo, lo + len(flags)), flags))
     return by_owner
 
 

@@ -93,14 +93,17 @@ class NetClient:
 
     # -- requesting -------------------------------------------------------
 
-    async def request(self, payload: dict) -> dict:
+    async def request(self, payload: dict,
+                      parse: Optional[Callable[[dict], object]] = None):
         """Send ``payload`` and await the response with a matching
-        ``rid``, retrying per the policy.  Raises
-        :class:`NetRequestError` after the final attempt."""
+        ``rid``, retrying per the policy; returns the response, or
+        ``parse(response)`` — a ``parse`` that raises
+        :class:`WireError` makes the answer one more failed attempt.
+        Raises :class:`NetRequestError` after the final attempt."""
         async with self._busy:
-            return await self._request(payload)
+            return await self._request(payload, parse)
 
-    async def _request(self, payload: dict) -> dict:
+    async def _request(self, payload: dict, parse):
         rid = payload["rid"]
         last_error: Optional[BaseException] = None
         for attempt in range(1, self.retry.max_attempts + 1):
@@ -115,7 +118,8 @@ class NetClient:
                 if delay > 0:
                     await asyncio.sleep(delay)
             try:
-                return await self._attempt(payload, rid, attempt)
+                response = await self._attempt(payload, rid, attempt)
+                return response if parse is None else parse(response)
             except asyncio.TimeoutError as exc:
                 event("net_timeout", t=self.clock(), proc=self.proc,
                       rid=rid, attempt=attempt, seconds=self.timeout)

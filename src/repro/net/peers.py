@@ -8,11 +8,14 @@ counters, and its :meth:`~NetPeer.run` steps ``body()``:
 
 - ``request_bits_from`` becomes a ``query`` frame (timeouts and retries
   ride inside the :class:`~repro.net.client.NetClient`), its answer a
-  delivered ``SourceResponse``;
+  delivered ``SourceResponse`` whose ``values`` is the parsed
+  :class:`~repro.util.bitarrays.BitRun` — checked, inside the retry
+  loop, to cover exactly the asked indices;
 - ``broadcast`` of a :class:`~repro.protocols.balanced.ShareMessage`
-  becomes ``share`` frames — to every other peer on the complete graph,
-  to the neighbours under a sparse topology, where every first-seen
-  share is also relayed onward (flooding is transport, not protocol:
+  becomes ``share`` frames carrying its run — to every other peer on
+  the complete graph, to the neighbours under a sparse topology, where
+  every first-seen share is also relayed onward as the run the inbox
+  parsed (flooding is transport, not protocol:
   inboxes dedupe by origin, so the body's ``n - 1`` distinct-sender
   wait is unchanged);
 - "wait" is an ``asyncio.Event`` set by whatever the body is waiting
@@ -31,17 +34,19 @@ from __future__ import annotations
 
 import asyncio
 from itertools import islice
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 from repro.obs.telemetry import counter, get_backend
 from repro.protocols.balanced import ShareMessage
 from repro.protocols.ports import HostPorts
 from repro.sim.messages import SOURCE_ID, Message, SourceResponse
-from repro.util.bitarrays import BitArray
+from repro.util.bitarrays import BitArray, BitRun, canonical_indices
 from repro.util.rng import SplittableRNG
 
 from repro.net.client import NetClient, NetRequestError
 from repro.net.server import PeerInbox
+from repro.net.wire import (WireError, indices_to_wire, run_from_wire,
+                            run_to_wire)
 
 
 class NetPeer(HostPorts):
@@ -130,7 +135,7 @@ class NetPeer(HostPorts):
         self._seq += 1
         return f"p{self.pid}:{self._seq}"
 
-    async def send_share(self, other: int, values: Mapping[int, int], *,
+    async def send_share(self, other: int, values: BitRun, *,
                          origin: Optional[int] = None) -> None:
         """Send one logical share (retries ride inside the client).
 
@@ -153,8 +158,7 @@ class NetPeer(HostPorts):
             await client.request({
                 "type": "share", "rid": self._next_rid(),
                 "src": self.pid if origin is None else origin, "mid": 0,
-                "values": {str(index): bit
-                           for index, bit in values.items()}})
+                "values": run_to_wire(values)})
         except NetRequestError:
             counter("net_shares_abandoned")
 
@@ -181,21 +185,31 @@ class NetPeer(HostPorts):
         self._wake.set()
 
     async def _ask(self, sid: int, request_id: int, indices) -> None:
-        """Query endpoint ``sid``; hand the body its answer."""
-        response = await self._client(
+        """Query endpoint ``sid``; hand the body its answer — the run
+        over exactly the asked indices, anything else being one more
+        failed attempt of the request."""
+        asked = indices_to_wire(
+            canonical_indices(indices, self.peer.ell)[0])
+
+        def parse(response: dict) -> BitRun:
+            run = run_from_wire(response.get("values"))
+            if indices_to_wire(run.indices) != asked:
+                raise WireError(f"asked for {asked!r:.80}, was answered "
+                                f"{run.indices!r:.80}")
+            return run
+
+        values = await self._client(
             self._source_path, f"src{sid}").request({
                 "type": "query", "rid": self._next_rid(),
                 "peer": self.pid, "source": sid,
-                "indices": list(indices)})
+                "indices": asked}, parse)
         self.peer.deliver(SourceResponse(
-            sender=SOURCE_ID, request_id=request_id,
-            values={int(index): bit
-                    for index, bit in response["values"].items()}))
+            sender=SOURCE_ID, request_id=request_id, values=values))
 
     async def _pump_shares(self) -> None:
         """Hand every first-seen share to the body (its ``values`` is
-        the inbox's parsed dict, not a copy) and, under a sparse
-        topology, relay it to the neighbours."""
+        the run the inbox parsed, not a copy) and, under a sparse
+        topology, relay that same run to the neighbours."""
         handled = 0  # shares are only ever added, and dicts keep order
         while True:
             await self.inbox.wait_for_shares(handled + 1)

@@ -29,9 +29,15 @@ is rejected at validation):
   default).
 
 :class:`PeerInbox` is the peer↔peer half: each peer's server accepts
-``share`` frames, deduplicates them by ``(sender, message id)``, and
-always acknowledges — retried shares are re-acked (with a ``resend``
+``share`` frames, deduplicates them by ``(sender, message id)``, keeps
+each first-seen one as the :class:`~repro.util.bitarrays.BitRun` its
+``values`` parse to (:func:`~repro.net.wire.run_from_wire`), and always
+acknowledges — retried shares are re-acked (with a ``resend``
 counter), never double-counted.
+
+Both answer with runs and parse indices through the one codec of
+:mod:`repro.net.wire`, inside one serving loop (:class:`_FrameServer`)
+where a malformed frame is a ``WireError`` that ends the connection.
 """
 
 from __future__ import annotations
@@ -41,25 +47,24 @@ import math
 from typing import Optional
 
 from repro.sim.source import SourceCore
-from repro.util.bitarrays import BitArray
+from repro.util.bitarrays import BitArray, BitRun
 from repro.util.rng import SplittableRNG
 
-from repro.net.wire import WireError, encode_frame, read_frame
+from repro.net.wire import (WireError, encode_frame, indices_from_wire,
+                            read_frame, run_from_wire, run_to_wire)
 
 
-class SourceServer(SourceCore):
-    """All ``k`` source endpoints behind one Unix-socket listener."""
+class _FrameServer:
+    """A Unix-socket listener that answers one type of frame.
 
-    def __init__(self, data: BitArray, *, k: int = 1, faults=(),
-                 rng: Optional[SplittableRNG] = None,
-                 base_delay: float = 0.0,
-                 withhold_delay: float = 0.2) -> None:
-        super().__init__(data, k=k, faults=faults, rng=rng)
-        self.base_delay = base_delay
-        self.withhold_delay = withhold_delay
-        self._responses: dict[str, dict] = {}
-        self._resends: dict[str, int] = {}
-        self._server: Optional[asyncio.AbstractServer] = None
+    A subclass names the ``frame_type`` it serves and builds each
+    answer in ``_answer(frame) -> (payload, delay)``.  A malformed or
+    foreign frame (:class:`WireError`), like a dead socket, ends that
+    one connection and nothing else: the client's retry opens the next.
+    """
+
+    frame_type: str
+    _server: Optional[asyncio.AbstractServer] = None
 
     async def start(self, path: str) -> None:
         self._server = await asyncio.start_unix_server(self._handle,
@@ -70,6 +75,42 @@ class SourceServer(SourceCore):
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+
+    async def _handle(self, reader, writer) -> None:
+        try:
+            while (frame := await read_frame(reader)) is not None:
+                if frame.get("type") != self.frame_type:
+                    raise WireError(f"{type(self).__name__} got a "
+                                    f"{frame.get('type')!r} frame")
+                answer, delay = self._answer(frame)
+                if delay > 0:
+                    await asyncio.sleep(delay)
+                writer.write(encode_frame(answer))
+                await writer.drain()
+        except (WireError, ConnectionError, OSError,
+                asyncio.CancelledError):
+            pass
+        finally:
+            try:
+                writer.close()
+            except Exception:  # pragma: no cover - teardown best effort
+                pass
+
+
+class SourceServer(SourceCore, _FrameServer):
+    """All ``k`` source endpoints behind one Unix-socket listener."""
+
+    frame_type = "query"
+
+    def __init__(self, data: BitArray, *, k: int = 1, faults=(),
+                 rng: Optional[SplittableRNG] = None,
+                 base_delay: float = 0.0,
+                 withhold_delay: float = 0.2) -> None:
+        super().__init__(data, k=k, faults=faults, rng=rng)
+        self.base_delay = base_delay
+        self.withhold_delay = withhold_delay
+        self._responses: dict[str, dict] = {}
+        self._resends: dict[str, int] = {}
 
     # -- serving ----------------------------------------------------------
 
@@ -96,62 +137,31 @@ class SourceServer(SourceCore):
             response["resend"] = self._resends[rid]
             return response, delay
         pid = int(frame["peer"])
-        unique = self.charge(pid, source_id, frame["indices"])
+        unique = self.charge(pid, source_id,
+                             indices_from_wire(frame.get("indices")))
         # No virtual clock on sockets: every fault is active throughout.
         values = self.read(source_id, pid, unique, math.inf)
         response = {
             "type": "bits",
             "rid": rid,
-            "values": {str(index): bit for index, bit in values.items()},
+            "values": run_to_wire(values),
             "resend": 0,
         }
         self._responses[rid] = response
         self._resends[rid] = 0
         return response, delay
 
-    async def _handle(self, reader, writer) -> None:
-        try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    break
-                if frame.get("type") != "query":
-                    raise WireError(f"source server got a "
-                                    f"{frame.get('type')!r} frame")
-                response, delay = self._answer(frame)
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                writer.write(encode_frame(response))
-                await writer.drain()
-        except (WireError, ConnectionError, OSError,
-                asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
 
-
-class PeerInbox:
+class PeerInbox(_FrameServer):
     """One peer's server side: receive shares, dedupe, acknowledge."""
+
+    frame_type = "share"
 
     def __init__(self, pid: int) -> None:
         self.pid = pid
-        self.shares: dict[tuple[int, int], dict[int, int]] = {}
+        self.shares: dict[tuple[int, int], BitRun] = {}
         self._resends: dict[tuple[int, int], int] = {}
         self._changed = asyncio.Event()
-        self._server: Optional[asyncio.AbstractServer] = None
-
-    async def start(self, path: str) -> None:
-        self._server = await asyncio.start_unix_server(self._handle,
-                                                       path=path)
-
-    async def close(self) -> None:
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
 
     async def wait_for_shares(self, count: int) -> None:
         """Block until ``count`` distinct shares have arrived."""
@@ -159,32 +169,14 @@ class PeerInbox:
             self._changed.clear()
             await self._changed.wait()
 
-    async def _handle(self, reader, writer) -> None:
-        try:
-            while True:
-                frame = await read_frame(reader)
-                if frame is None:
-                    break
-                if frame.get("type") != "share":
-                    raise WireError(f"peer inbox got a "
-                                    f"{frame.get('type')!r} frame")
-                key = (int(frame["src"]), int(frame["mid"]))
-                if key not in self.shares:
-                    self.shares[key] = {int(index): bit for index, bit
-                                        in frame["values"].items()}
-                    self._resends[key] = 0
-                    self._changed.set()
-                else:
-                    self._resends[key] += 1
-                ack = {"type": "ack", "rid": frame["rid"],
-                       "resend": self._resends[key]}
-                writer.write(encode_frame(ack))
-                await writer.drain()
-        except (WireError, ConnectionError, OSError,
-                asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
+    def _answer(self, frame: dict) -> tuple[dict, float]:
+        """Store a first-seen share as the run it parses to; ack it."""
+        key = (int(frame["src"]), int(frame["mid"]))
+        if key not in self.shares:
+            self.shares[key] = run_from_wire(frame.get("values"))
+            self._resends[key] = 0
+            self._changed.set()
+        else:
+            self._resends[key] += 1
+        return {"type": "ack", "rid": frame["rid"],
+                "resend": self._resends[key]}, 0.0

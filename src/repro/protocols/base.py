@@ -13,18 +13,12 @@ callable :class:`~repro.sim.runner.Simulation` expects, so runs read::
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, Iterable, Mapping, Optional
+from typing import Callable, Iterable, Optional
 
 from repro.sim.peer import Peer, SimEnv
-from repro.util.bitarrays import (BIT_TO_CHAR, CHAR_TO_BIT, BitArray, BitRun,
-                                  cells_at)
-
-#: Byte marking "not learned yet" in a working array; learned bits are
-#: stored as the bytes 0 and 1.
-_UNKNOWN = 2
-#: ``bytes.translate`` table marking the unknown entries of a working
-#: array with a 1.
-_UNKNOWN_MASK = bytes(1 if byte == _UNKNOWN else 0 for byte in range(256))
+from repro.util.bitarrays import (BIT_TO_CHAR, CHAR_TO_BIT, UNKNOWN,
+                                  UNKNOWN_MASK, BitArray, BitRun, cells_at,
+                                  fill_unknown)
 
 
 class BoundPeerFactory:
@@ -80,7 +74,7 @@ class DownloadPeer(Peer):
         """The working array; protocols go through the helpers below."""
         array = self._working
         if array is None:
-            array = self._working = bytearray((_UNKNOWN,)) * self.ell
+            array = self._working = bytearray((UNKNOWN,)) * self.ell
         return array
 
     @classmethod
@@ -122,58 +116,30 @@ class DownloadPeer(Peer):
         if not 0 <= index < self.ell:
             self._out_of_range(index)
         working = self._array()
-        if working[index] == _UNKNOWN:
+        if working[index] == UNKNOWN:
             working[index] = bit
             self._unknown_count -= 1
 
-    def learn_many(self, values: Mapping[int, int]) -> None:
-        """Record several bits at once.
-
-        A :class:`~repro.util.bitarrays.BitRun` is applied as a slice
-        (refused whole when it reaches outside the array); any other
-        mapping entry by entry, and what was applied before a bad entry
-        stays applied.
-        """
-        if type(values) is BitRun:
-            if values:
-                self._learn_run(values.indices, values.bits)
+    def learn_many(self, values: BitRun) -> None:
+        """Record a run of bits as a slice; a run that reaches outside
+        the array is refused whole."""
+        if not values:
             return
-        working = self._array()
-        learned = 0
-        try:
-            for index, bit in values.items():
-                if bit not in (0, 1):
-                    raise ValueError(f"bit must be 0 or 1, got {bit!r}")
-                if index < 0:
-                    self._out_of_range(index)
-                if working[index] == _UNKNOWN:
-                    working[index] = bit
-                    learned += 1
-        finally:
-            # Also on a bad entry: what was applied before it stays
-            # applied, so it must stay counted.
-            self._unknown_count -= learned
-
-    def _learn_run(self, indices, bits: bytes) -> None:
+        indices, bits = values.indices, values.bits
         if indices[0] < 0 or indices[-1] >= self.ell:
             self._out_of_range(indices[0] if indices[0] < 0 else indices[-1])
         working = self._array()
         held = cells_at(working, indices)
-        unknown = held.count(_UNKNOWN)
+        unknown = held.count(UNKNOWN)
         if type(indices) is range:
             window = slice(indices.start, indices.stop, indices.step)
             if unknown == len(bits):
                 working[window] = bits
             elif unknown:
-                # ``held`` is 2 exactly where ``gaps`` is 1, so this
-                # swaps each marker for the offered bit, byte by byte.
-                gaps = int.from_bytes(held.translate(_UNKNOWN_MASK), "little")
-                merged = (int.from_bytes(held, "little") - (gaps << 1)
-                          + (int.from_bytes(bits, "little") & gaps))
-                working[window] = merged.to_bytes(len(bits), "little")
+                working[window] = fill_unknown(held, bits)
         elif unknown:
             for index, bit in compress(zip(indices, bits),
-                                       held.translate(_UNKNOWN_MASK)):
+                                       held.translate(UNKNOWN_MASK)):
                 working[index] = bit
         self._unknown_count -= unknown
 
@@ -184,25 +150,23 @@ class DownloadPeer(Peer):
             raise IndexError(
                 f"segment [{lo}, {hi}) outside the {self.ell}-bit array")
         working = self._array()
-        unknown = working.count(_UNKNOWN, lo, hi)
+        unknown = working.count(UNKNOWN, lo, hi)
         if not unknown:
             return
         bits = string.encode("ascii", "replace").translate(CHAR_TO_BIT)
-        if unknown == hi - lo:
-            working[lo:hi] = bits
-        else:
-            index = working.find(_UNKNOWN, lo, hi)
-            while index != -1:
-                working[index] = bits[index - lo]
-                index = working.find(_UNKNOWN, index + 1, hi)
+        working[lo:hi] = (bits if unknown == hi - lo
+                          else fill_unknown(working[lo:hi], bits))
         self._unknown_count -= unknown
+
+    def unknown_marks(self) -> bytes:
+        """One byte per position: 1 where the bit is not learned yet."""
+        return self._array().translate(UNKNOWN_MASK)
 
     def unknown_indices(self) -> list[int]:
         """Sorted indices this peer has not learned yet."""
         if self._unknown_count == 0:
             return []
-        return list(compress(range(self.ell),
-                             self._array().translate(_UNKNOWN_MASK)))
+        return list(compress(range(self.ell), self.unknown_marks()))
 
     def known_count(self) -> int:
         """Number of learned bits."""
@@ -216,15 +180,15 @@ class DownloadPeer(Peer):
         """True when bit ``index`` is learned."""
         if not 0 <= index < self.ell:
             self._out_of_range(index)
-        return self._array()[index] != _UNKNOWN
+        return self._array()[index] != UNKNOWN
 
     def known_range(self, lo: int, hi: int) -> bool:
         """True when every bit of ``[lo, hi)`` is learned."""
-        return self._array().find(_UNKNOWN, lo, hi) == -1
+        return self._array().find(UNKNOWN, lo, hi) == -1
 
     def known_subset(self, indices: Iterable[int]) -> BitRun:
         """The subset of ``indices`` this peer knows, with values."""
-        return BitRun.gather(self._array(), indices, _UNKNOWN)
+        return BitRun.gather(self._array(), indices, UNKNOWN)
 
     def working_string(self, lo: int = 0, hi: Optional[int] = None) -> str:
         """Bits ``[lo, hi)`` as a '0'/'1' string, the segment wire

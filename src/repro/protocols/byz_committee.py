@@ -34,7 +34,7 @@ from repro.protocols.base import DownloadPeer
 from repro.protocols.board import CommitteeBoard
 from repro.sim.errors import ConfigurationError
 from repro.sim.messages import Message
-from repro.sim.peer import SimEnv, segment_string
+from repro.sim.peer import SimEnv
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ class ByzCommitteeDownloadPeer(DownloadPeer):
         readings = []
         for block in blocks:
             lo, hi = self.blocks.bounds(block)
-            string = segment_string(values, lo, hi)
+            string = values.segment(lo, hi)
             self._board.self_accept(self.pid, block, string)
             readings.append((block, string))
         return readings

@@ -227,8 +227,8 @@ class CrashMultiDownloadPeer(DownloadPeer):
 
             # ---- stage 1: query own share, request everyone else's ----
             self._enter(phase, 1)
-            unknown = self.unknown_indices()
-            owners = group_by_digit_owner(unknown, phase, self.n)
+            owners = group_by_digit_owner(self.unknown_marks(), phase,
+                                          self.n)
             values = yield from self.query_bits(owners.get(self.pid, []))
             self.learn_many(values)
             for destination in self.others:
@@ -251,7 +251,7 @@ class CrashMultiDownloadPeer(DownloadPeer):
             # One grouping pass over the residue replaces a full
             # unknown-indices rescan per missing peer.
             lacked_by_owner = group_by_digit_owner(
-                self.unknown_indices(), phase, self.n)
+                self.unknown_marks(), phase, self.n)
             needs = {}
             for missing_peer in missing:
                 lacked = lacked_by_owner.get(missing_peer)

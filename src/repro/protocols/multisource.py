@@ -36,7 +36,7 @@ harness reports as such, rather than deadlocking.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.protocols.base import DownloadPeer
 from repro.protocols.decode import (
@@ -45,11 +45,41 @@ from repro.protocols.decode import (
     threshold_decode,
 )
 from repro.sim.peer import SimEnv
+from repro.util.bitarrays import UNKNOWN, BitRun, fill_unknown
 
 #: Upper bound on bits per source request (mirrors the naive peer).
 _CHUNK = 4096
 
 _DECODE_RULES = ("majority", "threshold")
+
+#: Most endpoints a chunk may be asked of: the tally counts a
+#: position's one-votes in one byte.
+_MAX_Q = 255
+
+
+class _Tally:
+    """The votes on one chunk, a byte column per answer.
+
+    ``answers`` holds ``(endpoint, bits)`` in arrival order and
+    ``ones`` their sum as little-endian integers, i.e. byte ``i`` of
+    ``ones`` is the number of one-votes on position ``span[i]``.  Every
+    answer covers the whole chunk or (a withholding lockstep endpoint)
+    nothing, so all positions have heard the same endpoints.
+    """
+
+    def __init__(self, lo: int, hi: int) -> None:
+        self.span = range(lo, hi)
+        self.answers: list[tuple[int, bytes]] = []
+        self.ones = 0
+
+    def add(self, sid: int, answer: BitRun) -> None:
+        if not answer:
+            return
+        if answer.indices != self.span:
+            raise ValueError(f"endpoint {sid} answered {answer.indices!r} "
+                             f"for chunk {self.span!r}")
+        self.answers.append((sid, answer.bits))
+        self.ones += int.from_bytes(answer.bits, "little")
 
 
 class CrossValidateDownloadPeer(DownloadPeer):
@@ -75,26 +105,63 @@ class CrossValidateDownloadPeer(DownloadPeer):
                              f"got {decode!r}")
         k = self.source_count
         self.q = q if q is not None else k
-        if not 1 <= self.q <= k:
-            raise ValueError(f"q={self.q} must be in [1, k={k}]")
+        if not 1 <= self.q <= min(k, _MAX_Q):
+            raise ValueError(f"q={self.q} must be in "
+                             f"[1, min(k={k}, {_MAX_Q})]")
         self.decode = decode
         self.threshold = (threshold if threshold is not None
                           else majority_threshold(self.q))
         if not 1 <= self.threshold <= self.q:
             raise ValueError(f"threshold={self.threshold} must be in "
                              f"[1, q={self.q}]")
+        #: (rule's name, answers in) -> translate table, one-vote count
+        #: -> decoded bit or UNKNOWN.
+        self._verdict_tables: dict[tuple[str, int], bytes] = {}
 
     def _decode(self, votes: list[int]) -> Optional[int]:
         if self.decode == "majority":
             return majority_decode(votes, self.q)
         return threshold_decode(votes, self.threshold)
 
-    def _note_disagreement(self, index: int, votes: list[int]) -> None:
+    def _verdicts(self, tally: _Tally, rule: Callable) -> bytes:
+        """``rule`` applied to every position's votes at once: a 0/1
+        byte where it decodes and ``UNKNOWN`` where it returns None."""
+        heard = len(tally.answers)
+        key = rule.__name__, heard
+        table = self._verdict_tables.get(key)
+        if table is None:
+            decoded = (rule([1] * ones + [0] * (heard - ones))
+                       for ones in range(heard + 1))
+            table = bytes(UNKNOWN if bit is None else bit for bit in decoded
+                          ).ljust(256, bytes((UNKNOWN,)))
+            self._verdict_tables[key] = table
+        return tally.ones.to_bytes(len(tally.span), "little").translate(table)
+
+    def _note_disagreements(self, tally: _Tally, verdicts: bytes) -> None:
+        """One ``source_disagreement`` event per undecided position,
+        its votes in arrival order."""
         telemetry = self.env.telemetry
-        if telemetry is not None:
+        if telemetry is None:
+            return
+        offset = verdicts.find(UNKNOWN)
+        while offset != -1:
             telemetry.emit("source_disagreement", {
                 "t": self.env.kernel.now, "peer": self.pid,
-                "index": index, "votes": list(votes)})
+                "index": tally.span[offset],
+                "votes": [bits[offset] for _, bits in tally.answers]})
+            offset = verdicts.find(UNKNOWN, offset + 1)
+
+    def _learn_settled(self, tally: _Tally, verdicts: bytes) -> None:
+        """Learn the chunk.  A position still undecided with every
+        answer in is one where the sources defeated the decode rule:
+        record the disagreement and take the lowest-numbered
+        responder's bit, so the run terminates (incorrectly, which the
+        harness will report)."""
+        if UNKNOWN in verdicts:
+            self._note_disagreements(tally, verdicts)
+            _, fallback = min(tally.answers)
+            verdicts = fill_unknown(verdicts, fallback)
+        self.learn_many(BitRun(tally.span, verdicts))
 
     def _chunk_sources(self, chunk_no: int) -> list[int]:
         """The ``q`` endpoints this peer queries for chunk ``chunk_no``
@@ -102,52 +169,43 @@ class CrossValidateDownloadPeer(DownloadPeer):
         k = self.source_count
         return [(self.pid + chunk_no + j) % k for j in range(self.q)]
 
+    def _ask(self, tally: _Tally, sources: list[int]) -> dict[int, int]:
+        """Query ``sources`` for the tally's chunk; request id ->
+        endpoint."""
+        return {self.start_query(tally.span, source=sid): sid
+                for sid in sources}
+
+    def _absorb(self, pending: dict[int, int], tally: _Tally) -> bool:
+        """Move every answer that has arrived from ``pending`` into the
+        tally; True when there was one."""
+        ready = [rid for rid in pending if self.response_ready(rid)]
+        for rid in ready:
+            tally.add(pending.pop(rid), self.take_response(rid))
+        return bool(ready)
+
     def _resolve_chunk(self, lo: int, hi: int,
                        chunk_no: int) -> Iterator:
         """Query ``q`` sources for ``[lo, hi)``; learn decoded bits.
 
         Decodes eagerly: the chunk completes as soon as every position
         has a decode, even with responses still in flight (a withheld
-        endpoint cannot stall a ``q >= 2f + 1`` honest majority).
+        endpoint cannot stall a ``q >= 2f + 1`` honest majority).  A
+        position keeps its first decode whatever arrives later.
         """
-        pending = {self.start_query(range(lo, hi), source=sid): sid
-                   for sid in self._chunk_sources(chunk_no)}
-        votes: dict[int, list[int]] = {index: []
-                                       for index in range(lo, hi)}
-        fallback: dict[int, tuple[int, int]] = {}
-        decided: dict[int, int] = {}
+        tally = _Tally(lo, hi)
+        pending = self._ask(tally, self._chunk_sources(chunk_no))
+        decided = bytes((UNKNOWN,)) * (hi - lo)
         while True:
-            ready = [rid for rid in pending if self.response_ready(rid)]
-            for rid in ready:
-                sid = pending.pop(rid)
-                for index, bit in self.take_response(rid).items():
-                    votes[index].append(bit)
-                    best = fallback.get(index)
-                    if best is None or sid < best[0]:
-                        fallback[index] = (sid, bit)
-            if ready:
-                for index in range(lo, hi):
-                    if index in decided:
-                        continue
-                    bit = self._decode(votes[index])
-                    if bit is not None:
-                        decided[index] = bit
-            if len(decided) == hi - lo or not pending:
+            if self._absorb(pending, tally):
+                decided = fill_unknown(
+                    decided, self._verdicts(tally, self._decode))
+            if UNKNOWN not in decided or not pending:
                 break
             yield self.wait_until(
                 lambda: any(rid in self._source_responses
                             for rid in pending),
                 f"votes for chunk [{lo}, {hi})")
-        for index in range(lo, hi):
-            if index in decided:
-                continue
-            # Undecided with all answers in: the sources defeated the
-            # decode rule.  Record the disagreement and take the
-            # lowest-numbered responder's bit so the run terminates
-            # (incorrectly, which the harness will report).
-            self._note_disagreement(index, votes[index])
-            decided[index] = fallback[index][1]
-        self.learn_many(decided)
+        self._learn_settled(tally, decided)
 
     def _chunks(self) -> list[Iterator]:
         """One resolver per chunk, in array order; none has started."""
@@ -187,6 +245,11 @@ class CrossValidateEscalateDownloadPeer(CrossValidateDownloadPeer):
         chosen = self._chunk_sources(chunk_no)
         return chosen[:self.f + 1], chosen[self.f + 1:]
 
+    def _unanimous(self, votes: list[int]) -> Optional[int]:
+        """The bit all ``f + 1`` optimistic endpoints gave, else None
+        (a missing vote is a disagreement)."""
+        return threshold_decode(votes, self.f + 1)
+
     # The four steps below are where a model that knows more than "every
     # answer arrives eventually" says so; the lockstep refinement
     # (repro.sync.escalate) overrides them, nothing else does.
@@ -221,50 +284,28 @@ class CrossValidateEscalateDownloadPeer(CrossValidateDownloadPeer):
     def _resolve_chunk(self, lo: int, hi: int,
                        chunk_no: int) -> Iterator:
         first, extra = self._escalation_sources(chunk_no)
-        pending = {self.start_query(range(lo, hi), source=sid): sid
-                   for sid in first}
-        votes: dict[int, list[int]] = {index: []
-                                       for index in range(lo, hi)}
-        fallback: dict[int, tuple[int, int]] = {}
+        tally = _Tally(lo, hi)
+        pending = self._ask(tally, first)
 
         def absorb() -> bool:
             """Tally what has arrived; True once the chunk has a vote."""
-            for rid in [rid for rid in pending
-                        if self.response_ready(rid)]:
-                sid = pending.pop(rid)
-                for index, bit in self.take_response(rid).items():
-                    votes[index].append(bit)
-                    best = fallback.get(index)
-                    if best is None or sid < best[0]:
-                        fallback[index] = (sid, bit)
-            return bool(fallback)
+            self._absorb(pending, tally)
+            return bool(tally.answers)
 
         yield from self._gather(
             pending, absorb, f"optimistic votes for chunk [{lo}, {hi})")
-        disagreeing = [index for index in range(lo, hi)
-                       if threshold_decode(votes[index],
-                                           len(first)) is None]
-        if disagreeing:
-            for index in disagreeing:
-                self._note_disagreement(index, votes[index])
+        verdicts = self._verdicts(tally, self._unanimous)
+        if UNKNOWN in verdicts:
+            self._note_disagreements(tally, verdicts)
             self._on_disagreement()
         elif not (yield from self._on_unanimous()):
-            self.learn_many({index: votes[index][0]
-                             for index in range(lo, hi)})
+            self.learn_many(BitRun(tally.span, verdicts))
             return
         self.note_phase(f"escalate:[{lo},{hi})")
         yield from self._second_step()
         # Escalate: the remaining f endpoints bring the chunk to the
         # full 2f + 1 votes; decode by strict majority of 2f + 1.
-        pending = {self.start_query(range(lo, hi), source=sid): sid
-                   for sid in extra}
+        pending = self._ask(tally, extra)
         yield from self._gather(
             pending, absorb, f"escalated votes for chunk [{lo}, {hi})")
-        decided = {}
-        for index in range(lo, hi):
-            bit = majority_decode(votes[index], self.q)
-            if bit is None:
-                self._note_disagreement(index, votes[index])
-                bit = fallback[index][1]
-            decided[index] = bit
-        self.learn_many(decided)
+        self._learn_settled(tally, self._verdicts(tally, self._decode))

@@ -39,9 +39,9 @@ def bits_for(value: object) -> int:
     Understands the payload shapes the protocols actually send:
     ints/bools/None/floats are scalars, strings are bit strings, and
     containers cost the sum of their items plus a length field.  A
-    :class:`~repro.util.bitarrays.BitRun` and a builtin container
-    holding nothing but plain ``int`` are charged in closed form — the
-    same number the walk arrives at.
+    :class:`~repro.util.bitarrays.BitRun` (the one bit-map payload)
+    and a builtin sequence or set holding nothing but plain ``int``
+    are charged in closed form — the same number the walk arrives at.
 
     Precedence matters for booleans: ``bool`` is a subclass of ``int``
     in Python, so the ``bool``/``None`` check MUST run before the
@@ -60,8 +60,6 @@ def bits_for(value: object) -> int:
     if type(value) is BitRun:
         return FIELD_BITS * (1 + 2 * len(value))
     if isinstance(value, dict):
-        if _all_int(value) and _all_int(value.values()):
-            return FIELD_BITS * (1 + 2 * len(value))
         return FIELD_BITS + sum(bits_for(key) + bits_for(item)
                                 for key, item in value.items())
     if isinstance(value, (list, tuple, set, frozenset)):

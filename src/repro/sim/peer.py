@@ -20,8 +20,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import (Callable, Iterable, Iterator, Mapping, Optional, Type,
-                    TypeVar)
+from typing import Callable, Iterable, Iterator, Optional, Type, TypeVar
 
 from repro.sim.messages import Message, SourceResponse
 from repro.sim.process import Process, WaitUntil
@@ -66,13 +65,6 @@ class SimEnv:
     def peer_ids(self) -> range:
         """All peer IDs, ``0 .. n-1``."""
         return range(self.n)
-
-
-def segment_string(values: Mapping[int, int], lo: int, hi: int) -> str:
-    """Positions ``[lo, hi)`` of a query answer as a '0'/'1' string."""
-    if type(values) is BitRun:
-        return values.segment(lo, hi)
-    return "".join("1" if values[index] else "0" for index in range(lo, hi))
 
 
 class MessageLog:
@@ -143,7 +135,7 @@ class Peer(Process):
         self.rng = env.rng.split(f"peer-{pid}")
         self.output: Optional[BitArray] = None
         self.cycle = 0
-        self._source_responses: dict[int, Mapping[int, int]] = {}
+        self._source_responses: dict[int, BitRun] = {}
         self._request_counter = 0
         self._handlers: dict[Type[Message],
                              list[Callable[[Message], None]]] = {}
@@ -175,9 +167,7 @@ class Peer(Process):
     def deliver(self, message: Message) -> None:
         """Network/source callback: a message arrived."""
         if isinstance(message, SourceResponse):
-            values = message.values
-            self._source_responses[message.request_id] = (
-                values if type(values) is BitRun else dict(values))
+            self._source_responses[message.request_id] = message.values
         else:
             self.inbox.add(message)
             for handler in self._handlers.get(type(message), ()):
@@ -244,7 +234,7 @@ class Peer(Process):
         """True once the answer to ``request_id`` has arrived."""
         return request_id in self._source_responses
 
-    def take_response(self, request_id: int) -> Mapping[int, int]:
+    def take_response(self, request_id: int) -> BitRun:
         """Pop and return the answer to ``request_id`` (once ready)."""
         return self._source_responses.pop(request_id)
 
@@ -260,7 +250,7 @@ class Peer(Process):
         if not isinstance(indices, range):
             indices = list(indices)
         if not indices:
-            return {}
+            return BitRun((), b"")
         request_id = self._request_counter
         self._request_counter += 1
         self.env.source.request_bits(self.pid, request_id, indices)
@@ -271,7 +261,7 @@ class Peer(Process):
     def query_segment(self, lo: int, hi: int) -> Iterator[WaitUntil]:
         """Query the contiguous segment ``[lo, hi)``; returns a bit string."""
         values = yield from self.query_bits(range(lo, hi))
-        return segment_string(values, lo, hi)
+        return values.segment(lo, hi)
 
     # -- waiting ---------------------------------------------------------------------
 

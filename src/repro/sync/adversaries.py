@@ -14,12 +14,9 @@ from typing import Callable, Optional
 
 from repro.sim.messages import Message
 from repro.sync.engine import SyncAdversary, SyncConfig, SyncSource
+from repro.util.bitarrays import FLIP_CHARS
 from repro.util.rng import SplittableRNG
 from repro.util.validation import check_fraction
-
-
-def _flip_string(string: str) -> str:
-    return "".join("1" if ch == "0" else "0" for ch in string)
 
 
 class RushingEchoAdversary(SyncAdversary):
@@ -63,7 +60,8 @@ class RushingEchoAdversary(SyncAdversary):
                         value = getattr(message, field.name)
                         if isinstance(value, str) and value \
                                 and set(value) <= {"0", "1"}:
-                            replacements[field.name] = _flip_string(value)
+                            replacements[field.name] = value.translate(
+                                FLIP_CHARS)
                     fake = dataclasses.replace(message, **replacements)
                     fakes.append(fake)
                 outbox[destination] = fakes

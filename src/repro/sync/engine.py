@@ -22,7 +22,7 @@ the machinery (and sharing it would couple the two time models).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.obs.schema import SCHEMA_VERSION
 from repro.obs.telemetry import get_backend as _get_telemetry
@@ -30,7 +30,7 @@ from repro.sim.messages import Message
 from repro.sim.source import SourceCore
 from repro.topology import resolve_topology
 from repro.topology.routing import Router
-from repro.util.bitarrays import BitArray
+from repro.util.bitarrays import BitArray, BitRun
 from repro.util.rng import SplittableRNG, derive_seed
 from repro.util.validation import check_nonnegative, check_positive
 
@@ -86,16 +86,15 @@ class SyncSource(SourceCore):
         #: the simulator's peers share ``Network.span_sink``'s.
         self.span_sinks: dict[type, object] = {}
 
-    def query(self, pid: int,
-              indices: Sequence[int]) -> Mapping[int, int]:
+    def query(self, pid: int, indices: Sequence[int]) -> BitRun:
         return self.query_from(0, pid, indices)
 
     def query_from(self, source_id: int, pid: int,
-                   indices: Sequence[int]) -> Mapping[int, int]:
+                   indices: Sequence[int]) -> BitRun:
         """Query endpoint ``source_id``; charged like any query.
 
-        A withholding endpoint returns ``{}`` (charged anyway — the
-        bits were requested); other faults answer from their view once
+        A withholding endpoint returns the empty run (charged anyway —
+        the bits were requested); other faults answer from their view once
         the round has reached their onset.
         """
         unique = self.charge(pid, source_id, indices)
@@ -107,7 +106,7 @@ class SyncSource(SourceCore):
             self.telemetry.emit("query", event)
         fault = self.active_fault(source_id, now)
         if fault is not None and fault.withholding:
-            return {}
+            return BitRun((), b"")
         return self.read(source_id, pid, unique, now)
 
 
@@ -160,7 +159,7 @@ class SyncPeer:
     def done(self) -> bool:
         return self.output is not None
 
-    def query(self, indices: Sequence[int]) -> Mapping[int, int]:
+    def query(self, indices: Sequence[int]) -> BitRun:
         """Query the source (answered within the round)."""
         return self._source.query(self.pid, indices)
 

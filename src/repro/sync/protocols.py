@@ -15,31 +15,14 @@ body on :class:`~repro.sync.host.LockstepHost`.
 
 from __future__ import annotations
 
-from typing import Mapping, Optional
+from itertools import compress
 
 from repro.core.assignment import round_robin_indices
 from repro.protocols.balanced import ShareMessage
 from repro.sync.engine import SyncConfig, SyncPeer
-from repro.util.bitarrays import BitArray
+from repro.util.bitarrays import (BIT_TO_CHAR, UNKNOWN, UNKNOWN_MASK, BitArray,
+                                  BitRun, cells_at)
 from repro.util.rng import SplittableRNG
-
-
-class _ArrayBuilder:
-    """Tiny helper: accumulate bits, detect completion."""
-
-    def __init__(self, ell: int) -> None:
-        self.bits: list[Optional[int]] = [None] * ell
-
-    def put(self, index: int, bit: int) -> None:
-        if self.bits[index] is None:
-            self.bits[index] = bit
-
-    @property
-    def complete(self) -> bool:
-        return all(bit is not None for bit in self.bits)
-
-    def to_array(self) -> BitArray:
-        return BitArray.from_bits([bit or 0 for bit in self.bits])
 
 
 class SyncCrashPeer(SyncPeer):
@@ -68,14 +51,29 @@ class SyncCrashPeer(SyncPeer):
     def __init__(self, pid: int, config: SyncConfig,
                  rng: SplittableRNG) -> None:
         super().__init__(pid, config, rng)
-        self.builder = _ArrayBuilder(config.ell)
-        self._fresh: dict[int, int] = {}  # learned since last broadcast
+        #: One byte per position: its bit, or UNKNOWN.
+        self._cells = bytearray((UNKNOWN,)) * config.ell
+        self._fresh: list[int] = []  # learned since last broadcast
 
-    def _learn(self, values: Mapping[int, int]) -> None:
-        for index, bit in values.items():
-            if self.builder.bits[index] is None:
-                self._fresh[index] = bit
-                self.builder.put(index, bit)
+    def _learn(self, run: BitRun) -> None:
+        """Record the run's bits at the positions still unknown."""
+        if not run:
+            return
+        cells = self._cells
+        news = cells_at(cells, run.indices).translate(UNKNOWN_MASK)
+        for index, bit in compress(zip(run.indices, run.bits), news):
+            cells[index] = bit
+            self._fresh.append(index)
+
+    def _share_fresh(self) -> None:
+        self.broadcast(ShareMessage(
+            sender=self.pid,
+            values=BitRun.gather(self._cells, self._fresh, UNKNOWN)))
+        self._fresh = []
+
+    def _finish(self) -> None:
+        self.finish(BitArray.from_string(
+            self._cells.translate(BIT_TO_CHAR).decode("ascii")))
 
     def round(self, round_no: int, inbox) -> None:
         spoke_last_round = set()
@@ -85,32 +83,25 @@ class SyncCrashPeer(SyncPeer):
                 spoke_last_round.add(message.sender)
 
         if round_no == 1:
-            values = self.query(round_robin_indices(self.pid, self.ell,
-                                                    self.n))
-            self._learn(values)
-            self.broadcast(ShareMessage(sender=self.pid,
-                                        values=dict(self._fresh)))
-            self._fresh = {}
+            self._learn(self.query(round_robin_indices(self.pid, self.ell,
+                                                       self.n)))
+            self._share_fresh()
             return
 
-        if self.builder.complete:
+        if UNKNOWN not in self._cells:
             # Final full share: nobody may depend on a finished peer.
-            everything = {index: bit
-                          for index, bit in enumerate(self.builder.bits)}
-            self.broadcast(ShareMessage(sender=self.pid, values=everything))
-            self.finish(self.builder.to_array())
+            self.broadcast(ShareMessage(
+                sender=self.pid,
+                values=BitRun(range(self.ell), bytes(self._cells))))
+            self._finish()
             return
 
         # Reassign my unknown bits over last round's speakers (+ me);
         # silence in the synchronous model is proof of death.
         alive = sorted(spoke_last_round | {self.pid})
-        unknown = [index for index, bit in enumerate(self.builder.bits)
-                   if bit is None]
-        mine = [index for slot, index in enumerate(unknown)
-                if alive[slot % len(alive)] == self.pid]
-        self._learn(self.query(mine))
-        self.broadcast(ShareMessage(sender=self.pid,
-                                    values=dict(self._fresh)))
-        self._fresh = {}
-        if self.builder.complete:
-            self.finish(self.builder.to_array())
+        unknown = list(compress(range(self.ell),
+                                self._cells.translate(UNKNOWN_MASK)))
+        self._learn(self.query(unknown[alive.index(self.pid)::len(alive)]))
+        self._share_fresh()
+        if UNKNOWN not in self._cells:
+            self._finish()

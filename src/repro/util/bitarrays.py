@@ -37,6 +37,13 @@ CHAR_TO_BIT = bytes(1 if byte == ord("1") else 0 for byte in range(256))
 BIT_TO_CHAR = bytes(ord("1") if byte == 1 else ord("0")
                     for byte in range(256))
 _FLIP_BIT = bytes(1 - byte if byte < 2 else byte for byte in range(256))
+#: ``str.translate`` table inverting a '0'/'1' segment string.
+FLIP_CHARS = str.maketrans("01", "10")
+#: Byte marking "no bit yet" in a byte-per-position array (a peer's
+#: working array, a vote tally's verdicts); a known bit is the byte 0
+#: or 1.  The table marks each such byte with a 1.
+UNKNOWN = 2
+UNKNOWN_MASK = bytes(1 if byte == UNKNOWN else 0 for byte in range(256))
 
 
 def _ascends(indices: tuple) -> bool:
@@ -53,6 +60,18 @@ def cells_at(cells: bytearray,
     if len(indices) == 1:  # itemgetter of one index is not a tuple
         return bytes((cells[indices[0]],))
     return bytes(itemgetter(*indices)(cells))
+
+
+def fill_unknown(held: bytes, offered: bytes) -> bytes:
+    """``held`` with every :data:`UNKNOWN` cell replaced by the cell of
+    ``offered`` at the same place (equal lengths), as three big-int
+    operations."""
+    gaps = int.from_bytes(held.translate(UNKNOWN_MASK), "little")
+    # ``held`` is 2 exactly where ``gaps`` is 1: drop the marker, add
+    # what is offered there.
+    merged = (int.from_bytes(held, "little") - (gaps << 1)
+              + (int.from_bytes(offered, "little") & gaps * 255))
+    return merged.to_bytes(len(held), "little")
 
 
 class BitRun(Mapping):
@@ -144,10 +163,6 @@ class BitRun(Mapping):
         except (IndexError, TypeError):
             pass
         raise KeyError(index)
-
-    def items(self):
-        # The mixin's view would look every key up again.
-        return dict(zip(self.indices, self.bits)).items()
 
     def segment(self, lo: int, hi: int) -> str:
         """The bits of positions ``[lo, hi)`` as a '0'/'1' string;

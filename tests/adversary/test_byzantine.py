@@ -17,43 +17,48 @@ from repro.protocols.balanced import ShareMessage
 from repro.protocols.byz_committee import CommitteeReport
 from repro.sim import run_download
 from repro.sim.messages import Message
+from repro.util.bitarrays import BitRun
+
+
+EMPTY = BitRun((), b"")
 
 
 @dataclass(frozen=True)
 class Carrier(Message):
     string: str
-    values: dict[int, int]
+    values: BitRun
     label: str
     count: int
 
 
 class TestFlipBitlikeFields:
     def test_flips_bit_strings(self):
-        message = Carrier(sender=0, string="0101", values={}, label="keep",
+        message = Carrier(sender=0, string="0101", values=EMPTY, label="keep",
                           count=3)
         flipped = flip_bitlike_fields(message)
         assert flipped.string == "1010"
 
     def test_flips_bit_dicts(self):
-        message = Carrier(sender=0, string="", values={1: 0, 2: 1},
+        message = Carrier(sender=0, string="",
+                          values=BitRun((1, 2), b"\x00\x01"),
                           label="keep", count=3)
         flipped = flip_bitlike_fields(message)
         assert flipped.values == {1: 1, 2: 0}
 
     def test_leaves_non_bit_fields_alone(self):
-        message = Carrier(sender=0, string="01", values={}, label="keep",
+        message = Carrier(sender=0, string="01", values=EMPTY, label="keep",
                           count=3)
         flipped = flip_bitlike_fields(message)
         assert flipped.label == "keep" and flipped.count == 3
         assert flipped.sender == 0
 
     def test_non_bit_string_untouched(self):
-        message = Carrier(sender=0, string="hello", values={}, label="x",
+        message = Carrier(sender=0, string="hello", values=EMPTY, label="x",
                           count=0)
         assert flip_bitlike_fields(message).string == "hello"
 
     def test_no_bitlike_fields_returns_same_object(self):
-        message = Carrier(sender=0, string="abc", values={1: 7}, label="x",
+        message = Carrier(sender=0, string="abc", values=EMPTY, label="x",
                           count=0)
         assert flip_bitlike_fields(message) is message
 
@@ -115,7 +120,7 @@ class TestWrappedExecution:
 class TestStrategies:
     def test_silent_drops_everything(self):
         strategy = SilentStrategy()
-        message = ShareMessage(sender=1, values={0: 1})
+        message = ShareMessage(sender=1, values=BitRun((0,), b"\x01"))
         assert strategy.corrupt(message, 0, 1) is None
 
     def test_equivocate_splits_by_destination_parity(self):
@@ -126,7 +131,7 @@ class TestStrategies:
 
     def test_selective_silence_default_threshold_is_own_pid(self):
         strategy = SelectiveSilenceStrategy()
-        message = ShareMessage(sender=5, values={})
+        message = ShareMessage(sender=5, values=EMPTY)
         assert strategy.corrupt(message, 3, 5) is message
         assert strategy.corrupt(message, 7, 5) is None
 

@@ -404,7 +404,7 @@ class TestSocketHost:
         class DeadClient:
             retries = 0
 
-            async def request(self, payload):
+            async def request(self, payload, parse=None):
                 await asyncio.sleep(0.01)
                 raise NetRequestError("no route")
 
@@ -425,7 +425,7 @@ class TestSocketHost:
         class SilentClient:
             retries = 0
 
-            async def request(self, payload):
+            async def request(self, payload, parse=None):
                 await asyncio.Event().wait()
 
             def close(self):

@@ -1,11 +1,11 @@
 """Model tests for :class:`repro.util.bitarrays.BitRun` and its consumers.
 
 A run is what the source answers with and what ``known_subset`` hands
-out; the model is the plain ``dict`` it replaced.  Every consumer that
-recognises a run (``learn_many``, ``bits_for``, ``flip_bitlike_fields``,
-``segment_string``) must do to it exactly what it does to that dict,
-and ``canonical_indices`` must still produce the indices and the mask
-the per-index loop produced.
+out; the model is the plain ``dict`` it replaced.  Every consumer of a
+run (``learn_many``, ``bits_for``, ``flip_bitlike_fields``,
+``BitRun.segment``) must do to it exactly what the per-entry loop did
+to that dict, and ``canonical_indices`` must still produce the indices
+and the mask the per-index loop produced.
 """
 
 import copy
@@ -22,7 +22,6 @@ import repro.protocols
 import repro.sync.escalate  # noqa: F401  (defines EscalationAlert)
 from repro.adversary.byzantine import flip_bitlike_fields
 from repro.sim.messages import FIELD_BITS, Message, bits_for
-from repro.sim.peer import segment_string
 from repro.sim.source import SourceCore
 from repro.util.bitarrays import BitArray, BitRun, canonical_indices
 from tests.property.test_property_working_array import make_peer
@@ -103,8 +102,6 @@ def test_segment_is_the_joined_window_or_a_key_error(run, lo, width):
         expected = "".join("1" if model[index] else "0"
                            for index in range(lo, hi))
         assert run.segment(lo, hi) == expected
-        assert segment_string(run, lo, hi) == expected \
-            == segment_string(model, lo, hi)
     else:
         with pytest.raises(KeyError):
             run.segment(lo, hi)
@@ -135,7 +132,7 @@ def test_construction_validates_once_and_for_all():
         hash(run)
 
 
-# -- learn_many: the run path against the dict loop ---------------------------
+# -- learn_many: the run path against the per-entry loop ----------------------
 
 @settings(**COMMON)
 @given(steps=st.lists(st.one_of(
@@ -143,14 +140,16 @@ def test_construction_validates_once_and_for_all():
     st.tuples(st.integers(0, ELL - 1), st.text("01", max_size=8))),
     max_size=12))
 def test_learning_runs_equals_learning_their_dicts(steps):
-    """Two peers, one fed runs and one the equal dicts (strings mixed
-    in so that ranges arrive partly known): same array, same count,
-    after every step — duplicates across calls never overwrite."""
+    """Two peers, one fed runs and one the entries of the equal dicts
+    one ``learn`` at a time (strings mixed in so that ranges arrive
+    partly known): same array, same count, after every step —
+    duplicates across calls never overwrite."""
     by_run, by_dict = make_peer(ELL), make_peer(ELL)
     for step in steps:
         if type(step) is BitRun:
             by_run.learn_many(step)
-            by_dict.learn_many(dict(step))
+            for index, bit in dict(step).items():
+                by_dict.learn(index, bit)
         else:
             lo, string = step
             string = string[:ELL - lo]
@@ -174,8 +173,6 @@ def test_a_run_reaching_outside_the_array_is_refused_whole(indices):
         peer.learn_many(run)
     assert peer._unknown_count == ELL
     assert peer._array().count(2) == ELL
-    with pytest.raises(IndexError):
-        peer.learn_many(dict(run))
 
 
 @settings(**COMMON)
@@ -301,19 +298,23 @@ def test_a_message_sizes_a_run_as_it_sizes_the_dict(kind, run):
 @settings(**COMMON)
 @given(run=runs())
 def test_flipping_a_run_equals_flipping_the_dict(kind, run):
-    with_run, with_dict = build(kind, run), build(kind, dict(run))
+    """A run field comes back as the run of the inverted dict; a dict
+    *of* runs (``MissingResponse.found``) is not a bit-like field."""
+    with_run = build(kind, run)
     flipped_run = flip_bitlike_fields(with_run)
-    flipped_dict = flip_bitlike_fields(with_dict)
-    assert flipped_run == flipped_dict
-    # Nothing to flip returns the message itself, on both paths.
-    assert (flipped_run is with_run) == (flipped_dict is with_dict)
+    direct = [field.name for field in dataclasses.fields(kind)
+              if field.type in ("Mapping[int, int]",
+                                "Optional[Mapping[int, int]]")]
+    # Nothing to flip returns the message itself.
+    assert (flipped_run is with_run) == (not run or not direct)
     for field in dataclasses.fields(kind):
-        if _MAP_SHAPES.get(field.type) is _MAP_SHAPES["Mapping[int, int]"] \
-                and run:
-            flipped = getattr(flipped_run, field.name)
+        flipped = getattr(flipped_run, field.name)
+        if field.name in direct and run:
             assert type(flipped) is BitRun
             assert flipped == {index: 1 - bit for index, bit in run.items()}
             assert flipped.flipped() == run
+        else:
+            assert flipped == getattr(with_run, field.name)
 
 
 # -- the producers ------------------------------------------------------------

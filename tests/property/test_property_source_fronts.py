@@ -15,12 +15,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.adversary.base import Adversary
 from repro.net.server import SourceServer
+from repro.net.wire import indices_to_wire, run_from_wire
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import Network
 from repro.sim.scheduler import Kernel
 from repro.sim.sourceset import SourceSet
 from repro.sync.engine import SyncSource
-from repro.util.bitarrays import BitArray
+from repro.util.bitarrays import BitArray, canonical_indices
 from repro.util.rng import SplittableRNG
 
 COMMON = dict(max_examples=60, deadline=None,
@@ -105,8 +106,10 @@ def run_net(ell, k, faults, queries, seed):
     source = SourceServer(data, k=k, faults=faults, rng=root)
     answers = []
     for rid, (pid, sid, indices) in enumerate(queries):
+        # As NetPeer._ask puts a query on the wire: canonical indices.
         frame = {"type": "query", "rid": f"r{rid}", "peer": pid,
-                 "source": sid, "indices": list(indices)}
+                 "source": sid, "indices": indices_to_wire(
+                     canonical_indices(indices, ell)[0])}
         response, _ = source._answer(frame)
         assert response["resend"] == 0
         before = ledger(source)
@@ -114,8 +117,7 @@ def run_net(ell, k, faults, queries, seed):
         assert replay["resend"] == 1
         assert replay["values"] == response["values"]
         assert ledger(source) == before, "a replayed rid was charged"
-        answers.append({int(index): bit
-                        for index, bit in response["values"].items()})
+        answers.append(run_from_wire(response["values"]))
     return source, answers
 
 

@@ -4,16 +4,19 @@ import math
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.core.assignment import committee_for
+from repro.core.assignment import committee_for, round_robin_indices
 from repro.protocols import ByzCommitteeDownloadPeer
+from repro.protocols.balanced import ShareMessage
 from repro.sync import (
     RoundCrashAdversary,
     RushingEchoAdversary,
     SilentSyncAdversary,
     SyncCrashPeer,
+    SyncPeer,
     hosted_factory,
     run_sync_download,
 )
+from repro.util.bitarrays import BitArray
 
 SYNC_SETTINGS = dict(max_examples=25, deadline=None,
                      suppress_health_check=[HealthCheck.too_slow])
@@ -60,6 +63,69 @@ class TestSyncCrashProperty:
             n=n, ell=ell, t=t, peer_factory=crash_factory,
             adversary=RoundCrashAdversary(plan), seed=seed)
         assert result.rounds <= len(plan) + 6
+
+
+class EntryByEntryCrashPeer(SyncPeer):
+    """:class:`SyncCrashPeer` as it was before it kept a byte working
+    array: a list of optional bits, learned and shared one ``dict``
+    entry at a time.  The reference the run-based peer must equal."""
+
+    def __init__(self, pid, config, rng):
+        super().__init__(pid, config, rng)
+        self.bits = [None] * config.ell
+        self._fresh = {}
+
+    def _learn(self, values):
+        for index, bit in values.items():
+            if self.bits[index] is None:
+                self._fresh[index] = self.bits[index] = bit
+
+    def _share_fresh(self):
+        self.broadcast(ShareMessage(sender=self.pid,
+                                    values=dict(self._fresh)))
+        self._fresh = {}
+
+    def round(self, round_no, inbox):
+        spoke_last_round = set()
+        for message in inbox:
+            if isinstance(message, ShareMessage):
+                self._learn(message.values)
+                spoke_last_round.add(message.sender)
+        if round_no == 1:
+            self._learn(self.query(round_robin_indices(self.pid, self.ell,
+                                                       self.n)))
+            self._share_fresh()
+            return
+        if None not in self.bits:
+            self.broadcast(ShareMessage(
+                sender=self.pid, values=dict(enumerate(self.bits))))
+            self.finish(BitArray.from_bits(self.bits))
+            return
+        alive = sorted(spoke_last_round | {self.pid})
+        unknown = [index for index, bit in enumerate(self.bits)
+                   if bit is None]
+        self._learn(self.query(
+            [index for slot, index in enumerate(unknown)
+             if alive[slot % len(alive)] == self.pid]))
+        self._share_fresh()
+        if None not in self.bits:
+            self.finish(BitArray.from_bits(self.bits))
+
+
+class TestSyncCrashEqualsItsEntryByEntryAncestor:
+    @given(crash_plans())
+    @settings(**SYNC_SETTINGS)
+    def test_same_q_m_message_bits_rounds_and_outputs(self, case):
+        n, ell, t, plan, seed = case
+        runs, refs = (run_sync_download(
+            n=n, ell=ell, t=t, peer_factory=factory,
+            adversary=RoundCrashAdversary(plan), seed=seed)
+            for factory in (crash_factory, EntryByEntryCrashPeer))
+        for field in ("rounds", "outputs", "query_complexity",
+                      "total_query_bits", "per_peer_query_bits",
+                      "message_complexity", "message_bits",
+                      "per_peer_messages", "events_processed"):
+            assert getattr(runs, field) == getattr(refs, field), field
 
 
 @st.composite

@@ -14,7 +14,7 @@ from repro.protocols.base import DownloadPeer
 from repro.sim.metrics import MetricsCollector
 from repro.sim.peer import SimEnv
 from repro.sim.scheduler import Kernel
-from repro.util.bitarrays import BitArray
+from repro.util.bitarrays import BitArray, BitRun
 from repro.util.rng import SplittableRNG
 
 COMMON = dict(max_examples=200, deadline=None,
@@ -79,8 +79,9 @@ def scripts(draw):
 
     step = st.one_of(
         st.tuples(st.just("learn"), index, loose_bit),
+        # A run cannot hold a bad bit: its constructor refuses it.
         st.tuples(st.just("learn_many"),
-                  st.dictionaries(index, loose_bit, max_size=ell)),
+                  st.dictionaries(index, bit, max_size=ell)),
         segment(), segment(),
         st.tuples(st.just("known_subset"), st.lists(index, max_size=ell)),
         st.tuples(st.just("range"), index, index),
@@ -107,7 +108,11 @@ def test_bytearray_matches_list_model(script):
     ell, steps = script
     peer, model = make_peer(ell), ListModel(ell)
     for name, *args in steps:
-        if name in ("learn", "learn_many", "learn_string"):
+        if name == "learn_many":
+            model.learn_many(args[0])
+            peer.learn_many(BitRun(sorted(args[0]), bytes(
+                bit for _, bit in sorted(args[0].items()))))
+        elif name in ("learn", "learn_string"):
             try:
                 getattr(model, name)(*args)
             except ValueError:
@@ -146,9 +151,9 @@ def test_segment_outside_the_array_is_refused(lo, string):
 @pytest.mark.parametrize("call", [
     lambda peer: peer.learn(-2, 1),
     lambda peer: peer.learn(4, 1),
-    lambda peer: peer.learn_many({-1: 1}),
-    lambda peer: peer.learn_many({1: 1, -4: 0}),
-    lambda peer: peer.learn_many({4: 1}),
+    lambda peer: peer.learn_many(BitRun((-1,), b"\x01")),
+    lambda peer: peer.learn_many(BitRun((-4, 1), b"\x00\x01")),
+    lambda peer: peer.learn_many(BitRun((4,), b"\x01")),
     lambda peer: peer.is_known(-1),
     lambda peer: peer.is_known(4),
     lambda peer: peer.known_subset([-1]),

@@ -18,6 +18,7 @@ from repro.protocols.crash_multi import (
 )
 from repro.protocols.crash_one import Probe, ProbeReply, ShareValues
 from repro.sim.messages import FIELD_BITS, HEADER_BITS
+from repro.util.bitarrays import BitRun
 
 
 class TestCrashMultiMessages:
@@ -36,7 +37,7 @@ class TestCrashMultiMessages:
     def test_missing_response_me_neither_is_cheap(self):
         shrug = MissingResponse(sender=0, phase=1, found={3: None})
         carrying = MissingResponse(sender=0, phase=1,
-                                   found={3: {1: 0, 2: 1}})
+                                   found={3: BitRun((1, 2), b"\x00\x01")})
         assert shrug.size_bits() < carrying.size_bits()
 
     def test_full_array_costs_its_bits(self):
@@ -44,7 +45,7 @@ class TestCrashMultiMessages:
         assert message.size_bits() == HEADER_BITS + 1024
 
     def test_data_response_includes_flag_and_values(self):
-        message = DataResponse(sender=0, phase=1, values={7: 1},
+        message = DataResponse(sender=0, phase=1, values=BitRun((7,), b"\x01"),
                                complete=True)
         assert message.size_bits() >= HEADER_BITS + FIELD_BITS + 1
 
@@ -66,7 +67,8 @@ class TestReportMessages:
 
 class TestCrashOneMessages:
     def test_share_values(self):
-        message = ShareValues(sender=1, phase=1, values={0: 1, 8: 0})
+        message = ShareValues(sender=1, phase=1,
+                              values=BitRun((0, 8), b"\x01\x00"))
         assert message.size_bits() > HEADER_BITS
 
     def test_probe_none_is_legal_and_tiny(self):
@@ -76,5 +78,5 @@ class TestCrashOneMessages:
     def test_probe_reply_me_neither_cheaper_than_values(self):
         shrug = ProbeReply(sender=1, phase=1, about=3, values=None)
         values = ProbeReply(sender=1, phase=1, about=3,
-                            values={0: 1, 1: 0, 2: 1})
+                            values=BitRun(range(3), b"\x01\x00\x01"))
         assert shrug.size_bits() < values.size_bits()

@@ -12,13 +12,17 @@ from repro.sim.messages import (
     bits_for,
     total_bits,
 )
+from repro.util.bitarrays import BitRun
+
+
+EMPTY = BitRun((), b"")
 
 
 @dataclass(frozen=True)
 class Mixed(Message):
     index: int
     string: str
-    values: dict[int, int]
+    values: BitRun
 
 
 class TestBitsFor:
@@ -61,7 +65,7 @@ class TestBitsFor:
 class TestMessageSize:
     def test_size_sums_fields_plus_header(self):
         message = Mixed(sender=1, index=7, string="0101",
-                        values={3: 1})
+                        values=BitRun((3,), b"\x01"))
         expected = (HEADER_BITS + FIELD_BITS + 4
                     + FIELD_BITS + (FIELD_BITS + FIELD_BITS))
         assert message.size_bits() == expected
@@ -75,15 +79,16 @@ class TestMessageSize:
 
     def test_source_response_charges_only_bits(self):
         response = SourceResponse(sender=-1, request_id=1,
-                                  values={0: 1, 5: 0, 9: 1})
+                                  values=BitRun((0, 5, 9),
+                                                b"\x01\x00\x01"))
         assert response.size_bits() == HEADER_BITS + FIELD_BITS + 3
 
     def test_total_bits_sums(self):
-        messages = [Mixed(sender=0, index=0, string="1", values={}),
-                    Mixed(sender=1, index=0, string="11", values={})]
+        messages = [Mixed(sender=0, index=0, string="1", values=EMPTY),
+                    Mixed(sender=1, index=0, string="11", values=EMPTY)]
         assert total_bits(messages) == sum(m.size_bits() for m in messages)
 
     def test_messages_are_frozen(self):
-        message = Mixed(sender=1, index=2, string="1", values={})
+        message = Mixed(sender=1, index=2, string="1", values=EMPTY)
         with pytest.raises(Exception):
             message.index = 5
