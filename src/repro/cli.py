@@ -767,10 +767,10 @@ def _command_serve(args, out) -> int:
 
 
 def _command_submit(args, out) -> int:
-    import dataclasses
     import getpass
     import json
 
+    from repro.execution.cache import spec_fields
     from repro.experiments import ExperimentSpec, outcomes_table
     from repro.persistence import outcome_from_dict
     if (args.axis is None) != (args.values is None):
@@ -788,7 +788,7 @@ def _command_submit(args, out) -> int:
     values = (() if args.axis is None
               else _parse_axis_values(args.axis, args.values))
     client = _service_client(args)
-    job = client.submit(dataclasses.asdict(spec), axis=args.axis,
+    job = client.submit(spec_fields(spec), axis=args.axis,
                         values=values, priority=args.priority,
                         client=args.client or getpass.getuser())
     verb = "submitted" if job["created"] else "coalesced into"

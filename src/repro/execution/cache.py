@@ -22,7 +22,6 @@ Design rules:
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -65,11 +64,25 @@ def default_cache_dir() -> Path:
     return base / "repro"
 
 
+def spec_fields(spec: "ExperimentSpec") -> dict:
+    """The spec's JSON-ready form, the one dict that is hashed and stored.
+
+    A shallow walk (``protocol_params`` is the spec's own dict) with the
+    tuple fields as lists: equal to its own JSON round trip, and the
+    same bytes ``dataclasses.asdict`` gave.
+    """
+    payload = {name: getattr(spec, name)
+               for name in type(spec).__dataclass_fields__}
+    payload["source_faults"] = list(spec.source_faults)
+    payload["proxy_faults"] = list(spec.proxy_faults)
+    return payload
+
+
 def spec_cache_key(spec: "ExperimentSpec", *,
                    salt: str = CODE_VERSION) -> str:
     """Hex content hash identifying ``(spec, salt)``.
 
-    The spec is serialized to canonical JSON (sorted keys, so
+    :func:`spec_fields` is serialized to canonical JSON (sorted keys, so
     ``protocol_params`` insertion order never matters) and hashed with
     the salt.  Two specs collide only if every field is equal.
 
@@ -82,7 +95,7 @@ def spec_cache_key(spec: "ExperimentSpec", *,
     inputs alone but changes the measured outcome (time, retries,
     failed runs), so those outcomes must not collide.
     """
-    payload = dataclasses.asdict(spec)
+    payload = spec_fields(spec)
     if payload.get("backend") == "sim":
         del payload["backend"]
     if payload.get("sources") == 1:
@@ -148,7 +161,12 @@ class ResultCache:
 
     def get(self, spec: "ExperimentSpec") -> Optional["ExperimentOutcome"]:
         """The cached outcome for ``spec``, or ``None`` on any miss."""
-        outcome = self._load(self.path_for(spec), spec)
+        return self._get(spec, spec_cache_key(spec, salt=self.salt))
+
+    def _get(self, spec: "ExperimentSpec",
+             key: str) -> Optional["ExperimentOutcome"]:
+        """:meth:`get` for a caller that already derived ``spec``'s key."""
+        outcome = self._load(self.directory / f"{key}.json", spec)
         if outcome is None:
             self.stats.misses += 1
         else:
@@ -157,41 +175,44 @@ class ResultCache:
 
     def _load(self, path: Path,
               spec: "ExperimentSpec") -> Optional["ExperimentOutcome"]:
+        # A missing file is a miss, and so is any malformed entry —
+        # truncated, non-UTF-8 or too deeply nested JSON, wrong schema, spec
+        # or measurements that no longer load: recomputed and overwritten.
         try:
-            text = path.read_text(encoding="utf-8")
-        except (OSError, ValueError):  # missing, unreadable, or not UTF-8
-            return None
-        # Any malformed entry — truncated JSON, wrong schema, fields
-        # that no longer reconstruct — is treated as a miss so the
-        # caller recomputes and overwrites it.
-        try:
-            payload = json.loads(text)
-            if payload.get("schema") != SCHEMA_VERSION:
+            payload = json.loads(path.read_bytes())
+            if (payload.get("schema") != SCHEMA_VERSION
+                    or payload.get("salt") != self.salt):
                 return None
-            if payload.get("salt") != self.salt:
-                return None
-            from repro.persistence import outcome_from_dict
-            outcome = outcome_from_dict(payload["outcome"])
-        except (KeyError, TypeError, ValueError, AttributeError):
+            from repro.persistence import outcome_from_dict, outcome_of
+            stored = payload["outcome"]
+            # Fields equal to the asked spec's would reconstruct into a
+            # spec equal to it: skip the rebuild and reuse the asked one.
+            if stored["spec"] == spec_fields(spec):
+                return outcome_of(spec, stored)
+            outcome = outcome_from_dict(stored)
+        except (OSError, KeyError, TypeError, ValueError, AttributeError,
+                RecursionError):
             return None
         # Hash paranoia: a colliding or hand-renamed entry must never
         # masquerade as this spec's outcome.
-        if outcome.spec != spec:
-            return None
-        return outcome
+        return outcome if outcome.spec == spec else None
 
     # -- store -------------------------------------------------------------
 
     def put(self, spec: "ExperimentSpec",
             outcome: "ExperimentOutcome") -> Path:
         """Write (or overwrite) the entry for ``spec``; returns its path."""
+        return self._put(outcome, spec_cache_key(spec, salt=self.salt))
+
+    def _put(self, outcome: "ExperimentOutcome", key: str) -> Path:
+        """:meth:`put` for a caller that already derived the spec's key."""
         from repro.persistence import outcome_to_dict
         self.directory.mkdir(parents=True, exist_ok=True)
-        path = self.path_for(spec)
+        path = self.directory / f"{key}.json"
         payload = {
             "schema": SCHEMA_VERSION,
             "salt": self.salt,
-            "key": path.stem,
+            "key": key,
             "outcome": outcome_to_dict(outcome),
         }
         temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")

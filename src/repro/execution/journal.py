@@ -97,6 +97,10 @@ class SweepJournal:
         atomic on POSIX; replay additionally survives torn lines by
         skipping anything that fails to parse.
         """
+        self._record(self.key_for(spec), repeat, record)
+
+    def _record(self, key: str, repeat: int, record: "RepeatRecord") -> None:
+        """:meth:`record` for a caller that already derived the key."""
         fields = {
             "queries": record.queries,
             "messages": record.messages,
@@ -110,7 +114,7 @@ class SweepJournal:
         line = json.dumps({
             "schema": JOURNAL_SCHEMA,
             "salt": self.salt,
-            "key": self.key_for(spec),
+            "key": key,
             "repeat": repeat,
             "record": fields,
         }, sort_keys=True)

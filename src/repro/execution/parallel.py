@@ -49,7 +49,7 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import (TYPE_CHECKING, Callable, Iterable, Optional, Sequence)
 
-from repro.execution.cache import ResultCache
+from repro.execution.cache import ResultCache, spec_cache_key
 from repro.execution.chaos import ChaosPlan
 from repro.execution.journal import SweepJournal
 from repro.execution.retry import RetryPolicy, TaskFailure, watchdog
@@ -395,8 +395,13 @@ class ParallelRunner:
         specs = list(specs)
         outcomes: list = [None] * len(specs)
         pending: list[int] = []
+        # One hash per spec (and salt) serves every lookup, line and store.
+        keys = {salt: [spec_cache_key(spec, salt=salt) for spec in specs]
+                for salt in {part.salt for part in (self.cache, self.journal)
+                             if part is not None}}
         for index, spec in enumerate(specs):
-            hit = self.cache.get(spec) if self.cache is not None else None
+            hit = (self.cache._get(spec, keys[self.cache.salt][index])
+                   if self.cache is not None else None)
             if hit is not None:
                 outcomes[index] = hit
                 obs_counter("cache_hits")
@@ -408,7 +413,7 @@ class ParallelRunner:
         if self.journal is not None and pending:
             replayed = self.journal.replay()
             for index in pending:
-                key = self.journal.key_for(specs[index])
+                key = keys[self.journal.salt][index]
                 for repeat in range(specs[index].repeats):
                     record = replayed.get((key, repeat))
                     if record is not None:
@@ -419,7 +424,8 @@ class ParallelRunner:
 
         def checkpoint(position: int, record) -> None:
             index, repeat = tasks[position]
-            self.journal.record(specs[index], repeat, record)
+            self.journal._record(keys[self.journal.salt][index],
+                                 repeat, record)
 
         records = run_tasks(
             _spec_repeat_task,
@@ -441,7 +447,7 @@ class ParallelRunner:
             # Failures are environmental, not content: caching them
             # would serve a transient fault forever.
             if self.cache is not None and outcome.failed_runs == 0:
-                self.cache.put(spec, outcome)
+                self.cache._put(outcome, keys[self.cache.salt][index])
             outcomes[index] = outcome
         return outcomes
 

@@ -22,6 +22,8 @@ import json
 from pathlib import Path
 from typing import Iterable, Union
 
+from repro.execution.cache import spec_fields
+from repro.execution.retry import TaskFailure
 from repro.experiments import ExperimentOutcome, ExperimentSpec
 from repro.sim.metrics import ComplexityReport
 from repro.sim.runner import RunResult
@@ -76,44 +78,49 @@ def summarize_run(result: RunResult) -> dict:
     }
 
 
+_COUNT, _REAL = (int,), (int, float)
+#: An outcome's scalar measurements, in stored order, with the exact
+#: types each may hold (a bool is not a count).
+_MEASUREMENTS = {
+    "runs": _COUNT, "correct_runs": _COUNT,
+    "mean_query_complexity": _REAL, "max_query_complexity": _COUNT,
+    "mean_message_complexity": _REAL, "mean_time_complexity": _REAL,
+    "failed_runs": _COUNT, "mean_round_complexity": _REAL + (type(None),)}
+
+
 def outcome_to_dict(outcome: ExperimentOutcome) -> dict:
     """JSON-safe form of one experiment outcome (spec included)."""
-    spec = dataclasses.asdict(outcome.spec)
-    return {
-        "spec": spec,
-        "runs": outcome.runs,
-        "correct_runs": outcome.correct_runs,
-        "mean_query_complexity": outcome.mean_query_complexity,
-        "max_query_complexity": outcome.max_query_complexity,
-        "mean_message_complexity": outcome.mean_message_complexity,
-        "mean_time_complexity": outcome.mean_time_complexity,
-        "failed_runs": outcome.failed_runs,
-        "failures": [dataclasses.asdict(failure)
-                     for failure in outcome.failures],
-        "mean_round_complexity": outcome.mean_round_complexity,
-    }
+    return {"spec": spec_fields(outcome.spec),
+            **{name: getattr(outcome, name) for name in _MEASUREMENTS},
+            "failures": list(map(dataclasses.asdict, outcome.failures))}
 
 
 def outcome_from_dict(payload: dict) -> ExperimentOutcome:
     """Inverse of :func:`outcome_to_dict`.
 
     Files written before the resilience layer lack the failure fields;
-    they load as fully-successful outcomes (which they were).
+    they load as fully-successful outcomes (which they were).  Raises
+    ``ValueError`` naming the field when a measurement is ill-typed.
     """
-    from repro.execution.retry import TaskFailure
-    return ExperimentOutcome(
-        spec=ExperimentSpec(**payload["spec"]),
-        runs=payload["runs"],
-        correct_runs=payload["correct_runs"],
-        mean_query_complexity=payload["mean_query_complexity"],
-        max_query_complexity=payload["max_query_complexity"],
-        mean_message_complexity=payload["mean_message_complexity"],
-        mean_time_complexity=payload["mean_time_complexity"],
-        failed_runs=payload.get("failed_runs", 0),
+    return outcome_of(ExperimentSpec(**payload["spec"]), payload)
+
+
+def outcome_of(spec: ExperimentSpec, payload: dict) -> ExperimentOutcome:
+    """The measurements of ``payload`` as an outcome of ``spec`` — for a
+    caller that already holds the spec ``payload["spec"]`` describes."""
+    values = {}
+    for name, kinds in _MEASUREMENTS.items():
+        if name in payload:  # an absent optional field keeps its default
+            value = values[name] = payload[name]
+            if type(value) not in kinds or (kinds is _COUNT and value < 0):
+                raise ValueError(f"ill-typed outcome {name!r}: {value!r}")
+    outcome = ExperimentOutcome(
+        spec=spec, **values,
         failures=tuple(TaskFailure(**failure)
-                       for failure in payload.get("failures", ())),
-        mean_round_complexity=payload.get("mean_round_complexity"),
-    )
+                       for failure in payload.get("failures", ())))
+    if outcome.correct_runs + outcome.failed_runs > outcome.runs:
+        raise ValueError("outcome field 'runs' < correct_runs + failed_runs")
+    return outcome
 
 
 def save_outcomes(outcomes: Iterable[ExperimentOutcome],

@@ -31,7 +31,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.execution.cache import CODE_VERSION, canonical_json, spec_cache_key
+from repro.execution.cache import (CODE_VERSION, canonical_json,
+                                   spec_cache_key, spec_fields)
 from repro.experiments import ExperimentSpec
 
 __all__ = [
@@ -180,7 +181,7 @@ def job_to_dict(job: Job) -> dict:
         "state": job.state,
         "priority": job.request.priority,
         "client": job.request.client,
-        "spec": dataclasses.asdict(job.request.spec),
+        "spec": spec_fields(job.request.spec),
         "axis": job.request.axis,
         "values": list(job.request.values),
         "submitted_at": job.submitted_at,

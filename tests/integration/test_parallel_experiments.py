@@ -17,12 +17,19 @@ from repro.execution import (
     CacheStats,
     ParallelRunner,
     ResultCache,
+    SweepJournal,
+    TaskFailure,
     resolve_cache,
     run_tasks,
 )
+from repro.execution import cache as cache_module
+from repro.execution import journal as journal_module
+from repro.execution import parallel as parallel_module
 from repro.experiments import (
     ExperimentOutcome,
     ExperimentSpec,
+    RepeatRecord,
+    aggregate_outcome,
     run_experiment,
     sweep_experiment,
 )
@@ -158,6 +165,56 @@ class TestResultCache:
         run_experiment(self.spec(), cache=bumped)
         assert bumped.stats == CacheStats(hits=0, misses=1, stores=1)
 
+    def test_entry_predating_later_fields_still_hits(self, tmp_path):
+        # An entry written before backend / sources / source_faults /
+        # proxy_faults / topology existed stores a spec without them:
+        # not field-equal to the asked spec, so the hit goes through
+        # reconstruction, where the defaults fill in.
+        cache = ResultCache(tmp_path)
+        baseline = run_experiment(self.spec(), cache=cache)
+        entry = cache.path_for(self.spec())
+        payload = json.loads(entry.read_text(encoding="utf-8"))
+        for later in ("backend", "sources", "source_faults",
+                      "proxy_faults", "topology"):
+            del payload["outcome"]["spec"][later]
+        entry.write_text(json.dumps(payload), encoding="utf-8")
+        reread = ResultCache(tmp_path)
+        asked = self.spec()
+        hit = reread.get(asked)
+        assert reread.stats == CacheStats(hits=1, misses=0, stores=0)
+        assert hit.spec == asked
+        assert_outcomes_identical(baseline, hit)
+
+    def test_two_hits_share_nothing_but_the_asked_spec(self, tmp_path):
+        spec = ExperimentSpec(protocol="byz-committee", n=9, ell=90,
+                              protocol_params={"block_size": 9}, repeats=2)
+        failure = TaskFailure(task="repeat-1", error_type="OSError",
+                              message="boom", attempts=3)
+        stored = aggregate_outcome(spec, [
+            RepeatRecord(queries=10, messages=4, time=1.5, correct=True),
+            failure])
+        cache = ResultCache(tmp_path)
+        cache.put(spec, stored)
+        first, second = cache.get(spec), cache.get(spec)
+        assert first == second == stored
+        assert first is not second
+        # The fast path hands back the asked spec object itself ...
+        assert first.spec is spec and second.spec is spec
+        # ... and builds everything else afresh per hit.
+        assert first.failures[0] is not second.failures[0]
+        # Through reconstruction (an equal spec that is field-unequal
+        # as stored: the entry lacks a later field) nothing is shared.
+        entry = cache.path_for(spec)
+        payload = json.loads(entry.read_text(encoding="utf-8"))
+        del payload["outcome"]["spec"]["topology"]
+        entry.write_text(json.dumps(payload), encoding="utf-8")
+        third, fourth = cache.get(spec), cache.get(spec)
+        assert third == fourth == stored
+        assert third.spec is not spec and third.spec is not fourth.spec
+        assert third.spec.protocol_params is not \
+            fourth.spec.protocol_params
+        assert third.spec.protocol_params is not spec.protocol_params
+
     def test_resolve_cache_forms(self, tmp_path):
         assert resolve_cache(None) is None
         assert resolve_cache(False) is None
@@ -227,6 +284,168 @@ class TestCacheCorruption:
             assert donor.spec == other
             entry.write_bytes(cache.path_for(other).read_bytes())
         self.corrupt_and_rerun(tmp_path, mutate)
+
+
+    def test_deeply_nested_garbage(self, tmp_path):
+        # json.loads raises RecursionError (not a ValueError) on this.
+        self.corrupt_and_rerun(
+            tmp_path, lambda entry: entry.write_text("[" * 100000))
+
+    @pytest.mark.parametrize("field, value", [
+        ("runs", "two"), ("runs", True), ("runs", -1),
+        ("correct_runs", None), ("correct_runs", 3),
+        ("failed_runs", 1.0), ("max_query_complexity", 64.0),
+        ("mean_query_complexity", "x"), ("mean_time_complexity", None),
+        ("mean_message_complexity", False),
+        ("mean_round_complexity", "3"),
+    ])
+    def test_wrong_typed_measurement(self, tmp_path, field, value):
+        # Right schema, salt and spec, but a measurement no run could
+        # have produced: serving it would be a silently wrong hit.
+        def mutate(entry):
+            payload = json.loads(entry.read_text(encoding="utf-8"))
+            payload["outcome"][field] = value
+            entry.write_text(json.dumps(payload), encoding="utf-8")
+        self.corrupt_and_rerun(tmp_path, mutate)
+
+
+# A cache entry and a journal exactly as the commit before the
+# spec_fields walk wrote them (asdict-based writer), kept as text.
+PARENT_SPEC = dict(protocol="cross-validate", n=4, ell=64, repeats=2,
+                   base_seed=7, protocol_params={"q": 3}, sources=3,
+                   source_faults=("wrong-bits",))
+PARENT_SALT = "2026.10.1"
+PARENT_KEY = \
+    "0f57283fa231795670425933926284b3c9d84ae6b42f68a16c688b6590012647"
+PARENT_ENTRY = """{
+  "key": "%s",
+  "outcome": {
+    "correct_runs": 2,
+    "failed_runs": 0,
+    "failures": [],
+    "max_query_complexity": 192,
+    "mean_message_complexity": 0.0,
+    "mean_query_complexity": 192.0,
+    "mean_round_complexity": null,
+    "mean_time_complexity": 0.9768714546898305,
+    "runs": 2,
+    "spec": {
+      "backend": "sim",
+      "base_seed": 7,
+      "beta": 0.0,
+      "ell": 64,
+      "fault_model": "none",
+      "n": 4,
+      "network": "asynchronous",
+      "protocol": "cross-validate",
+      "protocol_params": {
+        "q": 3
+      },
+      "proxy_faults": [],
+      "repeats": 2,
+      "source_faults": [
+        "wrong-bits"
+      ],
+      "sources": 3,
+      "strategy": "wrong-bits",
+      "topology": "complete"
+    }
+  },
+  "salt": "2026.10.1",
+  "schema": 1
+}""" % PARENT_KEY
+PARENT_JOURNAL = (
+    '{"key": "%s", "record": {"correct": true, "messages": 0, '
+    '"queries": 192, "time": 0.9962426222565898}, "repeat": 0, '
+    '"salt": "2026.10.1", "schema": 1}\n'
+    '{"key": "%s", "record": {"correct": true, "messages": 0, '
+    '"queries": 192, "time": 0.9575002871230712}, "repeat": 1, '
+    '"salt": "2026.10.1", "schema": 1}\n') % (PARENT_KEY, PARENT_KEY)
+
+
+class TestSpecIdentityOnce:
+    """The key is byte-stable across the asdict → field-walk change, and
+    one ``run_many`` derives it once per spec."""
+
+    def test_parent_written_cache_and_journal_are_read_warm(
+            self, tmp_path, monkeypatch):
+        spec = ExperimentSpec(**PARENT_SPEC)
+        (tmp_path / f"{PARENT_KEY}.json").write_text(PARENT_ENTRY,
+                                                     encoding="utf-8")
+        cache = ResultCache(tmp_path, salt=PARENT_SALT)
+        assert cache.path_for(spec).name == f"{PARENT_KEY}.json"
+        hit = cache.get(spec)
+        assert cache.stats == CacheStats(hits=1, misses=0, stores=0)
+        assert hit.spec is spec
+        assert (hit.runs, hit.correct_runs, hit.max_query_complexity,
+                hit.mean_time_complexity) == (2, 2, 192,
+                                              0.9768714546898305)
+        # What this commit writes for that outcome is what the parent
+        # wrote, byte for byte.
+        rewritten = ResultCache(tmp_path / "again", salt=PARENT_SALT)
+        assert rewritten.put(spec, hit).read_text(encoding="utf-8") \
+            == PARENT_ENTRY
+        # The journal resumes both repeats: nothing executes, nothing
+        # is appended, and the aggregate equals the cached outcome.
+        log = tmp_path / "journal.jsonl"
+        log.write_text(PARENT_JOURNAL, encoding="utf-8")
+        journal = SweepJournal(log, salt=PARENT_SALT)
+        assert journal.key_for(spec) == PARENT_KEY
+
+        def never(payload):
+            raise AssertionError("a journaled repeat was re-executed")
+        monkeypatch.setattr(parallel_module, "_spec_repeat_task", never)
+        resumed = ParallelRunner(journal=journal, strict=True).run(spec)
+        assert journal.stats.as_dict() == {
+            "appended": 0, "replayed": 2, "corrupt": 0}
+        assert_outcomes_identical(hit, resumed)
+        # And a line appended now is the line the parent appended.
+        fresh = SweepJournal(tmp_path / "fresh.jsonl", salt=PARENT_SALT)
+        for repeat, line in enumerate(PARENT_JOURNAL.splitlines()):
+            fields = json.loads(line)["record"]
+            fresh.record(spec, repeat, RepeatRecord(
+                queries=fields["queries"], messages=fields["messages"],
+                time=fields["time"], correct=fields["correct"]))
+        assert fresh.path.read_text(encoding="utf-8") == PARENT_JOURNAL
+
+    def test_run_many_hashes_each_spec_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(spec, *, salt=cache_module.CODE_VERSION):
+            calls.append(spec)
+            return real(spec, salt=salt)
+        real = cache_module.spec_cache_key
+        for module in (cache_module, journal_module, parallel_module):
+            monkeypatch.setattr(module, "spec_cache_key", counting,
+                                raising=False)
+        specs = [ExperimentSpec(protocol="balanced", n=4, ell=64,
+                                repeats=4, base_seed=seed)
+                 for seed in (1, 2, 3)]
+        runner = ParallelRunner(cache=ResultCache(tmp_path / "cache"),
+                                journal=SweepJournal(tmp_path / "j.jsonl"))
+        cold = runner.run_many(specs)
+        assert runner.cache.stats == CacheStats(hits=0, misses=3, stores=3)
+        assert runner.journal.stats.appended == 12
+        # 21 before the key travelled with the run: get, key_for,
+        # 4 x record and put, per spec.
+        assert len(calls) == 3
+        del calls[:]
+        warm = runner.run_many(specs)
+        assert runner.cache.stats.hits == 3
+        assert len(calls) == 3
+        assert warm == cold
+
+    def test_cache_and_journal_salts_may_differ(self, tmp_path):
+        spec = ExperimentSpec(protocol="balanced", n=4, ell=64, repeats=2)
+        cache = ResultCache(tmp_path / "cache", salt="c")
+        journal = SweepJournal(tmp_path / "j.jsonl", salt="j")
+        outcome = ParallelRunner(cache=cache, journal=journal).run(spec)
+        assert cache.path_for(spec).exists()
+        assert set(journal.replay()) == {(journal.key_for(spec), 0),
+                                         (journal.key_for(spec), 1)}
+        assert journal.key_for(spec) != cache.path_for(spec).stem
+        assert_outcomes_identical(
+            outcome, ParallelRunner(cache=cache).run(spec))
 
 
 class TestRunTasks:

@@ -77,3 +77,30 @@ class TestOutcomePersistence:
         path.write_text(json.dumps({"schema": 999, "outcomes": []}))
         with pytest.raises(ValueError, match="schema"):
             load_outcomes(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("runs", "two"), ("correct_runs", None), ("failed_runs", True),
+        ("mean_query_complexity", "x"), ("max_query_complexity", -5),
+    ])
+    def test_ill_typed_measurement_names_the_field(self, tmp_path,
+                                                   field, value):
+        path = tmp_path / "outcomes.json"
+        save_outcomes([self.outcome()], path)
+        payload = json.loads(path.read_text())
+        payload["outcomes"][0][field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match=field):
+            load_outcomes(path)
+
+    def test_more_settled_runs_than_runs_rejected(self):
+        stored = outcome_to_dict(self.outcome())
+        stored["failed_runs"] = 1  # 2 correct + 1 failed > 2 runs
+        with pytest.raises(ValueError, match="runs"):
+            outcome_from_dict(stored)
+
+    def test_optional_fields_keep_their_defaults(self):
+        # Files written before the resilience layer / round measure.
+        stored = outcome_to_dict(self.outcome())
+        for later in ("failed_runs", "failures", "mean_round_complexity"):
+            del stored[later]
+        assert outcome_from_dict(stored) == self.outcome()

@@ -8,18 +8,25 @@ contract properties:
 - the cache key is *discriminating*: any single-field change yields a
   different key;
 - a store → load round-trip returns the outcome unchanged, and a hit
-  never alters an outcome's values.
+  never alters an outcome's values;
+- the shallow field walk (``spec_fields``) is *byte-identical* to the
+  ``dataclasses.asdict`` form it replaced — keys, entry bytes, job
+  records — with the ``asdict`` formula kept here as the reference.
 """
 
 import dataclasses
 import hashlib
+import json
 import tempfile
+from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from repro.execution import ResultCache, spec_cache_key
-from repro.execution.cache import CODE_VERSION, canonical_json
+from repro.execution import ResultCache, SweepJournal, spec_cache_key
+from repro.execution.cache import (CODE_VERSION, SCHEMA_VERSION,
+                                   canonical_json, spec_fields)
 from repro.experiments import ExperimentOutcome, ExperimentSpec
+from repro.service.jobs import Job, JobRequest, job_key, job_to_dict
 from repro.util.rng import derive_seed
 
 COMMON = dict(max_examples=60, deadline=None,
@@ -53,8 +60,88 @@ def specs(draw) -> ExperimentSpec:
     )
 
 
+# JSON-native values only (string keys, lists not tuples): what a
+# stored spec can hold and still compare equal after a round trip.
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(1 << 40), 1 << 40)
+    | st.floats(allow_nan=False, allow_infinity=False) | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text("abcde", max_size=3), children, max_size=3),
+    max_leaves=6)
+
+
 @st.composite
-def outcomes(draw) -> ExperimentOutcome:
+def rich_specs(draw) -> ExperimentSpec:
+    """Specs that exercise every later-added field: nested
+    ``protocol_params``, several sources with faults, a sparse
+    topology, and (on ``backend="net"``) proxy faults."""
+    base = draw(specs())
+    sources = draw(st.integers(min_value=1, max_value=4))
+    faults = draw(st.lists(
+        st.sampled_from(["honest", "wrong-bits", "stale:0.5", "withhold",
+                         "slow:2"]), max_size=sources))
+    # "ab…" keys cannot collide with the validated "q" / "f" params.
+    params = draw(st.dictionaries(st.text("abcde", min_size=1, max_size=3),
+                                  _JSON_VALUES, max_size=3))
+    changes = dict(protocol_params=params, sources=sources,
+                   source_faults=tuple(faults), n=max(base.n, 5),
+                   topology=draw(st.sampled_from(
+                       ["complete", "ring", "star", "random-dregular:4"])))
+    if draw(st.booleans()):
+        changes.update(
+            backend="net", protocol="balanced", fault_model="none",
+            beta=0.0, network="asynchronous", topology="complete",
+            protocol_params={},  # the net backend checks param names
+            proxy_faults=tuple(draw(st.lists(
+                st.sampled_from(["drop:0.1", "dup:0.2", "delay:0.01"]),
+                unique_by=lambda fault: fault.partition(":")[0],
+                max_size=2))))
+    return dataclasses.replace(base, **changes)
+
+
+def asdict_key(spec: ExperimentSpec, salt: str = CODE_VERSION) -> str:
+    """``spec_cache_key`` as it was computed from ``dataclasses.asdict``
+    (a deep copy of the spec) — the reference the field walk must equal."""
+    payload = dataclasses.asdict(spec)
+    if payload.get("backend") == "sim":
+        del payload["backend"]
+    if payload.get("sources") == 1:
+        del payload["sources"]
+    if not payload.get("source_faults"):
+        payload.pop("source_faults", None)
+    if not payload.get("proxy_faults"):
+        payload.pop("proxy_faults", None)
+    if payload.get("topology", "complete") == "complete":
+        payload.pop("topology", None)
+    digest = hashlib.sha256(
+        f"{salt}\n{canonical_json(payload)}".encode("utf-8"))
+    return digest.hexdigest()
+
+
+def asdict_entry_text(outcome: ExperimentOutcome, salt: str) -> str:
+    """The cache entry the ``asdict``-based writer produced."""
+    return json.dumps({
+        "schema": SCHEMA_VERSION,
+        "salt": salt,
+        "key": asdict_key(outcome.spec, salt),
+        "outcome": {
+            "spec": dataclasses.asdict(outcome.spec),
+            "runs": outcome.runs,
+            "correct_runs": outcome.correct_runs,
+            "mean_query_complexity": outcome.mean_query_complexity,
+            "max_query_complexity": outcome.max_query_complexity,
+            "mean_message_complexity": outcome.mean_message_complexity,
+            "mean_time_complexity": outcome.mean_time_complexity,
+            "failed_runs": outcome.failed_runs,
+            "failures": [dataclasses.asdict(failure)
+                         for failure in outcome.failures],
+            "mean_round_complexity": outcome.mean_round_complexity,
+        },
+    }, indent=2, sort_keys=True)
+
+
+@st.composite
+def outcomes(draw, specs=specs) -> ExperimentOutcome:
     spec = draw(specs())
     correct = draw(st.integers(min_value=0, max_value=spec.repeats))
     finite = st.floats(min_value=0, max_value=1e9, allow_nan=False,
@@ -222,3 +309,64 @@ class TestStoreLoadRoundTrip:
             else:
                 assert cache.get(first.spec) == first
                 assert cache.get(second.spec) == second
+
+
+class TestFieldWalkEqualsAsdict:
+    """``spec_fields`` replaced four ``dataclasses.asdict(spec)`` call
+    sites; everything derived from it must not have moved a byte."""
+
+    @settings(**COMMON)
+    @given(spec=rich_specs(), salt=st.sampled_from([CODE_VERSION, "other"]))
+    def test_keys_equal_the_asdict_reference(self, spec, salt):
+        assert spec_cache_key(spec, salt=salt) == asdict_key(spec, salt)
+        assert SweepJournal("unused", salt=salt).key_for(spec) \
+            == asdict_key(spec, salt)
+        assert ResultCache("unused", salt=salt).path_for(spec).name \
+            == f"{asdict_key(spec, salt)}.json"
+
+    @settings(**COMMON)
+    @given(spec=rich_specs())
+    def test_stored_form_serializes_as_asdict_did(self, spec):
+        fields = spec_fields(spec)
+        for dumps in (canonical_json, json.dumps):
+            assert dumps(fields) == dumps(dataclasses.asdict(spec))
+        # A fresh dict per call that equals its own JSON round trip and
+        # rebuilds the spec.
+        assert fields is not spec_fields(spec)
+        assert json.loads(json.dumps(fields)) == fields
+        assert ExperimentSpec(**fields) == spec
+
+    @settings(**COMMON)
+    @given(spec=rich_specs(), axis_values=st.lists(
+        st.integers(min_value=1, max_value=99), max_size=3, unique=True))
+    def test_job_records_equal_the_asdict_form(self, spec, axis_values):
+        request = JobRequest(spec=spec,
+                             axis="base_seed" if axis_values else None,
+                             values=tuple(axis_values))
+        job = Job(id=job_key(request), request=request, submitted_at=0.0)
+        reference = canonical_json({
+            "spec": asdict_key(spec), "axis": request.axis,
+            "values": list(request.values)})
+        assert job.id == "j" + hashlib.sha256(
+            f"{CODE_VERSION}\n{reference}".encode("utf-8")).hexdigest()[:16]
+        assert json.dumps(job_to_dict(job)["spec"]) \
+            == json.dumps(dataclasses.asdict(spec))
+
+    @settings(**COMMON)
+    @given(outcome=outcomes(specs=rich_specs))
+    def test_put_writes_the_asdict_writers_bytes_and_get_returns_them(
+            self, outcome):
+        with tempfile.TemporaryDirectory() as directory:
+            cache = ResultCache(directory, salt="pinned")
+            path = cache.put(outcome.spec, outcome)
+            assert path == Path(directory) / (
+                asdict_key(outcome.spec, "pinned") + ".json")
+            assert path.read_text(encoding="utf-8") \
+                == asdict_entry_text(outcome, "pinned")
+            # Asked with an equal-but-distinct spec object: the hit
+            # carries the asked one, and equals what was stored.
+            asked = dataclasses.replace(outcome.spec)
+            loaded = cache.get(asked)
+            assert loaded == outcome
+            assert loaded.spec is asked
+            assert cache.stats.hits == 1
