@@ -560,10 +560,19 @@ def _parse_axis_values(axis: str, raw: str) -> list:
     return parts
 
 
+def _retry_policy_for(args):
+    """The ``--max-retries`` / ``--task-timeout`` pair as a policy."""
+    from repro.execution import RetryPolicy
+    if args.max_retries < 0:
+        raise SystemExit("--max-retries must be >= 0")
+    return RetryPolicy(max_attempts=args.max_retries + 1,
+                       task_timeout=args.task_timeout)
+
+
 def _command_sweep(args, out) -> int:
     from repro.experiments import (ExperimentSpec, outcomes_table,
                                    run_experiment, sweep_experiment)
-    from repro.execution import (ResultCache, RetryPolicy, SweepJournal,
+    from repro.execution import (ResultCache, SweepJournal,
                                  default_cache_dir)
     if (args.axis is None) != (args.values is None):
         raise SystemExit("--axis and --values must be given together")
@@ -592,10 +601,7 @@ def _command_sweep(args, out) -> int:
                        else (Path(args.cache_dir) if args.cache_dir
                              else default_cache_dir()))
         journal = SweepJournal(journal_dir / "journal.jsonl")
-    if args.max_retries < 0:
-        raise SystemExit("--max-retries must be >= 0")
-    policy = RetryPolicy(max_attempts=args.max_retries + 1,
-                         task_timeout=args.task_timeout)
+    policy = _retry_policy_for(args)
     import contextlib
     import time
 
@@ -679,7 +685,7 @@ def _command_sweep(args, out) -> int:
 def _command_tournament(args, out) -> int:
     import json
 
-    from repro.execution import RetryPolicy, default_cache_dir
+    from repro.execution import default_cache_dir
     from repro.tournament import (TournamentConfig, league_dashboard_payload,
                                   league_jsonl_lines, render_league,
                                   run_tournament)
@@ -688,8 +694,7 @@ def _command_tournament(args, out) -> int:
         return tuple(part.strip() for part in raw.split(",")
                      if part.strip())
 
-    if args.max_retries < 0:
-        raise SystemExit("--max-retries must be >= 0")
+    policy = _retry_policy_for(args)
     journal_path = args.journal
     if journal_path is None and args.resume:
         journal_path = str(default_cache_dir() / "tournament.jsonl")
@@ -701,9 +706,7 @@ def _command_tournament(args, out) -> int:
                     else TournamentConfig.topologies),
         n=args.n, ell=args.ell, repeats=args.repeats,
         base_seed=args.seed, workers=args.workers,
-        journal_path=journal_path,
-        policy=RetryPolicy(max_attempts=args.max_retries + 1,
-                           task_timeout=args.task_timeout))
+        journal_path=journal_path, policy=policy)
     result = run_tournament(config)
     print(render_league(result), file=out)
     if result.journal_stats is not None:

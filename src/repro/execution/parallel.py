@@ -27,9 +27,8 @@ the resilience layer leans on:
 - a task that fails every attempt becomes a structured
   :class:`~repro.execution.retry.TaskFailure` in the results
   (``on_error="record"``) or re-raises (``on_error="raise"``);
-- a :class:`~repro.execution.journal.SweepJournal` checkpoints each
-  completed ``(spec, repeat)`` as it lands, so an interrupted sweep
-  resumes instead of restarting.
+- what is owed and what is checkpointed, folded and cached around
+  those tasks is :class:`~repro.execution.plan.SweepPlan`'s business.
 
 The generic :func:`run_tasks` helper underneath is also used by the
 benchmark harness (:mod:`benchmarks.support`), whose payloads carry
@@ -49,9 +48,10 @@ from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import (TYPE_CHECKING, Callable, Iterable, Optional, Sequence)
 
-from repro.execution.cache import ResultCache, spec_cache_key
+from repro.execution.cache import ResultCache
 from repro.execution.chaos import ChaosPlan
 from repro.execution.journal import SweepJournal
+from repro.execution.plan import SweepPlan
 from repro.execution.retry import RetryPolicy, TaskFailure, watchdog
 from repro.obs.telemetry import counter as obs_counter
 from repro.obs.telemetry import event as obs_event
@@ -348,13 +348,10 @@ class ParallelRunner:
 
     Args:
         workers: process count; ``1`` means in-process serial.
-        cache: optional :class:`ResultCache`; hits skip computation
-            entirely, misses are stored after aggregation (outcomes
-            containing failures are never cached).
-        journal: optional :class:`SweepJournal`; completed repeats are
-            checkpointed as they land and replayed on the next
-            ``run_many``, so an interrupted sweep resumes instead of
-            restarting.
+        cache: optional :class:`ResultCache`: hits skip computation.
+        journal: optional :class:`SweepJournal`: checkpointed repeats
+            resume (both as :class:`~repro.execution.plan.SweepPlan`
+            describes).
         policy: :class:`~repro.execution.retry.RetryPolicy` for every
             task (default: 3 attempts, no timeout).
         strict: ``True`` re-raises the first task error that survives
@@ -391,65 +388,30 @@ class ParallelRunner:
         """Many specs at once; repeats of *all* uncached specs share one
         pool, so a sweep saturates the workers even when each point has
         few repeats.  Output order matches input order."""
-        from repro.experiments import aggregate_outcome
-        specs = list(specs)
-        outcomes: list = [None] * len(specs)
-        pending: list[int] = []
-        # One hash per spec (and salt) serves every lookup, line and store.
-        keys = {salt: [spec_cache_key(spec, salt=salt) for spec in specs]
-                for salt in {part.salt for part in (self.cache, self.journal)
-                             if part is not None}}
-        for index, spec in enumerate(specs):
-            hit = (self.cache._get(spec, keys[self.cache.salt][index])
-                   if self.cache is not None else None)
-            if hit is not None:
-                outcomes[index] = hit
-                obs_counter("cache_hits")
-                obs_event("cache_hit", index=index)
-            else:
-                pending.append(index)
-        # Checkpointed repeats resume from the journal; only the rest run.
-        completed: dict = {}
-        if self.journal is not None and pending:
-            replayed = self.journal.replay()
-            for index in pending:
-                key = keys[self.journal.salt][index]
-                for repeat in range(specs[index].repeats):
-                    record = replayed.get((key, repeat))
-                    if record is not None:
-                        completed[(index, repeat)] = record
-        tasks = [(index, repeat) for index in pending
-                 for repeat in range(specs[index].repeats)
-                 if (index, repeat) not in completed]
+        return self.settle(specs).outcomes()
 
-        def checkpoint(position: int, record) -> None:
-            index, repeat = tasks[position]
-            self.journal._record(keys[self.journal.salt][index],
-                                 repeat, record)
-
-        records = run_tasks(
+    def settle(self, specs: Sequence["ExperimentSpec"]) -> SweepPlan:
+        """The :class:`SweepPlan` over ``specs`` with every owed task
+        executed and settled — for a caller that wants a point's
+        per-repeat ``rows`` as well as its folded outcome."""
+        plan = SweepPlan(specs, cache=self.cache, journal=self.journal)
+        tasks = plan.tasks
+        results = run_tasks(
             _spec_repeat_task,
-            [(specs[index], repeat) for index, repeat in tasks],
+            [(plan.specs[index], repeat) for index, repeat in tasks],
             workers=self.workers,
             policy=self.policy,
             on_error="raise" if self.strict else "record",
-            on_result=checkpoint if self.journal is not None else None,
-            task_seeds=[specs[index].seed_for(repeat)
+            # Successes settle (and checkpoint) the moment they land.
+            on_result=lambda position, record: plan.settle(
+                tasks[position], record),
+            task_seeds=[plan.specs[index].seed_for(repeat)
                         for index, repeat in tasks],
             chaos=self.chaos)
-        for task, record in zip(tasks, records):
-            completed[task] = record
-        for index in pending:
-            spec = specs[index]
-            outcome = aggregate_outcome(
-                spec, [completed[(index, repeat)]
-                       for repeat in range(spec.repeats)])
-            # Failures are environmental, not content: caching them
-            # would serve a transient fault forever.
-            if self.cache is not None and outcome.failed_runs == 0:
-                self.cache._put(outcome, keys[self.cache.salt][index])
-            outcomes[index] = outcome
-        return outcomes
+        for task, result in zip(tasks, results):
+            if isinstance(result, TaskFailure):
+                plan.settle(task, result)
+        return plan
 
     def sweep(self, spec: "ExperimentSpec", *, axis: str,
               values: Iterable) -> list["ExperimentOutcome"]:

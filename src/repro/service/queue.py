@@ -17,20 +17,16 @@ sweep monopolizing the machine:
 - **Content-addressed dedup.**  Jobs are named by
   :func:`~repro.service.jobs.job_key`; submitting an experiment that
   is pending, running, or done coalesces into the existing job — one
-  execution, N readers of the same result object.  Below job-level
-  dedup, each *point* also consults the engine's
-  :class:`~repro.execution.cache.ResultCache`, so even a brand-new job
-  skips points any previous job (or CLI sweep against the same cache
-  dir) already computed.
+  execution, N readers of the same result object.
+- **One plan per admitted job.**  What a job still owes (points not
+  in the shared cache, repeats not in its private journal) and how
+  records are checkpointed, folded and cached is the engine's
+  :class:`~repro.execution.plan.SweepPlan`, as for a CLI sweep; a
+  killed server re-admits its non-terminal jobs and each resumes.
 - **Cancellation at task boundaries.**  Cancel drops every queued task
   immediately; in-flight tasks (pure functions, at most one per
-  worker) finish and are discarded.
-- **Journal-backed resume.**  Every completed repeat is checkpointed
-  to the job's private :class:`~repro.execution.journal.SweepJournal`
-  the moment it lands; a server killed mid-sweep re-admits its
-  non-terminal jobs on restart and replays the journal, so the resumed
-  job's outcomes are bit-identical to an uninterrupted run
-  (aggregation always re-folds the full record list, in repeat order).
+  worker) finish and are discarded — as is any result whose run is
+  no longer the job's current one (cancel, then resubmit).
 - **Retries.**  Failing tasks retry under the engine's
   :class:`~repro.execution.retry.RetryPolicy` with the same
   deterministic-jitter backoff, then degrade into structured
@@ -54,9 +50,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.execution.cache import ResultCache, resolve_cache
+from repro.execution.plan import SweepPlan
 from repro.execution.retry import RetryPolicy, TaskFailure
-from repro.experiments import (RepeatRecord, aggregate_outcome,
-                               execute_repeat)
+from repro.experiments import execute_repeat
 from repro.obs.telemetry import event as obs_event
 from repro.service.jobs import Job, JobRequest, job_key
 from repro.service.store import JobStore
@@ -97,13 +93,8 @@ class _JobRun:
     """Execution state of one admitted job (queue-internal)."""
 
     job: Job
-    points: list
-    journal: object
+    plan: SweepPlan
     seq: int
-    #: settled records keyed by ``(point index, repeat)``.
-    records: dict = field(default_factory=dict)
-    #: point index -> cache-hit outcome (skipped entirely).
-    point_outcomes: dict = field(default_factory=dict)
     pending: deque = field(default_factory=deque)
     inflight: set = field(default_factory=set)
     #: tasks handed to workers so far (the fairness measure).
@@ -315,28 +306,12 @@ class JobQueue:
         consulted first), or straight into a result if nothing is left
         to run."""
         self._admit_seq += 1
-        run = _JobRun(job=job, points=job.request.points(),
-                      journal=self.store.journal_for(job.id),
-                      seq=self._admit_seq)
-        replayed_map = run.journal.replay()
-        replayed = 0
-        cache_hits = 0
-        for index, point in enumerate(run.points):
-            hit = self.cache.get(point) if self.cache is not None else None
-            if hit is not None:
-                run.point_outcomes[index] = hit
-                cache_hits += 1
-                self.stats.cache_hits += 1
-                continue
-            key = run.journal.key_for(point)
-            for repeat in range(point.repeats):
-                record = replayed_map.get((key, repeat))
-                if record is not None:
-                    run.records[(index, repeat)] = record
-                    replayed += 1
-                else:
-                    run.pending.append((index, repeat))
-        self.stats.journal_replayed += replayed
+        plan = SweepPlan(job.request.points(), cache=self.cache,
+                         journal=self.store.journal_for(job.id))
+        run = _JobRun(job=job, plan=plan, seq=self._admit_seq,
+                      pending=deque(plan.tasks))
+        self.stats.cache_hits += plan.cache_hits
+        self.stats.journal_replayed += plan.replayed
         job.total = job.request.total_tasks
         job.done = job.total - len(run.pending)
         job.failed = 0
@@ -344,7 +319,7 @@ class JobQueue:
             job.transition("running")
         self._runs[job.id] = run
         self._emit(job, "job_started", tasks=len(run.pending),
-                   replayed=replayed, cache_hits=cache_hits)
+                   replayed=plan.replayed, cache_hits=plan.cache_hits)
         self.store.save_job(job)
         if run.settled:
             self._finalize(run)
@@ -385,7 +360,7 @@ class JobQueue:
 
     async def _run_task(self, run: _JobRun, task) -> None:
         index, repeat = task
-        point = run.points[index]
+        point = run.plan.specs[index]
         job = run.job
         attempts = 0
         started = time.monotonic()
@@ -410,14 +385,14 @@ class JobQueue:
             await asyncio.sleep(self.policy.delay_before(
                 attempts + 1, task_seed=point.seed_for(repeat)))
         run.inflight.discard(task)
-        if job.state == "cancelled":
-            return  # the result is pure and discarded; nothing to undo
-        run.records[task] = record
+        if self._runs.get(job.id) is not run:
+            # Cancelled, or cancelled and revived under a new run: the
+            # result is pure and discarded; nothing to undo.
+            return
+        run.plan.settle(task, record)
         if isinstance(record, TaskFailure):
             job.failed += 1
             self.stats.tasks_failed += 1
-        else:
-            run.journal.record(point, repeat, record)
         job.done += 1
         self._emit(job, "job_progress", done=job.done, total=job.total,
                    point=index, repeat=repeat, failed=job.failed,
@@ -439,20 +414,9 @@ class JobQueue:
     # -- completion ----------------------------------------------------------------
 
     def _finalize(self, run: _JobRun) -> None:
-        """Fold records into outcomes (repeat order — bit-identical to
-        a serial sweep), persist, and settle the job."""
+        """Fold the plan into outcomes, persist, and settle the job."""
         job = run.job
-        outcomes = []
-        for index, point in enumerate(run.points):
-            if index in run.point_outcomes:
-                outcomes.append(run.point_outcomes[index])
-                continue
-            outcome = aggregate_outcome(
-                point, [run.records[(index, repeat)]
-                        for repeat in range(point.repeats)])
-            if self.cache is not None and outcome.failed_runs == 0:
-                self.cache.put(point, outcome)
-            outcomes.append(outcome)
+        outcomes = run.plan.outcomes()
         self._results[job.id] = outcomes
         self.store.save_result(job.id, outcomes)
         job.correct = all(outcome.failed_runs == 0

@@ -3,12 +3,11 @@
 One league run crosses every chosen adversary against every chosen
 protocol on every chosen topology — each cell an ordinary
 :class:`~repro.experiments.ExperimentSpec` with its usual per-repeat
-seeds — and executes all repeats of all cells through
-:func:`repro.execution.run_tasks`: one shared pool, per-repeat retry,
-graceful degradation, and (with a journal) checkpointed repeats, so an
-interrupted league resumes instead of restarting.
+seeds — and settles all of them through one
+:class:`~repro.execution.ParallelRunner` (pool, retry, journal resume:
+see :mod:`repro.execution.plan`).
 
-Aggregation keeps the per-repeat records, not just the means: each
+The league reads the plan's per-repeat rows, not just the means: each
 cell reports its success rate, the Q/T/M *medians* over completed
 repeats, and — when any repeat produced a wrong download — a
 *violation exemplar*: the repeat index and the exact per-repeat seed
@@ -27,14 +26,9 @@ import statistics
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from repro.execution import RetryPolicy, SweepJournal, run_tasks
-from repro.execution.parallel import _spec_repeat_task
-from repro.execution.retry import TaskFailure
-from repro.experiments import (
-    ExperimentOutcome,
-    ExperimentSpec,
-    aggregate_outcome,
-)
+from repro.execution import (ParallelRunner, RetryPolicy, TaskFailure,
+                             resolve_journal)
+from repro.experiments import ExperimentOutcome, ExperimentSpec
 
 from repro.tournament.roster import all_adversaries, get_adversary
 
@@ -151,43 +145,14 @@ def run_tournament(config: TournamentConfig) -> LeagueResult:
     specs = [cell_spec(config, entry, protocol, topology)
              for entry, protocol, topology in keys]
 
-    journal = (SweepJournal(config.journal_path)
-               if config.journal_path else None)
-    completed: dict[tuple[int, int], object] = {}
-    if journal is not None:
-        replayed = journal.replay()
-        for index, spec in enumerate(specs):
-            key = journal.key_for(spec)
-            for repeat in range(spec.repeats):
-                record = replayed.get((key, repeat))
-                if record is not None:
-                    completed[(index, repeat)] = record
-    tasks = [(index, repeat) for index in range(len(specs))
-             for repeat in range(specs[index].repeats)
-             if (index, repeat) not in completed]
-
-    def checkpoint(position: int, record) -> None:
-        index, repeat = tasks[position]
-        journal.record(specs[index], repeat, record)
-
-    records = run_tasks(
-        _spec_repeat_task,
-        [(specs[index], repeat) for index, repeat in tasks],
-        workers=config.workers,
-        policy=config.policy,
-        on_error="record",
-        on_result=checkpoint if journal is not None else None,
-        task_seeds=[specs[index].seed_for(repeat)
-                    for index, repeat in tasks])
-    for task, record in zip(tasks, records):
-        completed[task] = record
+    journal = resolve_journal(config.journal_path or None)
+    plan = ParallelRunner(workers=config.workers, journal=journal,
+                          policy=config.policy).settle(specs)
 
     cells = []
-    for index, ((entry, protocol, topology), spec) in enumerate(
-            zip(keys, specs)):
-        rows = [completed[(index, repeat)]
-                for repeat in range(spec.repeats)]
-        outcome = aggregate_outcome(spec, rows)
+    for index, ((entry, protocol, topology), spec, outcome) in enumerate(
+            zip(keys, specs, plan.outcomes())):
+        rows = plan.rows(index)
         measured = [row for row in rows
                     if not isinstance(row, TaskFailure)]
         violation = None

@@ -161,6 +161,15 @@ class TestSweep:
         assert "complete" in output and "star" in output
 
 
+class TestRetryFlags:
+    @pytest.mark.parametrize("argv", [
+        ("sweep", "--protocol", "naive", "--no-cache"), ("tournament",)])
+    def test_negative_max_retries_exits_with_the_same_message(self, argv):
+        with pytest.raises(SystemExit) as caught:
+            run_cli(*argv, "--max-retries", "-1")
+        assert caught.value.code == "--max-retries must be >= 0"
+
+
 class TestTopologyRun:
     def test_run_accepts_topology(self):
         code, output = run_cli("run", "--protocol", "balanced",

@@ -25,6 +25,7 @@ from repro.execution import (
 from repro.execution import cache as cache_module
 from repro.execution import journal as journal_module
 from repro.execution import parallel as parallel_module
+from repro.execution import plan as plan_module
 from repro.experiments import (
     ExperimentOutcome,
     ExperimentSpec,
@@ -33,6 +34,7 @@ from repro.experiments import (
     run_experiment,
     sweep_experiment,
 )
+from repro.service import jobs as jobs_module
 
 # One spec per (fault model x network) cell, sized for test speed.
 GRID = [
@@ -408,32 +410,71 @@ class TestSpecIdentityOnce:
                 time=fields["time"], correct=fields["correct"]))
         assert fresh.path.read_text(encoding="utf-8") == PARENT_JOURNAL
 
-    def test_run_many_hashes_each_spec_once(self, tmp_path, monkeypatch):
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """Every ``spec_cache_key`` call, whichever module makes it."""
         calls = []
 
         def counting(spec, *, salt=cache_module.CODE_VERSION):
             calls.append(spec)
             return real(spec, salt=salt)
         real = cache_module.spec_cache_key
-        for module in (cache_module, journal_module, parallel_module):
-            monkeypatch.setattr(module, "spec_cache_key", counting,
-                                raising=False)
-        specs = [ExperimentSpec(protocol="balanced", n=4, ell=64,
-                                repeats=4, base_seed=seed)
-                 for seed in (1, 2, 3)]
-        runner = ParallelRunner(cache=ResultCache(tmp_path / "cache"),
-                                journal=SweepJournal(tmp_path / "j.jsonl"))
-        cold = runner.run_many(specs)
-        assert runner.cache.stats == CacheStats(hits=0, misses=3, stores=3)
-        assert runner.journal.stats.appended == 12
+        for module in (cache_module, journal_module, plan_module,
+                       jobs_module):
+            monkeypatch.setattr(module, "spec_cache_key", counting)
+        return calls
+
+    def test_run_many_hashes_each_spec_once(self, tmp_path, calls):
+        base = ExperimentSpec(protocol="balanced", n=4, ell=64, repeats=4)
+        cache = ResultCache(tmp_path / "cache")
+        journal = SweepJournal(tmp_path / "j.jsonl")
+
+        def sweep():
+            return sweep_experiment(base, axis="base_seed",
+                                    values=(1, 2, 3), cache=cache,
+                                    journal=journal)
+        cold = sweep()
+        assert cache.stats == CacheStats(hits=0, misses=3, stores=3)
+        assert journal.stats.appended == 12
         # 21 before the key travelled with the run: get, key_for,
         # 4 x record and put, per spec.
         assert len(calls) == 3
         del calls[:]
-        warm = runner.run_many(specs)
-        assert runner.cache.stats.hits == 3
+        warm = sweep()
+        assert cache.stats.hits == 3
         assert len(calls) == 3
         assert warm == cold
+
+    def test_league_hashes_each_cell_once(self, tmp_path, calls):
+        from repro.tournament import TournamentConfig, run_tournament
+        config = TournamentConfig(
+            protocols=("naive",), adversaries=("none",),
+            topologies=("complete", "ring", "star"), n=4, ell=32,
+            repeats=4, journal_path=str(tmp_path / "league.jsonl"))
+        cold = run_tournament(config)
+        assert cold.journal_stats["appended"] == 12
+        # 15 while the league kept its own journal loop: key_for and
+        # 4 x record per cell.
+        assert len(calls) == 3
+        del calls[:]
+        warm = run_tournament(config)
+        assert warm.journal_stats == {"appended": 0, "replayed": 12,
+                                      "corrupt": 0}
+        assert len(calls) == 3
+        assert warm.cells == cold.cells
+
+    def test_served_job_hashes_each_point_once(self, tmp_path, calls):
+        from repro.service.jobs import JobRequest
+        from tests.property.test_property_sweep_plan import serve
+        cache = ResultCache(tmp_path / "cache")
+        job, _outcomes, _stats = serve(tmp_path / "svc", JobRequest(
+            spec=ExperimentSpec(protocol="naive", n=4, ell=32, repeats=4),
+            axis="base_seed", values=(1, 2, 3)), cache)
+        assert job.state == "done" and job.done == job.total == 12
+        assert cache.stats == CacheStats(hits=0, misses=3, stores=3)
+        # 22 while the queue kept its own loop (get, key_for, 4 x record
+        # and put per point); the one beyond the points is job_key.
+        assert len(calls) == 4
 
     def test_cache_and_journal_salts_may_differ(self, tmp_path):
         spec = ExperimentSpec(protocol="balanced", n=4, ell=64, repeats=2)

@@ -188,6 +188,107 @@ class TestCancel:
         stats = run(scenario, tmp_path, pool=1)
         assert stats.resubmitted == 1
 
+    def test_resubmit_with_a_task_in_flight_drops_the_stale_result(
+            self, tmp_path, monkeypatch):
+        """Cancel while a task runs, resubmit at once: the old run's
+        task finishes into a job that has a new run, and must not be
+        folded (it used to fail the revived job with KeyError)."""
+        import threading
+        import time
+
+        from repro.experiments import execute_repeat as real
+        started = threading.Event()
+
+        def slowed(point, repeat):
+            started.set()
+            time.sleep(0.05)
+            return real(point, repeat)
+
+        monkeypatch.setattr("repro.service.queue.execute_repeat", slowed)
+
+        async def scenario(queue):
+            job, _ = queue.submit(JobRequest(spec=spec()))
+            await asyncio.get_running_loop().run_in_executor(
+                None, started.wait, 30)
+            assert queue.cancel(job.id).state == "cancelled"
+            revived, created = queue.submit(JobRequest(spec=spec()))
+            assert revived is job and not created
+            final = await wait_done(queue, job.id)
+            kinds = [entry["event"] for entry in queue.events(job.id)]
+            return final, queue.result(job.id), kinds, queue.stats
+
+        final, outcomes, kinds, stats = run(scenario, tmp_path, pool=1,
+                                            cache=False)
+        assert final.state == "done" and final.correct
+        assert final.done == final.total == spec().repeats
+        assert "job_failed" not in kinds and kinds[-1] == "job_done"
+        assert outcomes == [run_experiment(spec(), cache=None)]
+        # The stale task ran and was discarded; the new run redid it.
+        assert stats.tasks_executed == spec().repeats + 1
+
+
+PARENT_JOB_ID = "je4c09db0cff3450b"
+_PARENT_JOB_SPEC = """{
+      "backend": "sim",
+      "base_seed": 5,
+      "beta": 0.0,
+      "ell": 32,
+      "fault_model": "none",
+      "n": 4,
+      "network": "asynchronous",
+      "protocol": "naive",
+      "protocol_params": {},
+      "proxy_faults": [],
+      "repeats": 3,
+      "source_faults": [],
+      "sources": 1,
+      "strategy": "wrong-bits",
+      "topology": "complete"
+    }"""
+PARENT_JOB = """{
+  "job": {
+    "axis": null,
+    "client": "parent",
+    "correct": null,
+    "done": 0,
+    "error": null,
+    "failed": 0,
+    "finished_at": null,
+    "id": "je4c09db0cff3450b",
+    "priority": 10,
+    "spec": %s,
+    "started_at": 1700000001.0,
+    "state": "running",
+    "submissions": 1,
+    "submitted_at": 1700000000.0,
+    "total": 3,
+    "values": []
+  },
+  "schema": 1
+}""" % _PARENT_JOB_SPEC
+PARENT_JOB_JOURNAL = """\
+{"key": "16c762a9f321114242dcd6dc9cfbdf92f47f3a60326c5b8b2d34cf4aae51409b", "record": {"correct": true, "messages": 0, "queries": 32, "time": 0.9803323110131609}, "repeat": 0, "salt": "2026.10.1", "schema": 1}
+{"key": "16c762a9f321114242dcd6dc9cfbdf92f47f3a60326c5b8b2d34cf4aae51409b", "record": {"correct": true, "messages": 0, "queries": 32, "time": 0.657122125494573}, "repeat": 1, "salt": "2026.10.1", "schema": 1}
+{"key": "16c762a9f321114242dcd6dc9cfbdf92f47f3a60326c5b8b2d34cf4aae51409b", "record": {"correct": true, "messages": 0, "queries": 32, "time": 0.8548211810805797}, "repeat": 2, "salt": "2026.10.1", "schema": 1}
+"""
+PARENT_JOB_RESULT = """{
+  "outcomes": [
+    {
+      "correct_runs": 3,
+      "failed_runs": 0,
+      "failures": [],
+      "max_query_complexity": 32,
+      "mean_message_complexity": 0.0,
+      "mean_query_complexity": 32.0,
+      "mean_round_complexity": null,
+      "mean_time_complexity": 0.8307585391961045,
+      "runs": 3,
+      "spec": %s
+    }
+  ],
+  "schema": 1
+}""" % _PARENT_JOB_SPEC.replace("\n", "\n  ")
+
 
 class TestResume:
     def test_recover_replays_the_journal_bit_identically(self, tmp_path):
@@ -217,6 +318,53 @@ class TestResume:
         assert stats.tasks_executed == 2  # only the missing repeats ran
         reference = run_experiment(spec(repeats=4), cache=None)
         assert outcomes[0] == reference
+
+    def test_a_store_written_by_the_parent_commit_resumes_here(
+            self, tmp_path):
+        """job.json + journal.jsonl as the commit before the queue moved
+        onto the engine's sweep plan left them when killed after two of
+        three repeats; the recovered job's result.json and event fields
+        are what that commit wrote for the uninterrupted job."""
+        import json
+
+        from repro.execution import CODE_VERSION
+        assert CODE_VERSION == "2026.10.1"  # else re-record the fixtures
+        store = JobStore(tmp_path / "svc")
+        job_dir = store.job_dir(PARENT_JOB_ID)
+        job_dir.mkdir(parents=True)
+        store.job_path(PARENT_JOB_ID).write_text(PARENT_JOB,
+                                                 encoding="utf-8")
+        lines = PARENT_JOB_JOURNAL.splitlines(True)
+        (job_dir / "journal.jsonl").write_text("".join(lines[:2]),
+                                               encoding="utf-8")
+
+        async def scenario(queue):
+            final = await wait_done(queue, PARENT_JOB_ID)
+            assert final.state == "done" and final.done == final.total
+            return queue.events(PARENT_JOB_ID), queue.stats
+
+        events, stats = run(scenario, tmp_path, pool=1)
+        assert (stats.journal_replayed, stats.tasks_executed) == (2, 1)
+        assert (job_dir / "journal.jsonl").read_text(
+            encoding="utf-8") == PARENT_JOB_JOURNAL
+        assert store.result_path(PARENT_JOB_ID).read_text(
+            encoding="utf-8") == PARENT_JOB_RESULT
+        # The cache entry it stores is named by the journal's key.
+        key = json.loads(lines[0])["key"]
+        assert [path.name for path in store.cache_dir.iterdir()] == [
+            f"{key}.json"]
+        # Same event kinds, same fields (times aside) as the parent's
+        # own trail for the tail of this job.
+        assert [{name: value for name, value in entry.items()
+                 if name not in ("t", "wall_s")} for entry in events] == [
+            {"event": "job_started", "job": PARENT_JOB_ID, "tasks": 1,
+             "replayed": 2, "cache_hits": 0},
+            {"event": "job_progress", "job": PARENT_JOB_ID, "done": 3,
+             "total": 3, "point": 0, "repeat": 2, "failed": 0},
+            {"event": "job_done", "job": PARENT_JOB_ID, "correct": True}]
+        assert all("t" in entry for entry in events)
+        assert ["wall_s" in entry for entry in events] == [False, True,
+                                                           True]
 
     def test_recover_skips_terminal_jobs(self, tmp_path):
         async def first_life(queue):

@@ -7,15 +7,18 @@ downloads *wrong* on every seed, so the league always captures
 violation exemplars — and every exemplar must replay.
 """
 
+import dataclasses
+
 import pytest
 
-from repro.execution import RetryPolicy
+from repro.execution import CODE_VERSION, RetryPolicy
 from repro.execution.retry import TaskFailure
 from repro.experiments import ExperimentSpec, execute_repeat
 from repro.tournament import (
     TournamentConfig,
     cell_spec,
     get_adversary,
+    render_league,
     run_tournament,
 )
 
@@ -110,7 +113,7 @@ class TestFailedRepeats:
     def test_a_failure_is_named_after_its_repeat(self, monkeypatch):
         # The league's fourth task overall; the record says which
         # repeat of its cell it was, as sweeps and served jobs do.
-        monkeypatch.setattr("repro.tournament.league._spec_repeat_task",
+        monkeypatch.setattr("repro.execution.parallel._spec_repeat_task",
                             _ring_repeat_one_always_fails)
         complete, ring = run_tournament(TournamentConfig(
             protocols=("naive",), adversaries=("none",),
@@ -141,3 +144,49 @@ class TestJournalResume:
                 for c in first.cells] == \
             [(c.success_rate, c.median_queries, c.median_messages)
              for c in second.cells]
+
+
+#: What the commit before the league moved onto the engine's sweep plan
+#: wrote for this league (journal) and printed for it (report).
+PARENT_LEAGUE = TournamentConfig(
+    protocols=("naive",), adversaries=("none",),
+    topologies=("complete", "ring"), n=4, ell=32, repeats=2, base_seed=0)
+PARENT_LEAGUE_JOURNAL = """\
+{"key": "e31aacc0bdcc2b680274e917c19dd9660d5e56cbbc9528655ddbcbc3dc16aabe", "record": {"correct": true, "messages": 0, "queries": 32, "time": 0.7711233532541508}, "repeat": 0, "salt": "2026.10.1", "schema": 1}
+{"key": "e31aacc0bdcc2b680274e917c19dd9660d5e56cbbc9528655ddbcbc3dc16aabe", "record": {"correct": true, "messages": 0, "queries": 32, "time": 0.9016067252748275}, "repeat": 1, "salt": "2026.10.1", "schema": 1}
+{"key": "f666926830bc2869f15580331113ea8b23858cf208ddc6658c9deff1da4fb08b", "record": {"correct": true, "messages": 0, "queries": 32, "time": 0.8186946238240093}, "repeat": 0, "salt": "2026.10.1", "schema": 1}
+{"key": "f666926830bc2869f15580331113ea8b23858cf208ddc6658c9deff1da4fb08b", "record": {"correct": true, "messages": 0, "queries": 32, "time": 0.9937174693802754}, "repeat": 1, "salt": "2026.10.1", "schema": 1}
+"""
+PARENT_LEAGUE_REPORT = """\
+adversary league (strongest opponent first)
+----------------------------------------------
+ 1. none                     protocols score 100.0% against it
+
+protocol ranking (most robust first)
+----------------------------------------------
+ 1. naive                    mean success 100.0%
+
+cells
+----------------------------------------------
+adversary | protocol | topology |    ok |    med Q |    med M |    med T
+none      | naive    | complete |   2/2 |       32 |        0 |     0.84
+none      | naive    | ring     |   2/2 |       32 |        0 |     0.91
+
+violations: none"""
+
+
+class TestParentWrittenJournal:
+    def test_a_league_interrupted_at_the_parent_resumes_here(
+            self, tmp_path):
+        assert CODE_VERSION == "2026.10.1"  # else re-record the fixture
+        path = tmp_path / "league.jsonl"
+        lines = PARENT_LEAGUE_JOURNAL.splitlines(True)
+        path.write_text("".join(lines[:3]), encoding="utf-8")
+        result = run_tournament(dataclasses.replace(
+            PARENT_LEAGUE, journal_path=str(path)))
+        assert result.journal_stats == {"appended": 1, "replayed": 3,
+                                        "corrupt": 0}
+        # The one line owed is the line the parent wrote, and the
+        # report reads the same.
+        assert path.read_text(encoding="utf-8") == PARENT_LEAGUE_JOURNAL
+        assert render_league(result) == PARENT_LEAGUE_REPORT
