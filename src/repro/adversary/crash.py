@@ -142,8 +142,6 @@ class CrashAdversary(Adversary):
             return  # already finished or already crashed
         process.halt()
         self._halted.add(pid)
-        if self.env.trace is not None:
-            self.env.trace.record(self.env.kernel.now, "crash", pid=pid)
         if self.env.telemetry is not None:
             self.env.telemetry.emit("crash", {"t": self.env.kernel.now,
                                               "peer": pid})

@@ -100,7 +100,7 @@ class _TaskState:
 
 
 def run_tasks(fn: Callable, payloads: Iterable, *, workers: int = 1,
-              isolate: bool = True, policy: Optional[RetryPolicy] = None,
+              policy: Optional[RetryPolicy] = None,
               on_error: str = "raise",
               on_result: Optional[Callable[[int, object], None]] = None,
               task_seeds: Optional[Sequence[int]] = None,
@@ -108,11 +108,11 @@ def run_tasks(fn: Callable, payloads: Iterable, *, workers: int = 1,
     """Order-preserving, fault-tolerant map of ``fn`` over ``payloads``.
 
     ``workers > 1`` distributes over a process pool; ``workers = 1``
-    runs in-process.  With ``isolate=True`` (the default) serial mode
-    passes each payload through a pickle round-trip, mirroring the copy
-    a pool worker would receive — mutable payload state (e.g. a shared
-    adversary object) then cannot leak between tasks in either mode,
-    which is what makes serial and parallel results identical.
+    runs in-process.  Serial mode passes each payload through a pickle
+    round-trip, mirroring the copy a pool worker would receive — mutable
+    payload state (e.g. a shared adversary object) then cannot leak
+    between tasks in either mode, which is what makes serial and
+    parallel results identical.
 
     Every task runs under ``policy`` (default: the stock
     :class:`~repro.execution.retry.RetryPolicy` — 3 attempts, no
@@ -156,18 +156,15 @@ def run_tasks(fn: Callable, payloads: Iterable, *, workers: int = 1,
                          f"{len(payloads)} payloads")
 
     serial = workers == 1 or len(payloads) == 1
-    if serial and not isolate:
-        blobs = None  # direct calls: no pickling needed at all
-    else:
-        try:
-            blobs = [pickle.dumps((fn, payload)) for payload in payloads]
-        except (pickle.PicklingError, TypeError, AttributeError) as exc:
-            warnings.warn(
-                f"run_tasks: payloads are not picklable ({exc}); falling "
-                f"back to serial execution without per-task isolation",
-                RuntimeWarning, stacklevel=2)
-            blobs = None
-            serial = True
+    try:
+        blobs = [pickle.dumps((fn, payload)) for payload in payloads]
+    except (pickle.PicklingError, TypeError, AttributeError) as exc:
+        warnings.warn(
+            f"run_tasks: payloads are not picklable ({exc}); falling "
+            f"back to serial execution without per-task isolation",
+            RuntimeWarning, stacklevel=2)
+        blobs = None
+        serial = True
 
     if serial:
         return _run_serial(fn, payloads, blobs, seeds, policy,

@@ -106,7 +106,6 @@ def merge_results(parts: Sequence[RunResult]) -> RunResult:
         events_processed=sum(part.events_processed for part in parts),
         elapsed_virtual_time=max(part.elapsed_virtual_time
                                  for part in parts),
-        trace=None,
         queried_indices=queried,
         queried_by_source=queried_by_source,
     )

@@ -11,8 +11,8 @@ one of those observable without perturbing the run:
   ``None`` at run construction so its hot loops pay nothing per event.
 - :mod:`repro.obs.schema` — the unified JSONL event schema (run
   header, per-peer query timeline, adversary decisions, scheduler
-  wake/resume events) shared by live telemetry, post-hoc
-  :class:`~repro.sim.trace.TraceRecorder` conversion, and sweeps.
+  wake/resume events) shared by runs and sweeps — the one per-run
+  record.
 - :mod:`repro.obs.export` — assembling and writing per-run / per-sweep
   JSONL files (``repro run --telemetry out.jsonl``).
 - :mod:`repro.obs.trace_cli` — the ``repro trace
@@ -38,12 +38,7 @@ docs/OBSERVABILITY.md for the full schema and a worked debugging
 session.
 """
 
-from repro.obs.export import (
-    events_from_result,
-    export_run,
-    run_events,
-    sweep_events,
-)
+from repro.obs.export import export_run, run_events, sweep_events
 from repro.obs.progress import ProgressTracker
 from repro.obs.schema import (
     SCHEMA_VERSION,
@@ -76,7 +71,6 @@ __all__ = [
     "active",
     "counter",
     "event",
-    "events_from_result",
     "export_run",
     "get_backend",
     "read_events",

@@ -1,16 +1,9 @@
 """Assemble and write run/sweep telemetry exports.
 
-Two paths produce the same JSONL shape:
-
-- **Live** — install a :class:`~repro.obs.telemetry.RecordingTelemetry`
-  for the run (the ``--telemetry`` CLI flag does this); the simulator
-  emits schema events inline, and :func:`run_events` appends the
-  aggregated counters and writes the stream.
-- **Post-hoc** — a run executed with ``Simulation(trace=True)`` but no
-  telemetry backend still carries a
-  :class:`~repro.sim.trace.TraceRecorder`; :func:`events_from_result`
-  converts its records into the same schema (the subset tracing
-  captures: sends, deliveries, crashes, terminations).
+Install a :class:`~repro.obs.telemetry.RecordingTelemetry` for the run
+(the ``--telemetry`` CLI flag does this); the simulator emits schema
+events inline, and :func:`run_events` appends the aggregated counters
+and writes the stream.
 """
 
 from __future__ import annotations
@@ -22,51 +15,10 @@ from repro.obs import schema
 from repro.obs.telemetry import RecordingTelemetry
 
 __all__ = [
-    "events_from_result",
     "export_run",
     "run_events",
     "sweep_events",
 ]
-
-
-def _convert_trace_record(record) -> Optional[dict]:
-    """One TraceRecord -> one schema event (None for unmapped kinds)."""
-    details = record.details
-    if record.kind == "send":
-        return {"event": "send", "t": record.time,
-                "src": details["sender"], "dst": details["destination"],
-                "type": details["message"], "bits": details["bits"],
-                "honest": bool(details.get("honest", True))}
-    if record.kind == "deliver":
-        return {"event": "deliver", "t": record.time,
-                "src": details["sender"], "dst": details["destination"],
-                "type": details["message"]}
-    if record.kind == "terminate":
-        return {"event": "terminate", "t": record.time,
-                "peer": details["pid"]}
-    if record.kind == "crash":
-        return {"event": "crash", "t": record.time, "peer": details["pid"]}
-    return None
-
-
-def events_from_result(result, header: Optional[dict] = None) -> list[dict]:
-    """Schema events for a finished run, from its (optional) trace.
-
-    Use when the run was *not* executed under a telemetry backend:
-    whatever the :class:`~repro.sim.trace.TraceRecorder` captured is
-    converted, and the closing ``run_summary`` is derived from the
-    result.  Trace kinds with no schema mapping are skipped (they are
-    test-internal).
-    """
-    events: list[dict] = [] if header is None else [dict(header)]
-    trace = getattr(result, "trace", None)
-    if trace is not None:
-        for record in trace.records:
-            converted = _convert_trace_record(record)
-            if converted is not None:
-                events.append(converted)
-    events.append(schema.run_summary(result))
-    return events
 
 
 def run_events(recording: RecordingTelemetry, result=None) -> list[dict]:

@@ -1,9 +1,8 @@
 """The unified telemetry event schema and its JSONL serialization.
 
 One schema for every window into a run: live telemetry emission,
-post-hoc :class:`~repro.sim.trace.TraceRecorder` conversion, sweep
-progress, and the ``repro trace`` CLI all speak these events.  Every
-event is a flat JSON object with an ``"event"`` discriminator; the
+sweep progress, and the ``repro trace`` CLI all speak these events.
+Every event is a flat JSON object with an ``"event"`` discriminator; the
 full field-by-field reference lives in docs/OBSERVABILITY.md and is
 mirrored here in :data:`EVENT_FIELDS` (which :func:`validate_event`
 enforces, and which the doc tests cross-check against the docs).
@@ -171,7 +170,7 @@ def run_header(*, n: int, ell: int, t: int, seed: int,
 
 def unified_metrics(result: "RunResult") -> dict:
     """One run's accounting, in schema shape (the read side for
-    reporting/viz — prefer this over poking
+    reporting — prefer this over poking
     :class:`~repro.sim.metrics.MetricsCollector` internals).
 
     Keys mirror the ``run_summary`` event minus the envelope: the

@@ -26,6 +26,7 @@ from typing import Optional, Sequence
 
 from repro.obs import schema
 from repro.obs.schema import WALL_CLOCK_FIELDS
+from repro.sim.messages import SOURCE_ID
 
 __all__ = [
     "attach_trace_parser",
@@ -162,6 +163,8 @@ def render_timeline(events: Sequence[dict], *, width: int = 72,
                 for key in ("peer", "src", "dst"):
                     if key in entry:
                         seen.add(int(entry[key]))
+            # A source response's ``src``; the source is never a row.
+            seen.discard(SOURCE_ID)
             peers = sorted(seen)
     horizon = max((entry["t"] for entry in events if "t" in entry),
                   default=0.0) or 1e-9

@@ -6,8 +6,8 @@ measurable artifacts a stable on-disk form:
 - :func:`report_to_dict` / :func:`report_from_dict` — complexity
   reports;
 - :func:`summarize_run` — a :class:`~repro.sim.runner.RunResult`
-  reduced to its JSON-safe measurements (outputs and traces are
-  deliberately dropped: persist measurements, not transcripts);
+  reduced to its JSON-safe measurements (outputs are deliberately
+  dropped: persist measurements, not transcripts);
 - :func:`save_outcomes` / :func:`load_outcomes` — experiment-outcome
   collections (:mod:`repro.experiments`), round-trippable.
 

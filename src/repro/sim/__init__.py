@@ -38,7 +38,6 @@ from repro.sim.source import (
     parse_faults,
 )
 from repro.sim.sourceset import SourceSet
-from repro.sim.trace import TraceRecord, TraceRecorder
 
 __all__ = [
     "BudgetExceeded",
@@ -62,8 +61,6 @@ __all__ = [
     "SimulationError",
     "Sleep",
     "SOURCE_ID",
-    "TraceRecord",
-    "TraceRecorder",
     "WaitUntil",
     "WITHHOLD",
     "WithheldMessage",

@@ -131,14 +131,10 @@ class _Route:
         node = hops[hop]
         receiver = network._receivers[node]
         now = network.kernel.now
-        trace, telemetry = network.trace, network.telemetry
+        telemetry = network.telemetry
         if hop + 1 == len(hops):
             if not receiver.live:
                 return
-            if trace is not None:
-                trace.record(now, "deliver",
-                             sender=message.sender, destination=node,
-                             message=type(message).__name__, hop=hop)
             if telemetry is not None:
                 telemetry.emit("deliver", {
                     "t": now, "src": message.sender, "dst": node,
@@ -148,15 +144,6 @@ class _Route:
         if getattr(receiver, "halted", False):
             return  # route severed at a crashed relay
         size = message.size_bits()
-        if trace is not None:
-            trace.record(now, "deliver",
-                         sender=hops[hop - 1], destination=node,
-                         message=type(message).__name__,
-                         relay=True, hop=hop)
-            trace.record(now, "send",
-                         sender=node, destination=hops[hop + 1],
-                         message=type(message).__name__, bits=size,
-                         honest=self.honest, relay=True, hop=hop + 1)
         if telemetry is not None:
             telemetry.emit("deliver", {
                 "t": now, "src": hops[hop - 1], "dst": node,
@@ -227,11 +214,8 @@ class Network:
         self._span_sinks: dict[type, object] = {}
         self._withheld: list[WithheldMessage] = []
         self._last_delivery: dict[tuple[int, int], float] = {}
-        #: Optional TraceRecorder; when set, every send/delivery is
-        #: recorded (wired by the runner when tracing is enabled).
-        self.trace = None
-        #: Resolved telemetry backend, or ``None`` when disabled (the
-        #: runner wires this alongside ``trace``).
+        #: Resolved telemetry backend, or ``None`` when disabled (wired
+        #: by the runner); when set, every send/delivery is recorded.
         self.telemetry = None
         kernel.on_quiescence = self._flush_withheld
 
@@ -299,11 +283,6 @@ class Network:
                 f"is {self.message_size_limit} bits")
         if honest:
             self.metrics.record_message(sender_pid, size)
-        if self.trace is not None:
-            self.trace.record(self.kernel.now, "send",
-                              sender=sender_pid, destination=destination,
-                              message=type(message).__name__, bits=size,
-                              honest=honest)
         if self.telemetry is not None:
             self.telemetry.emit("send", {
                 "t": self.kernel.now, "src": sender_pid,
@@ -382,7 +361,7 @@ class Network:
         the ID order goes out) do not depend on how deliveries are
         scheduled.  Only the *scheduling* may be collapsed: when the
         message type has a :meth:`span_sink` and nothing acts per
-        delivery — no trace or telemetry (they record each delivery),
+        delivery — no telemetry (it records each delivery),
         no FIFO links or size limit (they act per message), no routed
         topology (a span is one hop to consecutive pids) — a maximal
         run of consecutive destinations that got the message
@@ -397,8 +376,8 @@ class Network:
         """
         sink = self._span_sinks.get(type(message))
         if (sink is None or self._router is not None
-                or self.telemetry is not None or self.trace is not None
-                or self.fifo or self.message_size_limit is not None):
+                or self.telemetry is not None or self.fifo
+                or self.message_size_limit is not None):
             send_to_each(self, sender_pid, n, message, sender_cycle)
             return
         kernel = self.kernel
@@ -499,11 +478,6 @@ class Network:
         receiver = self._receivers[destination]
         if not receiver.live:
             return  # deliveries to crashed/finished peers evaporate
-        if self.trace is not None:
-            self.trace.record(self.kernel.now, "deliver",
-                              sender=message.sender,
-                              destination=destination,
-                              message=type(message).__name__)
         if self.telemetry is not None:
             self.telemetry.emit("deliver", {
                 "t": self.kernel.now, "src": message.sender,

@@ -49,7 +49,6 @@ class SimEnv:
     ell: int
     rng: SplittableRNG
     message_size_limit: Optional[int] = None
-    trace: Optional[object] = None
     #: Resolved telemetry backend, or ``None`` when telemetry is
     #: disabled — the runner caches the process-global backend here
     #: once per run so per-event sites pay a single ``is not None``.
@@ -327,9 +326,6 @@ class Peer(Process):
         """Terminate with ``output`` (call immediately before returning)."""
         self.output = output
         self.env.metrics.record_termination(self.pid, self.env.kernel.now)
-        if self.env.trace is not None:
-            self.env.trace.record(self.env.kernel.now, "terminate",
-                                  pid=self.pid)
         telemetry = self.env.telemetry
         if telemetry is not None:
             telemetry.emit("terminate", {"t": self.env.kernel.now,

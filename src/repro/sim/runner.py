@@ -34,7 +34,6 @@ from repro.sim.process import Process
 from repro.sim.scheduler import DEFAULT_MAX_EVENTS, Kernel
 from repro.sim.source import parse_faults
 from repro.sim.sourceset import SourceSet
-from repro.sim.trace import TraceRecorder
 from repro.topology import resolve_topology
 from repro.util.bitarrays import BitArray
 from repro.util.rng import SplittableRNG, derive_seed
@@ -55,7 +54,6 @@ class RunResult:
     faulty: set[int]
     events_processed: int
     elapsed_virtual_time: float
-    trace: Optional[TraceRecorder] = None
     #: Per-peer sets of queried bit positions (from the source's log).
     queried_indices: Mapping[int, set[int]] = field(default_factory=dict)
     #: Per-(peer, source) queried positions; empty unless the run had
@@ -102,7 +100,6 @@ class Simulation:
                  message_size_limit: Optional[int] = None,
                  packetize: bool = False,
                  fifo: bool = False,
-                 trace: bool = False,
                  allow_fault_overrun: bool = False,
                  sources: int = 1,
                  source_faults=(),
@@ -140,7 +137,6 @@ class Simulation:
         self.packetize = packetize
         #: Per-link FIFO delivery (off = the model's non-FIFO default).
         self.fifo = fifo
-        self.trace_enabled = trace
         #: The lower-bound constructions (Thm 3.1/3.2) deliberately run
         #: a protocol whose fault assumption ``t`` is *smaller* than
         #: the adversary's real corruption plan; this flag waives the
@@ -204,14 +200,12 @@ class Simulation:
     def _run(self, kernel: Kernel, network: Network, max_events: int,
              max_time: Optional[float]) -> RunResult:
         metrics = network.metrics
-        trace = TraceRecorder() if self.trace_enabled else None
         # Resolve the process-global telemetry backend exactly once per
         # run: every instrumentation site below holds either the live
         # backend or None, so a disabled backend costs each site one
         # ``is not None`` check and the kernel's event loop nothing.
         backend = get_backend()
         sink = backend if backend.enabled else None
-        network.trace = trace
         kernel.telemetry = sink
         network.telemetry = sink
         source = SourceSet(self.data.copy(), metrics, network,
@@ -223,7 +217,7 @@ class Simulation:
                      metrics=metrics, adversary=self.adversary,
                      n=self.n, t=self.t, ell=self.ell, rng=self.rng,
                      message_size_limit=self.message_size_limit,
-                     trace=trace, telemetry=sink, extras=self.extras,
+                     telemetry=sink, extras=self.extras,
                      topology=self.topology)
         self.adversary.bind(env)
 
@@ -285,7 +279,6 @@ class Simulation:
             faulty=actually_faulty,
             events_processed=kernel.events_processed,
             elapsed_virtual_time=kernel.now,
-            trace=trace,
             # A snapshot of the ledger's masks; a peer's set is built
             # when somebody reads it, which most runs never do.
             queried_indices=source.queried_indices,
@@ -303,7 +296,6 @@ def run_download(*, n: int, peer_factory: PeerFactory,
                  message_size_limit: Optional[int] = None,
                  packetize: bool = False,
                  fifo: bool = False,
-                 trace: bool = False,
                  sources: int = 1,
                  source_faults=(),
                  mutations=(),
@@ -315,7 +307,7 @@ def run_download(*, n: int, peer_factory: PeerFactory,
         n=n, peer_factory=peer_factory, ell=ell, data=data, t=t,
         adversary=adversary, seed=seed,
         message_size_limit=message_size_limit, packetize=packetize,
-        fifo=fifo, trace=trace, sources=sources,
+        fifo=fifo, sources=sources,
         source_faults=source_faults, mutations=mutations, extras=extras,
         topology=topology)
     return simulation.run(max_events=max_events)

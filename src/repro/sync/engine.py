@@ -295,6 +295,27 @@ class SyncEngine:
     #: such a round forever; randomized ones get a few retries).
     STALL_LIMIT = 3
 
+    def _transmit(self, sink, round_no: int, src: int, dst: int,
+                  message: Message, honest: bool, charged: bool,
+                  hop: int = 0) -> None:
+        """One link traversal ``src -> dst``: charged to ``src`` when
+        ``charged`` and announced as a ``send`` event (a relay forward,
+        ``hop > 0``, carries ``relay`` and its hop number)."""
+        bits = message.size_bits()
+        if charged:
+            self.messages_sent += 1
+            self.per_peer_messages[src] = \
+                self.per_peer_messages.get(src, 0) + 1
+            self.message_bits += bits
+        if sink is not None:
+            event = {"t": float(round_no), "src": src, "dst": dst,
+                     "type": type(message).__name__, "bits": bits,
+                     "honest": honest}
+            if hop:
+                event["relay"] = True
+                event["hop"] = hop
+            sink.emit("send", event)
+
     def run(self, max_rounds: int = MAX_ROUNDS) -> SyncRunResult:
         # Resolve the process-global telemetry backend once per run,
         # mirroring the async Simulation: a disabled backend costs one
@@ -370,23 +391,16 @@ class SyncEngine:
                         continue  # route severed at a crashed relay
                     hop = index + 1
                     next_node = hops[index + 2]
-                    kind = type(message).__name__
                     if sink is not None:
                         sink.emit("deliver", {
                             "t": float(round_no), "src": hops[index],
-                            "dst": node, "type": kind,
+                            "dst": node, "type": type(message).__name__,
                             "relay": True, "hop": hop})
-                        sink.emit("send", {
-                            "t": float(round_no), "src": node,
-                            "dst": next_node, "type": kind,
-                            "bits": message.size_bits(),
-                            "honest": honest_origin,
-                            "relay": True, "hop": hop + 1})
-                    if honest_origin and node not in self.corrupted:
-                        self.messages_sent += 1
-                        self.per_peer_messages[node] = \
-                            self.per_peer_messages.get(node, 0) + 1
-                        self.message_bits += message.size_bits()
+                    self._transmit(
+                        sink, round_no, node, next_node, message,
+                        honest_origin,
+                        honest_origin and node not in self.corrupted,
+                        hop=hop + 1)
                     delivered += 1
                     if index + 3 == len(hops):
                         next_inboxes[next_node].append(message)
@@ -394,7 +408,8 @@ class SyncEngine:
                             sink.emit("deliver", {
                                 "t": float(round_no),
                                 "src": getattr(message, "sender", hops[0]),
-                                "dst": next_node, "type": kind,
+                                "dst": next_node,
+                                "type": type(message).__name__,
                                 "hop": hop + 1})
                     else:
                         self._relays.append(
@@ -410,46 +425,25 @@ class SyncEngine:
                                 # transmission now, park the messages at
                                 # the first relay.
                                 delivered += len(messages)
-                                if honest_sender:
-                                    self.messages_sent += len(messages)
-                                    self.per_peer_messages[sender] = \
-                                        self.per_peer_messages.get(
-                                            sender, 0) + len(messages)
-                                    self.message_bits += sum(
-                                        message.size_bits()
-                                        for message in messages)
                                 for message in messages:
-                                    if sink is not None:
-                                        sink.emit("send", {
-                                            "t": float(round_no),
-                                            "src": sender,
-                                            "dst": destination,
-                                            "type": type(message).__name__,
-                                            "bits": message.size_bits(),
-                                            "honest": honest_sender})
+                                    self._transmit(
+                                        sink, round_no, sender, destination,
+                                        message, honest_sender,
+                                        honest_sender)
                                     self._relays.append(
                                         (hops, 0, message, honest_sender))
                                 continue
                         next_inboxes[destination].extend(messages)
                         delivered += len(messages)
-                        if honest_sender:
-                            self.messages_sent += len(messages)
-                            self.per_peer_messages[sender] = \
-                                self.per_peer_messages.get(sender, 0) + \
-                                len(messages)
-                            self.message_bits += sum(
-                                message.size_bits() for message in messages)
-                        if sink is not None:
-                            for message in messages:
-                                kind = type(message).__name__
-                                sink.emit("send", {
-                                    "t": float(round_no), "src": sender,
-                                    "dst": destination, "type": kind,
-                                    "bits": message.size_bits(),
-                                    "honest": honest_sender})
+                        for message in messages:
+                            self._transmit(sink, round_no, sender,
+                                           destination, message,
+                                           honest_sender, honest_sender)
+                            if sink is not None:
                                 sink.emit("deliver", {
                                     "t": float(round_no), "src": sender,
-                                    "dst": destination, "type": kind})
+                                    "dst": destination,
+                                    "type": type(message).__name__})
             inboxes = next_inboxes
             events_processed += delivered
 

@@ -120,11 +120,10 @@ CASES: list[dict] = [
      "seed": 61, "peer_params": {"f": 1, "alert": True}, "sources": 3,
      "source_faults": ["wrong-bits"], "topology": "ring"},
     # -- asynchronous kernel over routed topologies ---------------------
-    # Every case with a "topology" runs traced, and its record carries
-    # ``messages_sha``: a digest of every send/deliver record in order,
-    # relay hops included (time, endpoints, type, bits, relay, hop).
-    # The telemetry runner recomputes the same digest from the
-    # recording backend's events, so both instrumentations are pinned.
+    # Every case with a "topology" runs under a recording telemetry
+    # backend, and its record carries ``messages_sha``: a digest of
+    # every send/deliver event in order, relay hops included (time,
+    # endpoints, type, bits, honest, relay, hop).
     {"name": "routed-balanced-ring", "engine": "async",
      "protocol": "balanced", "n": 8, "ell": 128, "fault_model": "none",
      "beta": 0.0, "seed": 67, "topology": "ring"},
@@ -170,32 +169,12 @@ def _queried_digest(queried: dict) -> str:
     return _sha("|".join(parts))
 
 
-def _message_line(kind, time, src, dst, name, bits, honest, relay,
-                  hop) -> str:
-    return (f"{kind}|{time!r}|{src}|{dst}|{name}|{bits}|{honest}|"
-            f"{relay}|{hop}")
-
-
-def trace_messages_digest(trace) -> str:
-    """Digest of a TraceRecorder's send/deliver records, in order."""
+def messages_digest(events) -> str:
+    """Digest of a run's send/deliver events, in order."""
     return _sha("\n".join(
-        _message_line(record.kind, record.time, record["sender"],
-                      record["destination"], record["message"],
-                      record.details.get("bits"),
-                      record.details.get("honest"),
-                      record.details.get("relay"),
-                      record.details.get("hop"))
-        for record in trace.records
-        if record.kind in ("send", "deliver")))
-
-
-def telemetry_messages_digest(events) -> str:
-    """The same digest, from a recording backend's event dicts."""
-    return _sha("\n".join(
-        _message_line(event["event"], event["t"], event["src"],
-                      event["dst"], event["type"], event.get("bits"),
-                      event.get("honest"), event.get("relay"),
-                      event.get("hop"))
+        f"{event['event']}|{event['t']!r}|{event['src']}|{event['dst']}|"
+        f"{event['type']}|{event.get('bits')}|{event.get('honest')}|"
+        f"{event.get('relay')}|{event.get('hop')}"
         for event in events if event["event"] in ("send", "deliver")))
 
 
@@ -218,6 +197,7 @@ def _withholding_adversary(peers):
 
 def _capture_async(case: dict) -> dict:
     from repro.experiments import ExperimentSpec
+    from repro.obs.telemetry import RecordingTelemetry, get_backend, using
     from repro.sim import run_download
 
     spec = ExperimentSpec(
@@ -233,14 +213,21 @@ def _capture_async(case: dict) -> dict:
     routed = "topology" in case
     adversary = (_withholding_adversary(frozenset(case["withhold_from"]))
                  if "withhold_from" in case else spec.build_adversary())
-    result = run_download(
-        n=spec.n, ell=spec.ell, peer_factory=spec.peer_factory(),
-        adversary=adversary, t=spec.t,
-        seed=spec.seed_for(0), sources=spec.sources,
-        source_faults=spec.source_faults, topology=spec.topology,
-        fifo=case.get("fifo", False),
-        packetize=case.get("packetize", False),
-        message_size_limit=case.get("message_size_limit"), trace=routed)
+    # A routed case records its events — into the caller's recording
+    # when one is active, so this run does not shadow it.
+    backend = get_backend()
+    if routed and not isinstance(backend, RecordingTelemetry):
+        backend = RecordingTelemetry()
+    start = len(getattr(backend, "events", ()))
+    with using(backend):
+        result = run_download(
+            n=spec.n, ell=spec.ell, peer_factory=spec.peer_factory(),
+            adversary=adversary, t=spec.t,
+            seed=spec.seed_for(0), sources=spec.sources,
+            source_faults=spec.source_faults, topology=spec.topology,
+            fifo=case.get("fifo", False),
+            packetize=case.get("packetize", False),
+            message_size_limit=case.get("message_size_limit"))
     outputs = {str(pid): _array_digest(result.outputs[pid])
                for pid in sorted(result.honest)
                if result.outputs[pid] is not None}
@@ -259,7 +246,7 @@ def _capture_async(case: dict) -> dict:
         "queried_sha": _queried_digest(result.queried_indices),
     }
     if routed:
-        record["messages_sha"] = trace_messages_digest(result.trace)
+        record["messages_sha"] = messages_digest(backend.events[start:])
     return record
 
 

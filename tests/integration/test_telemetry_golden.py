@@ -16,7 +16,7 @@ import pytest
 
 from repro.obs.telemetry import RecordingTelemetry, get_backend, using
 from tests.golden.capture import (CASES, capture_case, load_fixture,
-                                  telemetry_messages_digest)
+                                  messages_digest)
 
 
 @pytest.fixture(scope="module")
@@ -39,10 +39,9 @@ def test_trace_identical_with_telemetry_enabled(case, golden):
         assert recording.events_of("run_header")
         assert recording.events_of("run_summary")
     if "messages_sha" in expected:
-        # Routed cases: the backend's send/deliver stream — relay hops
-        # with their ``relay``/``hop`` fields included — is the one the
-        # trace recorder pinned.
-        assert telemetry_messages_digest(recording.events) == \
+        # Routed cases: ``capture_case`` digested this recording (it
+        # reuses an active one), relay hops' ``relay``/``hop`` included.
+        assert messages_digest(recording.events) == \
             expected["messages_sha"]
 
 

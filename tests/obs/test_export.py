@@ -1,50 +1,18 @@
-"""Unit tests for export assembly: run/sweep streams, trace conversion."""
+"""Unit tests for export assembly: run and sweep streams."""
 
-from repro.obs.export import (
-    events_from_result,
-    export_run,
-    run_events,
-    sweep_events,
-)
-from repro.obs.schema import (
-    SCHEMA_VERSION,
-    read_events,
-    run_header,
-    validate_event,
-)
+from repro.obs.export import export_run, run_events, sweep_events
+from repro.obs.schema import SCHEMA_VERSION, read_events, validate_event
 from repro.obs.telemetry import RecordingTelemetry, using
 from repro.protocols import CrashMultiDownloadPeer, NaiveDownloadPeer
 from repro.adversary import CrashAdversary
 from repro.sim import run_download
 
 
-def run_crash_case(**kwargs):
+def run_crash_case():
     return run_download(
         n=6, ell=128, t=2, seed=11,
         peer_factory=CrashMultiDownloadPeer.factory(),
-        adversary=CrashAdversary(crash_fraction=0.34), **kwargs)
-
-
-class TestEventsFromResult:
-    def test_converts_trace_records_and_appends_summary(self):
-        result = run_crash_case(trace=True)
-        events = events_from_result(result)
-        kinds = [entry["event"] for entry in events]
-        assert kinds[-1] == "run_summary"
-        assert "send" in kinds and "deliver" in kinds
-        for entry in events:
-            validate_event(entry)
-
-    def test_header_is_prepended_when_given(self):
-        result = run_crash_case(trace=True)
-        header = run_header(n=6, ell=128, t=2, seed=11)
-        events = events_from_result(result, header=header)
-        assert events[0]["event"] == "run_header"
-
-    def test_traceless_result_still_yields_summary(self):
-        result = run_crash_case()
-        events = events_from_result(result)
-        assert [entry["event"] for entry in events] == ["run_summary"]
+        adversary=CrashAdversary(crash_fraction=0.34))
 
 
 class TestRunEvents:

@@ -4,8 +4,18 @@ import io
 
 import pytest
 
+from repro.adversary import (
+    ByzantineAdversary,
+    ComposedAdversary,
+    CrashAdversary,
+    CrashAfterSends,
+    CrashAtTime,
+    SilentStrategy,
+    UniformRandomDelay,
+)
 from repro.cli import main
 from repro.obs.schema import read_events
+from repro.obs.telemetry import RecordingTelemetry, using
 from repro.obs.trace_cli import (
     diff_streams,
     folded_stacks,
@@ -13,6 +23,13 @@ from repro.obs.trace_cli import (
     render_summary,
     render_timeline,
 )
+from repro.protocols import (
+    BalancedDownloadPeer,
+    ByzCommitteeDownloadPeer,
+    CrashMultiDownloadPeer,
+    NaiveDownloadPeer,
+)
+from repro.sim import BudgetExceeded, Simulation, run_download
 
 RUN_ARGS = ["run", "--protocol", "crash-multi", "--n", "8", "--ell", "256",
             "--fault-model", "crash", "--beta", "0.5", "--seed", "7"]
@@ -30,6 +47,31 @@ def run_cli(argv):
     out = io.StringIO()
     code = main(argv, out=out)
     return code, out.getvalue()
+
+
+def recorded(**kwargs):
+    """The event record of one ``run_download`` under a recording."""
+    with using(RecordingTelemetry()) as recording:
+        run_download(**kwargs)
+    return recording.events
+
+
+def rows(timeline):
+    """A rendered timeline's rows (legend dropped), keyed by peer."""
+    return {int(line.split("|")[0].split()[1]): line
+            for line in timeline.splitlines()[1:]}
+
+
+def per_peer_block(summary):
+    """``render_summary``'s per-peer query bits, keyed by peer."""
+    block = summary.split("per-peer query bits:\n")[1].split("\n\n")[0]
+    return {int(line.split()[1]): int(line.split()[2])
+            for line in block.splitlines()}
+
+
+#: Four balanced peers, fault-free: every peer sends, receives, ends.
+BALANCED = dict(n=4, ell=64, peer_factory=BalancedDownloadPeer.factory(),
+                seed=1)
 
 
 class TestExportShape:
@@ -66,6 +108,25 @@ class TestSummary:
     def test_summary_of_empty_stream(self):
         assert render_summary([]) == "(empty export)"
 
+    def test_per_peer_query_bits_for_every_peer(self):
+        loads = per_peer_block(render_summary(recorded(**BALANCED)))
+        assert loads == {pid: 16 for pid in range(4)}
+
+    def test_per_peer_block_matches_the_report(self):
+        # Peer 0 crashes before its first send: the block lists the
+        # three honest survivors, with the report's loads.
+        adversary = ComposedAdversary(
+            faults=CrashAdversary(crashes={0: CrashAfterSends(0)}),
+            latency=UniformRandomDelay())
+        with using(RecordingTelemetry()) as recording:
+            result = run_download(
+                n=4, ell=400, peer_factory=CrashMultiDownloadPeer.factory(),
+                adversary=adversary, seed=4)
+        assert result.download_correct
+        loads = per_peer_block(render_summary(recording.events))
+        assert loads == dict(result.report.per_peer_query_bits)
+        assert sorted(loads) == [1, 2, 3]
+
     def test_summary_digests_net_transport_events(self):
         # A net-backend export has no run_header/run_summary envelope;
         # the summary must still digest the transport events instead
@@ -101,6 +162,65 @@ class TestTimeline:
         events = read_events(export)
         text = render_timeline(events, peers=[0, 7])
         assert len(text.splitlines()) == 3
+
+    def test_has_one_row_per_peer(self):
+        assert sorted(rows(render_timeline(recorded(**BALANCED)))) == \
+            [0, 1, 2, 3]
+
+    def test_marks_terminations(self):
+        text = render_timeline(recorded(**BALANCED))
+        assert all("#" in row for row in rows(text).values())
+
+    def test_marks_crashes(self):
+        adversary = ComposedAdversary(
+            faults=CrashAdversary(crashes={2: CrashAtTime(1.0)}),
+            latency=UniformRandomDelay())
+        text = render_timeline(recorded(
+            **dict(BALANCED, peer_factory=CrashMultiDownloadPeer.factory(),
+                   adversary=adversary)))
+        crashed = rows(text)[2]
+        assert "X" in crashed
+        assert crashed.endswith(" crash")
+
+    @pytest.mark.parametrize("width", [3, 30])
+    def test_custom_width(self, width):
+        text = render_timeline(recorded(**BALANCED), width=width)
+        for row in rows(text).values():
+            assert row.count("|") == 2
+            assert len(row.split("|")[1]) == width
+
+    def test_byzantine_role_shown(self):
+        adversary = ComposedAdversary(
+            faults=ByzantineAdversary(
+                corrupted={1}, strategy_factory=lambda pid: SilentStrategy()),
+            latency=UniformRandomDelay())
+        text = render_timeline(recorded(
+            n=5, ell=50, seed=1, adversary=adversary,
+            peer_factory=ByzCommitteeDownloadPeer.factory(block_size=10)))
+        roles = {pid: row.split()[-1] for pid, row in rows(text).items()}
+        assert roles == {0: "ok", 1: "byz", 2: "ok", 3: "ok", 4: "ok"}
+
+    def test_ok_role_for_honest(self):
+        text = render_timeline(recorded(
+            n=3, ell=12, peer_factory=NaiveDownloadPeer.factory(), seed=2))
+        assert all(row.endswith(" ok") for row in rows(text).values())
+
+    def test_timeline_with_no_messages(self):
+        text = render_timeline(recorded(
+            n=2, ell=4, peer_factory=NaiveDownloadPeer.factory(), seed=3))
+        assert all("+" not in row for row in rows(text).values())
+        assert all("#" in row for row in rows(text).values())
+
+    def test_the_source_is_never_a_row(self):
+        # A run stopped early has no run_summary, so the rows come from
+        # the events, where a source response's ``src`` is the source.
+        with using(RecordingTelemetry()) as recording:
+            with pytest.raises(BudgetExceeded):
+                Simulation(n=3, ell=16, seed=1,
+                           peer_factory=NaiveDownloadPeer.factory()
+                           ).run(max_events=4)
+        assert not recording.events_of("run_summary")
+        assert sorted(rows(render_timeline(recording.events))) == [0, 1, 2]
 
 
 class TestDiff:

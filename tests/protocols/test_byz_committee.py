@@ -16,6 +16,7 @@ from repro.adversary import (
 )
 from repro.adversary.base import Adversary
 from repro.core.bounds import committee_query_bound
+from repro.obs.telemetry import RecordingTelemetry, using
 from repro.oracle.feeds import EquivocatingFeed
 from repro.protocols import ByzCommitteeDownloadPeer
 from repro.sim import ConfigurationError, Simulation, run_download
@@ -183,8 +184,9 @@ class _OneStreamQueryDelay(Adversary):
 
 class TestSpanVsPerMessage:
     """A broadcast the network groups into pid spans and the same
-    broadcast delivered message by message (a trace recorder forces
-    that) are one execution: same record, field for field."""
+    broadcast delivered message by message (a recording telemetry
+    backend forces that) are one execution: same record, field for
+    field."""
 
     def test_fault_free_broadcasts_become_spans(self):
         # Unit latencies: every broadcast is one span per side of the
@@ -193,7 +195,8 @@ class TestSpanVsPerMessage:
             n=40, ell=512, t=3, seed=77,
             peer_factory=ByzCommitteeDownloadPeer.factory(block_size=64))
         spans = run_download(**kwargs)
-        singles = run_download(trace=True, **kwargs)
+        with using(RecordingTelemetry()):
+            singles = run_download(**kwargs)
         assert full_record(spans) == full_record(singles)
         # 8 blocks x 7 committee members x 39 destinations, each one
         # counted as an event although a span queues a single one.
@@ -212,7 +215,7 @@ class TestSpanVsPerMessage:
             def body(self):
                 yield WaitUntil(lambda: False, "listening forever")
 
-        def run(trace):
+        def run():
             attackers = []
 
             def make(pid, env):
@@ -220,14 +223,16 @@ class TestSpanVsPerMessage:
                 return attackers[-1]
 
             result = run_download(
-                n=9, ell=72, t=2, seed=9, trace=trace,
+                n=9, ell=72, t=2, seed=9,
                 peer_factory=ByzCommitteeDownloadPeer.factory(block_size=8),
                 adversary=ByzantineAdversary(corrupted={4},
                                              scripted_factory=make))
             assert_download_correct(result)
             return result, attackers[0].inbox
 
-        (spans, heard), (singles, heard_singly) = run(False), run(True)
+        spans, heard = run()
+        with using(RecordingTelemetry()):
+            singles, heard_singly = run()
         assert full_record(spans) == full_record(singles)
         assert heard == heard_singly
         # One report per honest member of each of the 9 committees.
@@ -249,15 +254,17 @@ class TestSpanVsPerMessage:
                 for pid in range(n) if pid % 3},
             default, value_bits)
 
-        def run(trace):
+        def run():
             return Simulation(
                 n=n, data=feed.encoded_for(0), t=2, seed=3,
                 peer_factory=ByzCommitteeDownloadPeer.factory(
                     block_size=value_bits, give_up_time=give_up_time),
                 source_faults=[feed.source_fault()],
-                adversary=_OneStreamQueryDelay(), trace=trace).run()
+                adversary=_OneStreamQueryDelay()).run()
 
-        spans, singles = run(False), run(True)
+        spans = run()
+        with using(RecordingTelemetry()):
+            singles = run()
         assert full_record(spans) == full_record(singles)
         assert spans.all_honest_terminated
         # Nobody finished before the deadline, and everybody paid for

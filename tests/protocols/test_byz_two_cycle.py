@@ -137,7 +137,7 @@ class TestComplexity:
             n=32, ell=2048, t=0,
             peer_factory=ByzTwoCycleDownloadPeer.factory(num_segments=4,
                                                          tau=2),
-            seed=6, trace=True)
+            seed=6)
         assert_download_correct(result)
         # Time: one broadcast round + decision-tree queries; well under
         # any phased protocol at the same scale.

@@ -9,6 +9,7 @@ from repro.adversary import (
     TargetedSlowdown,
     UniformRandomDelay,
 )
+from repro.obs.telemetry import RecordingTelemetry, using
 from repro.protocols import CrashMultiDownloadPeer
 from repro.protocols.crash_multi import (
     DataRequest,
@@ -52,24 +53,25 @@ class TestRequestService:
         adversary = ComposedAdversary(
             faults=CrashAdversary(crashes=crashes),
             latency=UniformRandomDelay())
-        result = run_download(n=10, ell=300,
-                              peer_factory=CrashMultiDownloadPeer.factory(),
-                              adversary=adversary, seed=3, trace=True)
+        with using(RecordingTelemetry()) as recording:
+            result = run_download(
+                n=10, ell=300, peer_factory=CrashMultiDownloadPeer.factory(),
+                adversary=adversary, seed=3)
         assert_download_correct(result)
-        # Every survivor terminated; the trace shows FullArray traffic.
-        sends = result.trace.select(
-            "send", lambda record: record["message"] == "FullArray")
+        # Every survivor terminated; the record shows FullArray traffic.
+        sends = [event for event in recording.events_of("send")
+                 if event["type"] == "FullArray"]
         assert len(sends) >= (10 - 4) * 9
 
 
 class TestMessageFlowShapes:
     def test_fault_free_single_phase_message_types(self):
-        result = run_download(n=6, ell=120, t=0,
-                              peer_factory=CrashMultiDownloadPeer.factory(),
-                              seed=4, trace=True)
+        with using(RecordingTelemetry()) as recording:
+            result = run_download(
+                n=6, ell=120, t=0,
+                peer_factory=CrashMultiDownloadPeer.factory(), seed=4)
         assert_download_correct(result)
-        kinds = {record["message"]
-                 for record in result.trace.select("send")}
+        kinds = {event["type"] for event in recording.events_of("send")}
         assert kinds == {"DataRequest", "DataResponse", "MissingRequest",
                          "MissingResponse", "FullArray"}
 
@@ -99,14 +101,9 @@ class TestMessageFlowShapes:
 class TestResponseCompleteness:
     def test_honest_responses_are_complete_in_digit_phases(self):
         # With the digit assignment every honest responder can fully
-        # answer every request (the strengthened Claim 1); verify via
-        # trace that no incomplete DataResponse is ever sent by an
-        # honest peer in a fault-free run.
-        result = run_download(n=6, ell=360, t=0,
-                              peer_factory=CrashMultiDownloadPeer.factory(),
-                              seed=5, trace=True)
-        assert_download_correct(result)
-        # White-box: re-run and capture actual message objects via a
+        # answer every request (the strengthened Claim 1); verify that
+        # no incomplete DataResponse is ever sent by an honest peer in
+        # a fault-free run, capturing the message objects via a
         # subclass hook.
         seen = []
 

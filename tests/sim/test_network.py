@@ -12,7 +12,6 @@ from repro.sim.messages import Message
 from repro.sim.metrics import MetricsCollector
 from repro.sim.network import WITHHOLD, Network
 from repro.sim.scheduler import Kernel
-from repro.sim.trace import TraceRecorder
 from repro.topology import resolve_topology
 
 
@@ -311,8 +310,8 @@ class TestBroadcastGrouping:
         assert self._delivered_singly(receivers) == [1, 2, 3, 4, 5]
 
     @pytest.mark.parametrize("attr,value", [
-        ("telemetry", RecordingTelemetry()), ("trace", TraceRecorder()),
-        ("fifo", True), ("message_size_limit", 10_000)])
+        ("telemetry", RecordingTelemetry()), ("fifo", True),
+        ("message_size_limit", 10_000)])
     def test_per_delivery_features_disable_grouping(self, attr, value):
         sink = SpanSink()
         kernel, _, network, receivers = build_wide(sink=sink)

@@ -16,6 +16,7 @@ import weakref
 import pytest
 
 from repro.adversary import UniformRandomDelay
+from repro.obs.telemetry import RecordingTelemetry, using
 from repro.protocols import BalancedDownloadPeer
 from repro.sim import Simulation
 from repro.sim.errors import BudgetExceeded, DeadlockError
@@ -54,7 +55,7 @@ def watched(factory, refs):
 
 def simulation(refs, *, factory=None, topology=None):
     return Simulation(
-        n=N, ell=256, seed=5, topology=topology, trace=True,
+        n=N, ell=256, seed=5, topology=topology,
         adversary=UniformRandomDelay(),
         peer_factory=watched(factory or BalancedDownloadPeer.factory(),
                              refs))
@@ -64,13 +65,14 @@ def simulation(refs, *, factory=None, topology=None):
 def test_peers_die_with_the_last_reference(topology):
     refs = []
     sim = simulation(refs, topology=topology)
-    result = sim.run()
-    # The result keeps everything it exposes...
+    with using(RecordingTelemetry()) as recording:
+        result = sim.run()
+    # The result and the recording keep everything they expose...
     assert result.download_correct
     assert sorted(result.outputs) == sorted(result.statuses) == \
         list(range(N))
     assert result.report.message_complexity > 0
-    assert result.trace.select("deliver")
+    assert recording.events_of("deliver")
     assert all(result.queried_indices[pid] for pid in range(N))
     # ... and none of it is a peer.
     del sim

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.telemetry import RecordingTelemetry, get_backend, using
 from repro.protocols import BalancedDownloadPeer, NaiveDownloadPeer
 from repro.sim import ConfigurationError, Simulation, run_download
 from repro.util.bitarrays import BitArray
@@ -110,16 +111,20 @@ class TestRunResult:
         assert minimal_result().queried_indices == {}
 
     def test_trace_disabled_by_default(self):
+        # The result carries no event record; only an installed
+        # telemetry backend sees the run's events.
         result = run_download(n=2, ell=8,
                               peer_factory=NaiveDownloadPeer.factory(),
                               seed=1)
-        assert result.trace is None
+        assert not hasattr(result, "trace")
+        assert not get_backend().enabled
 
     def test_trace_records_terminations(self):
-        result = run_download(n=2, ell=8,
-                              peer_factory=NaiveDownloadPeer.factory(),
-                              seed=1, trace=True)
-        assert len(result.trace.select("terminate")) == 2
+        with using(RecordingTelemetry()) as recording:
+            run_download(n=2, ell=8,
+                         peer_factory=NaiveDownloadPeer.factory(), seed=1)
+        assert sorted(event["peer"] for event in
+                      recording.events_of("terminate")) == [0, 1]
 
     def test_events_processed_positive(self):
         result = run_download(n=2, ell=8,
