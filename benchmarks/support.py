@@ -1,10 +1,10 @@
 """Shared machinery for the benchmark harness.
 
-Every bench routes its simulator runs through :func:`measure`, which in
-turn routes through the parallel experiment engine
-(:func:`repro.execution.run_tasks`): set ``REPRO_BENCH_WORKERS=4`` (or
-pass ``workers=``) and the per-repeat runs of every measurement fan out
-over a process pool.  Results are identical at any worker count — each
+The ablation benches average seeded simulator runs through
+:func:`measure`, which in turn routes through the parallel experiment
+engine (:func:`repro.execution.run_tasks`): set
+``REPRO_BENCH_WORKERS=4`` (or pass ``workers=``) and the per-repeat
+runs of every measurement fan out over a process pool.  Results are identical at any worker count — each
 repeat receives a pristine pickled copy of the adversary and factory,
 whether it runs in-process or in a worker.
 
@@ -27,7 +27,6 @@ from repro.adversary import (
     ByzantineAdversary,
     ComposedAdversary,
     CrashAdversary,
-    NullAdversary,
     PerPeerStrategy,
     UniformRandomDelay,
     WrongBitsStrategy,
@@ -90,28 +89,16 @@ def crash_setup(beta: float, *, mode: str = "mid_broadcast"):
         latency=UniformRandomDelay())
 
 
-def byzantine_setup(beta: float, strategy_factory=None,
-                    synchronous: bool = False):
-    """Network + beta-fraction Byzantine corruption.
-
-    ``synchronous=True`` uses unit latencies (for regenerating the
-    prior-work synchronous rows of Table 1); the default is the
-    asynchronous adversary.
-    """
-    latency = NullAdversary() if synchronous else UniformRandomDelay()
+def byzantine_setup(beta: float, strategy_factory=None):
+    """Asynchronous network + beta-fraction Byzantine corruption."""
     if beta <= 0:
-        return latency
+        return UniformRandomDelay()
     return ComposedAdversary(
         faults=ByzantineAdversary(
             fraction=beta,
             strategy_factory=strategy_factory
             or PerPeerStrategy(WrongBitsStrategy)),
-        latency=latency)
-
-
-def synchronous_setup():
-    """Unit latencies, no faults."""
-    return NullAdversary()
+        latency=UniformRandomDelay())
 
 
 def _measure_one(payload: dict) -> tuple:

@@ -1,152 +1,53 @@
 #!/usr/bin/env python3
-"""One-command compact reproduction of the paper's headline claims.
+"""Reproduce the paper's evaluation: every claim of the claim table.
 
-A reviewer-sized version of the benchmark harness: each section runs a
-scaled-down instance of one experiment from EXPERIMENTS.md and prints
-measured vs. claimed.  (`pytest benchmarks/ --benchmark-only` is the
-full-fat version with assertions; this script is the five-minute tour.)
+Runs every row of :data:`repro.experiments.claims.CLAIMS` (Table 1 and
+one experiment per theorem) and prints each claim as a markdown table:
+measured Q next to its ``core/bounds.py`` bound, with a verdict per row,
+the findings marked, and the claim's cross-row shape statements.
+EXPERIMENTS.md holds this output verbatim.  Exits non-zero when an
+unmarked row or a shape statement does not hold, or when a marked
+finding starts to hold.
 
 Run:  python examples/reproduce_paper.py [--workers 4] [--no-cache]
           [--resume] [--max-retries N] [--task-timeout S] [--profile]
           [--telemetry out.jsonl]
 
-``--telemetry out.jsonl`` records the whole reproduction's telemetry
-stream — every engine task outcome, cache hit, and (with ``--workers
-1``) every in-process simulator run's events — to a JSONL export for
-``repro trace`` (see docs/OBSERVABILITY.md).
+Every row's repeats go through one parallel-engine call over the whole
+table: ``--workers`` fans them over a process pool (the output is
+byte-identical at any worker count); by default outcomes land in the
+on-disk result cache, so a second run executes nothing.  The engine
+retries transient failures (``--max-retries``), kills and retries
+stalled repeats (``--task-timeout``), and with ``--resume`` checkpoints
+every completed repeat to a journal so an interrupted reproduction
+picks up where it stopped.
 
-``--profile`` (or ``REPRO_PROFILE=1``) wraps the whole reproduction in
-cProfile and prints the pstats top table to stderr — profile with
+``--telemetry out.jsonl`` records the reproduction's telemetry stream
+(engine task outcomes, cache hits and, with ``--workers 1``, every
+simulator run's events) for ``repro trace`` (see
+docs/OBSERVABILITY.md).  ``--profile`` (or ``REPRO_PROFILE=1``) wraps
+the run in cProfile and prints the pstats top table to stderr — use
 ``--workers 1`` so the simulator work stays in this process.
-
-``--workers`` fans the experiment sections over a process pool via the
-parallel engine (results are identical at any worker count); by
-default outcomes land in the on-disk result cache, so a second run
-reuses them instantly.  The engine retries transient failures
-(``--max-retries``), kills and retries stalled repeats
-(``--task-timeout``), and with ``--resume`` checkpoints every
-completed repeat to a journal so an interrupted reproduction picks up
-where it stopped.
 """
 
 import argparse
+import contextlib
+import sys
+import time
 
-from repro.core.bounds import (
-    committee_query_bound,
-    crash_optimal_query_bound,
-)
-from repro.experiments import ExperimentSpec, run_experiment
-from repro.oracle import make_setup, odd_satisfied, run_baseline_odc, \
-    run_download_odc
-
-
-def section(title: str) -> None:
-    print(f"\n=== {title} " + "=" * max(0, 56 - len(title)))
+from repro.execution import (ParallelRunner, RetryPolicy, resolve_cache,
+                             resolve_journal)
+from repro.experiments.claims import run_claims
 
 
 def main(*, workers: int = 1, cache=None, journal=None,
-         policy=None) -> None:
-    print("dr-download: compact paper reproduction"
-          + (f" (workers={workers})" if workers > 1 else ""))
-    engine = dict(workers=workers, cache=cache, journal=journal,
-                  policy=policy)
-
-    section("Thm 2.13 — crash-fault optimality (async, det.)")
-    for beta in (0.25, 0.5, 0.75):
-        spec = ExperimentSpec(protocol="crash-multi", n=16, ell=4096,
-                              fault_model="crash", beta=beta, repeats=2)
-        outcome = run_experiment(spec, **engine)
-        optimal = crash_optimal_query_bound(4096, 16, spec.t)
-        print(f"  beta={beta:.2f}  Q={outcome.mean_query_complexity:7.1f}  "
-              f"optimal={optimal:7.1f}  ratio="
-              f"{outcome.mean_query_complexity / optimal:.2f}  "
-              f"ok={outcome.correct_runs}/{outcome.runs}")
-
-    section("Thm 3.4 — deterministic committees (async, beta<1/2)")
-    spec = ExperimentSpec(protocol="byz-committee", n=15, ell=4500,
-                          protocol_params={"block_size": 30},
-                          fault_model="byzantine", beta=0.4,
-                          strategy="equivocate", repeats=2)
-    outcome = run_experiment(spec, **engine)
-    bound = committee_query_bound(4500, 15, spec.t)
-    print(f"  Q={outcome.mean_query_complexity:.0f}  "
-          f"bound ell(2t+1)/n={bound}  ok={outcome.correct_runs}"
-          f"/{outcome.runs}")
-
-    section("Thm 3.7 — 2-cycle randomized sampling (async)")
-    spec = ExperimentSpec(protocol="byz-two-cycle", n=40, ell=8192,
-                          protocol_params={"num_segments": 4, "tau": 3},
-                          fault_model="byzantine", beta=0.1, repeats=2)
-    outcome = run_experiment(spec, **engine)
-    print(f"  Q={outcome.mean_query_complexity:.0f}  "
-          f"(one segment = {8192 // 4}; naive = 8192)  "
-          f"ok={outcome.correct_runs}/{outcome.runs}")
-
-    section("Thms 3.1/3.2 — Byzantine majority lower bounds")
-    # Both witnesses run as specs on the 'lowerbound' backend, so they
-    # share the parallel engine, cache, and journal with every other
-    # section; per-repeat `correct` records "the victim was fooled".
-    det_spec = ExperimentSpec(
-        protocol="byz-committee", n=10, ell=200,
-        strategy="deterministic",
-        protocol_params={"block_size": 10, "claimed_t": 2},
-        repeats=2, base_seed=1, backend="lowerbound")
-    det = run_experiment(det_spec, **engine)
-    print(f"  deterministic witness: victim queried "
-          f"{det.mean_query_complexity:.0f}/200, fooled "
-          f"{det.correct_runs}/{det.runs}")
-    rand_spec = ExperimentSpec(
-        protocol="byz-two-cycle", n=12, ell=256,
-        strategy="randomized",
-        protocol_params={"num_segments": 4, "tau": 1, "claimed_t": 6,
-                         "estimation_trials": 6, "attack_trials": 1},
-        repeats=5, base_seed=2, backend="lowerbound")
-    rand = run_experiment(rand_spec, **engine)
-    floor = max(0.0, 1.0 - rand.mean_query_complexity / 256)
-    print(f"  randomized witness:    fooling rate "
-          f"{rand.success_rate:.2f} >= floor 1-Q/ell = "
-          f"{floor:.2f}")
-
-    section("Thm 4.2 — Download-based blockchain oracles")
-    setup = make_setup(nodes=15, node_fault_bound=2, feed_count=5,
-                       corrupt_feeds=2, cells=12, value_bits=16,
-                       noise_bound=3, seed=3)
-    baseline = run_baseline_odc(setup)
-    download = run_download_odc(setup, seed=4)
-    print(f"  per-node bits: baseline "
-          f"{baseline.max_honest_node_query_bits}, download "
-          f"{download.max_honest_node_query_bits}  "
-          f"(ODD guarantee: {odd_satisfied(setup, baseline.finalized)}"
-          f"/{odd_satisfied(setup, download.finalized)})")
-
-    section("Prior work — Table 1's synchronous rows, native rounds")
-    # The 'sync' backend runs the lockstep engine, so every row's time
-    # measure is an exact round count — matching the paper's Table 1.
-    table1 = [
-        ("naive flooding", 1, ExperimentSpec(
-            protocol="naive", n=40, ell=4000, network="synchronous",
-            repeats=2, base_seed=5, backend="sync")),
-        ("[3] committees", 2, ExperimentSpec(
-            protocol="byz-committee", n=40, ell=4000,
-            network="synchronous", protocol_params={"block_size": 40},
-            repeats=2, base_seed=5, backend="sync")),
-        ("2-round sampling", 2, ExperimentSpec(
-            protocol="byz-two-cycle", n=40, ell=4000,
-            network="synchronous",
-            protocol_params={"num_segments": 4, "tau": 2},
-            repeats=2, base_seed=5, backend="sync")),
-    ]
-    for label, paper_rounds, spec in table1:
-        outcome = run_experiment(spec, **engine)
-        print(f"  {label:16} rounds={outcome.mean_round_complexity:.0f} "
-              f"(paper: {paper_rounds})  "
-              f"Q={outcome.mean_query_complexity:7.0f}  "
-              f"ok={outcome.correct_runs}/{outcome.runs}")
-        assert outcome.mean_round_complexity == paper_rounds, \
-            f"{label}: expected {paper_rounds} rounds"
-
-    print("\nAll headline claims reproduced. "
-          "Full harness: pytest benchmarks/ --benchmark-only")
+         policy=None) -> int:
+    """Print the claim table; returns the number of statements off it."""
+    runner = ParallelRunner(workers=workers, cache=resolve_cache(cache),
+                            journal=resolve_journal(journal), policy=policy)
+    text, failures = run_claims(runner)
+    print(text)
+    return failures
 
 
 if __name__ == "__main__":
@@ -172,10 +73,7 @@ if __name__ == "__main__":
                              "to this JSONL file (inspect with "
                              "`repro trace`)")
     cli_args = parser.parse_args()
-    import contextlib
-    import time
 
-    from repro.execution import RetryPolicy
     from repro.profiling import maybe_profile, profile_enabled
     recording = None
     context = contextlib.nullcontext()
@@ -187,20 +85,23 @@ if __name__ == "__main__":
     with maybe_profile(profile_enabled(cli_args.profile or None),
                        label="reproduce_paper"):
         with context:
-            main(workers=cli_args.workers,
-                 cache=None if cli_args.no_cache else True,
-                 journal=True if cli_args.resume else None,
-                 policy=RetryPolicy(max_attempts=cli_args.max_retries + 1,
-                                    task_timeout=cli_args.task_timeout))
+            failures = main(
+                workers=cli_args.workers,
+                cache=None if cli_args.no_cache else True,
+                journal=True if cli_args.resume else None,
+                policy=RetryPolicy(max_attempts=cli_args.max_retries + 1,
+                                   task_timeout=cli_args.task_timeout))
     if recording is not None:
         from repro.obs import sweep_events, write_events
         from repro.obs.schema import SCHEMA_VERSION
-        # Each engine task (one repeat of one experiment) is a "point"
-        # of this multi-experiment reproduction.
+        # Each engine task (one repeat of one row) is a "point" of the
+        # table; a fully cached table executes none.
         header = {"event": "sweep_header", "schema": SCHEMA_VERSION,
                   "points": int(recording.counter_value("tasks_total")),
                   "repeats": 1, "workers": cli_args.workers}
         count = write_events(cli_args.telemetry, sweep_events(
             recording, header=header,
             wall_s=time.monotonic() - started))
-        print(f"telemetry: {count} events -> {cli_args.telemetry}")
+        print(f"telemetry: {count} events -> {cli_args.telemetry}",
+              file=sys.stderr)
+    sys.exit(1 if failures else 0)

@@ -1,17 +1,15 @@
 """Post-run analysis utilities.
 
-Helpers that turn one or many :class:`~repro.sim.runner.RunResult`
-objects into the statistics the benchmarks and papers talk about:
-per-peer load balance, aggregate complexity over seed sweeps, and
-simple concentration diagnostics.  Pure functions over results — no
-simulator state involved.
+Helpers that turn a :class:`~repro.sim.runner.RunResult` into the
+per-peer load-balance statistics of the E15 ablation.  Pure functions
+over results — no simulator state involved.  (Aggregating seeds is
+:func:`repro.experiments.run_experiment`'s job.)
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Sequence
 
 from repro.sim.runner import RunResult
 
@@ -61,68 +59,3 @@ def query_load_balance(result: RunResult) -> LoadBalance:
         spread=max(loads) - min(loads),
         gini=gini_coefficient(loads),
     )
-
-
-@dataclass(frozen=True)
-class SweepSummary:
-    """Aggregate complexity over a seed sweep."""
-
-    runs: int
-    correct_runs: int
-    mean_query_complexity: float
-    max_query_complexity: int
-    mean_time: float
-    mean_messages: float
-
-    @property
-    def success_rate(self) -> float:
-        return self.correct_runs / self.runs if self.runs else 0.0
-
-
-def sweep(run_factory: Callable[[int], RunResult],
-          seeds: Iterable[int]) -> SweepSummary:
-    """Run ``run_factory(seed)`` for every seed and aggregate.
-
-    >>> sweep(lambda seed: run_download(..., seed=seed), range(10))
-    """
-    queries: list[int] = []
-    times: list[float] = []
-    messages: list[int] = []
-    correct = 0
-    for seed in seeds:
-        result = run_factory(seed)
-        queries.append(result.report.query_complexity)
-        times.append(result.report.time_complexity)
-        messages.append(result.report.message_complexity)
-        correct += result.download_correct
-    if not queries:
-        raise ValueError("sweep over no seeds")
-    return SweepSummary(
-        runs=len(queries),
-        correct_runs=correct,
-        mean_query_complexity=sum(queries) / len(queries),
-        max_query_complexity=max(queries),
-        mean_time=sum(times) / len(times),
-        mean_messages=sum(messages) / len(messages),
-    )
-
-
-def confidence_halfwidth(samples: Sequence[float],
-                         z: float = 1.96) -> float:
-    """Normal-approximation half-width of the mean's confidence interval."""
-    if len(samples) < 2:
-        raise ValueError("need at least two samples")
-    mean = sum(samples) / len(samples)
-    variance = sum((value - mean) ** 2 for value in samples) \
-        / (len(samples) - 1)
-    return z * math.sqrt(variance / len(samples))
-
-
-def termination_spread(result: RunResult) -> float:
-    """Virtual time between the first and last honest termination."""
-    times = [status.termination_time
-             for pid, status in result.statuses.items()
-             if pid in result.honest and status.termination_time is not None]
-    if not times:
-        raise ValueError("no terminated honest peers")
-    return max(times) - min(times)

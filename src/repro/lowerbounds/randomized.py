@@ -31,6 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from repro.adversary.lower_bound import MajoritySimulationAdversary
+from repro.core.bounds import randomized_fooling_floor
 from repro.lowerbounds.deterministic import majority_split
 from repro.sim.runner import Simulation
 from repro.util.bitarrays import BitArray
@@ -60,7 +61,7 @@ class RandomizedLowerBoundReport:
     def theoretical_floor(self) -> float:
         """The proof's lower bound on the fooling rate:
         ``1 - mean_Q / ell`` (up to quiescence abandonments)."""
-        return max(0.0, 1.0 - self.mean_victim_queries / self.ell)
+        return randomized_fooling_floor(self.mean_victim_queries, self.ell)
 
 
 def run_randomized_construction(

@@ -38,8 +38,6 @@ from repro.protocols.byz_two_cycle import (
 from repro.protocols.crash_multi import (
     CrashMultiDownloadPeer,
     CrashMultiFastDownloadPeer,
-    default_direct_threshold,
-    planned_phases,
 )
 from repro.protocols.crash_one import CrashOneDownloadPeer
 from repro.protocols.decode import (
@@ -102,8 +100,6 @@ __all__ = [
     "retrieval_outputs",
     "segment_extractor",
     "choose_two_cycle_parameters",
-    "default_direct_threshold",
     "get",
-    "planned_phases",
     "protocols_for",
 ]

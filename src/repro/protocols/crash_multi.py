@@ -17,8 +17,8 @@ In phase ``p`` every peer:
 
 Unknown bits shrink by a factor ``t / n`` per phase (Claim 4): a peer
 misses at most ``t`` of the ``n`` per-phase owners.  After
-:func:`~repro.core.bounds.crash_multi_phase_bound`-many phases the
-residue is small enough to query directly; the peer then broadcasts the
+:func:`~repro.core.bounds.planned_phases`-many phases the residue is
+small enough to query directly; the peer then broadcasts the
 complete array and terminates (which, per Claim 2, lets every waiting
 peer terminate as well).
 
@@ -43,11 +43,11 @@ really crashed — cutting the time complexity's ``t * X / b`` term.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional
 
 from repro.core.assignment import group_by_digit_owner
+from repro.core.bounds import default_direct_threshold, planned_phases
 from repro.protocols.base import DownloadPeer
 from repro.sim.messages import FIELD_BITS, HEADER_BITS, Message
 from repro.sim.peer import SimEnv
@@ -303,30 +303,3 @@ class CrashMultiFastDownloadPeer(CrashMultiDownloadPeer):
     protocol_name = "crash-multi-fast"
     fast = True
 
-
-def default_direct_threshold(ell: int, n: int, t: int) -> int:
-    """Residue size below which peers stop phasing and query directly.
-
-    ``ceil(ell / (n - t))`` keeps the direct-query tail within the same
-    order as the phased cost (so Q <= 2 * ell / (n - t) + n); the
-    ``n`` floor avoids pathological phasing over tiny inputs.
-    """
-    return max(n, math.ceil(ell / max(1, n - t)))
-
-
-def planned_phases(ell: int, n: int, t: int, threshold: int) -> int:
-    """Number of three-stage phases every honest peer runs.
-
-    Phases continue while the worst-case unknown residue
-    ``ell * (t/n)**p`` still exceeds ``threshold``, capped at digit
-    exhaustion (``n**p >= ell`` means phase ``p + 1`` has no spread
-    left).  All peers compute this from globals, so they agree.
-    """
-    if t == 0:
-        return 1 if ell > threshold else 0
-    phases = 0
-    remaining = ell
-    while remaining > threshold and n ** phases < ell:
-        phases += 1
-        remaining = math.ceil(remaining * t / n)
-    return phases

@@ -2,17 +2,10 @@
 
 import pytest
 
-from repro.analysis import (
-    confidence_halfwidth,
-    gini_coefficient,
-    query_load_balance,
-    sweep,
-    termination_spread,
-)
+from repro.analysis import gini_coefficient, query_load_balance
 from repro.adversary import ComposedAdversary, CrashAdversary, \
     UniformRandomDelay
-from repro.protocols import BalancedDownloadPeer, CrashMultiDownloadPeer, \
-    NaiveDownloadPeer
+from repro.protocols import BalancedDownloadPeer, CrashMultiDownloadPeer
 from repro.sim import run_download
 
 
@@ -59,39 +52,3 @@ class TestLoadBalance:
         stats = query_load_balance(result)
         assert stats.maximum >= stats.minimum
         assert 0.0 <= stats.gini < 0.5  # load stays broadly shared
-
-
-class TestSweep:
-    def test_aggregates_over_seeds(self):
-        summary = sweep(
-            lambda seed: run_download(
-                n=4, ell=64, peer_factory=NaiveDownloadPeer.factory(),
-                seed=seed),
-            range(5))
-        assert summary.runs == 5
-        assert summary.success_rate == 1.0
-        assert summary.mean_query_complexity == 64
-        assert summary.max_query_complexity == 64
-
-    def test_rejects_empty_sweep(self):
-        with pytest.raises(ValueError):
-            sweep(lambda seed: None, [])
-
-
-class TestMisc:
-    def test_confidence_halfwidth_shrinks_with_samples(self):
-        narrow = confidence_halfwidth([10.0, 10.1] * 50)
-        wide = confidence_halfwidth([10.0, 10.1])
-        assert narrow < wide
-
-    def test_confidence_needs_two_samples(self):
-        with pytest.raises(ValueError):
-            confidence_halfwidth([1.0])
-
-    def test_termination_spread(self):
-        result = run_download(n=6, ell=120,
-                              peer_factory=CrashMultiDownloadPeer.factory(),
-                              adversary=UniformRandomDelay(), seed=3)
-        spread = termination_spread(result)
-        assert spread >= 0.0
-        assert spread <= result.report.time_complexity

@@ -13,10 +13,8 @@ from benchmarks.support import (  # noqa: E402
     crash_setup,
     measure,
     print_table,
-    synchronous_setup,
 )
-from repro.adversary import ComposedAdversary, NullAdversary, \
-    UniformRandomDelay  # noqa: E402
+from repro.adversary import ComposedAdversary, UniformRandomDelay  # noqa: E402
 from repro.protocols import NaiveDownloadPeer  # noqa: E402
 
 
@@ -56,12 +54,8 @@ class TestSetups:
     def test_crash_setup_composes_faults(self):
         assert isinstance(crash_setup(0.5), ComposedAdversary)
 
-    def test_byzantine_setup_synchronous_variant(self):
-        adversary = byzantine_setup(0.0, synchronous=True)
-        assert isinstance(adversary, NullAdversary)
-
-    def test_synchronous_setup(self):
-        assert isinstance(synchronous_setup(), NullAdversary)
+    def test_byzantine_setup_zero_beta_is_latency_only(self):
+        assert isinstance(byzantine_setup(0.0), UniformRandomDelay)
 
 
 class TestMeasure:

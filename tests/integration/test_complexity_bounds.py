@@ -7,7 +7,8 @@ import pytest
 
 from repro.core.bounds import (
     committee_query_bound,
-    crash_optimal_query_bound,
+    crash_multi_query_bound,
+    default_direct_threshold,
     ideal_query_bound,
     naive_query_bound,
 )
@@ -17,7 +18,6 @@ from repro.protocols import (
     ByzTwoCycleDownloadPeer,
     CrashMultiDownloadPeer,
     NaiveDownloadPeer,
-    default_direct_threshold,
 )
 from repro.sim import run_download
 
@@ -34,9 +34,8 @@ class TestCrashOptimality:
                               peer_factory=CrashMultiDownloadPeer.factory(),
                               adversary=crash_async_adversary(beta), seed=1)
         assert result.download_correct
-        optimal = crash_optimal_query_bound(ell, n, t)
-        ratio = result.report.query_complexity / optimal
-        assert ratio <= 2.5 + n / optimal
+        assert result.report.query_complexity <= crash_multi_query_bound(
+            ell, n, t)
 
     def test_fault_free_exactly_ideal(self):
         n, ell = 10, 5000
@@ -79,7 +78,7 @@ class TestByzantineBounds:
             seed=4)
         assert result.download_correct
         measured = result.report.query_complexity
-        assert measured <= committee_query_bound(ell, n, t) + n
+        assert measured <= committee_query_bound(ell, n, t, block_size=10)
         assert measured < naive_query_bound(ell)
 
     def test_two_cycle_beats_committee_for_large_ell(self):

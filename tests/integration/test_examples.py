@@ -2,8 +2,10 @@
 
 Examples are documentation that compiles; letting them rot defeats
 their purpose.  Each runs as a subprocess exactly as a user would run
-it.  (`reproduce_paper.py` is exercised separately by the benchmark
-suite's components and skipped here for runtime.)
+it.  (`reproduce_paper.py` drives the whole claim table and is skipped
+here for runtime: CI's docs job runs it, fails on any claim off its
+statement, and checks that EXPERIMENTS.md holds its output verbatim;
+`tests/integration/test_claims.py` covers its verdict rule.)
 """
 
 import pathlib

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import confidence_halfwidth, gini_coefficient
+from repro.analysis import gini_coefficient
 
 loads = st.lists(st.integers(min_value=0, max_value=10 ** 6),
                  min_size=1, max_size=50)
@@ -43,18 +43,3 @@ class TestGiniProperties:
         doubled = values + values
         assert gini_coefficient(doubled) <= \
             gini_coefficient(values) + 1e-9
-
-
-class TestConfidenceProperties:
-    @given(st.lists(st.floats(min_value=-100, max_value=100,
-                              allow_nan=False), min_size=2, max_size=40))
-    @settings(max_examples=200, deadline=None)
-    def test_halfwidth_non_negative(self, samples):
-        assert confidence_halfwidth(samples) >= 0.0
-
-    @given(st.floats(min_value=-100, max_value=100, allow_nan=False),
-           st.integers(min_value=2, max_value=30))
-    @settings(max_examples=150, deadline=None)
-    def test_constant_samples_have_zero_width(self, value, count):
-        assert confidence_halfwidth([value] * count) == \
-            pytest.approx(0.0)

@@ -7,7 +7,7 @@ coverage of odd corner configurations (n=3, ell=1, t=n-1, crash on the
 first send...), not scale.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.adversary import (
     ByzantineAdversary,
@@ -20,6 +20,7 @@ from repro.adversary import (
     UniformRandomDelay,
     WrongBitsStrategy,
 )
+from repro.core.bounds import committee_query_bound, crash_multi_query_bound
 from repro.protocols import (
     ByzCommitteeDownloadPeer,
     CrashMultiDownloadPeer,
@@ -63,6 +64,8 @@ class TestCrashMultiProperty:
             peer_factory=CrashMultiDownloadPeer.factory(),
             adversary=adversary, seed=seed)
         assert result.download_correct
+        assert result.report.query_complexity <= crash_multi_query_bound(
+            ell, n, t)
 
 
 @st.composite
@@ -128,3 +131,20 @@ class TestCommitteeProperty:
                 block_size=block_size),
             adversary=adversary, seed=seed)
         assert result.download_correct
+
+    @given(n=st.integers(min_value=3, max_value=24),
+           t=st.integers(min_value=0, max_value=11),
+           ell=st.integers(min_value=1, max_value=600),
+           block_size=st.integers(min_value=1, max_value=80))
+    @example(n=40, t=6, ell=8192, block_size=64)  # E1's committee row
+    @settings(**COMMON)
+    def test_fault_free_query_bits_within_the_bound(self, n, t, ell,
+                                                    block_size):
+        t = min(t, (n - 1) // 2)
+        result = run_download(
+            n=n, t=t, ell=ell,
+            peer_factory=ByzCommitteeDownloadPeer.factory(
+                block_size=block_size),
+            seed=n + ell)
+        assert result.report.query_complexity <= committee_query_bound(
+            ell, n, t, block_size)

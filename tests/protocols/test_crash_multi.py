@@ -15,13 +15,12 @@ from repro.adversary import (
     TargetedSlowdown,
     UniformRandomDelay,
 )
-from repro.core.bounds import crash_optimal_query_bound
-from repro.protocols import (
-    CrashMultiDownloadPeer,
-    CrashMultiFastDownloadPeer,
+from repro.core.bounds import (
+    crash_multi_query_bound,
     default_direct_threshold,
     planned_phases,
 )
+from repro.protocols import CrashMultiDownloadPeer, CrashMultiFastDownloadPeer
 from repro.sim import run_download
 
 from tests.conftest import assert_download_correct, crash_async_adversary
@@ -112,10 +111,10 @@ class TestComplexity:
         result = run_download(
             n=n, ell=ell, peer_factory=CrashMultiDownloadPeer.factory(),
             adversary=crash_async_adversary(0.5), seed=3)
-        t = n // 2
-        bound = 2 * crash_optimal_query_bound(ell, n, t) \
-            + default_direct_threshold(ell, n, t) + n
-        assert result.report.query_complexity <= bound
+        # Lemma 2.11's own shares plus the residue (1200 here, inside
+        # twice the optimum plus the direct threshold, 2400).
+        assert result.report.query_complexity <= crash_multi_query_bound(
+            ell, n, n // 2)
 
     def test_unknown_bits_decay_gives_planned_phases(self):
         # planned_phases must shrink the residue below the threshold.

@@ -1,7 +1,5 @@
 """Tests for Algorithm 1 (one-crash deterministic download)."""
 
-import math
-
 import pytest
 
 from repro.adversary import (
@@ -13,6 +11,7 @@ from repro.adversary import (
     TargetedSlowdown,
     UniformRandomDelay,
 )
+from repro.core.bounds import crash_one_query_bound
 from repro.protocols import CrashOneDownloadPeer
 from repro.sim import ConfigurationError, Simulation, run_download
 
@@ -82,15 +81,15 @@ class TestComplexity:
                               peer_factory=CrashOneDownloadPeer.factory(),
                               seed=1)
         # Theorem 2.3: ell/n plus at most the phase-2 slice.
-        bound = math.ceil(512 / 8) + math.ceil(512 / 8 / 7)
-        assert result.report.query_complexity <= bound
+        assert result.report.query_complexity <= crash_one_query_bound(
+            512, 8)
 
     def test_crash_query_complexity_within_theorem_bound(self):
         result = run_download(
             n=8, ell=512, peer_factory=CrashOneDownloadPeer.factory(),
             adversary=one_crash((1, CrashAfterSends(0))), seed=2)
-        bound = math.ceil(512 / 8) + math.ceil(math.ceil(512 / 8) / 7)
-        assert result.report.query_complexity <= bound
+        assert result.report.query_complexity <= crash_one_query_bound(
+            512, 8)
 
     def test_load_balanced_in_fault_free_case(self):
         result = run_download(n=8, ell=512, t=1,
