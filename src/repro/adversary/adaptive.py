@@ -72,8 +72,7 @@ class AdaptiveCrashAdversary(Adversary):
 
     def after_setup(self, processes: dict[int, Process]) -> None:
         self._processes = dict(processes)
-        self.env.kernel.schedule(self.inspect_at, self._strike,
-                                 kind="adaptive-crash")
+        self.env.kernel.schedule(self.inspect_at, self._strike)
 
     def _strike(self) -> None:
         budget = self.fault_budget(self.env.n)

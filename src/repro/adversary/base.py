@@ -127,6 +127,16 @@ class Adversary:
         """
         return message
 
+    def send_hooks(self) -> tuple:
+        """``(permit_send, transform_message, message_latency)`` as the
+        network calls them, resolved once per run: bound methods, with
+        ``None`` for a send-side hook that is still this class's
+        identity (the network then skips it)."""
+        return (_overridden(self.permit_send, Adversary.permit_send),
+                _overridden(self.transform_message,
+                            Adversary.transform_message),
+                self.message_latency)
+
     def release_at_quiescence(
             self, withheld: list[WithheldMessage]) -> list[WithheldMessage]:
         """Choose which withheld deliveries to release at quiescence.
@@ -140,6 +150,11 @@ class Adversary:
 
     def on_cycle_start(self, pid: int, cycle: int, now: float) -> None:
         """Notification that peer ``pid`` entered local cycle ``cycle``."""
+
+
+def _overridden(hook: Callable, identity: Callable) -> Optional[Callable]:
+    """``hook``, or ``None`` when it is the base class's ``identity``."""
+    return None if getattr(hook, "__func__", None) is identity else hook
 
 
 class NullAdversary(Adversary):

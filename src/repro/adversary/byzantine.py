@@ -115,9 +115,20 @@ class WrongBitsStrategy(ByzantineStrategy):
 
     name = "wrong-bits"
 
+    def __init__(self) -> None:
+        #: ``(message, its flip)`` of the last message corrupted: a
+        #: broadcast hands one message over once per destination, and
+        #: the lie is the same for all of them.  Messages are frozen,
+        #: and holding the original keeps its identity from reuse.
+        self._last: tuple = (None, None)
+
     def corrupt(self, message: Message, destination: int,
                 pid: int) -> Optional[Message]:
-        return flip_bitlike_fields(message)
+        original, flipped = self._last
+        if message is not original:
+            flipped = flip_bitlike_fields(message)
+            self._last = (message, flipped)
+        return flipped
 
 
 class EquivocateStrategy(ByzantineStrategy):

@@ -86,6 +86,12 @@ class ComposedAdversary(Adversary):
     def query_latency(self, pid: int, now: float):
         return self.latency.query_latency(pid, now)
 
+    def send_hooks(self) -> tuple:
+        """The parts' own bound hooks, so the network pays no
+        delegation frame per message."""
+        permit_send, transform_message, _ = self.faults.send_hooks()
+        return permit_send, transform_message, self.latency.send_hooks()[2]
+
     def release_at_quiescence(
             self, withheld: list[WithheldMessage]) -> list[WithheldMessage]:
         return self.latency.release_at_quiescence(withheld)

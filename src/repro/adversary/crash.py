@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from repro.adversary.base import Adversary
@@ -132,9 +133,7 @@ class CrashAdversary(Adversary):
         for pid, spec in self.plan.items():
             if isinstance(spec, CrashAtTime):
                 delay = max(0.0, spec.time - self.env.kernel.now)
-                self.env.kernel.schedule(
-                    delay, lambda victim=pid: self._halt(victim),
-                    kind=f"crash:{pid}")
+                self.env.kernel.schedule(delay, partial(self._halt, pid))
 
     def _halt(self, pid: int) -> None:
         process = self._processes.get(pid)

@@ -16,34 +16,27 @@ from __future__ import annotations
 
 import hashlib
 from collections import defaultdict
-from functools import lru_cache
 
 from repro.adversary.base import Adversary
 from repro.sim.messages import Message
+from repro.sim.peer import SimEnv
+from repro.util.rng import derive_seed
 from repro.util.validation import check_fraction
 
 _RESOLUTION = float(1 << 53)
 
 
-@lru_cache(maxsize=64)
-def _seed_prefix(seed: int, label: str = ""):
-    """SHA-256 state after the ``"{seed}:{label}"`` prefix every draw
-    of one kind shares in a run (:func:`repro.util.rng.derive_seed`'s
-    input format), so a draw copies it and hashes only the rest of its
-    label.  Kept off the adversary object because hash states do not
-    pickle."""
-    return hashlib.sha256(f"{seed}:{label}".encode("utf-8"))
-
-
-def _draw(prefix, rest: str) -> float:
-    """The uniform [0,1) value of the label ``prefix`` + ``rest``."""
-    hasher = prefix.copy()
-    hasher.update(rest.encode("utf-8"))
-    return (int.from_bytes(hasher.digest()[:8], "big") >> 11) / _RESOLUTION
-
-
 class LatencyAdversary(Adversary):
-    """Shared machinery: order-independent per-message pseudo-randomness."""
+    """Shared machinery: order-independent per-message pseudo-randomness.
+
+    Every edge draw hashes a label that starts ``"{seed}:edge:"``
+    (:func:`repro.util.rng.derive_seed`'s input format), every query
+    draw one that starts ``"{seed}:query:"``; :meth:`bind` hashes the
+    two prefixes once and keeps their SHA-256 states on the instance,
+    so a draw copies one and hashes only the rest of its label.  Hash
+    states do not pickle: a pickled or copied adversary drops them, and
+    its copy rebuilds them from ``rng`` when loaded.
+    """
 
     def __init__(self, *, min_delay: float = 0.05,
                  max_delay: float = 1.0) -> None:
@@ -55,21 +48,42 @@ class LatencyAdversary(Adversary):
         self.min_delay = min_delay
         self.max_delay = max_delay
         self._edge_counters: dict[tuple[int, int, int], int] = defaultdict(int)
+        self._edge_prefix = self._query_prefix = None
+
+    def bind(self, env: SimEnv) -> None:
+        super().bind(env)
+        self._build_prefixes()
+
+    def _build_prefixes(self) -> None:
+        seed = self.rng.seed
+        self._edge_prefix = hashlib.sha256(f"{seed}:edge:".encode())
+        self._query_prefix = hashlib.sha256(f"{seed}:query:".encode())
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_edge_prefix"] = state["_query_prefix"] = None
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        if self.rng is not None:
+            self._build_prefixes()
 
     def _unit(self, *labels: object) -> float:
         """A uniform [0,1) value determined by the seed and ``labels``
         (``derive_seed(seed, ":".join(labels))`` scaled to 53 bits)."""
-        return _draw(_seed_prefix(self.rng.seed), ":".join(map(str, labels)))
+        label = ":".join(map(str, labels))
+        return (derive_seed(self.rng.seed, label) >> 11) / _RESOLUTION
 
     def _edge_unit(self, sender: int, destination: int, cycle: int) -> float:
         """Per-message uniform value (``_unit("edge", sender,
         destination, cycle, counter)``); counter makes repeats
         independent."""
         key = (sender, destination, cycle)
-        counter = self._edge_counters[key]
-        self._edge_counters[key] = counter + 1
-        # ``_draw`` spelled out: this is paid once per message.
-        hasher = _seed_prefix(self.rng.seed, "edge:").copy()
+        counters = self._edge_counters
+        counter = counters[key]
+        counters[key] = counter + 1
+        hasher = self._edge_prefix.copy()
         hasher.update(f"{sender}:{destination}:{cycle}:{counter}".encode())
         return (int.from_bytes(hasher.digest()[:8], "big") >> 11) / _RESOLUTION
 
@@ -78,8 +92,9 @@ class LatencyAdversary(Adversary):
         key = (pid, -1, 0)
         counter = self._edge_counters[key]
         self._edge_counters[key] = counter + 1
-        return _draw(_seed_prefix(self.rng.seed, "query:"),
-                     f"{pid}:{counter}")
+        hasher = self._query_prefix.copy()
+        hasher.update(f"{pid}:{counter}".encode())
+        return (int.from_bytes(hasher.digest()[:8], "big") >> 11) / _RESOLUTION
 
     def _scale(self, unit: float) -> float:
         return self.min_delay + unit * (self.max_delay - self.min_delay)
@@ -94,7 +109,9 @@ class UniformRandomDelay(LatencyAdversary):
 
     def message_latency(self, sender: int, destination: int, message: Message,
                         now: float, cycle: int) -> float:
-        return self._scale(self._edge_unit(sender, destination, cycle))
+        # ``_scale`` spelled out: this is paid once per message and hop.
+        return self.min_delay + self._edge_unit(sender, destination, cycle) \
+            * (self.max_delay - self.min_delay)
 
     def query_latency(self, pid: int, now: float) -> float:
         return self._scale(self._query_unit(pid))

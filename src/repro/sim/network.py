@@ -20,6 +20,7 @@ drops that message and all later ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Protocol, runtime_checkable
 
 from repro.sim.errors import ProtocolViolation
@@ -41,6 +42,8 @@ class _Withhold:
 WITHHOLD = _Withhold()
 
 Latency = "float | _Withhold"
+
+_INF = float("inf")
 
 
 @runtime_checkable
@@ -103,15 +106,13 @@ class _Route:
         """Dispatch the pending hop."""
         network, message, index = self.network, self.message, self.index
         hop_src, hop_dst = self.hops[index], self.hops[index + 1]
-        latency = network.adversary.message_latency(
+        latency = network._message_latency(
             hop_src, hop_dst, message, network.kernel.now, self.cycle)
         if (network.packetize and network.message_size_limit is not None
                 and isinstance(latency, (int, float))):
             latency = float(latency) * -(
                 -message.size_bits() // network.message_size_limit)
-        network._dispatch(
-            hop_src, hop_dst, message, latency, self.arrive,
-            "deliver" if index + 2 == len(self.hops) else "relay")
+        network._dispatch(hop_src, hop_dst, message, latency, self.arrive)
 
     def arrive(self) -> None:
         """The pending hop arrived at ``hops[index + 1]``.
@@ -179,6 +180,11 @@ class Network:
         self.kernel = kernel
         self.metrics = metrics
         self.adversary = adversary
+        #: The adversary's send-side hooks, resolved once (see
+        #: ``Adversary.send_hooks``): a ``None`` hook is the identity
+        #: and is never called.
+        (self._permit_send, self._transform_message,
+         self._message_latency) = adversary.send_hooks()
         self.message_size_limit = message_size_limit
         #: With packetize=True a message of ``k * b`` bits travels as
         #: ``k`` back-to-back packets: its delivery latency is
@@ -257,24 +263,27 @@ class Network:
         sender = self._receivers.get(sender_pid)
         if sender is not None and not sender.live:
             return False
-        if not self.adversary.permit_send(sender_pid, destination, message,
-                                          self.kernel.now):
+        now = self.kernel.now
+        permit_send = self._permit_send
+        if permit_send is not None and not permit_send(
+                sender_pid, destination, message, now):
             # Crash mid-batch: the adversary killed the sender before
             # this particular message went out.
             if self.telemetry is not None:
                 self.telemetry.emit("crash_send", {
-                    "t": self.kernel.now, "peer": sender_pid,
-                    "dst": destination})
+                    "t": now, "peer": sender_pid, "dst": destination})
             return False
-        transformed = self.adversary.transform_message(
-            sender_pid, destination, message, self.kernel.now, sender_cycle)
-        if transformed is not message and self.telemetry is not None:
-            self.telemetry.emit("transform", {
-                "t": self.kernel.now, "src": sender_pid,
-                "dst": destination, "type": type(message).__name__})
-        if transformed is None:
-            return True  # dynamically-corrupted sender: message eaten
-        message = transformed
+        transform_message = self._transform_message
+        if transform_message is not None:
+            transformed = transform_message(
+                sender_pid, destination, message, now, sender_cycle)
+            if transformed is not message and self.telemetry is not None:
+                self.telemetry.emit("transform", {
+                    "t": now, "src": sender_pid,
+                    "dst": destination, "type": type(message).__name__})
+            if transformed is None:
+                return True  # dynamically-corrupted sender: message eaten
+            message = transformed
         size = message.size_bits()
         if honest and self.message_size_limit is not None \
                 and size > self.message_size_limit and not self.packetize:
@@ -285,7 +294,7 @@ class Network:
             self.metrics.record_message(sender_pid, size)
         if self.telemetry is not None:
             self.telemetry.emit("send", {
-                "t": self.kernel.now, "src": sender_pid,
+                "t": now, "src": sender_pid,
                 "dst": destination, "type": type(message).__name__,
                 "bits": size, "honest": honest})
         if self._router is not None:
@@ -293,8 +302,8 @@ class Network:
             if len(hops) > 2:
                 _Route(self, hops, message, sender_cycle, honest).forward()
                 return True
-        latency = self.adversary.message_latency(
-            sender_pid, destination, message, self.kernel.now, sender_cycle)
+        latency = self._message_latency(
+            sender_pid, destination, message, now, sender_cycle)
         if (self.packetize and self.message_size_limit is not None
                 and isinstance(latency, (int, float))):
             packets = -(-size // self.message_size_limit)
@@ -303,9 +312,11 @@ class Network:
         return True
 
     def _dispatch(self, sender_pid: int, destination: int, message: Message,
-                  latency, arrive=None, kind: str = "deliver") -> None:
+                  latency, arrive=None) -> None:
         """Park or schedule one link traversal; a routed hop passes its
-        route's ``arrive``, so landing continues the route."""
+        route's ``arrive``, so landing continues the route.  The model's
+        delays are finite: a negative, infinite or NaN latency is the
+        adversary's bug and raises ``ValueError``."""
         if isinstance(latency, _Withhold):
             if self.telemetry is not None:
                 self.telemetry.emit("withhold", {
@@ -314,7 +325,8 @@ class Network:
             self._withheld.append(WithheldMessage(
                 sender_pid, destination, message, self.kernel.now, arrive))
             return
-        if not isinstance(latency, (int, float)) or latency < 0:
+        if not (isinstance(latency, (int, float))
+                and 0.0 <= latency < _INF):
             raise ValueError(
                 f"adversary returned invalid latency {latency!r}")
         delay = float(latency)
@@ -325,9 +337,7 @@ class Network:
             self._last_delivery[link] = arrival
             delay = arrival - self.kernel.now
         self.kernel.schedule(
-            delay,
-            arrive or (lambda: self._deliver(destination, message)),
-            kind=f"{kind}:{sender_pid}->{destination}")
+            delay, arrive or partial(self._deliver, destination, message))
 
     # -- broadcasting ------------------------------------------------------
 
@@ -356,7 +366,8 @@ class Network:
         in ascending destination order.
 
         Every adversary hook (``permit_send``, ``transform_message``,
-        ``message_latency``) fires once per destination in that order,
+        ``message_latency``; an identity one is skipped, as in
+        :meth:`send`) fires once per destination in that order,
         so RNG draw order and crash-mid-batch behaviour (a prefix of
         the ID order goes out) do not depend on how deliveries are
         scheduled.  Only the *scheduling* may be collapsed: when the
@@ -381,7 +392,9 @@ class Network:
             send_to_each(self, sender_pid, n, message, sender_cycle)
             return
         kernel = self.kernel
-        adversary = self.adversary
+        permit_send = self._permit_send
+        transform_message = self._transform_message
+        message_latency = self._message_latency
         metrics = self.metrics
         sender = self._receivers.get(sender_pid)
         now = kernel.now
@@ -395,17 +408,11 @@ class Network:
             if run_lo < 0:
                 return
             if run_hi - run_lo == 1:
-                destination = run_lo
-                kernel.schedule(
-                    run_latency,
-                    lambda: self._deliver(destination, message),
-                    kind=f"deliver:{sender_pid}->{destination}")
+                kernel.schedule(run_latency,
+                                partial(self._deliver, run_lo, message))
             else:
-                lo, hi = run_lo, run_hi
-                kernel.schedule(
-                    run_latency,
-                    lambda: self._deliver_span(message, lo, hi, sink),
-                    kind=f"deliver-span:{sender_pid}->{lo}:{hi}")
+                kernel.schedule(run_latency, partial(
+                    self._deliver_span, message, run_lo, run_hi, sink))
             run_lo = -1
 
         for destination in range(n):
@@ -415,28 +422,32 @@ class Network:
                 # Crashed mid-batch: the remaining sends would all
                 # short-circuit on the live check, exactly as here.
                 break
-            if not adversary.permit_send(sender_pid, destination, message,
-                                         now):
+            if permit_send is not None and not permit_send(
+                    sender_pid, destination, message, now):
                 continue
-            transformed = adversary.transform_message(
-                sender_pid, destination, message, now, sender_cycle)
-            if transformed is None:
-                continue  # dynamically-corrupted sender: message eaten
-            if transformed is not message:
-                flush()
-                metrics.record_message(sender_pid, transformed.size_bits())
-                latency = adversary.message_latency(
-                    sender_pid, destination, transformed, now, sender_cycle)
-                self._dispatch(sender_pid, destination, transformed, latency)
-                continue
+            if transform_message is not None:
+                transformed = transform_message(
+                    sender_pid, destination, message, now, sender_cycle)
+                if transformed is None:
+                    continue  # dynamically-corrupted sender: message eaten
+                if transformed is not message:
+                    flush()
+                    metrics.record_message(sender_pid,
+                                           transformed.size_bits())
+                    latency = message_latency(sender_pid, destination,
+                                              transformed, now, sender_cycle)
+                    self._dispatch(sender_pid, destination, transformed,
+                                   latency)
+                    continue
             sent += 1
-            latency = adversary.message_latency(
+            latency = message_latency(
                 sender_pid, destination, message, now, sender_cycle)
             if isinstance(latency, _Withhold) or not sink.owns(destination):
                 flush()
                 self._dispatch(sender_pid, destination, message, latency)
                 continue
-            if not isinstance(latency, (int, float)) or latency < 0:
+            if not (isinstance(latency, (int, float))
+                    and 0.0 <= latency < _INF):
                 raise ValueError(
                     f"adversary returned invalid latency {latency!r}")
             latency = float(latency)
@@ -509,9 +520,6 @@ class Network:
                     "t": self.kernel.now, "src": entry.sender,
                     "dst": entry.destination,
                     "type": type(entry.message).__name__})
-            self.kernel.schedule(
-                0.0,
-                (entry.resume if entry.resume is not None else
-                 (lambda e=entry: self._deliver(e.destination, e.message))),
-                kind=f"release:{entry.sender}->{entry.destination}")
+            self.kernel.schedule(0.0, entry.resume or partial(
+                self._deliver, entry.destination, entry.message))
         return True

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Type, TypeVar
 
 from repro.sim.messages import Message, SourceResponse
@@ -223,7 +224,7 @@ class Peer(Process):
         request_id = self._request_counter
         self._request_counter += 1
         if not indices:
-            self._source_responses[request_id] = {}
+            self._source_responses[request_id] = BitRun((), b"")
             return request_id
         self.env.source.request_bits_from(source, self.pid, request_id,
                                           indices)
@@ -299,8 +300,7 @@ class Peer(Process):
         """
         kernel = self.env.kernel
         delay = max(0.0, deadline - kernel.now)
-        kernel.schedule(delay, lambda: kernel.notify(self),
-                        kind=f"deadline:{self.name}")
+        kernel.schedule(delay, partial(kernel.notify, self))
         return self.wait_until(
             lambda: predicate() or kernel.now >= deadline, description)
 

@@ -89,13 +89,11 @@ class Process:
         self._generator: Optional[Iterator[WaitRequest]] = None
         self._waiting: Optional[WaitUntil] = None
         self._wake_scheduled = False
-        # Cached resumption closures + event labels, filled in by
-        # Kernel.register so repeated sleeps/wakes reuse one callable
-        # instead of allocating a lambda per scheduled step.
+        # Cached resumption callables, filled in by Kernel.register so
+        # repeated sleeps/wakes reuse one callable instead of
+        # allocating one per scheduled step.
         self._resume: Optional[Callable[[], None]] = None
         self._wake_cb: Optional[Callable[[], None]] = None
-        self._sleep_kind = f"sleep:{name}"
-        self._wake_kind = f"wake:{name}"
 
     def body(self) -> Iterator[WaitRequest]:
         """The process logic, as a generator of wait requests."""

@@ -20,6 +20,7 @@ a correct protocol run never ends that way.
 from __future__ import annotations
 
 import heapq
+from functools import partial
 from typing import Callable, Optional
 
 from repro.sim.errors import BudgetExceeded, DeadlockError
@@ -36,10 +37,10 @@ class Kernel:
 
     def __init__(self) -> None:
         self.now = 0.0
-        #: Heap of ``(time, seq, action, kind)`` tuples; ``seq`` is
-        #: unique, so C-level tuple comparison settles every heap swap
-        #: without ever reaching the ``action`` slot.
-        self._heap: list[tuple[float, int, Callable[[], None], str]] = []
+        #: Heap of ``(time, seq, action)`` tuples; ``seq`` is unique,
+        #: so C-level tuple comparison settles every heap swap without
+        #: ever reaching the ``action`` slot.
+        self._heap: list[tuple[float, int, Callable[[], None]]] = []
         self._seq = 0
         self._processes: list[Process] = []
         self.events_processed = 0
@@ -52,13 +53,11 @@ class Kernel:
 
     # -- event scheduling --------------------------------------------------
 
-    def schedule(self, delay: float, action: Callable[[], None],
-                 kind: str = "event") -> None:
+    def schedule(self, delay: float, action: Callable[[], None]) -> None:
         """Schedule ``action`` to run ``delay`` time units from now."""
-        if delay < 0:
+        if not delay >= 0:  # also false for NaN
             raise ValueError(f"delay must be non-negative, got {delay}")
-        heapq.heappush(self._heap, (self.now + delay, self._seq, action,
-                                    kind))
+        heapq.heappush(self._heap, (self.now + delay, self._seq, action))
         self._seq += 1
 
     # -- process management --------------------------------------------------
@@ -70,24 +69,21 @@ class Kernel:
         stagger peer starts (the model does not assume a simultaneous
         start).
 
-        Resumption closures are built once here and reused for every
+        Resumption callables are built once here and reused for every
         subsequent sleep/wake of the process, so stepping a process does
-        not allocate a fresh lambda per event.
+        not allocate a fresh one per event.
         """
         if start_at < self.now:
             raise ValueError(
                 f"start_at={start_at} is in the past (now={self.now})")
         self._processes.append(process)
-        process._resume = lambda: self._advance(process)
-        process._wake_cb = lambda: self._wake(process)
-        process._sleep_kind = f"sleep:{process.name}"
-        process._wake_kind = f"wake:{process.name}"
-        self.schedule(start_at - self.now, process._resume,
-                      kind=f"start:{process.name}")
+        process._resume = partial(self._advance, process)
+        process._wake_cb = partial(self._wake, process)
+        self.schedule(start_at - self.now, process._resume)
 
     def unlink(self) -> None:
         """Cut a finished run's reference cycles (each process's cached
-        closures, suspended body and wait; pending events; the
+        resumption callables, suspended body and wait; pending events; the
         quiescence hook): reference counting then frees the run."""
         for process in self._processes:
             process._resume = process._wake_cb = None
@@ -110,7 +106,7 @@ class Kernel:
             return
         if process._waiting.predicate():
             process._wake_scheduled = True
-            self.schedule(0.0, process._wake_cb, kind=process._wake_kind)
+            self.schedule(0.0, process._wake_cb)
 
     def _wake(self, process: Process) -> None:
         process._wake_scheduled = False
@@ -132,8 +128,8 @@ class Kernel:
             return
         if process._resume is None:
             # Driven without register() (tests do this); build the
-            # cached closure on first contact instead.
-            process._resume = lambda: self._advance(process)
+            # cached callable on first contact instead.
+            process._resume = partial(self._advance, process)
         if process._generator is None:
             if self.telemetry is not None:
                 self.telemetry.emit("proc_start", {"t": self.now,
@@ -153,8 +149,7 @@ class Kernel:
                 process.finished = True
                 return
             if isinstance(request, Sleep):
-                self.schedule(request.duration, process._resume,
-                              kind=process._sleep_kind)
+                self.schedule(request.duration, process._resume)
                 return
             if isinstance(request, WaitUntil):
                 if request.predicate():
@@ -185,17 +180,17 @@ class Kernel:
                     continue
                 self._check_deadlock()
                 return
-            time, seq, action, kind = heappop(heap)
+            time, seq, action = heappop(heap)
             if max_time is not None and time > max_time:
                 raise BudgetExceeded(
                     f"virtual time budget {max_time} exceeded at "
-                    f"{Event(time, seq, action, kind)!r}")
+                    f"{Event(time, seq, action)!r}")
             self.now = time
             self.events_processed += 1
             if self.events_processed > max_events:
                 raise BudgetExceeded(
                     f"event budget {max_events} exceeded at "
-                    f"{Event(time, seq, action, kind)!r}")
+                    f"{Event(time, seq, action)!r}")
             action()
 
     def _check_deadlock(self) -> None:

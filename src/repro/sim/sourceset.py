@@ -26,6 +26,7 @@ pre-mutation snapshot — the lagging replica of the open problem.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Optional, Sequence, Union
 
 from repro.sim.messages import SOURCE_ID, SourceResponse
@@ -64,9 +65,7 @@ class SourceSet(SourceCore):
         self.applied_mutations: list[tuple[float, int]] = []
         for time, index in self.mutations:
             check_index("mutation index", index, len(self.data))
-            network.kernel.schedule(time,
-                                    lambda i=index: self._flip(i),
-                                    kind=f"mutate:{index}")
+            network.kernel.schedule(time, partial(self._flip, index))
 
     def _flip(self, index: int) -> None:
         self.data[index] = 1 - self.data[index]
@@ -109,10 +108,8 @@ class SourceSet(SourceCore):
                 latency = latency * fault.latency_factor
         if self.mutations and isinstance(latency, (int, float)):
             half = latency / 2.0
-            kernel.schedule(
-                half, lambda: self._respond(source_id, pid, request_id,
-                                            unique, half),
-                kind=f"source-read:{pid}")
+            kernel.schedule(half, partial(self._respond, source_id, pid,
+                                          request_id, unique, half))
         else:
             self._respond(source_id, pid, request_id, unique, latency)
 

@@ -40,7 +40,7 @@ class _Ports(HostPorts):
     def notify(self, process) -> None:
         """Nothing to wake: the host re-checks the wait every round."""
 
-    def schedule(self, delay: float, action, kind: str = "") -> None:
+    def schedule(self, delay: float, action) -> None:
         """A deadline ``delay`` rounds ahead.  The one thing a body
         schedules is its own wake-up (``wait_with_deadline``), which the
         per-round re-check already is; what is left to do is to tell the

@@ -75,8 +75,22 @@ class SplittableRNG:
         return self._random.sample(population, k)
 
     def shuffle(self, items: list[T]) -> None:
-        """Shuffle ``items`` in place."""
-        self._random.shuffle(items)
+        """Shuffle ``items`` in place.
+
+        ``random.Random.shuffle``'s Fisher–Yates with its
+        ``_randbelow`` (rejection sampling over ``getrandbits``)
+        written inline: the same draws and the same permutation, one
+        Python call fewer per element.  The property suite holds it
+        equal to ``random.Random(seed).shuffle``.
+        """
+        getrandbits = self._random.getrandbits
+        for i in reversed(range(1, len(items))):
+            bound = i + 1
+            width = bound.bit_length()
+            j = getrandbits(width)
+            while j >= bound:
+                j = getrandbits(width)
+            items[i], items[j] = items[j], items[i]
 
     def random_bits(self, count: int) -> list[int]:
         """Return ``count`` independent fair coin flips as 0/1 ints."""

@@ -1,5 +1,7 @@
 """Unit tests for the event ordering contract and the error hierarchy."""
 
+from functools import partial
+
 import pytest
 
 from repro.sim.errors import (
@@ -24,13 +26,20 @@ class TestEventOrdering:
         assert first < second
 
     def test_action_not_part_of_ordering(self):
-        a = Event(1.0, 0, lambda: 1, kind="a")
-        b = Event(1.0, 0, lambda: 2, kind="b")
+        a = Event(1.0, 0, lambda: 1)
+        b = Event(1.0, 0, lambda: 2)
         assert not a < b and not b < a
 
-    def test_repr_mentions_time_and_kind(self):
-        text = repr(Event(1.5, 3, lambda: None, kind="deliver"))
-        assert "1.5" in text and "deliver" in text
+    def test_repr_names_time_and_action(self):
+        class Target:
+            name = "peer-4"
+
+            def deliver(self, pid, message):
+                pass
+
+        text = repr(Event(1.5, 3, partial(Target().deliver, 7, Target())))
+        assert "1.5" in text
+        assert "Target.deliver(7, peer-4)" in text
 
 
 class TestErrorHierarchy:

@@ -345,3 +345,60 @@ class TestBroadcastGrouping:
         assert sink.spans == []
         assert self._delivered_singly(receivers) == [1, 2]
         assert metrics.messages_sent[0] == 0  # Byzantine: uncharged
+
+
+class FixedLatency(Adversary):
+    """Every message and query travels ``latency``."""
+
+    def __init__(self, latency):
+        super().__init__()
+        self.latency = latency
+
+    def message_latency(self, sender, destination, message, now, cycle):
+        return self.latency
+
+    def query_latency(self, pid, now):
+        return self.latency
+
+
+class TestInvalidLatency:
+    """The model's delays are finite: a NaN, infinite or negative
+    latency raises when it is drawn, on every path a latency takes
+    (NaN would leave the heap order undefined; inf would end a run at
+    T = inf)."""
+
+    BAD = [float("nan"), float("inf"), -1.0]
+
+    @pytest.mark.parametrize("latency", BAD)
+    def test_direct_send(self, latency):
+        _, _, network, _ = build(FixedLatency(latency))
+        with pytest.raises(ValueError, match="invalid latency"):
+            network.send(0, 1, Ping(sender=0, payload="x"))
+
+    @pytest.mark.parametrize("latency", BAD)
+    def test_routed_hop(self, latency):
+        _, _, network, _ = build_wide(
+            adversary=FixedLatency(latency),
+            topology=resolve_topology("ring", 6, 0))
+        with pytest.raises(ValueError, match="invalid latency"):
+            network.send(0, 3, Ping(sender=0, payload="x"))
+
+    @pytest.mark.parametrize("grouped", [True, False])
+    @pytest.mark.parametrize("latency", BAD)
+    def test_broadcast(self, latency, grouped):
+        _, _, network, _ = build_wide(adversary=FixedLatency(latency),
+                                      sink=SpanSink() if grouped else None)
+        with pytest.raises(ValueError, match="invalid latency"):
+            network.broadcast(0, 6, Ping(sender=0, payload="x"))
+
+    @pytest.mark.parametrize("latency", BAD)
+    def test_source_response(self, latency):
+        from repro.sim.sourceset import SourceSet
+        from repro.util.bitarrays import BitArray
+
+        adversary = FixedLatency(latency)
+        kernel, metrics, network, _ = build(adversary)
+        source = SourceSet(BitArray.from_string("1011"), metrics, network,
+                           adversary)
+        with pytest.raises(ValueError, match="invalid latency"):
+            source.request_bits(1, 0, [0, 2])

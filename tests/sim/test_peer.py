@@ -124,6 +124,27 @@ class TestPeerBehaviour:
         result = sim.run()
         assert result.report.query_complexity == 0
 
+    def test_empty_start_query_answers_an_empty_run(self):
+        # ``take_response`` is typed BitRun, and ``learn_many`` and the
+        # vote tallies accept only runs.
+        from repro.util.bitarrays import BitArray, BitRun
+        taken = {}
+
+        class Starter(Peer):
+            def body(self):
+                request = self.start_query([])
+                assert self.response_ready(request)
+                taken[self.pid] = self.take_response(request)
+                self.finish(BitArray.zeros(self.ell))
+                return
+                yield  # pragma: no cover
+
+        result = Simulation(n=2, data="10", peer_factory=Starter,
+                            seed=1).run()
+        assert result.report.query_complexity == 0
+        assert [type(run) for run in taken.values()] == [BitRun, BitRun]
+        assert all(len(run) == 0 for run in taken.values())
+
     def test_query_segment_returns_string(self):
         seen = {}
 

@@ -50,6 +50,12 @@ class TestEventOrdering:
         with pytest.raises(ValueError):
             Kernel().schedule(-0.1, lambda: None)
 
+    def test_nan_delay_rejected(self):
+        # NaN compares false both ways, so the heap order would be
+        # undefined from that entry on.
+        with pytest.raises(ValueError, match="non-negative"):
+            Kernel().schedule(float("nan"), lambda: None)
+
     def test_events_scheduled_during_run_are_processed(self):
         kernel = Kernel()
         fired = []
