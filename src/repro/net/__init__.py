@@ -1,27 +1,21 @@
 """Real-transport execution: peers over sockets behind a chaos proxy.
 
 The simulator (:mod:`repro.sim`) models communication; this package
-*performs* it.  Each peer is an asyncio task (or a spawned OS process,
-see :mod:`repro.net.worker`) speaking length-prefixed JSON frames
-(:mod:`repro.net.wire`) over Unix sockets; the external source is a
-small socket server (:mod:`repro.net.server`); and every byte of
-peer↔source and peer↔peer traffic routes through a deterministic
-chaos proxy (:mod:`repro.net.proxy` + :mod:`repro.net.chaos`) that
-injects latency, drops, duplicates, reordering, and mid-stream
-disconnects — all seeded, so runs are reproducible.
+*performs* it.  Each peer is an asyncio task (or a spawned process,
+:mod:`repro.net.worker`) sending length-prefixed JSON frames
+(:mod:`repro.net.wire`) over Unix sockets to the source server and the
+peer inboxes (:mod:`repro.net.server`); every endpoint is an asyncio
+protocol over one sans-IO framer.  Every frame crosses a seeded chaos
+proxy (:mod:`repro.net.proxy`, :mod:`repro.net.chaos`) injecting
+latency, drops, duplicates, reordering and disconnects; a proxy route
+multiplexes its clients onto one upstream connection, routing each
+answer back by its request ID.
 
-Robustness invariants (the point of the exercise):
-
-- every request carries an idempotent request ID, so retries never
-  double-charge query complexity;
-- every exchange has a per-request timeout and retries on the PR-2
-  :class:`~repro.execution.RetryPolicy` (deterministic-jitter backoff);
-- a peer that crashes or exhausts its retries fails the *run* with
-  :class:`~repro.net.driver.NetRunError` — the engine's retry layer
-  then degrades it into an explicit ``failed_runs`` record, never a
-  hung sweep;
-- children are always reaped (SIGTERM, then SIGKILL) and sockets
-  removed, even when the run dies mid-flight.
+Robustness: idempotent request IDs, so retries never double-charge Q;
+per-request timeouts and :class:`~repro.execution.RetryPolicy`
+retries; a peer that crashes or runs out of retries fails the *run*
+(:class:`~repro.net.driver.NetRunError`, a ``failed_runs`` record,
+never a hung sweep); children are always reaped, sockets removed.
 
 Entry point: :func:`run_net_download`, wrapped by the ``"net"``
 execution backend (:mod:`repro.experiments.backends.net`).
@@ -31,18 +25,12 @@ from repro.net.chaos import ChaosPlan, parse_proxy_fault, parse_proxy_faults
 from repro.net.client import NetClient, NetRequestError
 from repro.net.driver import NetRunError, NetRunResult, run_net_download
 from repro.net.server import PeerInbox, SourceServer
-from repro.net.wire import (
-    MAX_FRAME,
-    WireError,
-    decode_body,
-    encode_frame,
-    frame_digest,
-    read_frame,
-    read_raw_frame,
-)
+from repro.net.wire import (MAX_FRAME, FrameDecoder, WireError, decode_body,
+                            encode_frame, frame_digest)
 
 __all__ = [
     "ChaosPlan",
+    "FrameDecoder",
     "MAX_FRAME",
     "NetClient",
     "NetRequestError",
@@ -56,7 +44,5 @@ __all__ = [
     "frame_digest",
     "parse_proxy_fault",
     "parse_proxy_faults",
-    "read_frame",
-    "read_raw_frame",
     "run_net_download",
 ]

@@ -1,24 +1,18 @@
 """The net backend's request/response client with timeouts and retries.
 
 One :class:`NetClient` owns one connection to one address (a proxy
-listener) and serializes requests over it — a peer that wants
-concurrent requests to several endpoints holds several clients.  Every
-request is sent with an ``attempt`` number and awaited under a
-per-request timeout; on timeout, EOF, or a connection error the client
-closes the connection (discarding any half-delivered or stale frames
-with it), sleeps the PR-2 :class:`~repro.execution.RetryPolicy`
-backoff — deterministic jitter derived from the client's task seed,
-the same construction the execution engine retries with — reconnects,
-and tries again.  Only a request that exhausts every attempt raises
-:class:`NetRequestError`, which fails the whole run (and the engine
-then degrades that repeat into a ``failed_runs`` record).
+listener) and serializes requests over it; a peer holds one client per
+endpoint.  A request is written with an ``attempt`` number; its answer
+is a future the connection resolves on the frame echoing its ``rid``
+(a late duplicate of an earlier answer is discarded), awaited under a
+per-request timeout.  On timeout, EOF, or a connection error the client
+closes the connection, sleeps the :class:`~repro.execution.RetryPolicy`
+backoff (deterministic jitter from its task seed) and tries again; a
+request out of attempts raises :class:`NetRequestError`, which fails
+the run (and the engine records a ``failed_runs`` entry).
 
-Idempotency contract: the request's ``rid`` never changes across
-attempts, so the server side charges it once however many times it
-arrives; the ``attempt`` field *does* change, so a content-hashing
-chaos proxy gives each retry a fresh decision.  Responses are matched
-by ``rid`` — a late duplicate of an earlier response (proxy ``dup``,
-or a replay raced with a timeout) is discarded, not misdelivered.
+The ``rid`` never changes across attempts, so the server charges it
+once; the ``attempt`` does, so the proxy rolls each retry afresh.
 """
 
 from __future__ import annotations
@@ -30,15 +24,13 @@ from typing import Callable, Optional
 from repro.execution.retry import RetryPolicy
 from repro.obs.telemetry import counter, event
 
-from repro.net.wire import WireError, encode_frame, read_frame
+from repro.net.wire import (FrameProtocol, WireError, decode_body, dial,
+                            encode_frame)
 
 #: Default per-request policy: a handful of attempts with sub-second
 #: backoff — enough to ride out seeded drops without stretching tests.
 DEFAULT_NET_RETRY = RetryPolicy(max_attempts=5, base_delay=0.05,
                                 backoff=2.0, max_delay=0.5, jitter=0.5)
-
-#: How long a client waits for its peer's listener to exist.
-_CONNECT_WAIT = 5.0
 
 
 class NetRequestError(Exception):
@@ -60,38 +52,20 @@ class NetClient:
         self.task_seed = task_seed
         self.clock = clock if clock is not None else time.monotonic
         self.retries = 0  #: retry attempts consumed (attempts beyond 1)
-        #: One request at a time: ``_attempt`` discards every response
-        #: whose rid is not its own, so two requests sharing the
-        #: connection would starve each other into retries.
+        #: One request at a time: a connection resolves one ``rid``, so
+        #: two requests sharing it would starve each other into retries.
         self._busy = asyncio.Lock()
-        self._reader = None
-        self._writer = None
-
-    # -- connection lifecycle ---------------------------------------------
+        self._conn: Optional[_Connection] = None
 
     async def _connect(self, attempt: int) -> None:
-        deadline = time.monotonic() + _CONNECT_WAIT
-        while True:
-            try:
-                self._reader, self._writer = \
-                    await asyncio.open_unix_connection(self.path)
-                break
-            except (FileNotFoundError, ConnectionRefusedError, OSError):
-                if time.monotonic() >= deadline:
-                    raise
-                await asyncio.sleep(0.02)
+        _, self._conn = await dial(self.path, _Connection)
         event("net_connect", t=self.clock(), proc=self.proc,
               addr=self.path, attempt=attempt)
 
     def close(self) -> None:
-        if self._writer is not None:
-            try:
-                self._writer.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-        self._reader = self._writer = None
-
-    # -- requesting -------------------------------------------------------
+        if self._conn is not None:
+            self._conn.transport.close()
+        self._conn = None
 
     async def request(self, payload: dict,
                       parse: Optional[Callable[[dict], object]] = None):
@@ -134,21 +108,30 @@ class NetClient:
 
     async def _attempt(self, payload: dict, rid: str,
                        attempt: int) -> dict:
-        if self._writer is None:
+        if self._conn is None:
             await self._connect(attempt)
-        frame = encode_frame({**payload, "attempt": attempt})
-        self._writer.write(frame)
-        await self._writer.drain()
-        deadline = time.monotonic() + self.timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise asyncio.TimeoutError()
-            response = await asyncio.wait_for(read_frame(self._reader),
-                                              timeout=remaining)
-            if response is None:
-                raise ConnectionResetError("connection closed mid-request")
-            if response.get("rid") == rid:
-                return response
-            # A duplicate or stale response for an earlier rid: discard
-            # and keep waiting for ours.
+        conn = self._conn
+        if conn.transport.is_closing():  # the far end hung up meanwhile
+            raise conn.error or ConnectionResetError("connection closed")
+        conn.rid, conn.answer = rid, asyncio.get_running_loop().create_future()
+        conn.transport.write(encode_frame({**payload, "attempt": attempt}))
+        return await asyncio.wait_for(conn.answer, timeout=self.timeout)
+
+
+class _Connection(FrameProtocol):
+    """A client's connection: resolves the request in flight on the
+    frame that echoes its ``rid`` and discards any other — a duplicate
+    or stale response for an earlier one."""
+
+    rid = answer = None
+
+    def frame_received(self, body: bytes) -> None:
+        response = decode_body(body)
+        if (response.get("rid") == self.rid and self.answer is not None
+                and not self.answer.done()):
+            self.answer.set_result(response)
+
+    def connection_lost(self, exc) -> None:
+        if self.answer is not None and not self.answer.done():
+            self.answer.set_exception(
+                self.error or exc or ConnectionResetError("connection lost"))

@@ -1,27 +1,24 @@
 """The chaos proxy: a real socket forwarder that injects faults.
 
 Every net-backend connection — peer↔source and peer↔peer alike —
-dials a proxy listener instead of its upstream; the proxy opens one
-upstream connection per accepted client and pumps frames in both
-directions, asking the :class:`~repro.net.chaos.ChaosPlan` what to do
-with each one.  A ``None`` plan forwards everything untouched (the
-fault-free conformance configuration).
+dials a proxy listener instead of its upstream.  A route dials its
+upstream once, lazily, and multiplexes its client connections onto
+it, asking the :class:`~repro.net.chaos.ChaosPlan` the fate of each
+whole frame (decisions are keyed on frame content, so a fault hits a
+whole request or response).  A ``None`` plan forwards everything.
 
-Mechanics worth knowing:
-
-- frames are parsed (length prefix + body) rather than splicing raw
-  bytes, because decisions are keyed on frame content — a fault hits
-  a whole request or response, never half of one;
-- delayed and duplicated frames are written by their own scheduled
-  task behind a per-writer lock, so a held frame does not block the
-  frames behind it — which is exactly how "delay" doubles as
-  reordering;
-- ``disconnect`` tears down both halves of the client's connection
-  mid-stream; the client sees EOF and reconnects.  Server-side state
-  (request dedupe) lives above the connection, so nothing is lost;
-- the proxy always runs in the driver process, even when peers are
-  spawned processes, so proxy telemetry is never emitted from (and
-  lost in) a child.
+- An answer goes back to the client connection whose request it
+  answers (request ids are unique per request); one for a connection
+  that has closed dies with it, undecided — as does a held request.
+  A frame with no ``str`` ``rid`` is refused: only its sender closes.
+- A delayed or duplicated frame is written by ``call_later`` and
+  blocks nothing behind it, which is how "delay" doubles as reordering.
+- ``disconnect`` closes the client's connection; the client sees EOF
+  and retries (dedupe lives in the servers).  If the shared upstream
+  drops — a server refusing any one frame drops it — every client it
+  owed an answer is disconnected at once.
+- The proxy runs in the driver process, so its telemetry is never lost
+  in a worker.
 """
 
 from __future__ import annotations
@@ -32,12 +29,9 @@ from typing import Callable, Optional
 
 from repro.obs.telemetry import event
 
-from repro.net.chaos import PASS, ChaosPlan
-from repro.net.wire import WireError, _PREFIX, read_raw_frame
-
-#: How long a route waits for its upstream socket to exist (workers
-#: create their inbox sockets after the proxy starts listening).
-_UPSTREAM_WAIT = 5.0
+from repro.net.chaos import PASS, ChaosPlan, FrameDecision
+from repro.net.wire import (_PREFIX, FrameProtocol, WireError, decode_body,
+                            dial)
 
 
 class ChaosProxy:
@@ -49,144 +43,164 @@ class ChaosProxy:
         self.clock = clock if clock is not None else time.monotonic
         self.counts = {"drop": 0, "dup": 0, "delay": 0, "disconnect": 0}
         self._servers: list[asyncio.AbstractServer] = []
-        self._tasks: set[asyncio.Task] = set()
+        self._routes: list[_Route] = []
 
     async def add_route(self, listen_path: str, upstream_path: str,
                         label: str) -> None:
-        """Listen on ``listen_path``; forward each client to its own
-        connection to ``upstream_path``."""
-
-        async def handle(reader, writer):
-            try:
-                await self._handle_client(reader, writer, upstream_path,
-                                          label)
-            except asyncio.CancelledError:
-                # Loop teardown cancels accepted-connection tasks that
-                # are still waiting on an upstream; finishing quietly
-                # keeps asyncio's stream callback from logging it.
-                try:
-                    writer.close()
-                except Exception:
-                    pass
-
-        server = await asyncio.start_unix_server(handle,
-                                                 path=listen_path)
-        self._servers.append(server)
+        """Listen on ``listen_path``; forward every client over one
+        shared connection to ``upstream_path``."""
+        route = _Route(self, upstream_path, label)
+        self._routes.append(route)
+        self._servers.append(
+            await asyncio.get_running_loop().create_unix_server(
+                lambda: _Client(route), path=listen_path))
 
     async def close(self) -> None:
-        """Stop listening and cancel every in-flight pump task."""
+        """Stop listening; close every connection and pending dial."""
         for server in self._servers:
             server.close()
-        for server in self._servers:
-            try:
-                await server.wait_closed()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
-        for task in list(self._tasks):
+        for route in self._routes:
+            for connection in (*route.clients, route):
+                if connection.transport is not None:
+                    connection.transport.close()
+        dials = [route.dialing for route in self._routes if route.dialing]
+        for task in dials:
             task.cancel()
-        if self._tasks:
-            await asyncio.gather(*self._tasks, return_exceptions=True)
+        await asyncio.gather(*dials, return_exceptions=True)
+        for server in self._servers:
+            await server.wait_closed()
         self._servers.clear()
 
-    # -- per-connection plumbing ------------------------------------------
+    def decide(self, body: bytes, label: str,
+               direction: str) -> FrameDecision:
+        """One frame's fate, counted and announced."""
+        if self.plan is None:
+            return PASS
+        decision = self.plan.decide(body, direction)
+        for kind, hit in (("disconnect", decision.disconnect),
+                          ("drop", decision.drop),
+                          ("dup", decision.duplicate)):
+            if hit:
+                self.counts[kind] += 1
+                event(f"net_proxy_{kind}", t=self.clock(), link=label,
+                      direction=direction)
+        if decision.delay > 0:
+            self.counts["delay"] += 1
+            event("net_proxy_delay", t=self.clock(), link=label,
+                  direction=direction, seconds=decision.delay)
+        return decision
 
-    async def _connect_upstream(self, path: str):
-        """Dial the upstream, waiting for its socket to appear (process
-        mode starts workers after the proxy)."""
-        deadline = time.monotonic() + _UPSTREAM_WAIT
-        while True:
-            try:
-                return await asyncio.open_unix_connection(path)
-            except (FileNotFoundError, ConnectionRefusedError, OSError):
-                if time.monotonic() >= deadline:
-                    raise
-                await asyncio.sleep(0.02)
 
-    async def _handle_client(self, client_reader, client_writer,
-                             upstream_path: str, label: str) -> None:
-        try:
-            up_reader, up_writer = await self._connect_upstream(
-                upstream_path)
-        except OSError:
-            client_writer.close()
+def _rid(body: bytes) -> Optional[str]:
+    try:
+        rid = decode_body(body).get("rid")
+    except WireError:
+        return None
+    return rid if type(rid) is str else None
+
+
+class _Route(FrameProtocol):
+    """One listener's clients, multiplexed onto one upstream connection
+    (this protocol's ``transport``, dialed on the first frame)."""
+
+    def __init__(self, proxy: ChaosProxy, path: str, label: str) -> None:
+        self.proxy = proxy
+        self.path = path
+        self.label = label
+        self.clients: set[_Client] = set()
+        #: rid -> the connection of each copy written upstream and not
+        #: yet answered, oldest first
+        self.owed: dict[str, list[_Client]] = {}
+        self.backlog: list[tuple] = []  #: ``_send_up`` calls before the dial
+        self.dialing: Optional[asyncio.Task] = None
+
+    def forward(self, decision: FrameDecision, client: _Client,
+                body: bytes, write: Callable[[bytes], None]) -> None:
+        """Disconnect ``client``, drop, or ``write`` now or after a delay."""
+        if decision.disconnect:
+            client.transport.close()
+        elif not decision.drop:
+            data = (_PREFIX.pack(len(body)) + body) * (
+                2 if decision.duplicate else 1)
+            if decision.delay > 0:
+                asyncio.get_running_loop().call_later(decision.delay,
+                                                      write, data)
+            else:
+                write(data)
+
+    def to_upstream(self, client: _Client, body: bytes) -> None:
+        rid = _rid(body)
+        if rid is None:  # no answer could find its way back: refuse it
+            client.transport.close()
             return
-        closed = asyncio.Event()
-        pumps = [
-            asyncio.ensure_future(self._pump(
-                client_reader, up_writer, label, "c2s", closed)),
-            asyncio.ensure_future(self._pump(
-                up_reader, client_writer, label, "s2c", closed)),
-        ]
-        for task in pumps:
-            self._tasks.add(task)
-            task.add_done_callback(self._tasks.discard)
-        await closed.wait()
-        for task in pumps:
-            task.cancel()
-        for writer in (client_writer, up_writer):
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
+        decision = self.proxy.decide(body, self.label, "c2s")
+        copies = 2 if decision.duplicate else 1
+        self.forward(decision, client, body,
+                     lambda data: self._send_up(client, rid, copies, data))
 
-    async def _pump(self, reader, writer, label: str, direction: str,
-                    closed: asyncio.Event) -> None:
-        lock = asyncio.Lock()
+    def _send_up(self, client: _Client, rid: str, copies: int,
+                 data: bytes) -> None:
+        if client.transport.is_closing():
+            return  # a held request dies with its connection
+        if self.transport is None:
+            self.backlog.append((client, rid, copies, data))
+            if self.dialing is None:
+                self.dialing = asyncio.ensure_future(self._dial())
+            return
+        self.transport.write(data)
+        self.owed.setdefault(rid, []).extend([client] * copies)
+
+    def frame_received(self, body: bytes) -> None:
+        """An answer from upstream, for the connection whose request it
+        answers (the servers answer one ``rid`` in arrival order)."""
+        rid = _rid(body)
+        senders = self.owed.get(rid)
+        if not senders:
+            return
+        client = senders.pop(0)
+        if not senders:
+            del self.owed[rid]
+        if not client.transport.is_closing():
+            self.forward(self.proxy.decide(body, self.label, "s2c"),
+                         client, body, client.send)
+
+    async def _dial(self) -> None:
+        """Dial the upstream, then flush the backlog."""
         try:
-            while True:
-                try:
-                    body = await read_raw_frame(reader)
-                except WireError:
-                    break
-                if body is None:
-                    break
-                decision = (self.plan.decide(body, direction)
-                            if self.plan is not None else PASS)
-                if decision.disconnect:
-                    self.counts["disconnect"] += 1
-                    event("net_proxy_disconnect", t=self.clock(),
-                          link=label, direction=direction)
-                    break
-                if decision.drop:
-                    self.counts["drop"] += 1
-                    event("net_proxy_drop", t=self.clock(), link=label,
-                          direction=direction)
-                    continue
-                frame = _PREFIX.pack(len(body)) + body
-                copies = 2 if decision.duplicate else 1
-                if decision.duplicate:
-                    self.counts["dup"] += 1
-                    event("net_proxy_dup", t=self.clock(), link=label,
-                          direction=direction)
-                if decision.delay > 0:
-                    self.counts["delay"] += 1
-                    event("net_proxy_delay", t=self.clock(), link=label,
-                          direction=direction, seconds=decision.delay)
-                    task = asyncio.ensure_future(self._write_later(
-                        writer, lock, frame, copies, decision.delay))
-                    self._tasks.add(task)
-                    task.add_done_callback(self._tasks.discard)
-                else:
-                    await self._write_now(writer, lock, frame, copies)
-        except (asyncio.CancelledError, ConnectionError, OSError):
-            pass
+            await dial(self.path, lambda: self)
+        except OSError:  # no upstream: its waiting clients retry now
+            for client, *_ in self.backlog:
+                client.transport.close()
+            self.backlog.clear()
+            return
         finally:
-            closed.set()
+            self.dialing = None
+        backlog, self.backlog = self.backlog, []
+        for args in backlog:
+            self._send_up(*args)
 
-    async def _write_now(self, writer, lock, frame: bytes,
-                         copies: int) -> None:
-        async with lock:
-            try:
-                for _ in range(copies):
-                    writer.write(frame)
-                await writer.drain()
-            except (ConnectionError, OSError):
-                pass
+    def connection_lost(self, exc) -> None:
+        """The upstream dropped (or never came): every client it owed an
+        answer is disconnected, to retry now rather than time out."""
+        self.transport = None
+        owed, self.owed = self.owed, {}
+        for senders in owed.values():
+            for client in senders:
+                client.transport.close()
 
-    async def _write_later(self, writer, lock, frame: bytes,
-                           copies: int, delay: float) -> None:
-        try:
-            await asyncio.sleep(delay)
-            await self._write_now(writer, lock, frame, copies)
-        except asyncio.CancelledError:  # pragma: no cover - teardown
-            pass
+
+class _Client(FrameProtocol):
+    """An accepted client connection of one route."""
+
+    def __init__(self, route: _Route) -> None:
+        self.route = route
+
+    def connection_made(self, transport) -> None:
+        super().connection_made(transport)
+        self.route.clients.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.route.clients.discard(self)
+
+    def frame_received(self, body: bytes) -> None:
+        self.route.to_upstream(self, body)

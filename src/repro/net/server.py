@@ -1,43 +1,31 @@
 """Socket servers for the net backend: the source set and peer inboxes.
 
-:class:`SourceServer` is the external data source as an actual server:
-the socket front of :class:`~repro.sim.source.SourceCore`.  One
-listener serves all ``k`` endpoints; a query frame names its endpoint,
-and the server answers from that endpoint's *view* — the same fault
-models, the same RNG splits, and therefore the same bits as the
-simulator builds for the same seed.
+:class:`SourceServer` is the socket front of
+:class:`~repro.sim.source.SourceCore`: one listener for all ``k``
+endpoints, each query answered from its endpoint's *view* — the same
+fault models, RNG splits and bits as the simulator's for the seed.
 
-Query accounting is the core's, with one rule on top — **idempotent
-request IDs**.  The first time a request ID is seen, its unique
-indices are charged and the response is cached; any later frame with
-the same ID — a client retry after a dropped response, a
-proxy-duplicated request — is answered from the cache without
-touching a counter.  That is what makes query complexity under
-a faulty proxy *equal* to the fault-free run's, which the conformance
-tests gate.  Replayed responses carry an incremented ``resend`` field
-so their bytes differ per send — a content-hashing proxy that dropped
-the original must get a fresh decision for the replay.
+Accounting adds **idempotent request IDs** to the core's: the first
+sighting of an ID charges its unique indices and caches the response;
+a retry or proxy duplicate is answered from the cache, uncharged, so Q
+under a faulty proxy *equals* the fault-free run's.  Replays carry an
+incremented ``resend``, so the proxy rolls a fresh fault for each.
 
-Source-fault latency semantics (net has no virtual clock, so ``@onset``
-is rejected at validation):
+Latency (no virtual clock here, so ``@onset`` is rejected at
+validation): ``withhold`` answers after an extra fixed delay — the
+sim's "released at quiescence" in wall clock, costing time but never
+liveness or Q; ``slow:factor`` multiplies the base delay (default 0).
 
-- ``withhold`` answers after an extra fixed delay — the sim's
-  "released at quiescence" compressed to wall clock: it costs time,
-  never liveness, and never Q;
-- ``slow:factor`` multiplies the base response delay;
-- everything else answers its view after the base delay (0 by
-  default).
+:class:`PeerInbox` accepts ``share`` frames, dedupes them by ``(sender,
+message id)``, keeps each first-seen one as the
+:class:`~repro.util.bitarrays.BitRun` its ``values`` parse to, and
+always acks — a retried share is re-acked (``resend``), never
+double-counted.
 
-:class:`PeerInbox` is the peer↔peer half: each peer's server accepts
-``share`` frames, deduplicates them by ``(sender, message id)``, keeps
-each first-seen one as the :class:`~repro.util.bitarrays.BitRun` its
-``values`` parse to (:func:`~repro.net.wire.run_from_wire`), and always
-acknowledges — retried shares are re-acked (with a ``resend``
-counter), never double-counted.
-
-Both answer with runs and parse indices through the one codec of
-:mod:`repro.net.wire`, inside one serving loop (:class:`_FrameServer`)
-where a malformed frame is a ``WireError`` that ends the connection.
+Both answer each frame as it arrives (:class:`_FrameServer`).  A
+malformed frame — bad JSON, a bad run, or a missing or ill-typed
+``rid``/``peer``/``source``/``src``/``mid`` — is a ``WireError`` that
+quietly ends the connection.
 """
 
 from __future__ import annotations
@@ -50,63 +38,87 @@ from repro.sim.source import SourceCore
 from repro.util.bitarrays import BitArray, BitRun
 from repro.util.rng import SplittableRNG
 
-from repro.net.wire import (WireError, encode_frame, indices_from_wire,
-                            read_frame, run_from_wire, run_to_wire)
+from repro.net.wire import (FrameProtocol, WireError, decode_body,
+                            encode_frame, indices_from_wire, run_from_wire,
+                            run_to_wire)
 
 
 class _FrameServer:
     """A Unix-socket listener that answers one type of frame.
 
-    A subclass names the ``frame_type`` it serves and builds each
-    answer in ``_answer(frame) -> (payload, delay)``.  A malformed or
-    foreign frame (:class:`WireError`), like a dead socket, ends that
-    one connection and nothing else: the client's retry opens the next.
+    A subclass names the ``frame_type`` it serves and the exact type of
+    each field it needs (so a ``bool`` is no ``int``), and builds each
+    answer in ``_answer(frame) -> (payload, delay)``; a delayed answer
+    is written by ``call_later`` and holds up nothing behind it.  A
+    malformed or foreign frame ends that one connection: the client's
+    retry opens the next.
     """
 
     frame_type: str
-    _server: Optional[asyncio.AbstractServer] = None
+
+    def __init__(self) -> None:
+        self._server: Optional[asyncio.AbstractServer] = None
+        self._connections: set[_Answering] = set()
 
     async def start(self, path: str) -> None:
-        self._server = await asyncio.start_unix_server(self._handle,
-                                                       path=path)
+        self._server = await asyncio.get_running_loop().create_unix_server(
+            lambda: _Answering(self), path=path)
 
     async def close(self) -> None:
+        """Stop listening and end every accepted connection (which
+        ``wait_closed`` awaits from Python 3.12 on)."""
         if self._server is not None:
             self._server.close()
+            for connection in self._connections:
+                connection.transport.close()
             await self._server.wait_closed()
             self._server = None
 
-    async def _handle(self, reader, writer) -> None:
+
+class _Answering(FrameProtocol):
+    """One accepted connection of a :class:`_FrameServer`."""
+
+    def __init__(self, server: _FrameServer) -> None:
+        self.server = server
+
+    def connection_made(self, transport) -> None:
+        super().connection_made(transport)
+        self.server._connections.add(self)
+
+    def connection_lost(self, exc) -> None:
+        self.server._connections.discard(self)
+
+    def frame_received(self, body: bytes) -> None:
+        frame = decode_body(body)
+        if frame.get("type") != self.server.frame_type:
+            raise WireError(f"{type(self.server).__name__} got a "
+                            f"{frame.get('type')!r} frame")
+        for name, kind in self.server.fields.items():
+            if type(frame.get(name)) is not kind:
+                raise WireError(f"{name!r} must be a {kind.__name__}")
         try:
-            while (frame := await read_frame(reader)) is not None:
-                if frame.get("type") != self.frame_type:
-                    raise WireError(f"{type(self).__name__} got a "
-                                    f"{frame.get('type')!r} frame")
-                answer, delay = self._answer(frame)
-                if delay > 0:
-                    await asyncio.sleep(delay)
-                writer.write(encode_frame(answer))
-                await writer.drain()
-        except (WireError, ConnectionError, OSError,
-                asyncio.CancelledError):
-            pass
-        finally:
-            try:
-                writer.close()
-            except Exception:  # pragma: no cover - teardown best effort
-                pass
+            answer, delay = self.server._answer(frame)
+        except ValueError as exc:  # an index outside the array
+            raise WireError(str(exc)) from exc
+        if delay > 0:
+            asyncio.get_running_loop().call_later(delay, self.send,
+                                                  encode_frame(answer))
+        else:
+            self.send(encode_frame(answer))
 
 
 class SourceServer(SourceCore, _FrameServer):
     """All ``k`` source endpoints behind one Unix-socket listener."""
 
     frame_type = "query"
+    fields = {"rid": str, "peer": int, "source": int}
 
     def __init__(self, data: BitArray, *, k: int = 1, faults=(),
                  rng: Optional[SplittableRNG] = None,
                  base_delay: float = 0.0,
                  withhold_delay: float = 0.2) -> None:
         super().__init__(data, k=k, faults=faults, rng=rng)
+        _FrameServer.__init__(self)
         self.base_delay = base_delay
         self.withhold_delay = withhold_delay
         self._responses: dict[str, dict] = {}
@@ -119,8 +131,7 @@ class SourceServer(SourceCore, _FrameServer):
 
         Charges Q only on the first sighting of the frame's request ID.
         """
-        rid = frame["rid"]
-        source_id = int(frame.get("source", 0))
+        rid, pid, source_id = frame["rid"], frame["peer"], frame["source"]
         if not 0 <= source_id < self.k:
             raise WireError(f"source {source_id} out of range "
                             f"[0, {self.k})")
@@ -136,7 +147,6 @@ class SourceServer(SourceCore, _FrameServer):
             response = dict(cached)
             response["resend"] = self._resends[rid]
             return response, delay
-        pid = int(frame["peer"])
         unique = self.charge(pid, source_id,
                              indices_from_wire(frame.get("indices")))
         # No virtual clock on sockets: every fault is active throughout.
@@ -156,8 +166,10 @@ class PeerInbox(_FrameServer):
     """One peer's server side: receive shares, dedupe, acknowledge."""
 
     frame_type = "share"
+    fields = {"rid": str, "src": int, "mid": int}
 
     def __init__(self, pid: int) -> None:
+        super().__init__()
         self.pid = pid
         self.shares: dict[tuple[int, int], BitRun] = {}
         self._resends: dict[tuple[int, int], int] = {}
@@ -171,7 +183,7 @@ class PeerInbox(_FrameServer):
 
     def _answer(self, frame: dict) -> tuple[dict, float]:
         """Store a first-seen share as the run it parses to; ack it."""
-        key = (int(frame["src"]), int(frame["mid"]))
+        key = (frame["src"], frame["mid"])
         if key not in self.shares:
             self.shares[key] = run_from_wire(frame.get("values"))
             self._resends[key] = 0

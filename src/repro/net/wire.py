@@ -2,15 +2,13 @@
 
 One frame = a 4-byte big-endian body length followed by the body: the
 canonical JSON encoding (sorted keys, compact separators) of one flat
-dict.  Canonical encoding matters beyond tidiness — the chaos proxy
-decides each frame's fate from a content hash of the body bytes
-(:func:`frame_digest`), so "the same payload" must always serialize to
-the same bytes, whatever dict insertion order produced it.
+dict, so "the same payload" is always the same bytes — the chaos proxy
+decides each frame's fate from their content hash (:func:`frame_digest`).
 
-Reading distinguishes the two ways a stream can end: EOF exactly on a
-frame boundary is a clean close (``None``), EOF mid-frame — or an
-oversized or non-JSON body — is a :class:`WireError` (the client
-treats both like a connection failure and retries).
+Reading is sans-IO: :class:`FrameDecoder` cuts whatever bytes arrive
+into bodies for :class:`FrameProtocol`, the asyncio connection every
+endpoint is.  An oversized prefix, a torn tail at EOF or a non-JSON
+body is a :class:`WireError`, which closes that connection.
 
 Bits travel as runs (:class:`~repro.util.bitarrays.BitRun`), never as
 one JSON entry per bit.  A run is ``{"range": [start, stop, step],
@@ -27,8 +25,9 @@ import asyncio
 import hashlib
 import json
 import struct
+import time
 from operator import lt
-from typing import Optional, Union
+from typing import Union
 
 from repro.util.bitarrays import BIT_TO_CHAR, CHAR_TO_BIT, BitRun
 
@@ -38,10 +37,13 @@ MAX_FRAME = 8 * 1024 * 1024
 
 _PREFIX = struct.Struct(">I")
 
+#: How long a dial waits for its listener to exist (process-mode
+#: workers create their sockets after the proxy starts dialing).
+_DIAL_WAIT = 5.0
+
 
 class WireError(Exception):
-    """A malformed frame: truncated, oversized, not canonical JSON, or
-    carrying a malformed run."""
+    """A malformed frame: torn, oversized, not JSON, or ill-formed."""
 
 
 def indices_to_wire(indices: Union[range, tuple, list]) -> dict:
@@ -113,29 +115,84 @@ def frame_digest(body: bytes) -> str:
     return hashlib.sha256(body).hexdigest()
 
 
-async def read_raw_frame(reader: asyncio.StreamReader) -> Optional[bytes]:
-    """Read one frame; returns the *body* bytes, or ``None`` on a
-    clean EOF at a frame boundary."""
-    try:
-        prefix = await reader.readexactly(_PREFIX.size)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None  # clean close between frames
-        raise WireError("stream closed inside a frame prefix") from exc
-    (length,) = _PREFIX.unpack(prefix)
-    if length > MAX_FRAME:
-        raise WireError(f"frame prefix announces {length} bytes "
-                        f"(limit {MAX_FRAME})")
-    try:
-        return await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise WireError(f"stream closed {length - len(exc.partial)} "
-                        f"bytes short of a frame body") from exc
+class FrameDecoder:
+    """Cuts a byte stream into frame bodies, however it is chunked."""
+
+    def __init__(self) -> None:
+        self._buffer = bytearray()
+
+    def feed(self, data: bytes) -> list[bytes]:
+        """The bodies ``data`` completes, in order.  An oversized prefix
+        fails once it has arrived and the bodies before it are out."""
+        buffer = self._buffer
+        buffer += data
+        bodies, start, size = [], 0, len(buffer)
+        while size - start >= _PREFIX.size:
+            (length,) = _PREFIX.unpack_from(buffer, start)
+            if length > MAX_FRAME:
+                if bodies:
+                    break  # kept in the buffer: the next call fails
+                raise WireError(f"frame prefix announces {length} bytes "
+                                f"(limit {MAX_FRAME})")
+            end = start + _PREFIX.size + length
+            if end > size:
+                break
+            bodies.append(bytes(buffer[start + _PREFIX.size:end]))
+            start = end
+        del buffer[:start]
+        return bodies
+
+    def eof(self) -> None:
+        """The stream ended; a WireError unless on a frame boundary."""
+        if self._buffer:
+            raise WireError(f"stream closed {len(self._buffer)} bytes "
+                            f"into a frame")
 
 
-async def read_frame(reader: asyncio.StreamReader) -> Optional[dict]:
-    """Read and parse one frame (``None`` on clean EOF)."""
-    body = await read_raw_frame(reader)
-    if body is None:
-        return None
-    return decode_body(body)
+class FrameProtocol(asyncio.Protocol):
+    """One connection that hands each whole frame body to a subclass's
+    ``frame_received``.  A :class:`WireError` — from the framing, or
+    raised by ``frame_received`` — is kept in ``error`` and closes the
+    connection; a closed connection reads no further frame."""
+
+    transport = None
+    error = None
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+        self._decoder = FrameDecoder()
+
+    def data_received(self, data: bytes) -> None:
+        try:
+            for body in self._decoder.feed(data):
+                if self.transport.is_closing():
+                    return
+                self.frame_received(body)
+        except WireError as exc:
+            self.error = exc
+            self.transport.close()
+
+    def eof_received(self) -> None:
+        try:
+            self._decoder.eof()
+        except WireError as exc:
+            self.error = exc  # returning None closes the transport
+
+    def send(self, data: bytes) -> None:
+        """Write ``data`` unless closed: a held frame dies with us."""
+        if not self.transport.is_closing():
+            self.transport.write(data)
+
+
+async def dial(path: str, protocol_factory):
+    """Connect to the Unix socket ``path``, waiting for its listener to
+    exist; returns ``(transport, protocol)``."""
+    deadline = time.monotonic() + _DIAL_WAIT
+    while True:
+        try:
+            return await asyncio.get_running_loop().create_unix_connection(
+                protocol_factory, path)
+        except OSError:
+            if time.monotonic() >= deadline:
+                raise
+            await asyncio.sleep(0.02)

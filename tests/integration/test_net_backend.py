@@ -26,13 +26,13 @@ from repro.experiments import ExperimentSpec
 from repro.experiments.runner import execute_repeat
 from repro.net import (
     MAX_FRAME,
+    FrameDecoder,
     NetRunError,
     WireError,
     decode_body,
     encode_frame,
     parse_proxy_fault,
     parse_proxy_faults,
-    read_frame,
     run_net_download,
 )
 
@@ -50,12 +50,8 @@ def run_fast(**kwargs):
 
 class TestWireFraming:
     def roundtrip(self, payload):
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_data(encode_frame(payload))
-            reader.feed_eof()
-            return await read_frame(reader)
-        return asyncio.run(go())
+        (body,) = FrameDecoder().feed(encode_frame(payload))
+        return decode_body(body)
 
     def test_roundtrip_is_canonical_json(self):
         payload = {"type": "query", "rid": "p0:1", "indices": [3, 1]}
@@ -66,30 +62,20 @@ class TestWireFraming:
         assert a == b
 
     def test_clean_eof_returns_none(self):
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_eof()
-            return await read_frame(reader)
-        assert asyncio.run(go()) is None
+        decoder = FrameDecoder()
+        assert decoder.feed(b"") == []
+        assert decoder.eof() is None
 
     def test_torn_frame_raises(self):
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_data(encode_frame({"x": 1})[:-2])
-            reader.feed_eof()
-            return await read_frame(reader)
+        decoder = FrameDecoder()
+        assert decoder.feed(encode_frame({"x": 1})[:-2]) == []
         with pytest.raises(WireError):
-            asyncio.run(go())
+            decoder.eof()
 
     def test_oversized_frame_refused(self):
         import struct
-        async def go():
-            reader = asyncio.StreamReader()
-            reader.feed_data(struct.pack(">I", MAX_FRAME + 1))
-            reader.feed_eof()
-            return await read_frame(reader)
         with pytest.raises(WireError, match="frame"):
-            asyncio.run(go())
+            FrameDecoder().feed(struct.pack(">I", MAX_FRAME + 1))
 
     def test_garbage_body_raises(self):
         with pytest.raises(WireError):
@@ -344,23 +330,24 @@ class TestSocketHost:
 
     def test_client_serializes_concurrent_requests(self):
         from repro.net import NetClient
+        from repro.net.wire import FrameProtocol
 
         hung_up = asyncio.Event()
 
-        async def echo(reader, writer):
-            while (frame := await read_frame(reader)) is not None:
-                await asyncio.sleep(0.02)
-                writer.write(encode_frame({"rid": frame["rid"]}))
-                await writer.drain()
-            writer.close()
-            await writer.wait_closed()
-            hung_up.set()
+        class Echo(FrameProtocol):
+            def frame_received(self, body):
+                answer = encode_frame({"rid": decode_body(body)["rid"]})
+                asyncio.get_running_loop().call_later(0.02, self.send,
+                                                      answer)
+
+            def connection_lost(self, exc):
+                hung_up.set()
 
         async def go():
             import tempfile
             with tempfile.TemporaryDirectory(prefix="rnet-") as sock_dir:
-                server = await asyncio.start_unix_server(
-                    echo, path=f"{sock_dir}/echo.sock")
+                server = await asyncio.get_running_loop(
+                    ).create_unix_server(Echo, path=f"{sock_dir}/echo.sock")
                 client = NetClient(f"{sock_dir}/echo.sock", proc="test",
                                    retry=FAST_RETRY, timeout=0.5)
                 try:

@@ -4,7 +4,7 @@ A :class:`~repro.util.bitarrays.BitRun` must survive ``run_to_wire`` →
 JSON → ``run_from_wire`` unchanged on either index backing.  A
 malformed run must end as a :class:`~repro.net.wire.WireError` at the
 two places frames are parsed — never as a ``KeyError``/``ValueError``
-escaping :meth:`PeerInbox._handle` or :meth:`NetPeer._ask` — and since
+escaping the inbox's connection protocol or :meth:`NetPeer._ask` — and since
 the client retries on ``WireError``, a corrupt answer followed by a
 good replay still charges its query once.
 """
@@ -19,9 +19,9 @@ from hypothesis import HealthCheck, given, settings
 from repro.execution import RetryPolicy
 from repro.net.client import NetClient
 from repro.net.peers import NetPeer
-from repro.net.server import PeerInbox, SourceServer
-from repro.net.wire import (WireError, decode_body, encode_frame,
-                            indices_from_wire, indices_to_wire, read_frame,
+from repro.net.server import PeerInbox, SourceServer, _Answering
+from repro.net.wire import (FrameDecoder, WireError, decode_body,
+                            encode_frame, indices_from_wire, indices_to_wire,
                             run_from_wire, run_to_wire)
 from repro.protocols import NaiveDownloadPeer
 from repro.util.bitarrays import BitArray, BitRun
@@ -99,7 +99,7 @@ def test_a_malformed_run_is_a_wire_error(wire):
 # -- the inbox ------------------------------------------------------------------
 
 class Sink:
-    """The writer half of a connection, kept in memory."""
+    """The transport of a connection, kept in memory."""
 
     def __init__(self):
         self.written = b""
@@ -108,31 +108,33 @@ class Sink:
     def write(self, data):
         self.written += data
 
-    async def drain(self):
-        pass
+    def is_closing(self):
+        return self.closed
 
     def close(self):
         self.closed = True
 
 
 def feed_inbox(*frames):
-    """Run one inbox connection over ``frames``; returns the inbox and
-    the acks it wrote."""
-    async def go():
-        inbox = PeerInbox(0)
-        reader, sink = asyncio.StreamReader(), Sink()
-        for frame in frames:
-            reader.feed_data(encode_frame(frame))
-        reader.feed_eof()
-        await inbox._handle(reader, sink)  # raises what escapes it
-        replies = asyncio.StreamReader()
-        replies.feed_data(sink.written)
-        replies.feed_eof()
-        acks = []
-        while (ack := await read_frame(replies)) is not None:
-            acks.append(ack)
-        return inbox, sink, acks
-    return asyncio.run(go())
+    """Run one inbox connection over ``frames``, delivered in one read;
+    returns the inbox, its transport and the acks it wrote."""
+    inbox, sink = PeerInbox(0), Sink()
+    connection = _Answering(inbox)
+    connection.connection_made(sink)
+    # raises what escapes the protocol
+    connection.data_received(b"".join(map(encode_frame, frames)))
+    connection.eof_received()
+    acks = [decode_body(body) for body in FrameDecoder().feed(sink.written)]
+    return inbox, sink, acks
+
+
+async def frames(reader):
+    """The frames a stream carries, cut by the decoder."""
+    decoder = FrameDecoder()
+    while data := await reader.read(1 << 16):
+        for body in decoder.feed(data):
+            yield decode_body(body)
+    decoder.eof()
 
 
 def share(rid, src, values):
@@ -168,11 +170,12 @@ async def corrupting_route(listen_path, upstream_path, values):
     async def handle(reader, writer):
         up_reader, up_writer = await asyncio.open_unix_connection(
             upstream_path)
+        answers = frames(up_reader)
         try:
-            while (frame := await read_frame(reader)) is not None:
+            async for frame in frames(reader):
                 up_writer.write(encode_frame(frame))
                 await up_writer.drain()
-                answer = await read_frame(up_reader)
+                answer = await anext(answers)
                 if not state["corrupted"]:
                     answer = dict(answer, values=values)
                     state["corrupted"] += 1
