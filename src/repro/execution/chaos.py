@@ -28,8 +28,10 @@ File-level injectors (:func:`corrupt_file`, :func:`truncate_file`,
 runs, exercising the corruption-is-a-miss recovery paths.
 
 Everything here is test machinery: plans are plain frozen dataclasses
-(picklable, so they travel into pool workers) and nothing in this
-module is imported by the engine unless a plan is passed in.
+(picklable, so they travel into pool workers).  The engine does import
+this module — ``parallel.py`` names :class:`ChaosPlan` in its
+signatures and the package re-exports it — but no fault is injected
+unless a plan is passed in.
 """
 
 from __future__ import annotations

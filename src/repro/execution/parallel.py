@@ -20,7 +20,8 @@ the resilience layer leans on:
 
 - every task runs under a :class:`~repro.execution.retry.RetryPolicy`
   (attempt budget, deterministic-jitter backoff, per-attempt wall-clock
-  watchdog);
+  watchdog), applied by the
+  :class:`~repro.execution.retry.TaskAttempts` the job queue uses too;
 - a broken process pool (worker killed, OOM, segfault) rebuilds the
   pool and resubmits **only the lost tasks** — completed results are
   never discarded;
@@ -44,6 +45,7 @@ from __future__ import annotations
 import pickle
 import time
 import warnings
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from typing import (TYPE_CHECKING, Callable, Iterable, Optional, Sequence)
@@ -52,7 +54,8 @@ from repro.execution.cache import ResultCache
 from repro.execution.chaos import ChaosPlan
 from repro.execution.journal import SweepJournal
 from repro.execution.plan import SweepPlan
-from repro.execution.retry import RetryPolicy, TaskFailure, watchdog
+from repro.execution.retry import (RetryPolicy, TaskAttempts, TaskFailure,
+                                  run_attempt)
 from repro.obs.telemetry import counter as obs_counter
 from repro.obs.telemetry import event as obs_event
 from repro.util.validation import check_positive
@@ -69,34 +72,6 @@ def _spec_repeat_task(payload):
     # Imported lazily: repro.experiments imports this package.
     from repro.experiments import execute_repeat
     return execute_repeat(spec, repeat)
-
-
-def _run_attempt(blob: bytes, index: int, attempt: int,
-                 timeout: Optional[float],
-                 chaos: Optional[ChaosPlan], *, in_pool: bool):
-    """One attempt of one task: chaos, watchdog, unpickle, call.
-
-    Runs in a pool worker's main thread (``in_pool=True``) or in the
-    parent on the serial path.  The chaos injection and the unpickle
-    both sit *inside* the watchdog window, so a stalled injection or a
-    pathological payload is interrupted like any stalled task.
-    """
-    with watchdog(timeout):
-        if chaos is not None:
-            chaos.apply(index, attempt, in_pool=in_pool)
-        fn, payload = pickle.loads(blob)
-        return fn(payload)
-
-
-class _TaskState:
-    """Book-keeping for one task across attempts and pool rebuilds."""
-
-    __slots__ = ("index", "seed", "attempts")
-
-    def __init__(self, index: int, seed: int) -> None:
-        self.index = index
-        self.seed = seed
-        self.attempts = 0
 
 
 def run_tasks(fn: Callable, payloads: Iterable, *, workers: int = 1,
@@ -116,14 +91,15 @@ def run_tasks(fn: Callable, payloads: Iterable, *, workers: int = 1,
 
     Every task runs under ``policy`` (default: the stock
     :class:`~repro.execution.retry.RetryPolicy` — 3 attempts, no
-    timeout): failed attempts are retried after a deterministic-jitter
-    backoff, a per-attempt wall-clock ``task_timeout`` is enforced by a
-    watchdog, and a broken process pool is rebuilt with only the lost
-    tasks resubmitted (each casualty is charged one attempt).  A task
-    that exhausts its budget re-raises its last error when
-    ``on_error="raise"`` (the default), or yields a
-    :class:`~repro.execution.retry.TaskFailure` in its result slot when
-    ``on_error="record"``.
+    timeout), its attempts decided by one
+    :class:`~repro.execution.retry.TaskAttempts`: failed attempts are
+    retried after a deterministic-jitter backoff, a per-attempt
+    wall-clock ``task_timeout`` is enforced by a watchdog, and a broken
+    process pool is rebuilt with only the lost tasks resubmitted (each
+    casualty is charged one attempt).  A task that exhausts its budget
+    re-raises its last error when ``on_error="raise"`` (the default),
+    or yields a :class:`~repro.execution.retry.TaskFailure` in its
+    result slot when ``on_error="record"``.
 
     ``on_result(index, result)`` is invoked in the parent as each task
     completes (completion order under a pool) — the journalling hook.
@@ -157,187 +133,108 @@ def run_tasks(fn: Callable, payloads: Iterable, *, workers: int = 1,
 
     serial = workers == 1 or len(payloads) == 1
     try:
-        blobs = [pickle.dumps((fn, payload)) for payload in payloads]
+        calls = [pickle.dumps((fn, (payload,))) for payload in payloads]
     except (pickle.PicklingError, TypeError, AttributeError) as exc:
         warnings.warn(
             f"run_tasks: payloads are not picklable ({exc}); falling "
             f"back to serial execution without per-task isolation",
             RuntimeWarning, stacklevel=2)
-        blobs = None
+        calls = [(fn, (payload,)) for payload in payloads]
         serial = True
+    tasks = [TaskAttempts(policy, index, seed, strict=on_error == "raise")
+             for index, seed in enumerate(seeds)]
+    results: list = [None] * len(payloads)
+
+    def finish(index: int, result) -> None:
+        results[index] = result
+        if isinstance(result, TaskFailure):
+            return  # narrated by its TaskAttempts
+        obs_counter("tasks_done")
+        obs_event("task_done", index=index, attempts=tasks[index].count)
+        if on_result is not None:
+            on_result(index, result)
 
     if serial:
-        return _run_serial(fn, payloads, blobs, seeds, policy,
-                           on_error, on_result, chaos)
-    return _run_pool(blobs, seeds, policy, workers,
-                     on_error, on_result, chaos)
-
-
-def _fail(state: _TaskState, exc: Exception, on_error: str) -> TaskFailure:
-    """Out of attempts: raise (strict) or record (graceful)."""
-    if on_error == "raise":
-        raise exc
-    return TaskFailure.from_exception(f"task-{state.index}", exc,
-                                      state.attempts)
-
-
-def _run_serial(fn, payloads, blobs, seeds, policy, on_error, on_result,
-                chaos) -> list:
-    """In-process path: same attempt loop, payload order preserved."""
-    results: list = [None] * len(payloads)
-    for index, payload in enumerate(payloads):
-        state = _TaskState(index, seeds[index])
-        while True:
-            state.attempts += 1
-            try:
-                if blobs is None:
-                    # Unpicklable payloads: no isolation copy possible,
-                    # but retries and the watchdog still apply.
-                    with watchdog(policy.task_timeout):
-                        if chaos is not None:
-                            chaos.apply(index, state.attempts,
-                                        in_pool=False)
-                        value = fn(payload)
-                else:
-                    value = _run_attempt(blobs[index], index,
-                                         state.attempts,
-                                         policy.task_timeout, chaos,
-                                         in_pool=False)
-            except Exception as exc:
-                if state.attempts >= policy.max_attempts:
-                    results[index] = _fail(state, exc, on_error)
-                    obs_counter("tasks_failed")
-                    obs_event("task_failed", index=index,
-                              error=type(exc).__name__,
-                              attempts=state.attempts)
-                    break
-                obs_counter("tasks_retried")
-                obs_event("task_retried", index=index,
-                          attempt=state.attempts + 1)
-                time.sleep(policy.delay_before(state.attempts + 1,
-                                               task_seed=state.seed))
-                continue
-            results[index] = value
-            obs_counter("tasks_done")
-            obs_event("task_done", index=index, attempts=state.attempts)
-            if on_result is not None:
-                on_result(index, value)
-            break
+        _run_serial(calls, tasks, policy.task_timeout, chaos, finish)
+    else:
+        _run_pool(calls, tasks, policy.task_timeout, chaos, finish,
+                  workers)
     return results
 
 
-def _run_pool(blobs, seeds, policy, workers, on_error, on_result,
-              chaos) -> list:
-    """Pool path: retries in-pool, rebuild-and-resubmit on breakage.
+def _run_serial(calls, tasks, timeout, chaos, finish) -> None:
+    """In-process host: each task settles before the next one starts."""
+    for index, task in enumerate(tasks):
+        while True:
+            try:
+                result = run_attempt(calls[index], timeout, chaos, index,
+                                     task.start())
+            except Exception as exc:
+                result = task.failed(exc)
+                if not isinstance(result, TaskFailure):
+                    time.sleep(result)
+                    continue
+            finish(index, result)
+            break
+
+
+def _run_pool(calls, tasks, timeout, chaos, finish, workers) -> None:
+    """Pool host: retries in-pool, rebuild-and-resubmit on breakage.
 
     A ``BrokenProcessPool`` (worker killed/segfaulted/OOMed) marks the
     whole executor unusable: completed results are kept, every
-    unfinished task is charged one attempt (the killer is among them
-    and must not loop forever), and a fresh pool is built for just the
-    survivors.  Termination is inductive — every rebuild consumes at
-    least one attempt from a finite total budget.
+    unfinished task is charged the attempt it lost (the killer is among
+    them and must not loop forever), and a fresh pool is built for the
+    tasks still owed.  Termination is inductive — every rebuild
+    consumes at least one attempt from a finite total budget.
     """
-    total = len(blobs)
-    results: list = [None] * total
-    finished = [False] * total
-    states = {index: _TaskState(index, seeds[index])
-              for index in range(total)}
-    todo = list(range(total))
+    owed = deque(range(len(calls)))
 
-    def record_success(index: int, value) -> None:
-        results[index] = value
-        finished[index] = True
-        obs_counter("tasks_done")
-        obs_event("task_done", index=index,
-                  attempts=states[index].attempts)
-        if on_result is not None:
-            on_result(index, value)
+    def failed(index: int, exc: Exception) -> None:
+        verdict = tasks[index].failed(exc)
+        if isinstance(verdict, TaskFailure):
+            finish(index, verdict)
+        else:
+            time.sleep(verdict)
+            owed.append(index)
 
-    def record_exhausted(index: int, exc: Exception) -> None:
-        results[index] = _fail(states[index], exc, on_error)
-        finished[index] = True
-        obs_counter("tasks_failed")
-        obs_event("task_failed", index=index, error=type(exc).__name__,
-                  attempts=states[index].attempts)
-
-    while todo:
-        resubmit: list[int] = []
+    while owed:
         with ProcessPoolExecutor(
-                max_workers=min(workers, len(todo))) as pool:
+                max_workers=min(workers, len(owed))) as pool:
             inflight = {}
             broken = False
-
-            def submit(index: int) -> bool:
-                """Charge an attempt and submit; False once the pool
-                is broken (the caller routes the task to resubmit)."""
-                state = states[index]
-                state.attempts += 1
-                try:
-                    future = pool.submit(_run_attempt, blobs[index],
-                                         index, state.attempts,
-                                         policy.task_timeout, chaos,
-                                         in_pool=True)
-                except BrokenProcessPool:
-                    return False
-                inflight[future] = index
-                return True
-
-            for position, index in enumerate(todo):
-                if not submit(index):
-                    broken = True
-                    resubmit.extend(todo[position:])
-                    break
-            todo = []
-            while inflight and not broken:
-                done, _ = wait(set(inflight),
-                               return_when=FIRST_COMPLETED)
+            while not broken and (owed or inflight):
+                while owed and not broken:
+                    index = owed.popleft()
+                    try:
+                        inflight[pool.submit(
+                            run_attempt, calls[index], timeout, chaos,
+                            index, tasks[index].start(), True)] = index
+                    except BrokenProcessPool as exc:
+                        broken = True
+                        failed(index, exc)
+                if not inflight:
+                    continue
+                done, _ = wait(inflight, return_when=FIRST_COMPLETED)
                 for future in done:
                     index = inflight.pop(future)
-                    state = states[index]
                     try:
-                        value = future.result()
-                    except BrokenProcessPool:
-                        broken = True
-                        resubmit.append(index)
+                        result = future.result()
                     except Exception as exc:
-                        if state.attempts >= policy.max_attempts:
-                            record_exhausted(index, exc)
-                        elif broken:
-                            resubmit.append(index)
-                        else:
-                            obs_counter("tasks_retried")
-                            obs_event("task_retried", index=index,
-                                      attempt=state.attempts + 1)
-                            time.sleep(policy.delay_before(
-                                state.attempts + 1,
-                                task_seed=state.seed))
-                            if not submit(index):
-                                broken = True
-                                resubmit.append(index)
+                        broken |= isinstance(exc, BrokenProcessPool)
+                        failed(index, exc)
                     else:
-                        record_success(index, value)
-            if broken:
-                # Drain the casualties: every remaining future fails
-                # fast with BrokenProcessPool; keep any stragglers that
-                # actually finished before the breakage.
-                for future, index in inflight.items():
-                    try:
-                        record_success(index, future.result())
-                    except Exception:
-                        resubmit.append(index)
-                inflight.clear()
-        for index in resubmit:
-            # A lost task was charged its submission's attempt; out of
-            # budget means the breakage wins as its failure cause.
-            if states[index].attempts >= policy.max_attempts:
-                record_exhausted(index, BrokenProcessPool(
-                    f"task {index} lost to a broken process pool "
-                    f"{states[index].attempts} time(s)"))
-            else:
-                todo.append(index)
-        todo.sort()
-    assert all(finished), "engine lost track of a task"
-    return results
+                        finish(index, result)
+            # Drain the casualties: every remaining future fails fast
+            # with BrokenProcessPool; keep any stragglers that actually
+            # finished before the breakage.
+            for future, index in inflight.items():
+                try:
+                    result = future.result()
+                except Exception as exc:
+                    failed(index, exc)
+                else:
+                    finish(index, result)
 
 
 class ParallelRunner:

@@ -11,7 +11,7 @@ record carried in the results (graceful mode).
 
 Determinism is preserved end to end: the backoff *jitter* is not drawn
 from a shared RNG but derived from the task's own seed via
-:func:`repro.util.rng.derive_seed`, so two runs of the same sweep retry
+:func:`repro.util.rng.derive_unit`, so two runs of the same sweep retry
 on the same schedule, and a retried task produces bit-identical results
 to one that succeeded first try (the task function never sees the
 attempt number).
@@ -25,21 +25,25 @@ or off the main thread the watchdog degrades to a no-op (best effort).
 
 from __future__ import annotations
 
+import pickle
 import signal
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
 from repro.obs.telemetry import counter as obs_counter
-from repro.util.rng import derive_seed
+from repro.obs.telemetry import event as obs_event
+from repro.util.rng import derive_unit
 from repro.util.validation import check_positive
 
 __all__ = [
     "NO_RETRY",
     "RetryPolicy",
+    "TaskAttempts",
     "TaskFailure",
     "TaskTimeout",
+    "run_attempt",
     "watchdog",
 ]
 
@@ -95,8 +99,8 @@ class RetryPolicy:
         if raw <= 0:
             return 0.0
         if self.jitter > 0:
-            unit = derive_seed(task_seed, f"retry#{attempt}") / float(1 << 64)
-            raw *= 1.0 - self.jitter * unit
+            raw *= 1.0 - self.jitter * derive_unit(task_seed,
+                                                   f"retry#{attempt}")
         # Telemetry: total backoff seconds slept by the engine.  Only
         # the parent process ever computes delays, so the counter is
         # never emitted from (and lost in) a pool worker.
@@ -117,7 +121,11 @@ class TaskFailure:
     the persistence layer, and compare by value in tests.
     """
 
-    task: str        #: stable label, e.g. ``"repeat-3"`` or ``"task-17"``
+    #: ``"task-<index>"`` as the executor minted it — seen only by a
+    #: direct :func:`~repro.execution.parallel.run_tasks` caller, since
+    #: :func:`~repro.experiments.aggregate_outcome` renames every
+    #: failure on an outcome ``"repeat-<r>"``.
+    task: str
     error_type: str  #: exception class name, e.g. ``"OSError"``
     message: str     #: ``str(exception)`` (truncated)
     attempts: int    #: attempts consumed before giving up
@@ -133,6 +141,75 @@ class TaskFailure:
                 f"after {self.attempts} attempt(s)")
 
 
+class TaskAttempts:
+    """One task's attempts under a :class:`RetryPolicy`: the engine's
+    one retry-or-give-up rule, for every executor (the serial loop and
+    the pool of :func:`~repro.execution.parallel.run_tasks`, and the
+    job queue).
+
+    Sans-IO — it never sleeps, submits or rebuilds a pool.  The host
+    calls :meth:`start` before each attempt (a :func:`run_attempt`)
+    and :meth:`failed` after each failed one, then does what the
+    verdict says: wait the returned delay (blocking or ``asyncio``)
+    and try again, or settle the returned :class:`TaskFailure`
+    (``strict`` re-raises the last error instead).  Both verdicts are
+    narrated here, once for every host: ``tasks_retried`` /
+    ``task_retried`` and ``tasks_failed`` / ``task_failed``.
+    """
+
+    __slots__ = ("policy", "index", "seed", "strict", "count")
+
+    def __init__(self, policy: RetryPolicy, index: int, seed: int, *,
+                 strict: bool = False) -> None:
+        self.policy = policy
+        self.index = index  #: the task's position in its batch or plan
+        self.seed = seed    #: keys the deterministic backoff jitter
+        self.strict = strict
+        self.count = 0      #: attempts charged so far
+
+    def start(self) -> int:
+        """Charge one attempt; returns its 1-based number."""
+        self.count += 1
+        return self.count
+
+    def failed(self, exc: Exception) -> Union[float, TaskFailure]:
+        """The verdict on the attempt that raised ``exc``: the backoff
+        to wait before the next one, or, with the budget spent, the
+        structured failure."""
+        if self.count < self.policy.max_attempts:
+            obs_counter("tasks_retried")
+            obs_event("task_retried", index=self.index,
+                      attempt=self.count + 1)
+            return self.policy.delay_before(self.count + 1,
+                                            task_seed=self.seed)
+        obs_counter("tasks_failed")
+        obs_event("task_failed", index=self.index,
+                  error=type(exc).__name__, attempts=self.count)
+        if self.strict:
+            raise exc
+        return TaskFailure.from_exception(f"task-{self.index}", exc,
+                                          self.count)
+
+
+def run_attempt(call, timeout: Optional[float] = None, chaos=None,
+                index: int = 0, attempt: int = 1, in_pool: bool = False):
+    """One attempt of one task — what every executor runs.
+
+    ``call`` is ``(fn, args)``, or its pickle (``run_tasks``'s
+    per-task isolation copy).  The chaos injection (a
+    :class:`~repro.execution.chaos.ChaosPlan`, keyed by ``index`` and
+    ``attempt``) and the unpickle both sit *inside* the watchdog
+    window, so a stalled injection or a pathological payload is
+    interrupted like any stalled task.  Runs where the task runs: a
+    pool worker's main thread (``in_pool=True``), or the caller's.
+    """
+    with watchdog(timeout):
+        if chaos is not None:
+            chaos.apply(index, attempt, in_pool=in_pool)
+        fn, args = pickle.loads(call) if isinstance(call, bytes) else call
+        return fn(*args)
+
+
 @contextmanager
 def watchdog(seconds: Optional[float]):
     """Raise :class:`TaskTimeout` if the body runs longer than ``seconds``.
@@ -141,6 +218,10 @@ def watchdog(seconds: Optional[float]):
     running task in place; applies only on POSIX main threads (the
     serial engine path and pool workers' main threads both qualify).
     Elsewhere — or with ``seconds`` falsy — it is a no-op.
+
+    The alarm repeats every ``seconds`` until the body ends: one that
+    lands where Python cannot raise (a ``gc`` callback, a ``__del__``)
+    is dropped as unraisable, and the next one interrupts the task.
     """
     if not seconds or seconds <= 0:
         yield
@@ -155,9 +236,14 @@ def watchdog(seconds: Optional[float]):
                           f"wall-clock budget")
 
     previous = signal.signal(signal.SIGALRM, _alarm)
-    signal.setitimer(signal.ITIMER_REAL, float(seconds))
+    signal.setitimer(signal.ITIMER_REAL, float(seconds), float(seconds))
     try:
         yield
     finally:
-        signal.setitimer(signal.ITIMER_REAL, 0.0)
-        signal.signal(signal.SIGALRM, previous)
+        while True:
+            try:
+                signal.setitimer(signal.ITIMER_REAL, 0.0)
+                signal.signal(signal.SIGALRM, previous)
+                break
+            except TaskTimeout:
+                pass  # an alarm pending as the timer stopped

@@ -16,8 +16,8 @@ CLI option) — one string per fault kind, ``kind[:param]``:
 
 Determinism is the load-bearing property: a decision is a pure
 function of ``(chaos seed, direction, frame content hash)``, computed
-with the same :func:`~repro.util.rng.derive_seed` construction the
-engine's retry jitter uses — never of arrival time or connection
+with :func:`~repro.util.rng.derive_unit`, the primitive the engine's
+retry jitter draws from too — never of arrival time or connection
 order.  Two runs of the same seeded spec therefore drop, delay, and
 duplicate *exactly the same frames*, which is what makes retry counts
 assertable in tests.  The protocol layer cooperates by making retried
@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
-from repro.util.rng import derive_seed
+from repro.util.rng import derive_unit
 
 from repro.net.wire import frame_digest
 
@@ -114,8 +114,7 @@ class ChaosPlan:
     def _unit(self, kind: str, direction: str, digest: str) -> float:
         """A uniform [0, 1) value, pure in (seed, kind, direction,
         frame content)."""
-        raw = derive_seed(self.seed, f"{kind}|{direction}|{digest}")
-        return raw / float(1 << 64)
+        return derive_unit(self.seed, f"{kind}|{direction}|{digest}")
 
     def decide(self, body: bytes, direction: str) -> FrameDecision:
         """The fate of one frame travelling in ``direction``."""

@@ -27,11 +27,14 @@ sweep monopolizing the machine:
   immediately; in-flight tasks (pure functions, at most one per
   worker) finish and are discarded — as is any result whose run is
   no longer the job's current one (cancel, then resubmit).
-- **Retries.**  Failing tasks retry under the engine's
-  :class:`~repro.execution.retry.RetryPolicy` with the same
-  deterministic-jitter backoff, then degrade into structured
-  ``failed_runs`` on the outcome — a failing repeat never wedges the
-  queue.
+- **Retries.**  Each attempt is the engine's
+  :func:`~repro.execution.retry.run_attempt`, decided by its
+  :class:`~repro.execution.retry.TaskAttempts` under the queue's
+  :class:`~repro.execution.retry.RetryPolicy` — the same budget,
+  deterministic-jitter backoff and (in process mode) watchdog as
+  :func:`~repro.execution.run_tasks` — and a task out of budget
+  degrades into structured ``failed_runs`` on the outcome: a failing
+  repeat never wedges the queue.
 
 Everything the queue does is narrated through schema-v1 ``job_*``
 events (docs/OBSERVABILITY.md): buffered in memory for the SSE stream,
@@ -51,7 +54,8 @@ from typing import Optional
 
 from repro.execution.cache import ResultCache, resolve_cache
 from repro.execution.plan import SweepPlan
-from repro.execution.retry import RetryPolicy, TaskFailure
+from repro.execution.retry import (RetryPolicy, TaskAttempts, TaskFailure,
+                                  run_attempt)
 from repro.experiments import execute_repeat
 from repro.obs.telemetry import event as obs_event
 from repro.service.jobs import Job, JobRequest, job_key
@@ -119,7 +123,9 @@ class JobQueue:
             :class:`~repro.execution.cache.ResultCache` passes through
             as in :func:`~repro.execution.cache.resolve_cache`).
         policy: per-task :class:`~repro.execution.retry.RetryPolicy`
-            (default: 3 attempts, no timeout).
+            (default: 3 attempts, no timeout).  A ``task_timeout``
+            needs ``pool_mode="process"``: the watchdog alarm cannot
+            interrupt a pool thread, so thread mode refuses it.
 
     All queue state is mutated on the event-loop thread only; the
     executor runs nothing but the pure ``execute_repeat``.
@@ -139,6 +145,10 @@ class JobQueue:
         self.cache: Optional[ResultCache] = resolve_cache(
             store.cache_dir if cache is True else cache)
         self.policy = policy if policy is not None else RetryPolicy()
+        if self.policy.task_timeout is not None and pool_mode == "thread":
+            raise ValueError(
+                'a task_timeout needs pool_mode="process": the watchdog '
+                'cannot interrupt a task on a pool thread')
         self.stats = ServiceStats()
         self.started_at = time.time()
         self._epoch = time.monotonic()
@@ -309,7 +319,7 @@ class JobQueue:
         plan = SweepPlan(job.request.points(), cache=self.cache,
                          journal=self.store.journal_for(job.id))
         run = _JobRun(job=job, plan=plan, seq=self._admit_seq,
-                      pending=deque(plan.tasks))
+                      pending=deque(enumerate(plan.tasks)))
         self.stats.cache_hits += plan.cache_hits
         self.stats.journal_replayed += plan.replayed
         job.total = job.request.total_tasks
@@ -340,10 +350,10 @@ class JobQueue:
         if best is None:
             return None
         run = best[1]
-        task = run.pending.popleft()
+        position, task = run.pending.popleft()
         run.inflight.add(task)
         run.served += 1
-        return run, task
+        return run, position, task
 
     async def _worker(self) -> None:
         while self._running:
@@ -351,39 +361,42 @@ class JobQueue:
             if picked is None:
                 await self._wait(self._work_waiters)
                 continue
-            run, task = picked
+            run, position, task = picked
             try:
-                await self._run_task(run, task)
+                await self._run_task(run, position, task)
             except Exception as exc:  # infrastructure, not task, failure
                 run.inflight.discard(task)
                 self._fail_job(run, exc)
 
-    async def _run_task(self, run: _JobRun, task) -> None:
+    async def _run_task(self, run: _JobRun, position: int, task) -> None:
         index, repeat = task
         point = run.plan.specs[index]
         job = run.job
-        attempts = 0
+        attempts = TaskAttempts(self.policy, position,
+                                point.seed_for(repeat))
         started = time.monotonic()
         while True:
-            attempts += 1
+            attempts.start()
             self.stats.tasks_executed += 1
+            executor = self._executor
             try:
                 record = await self._loop.run_in_executor(
-                    self._executor, execute_repeat, point, repeat)
-                break
-            except BrokenProcessPool as exc:
-                # A killed pool worker poisons the whole executor;
-                # rebuild it (completed tasks are unaffected) and let
-                # the normal retry budget decide this task's fate.
-                self._executor.shutdown(wait=False, cancel_futures=True)
-                self._executor = self._build_executor()
-                record = self._maybe_fail(task, exc, attempts)
+                    executor, run_attempt, (execute_repeat, (point, repeat)),
+                    self.policy.task_timeout)
             except Exception as exc:
-                record = self._maybe_fail(task, exc, attempts)
-            if record is not None:
-                break
-            await asyncio.sleep(self.policy.delay_before(
-                attempts + 1, task_seed=point.seed_for(repeat)))
+                if (isinstance(exc, BrokenProcessPool)
+                        and executor is self._executor):
+                    # A killed pool worker poisons the whole executor;
+                    # the first task to see it rebuilds it (completed
+                    # tasks are unaffected) and every casualty is
+                    # charged the attempt, as in run_tasks.
+                    executor.shutdown(wait=False, cancel_futures=True)
+                    self._executor = self._build_executor()
+                record = attempts.failed(exc)
+                if not isinstance(record, TaskFailure):
+                    await asyncio.sleep(record)
+                    continue
+            break
         run.inflight.discard(task)
         if self._runs.get(job.id) is not run:
             # Cancelled, or cancelled and revived under a new run: the
@@ -400,16 +413,6 @@ class JobQueue:
         self.store.save_job(job)
         if run.settled:
             self._finalize(run)
-
-    def _maybe_fail(self, task, exc: Exception,
-                    attempts: int) -> Optional[TaskFailure]:
-        """A failed attempt: ``None`` while retries remain, else the
-        structured failure record (graceful degradation)."""
-        if attempts < self.policy.max_attempts:
-            return None
-        index, repeat = task
-        return TaskFailure.from_exception(
-            f"point-{index}-repeat-{repeat}", exc, attempts)
 
     # -- completion ----------------------------------------------------------------
 

@@ -28,6 +28,16 @@ def derive_seed(seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big") & _MASK_64
 
 
+def derive_unit(seed: int, label: str) -> float:
+    """A uniform float in ``[0, 1)``, pure in ``(seed, label)``.
+
+    One seeded decision — a frame's fault coin, a retry's backoff
+    jitter — with no stream behind it; draws of many values per key
+    belong on a :class:`SplittableRNG` split instead.
+    """
+    return derive_seed(seed, label) / float(1 << 64)
+
+
 class SplittableRNG:
     """A ``random.Random`` wrapper that can mint independent children.
 

@@ -6,7 +6,8 @@ import asyncio
 
 import pytest
 
-from repro.execution.retry import RetryPolicy
+from repro.execution import ParallelRunner
+from repro.execution.retry import RetryPolicy, TaskFailure
 from repro.experiments import ExperimentSpec, run_experiment
 from repro.service.jobs import JobRequest
 from repro.service.queue import JobQueue
@@ -435,6 +436,33 @@ class TestRetries:
         assert stats.tasks_failed == 1
         assert outcomes[0].failed_runs == 1
         assert outcomes[0].failures[0].error_type == "RuntimeError"
+
+    def test_process_mode_enforces_the_timeout_run_many_does(self,
+                                                             tmp_path):
+        # A repeat of this spec takes far longer than 20 ms.
+        probe = ExperimentSpec(protocol="crash-multi", n=32, ell=4096,
+                               fault_model="crash", beta=0.5, repeats=1)
+        policy = RetryPolicy(max_attempts=2, task_timeout=0.02)
+        expected = ParallelRunner(policy=policy).run(probe)
+
+        async def scenario(queue):
+            job, _ = queue.submit(JobRequest(spec=probe))
+            final = await wait_done(queue, job.id)
+            assert final.state == "done" and final.failed == 1
+            return queue.result(job.id)
+
+        (outcome,) = run(scenario, tmp_path, pool=1, pool_mode="process",
+                         cache=False, policy=policy)
+        assert expected.failures == (TaskFailure(
+            task="repeat-0", error_type="TaskTimeout",
+            message="task exceeded its 0.02s wall-clock budget",
+            attempts=2),)
+        assert outcome == expected
+
+    def test_thread_mode_refuses_a_timeout(self, tmp_path):
+        with pytest.raises(ValueError, match='pool_mode="process"'):
+            JobQueue(JobStore(tmp_path / "svc"), pool_mode="thread",
+                     policy=RetryPolicy(task_timeout=1.0))
 
 
 class TestCacheIntegration:
