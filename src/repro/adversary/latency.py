@@ -15,6 +15,7 @@ complexity is measured.
 from __future__ import annotations
 
 import hashlib
+import struct
 from collections import defaultdict
 
 from repro.adversary.base import Adversary
@@ -24,6 +25,8 @@ from repro.util.rng import derive_seed
 from repro.util.validation import check_fraction
 
 _RESOLUTION = float(1 << 53)
+#: The digest's 8-byte big-endian head, as ``int.from_bytes`` reads it.
+_HEAD = struct.Struct(">Q").unpack_from
 
 
 class LatencyAdversary(Adversary):
@@ -84,8 +87,8 @@ class LatencyAdversary(Adversary):
         counter = counters[key]
         counters[key] = counter + 1
         hasher = self._edge_prefix.copy()
-        hasher.update(f"{sender}:{destination}:{cycle}:{counter}".encode())
-        return (int.from_bytes(hasher.digest()[:8], "big") >> 11) / _RESOLUTION
+        hasher.update(b"%d:%d:%d:%d" % (sender, destination, cycle, counter))
+        return (_HEAD(hasher.digest())[0] >> 11) / _RESOLUTION
 
     def _query_unit(self, pid: int) -> float:
         """Per-query uniform value (``_unit("query", pid, counter)``)."""
@@ -93,8 +96,8 @@ class LatencyAdversary(Adversary):
         counter = self._edge_counters[key]
         self._edge_counters[key] = counter + 1
         hasher = self._query_prefix.copy()
-        hasher.update(f"{pid}:{counter}".encode())
-        return (int.from_bytes(hasher.digest()[:8], "big") >> 11) / _RESOLUTION
+        hasher.update(b"%d:%d" % (pid, counter))
+        return (_HEAD(hasher.digest())[0] >> 11) / _RESOLUTION
 
     def _scale(self, unit: float) -> float:
         return self.min_delay + unit * (self.max_delay - self.min_delay)
@@ -109,9 +112,16 @@ class UniformRandomDelay(LatencyAdversary):
 
     def message_latency(self, sender: int, destination: int, message: Message,
                         now: float, cycle: int) -> float:
-        # ``_scale`` spelled out: this is paid once per message and hop.
-        return self.min_delay + self._edge_unit(sender, destination, cycle) \
-            * (self.max_delay - self.min_delay)
+        # ``_scale(_edge_unit(...))`` spelled out: this is paid once per
+        # message and hop.
+        key = (sender, destination, cycle)
+        counters = self._edge_counters
+        counter = counters[key]
+        counters[key] = counter + 1
+        hasher = self._edge_prefix.copy()
+        hasher.update(b"%d:%d:%d:%d" % (sender, destination, cycle, counter))
+        return self.min_delay + (_HEAD(hasher.digest())[0] >> 11) \
+            / _RESOLUTION * (self.max_delay - self.min_delay)
 
     def query_latency(self, pid: int, now: float) -> float:
         return self._scale(self._query_unit(pid))

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import pickle
 import signal
+import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -221,7 +222,10 @@ def watchdog(seconds: Optional[float]):
 
     The alarm repeats every ``seconds`` until the body ends: one that
     lands where Python cannot raise (a ``gc`` callback, a ``__del__``)
-    is dropped as unraisable, and the next one interrupts the task.
+    is dropped, and the next one interrupts the task.  The drop is
+    silent: while the alarm is armed, ``sys.unraisablehook`` passes
+    over a ``TaskTimeout`` and hands anything else to the hook it
+    replaced.
     """
     if not seconds or seconds <= 0:
         yield
@@ -235,7 +239,13 @@ def watchdog(seconds: Optional[float]):
         raise TaskTimeout(f"task exceeded its {seconds:g}s "
                           f"wall-clock budget")
 
+    def _drop_alarm(unraisable):
+        if not isinstance(unraisable.exc_value, TaskTimeout):
+            previous_hook(unraisable)
+
     previous = signal.signal(signal.SIGALRM, _alarm)
+    previous_hook = sys.unraisablehook
+    sys.unraisablehook = _drop_alarm
     signal.setitimer(signal.ITIMER_REAL, float(seconds), float(seconds))
     try:
         yield
@@ -247,3 +257,4 @@ def watchdog(seconds: Optional[float]):
                 break
             except TaskTimeout:
                 pass  # an alarm pending as the timer stopped
+        sys.unraisablehook = previous_hook

@@ -26,9 +26,11 @@ beat it (Case 3).
 Failure mode (by design, matching the theorem's "w.h.p."): if some
 segment ends up with fewer than ``tau`` honest reports among the
 ``n - t`` the peer heard, the honest string may miss the tree and the
-peer may output a wrong array.  The benchmarks measure this failure
-rate and check it against the Chernoff budget; correctness tests pin
-seeds/parameters where the premise of Claim 5 holds.
+peer may output a wrong array.  The E5 claim of
+:mod:`repro.experiments.claims` runs the protocol over ``ell``, ``beta``
+and 20 seeds and marks the one row (n=40, beta=0.2) where this happens
+as a finding — at n=40 Claim 5's union bound is vacuous; correctness
+tests pin seeds/parameters where the premise of Claim 5 holds.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from heapq import heappush
 from typing import Optional, Protocol, runtime_checkable
 
 from repro.sim.errors import ProtocolViolation
@@ -103,11 +104,18 @@ class _Route:
         self.honest = honest
 
     def forward(self) -> None:
-        """Dispatch the pending hop."""
+        """Dispatch the pending hop: a finite ``float`` latency on plain
+        links is one heap entry, anything else takes ``_dispatch``."""
         network, message, index = self.network, self.message, self.index
         hop_src, hop_dst = self.hops[index], self.hops[index + 1]
+        now = network.kernel.now
         latency = network._message_latency(
-            hop_src, hop_dst, message, network.kernel.now, self.cycle)
+            hop_src, hop_dst, message, now, self.cycle)
+        if (type(latency) is float and 0.0 <= latency < _INF
+                and network._plain_links):
+            heappush(network._heap,
+                     (now + latency, network._next_seq(), self.arrive))
+            return
         if (network.packetize and network.message_size_limit is not None
                 and isinstance(latency, (int, float))):
             latency = float(latency) * -(
@@ -202,6 +210,13 @@ class Network:
         #: FIFO links.  Withheld messages released at quiescence bypass
         #: the ordering (they are the adversary's to sequence).
         self.fifo = fifo
+        #: Links that neither reorder (FIFO) nor stretch (packetize) a
+        #: delivery: a finite ``float`` latency is then one heap entry,
+        #: pushed straight onto the kernel's heap.
+        self._plain_links = not fifo and not (
+            packetize and message_size_limit is not None)
+        self._heap = kernel._heap
+        self._next_seq = kernel._next_seq
         #: Peer-to-peer connectivity.  ``None`` is the model's complete
         #: graph: every pair is one hop and the code path is
         #: byte-identical to the pre-topology engine.  A sparse
@@ -304,6 +319,12 @@ class Network:
                 return True
         latency = self._message_latency(
             sender_pid, destination, message, now, sender_cycle)
+        if (type(latency) is float and 0.0 <= latency < _INF
+                and self._plain_links):
+            heappush(self._heap, (now + latency, self._next_seq(),
+                                  partial(self._deliver, destination,
+                                          message)))
+            return True
         if (self.packetize and self.message_size_limit is not None
                 and isinstance(latency, (int, float))):
             packets = -(-size // self.message_size_limit)
@@ -370,54 +391,62 @@ class Network:
         :meth:`send`) fires once per destination in that order,
         so RNG draw order and crash-mid-batch behaviour (a prefix of
         the ID order goes out) do not depend on how deliveries are
-        scheduled.  Only the *scheduling* may be collapsed: when the
-        message type has a :meth:`span_sink` and nothing acts per
-        delivery — no telemetry (it records each delivery),
-        no FIFO links or size limit (they act per message), no routed
-        topology (a span is one hop to consecutive pids) — a maximal
-        run of consecutive destinations that got the message
-        untransformed with the same numeric latency becomes one queued
-        event, delivered by ``sink.deliver_span``.  The run's
-        per-destination events would have carried consecutive sequence
-        numbers, so no other event can order between them and the pop
-        order of the whole queue is unchanged.  Withheld, transformed
-        and lone deliveries, and destinations the sink does not own,
-        take the per-message path; so does every send of a Byzantine
-        sender, whose corrupting proxy never reaches this method.
+        scheduled.  Only the bookkeeping is batched, for every message
+        type: the hooks and the sender's message charge are resolved
+        once per broadcast, a routed destination is handed to its
+        :class:`_Route` from the same loop, and a finite ``float``
+        latency is one heap entry pushed on the spot.  What acts per
+        message takes ``n - 1`` separate :meth:`send` calls instead:
+        telemetry (it records each send), FIFO links and a size limit;
+        so does every send of a Byzantine sender, whose corrupting
+        proxy never reaches this method.
+
+        Scheduling is collapsed only for a message type with a
+        :meth:`span_sink` on the complete graph (a span is one hop to
+        consecutive pids): a maximal run of consecutive destinations
+        the sink owns that got the message untransformed with the same
+        ``float`` latency becomes one queued event, delivered by
+        ``sink.deliver_span``.  The run's per-destination events would
+        have carried consecutive sequence numbers, so no other event
+        can order between them and the pop order of the whole queue is
+        unchanged.  Withheld, transformed and lone deliveries, and
+        destinations the sink does not own, get their own event.
         """
-        sink = self._span_sinks.get(type(message))
-        if (sink is None or self._router is not None
-                or self.telemetry is not None or self.fifo
+        if (self.telemetry is not None or self.fifo
                 or self.message_size_limit is not None):
             send_to_each(self, sender_pid, n, message, sender_cycle)
             return
-        kernel = self.kernel
+        receivers = self._receivers
+        router = self._router
+        sink = None if router is not None else \
+            self._span_sinks.get(type(message))
         permit_send = self._permit_send
         transform_message = self._transform_message
         message_latency = self._message_latency
+        heap, next_seq, deliver = self._heap, self._next_seq, self._deliver
         metrics = self.metrics
-        sender = self._receivers.get(sender_pid)
-        now = kernel.now
+        sender = receivers.get(sender_pid)
+        now = self.kernel.now
         sent = 0          # untransformed sends, for one batched charge
-        run_lo = -1       # current groupable destination run [lo, hi)
+        run_lo = -1       # open span [lo, hi) of sink-owned destinations
         run_hi = -1
         run_latency = 0.0
 
-        def flush() -> None:
-            nonlocal run_lo
-            if run_lo < 0:
-                return
+        def flush() -> None:  # queue the open span and close it
+            nonlocal run_lo, run_hi
             if run_hi - run_lo == 1:
-                kernel.schedule(run_latency,
-                                partial(self._deliver, run_lo, message))
+                action = partial(deliver, run_lo, message)
             else:
-                kernel.schedule(run_latency, partial(
-                    self._deliver_span, message, run_lo, run_hi, sink))
-            run_lo = -1
+                action = partial(self._deliver_span, message, run_lo,
+                                 run_hi, sink)
+            heappush(heap, (now + run_latency, next_seq(), action))
+            run_lo = run_hi = -1
 
         for destination in range(n):
             if destination == sender_pid:
                 continue
+            if destination not in receivers:
+                raise ValueError(f"unknown destination peer {destination}")
             if sender is not None and not sender.live:
                 # Crashed mid-batch: the remaining sends would all
                 # short-circuit on the live check, exactly as here.
@@ -425,40 +454,44 @@ class Network:
             if permit_send is not None and not permit_send(
                     sender_pid, destination, message, now):
                 continue
+            outgoing = message
             if transform_message is not None:
-                transformed = transform_message(
+                outgoing = transform_message(
                     sender_pid, destination, message, now, sender_cycle)
-                if transformed is None:
+                if outgoing is None:
                     continue  # dynamically-corrupted sender: message eaten
-                if transformed is not message:
-                    flush()
-                    metrics.record_message(sender_pid,
-                                           transformed.size_bits())
-                    latency = message_latency(sender_pid, destination,
-                                              transformed, now, sender_cycle)
-                    self._dispatch(sender_pid, destination, transformed,
-                                   latency)
-                    continue
-            sent += 1
-            latency = message_latency(
-                sender_pid, destination, message, now, sender_cycle)
-            if isinstance(latency, _Withhold) or not sink.owns(destination):
-                flush()
-                self._dispatch(sender_pid, destination, message, latency)
-                continue
-            if not (isinstance(latency, (int, float))
-                    and 0.0 <= latency < _INF):
-                raise ValueError(
-                    f"adversary returned invalid latency {latency!r}")
-            latency = float(latency)
-            if run_lo >= 0 and destination == run_hi \
-                    and latency == run_latency:
-                run_hi = destination + 1
+            if outgoing is message:
+                sent += 1
             else:
+                metrics.record_message(sender_pid, outgoing.size_bits())
+            if router is not None:
+                hops = router.path(sender_pid, destination)
+                if len(hops) > 2:
+                    _Route(self, hops, outgoing, sender_cycle, True).forward()
+                    continue
+            latency = message_latency(
+                sender_pid, destination, outgoing, now, sender_cycle)
+            if type(latency) is float and 0.0 <= latency < _INF:
+                if (sink is not None and outgoing is message
+                        and sink.owns(destination)):
+                    if destination == run_hi and latency == run_latency:
+                        run_hi += 1
+                        continue
+                    if run_lo >= 0:
+                        flush()
+                    run_lo, run_hi, run_latency = (destination,
+                                                   destination + 1, latency)
+                    continue
+                if run_lo >= 0:
+                    flush()
+                heappush(heap, (now + latency, next_seq(),
+                                partial(deliver, destination, outgoing)))
+                continue
+            if run_lo >= 0:
                 flush()
-                run_lo, run_hi, run_latency = (destination,
-                                               destination + 1, latency)
-        flush()
+            self._dispatch(sender_pid, destination, outgoing, latency)
+        if run_lo >= 0:
+            flush()
         if sent:
             metrics.record_messages(sender_pid, sent, message.size_bits())
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import heapq
 from functools import partial
+from itertools import count
 from typing import Callable, Optional
 
 from repro.sim.errors import BudgetExceeded, DeadlockError
@@ -39,9 +40,12 @@ class Kernel:
         self.now = 0.0
         #: Heap of ``(time, seq, action)`` tuples; ``seq`` is unique,
         #: so C-level tuple comparison settles every heap swap without
-        #: ever reaching the ``action`` slot.
+        #: ever reaching the ``action`` slot.  The network's hot path
+        #: pushes its deliveries here itself (see :meth:`schedule`).
         self._heap: list[tuple[float, int, Callable[[], None]]] = []
-        self._seq = 0
+        #: Hands out ``seq``: one shared counter, so a caller that
+        #: pushes directly draws from the same sequence.
+        self._next_seq = count().__next__
         self._processes: list[Process] = []
         self.events_processed = 0
         self.on_quiescence: Optional[Callable[[], bool]] = None
@@ -54,11 +58,17 @@ class Kernel:
     # -- event scheduling --------------------------------------------------
 
     def schedule(self, delay: float, action: Callable[[], None]) -> None:
-        """Schedule ``action`` to run ``delay`` time units from now."""
+        """Schedule ``action`` to run ``delay`` time units from now.
+
+        A caller that already holds a finite non-negative ``float``
+        delay may push ``(now + delay, _next_seq(), action)`` onto
+        ``_heap`` itself: that is this method minus its check, and the
+        network's per-message path does exactly that.
+        """
         if not delay >= 0:  # also false for NaN
             raise ValueError(f"delay must be non-negative, got {delay}")
-        heapq.heappush(self._heap, (self.now + delay, self._seq, action))
-        self._seq += 1
+        heapq.heappush(self._heap,
+                       (self.now + delay, self._next_seq(), action))
 
     # -- process management --------------------------------------------------
 
