@@ -55,9 +55,13 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from repro.experiments.spec import _STRATEGIES
+from repro.experiments.spec import ADVERSARIES
 from repro.protocols import all_protocols
 from repro.sim import run_download
+
+#: Every ``--strategy`` name; which fault model takes which is the
+#: spec's check.
+_STRATEGIES = sorted({name for _, name in ADVERSARIES})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,9 +86,9 @@ def build_parser() -> argparse.ArgumentParser:
                             default="none")
     run_parser.add_argument("--beta", type=float, default=0.0,
                             help="fault fraction")
-    run_parser.add_argument("--strategy", choices=sorted(_STRATEGIES),
+    run_parser.add_argument("--strategy", choices=_STRATEGIES,
                             default="wrong-bits",
-                            help="Byzantine corruption strategy")
+                            help="adversary strategy (per fault model)")
     run_parser.add_argument("--synchronous", action="store_true",
                             help="unit latencies instead of the "
                                  "asynchronous adversary (synchrony "
@@ -146,11 +150,11 @@ def build_parser() -> argparse.ArgumentParser:
                               default="none")
     sweep_parser.add_argument("--beta", type=float, default=0.0)
     sweep_parser.add_argument("--strategy",
-                              choices=sorted(_STRATEGIES) +
+                              choices=_STRATEGIES +
                               ["deterministic", "randomized"],
                               default=None,
-                              help="Byzantine corruption strategy "
-                                   "(sim/sync backends; default "
+                              help="adversary strategy (per fault model)"
+                                   " (sim/sync backends; default "
                                    "wrong-bits) or which construction "
                                    "to run (lowerbound backend; default "
                                    "deterministic)")
@@ -331,7 +335,9 @@ def build_parser() -> argparse.ArgumentParser:
                                default="none")
     submit_parser.add_argument("--beta", type=float, default=0.0)
     submit_parser.add_argument("--strategy",
-                               choices=sorted(_STRATEGIES), default=None)
+                               choices=_STRATEGIES, default=None,
+                               help="adversary strategy (per fault "
+                                    "model)")
     submit_parser.add_argument("--backend",
                                choices=["sim", "sync", "net"],
                                default="sim")

@@ -119,6 +119,28 @@ def crash_multi_query_bound(ell: int, n: int, t: int) -> int:
     return best
 
 
+def one_round_query_bound(ell: int, n: int, t: int,
+                          redundancy: int = 1) -> int:
+    """The one-exchange protocol's per-peer query bits, with slices laid
+    out by ID shift (``protocols/one_round.py``).
+
+    A peer queries its ``redundancy`` round-robin slices (at most
+    ``ceil(ell / n)`` bits each), hears the shares of all but at most
+    ``t`` peers, and then queries the residue: the slices whose every
+    owner went unheard.  Slice ``j`` is owned by peers ``j - r + 1, ...,
+    j``, so only a window of ``r`` consecutive unheard peers leaves a
+    slice in the residue, and ``t`` unheard peers hold at most
+    ``t - r + 1`` such windows.  For every ``r <= t + 1`` that is the
+    plateau ``(t + 1) * ceil(ell / n)``, and the adaptive crash
+    adversary meets it exactly (E14)."""
+    check_positive("ell", ell)
+    check_positive("n", n)
+    check_nonnegative("t", t)
+    check_positive("redundancy", redundancy)
+    residue_slices = max(0, t - redundancy + 1)
+    return min(ell, (redundancy + residue_slices) * math.ceil(ell / n))
+
+
 def committee_query_bound(ell: int, n: int, t: int,
                           block_size: int = 1) -> int:
     """Deterministic Byzantine protocol (Thm 3.4): the input is cut

@@ -44,7 +44,6 @@ from repro.execution.journal import (
     resolve_journal,
 )
 from repro.execution.parallel import ParallelRunner, run_tasks
-from repro.execution.sharding import merge_results, run_sharded, shard_pids
 from repro.execution.retry import (
     NO_RETRY,
     RetryPolicy,
@@ -68,12 +67,9 @@ __all__ = [
     "WorkerKilled",
     "canonical_json",
     "default_cache_dir",
-    "merge_results",
     "resolve_cache",
     "resolve_journal",
-    "run_sharded",
     "run_tasks",
-    "shard_pids",
     "spec_cache_key",
     "watchdog",
 ]

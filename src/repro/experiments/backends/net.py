@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.util.validation import check_fraction, check_positive
 
 from repro.experiments.outcome import RepeatRecord
+from repro.experiments.spec import BYZANTINE_STRATEGIES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import ExperimentSpec
@@ -67,6 +68,11 @@ class NetBackend:
                 f"{spec.fault_model!r}, beta={spec.beta!r}): its "
                 f"adversary is the transport — use proxy_faults and "
                 f"source_faults")
+        if spec.strategy not in BYZANTINE_STRATEGIES:
+            raise ValueError(
+                f"strategy {spec.strategy!r} has no net adversary; "
+                f"backend='net' takes only the ignored "
+                f"{sorted(BYZANTINE_STRATEGIES)}")
         if spec.network != "asynchronous":
             raise ValueError(
                 f"backend='net' requires network='asynchronous', got "

@@ -14,7 +14,7 @@ from repro.protocols import get
 from repro.util.validation import check_fraction, check_positive
 
 from repro.experiments.outcome import RepeatRecord
-from repro.experiments.spec import _FAULT_MODELS, _NETWORKS, _STRATEGIES
+from repro.experiments.spec import _FAULT_MODELS, _NETWORKS, check_strategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import ExperimentSpec
@@ -36,9 +36,7 @@ class SimBackend:
         if spec.network not in _NETWORKS:
             raise ValueError(f"network must be one of {_NETWORKS}, "
                              f"got {spec.network!r}")
-        if spec.strategy not in _STRATEGIES:
-            raise ValueError(f"strategy must be one of "
-                             f"{sorted(_STRATEGIES)}, got {spec.strategy!r}")
+        check_strategy(spec)
         if spec.fault_model != "none" and spec.beta <= 0:
             raise ValueError("faulty models need beta > 0")
         from repro.experiments.backends import check_sources_and_topology

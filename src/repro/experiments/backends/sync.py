@@ -25,7 +25,7 @@ from repro.util.rng import SplittableRNG, derive_seed
 from repro.util.validation import check_fraction, check_positive
 
 from repro.experiments.outcome import RepeatRecord
-from repro.experiments.spec import _STRATEGIES
+from repro.experiments.spec import BYZANTINE_STRATEGIES
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import ExperimentSpec
@@ -115,9 +115,10 @@ class SyncBackend:
                 f"synchronous model (round-native, rushing adversary); "
                 f"network='synchronous' on backend='sim' instead emulates "
                 f"unit latencies inside the asynchronous kernel")
-        if spec.strategy not in _STRATEGIES:
-            raise ValueError(f"strategy must be one of "
-                             f"{sorted(_STRATEGIES)}, got {spec.strategy!r}")
+        if spec.strategy not in BYZANTINE_STRATEGIES:
+            raise ValueError(
+                f"strategy {spec.strategy!r} has no lockstep adversary; "
+                f"backend='sync' maps only {sorted(BYZANTINE_STRATEGIES)}")
         if spec.fault_model != "none" and spec.beta <= 0:
             raise ValueError("faulty models need beta > 0")
         from repro.experiments.backends import (

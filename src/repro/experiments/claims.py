@@ -57,6 +57,11 @@ def query_bound(spec: ExperimentSpec) -> float:
         return bounds.ideal_query_bound(ell, n)
     if name == "crash-one":
         return bounds.crash_one_query_bound(ell, n)
+    if name == "one-round":
+        if params.get("randomized"):
+            return bounds.naive_query_bound(ell)
+        return bounds.one_round_query_bound(ell, n, t,
+                                            params.get("redundancy", 1))
     if name in ("crash-multi", "crash-multi-fast"):
         return bounds.crash_multi_query_bound(ell, n, t)
     if name == "byz-committee":
@@ -285,6 +290,51 @@ CLAIMS = (
             protocol_params={**_two(4, 1), "claimed_t": 6,
                              "estimation_trials": 15, "attack_trials": 1})),
     ), verdict=fooled_above_floor, measured="fooled"),
+    Claim("E10", "the tau threshold of the 2-cycle protocol (n=40, "
+                 "ell=4096, s=4, beta=0.15 wrong-bits)", tuple(
+        Row(f"tau={tau}", ExperimentSpec(
+            "byz-two-cycle", 40, 4096, protocol_params=_two(4, tau),
+            repeats=4, **_byz(0.15)),
+            finding="tau=10 is above a segment's expected honest support "
+                    "((n - t)/s = 8.5 reports), so Claim 5's premise "
+                    "fails and peers query segments whole"
+            if tau == 10 else "")
+        for tau in (1, 2, 3, 6, 10)), shape=(
+        ("tau above the honest support pays more than tau=3", lambda o:
+         q_of(o["tau=10"]) > q_of(o["tau=3"])),
+    )),
+    Claim("E12", "Algorithm 2 against the adversary battery (n=12, "
+                 "ell=2400)", tuple(
+        Row(label, ExperimentSpec("crash-multi", 12, 2400, repeats=4,
+                                  **fields))
+        for label, fields in (
+            ("synchronous", dict(network="synchronous")),
+            ("async uniform", {}),
+            ("bursty", dict(strategy="bursty")),
+            ("staggered starts", dict(strategy="staggered")),
+            ("slow 4 (t=4)", dict(strategy="slow", **_crash(1 / 3))),
+            ("crash half, mid-send", _crash(0.5)),
+            ("crash half, timed", dict(strategy="at-time",
+                                       **_crash(0.5))))), shape=(
+        ("crashes force extra work", lambda o: q_of(
+            o["crash half, mid-send"]) > q_of(o["async uniform"])),
+    )),
+    Claim("E14", "the single-round separation under adaptive crashes "
+                 "(n=16, ell=8192, beta=0.5)", tuple(
+        Row(f"one-round r={r}", ExperimentSpec(
+            "one-round", 16, 8192, protocol_params={"redundancy": r},
+            strategy="adaptive", repeats=3, **_crash(0.5)))
+        for r in (1, 2, 4, 8)) + (
+        Row("Algorithm 2", ExperimentSpec(
+            "crash-multi", 16, 8192, strategy="adaptive", repeats=3,
+            **_crash(0.5))),
+    ), shape=(
+        ("every r pays at least beta*ell", lambda o: min(
+            q_of(o[f"one-round r={r}"]) for r in (1, 2, 4, 8))
+         >= 0.5 * 8192),
+        ("Algorithm 2 pays less than beta*ell/2", lambda o: q_of(
+            o["Algorithm 2"]) < 0.5 * 8192 / 2),
+    )),
     Claim("E16", "Table 1's synchronous rows in lockstep rounds (n=40, "
                  "ell=4000, beta=0.3 rushing; T is rounds)", (
         Row("naive", ExperimentSpec("naive", 40, 4000, **_SYNC)),

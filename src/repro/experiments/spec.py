@@ -33,6 +33,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.adversary import (
+    AdaptiveCrashAdversary,
+    BurstyDelay,
     ByzantineAdversary,
     ComposedAdversary,
     CrashAdversary,
@@ -41,6 +43,8 @@ from repro.adversary import (
     PerPeerStrategy,
     SelectiveSilenceStrategy,
     SilentStrategy,
+    StaggeredStart,
+    TargetedSlowdown,
     UniformRandomDelay,
     WrongBitsStrategy,
 )
@@ -51,12 +55,75 @@ from repro.util.rng import derive_seed
 
 _FAULT_MODELS = ("none", "crash", "byzantine", "dynamic")
 _NETWORKS = ("synchronous", "asynchronous")
-_STRATEGIES = {
+
+#: The Byzantine corruption strategies, in the order the fuzzer draws
+#: them.  A crash or fault-free spec accepts these names too, and ignores
+#: them.
+BYZANTINE_STRATEGIES = {
     "wrong-bits": WrongBitsStrategy,
     "equivocate": EquivocateStrategy,
     "silent": SilentStrategy,
     "selective-silence": SelectiveSilenceStrategy,
 }
+
+
+def _network(spec: "ExperimentSpec"):
+    """The latency ``network`` names: unit, or uniform random delays."""
+    return (NullAdversary() if spec.network == "synchronous"
+            else UniformRandomDelay())
+
+
+def _on_network(faults):
+    """A builder putting ``faults(spec)`` on the spec's network."""
+    return lambda spec: ComposedAdversary(faults=faults(spec),
+                                          latency=_network(spec))
+
+
+def _corrupting(kind: type, strategy: type):
+    return _on_network(lambda spec: kind(
+        fraction=spec.beta, strategy_factory=PerPeerStrategy(strategy)))
+
+
+_crashes = _on_network(lambda spec: CrashAdversary(crash_fraction=spec.beta))
+
+#: Every adversary a spec can name: ``(fault_model, strategy)`` -> a
+#: builder of one run's fresh adversary object.  This is the one place
+#: adversaries are named; the backends, the roster, the fuzzer and the
+#: CLI read it.
+ADVERSARIES = {
+    **{("none", name): _network for name in BYZANTINE_STRATEGIES},
+    **{("crash", name): _crashes for name in BYZANTINE_STRATEGIES},
+    **{("byzantine", name): _corrupting(ByzantineAdversary, strategy)
+       for name, strategy in BYZANTINE_STRATEGIES.items()},
+    **{("dynamic", name): _corrupting(DynamicByzantineAdversary, strategy)
+       for name, strategy in BYZANTINE_STRATEGIES.items()},
+    ("none", "bursty"): lambda spec: BurstyDelay(stall_fraction=0.3),
+    ("none", "staggered"): lambda spec: StaggeredStart(spread=4.0),
+    ("crash", "at-time"): _on_network(lambda spec: CrashAdversary(
+        crash_fraction=spec.beta, mode="at_time")),
+    # The t faulty peers crawl but never crash.
+    ("crash", "slow"): lambda spec: TargetedSlowdown(set(range(spec.t))),
+    ("crash", "adaptive"): lambda spec: AdaptiveCrashAdversary(
+        crash_fraction=spec.beta),
+}
+
+#: Strategies whose adversary sets its own latencies, so they cannot
+#: run on ``network="synchronous"``'s unit latencies.
+OWN_LATENCY = ("bursty", "staggered", "slow", "adaptive")
+
+
+def check_strategy(spec: "ExperimentSpec") -> None:
+    """Raise ``ValueError`` unless :data:`ADVERSARIES` names the spec's
+    ``(fault_model, strategy)`` on its network."""
+    if (spec.fault_model, spec.strategy) not in ADVERSARIES:
+        accepted = sorted(name for model, name in ADVERSARIES
+                          if model == spec.fault_model)
+        raise ValueError(f"strategy must be one of {accepted} for "
+                         f"fault_model={spec.fault_model!r}, got "
+                         f"{spec.strategy!r}")
+    if spec.strategy in OWN_LATENCY and spec.network == "synchronous":
+        raise ValueError(f"strategy {spec.strategy!r} sets its own "
+                         f"latencies and needs network='asynchronous'")
 
 
 @dataclass(frozen=True)
@@ -78,6 +145,9 @@ class ExperimentSpec:
     ell: int
     fault_model: str = "none"
     beta: float = 0.0
+    #: With ``fault_model``, names the adversary: a key of
+    #: :data:`ADVERSARIES` (the lower-bound backend reads it as its
+    #: construction instead).
     strategy: str = "wrong-bits"
     network: str = "asynchronous"
     protocol_params: dict = field(default_factory=dict)
@@ -115,23 +185,9 @@ class ExperimentSpec:
     def build_adversary(self):
         """Fresh async-simulator adversary object for one run of this
         spec (``backend="sim"`` semantics; also used by the golden
-        traces and the kernel benchmark)."""
-        latency = (NullAdversary() if self.network == "synchronous"
-                   else UniformRandomDelay())
-        if self.fault_model == "none" or self.beta <= 0:
-            return latency
-        strategy = _STRATEGIES[self.strategy]
-        if self.fault_model == "crash":
-            faults = CrashAdversary(crash_fraction=self.beta)
-        elif self.fault_model == "byzantine":
-            faults = ByzantineAdversary(
-                fraction=self.beta,
-                strategy_factory=PerPeerStrategy(strategy))
-        else:
-            faults = DynamicByzantineAdversary(
-                fraction=self.beta,
-                strategy_factory=PerPeerStrategy(strategy))
-        return ComposedAdversary(faults=faults, latency=latency)
+        traces and the kernel benchmark): its :data:`ADVERSARIES`
+        entry."""
+        return ADVERSARIES[self.fault_model, self.strategy](self)
 
     def peer_factory(self):
         """Bound async-registry peer factory for this spec."""

@@ -50,9 +50,7 @@ class DownloadPeer(Peer):
 
     #: Does this protocol exchange peer-to-peer messages?  ``False``
     #: marks *message-free* protocols (each peer talks only to the
-    #: source), whose peers form independent groups — the sharded
-    #: execution layer (:mod:`repro.execution.sharding`) may then split
-    #: one run across processes with bit-identical results.
+    #: source); ``net/driver.py`` then gives their peers no inboxes.
     peer_to_peer = True
 
     def __init__(self, pid: int, env: SimEnv) -> None:

@@ -94,7 +94,7 @@ class CrossValidateDownloadPeer(DownloadPeer):
     """
 
     protocol_name = "cross-validate"
-    peer_to_peer = False  # source-only: shardable (see execution.sharding)
+    peer_to_peer = False  # source-only
 
     def __init__(self, pid: int, env: SimEnv,
                  q: Optional[int] = None, decode: str = "majority",

@@ -24,7 +24,7 @@ class NaiveDownloadPeer(DownloadPeer):
     """Each peer queries all ``ell`` bits directly."""
 
     protocol_name = "naive"
-    peer_to_peer = False  # source-only: shardable (see execution.sharding)
+    peer_to_peer = False  # source-only
 
     def body(self) -> Iterator:
         self.begin_cycle()

@@ -105,7 +105,6 @@ class Simulation:
                  source_faults=(),
                  mutations=(),
                  extras: Optional[dict] = None,
-                 peer_subset=None,
                  topology=None) -> None:
         check_positive("n", n)
         self.n = n
@@ -154,12 +153,6 @@ class Simulation:
         #: (read-time rule in :mod:`repro.sim.sourceset`).
         self.mutations = tuple(mutations)
         self.extras = dict(extras or {})
-        #: Restrict instantiation to these pids (sharded execution of
-        #: message-free protocols; see :mod:`repro.execution.sharding`).
-        #: Global parameters — ``n``, seeds, the input — are untouched,
-        #: so every derived RNG stream matches the unsharded run.
-        self.peer_subset = (None if peer_subset is None
-                            else sorted(peer_subset))
 
     def _resolve_data(self, data, ell) -> BitArray:
         if data is None:
@@ -239,9 +232,7 @@ class Simulation:
                                              "protocol_name",
                                              protocol_class.__name__)
             sink.emit("run_header", header)
-        pids = (range(self.n) if self.peer_subset is None
-                else self.peer_subset)
-        for pid in pids:
+        for pid in range(self.n):
             if pid in planned_faulty:
                 process = self.adversary.make_faulty_peer(
                     pid, env, self.peer_factory)
@@ -257,7 +248,7 @@ class Simulation:
         kernel.run(max_events=max_events, max_time=max_time)
 
         actually_faulty = set(self.adversary.actually_faulty())
-        honest = set(pids) - actually_faulty
+        honest = set(processes) - actually_faulty
         statuses = {}
         outputs: dict[int, Optional[BitArray]] = {}
         for pid, process in processes.items():

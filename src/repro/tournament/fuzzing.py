@@ -32,20 +32,16 @@ from repro.adversary import (
     CrashAdversary,
     CrashAfterSends,
     CrashAtTime,
-    EquivocateStrategy,
     NullAdversary,
-    SelectiveSilenceStrategy,
-    SilentStrategy,
     StaggeredStart,
     TargetedSlowdown,
     UniformRandomDelay,
-    WrongBitsStrategy,
 )
+from repro.experiments.spec import BYZANTINE_STRATEGIES
 from repro.util.rng import SplittableRNG
 from repro.util.validation import check_fraction, check_positive
 
-_STRATEGIES = (WrongBitsStrategy, EquivocateStrategy, SilentStrategy,
-               SelectiveSilenceStrategy)
+_STRATEGIES = tuple(BYZANTINE_STRATEGIES.values())
 
 
 @dataclass(frozen=True)

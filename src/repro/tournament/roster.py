@@ -8,8 +8,9 @@ through the same validation, the same per-repeat seed derivation, the
 same journal — and any cell can be replayed from its seed with
 ``repro run``/``repro sweep`` long after the league finished.
 
-The stock roster covers the repo's whole adversary vocabulary: the
-fault-free baseline, the crash adversary, the four static Byzantine
+Entries name adversaries through the one table,
+:data:`repro.experiments.spec.ADVERSARIES`.  The stock roster fields
+the fault-free baseline, the crash adversary, the four static Byzantine
 corruption strategies, and the dynamic (mobile) variants of the two
 strategies where mobility matters most.  ``register_adversary`` adds
 entries at runtime (tests use it; so can downstream studies).
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.experiments.spec import _FAULT_MODELS, _STRATEGIES
+from repro.experiments.spec import _FAULT_MODELS, ADVERSARIES
 
 
 @dataclass(frozen=True)
@@ -36,10 +37,10 @@ class AdversaryEntry:
         if self.fault_model not in _FAULT_MODELS:
             raise ValueError(f"fault_model must be one of "
                              f"{_FAULT_MODELS}, got {self.fault_model!r}")
-        if self.strategy not in _STRATEGIES:
-            raise ValueError(f"strategy must be one of "
-                             f"{sorted(_STRATEGIES)}, "
-                             f"got {self.strategy!r}")
+        if (self.fault_model, self.strategy) not in ADVERSARIES:
+            raise ValueError(f"no adversary named strategy="
+                             f"{self.strategy!r} under fault_model="
+                             f"{self.fault_model!r}")
         if self.fault_model == "none":
             if self.beta != 0.0:
                 raise ValueError("the fault-free adversary has beta=0")

@@ -180,6 +180,22 @@ class TestNetworkBackendDisambiguation:
                            network="synchronous", backend="sync")
 
 
+class TestSimOnlyStrategies:
+    """A strategy only the simulator's table names never runs silently
+    as some other adversary on another backend."""
+
+    @pytest.mark.parametrize("fields", [
+        dict(backend="sync", network="synchronous", fault_model="crash",
+             beta=0.25, strategy="adaptive"),
+        dict(backend="net", strategy="bursty"),
+        dict(backend="lowerbound", strategy="bursty"),
+    ], ids=["sync", "net", "lowerbound"])
+    def test_backend_rejects_a_sim_only_strategy(self, fields):
+        strategy = fields["strategy"]
+        with pytest.raises(ValueError, match=repr(strategy)):
+            ExperimentSpec(protocol="naive", n=8, ell=64, **fields)
+
+
 class TestLowerBoundBackend:
     def test_deterministic_construction_fools_committee(self):
         outcome = run_experiment(ExperimentSpec(

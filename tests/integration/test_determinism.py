@@ -13,18 +13,12 @@ from repro.adversary import (
     UniformRandomDelay,
     WrongBitsStrategy,
 )
-from repro.execution import run_sharded
 from repro.protocols import (
     ByzCommitteeDownloadPeer,
     ByzTwoCycleDownloadPeer,
     CrashMultiDownloadPeer,
-    CrossValidateDownloadPeer,
-    NaiveDownloadPeer,
 )
 from repro.sim import run_download
-from repro.sim.errors import ConfigurationError
-
-from tests.conftest import full_record
 
 
 def run_crash(seed):
@@ -98,32 +92,3 @@ class TestSeedIsolation:
                                   adversary=adversary, seed=55)
             sink.update(adversary.faulty_peers())
         assert faulty_committee == faulty_naive
-
-
-class TestShardedEquality:
-    """pid-sharded execution of message-free protocols merges back to
-    the unsharded record exactly (see execution.sharding docstring for
-    the independence argument)."""
-
-    def test_naive_sharded_matches_unsharded(self):
-        kwargs = dict(n=24, ell=96, peer_factory=NaiveDownloadPeer.factory(),
-                      t=7, seed=5)
-        whole = run_download(**kwargs)
-        parts = run_sharded(shards=4, **kwargs)
-        assert full_record(parts) == full_record(whole)
-
-    def test_cross_validate_sharded_with_workers(self):
-        kwargs = dict(n=12, ell=128,
-                      peer_factory=CrossValidateDownloadPeer.factory(q=3),
-                      t=0, seed=11, sources=3,
-                      source_faults=("wrong-bits",))
-        whole = run_download(**kwargs)
-        parts = run_sharded(shards=3, workers=3, **kwargs)
-        assert full_record(parts) == full_record(whole)
-
-    def test_messaging_protocols_are_rejected(self):
-        with pytest.raises(ConfigurationError, match="message-free"):
-            run_sharded(
-                n=8, ell=64, shards=2,
-                peer_factory=ByzCommitteeDownloadPeer.factory(block_size=8),
-                t=2)

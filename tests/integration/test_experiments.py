@@ -1,15 +1,35 @@
 """Tests for the declarative experiment layer."""
 
 import dataclasses
+import pickle
 
 import pytest
 
+from repro.adversary import (
+    AdaptiveCrashAdversary,
+    BurstyDelay,
+    ByzantineAdversary,
+    ComposedAdversary,
+    CrashAdversary,
+    EquivocateStrategy,
+    NullAdversary,
+    PerPeerStrategy,
+    SelectiveSilenceStrategy,
+    SilentStrategy,
+    StaggeredStart,
+    TargetedSlowdown,
+    UniformRandomDelay,
+    WrongBitsStrategy,
+)
+from repro.adversary.dynamic import DynamicByzantineAdversary
 from repro.experiments import (
     ExperimentSpec,
     outcomes_table,
     run_experiment,
     sweep_experiment,
 )
+from repro.experiments.spec import ADVERSARIES, BYZANTINE_STRATEGIES
+from repro.tournament import fuzzing
 
 
 def spec(**overrides):
@@ -108,3 +128,83 @@ class TestSweep:
         table = outcomes_table(outcomes, axis="n")
         assert "mean Q" in table
         assert "4" in table and "8" in table
+
+
+_LEGACY = {"wrong-bits": WrongBitsStrategy,
+           "equivocate": EquivocateStrategy,
+           "silent": SilentStrategy,
+           "selective-silence": SelectiveSilenceStrategy}
+
+
+def legacy_adversary(spec):
+    """The if-chain ``build_adversary`` was before the table: every
+    pair it accepted must keep building exactly this adversary."""
+    latency = (NullAdversary() if spec.network == "synchronous"
+               else UniformRandomDelay())
+    if spec.fault_model == "none" or spec.beta <= 0:
+        return latency
+    strategy = _LEGACY[spec.strategy]
+    if spec.fault_model == "crash":
+        faults = CrashAdversary(crash_fraction=spec.beta)
+    elif spec.fault_model == "byzantine":
+        faults = ByzantineAdversary(
+            fraction=spec.beta, strategy_factory=PerPeerStrategy(strategy))
+    else:
+        faults = DynamicByzantineAdversary(
+            fraction=spec.beta, strategy_factory=PerPeerStrategy(strategy))
+    return ComposedAdversary(faults=faults, latency=latency)
+
+
+class TestAdversaryTable:
+    @pytest.mark.parametrize("network", ["synchronous", "asynchronous"])
+    @pytest.mark.parametrize("fault_model",
+                             ["none", "crash", "byzantine", "dynamic"])
+    @pytest.mark.parametrize("strategy", sorted(_LEGACY))
+    def test_every_legacy_pair_builds_the_same_adversary(
+            self, fault_model, strategy, network):
+        built = spec(protocol="naive", fault_model=fault_model,
+                     beta=0.0 if fault_model == "none" else 0.25,
+                     strategy=strategy, network=network)
+        assert (pickle.dumps(built.build_adversary())
+                == pickle.dumps(legacy_adversary(built)))
+
+    def test_new_entries_build_their_adversaries(self):
+        expected = {
+            ("none", "bursty"): BurstyDelay,
+            ("none", "staggered"): StaggeredStart,
+            ("crash", "at-time"): ComposedAdversary,
+            ("crash", "slow"): TargetedSlowdown,
+            ("crash", "adaptive"): AdaptiveCrashAdversary,
+        }
+        for (fault_model, strategy), kind in expected.items():
+            built = spec(fault_model=fault_model, strategy=strategy,
+                         beta=0.0 if fault_model == "none" else 0.5)
+            assert type(built.build_adversary()) is kind
+        timed = spec(strategy="at-time").build_adversary()
+        assert (timed.faults.mode, timed.faults.crash_fraction) == \
+            ("at_time", 0.5)
+        assert spec(strategy="slow").build_adversary().slow_peers == \
+            {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("strategy",
+                             ["bursty", "staggered", "slow", "adaptive"])
+    def test_own_latencies_need_an_asynchronous_network(self, strategy):
+        fault_model = "none" if strategy in ("bursty", "staggered") \
+            else "crash"
+        with pytest.raises(ValueError, match="asynchronous"):
+            spec(fault_model=fault_model, strategy=strategy,
+                 beta=0.0 if fault_model == "none" else 0.5,
+                 network="synchronous")
+
+    def test_a_name_belongs_to_its_fault_model(self):
+        with pytest.raises(ValueError, match="'adaptive'"):
+            spec(fault_model="byzantine", strategy="adaptive", beta=0.25)
+        with pytest.raises(ValueError, match="'bursty'"):
+            spec(strategy="bursty")
+
+    def test_the_fuzzer_draws_the_table_strategies_in_order(self):
+        assert fuzzing._STRATEGIES == (WrongBitsStrategy,
+                                       EquivocateStrategy, SilentStrategy,
+                                       SelectiveSilenceStrategy)
+        assert set(BYZANTINE_STRATEGIES) == {
+            name for model, name in ADVERSARIES if model == "byzantine"}

@@ -20,12 +20,14 @@ import json
 import tempfile
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from repro.execution import ResultCache, SweepJournal, spec_cache_key
 from repro.execution.cache import (CODE_VERSION, SCHEMA_VERSION,
                                    canonical_json, spec_fields)
 from repro.experiments import ExperimentOutcome, ExperimentSpec
+from repro.experiments.spec import (ADVERSARIES, BYZANTINE_STRATEGIES,
+                                    OWN_LATENCY)
 from repro.service.jobs import Job, JobRequest, job_key, job_to_dict
 from repro.util.rng import derive_seed
 
@@ -185,15 +187,28 @@ class TestKeyDiscrimination:
     @given(spec=specs(), data=st.data())
     def test_single_field_change_changes_key(self, spec, data):
         field = data.draw(st.sampled_from(
-            ["n", "ell", "repeats", "base_seed", "protocol_params"]))
+            ["n", "ell", "repeats", "base_seed", "protocol_params",
+             "strategy"]))
         if field == "protocol_params":
             changed = dict(spec.protocol_params)
             changed["extra"] = 1
+        elif field == "strategy":
+            # A name added to the adversary table, against the legacy
+            # spelling the spec was drawn with.
+            names = [name for model, name in ADVERSARIES
+                     if model == spec.fault_model
+                     and name not in BYZANTINE_STRATEGIES
+                     and (name not in OWN_LATENCY
+                          or spec.network == "asynchronous")]
+            assume(names)
+            changed = data.draw(st.sampled_from(names))
         else:
             changed = getattr(spec, field) + 1
         mutated = dataclasses.replace(spec, **{field: changed})
         assert mutated != spec
         assert spec_cache_key(mutated) != spec_cache_key(spec)
+        if field == "strategy":
+            assert mutated.seed_for(0) != spec.seed_for(0)
 
     @settings(**COMMON)
     @given(spec=specs())

@@ -15,12 +15,15 @@ from repro.execution import CODE_VERSION, RetryPolicy
 from repro.execution.retry import TaskFailure
 from repro.experiments import ExperimentSpec, execute_repeat
 from repro.tournament import (
+    AdversaryEntry,
     TournamentConfig,
     cell_spec,
     get_adversary,
+    register_adversary,
     render_league,
     run_tournament,
 )
+from repro.tournament.roster import _ROSTER
 
 CONFIG = TournamentConfig(
     protocols=("naive", "balanced"),
@@ -42,6 +45,24 @@ class TestCellSpec:
             protocol="balanced", n=5, ell=32, fault_model="byzantine",
             beta=0.4, strategy="wrong-bits", repeats=2, base_seed=0,
             topology="ring")
+
+    def test_a_table_adversary_is_fielded_unchanged(self):
+        # Any (fault_model, strategy) pair of the spec's table is a
+        # roster entry as it stands: cell_spec copies the name through.
+        register_adversary(AdversaryEntry(
+            "crash-adaptive", "greedy crashes chosen from the query log",
+            "crash", 0.5, "adaptive"))
+        try:
+            config = TournamentConfig(
+                protocols=("crash-multi",), adversaries=("crash-adaptive",),
+                topologies=("complete",), n=8, ell=64, repeats=2)
+            (cell,) = run_tournament(config).cells
+        finally:
+            _ROSTER.pop("crash-adaptive", None)
+        assert cell.outcome.spec == ExperimentSpec(
+            protocol="crash-multi", n=8, ell=64, fault_model="crash",
+            beta=0.5, strategy="adaptive", repeats=2)
+        assert cell.success_rate == 1.0
 
     def test_empty_axes_fail_loudly(self):
         for broken in (TournamentConfig(protocols=()),
