@@ -1,14 +1,14 @@
-"""Benchmark harness: one module per experiment in DESIGN.md's index.
+"""Benchmark and gate scripts outside the claim table.
 
-Run everything with::
+The paper's evaluation is the claim table
+(``repro.experiments.claims``, driven by
+``examples/reproduce_paper.py``).  What stays here measures the
+infrastructure around it (kernel, scale, parallel engine, net
+transport, chaos, service, topology) plus E9's ODC pipeline
+(``bench_oracle.py``).  The pytest-benchmark ones run with::
 
     pytest benchmarks/ --benchmark-only
 
-Each benchmark executes full simulations, records the paper-relevant
-measurements (query/message/time complexity vs the stated bound) into
-``benchmark.extra_info``, prints the regenerated table rows, and
-asserts the *shape* claims (who wins, scaling direction, crossover
-positions).  Wall-clock numbers from pytest-benchmark describe the
-simulator, not the protocols — the protocol-relevant output is the
-printed tables and the recorded ratios.
+and print their tables through :mod:`benchmarks.support`; the
+``--check`` gate scripts run as plain programs.
 """

@@ -31,20 +31,15 @@ the resilience layer leans on:
 - what is owed and what is checkpointed, folded and cached around
   those tasks is :class:`~repro.execution.plan.SweepPlan`'s business.
 
-The generic :func:`run_tasks` helper underneath is also used by the
-benchmark harness (:mod:`benchmarks.support`), whose payloads carry
-live adversary/factory objects rather than specs.  There the pickle
-round-trip doubles as per-task isolation: serial and parallel modes
-both hand each task a pristine copy, so ``workers=1`` and
-``workers=N`` see identical state.  Payloads that cannot be pickled
-fall back to direct serial calls (with a warning).
+Underneath is the generic :func:`run_tasks`: every payload is pickled
+up front, so serial and parallel modes both hand each task a pristine
+copy, and ``workers=1`` and ``workers=N`` see identical state.
 """
 
 from __future__ import annotations
 
 import pickle
 import time
-import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -108,9 +103,8 @@ def run_tasks(fn: Callable, payloads: Iterable, *, workers: int = 1,
     for the chaos battery; leave it ``None`` outside tests.
 
     ``fn`` must be a module-level callable.  If ``fn`` or any payload
-    cannot be pickled, everything runs serially on the originals (the
-    only mode such payloads support) and a ``RuntimeWarning`` is
-    emitted.
+    cannot be pickled, the pickling error is raised before any task
+    runs.
     """
     check_positive("workers", workers)
     if on_error not in ("raise", "record"):
@@ -131,16 +125,7 @@ def run_tasks(fn: Callable, payloads: Iterable, *, workers: int = 1,
         raise ValueError(f"task_seeds has {len(seeds)} entries for "
                          f"{len(payloads)} payloads")
 
-    serial = workers == 1 or len(payloads) == 1
-    try:
-        calls = [pickle.dumps((fn, (payload,))) for payload in payloads]
-    except (pickle.PicklingError, TypeError, AttributeError) as exc:
-        warnings.warn(
-            f"run_tasks: payloads are not picklable ({exc}); falling "
-            f"back to serial execution without per-task isolation",
-            RuntimeWarning, stacklevel=2)
-        calls = [(fn, (payload,)) for payload in payloads]
-        serial = True
+    calls = [pickle.dumps((fn, (payload,))) for payload in payloads]
     tasks = [TaskAttempts(policy, index, seed, strict=on_error == "raise")
              for index, seed in enumerate(seeds)]
     results: list = [None] * len(payloads)
@@ -154,7 +139,7 @@ def run_tasks(fn: Callable, payloads: Iterable, *, workers: int = 1,
         if on_result is not None:
             on_result(index, result)
 
-    if serial:
+    if workers == 1 or len(payloads) == 1:
         _run_serial(calls, tasks, policy.task_timeout, chaos, finish)
     else:
         _run_pool(calls, tasks, policy.task_timeout, chaos, finish,

@@ -62,17 +62,17 @@ class NetBackend:
         check_positive("ell", spec.ell)
         check_fraction("beta", spec.beta, inclusive_high=False)
         check_positive("repeats", spec.repeats)
+        if spec.strategy not in BYZANTINE_STRATEGIES:
+            raise ValueError(
+                f"strategy {spec.strategy!r} has no net adversary; "
+                f"backend='net' takes only the ignored "
+                f"{sorted(BYZANTINE_STRATEGIES)}")
         if spec.fault_model != "none" or spec.beta > 0:
             raise ValueError(
                 f"backend='net' requires fault_model='none' (got "
                 f"{spec.fault_model!r}, beta={spec.beta!r}): its "
                 f"adversary is the transport — use proxy_faults and "
                 f"source_faults")
-        if spec.strategy not in BYZANTINE_STRATEGIES:
-            raise ValueError(
-                f"strategy {spec.strategy!r} has no net adversary; "
-                f"backend='net' takes only the ignored "
-                f"{sorted(BYZANTINE_STRATEGIES)}")
         if spec.network != "asynchronous":
             raise ValueError(
                 f"backend='net' requires network='asynchronous', got "

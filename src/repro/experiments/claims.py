@@ -23,12 +23,13 @@ holds its output verbatim).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.core import bounds
 from repro.experiments.outcome import ExperimentOutcome
-from repro.experiments.spec import ExperimentSpec
+from repro.experiments.spec import ExperimentSpec, segment_count
 from repro.protocols import choose_two_cycle_parameters, get
 
 __all__ = ["CLAIMS", "Claim", "Row", "query_bound", "run_claims"]
@@ -157,7 +158,22 @@ def _multi(s: int, tau: int) -> dict:
     return {"base_segments": s, "tau": tau}
 
 
+def _segment_bits(outcome: ExperimentOutcome) -> int:
+    """One segment of the outcome's spec, ``ceil(ell / s)`` bits."""
+    spec = outcome.spec
+    return math.ceil(spec.ell / segment_count(spec.protocol_params))
+
+
 _SYNC = dict(network="synchronous", backend="sync")
+
+#: E13's adversaries: the static wrong-bits liars, the same budget
+#: re-drawn every cycle, and the committee forger.
+_E13_ADVERSARIES = {
+    "static": dict(fault_model="byzantine"),
+    "dynamic": dict(fault_model="dynamic"),
+    "committee-forge": dict(fault_model="byzantine",
+                            strategy="committee-forge"),
+}
 
 CLAIMS = (
     Claim("E1", "Table 1: each regime's protocol (n=40, ell=8192)", (
@@ -290,8 +306,9 @@ CLAIMS = (
             protocol_params={**_two(4, 1), "claimed_t": 6,
                              "estimation_trials": 15, "attack_trials": 1})),
     ), verdict=fooled_above_floor, measured="fooled"),
-    Claim("E10", "the tau threshold of the 2-cycle protocol (n=40, "
-                 "ell=4096, s=4, beta=0.15 wrong-bits)", tuple(
+    Claim("E10", "the tau threshold of the 2-cycle protocol, and the "
+                 "attacks on it (n=40, ell=4096, s=4, beta=0.15 "
+                 "wrong-bits unless named)", tuple(
         Row(f"tau={tau}", ExperimentSpec(
             "byz-two-cycle", 40, 4096, protocol_params=_two(4, tau),
             repeats=4, **_byz(0.15)),
@@ -299,9 +316,18 @@ CLAIMS = (
                     "((n - t)/s = 8.5 reports), so Claim 5's premise "
                     "fails and peers query segments whole"
             if tau == 10 else "")
-        for tau in (1, 2, 3, 6, 10)), shape=(
+        for tau in (1, 2, 3, 6, 10)) + tuple(
+        Row(f"tau=3, {strategy}", ExperimentSpec(
+            "byz-two-cycle", 40, 4096, protocol_params=_two(4, 3),
+            repeats=4, **_byz(0.15, strategy=strategy)))
+        for strategy in ("frequency-spam", "split-report")), shape=(
         ("tau above the honest support pays more than tau=3", lambda o:
          q_of(o["tau=10"]) > q_of(o["tau=3"])),
+        ("split reports are filtered free (Q = ceil(ell/s)), spam pays "
+         "tree queries (Q above it)", lambda o:
+         q_of(o["tau=3, split-report"])
+         == _segment_bits(o["tau=3, split-report"])
+         < q_of(o["tau=3, frequency-spam"])),
     )),
     Claim("E12", "Algorithm 2 against the adversary battery (n=12, "
                  "ell=2400)", tuple(
@@ -318,6 +344,27 @@ CLAIMS = (
                                        **_crash(0.5))))), shape=(
         ("crashes force extra work", lambda o: q_of(
             o["crash half, mid-send"]) > q_of(o["async uniform"])),
+    )),
+    Claim("E13", "dynamic corruption and the committee forger (n=40, "
+                 "ell=4096, beta=0.15 per cycle, wrong-bits unless named)",
+          tuple(
+        Row(f"{label}, {adversary}", ExperimentSpec(
+            protocol, 40, 4096, protocol_params=params, repeats=3,
+            beta=0.15, **_E13_ADVERSARIES[adversary]))
+        for label, protocol, params, adversaries in (
+            ("committee b=64", "byz-committee", {"block_size": 64},
+             ("static", "dynamic", "committee-forge")),
+            ("multi-cycle s=4 tau=3", "byz-multi-cycle", _multi(4, 3),
+             ("static", "dynamic")))
+        for adversary in adversaries), shape=(
+        ("the committee pays the same whatever its t liars do", lambda o:
+         len({q_of(o[f"committee b=64, {adversary}"]) for adversary in (
+             "static", "dynamic", "committee-forge")}) == 1),
+        ("dynamic corruption costs the multi-cycle protocol at most one "
+         "fallback segment over static", lambda o:
+         q_of(o["multi-cycle s=4 tau=3, dynamic"])
+         <= q_of(o["multi-cycle s=4 tau=3, static"])
+         + _segment_bits(o["multi-cycle s=4 tau=3, static"])),
     )),
     Claim("E14", "the single-round separation under adaptive crashes "
                  "(n=16, ell=8192, beta=0.5)", tuple(

@@ -31,6 +31,7 @@ cache/journal entry depend on them):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 from repro.adversary import (
     AdaptiveCrashAdversary,
@@ -47,6 +48,11 @@ from repro.adversary import (
     TargetedSlowdown,
     UniformRandomDelay,
     WrongBitsStrategy,
+)
+from repro.adversary.attacks import (
+    CommitteeForgeAttacker,
+    FrequencySpamAttacker,
+    SplitReportAttacker,
 )
 from repro.adversary.dynamic import DynamicByzantineAdversary
 from repro.execution.cache import canonical_json
@@ -84,6 +90,20 @@ def _corrupting(kind: type, strategy: type):
         fraction=spec.beta, strategy_factory=PerPeerStrategy(strategy)))
 
 
+def _scripted(attacker: type, geometry: Callable[[dict], int]):
+    """``beta``'s corrupted peers run the protocol-aware ``attacker``,
+    sized by ``geometry(protocol_params)``."""
+    return _on_network(lambda spec: ByzantineAdversary(
+        fraction=spec.beta, scripted_factory=lambda pid, env: attacker(
+            pid, env, geometry(spec.protocol_params))))
+
+
+def segment_count(params: dict) -> int:
+    """The ``s`` a randomized protocol's ``protocol_params`` name
+    (``num_segments``, else ``base_segments``; 1 when neither)."""
+    return params.get("num_segments", params.get("base_segments", 1))
+
+
 _crashes = _on_network(lambda spec: CrashAdversary(crash_fraction=spec.beta))
 
 #: Every adversary a spec can name: ``(fault_model, strategy)`` -> a
@@ -105,6 +125,12 @@ ADVERSARIES = {
     ("crash", "slow"): lambda spec: TargetedSlowdown(set(range(spec.t))),
     ("crash", "adaptive"): lambda spec: AdaptiveCrashAdversary(
         crash_fraction=spec.beta),
+    ("byzantine", "committee-forge"): _scripted(
+        CommitteeForgeAttacker, lambda params: params.get("block_size", 1)),
+    ("byzantine", "frequency-spam"): _scripted(FrequencySpamAttacker,
+                                               segment_count),
+    ("byzantine", "split-report"): _scripted(SplitReportAttacker,
+                                             segment_count),
 }
 
 #: Strategies whose adversary sets its own latencies, so they cannot

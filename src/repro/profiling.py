@@ -10,9 +10,9 @@ One switch, three entry points:
 
 - CLI: ``repro run --profile`` / ``repro sweep --profile``;
 - environment: ``REPRO_PROFILE=1`` turns profiling on everywhere that
-  routes through :func:`maybe_profile` (the CLI, the benches'
-  ``measure()``, ``benchmarks/bench_kernel.py``, and
-  ``examples/reproduce_paper.py``) without touching a flag.
+  routes through :func:`maybe_profile` (the CLI,
+  ``benchmarks/bench_kernel.py`` and ``examples/reproduce_paper.py``)
+  without touching a flag.
 
 The profile is collected with :mod:`cProfile` and printed as a pstats
 top-N table (default: 25 rows by cumulative time, to stderr).  Set

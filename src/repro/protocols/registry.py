@@ -54,7 +54,9 @@ class ProtocolEntry:
             limit = max(self.max_crash_fraction,
                         self.max_byzantine_fraction)
             return beta <= limit
-        if fault_model == "byzantine":
+        if fault_model in ("byzantine", "dynamic"):
+            # A dynamic adversary's budget is per cycle, and the
+            # thresholds absorb exactly that (adversary/dynamic.py).
             return beta <= self.max_byzantine_fraction
         raise ValueError(f"unknown fault model {fault_model!r}")
 

@@ -112,6 +112,7 @@ class TestProtocolsUnderDynamicCorruption:
                                         latency=UniformRandomDelay()),
             seed=4)
         assert result.download_correct
+        assert len(adversary_core.union_corrupted()) > 6  # the static t
 
     def test_silent_dynamic_corruption(self):
         result = run_download(

@@ -16,6 +16,11 @@ Three families of checks keep the docs from rotting:
    ``| `field` | required/optional |`` table; this suite asserts those
    sections agree exactly with :data:`repro.obs.schema.EVENT_FIELDS`
    in both directions.
+4. **Repo paths.**  Every backticked path under ``src/repro/``,
+   ``benchmarks/``, ``bench/``, ``examples/`` or ``tests/`` (and every
+   bare ``bench_*.py``, which lives in ``benchmarks/``) in README.md,
+   DESIGN.md, EXPERIMENTS.md and ``docs/*.md`` must exist, so a
+   deleted file cannot stay named in the docs.
 """
 
 import os
@@ -117,6 +122,48 @@ def test_intra_repo_links_resolve(document):
         resolved = (document.parent / path_part).resolve()
         assert resolved.exists(), (
             f"{document.name}: link target {target!r} does not exist")
+
+
+# -- repo paths ---------------------------------------------------------------
+
+PATH_DOCUMENTS = sorted([REPO_ROOT / "DESIGN.md", REPO_ROOT / "EXPERIMENTS.md",
+                         *DOCUMENTS], key=lambda path: path.name)
+SPAN_RE = re.compile(r"`([^`\n]+)`")
+#: A covered path names a file by its suffix or a directory by its slash
+#: (``benchmarks/support.Row`` is a symbol, not a path).
+REPO_PATH_RE = re.compile(
+    r"(?:src/repro|benchmarks|bench|examples|tests)/"
+    r"(?:[\w/.-]*(?:\.(?:py|md|json|jsonl|yml|yaml|txt|toml)|/))?")
+BARE_BENCH_RE = re.compile(r"bench_\w+\.py")
+
+
+def named_repo_paths(document: Path) -> list:
+    """Repo-relative paths the document names in backticks; a
+    ``::symbol`` suffix and any command-line arguments are dropped."""
+    paths = []
+    for span in SPAN_RE.findall(strip_fences(
+            document.read_text(encoding="utf-8"))):
+        token = span.split()[0].split("::")[0] if span.strip() else ""
+        if BARE_BENCH_RE.fullmatch(token):
+            paths.append(f"benchmarks/{token}")
+        elif REPO_PATH_RE.fullmatch(token):
+            paths.append(token)
+    return paths
+
+
+@pytest.mark.parametrize("document", PATH_DOCUMENTS,
+                         ids=lambda path: path.name)
+def test_named_repo_paths_exist(document):
+    missing = [path for path in named_repo_paths(document)
+               if not (REPO_ROOT / path).exists()]
+    assert not missing, f"{document.name} names missing paths: {missing}"
+
+
+def test_named_repo_paths_are_found():
+    named = {path for document in PATH_DOCUMENTS
+             for path in named_repo_paths(document)}
+    assert "src/repro/experiments/claims.py" in named
+    assert "benchmarks/bench_oracle.py" in named
 
 
 # -- schema sync --------------------------------------------------------------

@@ -184,12 +184,21 @@ class TestSimOnlyStrategies:
     """A strategy only the simulator's table names never runs silently
     as some other adversary on another backend."""
 
+    _ATTACKS = ("committee-forge", "frequency-spam", "split-report")
+
     @pytest.mark.parametrize("fields", [
         dict(backend="sync", network="synchronous", fault_model="crash",
              beta=0.25, strategy="adaptive"),
         dict(backend="net", strategy="bursty"),
         dict(backend="lowerbound", strategy="bursty"),
-    ], ids=["sync", "net", "lowerbound"])
+    ] + [dict(backend="sync", network="synchronous",
+              fault_model="byzantine", beta=0.25, strategy=attack)
+         for attack in _ATTACKS] + [
+        dict(backend="net", fault_model="byzantine", beta=0.25,
+             strategy=attack) for attack in _ATTACKS],
+        ids=["sync", "net", "lowerbound"]
+        + [f"sync-{attack}" for attack in _ATTACKS]
+        + [f"net-{attack}" for attack in _ATTACKS])
     def test_backend_rejects_a_sim_only_strategy(self, fields):
         strategy = fields["strategy"]
         with pytest.raises(ValueError, match=repr(strategy)):

@@ -1,4 +1,4 @@
-"""Unit tests for the benchmark harness's shared machinery."""
+"""Unit tests for the benchmark scripts' shared table rendering."""
 
 import sys
 import pathlib
@@ -7,15 +7,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[2]))
 
-from benchmarks.support import (  # noqa: E402
-    Row,
-    byzantine_setup,
-    crash_setup,
-    measure,
-    print_table,
-)
-from repro.adversary import ComposedAdversary, UniformRandomDelay  # noqa: E402
-from repro.protocols import NaiveDownloadPeer  # noqa: E402
+from benchmarks.support import Row, print_table  # noqa: E402
 
 
 class TestRow:
@@ -46,35 +38,3 @@ class TestPrintTable:
                  if "|" in line]
         assert len({len(line) for line in lines}) == 1
 
-
-class TestSetups:
-    def test_crash_setup_zero_beta_is_latency_only(self):
-        assert isinstance(crash_setup(0.0), UniformRandomDelay)
-
-    def test_crash_setup_composes_faults(self):
-        assert isinstance(crash_setup(0.5), ComposedAdversary)
-
-    def test_byzantine_setup_zero_beta_is_latency_only(self):
-        assert isinstance(byzantine_setup(0.0), UniformRandomDelay)
-
-
-class TestMeasure:
-    def test_averages_over_repeats(self):
-        measured = measure(n=4, ell=64,
-                           peer_factory=NaiveDownloadPeer.factory(),
-                           seed=1, repeats=3)
-        assert measured["runs"] == 3
-        assert measured["correct"] == 3
-        assert measured["Q"] == 64
-        assert measured["Q_max"] == 64
-
-    def test_distinct_seeds_per_repeat(self):
-        # Repeats must not silently rerun the same seed: with random
-        # input data the total events can differ across repeats under
-        # an async adversary; at minimum the call must not crash and
-        # must honour the repeat count.
-        measured = measure(n=4, ell=64,
-                           peer_factory=NaiveDownloadPeer.factory(),
-                           adversary=UniformRandomDelay(), seed=2,
-                           repeats=2)
-        assert measured["runs"] == 2

@@ -21,6 +21,11 @@ from repro.adversary import (
     UniformRandomDelay,
     WrongBitsStrategy,
 )
+from repro.adversary.attacks import (
+    CommitteeForgeAttacker,
+    FrequencySpamAttacker,
+    SplitReportAttacker,
+)
 from repro.adversary.dynamic import DynamicByzantineAdversary
 from repro.experiments import (
     ExperimentSpec,
@@ -135,6 +140,10 @@ _LEGACY = {"wrong-bits": WrongBitsStrategy,
            "silent": SilentStrategy,
            "selective-silence": SelectiveSilenceStrategy}
 
+_ATTACKS = {"committee-forge": CommitteeForgeAttacker,
+            "frequency-spam": FrequencySpamAttacker,
+            "split-report": SplitReportAttacker}
+
 
 def legacy_adversary(spec):
     """The if-chain ``build_adversary`` was before the table: every
@@ -206,5 +215,24 @@ class TestAdversaryTable:
         assert fuzzing._STRATEGIES == (WrongBitsStrategy,
                                        EquivocateStrategy, SilentStrategy,
                                        SelectiveSilenceStrategy)
-        assert set(BYZANTINE_STRATEGIES) == {
+        assert set(BYZANTINE_STRATEGIES) | set(_ATTACKS) == {
             name for model, name in ADVERSARIES if model == "byzantine"}
+
+    @pytest.mark.parametrize("attack, params, size", [
+        ("committee-forge", {"block_size": 64}, 64),
+        ("committee-forge", {}, 1),
+        ("frequency-spam", {"num_segments": 4, "tau": 3}, 4),
+        ("frequency-spam", {"base_segments": 8, "tau": 3}, 8),
+        ("split-report", {}, 1),
+    ])
+    def test_an_attack_runs_its_scripted_peer_sized_by_the_params(
+            self, attack, params, size):
+        built = spec(fault_model="byzantine", strategy=attack, beta=0.25,
+                     protocol_params=params).build_adversary()
+        faults = built.faults
+        assert type(faults) is ByzantineAdversary
+        assert faults.fraction == 0.25
+        peer = faults.scripted_factory(0, None)
+        assert type(peer) is _ATTACKS[attack]
+        assert size == (peer.block_size if attack == "committee-forge"
+                        else peer.num_segments)

@@ -10,6 +10,7 @@ corrupted entries as misses.
 
 import dataclasses
 import json
+import threading
 
 import pytest
 
@@ -490,11 +491,12 @@ class TestSpecIdentityOnce:
 
 
 class TestRunTasks:
-    def test_unpicklable_payloads_fall_back_to_serial(self):
-        payloads = [lambda: 1, lambda: 2]  # lambdas cannot pickle
-        with pytest.warns(RuntimeWarning, match="not picklable"):
-            results = run_tasks(_call_thunk, payloads, workers=4)
-        assert results == [1, 2]
+    def test_unpicklable_payload_raises_at_once(self):
+        _CALLS.clear()
+        # The first payload pickles; a lock cannot.
+        with pytest.raises(TypeError, match="pickle"):
+            run_tasks(_note_call, [1, threading.Lock()], workers=1)
+        assert _CALLS == []
 
     def test_picklable_payloads_do_not_warn(self):
         import warnings
@@ -514,5 +516,8 @@ def _square(value):
     return value * value
 
 
-def _call_thunk(thunk):
-    return thunk()
+_CALLS: list = []
+
+
+def _note_call(payload):
+    _CALLS.append(payload)

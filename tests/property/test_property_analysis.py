@@ -1,9 +1,9 @@
-"""Property-based tests for the analysis statistics."""
+"""Property-based tests for E15's load statistic, the Gini coefficient."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import gini_coefficient
+from tests.integration.test_analysis import gini_coefficient
 
 loads = st.lists(st.integers(min_value=0, max_value=10 ** 6),
                  min_size=1, max_size=50)

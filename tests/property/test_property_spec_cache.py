@@ -40,7 +40,7 @@ _PROTOCOLS = ["balanced", "crash-multi", "crash-one", "naive", "one-round"]
 
 @st.composite
 def specs(draw) -> ExperimentSpec:
-    fault_model = draw(st.sampled_from(["none", "crash"]))
+    fault_model = draw(st.sampled_from(["none", "crash", "byzantine"]))
     beta = (0.0 if fault_model == "none"
             else draw(st.floats(min_value=0.05, max_value=0.95,
                                 allow_nan=False)))
@@ -193,7 +193,8 @@ class TestKeyDiscrimination:
             changed = dict(spec.protocol_params)
             changed["extra"] = 1
         elif field == "strategy":
-            # A name added to the adversary table, against the legacy
+            # A name added to the adversary table (a protocol-aware
+            # attack, for a Byzantine spec), against the legacy
             # spelling the spec was drawn with.
             names = [name for model, name in ADVERSARIES
                      if model == spec.fault_model

@@ -64,6 +64,14 @@ class TestSupports:
         assert [entry.name for entry in entries] == [
             "cross-validate", "cross-validate-escalate"]
 
+    @pytest.mark.parametrize("beta", [0.15, 0.6])
+    def test_dynamic_corruption_answers_as_byzantine(self, beta):
+        # The dynamic budget is per cycle, and that is what the
+        # protocols' thresholds absorb.
+        for entry in all_protocols():
+            assert entry.supports(fault_model="dynamic", beta=beta) == \
+                entry.supports(fault_model="byzantine", beta=beta)
+
     def test_unknown_fault_model_rejected(self):
         entry = get("naive")
         with pytest.raises(ValueError):
