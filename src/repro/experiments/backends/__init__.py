@@ -115,15 +115,20 @@ def telemetry_scope(telemetry: Optional["Telemetry"]):
             yield
 
 
-def check_protocol_params(spec: "ExperimentSpec", peer_class: type) -> None:
-    """``protocol_params`` may name only what the class the backend
-    runs takes: its constructor's defaulted arguments, i.e. those after
-    what the engine supplies (``pid, env``; ``pid, config, rng`` for a
+def check_protocol_params(spec: "ExperimentSpec", peer_class: type, *,
+                          params: Optional[dict] = None) -> None:
+    """``protocol_params`` (or the part ``params`` of them that goes to
+    the peers) may name only what the class the backend runs takes:
+    its constructor's defaulted arguments, i.e. those after what the
+    engine supplies (``pid, env``; ``pid, config, rng`` for a
     lockstep-native class)."""
+    params = spec.protocol_params if params is None else params
+    if not params:
+        return
     allowed = {name for name, parameter
                in inspect.signature(peer_class).parameters.items()
                if parameter.default is not parameter.empty}
-    unknown = set(spec.protocol_params) - allowed
+    unknown = set(params) - allowed
     if unknown:
         raise ValueError(
             f"protocol {spec.protocol!r} takes no {spec.backend} params "

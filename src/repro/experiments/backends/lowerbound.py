@@ -73,7 +73,10 @@ class LowerBoundBackend:
             raise ValueError(
                 "proxy_faults apply only to backend='net' — the "
                 "lower-bound constructions have no transport to shake")
-        construction, _ = _split_params(spec)
+        construction, peer_params = _split_params(spec)
+        from repro.experiments.backends import check_protocol_params
+        check_protocol_params(spec, get(spec.protocol).peer_class,
+                              params=peer_params)
         claimed_t = construction.get("claimed_t")
         if claimed_t is not None:
             check_positive("claimed_t", claimed_t)

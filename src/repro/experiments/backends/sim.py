@@ -39,7 +39,11 @@ class SimBackend:
         check_strategy(spec)
         if spec.fault_model != "none" and spec.beta <= 0:
             raise ValueError("faulty models need beta > 0")
-        from repro.experiments.backends import check_sources_and_topology
+        from repro.experiments.backends import (
+            check_protocol_params,
+            check_sources_and_topology,
+        )
+        check_protocol_params(spec, get(spec.protocol).peer_class)
         check_sources_and_topology(
             spec, no_proxy_because="the simulator's transport adversary "
                                    "is the network/fault model")

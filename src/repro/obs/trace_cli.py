@@ -295,6 +295,7 @@ def attach_trace_parser(subparsers) -> None:
     """Add the ``trace`` subcommand family to the CLI parser."""
     trace = subparsers.add_parser(
         "trace", help="inspect a --telemetry JSONL export")
+    trace.set_defaults(handler=run_trace_command)
     commands = trace.add_subparsers(dest="trace_command", required=True)
 
     summary = commands.add_parser(

@@ -16,18 +16,19 @@ Layering (each module only looks down):
 - :mod:`repro.service.queue` — the asyncio scheduler over one shared
   executor pool (dedup, fairness, cancel, resume, retries, events).
 - :mod:`repro.service.api` — transport-agnostic routing and JSON
-  shapes (+ the optional FastAPI adapter).
+  shapes.
 - :mod:`repro.service.server` — the dependency-free asyncio HTTP/SSE
   server behind ``repro serve``.
 - :mod:`repro.service.dashboard` — the single-file browser dashboard
   and its ``repro trace``-style timeline/flame renderers.
 - :mod:`repro.service.client` — the blocking stdlib client behind
   ``repro submit/status/result/cancel`` and the load bench.
+- :mod:`repro.service.cli` — those subcommands and ``repro serve``.
 
 Operator guide: docs/SERVICE.md.
 """
 
-from repro.service.api import ServiceAPI, fastapi_app
+from repro.service.api import ServiceAPI
 from repro.service.client import ServiceClient, ServiceError
 from repro.service.jobs import (Job, JobRequest, PRIORITY_DEFAULT, STATES,
                                 TERMINAL, job_from_dict, job_key,
@@ -49,7 +50,6 @@ __all__ = [
     "ServiceServer",
     "ServiceStats",
     "TERMINAL",
-    "fastapi_app",
     "job_from_dict",
     "job_key",
     "job_to_dict",

@@ -2,11 +2,8 @@
 
 :class:`ServiceAPI` maps ``(method, path, query, body)`` to plain
 :class:`Response` values (or an :class:`EventStream` marker for SSE),
-so the same routing and JSON shapes back every transport: the
-stdlib asyncio server in :mod:`repro.service.server` (always
-available), and the optional FastAPI app in :func:`fastapi_app`
-(an optional extra: ``pip install repro[serve]`` adds it, its absence
-costs nothing).
+so the routing and JSON shapes are independent of the transport, the
+stdlib asyncio server in :mod:`repro.service.server`.
 
 Endpoints (the full operator reference lives in docs/SERVICE.md):
 
@@ -39,7 +36,7 @@ import dataclasses
 import json
 import time
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from repro.experiments import ExperimentSpec
 from repro.persistence import outcome_to_dict
@@ -48,7 +45,7 @@ from repro.service.dashboard import (dashboard_page, job_flame_text,
 from repro.service.jobs import PRIORITY_DEFAULT, Job, JobRequest, job_to_dict
 from repro.service.queue import JobQueue
 
-__all__ = ["EventStream", "Response", "ServiceAPI", "fastapi_app"]
+__all__ = ["EventStream", "Response", "ServiceAPI"]
 
 
 @dataclass
@@ -226,46 +223,3 @@ def format_sse(seq: int, entry: dict) -> bytes:
     """
     data = json.dumps(entry, sort_keys=True)
     return f"id: {seq}\ndata: {data}\n\n".encode("utf-8")
-
-
-def fastapi_app(queue: JobQueue):  # pragma: no cover - optional extra
-    """The same API as a FastAPI app (requires the ``serve`` extra).
-
-    The stdlib server is the canonical, always-available path; this
-    exists for operators who want to mount the service inside an
-    existing ASGI deployment.  Raises ``RuntimeError`` when FastAPI is
-    not installed (``pip install repro[serve]``).
-    """
-    try:
-        from fastapi import FastAPI, Request
-        from fastapi.responses import Response as FastAPIResponse
-        from fastapi.responses import StreamingResponse
-    except ImportError as exc:
-        raise RuntimeError(
-            "FastAPI is not installed; install the serve extra "
-            "(pip install repro[serve]) or use the stdlib server "
-            "(repro serve)") from exc
-
-    api = ServiceAPI(queue)
-    app = FastAPI(title="repro serve")
-
-    @app.api_route("/{path:path}",
-                   methods=["GET", "POST", "DELETE"])
-    async def dispatch(path: str, request: Request):
-        query: dict[str, list[str]] = {}
-        for key, value in request.query_params.multi_items():
-            query.setdefault(key, []).append(value)
-        result = api.handle(request.method, "/" + path, query,
-                            await request.body())
-        if isinstance(result, EventStream):
-            async def stream():
-                async for seq, entry in queue.stream(result.job_id,
-                                                     result.after):
-                    yield format_sse(seq, entry)
-            return StreamingResponse(stream(),
-                                     media_type="text/event-stream")
-        return FastAPIResponse(content=result.body,
-                               status_code=result.status,
-                               media_type=result.content_type)
-
-    return app

@@ -6,9 +6,7 @@ transport is a small hand-rolled HTTP/1.1 server on
 :class:`~repro.service.queue.JobQueue` schedules on, so there is no
 cross-thread locking anywhere in the service.  It speaks exactly the
 subset the API needs (GET/POST/DELETE, JSON bodies, SSE responses,
-one request per connection) and is deliberately boring: operators who
-want a production ASGI stack install the ``serve`` extra and mount
-:func:`repro.service.api.fastapi_app` instead.
+one request per connection) and is deliberately boring.
 
 :func:`run_server` is the CLI entry point: build the store/queue/API,
 bind, optionally write the bound port to a file (``--port-file`` — the

@@ -205,6 +205,29 @@ class TestSimOnlyStrategies:
             ExperimentSpec(protocol="naive", n=8, ell=64, **fields)
 
 
+class TestUnknownProtocolParams:
+    """Every backend rejects a param its peer class does not take when
+    the spec is built, not as a retried ``TypeError`` mid-run."""
+
+    @pytest.mark.parametrize("fields", [
+        dict(), dict(backend="net"),
+        dict(backend="sync", network="synchronous")],
+        ids=["sim", "net", "sync"])
+    def test_spec_construction_rejects_an_unknown_param(self, fields):
+        with pytest.raises(ValueError, match="bogus"):
+            ExperimentSpec(protocol="naive", n=4, ell=64,
+                           protocol_params={"bogus": 1}, **fields)
+
+    def test_lowerbound_checks_the_victims_share(self):
+        fields = dict(protocol="byz-committee", n=10, ell=100,
+                      strategy="deterministic", backend="lowerbound")
+        ExperimentSpec(**fields, protocol_params={"claimed_t": 2,
+                                                  "block_size": 5})
+        with pytest.raises(ValueError, match="bogus"):
+            ExperimentSpec(**fields, protocol_params={"claimed_t": 2,
+                                                      "bogus": 1})
+
+
 class TestLowerBoundBackend:
     def test_deterministic_construction_fools_committee(self):
         outcome = run_experiment(ExperimentSpec(

@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
 
 import io
+import re
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import build_parser, main, parse_axis_values, spec_from_args
+from repro.execution.cache import spec_fields
+from repro.experiments import ExperimentSpec
 
 
 def run_cli(*argv):
@@ -41,7 +44,7 @@ class TestRun:
     def test_byzantine_run_with_strategy(self):
         code, output = run_cli("run", "--protocol", "byz-committee",
                                "--n", "9", "--ell", "90",
-                               "--block-size", "9",
+                               "--param", "block_size=9",
                                "--fault-model", "byzantine",
                                "--beta", "0.3", "--strategy", "equivocate")
         assert code == 0
@@ -50,7 +53,7 @@ class TestRun:
     def test_dynamic_run(self):
         code, output = run_cli("run", "--protocol", "byz-committee",
                                "--n", "9", "--ell", "90",
-                               "--block-size", "9",
+                               "--param", "block_size=9",
                                "--fault-model", "dynamic", "--beta", "0.2")
         assert code == 0
         assert "correct    : True" in output
@@ -64,7 +67,8 @@ class TestRun:
     def test_randomized_protocol_parameters(self):
         code, output = run_cli("run", "--protocol", "byz-two-cycle",
                                "--n", "30", "--ell", "600",
-                               "--segments", "3", "--tau", "2")
+                               "--param", "num_segments=3",
+                               "--param", "tau=2")
         assert code == 0
         assert "correct    : True" in output
 
@@ -78,10 +82,10 @@ class TestRun:
         ("--protocol crash-multi --n 8 --ell 200 --fault-model crash "
          "--beta 0.5", [0, 2, 4, 6],
          "Q=57 bits/peer (total 202), M=204 msgs (243696 bits), T=6.58"),
-        ("--protocol byz-committee --n 9 --ell 90 --block-size 9 "
+        ("--protocol byz-committee --n 9 --ell 90 --param block_size=9 "
          "--fault-model byzantine --beta 0.3 --strategy equivocate", [1, 2],
          "Q=54 bits/peer (total 342), M=304 msgs (31920 bits), T=1.79"),
-        ("--protocol byz-committee --n 9 --ell 90 --block-size 9 "
+        ("--protocol byz-committee --n 9 --ell 90 --param block_size=9 "
          "--fault-model dynamic --beta 0.2", [],
          "Q=36 bits/peer (total 270), M=240 msgs (25200 bits), T=1.54"),
     ], ids=["none", "crash", "byzantine", "dynamic"])
@@ -99,10 +103,120 @@ class TestRun:
 
 
 class TestLowerBound:
-    def test_lower_bound_command(self):
-        code, output = run_cli("lower-bound", "--n", "10", "--ell", "100")
+    def test_the_witness_is_a_lowerbound_sweep(self):
+        # The spec (and so the seeds) of the Theorem 3.1 witness against
+        # a committee of block size ell // 20 told t = 2: one repeat,
+        # fooled after the victim read half of X.
+        code, output = run_cli(
+            "sweep", "--backend", "lowerbound", "--protocol",
+            "byz-committee", "--strategy", "deterministic",
+            "--param", "claimed_t=2", "--param", "block_size=5",
+            "--n", "10", "--ell", "100", "--repeats", "1", "--no-cache")
         assert code == 0
-        assert "victim fooled  : True" in output
+        assert re.search(r"byz-committee \|\s+50\.0 \|.*\| 1/1\n", output)
+
+    def test_the_command_is_gone(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["lower-bound", "--n", "10"])
+
+
+#: One experiment in every spec flag but ``--backend`` and ``--repeats``.
+SPEC_FLAGS = ("--protocol", "byz-two-cycle", "--n", "12", "--ell", "300",
+              "--seed", "4", "--fault-model", "byzantine", "--beta", "0.25",
+              "--strategy", "equivocate", "--sources", "3",
+              "--source-faults", "withhold", "--topology", "ring",
+              "--param", "num_segments=3", "--param", "tau=2")
+
+
+def spec_of(*argv):
+    return spec_from_args(build_parser().parse_args(list(argv)))
+
+
+def point_of(*argv):
+    """The spec's fields but the two only a sweep names."""
+    fields = spec_fields(spec_of(*argv))
+    del fields["backend"], fields["repeats"]
+    return fields
+
+
+class TestOneSpecFromTheShell:
+    def test_run_sweep_and_submit_build_one_spec(self):
+        run, sweep, submit = (point_of(command, *SPEC_FLAGS)
+                              for command in ("run", "sweep", "submit"))
+        assert run == sweep == submit
+        assert run["protocol_params"] == {"num_segments": 3, "tau": 2}
+
+    def test_sweep_takes_a_protocol_param(self):
+        assert point_of("sweep", "--protocol", "byz-two-cycle",
+                        "--param", "tau=3")["protocol_params"] == {"tau": 3}
+
+    def test_submit_takes_the_lowerbound_backend(self):
+        argv = ("--protocol", "byz-committee", "--backend", "lowerbound",
+                "--param", "claimed_t=2", "--param", "block_size=5",
+                "--n", "10", "--ell", "100", "--repeats", "1")
+        spec = spec_of("submit", *argv)
+        assert spec == spec_of("sweep", *argv)
+        assert spec.strategy == "deterministic"
+
+    def test_a_value_is_json_else_a_string(self):
+        params = point_of("run", "--protocol", "cross-validate",
+                          "--sources", "3", "--param", "q=3",
+                          "--param", "decode=majority")["protocol_params"]
+        assert params == {"q": 3, "decode": "majority"}
+
+    def test_the_synchronous_network_follows_the_sync_backend(self):
+        assert spec_of("sweep", "--protocol", "naive", "--backend",
+                       "sync").network == "synchronous"
+        assert spec_of("run", "--protocol", "naive",
+                       "--synchronous").network == "synchronous"
+
+    @pytest.mark.parametrize("argv", [
+        ("--param", "tau"), ("--param", "=3"), ("--block-size", "9"),
+        ("--segments", "3"), ("--tau", "3"), ("--q", "3"),
+        ("--decode", "majority"), ("--threshold", "2"),
+        ("--source-f", "1"), ("--claimed-t", "2")])
+    def test_the_per_protocol_flags_are_gone(self, argv):
+        for command in ("run", "sweep", "submit"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args([command, "--protocol", "naive",
+                                           *argv])
+
+    def test_an_unknown_param_is_the_backends_to_reject(self):
+        with pytest.raises(ValueError, match="bogus"):
+            run_cli("sweep", "--protocol", "naive", "--param", "bogus=1")
+
+
+class TestAxisValues:
+    AXIS = ("--protocol", "cross-validate", "--n", "4", "--ell", "64",
+            "--sources", "3", "--param", "q=3", "--repeats", "1",
+            "--axis", "source_faults", "--values", "wrong-bits:1.0,withhold")
+
+    def test_sweep_takes_a_tuple_axis_one_entry_per_value(self):
+        code, output = run_cli("sweep", *self.AXIS, "--no-cache")
+        assert "('wrong-bits:1.0',)" in output
+        assert "('withhold',)" in output
+
+    def test_submit_sends_each_value_as_the_fields_type(self, monkeypatch):
+        sent = {}
+
+        class Client:
+            def __init__(self, url):
+                pass
+
+            def submit(self, spec, **request):
+                sent.update(request, spec=spec)
+                return {"id": "j1", "created": True, "state": "pending",
+                        "total": 2}
+
+        monkeypatch.setattr("repro.service.ServiceClient", Client)
+        assert run_cli("submit", *self.AXIS)[0] == 0
+        assert sent["values"] == [("wrong-bits:1.0",), ("withhold",)]
+        for value in sent["values"]:
+            ExperimentSpec(**{**sent["spec"], "source_faults": value})
+
+    def test_protocol_params_is_no_axis(self):
+        with pytest.raises(ValueError, match="protocol_params"):
+            parse_axis_values("protocol_params", "{}")
 
 
 class TestParser:

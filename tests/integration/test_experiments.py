@@ -227,7 +227,13 @@ class TestAdversaryTable:
     ])
     def test_an_attack_runs_its_scripted_peer_sized_by_the_params(
             self, attack, params, size):
-        built = spec(fault_model="byzantine", strategy=attack, beta=0.25,
+        # The victim is one whose class takes the params.
+        owners = {"block_size": "byz-committee",
+                  "num_segments": "byz-two-cycle",
+                  "base_segments": "byz-multi-cycle"}
+        protocol = next((owners[key] for key in params), "crash-multi")
+        built = spec(protocol=protocol, fault_model="byzantine",
+                     strategy=attack, beta=0.25,
                      protocol_params=params).build_adversary()
         faults = built.faults
         assert type(faults) is ByzantineAdversary

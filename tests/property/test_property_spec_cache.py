@@ -34,8 +34,21 @@ from repro.util.rng import derive_seed
 COMMON = dict(max_examples=60, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
 
-# Parameter-free protocols, so any drawn spec is constructible.
-_PROTOCOLS = ["balanced", "crash-multi", "crash-one", "naive", "one-round"]
+# Protocols that need no parameter, so any drawn spec is constructible,
+# each with the parameter names its class takes: the backend refuses
+# any other name, but never looks at a value, so values are free.
+_PROTOCOLS = {"balanced": (), "crash-multi": ("direct_threshold",
+                                              "max_phases"),
+              "crash-one": (), "naive": (),
+              "one-round": ("redundancy", "randomized")}
+
+
+def param_dicts(protocol: str, values, **size):
+    """``protocol_params`` for ``protocol``: its own names, any values."""
+    names = _PROTOCOLS[protocol]
+    if not names:
+        return st.just({})
+    return st.dictionaries(st.sampled_from(names), values, **size)
 
 
 @st.composite
@@ -44,11 +57,11 @@ def specs(draw) -> ExperimentSpec:
     beta = (0.0 if fault_model == "none"
             else draw(st.floats(min_value=0.05, max_value=0.95,
                                 allow_nan=False)))
-    params = draw(st.dictionaries(
-        st.sampled_from(["alpha", "gamma", "delta"]),
-        st.integers(min_value=0, max_value=9), max_size=2))
+    protocol = draw(st.sampled_from(sorted(_PROTOCOLS)))
+    params = draw(param_dicts(
+        protocol, st.integers(min_value=0, max_value=9), max_size=2))
     return ExperimentSpec(
-        protocol=draw(st.sampled_from(_PROTOCOLS)),
+        protocol=protocol,
         n=draw(st.integers(min_value=1, max_value=64)),
         ell=draw(st.integers(min_value=1, max_value=1 << 16)),
         fault_model=fault_model,
@@ -82,9 +95,7 @@ def rich_specs(draw) -> ExperimentSpec:
     faults = draw(st.lists(
         st.sampled_from(["honest", "wrong-bits", "stale:0.5", "withhold",
                          "slow:2"]), max_size=sources))
-    # "ab…" keys cannot collide with the validated "q" / "f" params.
-    params = draw(st.dictionaries(st.text("abcde", min_size=1, max_size=3),
-                                  _JSON_VALUES, max_size=3))
+    params = draw(param_dicts(base.protocol, _JSON_VALUES))
     changes = dict(protocol_params=params, sources=sources,
                    source_faults=tuple(faults), n=max(base.n, 5),
                    topology=draw(st.sampled_from(
@@ -190,8 +201,10 @@ class TestKeyDiscrimination:
             ["n", "ell", "repeats", "base_seed", "protocol_params",
              "strategy"]))
         if field == "protocol_params":
+            assume(_PROTOCOLS[spec.protocol])
+            name = _PROTOCOLS[spec.protocol][0]
             changed = dict(spec.protocol_params)
-            changed["extra"] = 1
+            changed[name] = [changed.get(name)]  # differs from any value
         elif field == "strategy":
             # A name added to the adversary table (a protocol-aware
             # attack, for a Byzantine spec), against the legacy

@@ -5,8 +5,6 @@ from __future__ import annotations
 import asyncio
 import json
 
-import pytest
-
 from repro.experiments import ExperimentSpec
 from repro.service.api import (EventStream, Response, ServiceAPI,
                                format_sse, parse_job_request)
@@ -181,17 +179,3 @@ class TestWireHelpers:
         data_line = [line for line in frame.splitlines()
                      if line.startswith("data: ")][0]
         assert json.loads(data_line[6:])["event"] == "job_done"
-
-
-class TestFastAPIAdapter:
-    def test_missing_extra_raises_a_helpful_error(self, tmp_path):
-        try:
-            import fastapi  # noqa: F401
-            pytest.skip("FastAPI installed; the stdlib-only error "
-                        "path is not reachable")
-        except ImportError:
-            pass
-        from repro.service.api import fastapi_app
-        queue = JobQueue(JobStore(tmp_path / "svc"), pool=1)
-        with pytest.raises(RuntimeError, match="serve extra"):
-            fastapi_app(queue)
