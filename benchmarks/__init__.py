@@ -4,8 +4,8 @@ The paper's evaluation is the claim table
 (``repro.experiments.claims``, driven by
 ``examples/reproduce_paper.py``).  What stays here measures the
 infrastructure around it (kernel, scale, parallel engine, net
-transport, chaos, service, topology) plus E9's ODC pipeline
-(``bench_oracle.py``).  The pytest-benchmark ones run with::
+transport, chaos, service, topology).  The pytest-benchmark ones run
+with::
 
     pytest benchmarks/ --benchmark-only
 

@@ -234,21 +234,33 @@ def naive_query_bound(ell: int) -> int:
     return ell
 
 
-def odc_baseline_total_queries(nodes: int, sources_per_node: int,
-                               cells: int, value_bits: int) -> int:
-    """Classic ODC (Thm 4.1-adjacent): every node reads every cell of
-    its ``sources_per_node`` sources directly."""
-    return nodes * sources_per_node * cells * value_bits
+def cross_validate_query_bound(ell: int, q: int) -> int:
+    """Cross-validation over ``k`` sources (``protocols/multisource.py``):
+    every peer reads every bit from ``q`` sources, ``q * ell`` bits.
+    The optimistic variant's worst case is its escalated
+    ``q = 2f + 1``."""
+    check_positive("ell", ell)
+    check_positive("q", q)
+    return q * ell
 
 
-def odc_download_total_queries(nodes: int, sources_per_node: int,
-                               cells: int, value_bits: int, t: int,
-                               overhead: float = 1.0) -> float:
-    """Download-based ODC (Thm 4.2): the per-source read cost is shared
-    across the ``nodes`` peers instead of being paid by each node.
+def odc_baseline_query_bound(feeds: int, cells: int,
+                             value_bits: int) -> int:
+    """Classic ODC: a node reads every cell of every feed directly,
+    ``feeds * cells * value_bits`` bits."""
+    return feeds * cells * value_bits
 
-    ``overhead`` absorbs the protocol's polylog/decision-tree factor.
-    """
-    per_source_bits = cells * value_bits
-    shared = per_source_bits / max(1, nodes - 2 * t) * nodes
-    return sources_per_node * shared * overhead
+
+def odc_download_query_bound(consistent_feeds: int, equivocating_feeds: int,
+                             cells: int, value_bits: int, n: int,
+                             t: int) -> int:
+    """Download-based ODC (Thm 4.2) with the committee protocol, one
+    value per block, per node.  A consistent feed costs a node its
+    :func:`committee_query_bound` share of the feed's
+    ``cells * value_bits`` bits.  An equivocating feed answers each
+    reader differently, so no block gathers ``t + 1`` matching reports
+    and every node reads the feed whole after its give-up time."""
+    feed_bits = cells * value_bits
+    return (consistent_feeds * committee_query_bound(feed_bits, n, t,
+                                                     value_bits)
+            + equivocating_feeds * feed_bits)

@@ -2,8 +2,9 @@
 
 The paper's evaluation is Table 1 plus one experiment per theorem.  Each
 is a :class:`Claim` here: rows of ``(label, ExperimentSpec)``, the bound
-each row is held to — always a :mod:`repro.core.bounds` function, never
-a number written here — and a verdict.  The default verdict is "every
+each row is held to — its protocol's registered ``query_bound``, a
+:mod:`repro.core.bounds` function, never a number written here — and a
+verdict.  The default verdict is "every
 run correct, and Q within the bound", where Q is the worst peer's query
 bits, max over runs; Thm 3.12 bounds an expectation, so multi-cycle
 rows compare the mean over runs instead.  Cross-row shape statements
@@ -30,56 +31,22 @@ from typing import Callable, Optional
 from repro.core import bounds
 from repro.experiments.outcome import ExperimentOutcome
 from repro.experiments.spec import ExperimentSpec, segment_count
-from repro.protocols import choose_two_cycle_parameters, get
+from repro.protocols import get
 
-__all__ = ["CLAIMS", "Claim", "Row", "query_bound", "run_claims"]
+__all__ = ["CLAIMS", "Claim", "Row", "run_claims"]
 
 
 @dataclass(frozen=True)
 class Row:
     """One spec of a claim.  ``finding`` is the sentence explaining why
-    the row is expected *not* to hold; ``bound`` overrides
-    :func:`query_bound` (E17's exact multiples of ``ell``)."""
+    the row is expected *not* to hold; ``bound`` overrides the
+    protocol's registered ``query_bound`` (E17's exact multiples of
+    ``ell``)."""
 
     label: str
     spec: ExperimentSpec
     finding: str = ""
     bound: Optional[float] = None
-
-
-def query_bound(spec: ExperimentSpec) -> float:
-    """The :mod:`repro.core.bounds` statement of one run's per-peer
-    query bits for ``spec``'s protocol and parameters."""
-    ell, n, t, params = spec.ell, spec.n, spec.t, spec.protocol_params
-    name = spec.protocol
-    if name == "naive":
-        return bounds.naive_query_bound(ell)
-    if name == "balanced":
-        return bounds.ideal_query_bound(ell, n)
-    if name == "crash-one":
-        return bounds.crash_one_query_bound(ell, n)
-    if name == "one-round":
-        if params.get("randomized"):
-            return bounds.naive_query_bound(ell)
-        return bounds.one_round_query_bound(ell, n, t,
-                                            params.get("redundancy", 1))
-    if name in ("crash-multi", "crash-multi-fast"):
-        return bounds.crash_multi_query_bound(ell, n, t)
-    if name == "byz-committee":
-        return bounds.committee_query_bound(ell, n, t,
-                                            params.get("block_size", 1))
-    if name == "byz-two-cycle":
-        if "tau" not in params:
-            chosen = choose_two_cycle_parameters(n, t, ell)
-            if chosen.naive:
-                return bounds.naive_query_bound(ell)
-            params = {"tau": chosen.tau, "num_segments": chosen.num_segments}
-        return bounds.two_cycle_query_bound(ell, n, t, params["tau"],
-                                            params["num_segments"])
-    if name == "byz-multi-cycle":
-        return bounds.multi_cycle_query_bound(ell, n, t, params["tau"],
-                                              params["base_segments"])
-    raise KeyError(f"no core/bounds.py statement for {name!r}")
 
 
 def q_of(outcome: ExperimentOutcome) -> float:
@@ -95,8 +62,12 @@ def _all_correct(outcome: ExperimentOutcome) -> bool:
 
 
 def within_bound(row: Row, outcome: ExperimentOutcome) -> tuple:
-    """Default verdict: every run correct and Q within the bound."""
-    bound = query_bound(row.spec) if row.bound is None else row.bound
+    """Default verdict: every run correct and Q within the bound (the
+    protocol's registered ``query_bound`` unless the row sets one)."""
+    spec, bound = row.spec, row.bound
+    if bound is None:
+        bound = get(spec.protocol).query_bound(
+            spec.ell, spec.n, spec.t, spec.protocol_params, spec.sources)
     q = q_of(outcome)
     return q, bound, _all_correct(outcome) and q <= bound
 

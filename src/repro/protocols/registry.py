@@ -1,8 +1,10 @@
 """Name-indexed protocol registry used by benches and examples.
 
-Each entry couples a peer class with the regime it is valid in, so
-harness code can sweep "every protocol that tolerates this fault setup"
-without hard-coding the list.
+Each entry couples a peer class with the regime it is valid in and the
+query bound it promises there, so harness code can sweep "every
+protocol that tolerates this fault setup" without hard-coding the list,
+and the claim table and the conformance battery hold each run to its
+entry's bound.  A new protocol is one entry here.
 """
 
 from __future__ import annotations
@@ -10,11 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
+from repro.core import bounds
 from repro.protocols.balanced import BalancedDownloadPeer
-from repro.protocols.base import DownloadPeer
 from repro.protocols.byz_committee import ByzCommitteeDownloadPeer
 from repro.protocols.byz_multi_cycle import ByzMultiCycleDownloadPeer
-from repro.protocols.byz_two_cycle import ByzTwoCycleDownloadPeer
+from repro.protocols.byz_two_cycle import (
+    ByzTwoCycleDownloadPeer,
+    choose_two_cycle_parameters,
+)
 from repro.protocols.crash_multi import (
     CrashMultiDownloadPeer,
     CrashMultiFastDownloadPeer,
@@ -30,7 +35,8 @@ from repro.protocols.one_round import OneRoundDownloadPeer
 
 @dataclass(frozen=True)
 class ProtocolEntry:
-    """One protocol with its validity envelope."""
+    """One protocol with its promise: the validity envelope and the
+    :mod:`repro.core.bounds` statement of its per-peer query bits."""
 
     name: str
     peer_class: type
@@ -39,6 +45,10 @@ class ProtocolEntry:
     max_crash_fraction: float  # largest beta the protocol tolerates
     max_byzantine_fraction: float
     description: str
+    #: ``(ell, n, t, protocol_params, sources) -> float``: the worst
+    #: peer's query bits in one run (an expectation for multi-cycle).
+    #: The claim table and the conformance battery hold runs to it.
+    query_bound: Callable[..., float]
     #: Execution backends that can host this class's ``body`` — every
     #: protocol runs on the simulator it was written against; the
     #: lockstep (``"sync"``) and socket (``"net"``) hosts drive the
@@ -76,52 +86,88 @@ def _register(entry: ProtocolEntry) -> None:
     _REGISTRY[entry.name] = entry
 
 
+def _one_round_bound(ell, n, t, params, sources):
+    if params.get("randomized"):
+        return bounds.naive_query_bound(ell)
+    return bounds.one_round_query_bound(ell, n, t,
+                                        params.get("redundancy", 1))
+
+
+def _two_cycle_bound(ell, n, t, params, sources):
+    """Protocol 4 at the peer's own parameters: those it was given, or
+    what :func:`choose_two_cycle_parameters` picks (naive included)."""
+    if "tau" not in params:
+        chosen = choose_two_cycle_parameters(n, t, ell)
+        if chosen.naive:
+            return bounds.naive_query_bound(ell)
+        params = {"tau": chosen.tau, "num_segments": chosen.num_segments}
+    return bounds.two_cycle_query_bound(ell, n, t, params["tau"],
+                                        params["num_segments"])
+
+
 _register(ProtocolEntry(
     name="naive", peer_class=NaiveDownloadPeer, fault_model="byzantine",
     randomized=False, max_crash_fraction=0.999, max_byzantine_fraction=0.999,
     description="every peer queries all ell bits (correct for any beta < 1)",
+    query_bound=lambda ell, n, t, params, sources:
+    bounds.naive_query_bound(ell),
     backends=_EVERYWHERE))
 _register(ProtocolEntry(
     name="balanced", peer_class=BalancedDownloadPeer, fault_model="none",
     randomized=False, max_crash_fraction=0.0, max_byzantine_fraction=0.0,
     description="fault-free round-robin sharing (Q = ell/n)",
+    query_bound=lambda ell, n, t, params, sources:
+    bounds.ideal_query_bound(ell, n),
     backends=_EVERYWHERE))
 _register(ProtocolEntry(
     name="crash-one", peer_class=CrashOneDownloadPeer, fault_model="crash",
     randomized=False, max_crash_fraction=0.0, max_byzantine_fraction=0.0,
-    description="Algorithm 1: two-phase protocol for a single crash"))
+    description="Algorithm 1: two-phase protocol for a single crash",
+    query_bound=lambda ell, n, t, params, sources:
+    bounds.crash_one_query_bound(ell, n)))
 _register(ProtocolEntry(
     name="crash-multi", peer_class=CrashMultiDownloadPeer,
     fault_model="crash", randomized=False,
     max_crash_fraction=0.999, max_byzantine_fraction=0.0,
-    description="Algorithm 2: phased protocol, any crash fraction"))
+    description="Algorithm 2: phased protocol, any crash fraction",
+    query_bound=lambda ell, n, t, params, sources:
+    bounds.crash_multi_query_bound(ell, n, t)))
 _register(ProtocolEntry(
     name="crash-multi-fast", peer_class=CrashMultiFastDownloadPeer,
     fault_model="crash", randomized=False,
     max_crash_fraction=0.999, max_byzantine_fraction=0.0,
-    description="Theorem 2.13's time-improved Algorithm 2"))
+    description="Theorem 2.13's time-improved Algorithm 2",
+    query_bound=lambda ell, n, t, params, sources:
+    bounds.crash_multi_query_bound(ell, n, t)))
 _register(ProtocolEntry(
     name="one-round", peer_class=OneRoundDownloadPeer, fault_model="crash",
     randomized=True, max_crash_fraction=0.999, max_byzantine_fraction=0.0,
     description="single-exchange download; correct but query-hungry "
-                "(the companion paper's single-round regime)"))
+                "(the companion paper's single-round regime)",
+    query_bound=_one_round_bound))
 _register(ProtocolEntry(
     name="byz-committee", peer_class=ByzCommitteeDownloadPeer,
     fault_model="byzantine", randomized=False,
     max_crash_fraction=0.499, max_byzantine_fraction=0.499,
     description="Theorem 3.4: deterministic committees, beta < 1/2",
+    query_bound=lambda ell, n, t, params, sources:
+    bounds.committee_query_bound(ell, n, t, params.get("block_size", 1)),
     backends=("sim", "sync")))
 _register(ProtocolEntry(
     name="byz-two-cycle", peer_class=ByzTwoCycleDownloadPeer,
     fault_model="byzantine", randomized=True,
     max_crash_fraction=0.499, max_byzantine_fraction=0.499,
     description="Protocol 4: 2-cycle randomized sampling + decision trees",
+    query_bound=_two_cycle_bound,
     backends=("sim", "sync")))
 _register(ProtocolEntry(
     name="byz-multi-cycle", peer_class=ByzMultiCycleDownloadPeer,
     fault_model="byzantine", randomized=True,
     max_crash_fraction=0.499, max_byzantine_fraction=0.499,
-    description="Theorem 3.12: doubling-segment multi-cycle download"))
+    description="Theorem 3.12: doubling-segment multi-cycle download",
+    query_bound=lambda ell, n, t, params, sources:
+    bounds.multi_cycle_query_bound(ell, n, t, params["tau"],
+                                   params["base_segments"])))
 # The multi-source protocols are per-peer independent (no peer-to-peer
 # messages), so like naive they tolerate any peer-fault fraction below
 # 1; their interesting adversary is the faulty *source* set.
@@ -131,6 +177,8 @@ _register(ProtocolEntry(
     max_crash_fraction=0.999, max_byzantine_fraction=0.999,
     description="query q of k sources per digit, majority/threshold "
                 "decode (tolerates f = (q-1)/2 faulty sources)",
+    query_bound=lambda ell, n, t, params, sources:
+    bounds.cross_validate_query_bound(ell, params.get("q", sources)),
     backends=_EVERYWHERE))
 _register(ProtocolEntry(
     name="cross-validate-escalate",
@@ -139,6 +187,8 @@ _register(ProtocolEntry(
     max_crash_fraction=0.999, max_byzantine_fraction=0.999,
     description="query f+1 sources, escalate to 2f+1 with majority "
                 "decode on disagreement",
+    query_bound=lambda ell, n, t, params, sources:
+    bounds.cross_validate_query_bound(ell, 2 * params.get("f", 0) + 1),
     backends=_EVERYWHERE))
 
 

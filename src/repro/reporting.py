@@ -16,13 +16,9 @@ character-for-character.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from repro.experiments import ExperimentOutcome
-from repro.obs.schema import unified_metrics
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.sim.runner import RunResult
 
 
 def _format_cell(value) -> str:
@@ -82,29 +78,6 @@ def render_sweep(outcomes: Sequence[ExperimentOutcome], *, axis: str,
                f"{spec.repeats} repeats/point")
     return f"## {title}\n\n{context}\n\n" \
         + markdown_table(headers, rows)
-
-
-def render_run_summary(result: "RunResult") -> str:
-    """One finished run as a two-column markdown table.
-
-    Reads the run through :func:`repro.obs.schema.unified_metrics` —
-    the same shape the ``run_summary`` telemetry event carries — so the
-    rendered report, the JSONL export, and ``repro trace summary``
-    can never drift apart.
-    """
-    metrics = unified_metrics(result)
-    rows = [
-        ("correct", metrics["correct"]),
-        ("query complexity Q (bits/peer)", metrics["query_complexity"]),
-        ("total query bits", metrics["total_query_bits"]),
-        ("message complexity M", metrics["message_complexity"]),
-        ("message bits", metrics["message_bits"]),
-        ("time complexity T", metrics["time_complexity"]),
-        ("kernel events", metrics["events_processed"]),
-        ("honest peers", len(metrics["honest"])),
-        ("faulty peers", len(metrics["faulty"])),
-    ]
-    return markdown_table(["measure", "value"], rows)
 
 
 def render_report(sections: Sequence[str], *,

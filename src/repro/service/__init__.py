@@ -26,32 +26,30 @@ Layering (each module only looks down):
 - :mod:`repro.service.cli` — those subcommands and ``repro serve``.
 
 Operator guide: docs/SERVICE.md.
+
+Names resolve on first use (PEP 562), so the client and the CLI load
+neither asyncio nor the queue and server behind them.
 """
 
-from repro.service.api import ServiceAPI
-from repro.service.client import ServiceClient, ServiceError
-from repro.service.jobs import (Job, JobRequest, PRIORITY_DEFAULT, STATES,
-                                TERMINAL, job_from_dict, job_key,
-                                job_to_dict)
-from repro.service.queue import JobQueue, ServiceStats
-from repro.service.server import ServiceServer, run_server
-from repro.service.store import JobStore
+import importlib
 
-__all__ = [
-    "Job",
-    "JobQueue",
-    "JobRequest",
-    "JobStore",
-    "PRIORITY_DEFAULT",
-    "STATES",
-    "ServiceAPI",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceServer",
-    "ServiceStats",
-    "TERMINAL",
-    "job_from_dict",
-    "job_key",
-    "job_to_dict",
-    "run_server",
-]
+#: Every exported name -> the module that defines it.
+_HOMES = {name: module for module, names in {
+    "api": ("ServiceAPI",),
+    "client": ("ServiceClient", "ServiceError"),
+    "jobs": ("Job", "JobRequest", "PRIORITY_DEFAULT", "STATES", "TERMINAL",
+             "job_from_dict", "job_key", "job_to_dict"),
+    "queue": ("JobQueue", "ServiceStats"),
+    "server": ("ServiceServer", "run_server"),
+    "store": ("JobStore",),
+}.items() for name in names}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute "
+                             f"{name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_HOMES[name]}"),
+                   name)

@@ -111,17 +111,22 @@ class TestByzantineBounds:
 
 class TestOracleBounds:
     def test_baseline_total(self):
-        assert bounds.odc_baseline_total_queries(10, 5, 100, 16) == \
-            10 * 5 * 100 * 16
+        assert bounds.odc_baseline_query_bound(5, 100, 16) == 5 * 100 * 16
 
     def test_download_scales_inverse_in_nodes(self):
-        small = bounds.odc_download_total_queries(10, 5, 100, 16, t=1)
-        big = bounds.odc_download_total_queries(100, 5, 100, 16, t=1)
-        # Per-source cost shared over more nodes: total roughly flat,
-        # per-node cost shrinks; totals stay within 2x here.
-        assert big < small * 2
+        small = bounds.odc_download_query_bound(5, 0, 100, 16, 10, 1)
+        big = bounds.odc_download_query_bound(5, 0, 100, 16, 100, 1)
+        # Each of the 100 values has a committee of 2t + 1 = 3 nodes,
+        # so a node serves on 30 of them at n = 10 and 3 at n = 100.
+        assert small == 5 * 30 * 16
+        assert big == 5 * 3 * 16
 
     def test_download_beats_baseline_for_moderate_t(self):
-        baseline = bounds.odc_baseline_total_queries(20, 5, 100, 16)
-        download = bounds.odc_download_total_queries(20, 5, 100, 16, t=4)
+        baseline = bounds.odc_baseline_query_bound(5, 100, 16)
+        download = bounds.odc_download_query_bound(4, 1, 100, 16, 20, 4)
         assert download < baseline
+
+    def test_an_equivocating_feed_is_read_whole(self):
+        assert bounds.odc_download_query_bound(0, 3, 100, 16, 20, 4) == \
+            bounds.odc_baseline_query_bound(3, 100, 16)
+

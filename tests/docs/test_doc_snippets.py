@@ -163,7 +163,7 @@ def test_named_repo_paths_are_found():
     named = {path for document in PATH_DOCUMENTS
              for path in named_repo_paths(document)}
     assert "src/repro/experiments/claims.py" in named
-    assert "benchmarks/bench_oracle.py" in named
+    assert "benchmarks/bench_service.py" in named
 
 
 # -- schema sync --------------------------------------------------------------

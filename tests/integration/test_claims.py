@@ -10,8 +10,9 @@ import pytest
 
 from repro.execution import ParallelRunner
 from repro.experiments import ExperimentSpec
-from repro.experiments.claims import CLAIMS, Claim, Row, query_bound, \
-    run_claims, within_bound
+from repro.experiments.claims import CLAIMS, Claim, Row, run_claims, \
+    within_bound
+from repro.protocols import get
 
 NAIVE = ExperimentSpec(protocol="naive", n=4, ell=64)
 #: Balanced trusts every share, so one liar corrupts the download.
@@ -74,4 +75,14 @@ class TestTable:
                              ids=lambda claim: claim.key)
     def test_every_row_has_a_bounds_statement(self, claim):
         for row in claim.rows:
-            assert query_bound(row.spec) > 0
+            assert registered_bound(row.spec) > 0
+
+    def test_exact_multiples_lie_within_the_registered_bound(self):
+        (e17,) = [claim for claim in CLAIMS if claim.key == "E17"]
+        for row in e17.rows:
+            assert row.bound <= registered_bound(row.spec), row.label
+
+
+def registered_bound(spec):
+    return get(spec.protocol).query_bound(
+        spec.ell, spec.n, spec.t, spec.protocol_params, spec.sources)

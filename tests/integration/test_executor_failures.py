@@ -4,10 +4,10 @@ The paper's crash model bounds what a stopped participant may cost the
 others; this battery holds the harness's executors to that standard.
 Five executors — ``run_many`` serial, ``run_many`` on a pool, a
 one-cell ``run_tournament`` and the ``JobQueue`` in thread and in
-process mode — meet six failures whose details Hypothesis draws: a
-transient error that recovers, an exhausted budget, a watchdog
-timeout, a killed worker, a torn journal line and a corrupt cache
-entry.  Every case must end within :data:`BOUND_S` seconds, and every
+process mode — meet seven failures whose details Hypothesis draws: a
+transient error that recovers, an exhausted budget, a configuration
+error no retry can mend, a watchdog timeout, a killed worker, a torn
+journal line and a corrupt cache entry.  Every case must end within :data:`BOUND_S` seconds, and every
 executor must yield the same :class:`~repro.experiments.ExperimentOutcome`,
 field for field, ``failures`` included.
 
@@ -41,6 +41,7 @@ from repro.experiments import ExperimentOutcome, execute_repeat
 from repro.service.jobs import JobRequest, job_key
 from repro.service.queue import JobQueue
 from repro.service.store import JobStore
+from repro.sim.errors import ConfigurationError
 from repro.tournament import (TournamentConfig, cell_spec, get_adversary,
                               run_tournament)
 
@@ -99,6 +100,9 @@ class Fault:
     def strike(self, repeat):
         if self.kind == "transient":
             raise OSError(f"injected fault on repeat {repeat}")
+        if self.kind == "configuration":
+            raise ConfigurationError(f"injected misconfiguration on "
+                                     f"repeat {repeat}")
         if self.kind == "stall":
             time.sleep(60)  # the watchdog ends it
         elif self.kind == "kill":
@@ -188,10 +192,14 @@ def baseline():
     return ParallelRunner(workers=1, strict=True).run(SPEC)
 
 
-def struck(failure, kind, repeat, until, baseline, policy=POLICY):
+def struck(failure, kind, repeat, until, baseline, policy=POLICY,
+           attempts=None):
     """Run ``failure`` on every executor it reaches; the outcomes must
     agree with each other and, when the fault recovers, with
-    ``baseline``."""
+    ``baseline``.  The struck repeat must be tried ``attempts`` times
+    (by default until it recovers or the budget is spent)."""
+    if attempts is None:
+        attempts = min(until + 1, policy.max_attempts)
     outcomes = {}
     with tempfile.TemporaryDirectory() as scratch:
         for executor in executors(failure):
@@ -200,8 +208,7 @@ def struck(failure, kind, repeat, until, baseline, policy=POLICY):
             os.makedirs(fault.ledger)
             outcomes[executor] = run_on(executor, root / "cache",
                                         root / "state", fault, policy)
-            assert fault.calls()[f"repeat-{repeat}"] >= min(
-                until + 1, policy.max_attempts), executor
+            assert fault.calls()[f"repeat-{repeat}"] >= attempts, executor
     first = outcomes["pool"]
     for executor, outcome in outcomes.items():
         assert_same(first, outcome, executor)
@@ -224,6 +231,17 @@ class TestAttemptFaults:
             task=f"repeat-{repeat}", error_type="OSError",
             message=f"injected fault on repeat {repeat}",
             attempts=POLICY.max_attempts),)
+        assert outcome.failed_runs == 1
+
+    @settings(**COMMON)
+    @given(repeat=repeats)
+    def test_a_configuration_error_is_not_retried(self, baseline, repeat):
+        outcome = struck("configuration", "configuration", repeat, 99,
+                         baseline, attempts=1)
+        assert outcome.failures == (TaskFailure(
+            task=f"repeat-{repeat}", error_type="ConfigurationError",
+            message=f"injected misconfiguration on repeat {repeat}",
+            attempts=1),)
         assert outcome.failed_runs == 1
 
     @settings(**COMMON)

@@ -210,3 +210,14 @@ class TestKillResume:
             reborn.stop()
 
         assert resumed == reference
+
+
+def test_the_cli_loads_neither_asyncio_nor_the_queue():
+    # `repro list`, `submit` and `status` start in a fresh interpreter;
+    # only `serve` needs the event loop and the scheduler.
+    code = ("import sys, repro.service.cli; print(sorted("
+            "{'asyncio', 'repro.service.queue'} & set(sys.modules)))")
+    loaded = subprocess.run([sys.executable, "-c", code], check=True,
+                            capture_output=True, text=True,
+                            env=dict(os.environ, PYTHONPATH=SRC)).stdout
+    assert loaded.strip() == "[]"

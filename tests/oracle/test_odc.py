@@ -1,8 +1,15 @@
-"""End-to-end tests for both ODC pipelines and the ODD guarantee."""
+"""End-to-end tests for both ODC pipelines and the ODD guarantee.
+
+:class:`TestE9` is the paper's E9 (Theorems 4.1/4.2): both pipelines
+meet ODD, and each honest node's query bits are held to the
+:mod:`repro.core.bounds` ODC statements.
+"""
 
 import pytest
 
+from repro.core import bounds
 from repro.oracle import (
+    EquivocatingFeed,
     make_setup,
     odd_satisfied,
     run_baseline_odc,
@@ -114,3 +121,48 @@ class TestOddChecker:
         bad = list(good)
         bad[0] = max_value(setup.value_bits)
         assert violating_cells(setup, bad) == [0]
+
+
+def download_statement(setup):
+    """:func:`bounds.odc_download_query_bound` for ``setup``'s feeds."""
+    equivocating = sum(isinstance(feed, EquivocatingFeed)
+                       for feed in setup.feeds)
+    return bounds.odc_download_query_bound(
+        len(setup.feeds) - equivocating, equivocating, setup.cells,
+        setup.value_bits, setup.nodes, setup.node_fault_bound)
+
+
+class TestE9:
+    @pytest.mark.parametrize("nodes, download_bits", [
+        (5, 1920), (9, 1280), (15, 896), (25, 704)])
+    def test_node_scaling_meets_the_statements_exactly(self, nodes,
+                                                       download_bits):
+        # 5 feeds x 24 cells x 16 bits, t = 2, two corrupt feeds of
+        # which one equivocates: the baseline pays every feed whole at
+        # every n, the download pipeline its committee share.
+        setup = make_setup(nodes=nodes, node_fault_bound=2, feed_count=5,
+                           corrupt_feeds=2, cells=24, value_bits=16,
+                           noise_bound=3, seed=91)
+        baseline = run_baseline_odc(setup)
+        download = run_download_odc(setup, seed=92)
+        assert odd_satisfied(setup, baseline.finalized)
+        assert odd_satisfied(setup, download.finalized)
+        assert baseline.max_honest_node_query_bits == \
+            bounds.odc_baseline_query_bound(5, 24, 16) == 1920
+        assert download.max_honest_node_query_bits == \
+            download_statement(setup) == download_bits
+
+    @pytest.mark.parametrize("node_fault_bound, corrupt_feeds, bits", [
+        (0, 0, 80), (0, 2, 80), (3, 0, 240), (3, 2, 256)])
+    def test_adversarial_battery_within_the_statement(
+            self, node_fault_bound, corrupt_feeds, bits):
+        # At t = 0 a one-member committee accepts its single report, so
+        # the equivocating feed costs nothing: 80 bits against a
+        # statement of 128.  The other cases meet it exactly.
+        setup = make_setup(nodes=13, node_fault_bound=node_fault_bound,
+                           feed_count=5, corrupt_feeds=corrupt_feeds,
+                           cells=4, value_bits=16, noise_bound=2, seed=93)
+        download = run_download_odc(setup, seed=94)
+        assert odd_satisfied(setup, download.finalized)
+        assert download.max_honest_node_query_bits == bits
+        assert bits <= download_statement(setup)

@@ -1,45 +1,118 @@
-"""Every registered protocol passes the conformance battery."""
+"""Every registered protocol passes the conformance battery.
+
+Each run of the battery is one :class:`ExperimentSpec` of the protocol
+at small scale (n=8, ell=256) on the simulator, with the spec's own
+peers and adversary (``peer_factory()``, ``build_adversary()``), so it
+is the run a sweep of that spec makes.  The checks:
+
+- fault-free correctness under synchrony and under asynchrony;
+- the information-theoretic floor: a correct run queries at least
+  ``ell`` bits across honest peers (the source is the only origin of
+  truth);
+- replay determinism: same seed, same run;
+- termination accounting: every honest peer the result calls
+  terminated holds an output;
+- correctness at the crash and Byzantine fractions the registry entry
+  advertises;
+- the naive ceiling: fault-free, no peer queries more than ``ell``;
+- and every one of those runs within the entry's ``query_bound``.
+"""
 
 import pytest
 
-from repro.protocols import all_protocols, get
-from repro.testing import check_download_conformance, conformance_parameters
+from repro.experiments import ExperimentSpec
+from repro.protocols import all_protocols, registry
+from repro.sim import run_download
 
-# Protocols with structural (non-fractional) fault budgets.
-SPECIAL_T = {"crash-one": 1, "balanced": 0}
+N, ELL, SEED = 8, 256, 11
+
+#: Small parameters per protocol; the rest run on their defaults.
+PARAMS = {
+    "byz-committee": {"block_size": ELL // 32},
+    "byz-two-cycle": {"num_segments": 2, "tau": 2},
+    "byz-multi-cycle": {"base_segments": 2, "tau": 2},
+    "one-round": {"redundancy": 2},
+}
+
+#: Fault budgets the envelope cannot state: Algorithm 1 is built for
+#: exactly one crash (its ``max_crash_fraction`` is 0).
+SPECIAL_T = {"crash-one": 1}
 
 
-@pytest.mark.parametrize("name", [entry.name for entry in all_protocols()])
-def test_registered_protocol_conformance(name):
-    entry = get(name)
-    report = check_download_conformance(
-        entry,
-        params=conformance_parameters(name),
-        n=8, ell=256, seed=11,
-        special_t=SPECIAL_T.get(name))
-    assert report.passed, f"{name}: {report.failures}"
-    # Every protocol runs the core five checks at minimum.
-    assert len(report.checks_run) >= 5
+def battery(entry, params=None, t=0, n=N, ell=ELL, seed=SEED):
+    """``label -> (spec, seed)`` of every run the battery makes."""
+    def spec(**fields):
+        return ExperimentSpec(entry.name, n, ell,
+                              protocol_params=dict(params or {}), **fields)
+
+    runs = {"synchronous": (spec(network="synchronous", beta=t / n), seed),
+            "asynchronous": (spec(beta=t / n), seed + 1)}
+    if entry.max_crash_fraction > 0:
+        beta = min(entry.max_crash_fraction, (n - 1) / n)
+        runs[f"crash beta={beta:.2f}"] = (
+            spec(fault_model="crash", beta=beta), seed + 2)
+    beta = min(entry.max_byzantine_fraction, 0.49)
+    if int(beta * n) > 0:
+        runs[f"Byzantine beta={beta:.2f}"] = (
+            spec(fault_model="byzantine", strategy="equivocate", beta=beta),
+            seed + 3)
+    return runs
+
+
+def run(spec, seed):
+    return run_download(n=spec.n, ell=spec.ell,
+                        peer_factory=spec.peer_factory(),
+                        adversary=spec.build_adversary(), t=spec.t,
+                        seed=seed)
+
+
+def failed_checks(entry, params=None, t=0, n=N, ell=ELL, seed=SEED) -> list:
+    """The checks ``entry`` fails, each with its detail."""
+    failures = []
+
+    def check(name, ok, detail=""):
+        if not ok:
+            failures.append(f"{name}: {detail}")
+
+    specs = battery(entry, params, t, n, ell, seed)
+    results = {label: run(spec, seed)
+               for label, (spec, seed) in specs.items()}
+    for label, result in results.items():
+        check(f"{label} correctness", result.download_correct,
+              f"wrong peers {result.wrong_peers()}")
+        spec = specs[label][0]
+        bound = entry.query_bound(spec.ell, spec.n, spec.t,
+                                  spec.protocol_params, spec.sources)
+        q = result.report.query_complexity
+        check(f"{label} Q within query_bound", q <= bound,
+              f"Q {q} > {bound}")
+    sync, asynchronous = results["synchronous"], results["asynchronous"]
+    check("total queries cover the input",
+          sync.report.total_query_bits >= ell,
+          f"total {sync.report.total_query_bits} < ell {ell}")
+    replay = run(*specs["asynchronous"])
+    check("replay determinism",
+          replay.outputs == asynchronous.outputs
+          and replay.events_processed == asynchronous.events_processed)
+    check("terminated peers hold outputs",
+          all((sync.outputs.get(pid) is not None)
+              == sync.statuses[pid].terminated for pid in sync.honest))
+    check("fault-free Q within the naive ceiling",
+          sync.report.query_complexity <= ell,
+          f"Q {sync.report.query_complexity} > ell {ell}")
+    return failures
+
+
+@pytest.mark.parametrize("entry", all_protocols(), ids=lambda e: e.name)
+def test_registered_protocol_conformance(entry):
+    assert failed_checks(entry, PARAMS.get(entry.name),
+                         SPECIAL_T.get(entry.name, 0)) == []
 
 
 class TestHarnessItself:
-    def test_report_records_failures(self):
-        from repro.testing import ConformanceReport
-        report = ConformanceReport(protocol="x")
-        report.record("a", True)
-        report.record("b", False, "boom")
-        assert not report.passed
-        assert report.failures == ["b: boom"]
-        assert report.checks_run == ["a", "b"]
-
-    def test_parameters_cover_special_protocols(self):
-        assert "block_size" in conformance_parameters("byz-committee")
-        assert conformance_parameters("naive") == {}
-
-    def test_conformance_catches_a_broken_protocol(self):
+    def test_conformance_catches_a_broken_protocol(self, monkeypatch):
         # A protocol that terminates with garbage must fail the battery.
         from repro.protocols.base import DownloadPeer
-        from repro.protocols.registry import ProtocolEntry
         from repro.util.bitarrays import BitArray
 
         class LiarPeer(DownloadPeer):
@@ -50,10 +123,11 @@ class TestHarnessItself:
                 return
                 yield  # pragma: no cover
 
-        entry = ProtocolEntry(
+        entry = registry.ProtocolEntry(
             name="liar", peer_class=LiarPeer, fault_model="none",
             randomized=False, max_crash_fraction=0.0,
-            max_byzantine_fraction=0.0, description="outputs zeros")
-        report = check_download_conformance(entry, n=4, ell=64, seed=1)
-        assert not report.passed
-        assert any("correctness" in failure for failure in report.failures)
+            max_byzantine_fraction=0.0, description="outputs zeros",
+            query_bound=lambda ell, n, t, params, sources: ell)
+        monkeypatch.setitem(registry._REGISTRY, "liar", entry)
+        failures = failed_checks(entry, n=4, ell=64, seed=1)
+        assert any("correctness" in failure for failure in failures)
