@@ -91,15 +91,18 @@ class NetClient:
                       error=type(last_error).__name__)
                 if delay > 0:
                     await asyncio.sleep(delay)
+            # Only the error's type and message are reported: kept with
+            # its traceback, it would hold this frame and the answer
+            # future, which holds it back (a reference cycle).
             try:
                 response = await self._attempt(payload, rid, attempt)
                 return response if parse is None else parse(response)
             except asyncio.TimeoutError as exc:
                 event("net_timeout", t=self.clock(), proc=self.proc,
                       rid=rid, attempt=attempt, seconds=self.timeout)
-                last_error = exc
+                last_error = exc.with_traceback(None)
             except (ConnectionError, WireError, OSError) as exc:
-                last_error = exc
+                last_error = exc.with_traceback(None)
             self.close()  # stale frames die with the connection
         raise NetRequestError(
             f"{self.proc}: request {rid} to {self.path} failed all "
@@ -132,6 +135,7 @@ class _Connection(FrameProtocol):
             self.answer.set_result(response)
 
     def connection_lost(self, exc) -> None:
+        super().connection_lost(exc)
         if self.answer is not None and not self.answer.done():
             self.answer.set_exception(
                 self.error or exc or ConnectionResetError("connection lost"))

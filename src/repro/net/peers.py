@@ -163,8 +163,13 @@ class NetPeer(HostPorts):
             counter("net_shares_abandoned")
 
     def close(self) -> None:
+        """Close every connection and drop the body's peer, whose
+        ``env`` has this object for every port (a reference cycle)."""
         for client in self._clients.values():
             client.close()
+        if self.peer is not None:
+            self.peer.unlink()
+            self.peer = None
 
     @property
     def retries(self) -> int:

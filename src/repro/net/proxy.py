@@ -70,6 +70,7 @@ class ChaosProxy:
         for server in self._servers:
             await server.wait_closed()
         self._servers.clear()
+        self._routes.clear()  # each route references the proxy back
 
     def decide(self, body: bytes, label: str,
                direction: str) -> FrameDecision:
@@ -182,6 +183,7 @@ class _Route(FrameProtocol):
     def connection_lost(self, exc) -> None:
         """The upstream dropped (or never came): every client it owed an
         answer is disconnected, to retry now rather than time out."""
+        super().connection_lost(exc)
         self.transport = None
         owed, self.owed = self.owed, {}
         for senders in owed.values():
@@ -200,6 +202,7 @@ class _Client(FrameProtocol):
         self.route.clients.add(self)
 
     def connection_lost(self, exc) -> None:
+        super().connection_lost(exc)
         self.route.clients.discard(self)
 
     def frame_received(self, body: bytes) -> None:

@@ -86,6 +86,7 @@ class _Answering(FrameProtocol):
         self.server._connections.add(self)
 
     def connection_lost(self, exc) -> None:
+        super().connection_lost(exc)
         self.server._connections.discard(self)
 
     def frame_received(self, body: bytes) -> None:

@@ -172,6 +172,16 @@ class FrameProtocol(asyncio.Protocol):
             self.error = exc
             self.transport.close()
 
+    def connection_lost(self, exc) -> None:
+        """Free the closed transport.  CPython's selector transport
+        keeps its read callback, a bound method of itself, after it
+        closes (3.11 to 3.13 do): a reference cycle that holds the
+        transport and its closed socket until the cyclic collector
+        runs.  Every subclass calls this from its own
+        ``connection_lost``."""
+        if getattr(self.transport, "_read_ready_cb", None) is not None:
+            self.transport._read_ready_cb = None
+
     def eof_received(self) -> None:
         try:
             self._decoder.eof()

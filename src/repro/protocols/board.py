@@ -143,6 +143,11 @@ class CommitteeBoard:
         self.receivers[peer.pid] = peer
         self.deadline = peer.give_up_time
 
+    def unlink(self) -> None:
+        """The run ended: drop the receivers, which reference the board
+        back (span-sink contract)."""
+        self.receivers.clear()
+
     def owns(self, pid: int) -> bool:
         """True when ``pid`` registered (span-sink contract: only an
         owned destination may be part of a span)."""

@@ -249,10 +249,15 @@ class Network:
         self._receivers[receiver.pid] = receiver
 
     def unlink(self) -> None:
-        """Drop the references to receivers and span sinks, which
-        reference the network back (see :meth:`Kernel.unlink`)."""
+        """Drop the references to receivers, span sinks and the
+        adversary, which reference the run back (see
+        :meth:`Kernel.unlink`); each span sink first drops its own."""
         self._receivers.clear()
+        for sink in self._span_sinks.values():
+            sink.unlink()
         self._span_sinks.clear()
+        self.adversary = self._permit_send = None
+        self._transform_message = self._message_latency = None
 
     def receiver(self, pid: int) -> Receiver:
         """Look up the attached receiver for ``pid``."""
@@ -372,9 +377,11 @@ class Network:
         registers one here, and :meth:`broadcast` may then hand it a
         whole run of destinations as a single event.  It provides
         ``deliver_span(message, lo, hi)`` — the message reached every
-        pid in ``[lo, hi)`` — and ``owns(pid)`` — ``pid``'s deliveries
+        pid in ``[lo, hi)`` — ``owns(pid)`` — ``pid``'s deliveries
         of this type go through the sink; a destination it does not own
-        (a scripted attacker, say) always gets its own delivery event.
+        (a scripted attacker, say) always gets its own delivery event —
+        and ``unlink()``, which drops its references to the receivers
+        (they hold the sink back) when the run ends.
         """
         sink = self._span_sinks.get(message_type)
         if sink is None:

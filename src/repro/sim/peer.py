@@ -188,6 +188,12 @@ class Peer(Process):
         """
         self._handlers.setdefault(message_type, []).append(handler)
 
+    def unlink(self) -> None:
+        """Also drop the handlers: bound methods and partials that
+        reference this peer back."""
+        super().unlink()
+        self._handlers.clear()
+
     # -- sending ----------------------------------------------------------------
 
     def send(self, destination: int, message: Message) -> None:

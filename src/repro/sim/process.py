@@ -111,6 +111,13 @@ class Process:
         """Human-readable description of the current wait, if any."""
         return self._waiting.description if self._waiting else None
 
+    def unlink(self) -> None:
+        """Drop what ties this process to its finished run: the
+        kernel's cached resumption callables, the suspended body and its
+        wait (called by ``Kernel.unlink``)."""
+        self._resume = self._wake_cb = None
+        self._generator = self._waiting = None
+
     def halt(self) -> None:
         """Stop the process permanently (used for crash faults).
 

@@ -176,42 +176,48 @@ class Simulation:
     def run(self, *, max_events: int = DEFAULT_MAX_EVENTS,
             max_time: Optional[float] = None) -> RunResult:
         """Execute the simulation to completion and summarize it."""
+        # Resolve the process-global telemetry backend exactly once per
+        # run: every instrumentation site holds either the live backend
+        # or None, so a disabled backend costs each site one
+        # ``is not None`` check and the kernel's event loop nothing.
+        backend = get_backend()
+        sink = backend if backend.enabled else None
         kernel = Kernel()
+        kernel.telemetry = sink
         network = Network(kernel, MetricsCollector(), self.adversary,
                           message_size_limit=self.message_size_limit,
                           packetize=self.packetize, fifo=self.fifo,
                           topology=self.topology,
                           route_seed=derive_seed(self.seed, "routing"))
+        network.telemetry = sink
+        env = None
         try:
-            return self._run(kernel, network, max_events, max_time)
+            source = SourceSet(self.data.copy(), network.metrics, network,
+                               self.adversary, k=self.sources,
+                               faults=self.source_faults, rng=self.rng,
+                               mutations=self.mutations)
+            source.telemetry = sink
+            env = SimEnv(kernel=kernel, network=network, source=source,
+                         metrics=network.metrics, adversary=self.adversary,
+                         n=self.n, t=self.t, ell=self.ell, rng=self.rng,
+                         message_size_limit=self.message_size_limit,
+                         telemetry=sink, extras=self.extras,
+                         topology=self.topology)
+            return self._run(env, max_events, max_time)
         finally:
-            # Kernel, network and peers reference each other in rings;
-            # cut them, also when the run raised (see Kernel.unlink).
+            # The run's parts reference each other, and the adversary
+            # (which keeps its ``env``), in rings; each cuts its own
+            # links, also when the run raised (see Kernel.unlink).
             kernel.unlink()
             network.unlink()
+            if env is not None:
+                source.unlink()
+                env.adversary = None
 
-    def _run(self, kernel: Kernel, network: Network, max_events: int,
+    def _run(self, env: SimEnv, max_events: int,
              max_time: Optional[float]) -> RunResult:
-        metrics = network.metrics
-        # Resolve the process-global telemetry backend exactly once per
-        # run: every instrumentation site below holds either the live
-        # backend or None, so a disabled backend costs each site one
-        # ``is not None`` check and the kernel's event loop nothing.
-        backend = get_backend()
-        sink = backend if backend.enabled else None
-        kernel.telemetry = sink
-        network.telemetry = sink
-        source = SourceSet(self.data.copy(), metrics, network,
-                           self.adversary, k=self.sources,
-                           faults=self.source_faults, rng=self.rng,
-                           mutations=self.mutations)
-        source.telemetry = sink
-        env = SimEnv(kernel=kernel, network=network, source=source,
-                     metrics=metrics, adversary=self.adversary,
-                     n=self.n, t=self.t, ell=self.ell, rng=self.rng,
-                     message_size_limit=self.message_size_limit,
-                     telemetry=sink, extras=self.extras,
-                     topology=self.topology)
+        kernel, network, source = env.kernel, env.network, env.source
+        metrics, sink = env.metrics, env.telemetry
         self.adversary.bind(env)
 
         processes: dict[int, Process] = {}

@@ -92,12 +92,11 @@ class Kernel:
         self.schedule(start_at - self.now, process._resume)
 
     def unlink(self) -> None:
-        """Cut a finished run's reference cycles (each process's cached
-        resumption callables, suspended body and wait; pending events; the
-        quiescence hook): reference counting then frees the run."""
+        """Cut a finished run's reference cycles (each process's links
+        back into the run, see :meth:`Process.unlink`; pending events;
+        the quiescence hook): reference counting then frees the run."""
         for process in self._processes:
-            process._resume = process._wake_cb = None
-            process._generator = process._waiting = None
+            process.unlink()
         self._processes.clear()
         self._heap.clear()
         self.on_quiescence = None

@@ -67,6 +67,12 @@ class SourceSet(SourceCore):
             check_index("mutation index", index, len(self.data))
             network.kernel.schedule(time, partial(self._flip, index))
 
+    def unlink(self) -> None:
+        """Drop the adversary, which references the run back through
+        its ``env`` (see :meth:`Kernel.unlink
+        <repro.sim.scheduler.Kernel.unlink>`)."""
+        self.adversary = None
+
     def _flip(self, index: int) -> None:
         self.data[index] = 1 - self.data[index]
         self.applied_mutations.append((self.network.kernel.now, index))

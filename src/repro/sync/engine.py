@@ -89,6 +89,13 @@ class SyncSource(SourceCore):
     def query(self, pid: int, indices: Sequence[int]) -> BitRun:
         return self.query_from(0, pid, indices)
 
+    def unlink(self) -> None:
+        """The run ended: each span sink drops its references to the
+        peers, then the source drops the sinks."""
+        for sink in self.span_sinks.values():
+            sink.unlink()
+        self.span_sinks.clear()
+
     def query_from(self, source_id: int, pid: int,
                    indices: Sequence[int]) -> BitRun:
         """Query endpoint ``source_id``; charged like any query.
@@ -182,6 +189,10 @@ class SyncPeer:
     def round(self, round_no: int, inbox: list[Message]) -> None:
         """One protocol round; override in subclasses."""
         raise NotImplementedError
+
+    def unlink(self) -> None:
+        """The run ended: a peer that keeps a reference back into the
+        run (a hosted body's ports) drops it here."""
 
 
 @dataclass
@@ -317,6 +328,17 @@ class SyncEngine:
             sink.emit("send", event)
 
     def run(self, max_rounds: int = MAX_ROUNDS) -> SyncRunResult:
+        try:
+            return self._run(max_rounds)
+        finally:
+            # Hosted bodies reach their host back through its ports and
+            # the run's span sinks reach the bodies: cut those rings,
+            # also when the run raised, so reference counting frees it.
+            for peer in self.peers.values():
+                peer.unlink()
+            self.source.unlink()
+
+    def _run(self, max_rounds: int) -> SyncRunResult:
         # Resolve the process-global telemetry backend once per run,
         # mirroring the async Simulation: a disabled backend costs one
         # check here and nothing per round.

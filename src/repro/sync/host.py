@@ -103,6 +103,13 @@ class LockstepHost(SyncPeer):
                 self.finished_round = round_no
                 return
 
+    def unlink(self) -> None:
+        """Drop the protocol object, its body and its wait: each
+        reaches this host back through the ports of its ``env``."""
+        if self.peer is not None:
+            self.peer.unlink()
+        self.peer = self._body = self._wait = None
+
 
 def hosted_factory(protocol_class: type, **params):
     """A :class:`~repro.sync.engine.SyncEngine` ``peer_factory`` that

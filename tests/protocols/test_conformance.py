@@ -15,8 +15,13 @@ is the run a sweep of that spec makes.  The checks:
 - correctness at the crash and Byzantine fractions the registry entry
   advertises;
 - the naive ceiling: fault-free, no peer queries more than ``ell``;
-- and every one of those runs within the entry's ``query_bound``.
+- every one of those runs within the entry's ``query_bound``;
+- and every one of them, once dropped, freed by reference counting
+  alone: a finished run holds no reference cycle, so with the cyclic
+  collector off it leaves no garbage behind.
 """
+
+import gc
 
 import pytest
 
@@ -35,7 +40,8 @@ PARAMS = {
 }
 
 #: Fault budgets the envelope cannot state: Algorithm 1 is built for
-#: exactly one crash (its ``max_crash_fraction`` is 0).
+#: exactly one crash (its ``max_crash_fraction`` is 0), so its crash
+#: run crashes ``t`` peers.
 SPECIAL_T = {"crash-one": 1}
 
 
@@ -47,8 +53,12 @@ def battery(entry, params=None, t=0, n=N, ell=ELL, seed=SEED):
 
     runs = {"synchronous": (spec(network="synchronous", beta=t / n), seed),
             "asynchronous": (spec(beta=t / n), seed + 1)}
+    beta = 0.0
     if entry.max_crash_fraction > 0:
         beta = min(entry.max_crash_fraction, (n - 1) / n)
+    elif entry.fault_model == "crash":
+        beta = t / n
+    if beta > 0:
         runs[f"crash beta={beta:.2f}"] = (
             spec(fault_model="crash", beta=beta), seed + 2)
     beta = min(entry.max_byzantine_fraction, 0.49)
@@ -64,6 +74,18 @@ def run(spec, seed):
                         peer_factory=spec.peer_factory(),
                         adversary=spec.build_adversary(), t=spec.t,
                         seed=seed)
+
+
+def cyclic_garbage(spec, seed) -> int:
+    """Objects the cyclic collector finds once the run of ``spec`` and
+    its result are dropped, with the collector off meanwhile."""
+    gc.collect()
+    gc.disable()
+    try:
+        run(spec, seed)
+        return gc.collect()
+    finally:
+        gc.enable()
 
 
 def failed_checks(entry, params=None, t=0, n=N, ell=ELL, seed=SEED) -> list:
@@ -86,6 +108,9 @@ def failed_checks(entry, params=None, t=0, n=N, ell=ELL, seed=SEED) -> list:
         q = result.report.query_complexity
         check(f"{label} Q within query_bound", q <= bound,
               f"Q {q} > {bound}")
+        garbage = cyclic_garbage(*specs[label])
+        check(f"{label} leaves no cyclic garbage", garbage == 0,
+              f"{garbage} objects")
     sync, asynchronous = results["synchronous"], results["asynchronous"]
     check("total queries cover the input",
           sync.report.total_query_bits >= ell,

@@ -6,7 +6,8 @@ predicates, suspended bodies).  ``Simulation.run`` cuts those rings on
 the way out — also when the run raises — so dropping the simulation
 and its result frees every peer by reference counting alone.  With the
 cycle collector switched off, a dead weak reference proves exactly
-that.
+that.  The lockstep and socket hosts end their runs the same way: once
+a run of theirs is dropped, the collector finds nothing at all.
 """
 
 import gc
@@ -16,8 +17,10 @@ import weakref
 import pytest
 
 from repro.adversary import UniformRandomDelay
+from repro.experiments import ExperimentSpec
+from repro.experiments.runner import execute_repeat
 from repro.obs.telemetry import RecordingTelemetry, using
-from repro.protocols import BalancedDownloadPeer
+from repro.protocols import BalancedDownloadPeer, registry
 from repro.sim import Simulation
 from repro.sim.errors import BudgetExceeded, DeadlockError
 from repro.sim.peer import Peer
@@ -103,3 +106,38 @@ def test_peers_die_after_a_blown_budget(topology):
         sim.run(max_events=40)  # deliveries still queued when it stops
     del sim, caught
     assert len(refs) == 2 * N and not any(ref() for ref in refs)
+
+
+def spec_garbage(spec) -> int:
+    """Objects the cyclic collector finds once one repeat of ``spec``
+    has run and its record is dropped.  The same repeat runs once
+    before: a process's first run may import modules (the socket
+    host's event loop loads ``ssl``), whose class construction leaves
+    garbage that is not the run's."""
+    execute_repeat(spec, 0)
+    gc.collect()
+    execute_repeat(spec, 0)
+    return gc.collect()
+
+
+@pytest.mark.parametrize("protocol", registry.hosted_on("sync"))
+def test_a_lockstep_run_leaves_no_cyclic_garbage(protocol):
+    # Byzantine-tolerant bodies run against the rushing adversary.
+    byzantine = registry.get(protocol).max_byzantine_fraction > 0
+    spec = ExperimentSpec(protocol, 8, 256, network="synchronous",
+                          backend="sync",
+                          fault_model="byzantine" if byzantine else "none",
+                          beta=0.25 if byzantine else 0.0)
+    assert spec_garbage(spec) == 0
+
+
+@pytest.mark.parametrize("protocol, proxy_faults", [
+    ("balanced", ()), ("cross-validate", ()),
+    # Requests that fail and are retried.
+    ("balanced", ("disconnect:0.2",))],
+    ids=["balanced", "cross-validate", "balanced-disconnect"])
+def test_a_socket_run_leaves_no_cyclic_garbage(protocol, proxy_faults):
+    spec = ExperimentSpec(protocol, 8, 256, backend="net",
+                          sources=3 if protocol == "cross-validate" else 1,
+                          proxy_faults=proxy_faults)
+    assert spec_garbage(spec) == 0
