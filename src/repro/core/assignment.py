@@ -19,7 +19,7 @@ round-robin over all ``n`` peers.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.util.validation import check_nonnegative, check_positive
 
@@ -231,8 +231,3 @@ def indices_of(assignment: dict[int, int], pid: int) -> list[int]:
     """Sorted indices assigned to ``pid``."""
     return sorted(index for index, owner in assignment.items()
                   if owner == pid)
-
-
-def is_permutation_balanced(sizes: Sequence[int]) -> bool:
-    """True when the difference between any two loads is at most one."""
-    return (max(sizes) - min(sizes) <= 1) if sizes else True

@@ -123,10 +123,6 @@ class CacheStats:
     def lookups(self) -> int:
         return self.hits + self.misses
 
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0
-
     def as_dict(self) -> dict:
         return {"hits": self.hits, "misses": self.misses,
                 "stores": self.stores}

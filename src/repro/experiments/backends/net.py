@@ -2,13 +2,10 @@
 
 Runs specs on :func:`repro.net.run_net_download`: peers as asyncio
 tasks (or spawned worker processes), the source as a socket server,
-and every frame routed through the chaos proxy.  The backend's
-validation vocabulary is deliberately narrow:
+and every frame routed through the chaos proxy.  Every registry
+protocol runs here, its one body hosted by :class:`repro.net.NetPeer`;
+the rest of the backend's validation vocabulary is deliberately narrow:
 
-- only protocols whose query sets are pure functions of
-  ``(pid, n, ell, source views)`` — that purity is what lets the
-  conformance tests gate the net backend's Q bit-equal to the
-  simulator's under a fault-free proxy;
 - ``fault_model`` must be ``"none"``: the adversary here is the
   transport (``proxy_faults``) and the source set, not the peers;
 - ``network`` must be ``"asynchronous"`` — real sockets *are* the
@@ -54,10 +51,6 @@ class NetBackend:
         )
         from repro.net.chaos import parse_proxy_faults
         from repro.protocols import registry
-        if spec.protocol not in registry.hosted_on("net"):
-            raise KeyError(
-                f"protocol {spec.protocol!r} has no net-backend "
-                f"implementation; available: {registry.hosted_on('net')}")
         check_positive("n", spec.n)
         check_positive("ell", spec.ell)
         check_fraction("beta", spec.beta, inclusive_high=False)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.protocols.registry import get, hosted_on
+from repro.protocols.registry import get
 from repro.util.rng import SplittableRNG, derive_seed
 from repro.util.validation import check_fraction, check_positive
 
@@ -94,11 +94,6 @@ class SyncBackend:
     """Runs specs on :class:`repro.sync.SyncEngine`."""
 
     def validate(self, spec: "ExperimentSpec") -> None:
-        available = {*_LOCKSTEP_FORMS, *hosted_on("sync")}
-        if spec.protocol not in available:
-            raise KeyError(
-                f"protocol {spec.protocol!r} has no sync-backend "
-                f"implementation; available: {sorted(available)}")
         check_positive("n", spec.n)
         check_positive("ell", spec.ell)
         check_fraction("beta", spec.beta, inclusive_high=False)

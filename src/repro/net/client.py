@@ -5,11 +5,12 @@ listener) and serializes requests over it; a peer holds one client per
 endpoint.  A request is written with an ``attempt`` number; its answer
 is a future the connection resolves on the frame echoing its ``rid``
 (a late duplicate of an earlier answer is discarded), awaited under a
-per-request timeout.  On timeout, EOF, or a connection error the client
-closes the connection, sleeps the :class:`~repro.execution.RetryPolicy`
-backoff (deterministic jitter from its task seed) and tries again; a
-request out of attempts raises :class:`NetRequestError`, which fails
-the run (and the engine records a ``failed_runs`` entry).
+per-request timeout.  On timeout, EOF, a connection error or a
+server's ``refused`` answer the client closes the connection, sleeps
+the :class:`~repro.execution.RetryPolicy` backoff (deterministic jitter
+from its task seed) and tries again; a request out of attempts raises
+:class:`NetRequestError`, which fails the run (and the engine records a
+``failed_runs`` entry).
 
 The ``rid`` never changes across attempts, so the server charges it
 once; the ``attempt`` does, so the proxy rolls each retry afresh.
@@ -118,7 +119,10 @@ class NetClient:
             raise conn.error or ConnectionResetError("connection closed")
         conn.rid, conn.answer = rid, asyncio.get_running_loop().create_future()
         conn.transport.write(encode_frame({**payload, "attempt": attempt}))
-        return await asyncio.wait_for(conn.answer, timeout=self.timeout)
+        response = await asyncio.wait_for(conn.answer, timeout=self.timeout)
+        if response.get("type") == "refused":
+            raise WireError(f"refused: {response.get('error')}")
+        return response
 
 
 class _Connection(FrameProtocol):

@@ -45,7 +45,7 @@ from typing import Mapping, Optional
 
 from repro.execution.retry import RetryPolicy
 from repro.obs.telemetry import event
-from repro.protocols.registry import get, hosted_on
+from repro.protocols.registry import get
 from repro.topology import resolve_topology
 from repro.util.bitarrays import BitArray
 from repro.util.rng import SplittableRNG, derive_seed
@@ -123,9 +123,7 @@ def run_net_download(*, n: int, ell: int, protocol: str,
     """Run one seeded download over real sockets (blocking wrapper)."""
     if mode not in NET_MODES:
         raise ValueError(f"mode must be one of {NET_MODES}, got {mode!r}")
-    if protocol not in hosted_on("net"):
-        raise KeyError(f"protocol {protocol!r} has no net-backend "
-                       f"implementation; available: {hosted_on('net')}")
+    get(protocol)  # an unknown name fails before any socket exists
     return asyncio.run(_run(
         n=n, ell=ell, protocol=protocol,
         protocol_params=dict(protocol_params or {}),
@@ -176,34 +174,25 @@ async def _run(*, n, ell, protocol, protocol_params, sources,
         # inbox; under a sparse topology, one proxy route PER EDGE (so
         # the chaos plan can shake individual links) and each peer only
         # ever learns its neighbours' addresses.
-        paths_for: dict[int, dict[int, str]] = {}
-        neighbors_for: dict[int, Optional[list[int]]] = {}
-        if needs_inboxes:
-            if topo is None:
-                peer_paths = {}
-                for pid in range(n):
-                    await proxy.add_route(f"{sock_dir}/p{pid}-proxy.sock",
-                                          f"{sock_dir}/p{pid}.sock",
-                                          f"p{pid}")
-                    peer_paths[pid] = f"{sock_dir}/p{pid}-proxy.sock"
-                for pid in range(n):
-                    paths_for[pid] = peer_paths
-                    neighbors_for[pid] = None
-            else:
-                for pid in range(n):
-                    paths_for[pid] = {}
-                    neighbors_for[pid] = list(topo.neighbors(pid))
-                for src, dst in topo.edges():
-                    for u, v in ((src, dst), (dst, src)):
-                        path = f"{sock_dir}/e{u}-{v}.sock"
-                        await proxy.add_route(path,
-                                              f"{sock_dir}/p{v}.sock",
-                                              f"e{u}-{v}")
-                        paths_for[u][v] = path
-        else:
+        paths_for: dict[int, dict[int, str]] = {pid: {} for pid in range(n)}
+        neighbors_for: dict[int, Optional[list[int]]] = dict.fromkeys(
+            range(n))
+        if needs_inboxes and topo is None:
+            peer_paths = {}
             for pid in range(n):
-                paths_for[pid] = {}
-                neighbors_for[pid] = None
+                await proxy.add_route(f"{sock_dir}/p{pid}-proxy.sock",
+                                      f"{sock_dir}/p{pid}.sock", f"p{pid}")
+                peer_paths[pid] = f"{sock_dir}/p{pid}-proxy.sock"
+            paths_for = dict.fromkeys(range(n), peer_paths)
+        elif needs_inboxes:
+            for pid in range(n):
+                neighbors_for[pid] = list(topo.neighbors(pid))
+            for src, dst in topo.edges():
+                for u, v in ((src, dst), (dst, src)):
+                    path = f"{sock_dir}/e{u}-{v}.sock"
+                    await proxy.add_route(path, f"{sock_dir}/p{v}.sock",
+                                          f"e{u}-{v}")
+                    paths_for[u][v] = path
         if mode == "task":
             outputs, messages, retries = await _run_tasks(
                 n=n, ell=ell, protocol=protocol,
@@ -273,7 +262,7 @@ async def _run_tasks(*, n, ell, protocol, protocol_params, sources,
             client_factory=factory,
             source_path=f"{sock_dir}/src-proxy.sock",
             peer_paths=paths_for.get(pid), inbox=inboxes.get(pid),
-            neighbors=neighbors_for.get(pid), clock=clock))
+            neighbors=neighbors_for.get(pid), clock=clock, seed=seed))
     tasks.extend(asyncio.ensure_future(peer.run()) for peer in peers)
     try:
         results = await asyncio.wait_for(asyncio.gather(*tasks),

@@ -11,23 +11,23 @@ counters, and its :meth:`~NetPeer.run` steps ``body()``:
   delivered ``SourceResponse`` whose ``values`` is the parsed
   :class:`~repro.util.bitarrays.BitRun` — checked, inside the retry
   loop, to cover exactly the asked indices;
-- ``broadcast`` of a :class:`~repro.protocols.balanced.ShareMessage`
-  becomes ``share`` frames carrying its run — to every other peer on
-  the complete graph, to the neighbours under a sparse topology, where
-  every first-seen share is also relayed onward as the run the inbox
-  parsed (flooding is transport, not protocol:
-  inboxes dedupe by origin, so the body's ``n - 1`` distinct-sender
-  wait is unchanged);
+- ``send`` and ``broadcast`` of any message become ``msg`` frames
+  (:func:`~repro.net.wire.message_to_wire`) under one message id —
+  to their destinations on the complete graph; to the neighbours under
+  a sparse topology, where every first-seen message is relayed onward
+  and delivered only at its ``dst`` (flooding is transport, not
+  protocol: inboxes dedupe by ``(src, mid)``);
 - "wait" is an ``asyncio.Event`` set by whatever the body is waiting
-  for, instead of a virtual clock.
+  for, instead of a virtual clock, and ``schedule`` is the loop's
+  ``call_later``: a deadline counts wall seconds.
 
-That the body is the simulator's is what makes the net↔sim conformance
-tests hold by construction: a fault-free proxy replay of a sim spec
-charges the identical query complexity to the identical endpoints and
-decodes the identical array.  Which protocols run here is the
-``backends`` field of their registry entries — those whose query sets
-are pure functions of ``(pid, n, ell, source views)``; the net
-backend's adversary is the chaos proxy, not the peers.
+That the body is the simulator's, handed the run's root
+:class:`~repro.util.rng.SplittableRNG` so it flips the simulator's
+coins, is what makes the net↔sim conformance tests hold by
+construction: a fault-free proxy replay of a sim spec charges the
+identical query complexity to the identical endpoints and decodes the
+identical array.  Every registry protocol runs here; the net backend's
+adversary is the chaos proxy, not the peers.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from itertools import islice
 from typing import Callable, Optional
 
 from repro.obs.telemetry import counter, get_backend
-from repro.protocols.balanced import ShareMessage
 from repro.protocols.ports import HostPorts
 from repro.sim.messages import SOURCE_ID, Message, SourceResponse
 from repro.util.bitarrays import BitArray, BitRun, canonical_indices
@@ -45,14 +44,13 @@ from repro.util.rng import SplittableRNG
 
 from repro.net.client import NetClient, NetRequestError
 from repro.net.server import PeerInbox
-from repro.net.wire import (WireError, indices_to_wire, run_from_wire,
-                            run_to_wire)
+from repro.net.wire import (WireError, indices_to_wire, message_to_wire,
+                            run_from_wire)
 
 
 class NetPeer(HostPorts):
     """Runs ``protocol_class``'s body as one peer on real sockets: the
-    body's env has this object for every port.  (No ``schedule``: no
-    net-hosted body waits on a deadline.)"""
+    body's env has this object for every port."""
 
     def __init__(self, pid: int, protocol_class: type, params: dict, *,
                  n: int, ell: int, sources: int,
@@ -61,20 +59,20 @@ class NetPeer(HostPorts):
                  peer_paths: Optional[dict[int, str]] = None,
                  inbox: Optional[PeerInbox] = None,
                  neighbors: Optional[list[int]] = None,
-                 clock: Callable[[], float] = None) -> None:
+                 clock: Callable[[], float] = None, seed: int = 0) -> None:
         super().__init__(sources)
         self.pid = pid
         self.inbox = inbox
         #: ``None`` means the complete graph (every other peer is one
         #: hop away); a list restricts peer traffic to those links and
-        #: switches the share exchange to flooding.
+        #: switches peer messages to flooding.
         self.neighbors = list(neighbors) if neighbors is not None else None
         self.clock = clock if clock is not None else (lambda: 0.0)
         self._client_factory = client_factory
         self._source_path = source_path
         self._peer_paths = dict(peer_paths or {})
         self._clients: dict[str, NetClient] = {}
-        self._seq = 0
+        self._seq = self._mid = 0
         self.messages = 0  #: logical peer-to-peer sends (not retries)
         #: Every task this peer started and has not seen finish; a
         #: failed one parks its exception in ``_failure`` for ``run``.
@@ -82,10 +80,8 @@ class NetPeer(HostPorts):
         self._failure: Optional[BaseException] = None
         self._wake = asyncio.Event()
         telemetry = get_backend()
-        # The rng is never drawn from: a body runs here because its
-        # query sets are a pure function of (pid, n, ell, source views).
         self.peer = protocol_class(pid, self.env(
-            n=n, t=0, ell=ell, rng=SplittableRNG(0),
+            n=n, t=0, ell=ell, rng=SplittableRNG(seed),
             telemetry=telemetry if telemetry.enabled else None), **params)
 
     # -- kernel port: wall clock, and an event to wake the stepping loop --
@@ -97,22 +93,27 @@ class NetPeer(HostPorts):
     def notify(self, process) -> None:
         self._wake.set()
 
-    # -- network port: share frames ---------------------------------------
+    def schedule(self, delay: float, action) -> None:
+        asyncio.get_running_loop().call_later(delay, action)
+
+    # -- network port: msg frames -----------------------------------------
 
     def send(self, sender: int, destination: int, message: Message,
              sender_cycle: int = 0) -> None:
-        if not isinstance(message, ShareMessage):
-            raise TypeError(f"the net wire carries ShareMessage only, "
-                            f"not {type(message).__name__}")
-        self._spawn(self.send_share(destination, message.values))
+        self._post(message, destination, [destination])
 
     def broadcast(self, sender: int, n: int, message: Message,
                   sender_cycle: int = 0) -> None:
-        if self.neighbors is None:
-            super().broadcast(sender, n, message)
-        else:  # flooding: the neighbours relay it onward
-            for other in self.neighbors:
-                self.send(sender, other, message)
+        self._post(message, None, self.peer.others)
+
+    def _post(self, message: Message, dst: Optional[int],
+              targets: list[int]) -> None:
+        """Send ``message`` to ``targets`` — or to the neighbours, who
+        relay it on — under one fresh message id."""
+        self._mid += 1
+        wire = message_to_wire(message)
+        for other in targets if self.neighbors is None else self.neighbors:
+            self._spawn(self._send(other, wire, self.pid, self._mid, dst))
 
     # -- source port: query frames ----------------------------------------
 
@@ -135,38 +136,40 @@ class NetPeer(HostPorts):
         self._seq += 1
         return f"p{self.pid}:{self._seq}"
 
-    async def send_share(self, other: int, values: BitRun, *,
-                         origin: Optional[int] = None) -> None:
-        """Send one logical share (retries ride inside the client).
+    async def _send(self, other: int, wire: dict, src: int, mid: int,
+                    dst: Optional[int]) -> None:
+        """Send one logical message (retries ride inside the client).
 
-        ``origin`` names the share's original producer when this send
-        is a flooding relay — receivers dedupe by origin, so a share
-        relayed along many paths still counts once.  The relay is
-        charged here, to the relaying peer, matching the simulator's
-        accounting.
+        ``src`` names the message's original sender, which differs from
+        this peer's when this send is a flooding relay — receivers
+        dedupe by ``(src, mid)``, so a message relayed along many paths
+        still counts once.  The relay is charged here, to the relaying
+        peer, matching the simulator's accounting.
 
         Delivery is best-effort past the retry budget: a receiver that
-        stops answering has either already deduped this share (only its
-        ack was the casualty — the common case when a worker process
-        finishes and exits) or genuinely crashed, and a crashed receiver
-        trips the run deadline on its own.  Abandoning the send can
-        therefore never hide a failure; it only avoids manufacturing
+        stops answering has either already deduped this message (only
+        its ack was the casualty — the common case when a worker
+        process finishes and exits) or genuinely crashed, and a crashed
+        receiver trips the run deadline on its own.  Abandoning the send
+        can therefore never hide a failure; it only avoids manufacturing
         one."""
         self.messages += 1
         client = self._client(self._peer_paths[other], f"p{other}")
         try:
             await client.request({
-                "type": "share", "rid": self._next_rid(),
-                "src": self.pid if origin is None else origin, "mid": 0,
-                "values": run_to_wire(values)})
+                "type": "msg", "rid": self._next_rid(), "src": src,
+                "mid": mid, "dst": dst, "message": wire})
         except NetRequestError:
-            counter("net_shares_abandoned")
+            counter("net_messages_abandoned")
 
     def close(self) -> None:
-        """Close every connection and drop the body's peer, whose
-        ``env`` has this object for every port (a reference cycle)."""
+        """Close every connection; drop the span sinks and the body's
+        peer, whose ``env`` has this object for every port (cycles)."""
         for client in self._clients.values():
             client.close()
+        for sink in self.span_sinks.values():
+            sink.unlink()
+        self.span_sinks.clear()
         if self.peer is not None:
             self.peer.unlink()
             self.peer = None
@@ -211,22 +214,25 @@ class NetPeer(HostPorts):
         self.peer.deliver(SourceResponse(
             sender=SOURCE_ID, request_id=request_id, values=values))
 
-    async def _pump_shares(self) -> None:
-        """Hand every first-seen share to the body (its ``values`` is
-        the run the inbox parsed, not a copy) and, under a sparse
-        topology, relay that same run to the neighbours."""
-        handled = 0  # shares are only ever added, and dicts keep order
+    async def _pump_messages(self) -> None:
+        """Hand every first-seen message for this peer to the body (the
+        object the inbox parsed, not a copy) and, under a sparse
+        topology, relay every one not addressed here to the neighbours."""
+        handled = 0  # messages are only ever added, and dicts keep order
         while True:
-            await self.inbox.wait_for_shares(handled + 1)
+            await self.inbox.wait_for_messages(handled + 1)
             # No await below, so the dict cannot grow under the slice.
-            for (src, _mid), values in islice(self.inbox.shares.items(),
-                                              handled, None):
+            for (src, mid), (dst, message) in islice(
+                    self.inbox.messages.items(), handled, None):
                 handled += 1
                 if src == self.pid:
-                    continue  # own share, echoed by a neighbour's relay
-                self.peer.deliver(ShareMessage(sender=src, values=values))
-                for other in self.neighbors or ():
-                    self._spawn(self.send_share(other, values, origin=src))
+                    continue  # own message, echoed by a neighbour's relay
+                if dst in (None, self.pid):
+                    self.peer.deliver(message)
+                if dst != self.pid and self.neighbors:
+                    wire = message_to_wire(message)
+                    for other in self.neighbors:
+                        self._spawn(self._send(other, wire, src, mid, dst))
 
     async def _until(self, predicate: Callable[[], bool]) -> None:
         """Sleep until ``predicate()`` holds; a task of this peer that
@@ -242,12 +248,12 @@ class NetPeer(HostPorts):
     async def run(self) -> BitArray:
         """Step the body to its end; returns the peer's output.
 
-        Returns only once every query and share this peer issued has
+        Returns only once every query and message this peer issued has
         been answered (so each has reached the source server's ledger,
         or its receiver), raises the first failure of any of them, and
         leaves no task behind on any exit path.
         """
-        pump = (self._spawn(self._pump_shares())
+        pump = (self._spawn(self._pump_messages())
                 if self.inbox is not None else None)
         try:
             for wait in self.peer.body():

@@ -14,9 +14,9 @@ whole request or response).  A ``None`` plan forwards everything.
 - A delayed or duplicated frame is written by ``call_later`` and
   blocks nothing behind it, which is how "delay" doubles as reordering.
 - ``disconnect`` closes the client's connection; the client sees EOF
-  and retries (dedupe lives in the servers).  If the shared upstream
-  drops — a server refusing any one frame drops it — every client it
-  owed an answer is disconnected at once.
+  and retries (dedupe lives in the servers).  A server refuses a bad
+  frame with an answer and keeps the upstream; if the upstream drops
+  all the same, every client it owed an answer is disconnected at once.
 - The proxy runs in the driver process, so its telemetry is never lost
   in a worker.
 """

@@ -16,16 +16,17 @@ validation): ``withhold`` answers after an extra fixed delay — the
 sim's "released at quiescence" in wall clock, costing time but never
 liveness or Q; ``slow:factor`` multiplies the base delay (default 0).
 
-:class:`PeerInbox` accepts ``share`` frames, dedupes them by ``(sender,
-message id)``, keeps each first-seen one as the
-:class:`~repro.util.bitarrays.BitRun` its ``values`` parse to, and
-always acks — a retried share is re-acked (``resend``), never
+:class:`PeerInbox` accepts ``msg`` frames, dedupes them by ``(src,
+message id)``, keeps each first-seen one as its ``dst`` beside the
+message :func:`~repro.net.wire.message_from_wire` parses, and always
+acks — a retried message is re-acked (``resend``), never
 double-counted.
 
-Both answer each frame as it arrives (:class:`_FrameServer`).  A
-malformed frame — bad JSON, a bad run, or a missing or ill-typed
-``rid``/``peer``/``source``/``src``/``mid`` — is a ``WireError`` that
-quietly ends the connection.
+Both answer each frame as it arrives (:class:`_FrameServer`).  A frame
+that fails validation — a foreign type, a bad run or message, an index
+outside the array, an ill-typed field — is answered ``refused`` on a
+connection that serves on; one not JSON or with no ``str`` ``rid``
+quietly ends it.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ import math
 from typing import Optional
 
 from repro.sim.source import SourceCore
-from repro.util.bitarrays import BitArray, BitRun
+from repro.util.bitarrays import BitArray
 from repro.util.rng import SplittableRNG
 
 from repro.net.wire import (FrameProtocol, WireError, decode_body,
-                            encode_frame, indices_from_wire, run_from_wire,
-                            run_to_wire)
+                            encode_frame, indices_from_wire,
+                            message_from_wire, run_to_wire)
 
 
 class _FrameServer:
@@ -50,8 +51,7 @@ class _FrameServer:
     each field it needs (so a ``bool`` is no ``int``), and builds each
     answer in ``_answer(frame) -> (payload, delay)``; a delayed answer
     is written by ``call_later`` and holds up nothing behind it.  A
-    malformed or foreign frame ends that one connection: the client's
-    retry opens the next.
+    malformed or foreign frame is refused, request by request.
     """
 
     frame_type: str
@@ -91,16 +91,20 @@ class _Answering(FrameProtocol):
 
     def frame_received(self, body: bytes) -> None:
         frame = decode_body(body)
-        if frame.get("type") != self.server.frame_type:
-            raise WireError(f"{type(self.server).__name__} got a "
-                            f"{frame.get('type')!r} frame")
-        for name, kind in self.server.fields.items():
-            if type(frame.get(name)) is not kind:
-                raise WireError(f"{name!r} must be a {kind.__name__}")
+        rid = frame.get("rid")
+        if type(rid) is not str:  # no address for a refusal
+            raise WireError("'rid' must be a str")
         try:
+            if frame.get("type") != self.server.frame_type:
+                raise WireError(f"{type(self.server).__name__} got a "
+                                f"{frame.get('type')!r} frame")
+            for name, kind in self.server.fields.items():
+                if type(frame.get(name)) is not kind:
+                    raise WireError(f"{name!r} must be a {kind.__name__}")
             answer, delay = self.server._answer(frame)
-        except ValueError as exc:  # an index outside the array
-            raise WireError(str(exc)) from exc
+        except (WireError, ValueError) as exc:  # or an index off the array
+            answer, delay = {"type": "refused", "rid": rid,
+                             "error": str(exc)}, 0.0
         if delay > 0:
             asyncio.get_running_loop().call_later(delay, self.send,
                                                   encode_frame(answer))
@@ -112,7 +116,7 @@ class SourceServer(SourceCore, _FrameServer):
     """All ``k`` source endpoints behind one Unix-socket listener."""
 
     frame_type = "query"
-    fields = {"rid": str, "peer": int, "source": int}
+    fields = {"peer": int, "source": int}
 
     def __init__(self, data: BitArray, *, k: int = 1, faults=(),
                  rng: Optional[SplittableRNG] = None,
@@ -164,29 +168,33 @@ class SourceServer(SourceCore, _FrameServer):
 
 
 class PeerInbox(_FrameServer):
-    """One peer's server side: receive shares, dedupe, acknowledge."""
+    """One peer's server side: receive messages, dedupe, acknowledge."""
 
-    frame_type = "share"
-    fields = {"rid": str, "src": int, "mid": int}
+    frame_type = "msg"
+    fields = {"src": int, "mid": int}
 
     def __init__(self, pid: int) -> None:
         super().__init__()
         self.pid = pid
-        self.shares: dict[tuple[int, int], BitRun] = {}
+        #: ``(src, mid) -> (dst, message)``, first sightings in order
+        self.messages: dict[tuple[int, int], tuple] = {}
         self._resends: dict[tuple[int, int], int] = {}
         self._changed = asyncio.Event()
 
-    async def wait_for_shares(self, count: int) -> None:
-        """Block until ``count`` distinct shares have arrived."""
-        while len(self.shares) < count:
+    async def wait_for_messages(self, count: int) -> None:
+        """Block until ``count`` distinct messages have arrived."""
+        while len(self.messages) < count:
             self._changed.clear()
             await self._changed.wait()
 
     def _answer(self, frame: dict) -> tuple[dict, float]:
-        """Store a first-seen share as the run it parses to; ack it."""
+        """Store a first-seen message as the object it parses to; ack."""
         key = (frame["src"], frame["mid"])
-        if key not in self.shares:
-            self.shares[key] = run_from_wire(frame.get("values"))
+        if key not in self.messages:
+            if type(frame.get("dst")) not in (int, type(None)):
+                raise WireError("'dst' must be an int or null")
+            self.messages[key] = (frame.get("dst"),
+                                  message_from_wire(frame.get("message")))
             self._resends[key] = 0
             self._changed.set()
         else:

@@ -16,7 +16,9 @@ one JSON entry per bit.  A run is ``{"range": [start, stop, step],
 ``{"at": [i, …], "bits": "…"}`` for any other ascending ones; the
 indices of a query are the same object without ``bits``
 (:func:`indices_to_wire` / :func:`run_to_wire` and their ``from_wire``
-inverses, which raise :class:`WireError` for anything malformed).
+inverses, which raise :class:`WireError` for anything malformed).  A
+protocol message is ``{"kind": <class>, "fields": {…}}``
+(:func:`message_to_wire` / :func:`message_from_wire`).
 """
 
 from __future__ import annotations
@@ -26,9 +28,11 @@ import hashlib
 import json
 import struct
 import time
+from dataclasses import fields
 from operator import lt
 from typing import Union
 
+from repro.sim.messages import Message, SourceResponse
 from repro.util.bitarrays import BIT_TO_CHAR, CHAR_TO_BIT, BitRun
 
 #: Upper bound on one frame's body, far above any legal payload; a
@@ -86,6 +90,66 @@ def run_from_wire(wire: dict) -> BitRun:
         return BitRun(indices, text.translate(CHAR_TO_BIT))
     except (AttributeError, KeyError, ValueError) as exc:
         raise WireError(f"malformed run: {exc}") from exc
+
+
+def _value_to_wire(value):
+    if type(value) is BitRun:
+        return {"run": run_to_wire(value)}
+    if type(value) is tuple:
+        return [_value_to_wire(item) for item in value]
+    if type(value) is dict and set(map(type, value)) <= {int}:
+        return {"map": [[key, _value_to_wire(item)]
+                        for key, item in value.items()]}
+    if value is None or type(value) in (bool, int, str):
+        return value
+    raise WireError(f"no wire form for a {type(value).__name__}")
+
+
+def _value_from_wire(wire):
+    if wire is None or type(wire) in (bool, int, str):
+        return wire
+    if type(wire) is list:
+        return tuple(map(_value_from_wire, wire))
+    if type(wire) is dict and list(wire) == ["run"]:
+        return run_from_wire(wire["run"])
+    if type(wire) is dict and list(wire) == ["map"]:
+        items = {key: _value_from_wire(item) for key, item in wire["map"]}
+        if set(map(type, items)) <= {int}:
+            return items
+    raise WireError(f"malformed message value {wire!r:.80}")
+
+
+def _kind(cls: type) -> str:
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
+def _loaded(cls: type) -> list[type]:
+    return [cls, *(sub for child in cls.__subclasses__()
+                   for sub in _loaded(child))]
+
+
+def message_to_wire(message: Message) -> dict:
+    """Wire form of a protocol message: its class's name beside each
+    dataclass field, in the shapes ``bits_for`` sizes — ``None``,
+    ``bool``, ``int`` and ``str`` as themselves, a tuple as a list, a
+    run as ``{"run": …}``, an int-keyed dict as ``{"map": [[k, v], …]}``."""
+    return {"kind": _kind(type(message)),
+            "fields": {field.name: _value_to_wire(getattr(message,
+                                                          field.name))
+                       for field in fields(message)}}
+
+
+def message_from_wire(wire: dict) -> Message:
+    """Parse :func:`message_to_wire`'s form into an instance of a
+    :class:`Message` subclass already loaded (a source answer is no peer
+    message); it imports nothing."""
+    try:
+        cls = {_kind(cls): cls for cls in _loaded(Message)
+               if cls is not SourceResponse}[wire["kind"]]
+        return cls(**{name: _value_from_wire(value)  # fields, or TypeError
+                      for name, value in wire["fields"].items()})
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise WireError(f"malformed message: {exc}") from exc
 
 
 def encode_frame(payload: dict) -> bytes:
@@ -152,8 +216,10 @@ class FrameDecoder:
 class FrameProtocol(asyncio.Protocol):
     """One connection that hands each whole frame body to a subclass's
     ``frame_received``.  A :class:`WireError` — from the framing, or
-    raised by ``frame_received`` — is kept in ``error`` and closes the
-    connection; a closed connection reads no further frame."""
+    raised by ``frame_received`` — closes the connection and is kept in
+    ``error`` as a new one of the same text (the traceback and cause of
+    the raised one would hold this connection in a reference cycle); a
+    closed connection reads no further frame."""
 
     transport = None
     error = None
@@ -169,7 +235,7 @@ class FrameProtocol(asyncio.Protocol):
                     return
                 self.frame_received(body)
         except WireError as exc:
-            self.error = exc
+            self.error = WireError(str(exc))
             self.transport.close()
 
     def connection_lost(self, exc) -> None:
@@ -186,7 +252,7 @@ class FrameProtocol(asyncio.Protocol):
         try:
             self._decoder.eof()
         except WireError as exc:
-            self.error = exc  # returning None closes the transport
+            self.error = WireError(str(exc))  # returning None closes it
 
     def send(self, data: bytes) -> None:
         """Write ``data`` unless closed: a held frame dies with us."""

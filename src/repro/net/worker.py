@@ -51,7 +51,7 @@ async def _work(config: dict) -> dict:
         source_path=config["source_path"],
         peer_paths={int(other): path for other, path
                     in config.get("peer_paths", {}).items()},
-        inbox=inbox, neighbors=config.get("neighbors"))
+        inbox=inbox, neighbors=config.get("neighbors"), seed=seed)
     try:
         output = await peer.run()
     finally:

@@ -45,10 +45,6 @@ class OracleSetup:
         return [pid for pid in range(self.nodes)
                 if pid not in self.byzantine_nodes]
 
-    @property
-    def honest_feeds(self) -> list[Feed]:
-        return [feed for feed in self.feeds if feed.honest]
-
     def honest_range_of(self, cell: int) -> tuple[int, int]:
         return honest_range(self.feeds, cell)
 

@@ -4,7 +4,8 @@ Each entry couples a peer class with the regime it is valid in and the
 query bound it promises there, so harness code can sweep "every
 protocol that tolerates this fault setup" without hard-coding the list,
 and the claim table and the conformance battery hold each run to its
-entry's bound.  A new protocol is one entry here.
+entry's bound.  A new protocol is one entry here, and its body runs on
+every host: the simulator, the lockstep rounds and the sockets.
 """
 
 from __future__ import annotations
@@ -49,11 +50,6 @@ class ProtocolEntry:
     #: peer's query bits in one run (an expectation for multi-cycle).
     #: The claim table and the conformance battery hold runs to it.
     query_bound: Callable[..., float]
-    #: Execution backends that can host this class's ``body`` — every
-    #: protocol runs on the simulator it was written against; the
-    #: lockstep (``"sync"``) and socket (``"net"``) hosts drive the
-    #: same body through their own ports (docs/EXTENDING.md).
-    backends: tuple[str, ...] = ("sim",)
 
     def supports(self, *, fault_model: str, beta: float) -> bool:
         """True when the protocol is claimed correct for this setup."""
@@ -76,10 +72,6 @@ class ProtocolEntry:
 
 
 _REGISTRY: dict[str, ProtocolEntry] = {}
-
-#: The protocols whose query sets are pure functions of ``(pid, n, ell,
-#: source views)`` run unchanged on all three substrates.
-_EVERYWHERE = ("sim", "sync", "net")
 
 
 def _register(entry: ProtocolEntry) -> None:
@@ -110,15 +102,13 @@ _register(ProtocolEntry(
     randomized=False, max_crash_fraction=0.999, max_byzantine_fraction=0.999,
     description="every peer queries all ell bits (correct for any beta < 1)",
     query_bound=lambda ell, n, t, params, sources:
-    bounds.naive_query_bound(ell),
-    backends=_EVERYWHERE))
+    bounds.naive_query_bound(ell)))
 _register(ProtocolEntry(
     name="balanced", peer_class=BalancedDownloadPeer, fault_model="none",
     randomized=False, max_crash_fraction=0.0, max_byzantine_fraction=0.0,
     description="fault-free round-robin sharing (Q = ell/n)",
     query_bound=lambda ell, n, t, params, sources:
-    bounds.ideal_query_bound(ell, n),
-    backends=_EVERYWHERE))
+    bounds.ideal_query_bound(ell, n)))
 _register(ProtocolEntry(
     name="crash-one", peer_class=CrashOneDownloadPeer, fault_model="crash",
     randomized=False, max_crash_fraction=0.0, max_byzantine_fraction=0.0,
@@ -151,15 +141,13 @@ _register(ProtocolEntry(
     max_crash_fraction=0.499, max_byzantine_fraction=0.499,
     description="Theorem 3.4: deterministic committees, beta < 1/2",
     query_bound=lambda ell, n, t, params, sources:
-    bounds.committee_query_bound(ell, n, t, params.get("block_size", 1)),
-    backends=("sim", "sync")))
+    bounds.committee_query_bound(ell, n, t, params.get("block_size", 1))))
 _register(ProtocolEntry(
     name="byz-two-cycle", peer_class=ByzTwoCycleDownloadPeer,
     fault_model="byzantine", randomized=True,
     max_crash_fraction=0.499, max_byzantine_fraction=0.499,
     description="Protocol 4: 2-cycle randomized sampling + decision trees",
-    query_bound=_two_cycle_bound,
-    backends=("sim", "sync")))
+    query_bound=_two_cycle_bound))
 _register(ProtocolEntry(
     name="byz-multi-cycle", peer_class=ByzMultiCycleDownloadPeer,
     fault_model="byzantine", randomized=True,
@@ -178,8 +166,7 @@ _register(ProtocolEntry(
     description="query q of k sources per digit, majority/threshold "
                 "decode (tolerates f = (q-1)/2 faulty sources)",
     query_bound=lambda ell, n, t, params, sources:
-    bounds.cross_validate_query_bound(ell, params.get("q", sources)),
-    backends=_EVERYWHERE))
+    bounds.cross_validate_query_bound(ell, params.get("q", sources))))
 _register(ProtocolEntry(
     name="cross-validate-escalate",
     peer_class=CrossValidateEscalateDownloadPeer,
@@ -188,8 +175,7 @@ _register(ProtocolEntry(
     description="query f+1 sources, escalate to 2f+1 with majority "
                 "decode on disagreement",
     query_bound=lambda ell, n, t, params, sources:
-    bounds.cross_validate_query_bound(ell, 2 * params.get("f", 0) + 1),
-    backends=_EVERYWHERE))
+    bounds.cross_validate_query_bound(ell, 2 * params.get("f", 0) + 1)))
 
 
 def get(name: str) -> ProtocolEntry:
@@ -198,12 +184,6 @@ def get(name: str) -> ProtocolEntry:
         known = ", ".join(sorted(_REGISTRY))
         raise KeyError(f"unknown protocol {name!r}; known: {known}")
     return _REGISTRY[name]
-
-
-def hosted_on(backend: str) -> list[str]:
-    """Names of the protocols ``backend`` hosts, sorted."""
-    return sorted(name for name, entry in _REGISTRY.items()
-                  if backend in entry.backends)
 
 
 def all_protocols() -> list[ProtocolEntry]:

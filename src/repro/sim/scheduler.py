@@ -209,8 +209,3 @@ class Kernel:
                  and process._waiting is not None]
         if stuck:
             raise DeadlockError(stuck)
-
-    @property
-    def live_processes(self) -> list[Process]:
-        """Processes that are neither finished nor halted."""
-        return [process for process in self._processes if process.live]

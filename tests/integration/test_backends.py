@@ -169,8 +169,8 @@ class TestNetworkBackendDisambiguation:
             ExperimentSpec(protocol="naive", n=4, ell=8, backend="sync")
 
     def test_sync_backend_rejects_unknown_protocol(self):
-        with pytest.raises(KeyError, match="no sync-backend"):
-            ExperimentSpec(protocol="one-round", n=4, ell=8,
+        with pytest.raises(KeyError, match="unknown protocol"):
+            ExperimentSpec(protocol="no-such-protocol", n=4, ell=8,
                            network="synchronous", backend="sync")
 
     def test_sync_backend_rejects_dynamic_faults(self):

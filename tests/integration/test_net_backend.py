@@ -35,6 +35,8 @@ from repro.net import (
     parse_proxy_faults,
     run_net_download,
 )
+from repro.protocols import CrashMultiDownloadPeer
+from repro.sim import run_download
 
 #: Fast net settings for the battery: tiny arrays, short timeouts.
 FAST_RETRY = RetryPolicy(max_attempts=4, base_delay=0.02, backoff=2.0,
@@ -108,8 +110,8 @@ class TestValidation:
         return ExperimentSpec(**fields)
 
     def test_unknown_protocol_is_keyerror(self):
-        with pytest.raises(KeyError, match="net-backend"):
-            self.net_spec(protocol="byz-committee")
+        with pytest.raises(KeyError, match="unknown protocol"):
+            self.net_spec(protocol="no-such-protocol")
 
     def test_fault_model_must_be_none(self):
         with pytest.raises(ValueError, match="fault_model"):
@@ -148,8 +150,8 @@ class TestValidation:
                              mode="thread")
 
     def test_unknown_net_protocol_is_keyerror(self):
-        with pytest.raises(KeyError):
-            run_net_download(n=2, ell=16, protocol="byz-committee")
+        with pytest.raises(KeyError, match="unknown protocol"):
+            run_net_download(n=2, ell=16, protocol="no-such-protocol")
 
 
 CONFORMANCE_SPECS = [
@@ -433,23 +435,53 @@ class TestSocketHost:
         assert asyncio.run(go()) == (set(), set())
 
     def test_each_share_frame_is_parsed_once(self):
-        # The body's ShareMessage carries the inbox's parsed dict
-        # itself, not a second parse or a copy of it.
+        # The body gets the message the inbox parsed itself, not a
+        # second parse or a copy of it.
         from repro.net import PeerInbox
         from repro.protocols import ShareMessage
+        from repro.util.bitarrays import BitRun
 
         async def go():
             inbox = PeerInbox(0)
             peer = self.host("balanced", inbox=inbox)
-            pump = asyncio.ensure_future(peer._pump_shares())
-            inbox.shares[(1, 0)] = {1: 0, 3: 1, 5: 1, 7: 0}
+            pump = asyncio.ensure_future(peer._pump_messages())
+            inbox.messages[(1, 1)] = (None, ShareMessage(
+                sender=1, values=BitRun(range(1, 8, 2), b"\0\1\1\0")))
             inbox._changed.set()
             await asyncio.sleep(0.01)
             pump.cancel()
             (message,) = peer.peer.inbox.of_type(ShareMessage)
-            return message.values is inbox.shares[(1, 0)]
+            return message is inbox.messages[(1, 1)][1]
 
         assert asyncio.run(go())
+
+    def test_a_message_for_another_peer_is_relayed_not_delivered(self):
+        # Under a sparse topology a point-to-point message floods, and
+        # only its destination hands it to the body.
+        from repro.net import PeerInbox
+        from repro.protocols import ShareMessage
+        from repro.util.bitarrays import BitRun
+
+        async def go():
+            inbox = PeerInbox(0)
+            peer = self.host("balanced", inbox=inbox)
+            peer.neighbors = [1]
+            relayed = []
+
+            async def send(other, wire, src, mid, dst):
+                relayed.append((other, src, mid, dst))
+            peer._send = send
+            pump = asyncio.ensure_future(peer._pump_messages())
+            for key, dst in (((1, 1), 2), ((1, 2), 0), ((1, 3), None)):
+                inbox.messages[key] = (dst, ShareMessage(
+                    sender=1, values=BitRun((), b"")))
+            inbox._changed.set()
+            await asyncio.sleep(0.01)
+            pump.cancel()
+            delivered = len(peer.peer.inbox.of_type(ShareMessage))
+            return delivered, relayed
+
+        assert asyncio.run(go()) == (2, [(1, 1, 1, 2), (1, 1, 3, None)])
 
     def test_sparse_topology_floods_and_relays(self):
         result = run_fast(n=5, ell=64, protocol="balanced",
@@ -458,3 +490,28 @@ class TestSocketHost:
         # Every peer sends its own share and relays the four others',
         # to both ring neighbours.
         assert result.messages == 5 * (1 + 4) * 2
+
+    def test_a_point_to_point_message_floods_to_its_destination(self):
+        result = run_fast(n=5, ell=64, protocol="crash-multi",
+                          topology="ring", seed=3)
+        assert result.download_correct
+        assert result.query_complexity == run_download(
+            n=5, ell=64, peer_factory=CrashMultiDownloadPeer.factory(),
+            topology="ring", seed=3).report.query_complexity
+
+    def test_a_deadline_counts_wall_seconds(self):
+        async def go():
+            peer = self.host("naive")
+            loop = asyncio.get_running_loop()
+            fired = loop.create_future()
+            started = loop.time()
+            peer.schedule(0.05, lambda: fired.set_result(loop.time()))
+            return await fired - started
+
+        assert asyncio.run(go()) >= 0.05
+        # A committee peer past its give-up time reads the blocks it
+        # has not accepted itself, and still decodes.
+        result = run_fast(n=3, ell=48, protocol="byz-committee",
+                          protocol_params={"block_size": 16,
+                                           "give_up_time": 0.0}, seed=1)
+        assert result.download_correct

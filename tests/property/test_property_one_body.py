@@ -1,20 +1,23 @@
 """Differential battery: one protocol body under three hosts.
 
-``naive``, ``balanced``, ``cross-validate`` and
-``cross-validate-escalate`` are written once (``repro.protocols``); the
+Every registry protocol is written once (``repro.protocols``); the
 simulator, the lockstep host (:mod:`repro.sync.host`) and the socket
 host (:mod:`repro.net.peers`) each drive that one body.  So for a drawn
-spec every backend whose ``validate`` accepts it must ask the *same
-endpoints* for the *same bits* — in the k-endpoints-f-faulty model,
+spec with fault-free peers the simulator and each other host must ask
+the *same endpoints* for the *same bits* — in the k-endpoints-f-faulty model,
 which endpoints a peer touches decides whether a faulty one is
 outvoted — and decode the same arrays.  This is the layer above
 ``test_property_source_fronts.py`` (one ledger under three transports).
 
-``byz-committee`` and ``byz-two-cycle`` run on the simulator and the
-lockstep host.  What they ask depends on what they heard, so the two
-are compared where both hear the same thing — fault-free, unit
-latencies against rounds — and there the randomized one must also have
-flipped the same coins.
+What a peer-to-peer body asks can depend on what it heard, so it is
+compared where the hosts hear the same thing: the lockstep host against
+unit latencies, the socket host against the simulator with the same
+coins (both hand the body the run's root ``SplittableRNG(seed)``).
+Their message counts are compared too, on the complete graph, except
+for the bodies whose sends depend on the order messages arrive in.
+Two pairings compare outputs only: ``crash-multi`` on the lockstep host,
+which runs it as its own round algorithm (``SyncCrashPeer``), and
+Algorithm 1 on sockets, whose queries depend on arrival order.
 
 The engines are entered below the spec layer with one shared seed:
 ``seed_for`` folds ``"sync"`` into the seed, which would give the
@@ -31,6 +34,7 @@ from hypothesis import (HealthCheck, assume, given, settings,
 from repro.experiments import ExperimentSpec
 from repro.experiments.backends import get_backend
 from repro.net import run_net_download
+from repro.protocols import registry
 from repro.protocols.byz_two_cycle import choose_two_cycle_parameters
 from repro.sim import run_download
 from repro.sync import (LockstepEscalatePeer, SyncEngine, hosted_factory,
@@ -38,6 +42,19 @@ from repro.sync import (LockstepEscalatePeer, SyncEngine, hosted_factory,
 
 COMMON = dict(deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
+
+#: Who is heard by when decides who is sent what: the message counts
+#: of these bodies are not compared.
+ORDER_DEPENDENT_SENDS = {"crash-one", "crash-multi", "crash-multi-fast"}
+#: ... and for Algorithm 1, which waits for n - 1 of n peers and probes
+#: for the one it lacks, also who queries what: on sockets, where
+#: arrival order is the host's, only its outputs are compared (at n=3,
+#: ell=1, seed 1 the simulator charged peers 0 and 1, sockets peer 0).
+ORDER_DEPENDENT_QUERIES = {"crash-one"}
+#: The bodies whose query sets are pure functions of ``(pid, n, ell,
+#: source views)``: they also run against faulty endpoints.
+PURE_QUERIES = ["naive", "balanced", "cross-validate",
+                "cross-validate-escalate"]
 
 #: Onset-free (three hosts, three clocks) and non-withholding (lockstep
 #: never delivers a withheld answer; the other two do, late).
@@ -71,7 +88,7 @@ def captured_sync_runs():
         yield runs
 
 
-def normal_form(query_bits, indices, by_source, outputs):
+def normal_form(query_bits, indices, by_source, outputs, messages):
     # ``RunResult`` leaves the per-endpoint breakdown empty at k=1,
     # where the per-peer union already is the breakdown.
     by_source = by_source or {(pid, 0): asked
@@ -83,11 +100,13 @@ def normal_form(query_bits, indices, by_source, outputs):
             "queried_by_source": {key: set(asked)
                                   for key, asked in by_source.items()},
             "outputs": {pid: output.segment(0, len(output))
-                        for pid, output in outputs.items()}}
+                        for pid, output in outputs.items()},
+            "messages": messages}
 
 
 def observe(spec, seed):
-    """What ``spec``'s backend asked of whom, and what it decoded."""
+    """What ``spec``'s backend asked of whom, what it decoded, and how
+    many messages its peers sent."""
     if spec.backend == "sim":
         result = run_download(
             n=spec.n, ell=spec.ell, peer_factory=spec.peer_factory(),
@@ -96,21 +115,24 @@ def observe(spec, seed):
             topology=spec.topology)
         return normal_form(result.report.per_peer_query_bits,
                            result.queried_indices,
-                           result.queried_by_source, result.outputs)
+                           result.queried_by_source, result.outputs,
+                           result.report.message_complexity)
     if spec.backend == "sync":
         with captured_sync_runs() as runs:
             get_backend("sync").run_one(spec, 0, seed, None)
         (source, result), = runs
         return normal_form(result.per_peer_query_bits,
                            source.queried_indices,
-                           source.queried_by_source, result.outputs)
+                           source.queried_by_source, result.outputs,
+                           result.message_complexity)
     result = run_net_download(
         n=spec.n, ell=spec.ell, protocol=spec.protocol,
         protocol_params=spec.protocol_params, sources=spec.sources,
         source_faults=spec.source_faults, topology=spec.topology,
         seed=seed, request_timeout=2.0, run_timeout=30.0)
     return normal_form(result.query_bits, result.queried_indices,
-                       result.queried_by_source, result.outputs)
+                       result.queried_by_source, result.outputs,
+                       result.messages)
 
 
 def assert_backends_agree(fields, seed, backends):
@@ -124,10 +146,24 @@ def assert_backends_agree(fields, seed, backends):
     for spec in specs[1:]:
         observed = observe(spec, seed)
         for key, expected in reference.items():
-            assert observed[key] == expected, (
-                f"{spec.backend} differs from sim in {key} for "
-                f"{fields}, seed {seed}")
+            if key in compared(spec):
+                assert observed[key] == expected, (
+                    f"{spec.backend} differs from sim in {key} for "
+                    f"{fields}, seed {seed}")
     return len(specs)
+
+
+def compared(spec):
+    """What ``spec``'s host must report exactly as the simulator did."""
+    if spec.backend == "sync" and spec.protocol == "crash-multi":
+        return {"outputs"}  # ``SyncCrashPeer``: another algorithm
+    if spec.backend == "net" and spec.protocol in ORDER_DEPENDENT_QUERIES:
+        return {"outputs"}
+    keys = {"query_bits", "queried_by_source", "outputs"}
+    if (spec.protocol not in ORDER_DEPENDENT_SENDS
+            and spec.topology == "complete"):
+        keys.add("messages")
+    return keys
 
 
 #: Both sides of the 4096-bit chunk: endpoint rotation is per chunk.
@@ -136,9 +172,20 @@ ELLS = st.one_of(st.integers(min_value=1, max_value=96),
 
 
 @st.composite
-def spec_fields(draw, max_n=6, ells=ELLS):
-    protocol = draw(st.sampled_from([
-        "naive", "balanced", "cross-validate", "cross-validate-escalate"]))
+def spec_fields(draw, max_n=6, ells=ELLS, peer_ells=st.integers(1, 96)):
+    """A spec of any registry protocol, fault-free among the peers; the
+    ``PURE_QUERIES`` bodies also draw faulty endpoints, the rest run on
+    one honest source."""
+    protocol = draw(st.sampled_from(
+        [entry.name for entry in registry.all_protocols()]))
+    # Algorithm 1 needs n >= 3.
+    n = draw(st.integers(min_value=3 if protocol == "crash-one" else 1,
+                         max_value=max_n))
+    topology = draw(st.sampled_from(["complete", "ring"]))
+    if protocol not in PURE_QUERIES:
+        ell = draw(peer_ells)
+        return dict(protocol=protocol, n=n, ell=ell, topology=topology,
+                    protocol_params=draw(peer_params(protocol, n, ell)))
     k = draw(st.integers(min_value=1, max_value=4))
     params = {}
     if protocol == "cross-validate":
@@ -147,10 +194,28 @@ def spec_fields(draw, max_n=6, ells=ELLS):
         params["f"] = draw(st.integers(min_value=0, max_value=(k - 1) // 2))
     return dict(
         protocol=protocol, ell=draw(ells), protocol_params=params, sources=k,
-        n=draw(st.integers(min_value=1, max_value=max_n)),
-        source_faults=tuple(draw(st.lists(st.sampled_from(FAULTS),
-                                          max_size=k))),
-        topology=draw(st.sampled_from(["complete", "ring"])))
+        n=n, source_faults=tuple(draw(st.lists(st.sampled_from(FAULTS),
+                                               max_size=k))),
+        topology=topology)
+
+
+@st.composite
+def peer_params(draw, protocol, n, ell):
+    """Drawn constructor parameters of a peer-to-peer body (or none,
+    for its defaults)."""
+    if protocol == "one-round":
+        return {"redundancy": draw(st.integers(1, n)),
+                "randomized": draw(st.booleans())}
+    if protocol == "byz-committee":
+        return {"block_size": draw(st.integers(1, ell))}
+    if protocol == "byz-two-cycle" and draw(st.booleans()):
+        return {"num_segments": draw(st.integers(1, min(ell, 6))),
+                "tau": draw(st.integers(1, 4))}
+    if protocol == "byz-multi-cycle" and draw(st.booleans()):
+        return {"base_segments": draw(st.sampled_from(
+                    [size for size in (1, 2, 4, 8) if size <= ell])),
+                "tau": draw(st.integers(1, 4))}
+    return {}
 
 
 seeds = st.integers(min_value=0, max_value=2 ** 32)
@@ -172,15 +237,19 @@ class TestOneBodyUnderThreeHosts:
             0: 4096, 1: 8192, 2: 4096}
 
     @given(fields=spec_fields(), seed=seeds)
-    @settings(max_examples=60, **COMMON)
+    @settings(max_examples=80, **COMMON)
     def test_lockstep_host_asks_what_the_simulator_asks(self, fields, seed):
-        assume(assert_backends_agree(fields, seed, ("sim", "sync")))
+        # Unit latencies on the simulator: what a body hears, and so
+        # what it asks, is then what it hears in rounds.
+        assume(assert_backends_agree(dict(fields, network="synchronous"),
+                                     seed, ("sim", "sync")))
 
     @given(fields=spec_fields(
-        max_n=3, ells=st.sampled_from([1, 40, 4096, 4100])), seed=seeds)
-    @settings(max_examples=8, **COMMON)
+        max_n=3, ells=st.sampled_from([1, 40, 4096, 4100]),
+        peer_ells=st.sampled_from([1, 40, 96])), seed=seeds)
+    @settings(max_examples=16, **COMMON)
     def test_socket_host_asks_what_the_simulator_asks(self, fields, seed):
-        assume(assert_backends_agree(fields, seed, ("sim", "sync", "net")))
+        assume(assert_backends_agree(fields, seed, ("sim", "net")))
 
 
 @st.composite
@@ -261,16 +330,18 @@ class TestLockstepEscalateInsideItsBudget:
             assert result.rounds == 1
 
 
-@pytest.mark.parametrize("backend, hosted", [
-    ("sync", ["balanced", "byz-committee", "byz-two-cycle", "crash-multi",
-              "cross-validate", "cross-validate-escalate", "naive"]),
-    ("net", ["balanced", "cross-validate", "cross-validate-escalate",
-             "naive"])])
+ALL = [entry.name for entry in registry.all_protocols()]
+
+
+@pytest.mark.parametrize("backend, hosted", [("sync", ALL), ("net", ALL)])
 def test_backends_host_what_their_errors_say(backend, hosted):
+    # Every registry protocol runs on every host; an unknown name fails
+    # with the registry's own error, which names them all.
     with pytest.raises(KeyError) as refused:
-        ExperimentSpec(protocol="one-round", n=4, ell=8, backend=backend,
+        ExperimentSpec(protocol="no-such-protocol", n=4, ell=8,
+                       backend=backend,
                        network=("synchronous" if backend == "sync"
                                 else "asynchronous"))
-    assert str(hosted) in str(refused.value)
+    assert ", ".join(hosted) in str(refused.value)
     for protocol in hosted:
         assert accepted(backend, dict(protocol=protocol, n=4, ell=8))

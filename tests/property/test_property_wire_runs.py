@@ -1,12 +1,14 @@
-"""The run codec of the net wire, and what a frame that breaks it does.
+"""The run and message codecs of the net wire, and what a frame that
+breaks them does.
 
 A :class:`~repro.util.bitarrays.BitRun` must survive ``run_to_wire`` →
 JSON → ``run_from_wire`` unchanged on either index backing.  A
 malformed run must end as a :class:`~repro.net.wire.WireError` at the
 two places frames are parsed — never as a ``KeyError``/``ValueError``
-escaping the inbox's connection protocol or :meth:`NetPeer._ask` — and since
-the client retries on ``WireError``, a corrupt answer followed by a
-good replay still charges its query once.
+escaping the inbox's connection protocol or :meth:`NetPeer._ask`.  The
+inbox refuses that one frame and serves the next on the same
+connection, and since the client retries on ``WireError``, a corrupt
+answer followed by a good replay still charges its query once.
 """
 
 import asyncio
@@ -14,16 +16,26 @@ import json
 import tempfile
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.execution import RetryPolicy
 from repro.net.client import NetClient
 from repro.net.peers import NetPeer
 from repro.net.server import PeerInbox, SourceServer, _Answering
-from repro.net.wire import (FrameDecoder, WireError, decode_body,
+from repro.net.wire import (FrameDecoder, WireError, _loaded, decode_body,
                             encode_frame, indices_from_wire, indices_to_wire,
+                            message_from_wire, message_to_wire,
                             run_from_wire, run_to_wire)
-from repro.protocols import NaiveDownloadPeer
+from repro.protocols import NaiveDownloadPeer, ShareMessage
+from repro.protocols.byz_committee import CommitteeReport
+from repro.protocols.byz_multi_cycle import CycleReport
+from repro.protocols.byz_two_cycle import SegmentReport
+from repro.protocols.crash_multi import (DataRequest, DataResponse,
+                                         FullArray, MissingRequest,
+                                         MissingResponse)
+from repro.protocols.crash_one import FullBits, Probe, ProbeReply, ShareValues
+from repro.protocols.one_round import OneRoundShare
+from repro.sim.messages import Message
 from repro.util.bitarrays import BitArray, BitRun
 from tests.property.test_property_bit_runs import runs
 
@@ -96,6 +108,86 @@ def test_a_malformed_run_is_a_wire_error(wire):
         run_from_wire(wire)
 
 
+# -- (b) messages -------------------------------------------------------------
+
+def every_message(run, text, number):
+    """One message of every class the registry's bodies send, built
+    around the drawn ``run``, bit string ``text`` and int ``number``."""
+    return [
+        ShareMessage(sender=number, values=run),
+        OneRoundShare(sender=0, values=run),
+        ShareValues(sender=1, phase=number, values=run),
+        Probe(sender=1, phase=2, missing=None),
+        Probe(sender=1, phase=2, missing=number),
+        ProbeReply(sender=2, phase=1, about=number, values=run),
+        ProbeReply(sender=2, phase=1, about=None, values=None),
+        FullBits(sender=3, bits=text),
+        DataRequest(sender=0, phase=number, indices=tuple(run.indices)),
+        DataResponse(sender=1, phase=3, values=run, complete=number > 2),
+        MissingRequest(sender=1, phase=2,
+                       needs={number: tuple(run.indices), 7: ()}),
+        MissingResponse(sender=1, phase=2, found={number: run, 7: None}),
+        FullArray(sender=2, bits=text),
+        CommitteeReport(sender=4, block=number, string=text),
+        SegmentReport(sender=4, segment=number, string=text),
+        CycleReport(sender=4, cycle=2, segment=number, string=text),
+    ]
+
+
+@given(run=runs(), text=st.text("01"), number=st.integers(0, 2 ** 40))
+@settings(**COMMON)
+def test_every_protocol_message_survives_the_wire(run, text, number):
+    for message in every_message(run, text, number):
+        wire = message_to_wire(message)
+        parsed = message_from_wire(json.loads(json.dumps(wire)))
+        assert type(parsed) is type(message) and parsed == message
+        assert message_to_wire(parsed) == wire
+
+
+def test_the_battery_covers_every_protocol_message():
+    sent = {type(message)
+            for message in every_message(BitRun((), b""), "", 0)}
+    defined = {cls for cls in _loaded(Message)
+               if cls.__module__.startswith("repro.protocols.")}
+    assert sent == defined
+
+
+SHARE = message_to_wire(ShareMessage(sender=1, values=BitRun((2,), b"\1")))
+MALFORMED_MESSAGES = {
+    "unknown-kind": {**SHARE, "kind": "repro.protocols.balanced.Nope"},
+    "source-answer": {**SHARE, "kind": "repro.sim.messages.SourceResponse",
+                      "fields": {"sender": -1, "request_id": 0,
+                                 "values": None}},
+    "missing-field": {**SHARE, "fields": {"sender": 1}},
+    "extra-field": {**SHARE, "fields": {**SHARE["fields"], "phase": 1}},
+    "float-value": {**SHARE, "fields": {**SHARE["fields"], "sender": 1.0}},
+    "untagged-object": {**SHARE, "fields": {"sender": 1, "values": {}}},
+    "bad-run": {**SHARE, "fields": {"sender": 1,
+                                    "values": {"run": {"at": [2, 1]}}}},
+    "string-key": {**SHARE, "fields": {"sender": 1,
+                                       "values": {"map": [["1", 0]]}}},
+    "not-a-pair": {**SHARE, "fields": {"sender": 1,
+                                       "values": {"map": [[1]]}}},
+    "fields-not-an-object": {**SHARE, "fields": [1]},
+    "no-kind": {"fields": SHARE["fields"]},
+    "not-an-object": [SHARE],
+}
+
+
+@pytest.mark.parametrize("wire", list(MALFORMED_MESSAGES.values()),
+                         ids=list(MALFORMED_MESSAGES))
+def test_a_malformed_message_is_a_wire_error(wire):
+    with pytest.raises(WireError):
+        message_from_wire(wire)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, [1], {"1": 0}, b"01"],
+                         ids=["float", "set", "list", "str-keyed", "bytes"])
+def test_a_field_with_no_wire_form_fails_at_the_sender(value):
+    with pytest.raises(WireError, match="no wire form"):
+        message_to_wire(Probe(sender=0, phase=1, missing=value))
+
+
 # -- the inbox ------------------------------------------------------------------
 
 class Sink:
@@ -138,22 +230,32 @@ async def frames(reader):
 
 
 def share(rid, src, values):
-    return {"type": "share", "rid": rid, "src": src, "mid": 0,
-            "values": values, "attempt": 1}
+    """A ``msg`` frame of peer ``src``'s share whose run's wire form is
+    ``values``."""
+    message = message_to_wire(ShareMessage(sender=src,
+                                           values=BitRun((), b"")))
+    message["fields"]["values"] = {"run": values}
+    return {"type": "msg", "rid": rid, "src": src, "mid": 0, "dst": None,
+            "message": message, "attempt": 1}
 
 
 @malformed
 def test_the_inbox_drops_the_connection_on_a_malformed_share(wire):
+    # The name predates the refusal: the inbox now drops only the
+    # malformed share, and serves the one behind it.
     good = BitRun(range(0, ELL, 2), b"\x01\x00\x01\x01")
     inbox, sink, acks = feed_inbox(
         share("a", 1, run_to_wire(good)), share("b", 2, wire),
         share("c", 3, run_to_wire(good)))
-    # The first share is stored as the run it parsed and acked; the
-    # malformed one ends the connection unacked and unstored.
-    assert list(inbox.shares) == [(1, 0)]
-    assert type(inbox.shares[1, 0]) is BitRun and inbox.shares[1, 0] == good
-    assert [ack["rid"] for ack in acks] == ["a"]
-    assert sink.closed
+    # The good shares are stored as the runs they parsed and acked; the
+    # malformed one is refused and not stored.
+    assert list(inbox.messages) == [(1, 0), (3, 0)]
+    for dst, message in inbox.messages.values():
+        assert dst is None and type(message.values) is BitRun
+        assert message.values == good
+    assert [(ack["type"], ack["rid"]) for ack in acks] == [
+        ("ack", "a"), ("refused", "b"), ("ack", "c")]
+    assert not sink.closed
 
 
 # -- the asking side ------------------------------------------------------------

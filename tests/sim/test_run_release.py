@@ -7,11 +7,16 @@ the way out — also when the run raises — so dropping the simulation
 and its result frees every peer by reference counting alone.  With the
 cycle collector switched off, a dead weak reference proves exactly
 that.  The lockstep and socket hosts end their runs the same way: once
-a run of theirs is dropped, the collector finds nothing at all.
+a run of theirs is dropped, the collector finds nothing at all, and a
+socket server that hangs up on a malformed frame leaves nothing either.
 """
 
+import asyncio
 import gc
 import pickle
+import socket
+import struct
+import tempfile
 import weakref
 
 import pytest
@@ -19,6 +24,7 @@ import pytest
 from repro.adversary import UniformRandomDelay
 from repro.experiments import ExperimentSpec
 from repro.experiments.runner import execute_repeat
+from repro.net import PeerInbox
 from repro.obs.telemetry import RecordingTelemetry, using
 from repro.protocols import BalancedDownloadPeer, registry
 from repro.sim import Simulation
@@ -120,24 +126,58 @@ def spec_garbage(spec) -> int:
     return gc.collect()
 
 
-@pytest.mark.parametrize("protocol", registry.hosted_on("sync"))
+@pytest.mark.parametrize(
+    "protocol", [entry.name for entry in registry.all_protocols()])
 def test_a_lockstep_run_leaves_no_cyclic_garbage(protocol):
-    # Byzantine-tolerant bodies run against the rushing adversary.
-    byzantine = registry.get(protocol).max_byzantine_fraction > 0
+    # Byzantine-tolerant bodies run against the rushing adversary,
+    # crash-tolerant ones under a crash plan.
+    entry = registry.get(protocol)
+    fault_model = ("byzantine" if entry.max_byzantine_fraction > 0 else
+                   "crash" if entry.max_crash_fraction > 0 else "none")
     spec = ExperimentSpec(protocol, 8, 256, network="synchronous",
-                          backend="sync",
-                          fault_model="byzantine" if byzantine else "none",
-                          beta=0.25 if byzantine else 0.0)
+                          backend="sync", fault_model=fault_model,
+                          beta=0.25 if fault_model != "none" else 0.0)
     assert spec_garbage(spec) == 0
 
 
-@pytest.mark.parametrize("protocol, proxy_faults", [
-    ("balanced", ()), ("cross-validate", ()),
+@pytest.mark.parametrize("protocol, params, proxy_faults", [
+    ("balanced", {}, ()), ("cross-validate", {}, ()),
+    # Point-to-point sends.
+    ("crash-multi", {}, ()),
+    # A per-peer CommitteeBoard (block size 1 would be 1 792 frames).
+    ("byz-committee", {"block_size": 16}, ()),
     # Requests that fail and are retried.
-    ("balanced", ("disconnect:0.2",))],
-    ids=["balanced", "cross-validate", "balanced-disconnect"])
-def test_a_socket_run_leaves_no_cyclic_garbage(protocol, proxy_faults):
+    ("balanced", {}, ("disconnect:0.2",))],
+    ids=["balanced", "cross-validate", "crash-multi", "byz-committee",
+         "balanced-disconnect"])
+def test_a_socket_run_leaves_no_cyclic_garbage(protocol, params,
+                                               proxy_faults):
     spec = ExperimentSpec(protocol, 8, 256, backend="net",
                           sources=3 if protocol == "cross-validate" else 1,
-                          proxy_faults=proxy_faults)
+                          protocol_params=params, proxy_faults=proxy_faults)
     assert spec_garbage(spec) == 0
+
+
+def test_malformed_frames_leave_no_cyclic_garbage():
+    async def send_garbage():
+        loop = asyncio.get_running_loop()
+        with tempfile.TemporaryDirectory(prefix="rnet-") as sockets:
+            inbox = PeerInbox(0)
+            await inbox.start(f"{sockets}/inbox.sock")
+            try:
+                for _ in range(3):
+                    with socket.socket(socket.AF_UNIX) as sock:
+                        sock.setblocking(False)
+                        await loop.sock_connect(sock,
+                                                f"{sockets}/inbox.sock")
+                        await loop.sock_sendall(
+                            sock, struct.pack(">I", 9) + b"not json!")
+                        # The inbox hangs up without an answer.
+                        assert await loop.sock_recv(sock, 1) == b""
+            finally:
+                await inbox.close()
+
+    asyncio.run(send_garbage())  # the first run may import modules
+    gc.collect()
+    asyncio.run(send_garbage())
+    assert gc.collect() == 0
