@@ -17,7 +17,7 @@ battery of concrete strategies:
   :mod:`repro.lowerbounds` to avoid a protocol dependency here).
 """
 
-from repro.adversary.base import Adversary, NullAdversary, SynchronousAdversary
+from repro.adversary.base import Adversary, NullAdversary
 from repro.adversary.byzantine import (
     ByzantineAdversary,
     ByzantineStrategy,
@@ -66,7 +66,6 @@ __all__ = [
     "SelectiveSilenceStrategy",
     "SilentStrategy",
     "StaggeredStart",
-    "SynchronousAdversary",
     "TargetedSlowdown",
     "UniformRandomDelay",
     "WrongBitsStrategy",

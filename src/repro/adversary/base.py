@@ -159,7 +159,3 @@ def _overridden(hook: Callable, identity: Callable) -> Optional[Callable]:
 
 class NullAdversary(Adversary):
     """No faults, all latencies exactly one unit: the synchronous baseline."""
-
-
-class SynchronousAdversary(NullAdversary):
-    """Alias for readability at call sites that stress synchrony."""

@@ -7,7 +7,9 @@ protocol runs here, its one body hosted by :class:`repro.net.NetPeer`;
 the rest of the backend's validation vocabulary is deliberately narrow:
 
 - ``fault_model`` must be ``"none"``: the adversary here is the
-  transport (``proxy_faults``) and the source set, not the peers;
+  transport (``proxy_faults``) and the source set, not the peers, and
+  it sets the latencies, so no ``ADVERSARIES`` entry that sets its own
+  runs here;
 - ``network`` must be ``"asynchronous"`` — real sockets *are* the
   asynchronous model; there is no lockstep to emulate;
 - source-fault ``@onset`` gating is rejected: a net run has no
@@ -34,7 +36,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.util.validation import check_fraction, check_positive
 
 from repro.experiments.outcome import RepeatRecord
-from repro.experiments.spec import BYZANTINE_STRATEGIES
+from repro.experiments.spec import OWN_LATENCY, check_strategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import ExperimentSpec
@@ -55,17 +57,18 @@ class NetBackend:
         check_positive("ell", spec.ell)
         check_fraction("beta", spec.beta, inclusive_high=False)
         check_positive("repeats", spec.repeats)
-        if spec.strategy not in BYZANTINE_STRATEGIES:
-            raise ValueError(
-                f"strategy {spec.strategy!r} has no net adversary; "
-                f"backend='net' takes only the ignored "
-                f"{sorted(BYZANTINE_STRATEGIES)}")
+        check_strategy(spec)
         if spec.fault_model != "none" or spec.beta > 0:
             raise ValueError(
                 f"backend='net' requires fault_model='none' (got "
-                f"{spec.fault_model!r}, beta={spec.beta!r}): its "
-                f"adversary is the transport — use proxy_faults and "
-                f"source_faults")
+                f"{spec.fault_model!r} with strategy {spec.strategy!r}, "
+                f"beta={spec.beta!r}): its adversary is the transport — "
+                f"use proxy_faults and source_faults")
+        if spec.strategy in OWN_LATENCY:
+            raise ValueError(
+                f"strategy {spec.strategy!r} sets its own latencies; "
+                f"on backend='net' the transport sets them — use "
+                f"proxy_faults")
         if spec.network != "asynchronous":
             raise ValueError(
                 f"backend='net' requires network='asynchronous', got "

@@ -1,17 +1,17 @@
 """The round-native lockstep backend (``backend="sync"``).
 
-Maps the spec's fault model onto the synchronous adversaries and its
-protocol onto a lockstep peer — the registry's own class on
-:class:`repro.sync.LockstepHost`, but for the two protocols of
-``_LOCKSTEP_FORMS`` — then runs :class:`repro.sync.SyncEngine`.  The
+Runs the spec's protocol as a lockstep peer — the registry's own class
+on :class:`repro.sync.LockstepHost`, but for the two protocols of
+``_LOCKSTEP_FORMS`` — against its ``ADVERSARIES`` entry, the adversary
+the simulator gets, on :class:`repro.sync.SyncEngine`.  The
 time measure is the *exact round count* — ``RepeatRecord.time`` is
 ``float(rounds)`` and ``RepeatRecord.rounds`` carries the integer,
 which aggregation surfaces as ``mean_round_complexity``.
 
 ``backend="sync"`` is not ``network="synchronous"``: the latter keeps
 the asynchronous event kernel and merely pins every latency to one
-unit, while this backend executes true lockstep rounds (with the
-classic rushing adversary available).  A sync-backend spec must say
+unit, while this backend executes true lockstep rounds behind a round
+barrier.  A sync-backend spec must say
 ``network="synchronous"``; ``"asynchronous"`` is rejected here with an
 error explaining the distinction.
 """
@@ -21,11 +21,10 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.protocols.registry import get
-from repro.util.rng import SplittableRNG, derive_seed
 from repro.util.validation import check_fraction, check_positive
 
 from repro.experiments.outcome import RepeatRecord
-from repro.experiments.spec import BYZANTINE_STRATEGIES
+from repro.experiments.spec import OWN_LATENCY, check_strategy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import ExperimentSpec
@@ -42,6 +41,14 @@ _LOCKSTEP_FORMS: dict[str, str] = {
 }
 
 _SYNC_FAULT_MODELS = ("none", "crash", "byzantine")
+
+#: The ``ADVERSARIES`` entries lockstep cannot express, and why.
+_NOT_IN_ROUNDS = {
+    **dict.fromkeys(OWN_LATENCY, "sets its own latencies, and a "
+                                 "lockstep round has none"),
+    "at-time": "crashes peers at times on the simulator's virtual "
+               "clock, and lockstep counts rounds",
+}
 
 
 def _lockstep_class(protocol: str) -> type:
@@ -64,32 +71,6 @@ def sync_peer_factory(protocol: str, params: dict):
     return sync.hosted_factory(peer_cls, **params)
 
 
-def _build_adversary(spec: "ExperimentSpec", seed: int):
-    """Fresh synchronous adversary for one repeat (seed-deterministic)."""
-    from repro.sync import (
-        RoundCrashAdversary,
-        RushingEchoAdversary,
-        SilentSyncAdversary,
-        fraction_corrupted,
-    )
-    if spec.fault_model == "none" or spec.beta <= 0:
-        return None
-    fault_seed = derive_seed(seed, "sync-faults")
-    if spec.fault_model == "crash":
-        # A seeded crash plan: t victims, each dead from an early round,
-        # possibly mid-broadcast (keep < n destinations).
-        rng = SplittableRNG(fault_seed).split("sync-crash-plan")
-        victims = sorted(rng.sample(range(spec.n), spec.t))
-        plan = {pid: (1 + rng.randrange(3),
-                      rng.randrange(spec.n) if rng.randrange(2) else None)
-                for pid in victims}
-        return RoundCrashAdversary(plan)
-    corrupted = fraction_corrupted(spec.n, spec.beta, seed=fault_seed)
-    if spec.strategy in ("silent", "selective-silence"):
-        return SilentSyncAdversary(corrupted=corrupted)
-    return RushingEchoAdversary(corrupted=corrupted, seed=fault_seed)
-
-
 class SyncBackend:
     """Runs specs on :class:`repro.sync.SyncEngine`."""
 
@@ -107,20 +88,29 @@ class SyncBackend:
             raise ValueError(
                 f"backend='sync' requires network='synchronous', got "
                 f"network={spec.network!r}: the lockstep engine *is* the "
-                f"synchronous model (round-native, rushing adversary); "
+                f"synchronous model (round-native, behind a round barrier); "
                 f"network='synchronous' on backend='sim' instead emulates "
                 f"unit latencies inside the asynchronous kernel")
-        if spec.strategy not in BYZANTINE_STRATEGIES:
-            raise ValueError(
-                f"strategy {spec.strategy!r} has no lockstep adversary; "
-                f"backend='sync' maps only {sorted(BYZANTINE_STRATEGIES)}")
+        if spec.strategy in _NOT_IN_ROUNDS:
+            raise ValueError(f"strategy {spec.strategy!r} "
+                             f"{_NOT_IN_ROUNDS[spec.strategy]}; "
+                             f"backend='sync' cannot run it")
+        check_strategy(spec)
         if spec.fault_model != "none" and spec.beta <= 0:
             raise ValueError("faulty models need beta > 0")
         from repro.experiments.backends import (
             check_protocol_params,
             check_sources_and_topology,
         )
-        check_protocol_params(spec, _lockstep_class(spec.protocol))
+        from repro.sync import SyncPeer
+        peer_class = _lockstep_class(spec.protocol)
+        if spec.fault_model == "byzantine" and issubclass(peer_class,
+                                                          SyncPeer):
+            raise ValueError(
+                f"protocol {spec.protocol!r} runs on backend='sync' as "
+                f"{peer_class.__name__}, a crash-model round algorithm "
+                f"with no body for a Byzantine adversary to corrupt")
+        check_protocol_params(spec, peer_class)
         if spec.protocol == "byz-committee" and 2 * spec.t >= spec.n:
             raise ValueError(f"committee protocol needs 2t < n, got "
                              f"t={spec.t}, n={spec.n}")
@@ -138,7 +128,7 @@ class SyncBackend:
                 n=spec.n, ell=spec.ell, t=spec.t,
                 peer_factory=sync_peer_factory(
                     spec.protocol, dict(spec.protocol_params)),
-                adversary=_build_adversary(spec, seed), seed=seed,
+                adversary=spec.build_adversary(), seed=seed,
                 sources=spec.sources, source_faults=spec.source_faults,
                 topology=spec.topology)
         return RepeatRecord(

@@ -354,7 +354,7 @@ CLAIMS = (
             o["Algorithm 2"]) < 0.5 * 8192 / 2),
     )),
     Claim("E16", "Table 1's synchronous rows in lockstep rounds (n=40, "
-                 "ell=4000, beta=0.3 rushing; T is rounds)", (
+                 "ell=4000, beta=0.3; T is rounds)", (
         Row("naive", ExperimentSpec("naive", 40, 4000, **_SYNC)),
         Row("balanced (fault-free)", ExperimentSpec(
             "balanced", 40, 4000, **_SYNC)),

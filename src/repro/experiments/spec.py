@@ -209,10 +209,10 @@ class ExperimentSpec:
         return int(self.beta * self.n)
 
     def build_adversary(self):
-        """Fresh async-simulator adversary object for one run of this
-        spec (``backend="sim"`` semantics; also used by the golden
-        traces and the kernel benchmark): its :data:`ADVERSARIES`
-        entry."""
+        """Fresh adversary object for one run of this spec: its
+        :data:`ADVERSARIES` entry (the simulator and the lockstep host
+        both bind it; the golden traces and the kernel benchmark use
+        it too)."""
         return ADVERSARIES[self.fault_model, self.strategy](self)
 
     def peer_factory(self):

@@ -22,7 +22,10 @@ class HostPorts:
     A host subclasses it with the substrate's ``now``, ``notify``,
     ``send`` and ``request_bits_from`` (and ``schedule``, where hosted
     bodies wait on deadlines); accounting is the host's own, so the
-    metrics and adversary ports do nothing.
+    metrics and adversary ports do nothing.  A corrupted peer's strategy
+    proxy (:mod:`repro.adversary.byzantine`) wraps the network port, so
+    ``send`` takes its ``honest=`` keyword, and the proxy reads the
+    port's ``kernel`` and ``telemetry``.
     """
 
     def __init__(self, k: int) -> None:
@@ -30,11 +33,18 @@ class HostPorts:
         #: ``message type -> tally`` (:meth:`span_sink`); a host whose
         #: peers share a process points this at one dict per run.
         self.span_sinks: dict[type, object] = {}
+        self.telemetry: Optional[object] = None
+
+    @property
+    def kernel(self) -> "HostPorts":
+        """The kernel port, as the network port names it."""
+        return self
 
     def env(self, *, n: int, t: int, ell: int, rng: SplittableRNG,
             telemetry: Optional[object] = None,
             topology: Optional[object] = None) -> SimEnv:
         """The env whose every port is this object."""
+        self.telemetry = telemetry
         return SimEnv(kernel=self, network=self, source=self, metrics=self,
                       adversary=self, n=n, t=t, ell=ell, rng=rng,
                       telemetry=telemetry, topology=topology)

@@ -9,14 +9,17 @@ execution is worth having on its own:
 
 - **round complexity is exact** — the engine counts rounds, which is
   the synchronous papers' time measure;
-- the classic **rushing adversary** is expressible: corrupted peers
-  choose their round-``r`` messages *after* seeing every honest
-  round-``r`` message;
+- the **round barrier** is real: a round's messages all arrive
+  together, however many the body waits for;
 - protocols read naturally, one ``round()`` method per paper round.
 
-The engine is deliberately independent of :mod:`repro.sim` — a
-hundred-line loop, not an event heap — because lockstep needs none of
-the machinery (and sharing it would couple the two time models).
+The adversary is the simulator's (:class:`repro.adversary.Adversary`,
+a spec's ``ADVERSARIES`` entry), bound the way the simulator binds it;
+the :class:`SyncEngine` docstring says what it can do in rounds.
+
+The engine is deliberately independent of :mod:`repro.sim`'s kernel —
+a hundred-line loop, not an event heap — because lockstep needs none
+of the machinery (and sharing it would couple the two time models).
 """
 
 from __future__ import annotations
@@ -24,9 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
+from repro.adversary.base import NullAdversary
 from repro.obs.schema import SCHEMA_VERSION
 from repro.obs.telemetry import get_backend as _get_telemetry
 from repro.sim.messages import Message
+from repro.sim.errors import ConfigurationError
+from repro.sim.peer import SimEnv
 from repro.sim.source import SourceCore
 from repro.topology import resolve_topology
 from repro.topology.routing import Router
@@ -145,6 +151,8 @@ class SyncPeer:
         #: peer still has an unexpired deadline (how a peer waits out a
         #: routed broadcast's worst-case ``diameter`` rounds).
         self.waiting_until: Optional[int] = None
+        #: Set by a crash (:meth:`halt`); a halted peer never acts again.
+        self.halted = False
         self._source: Optional[SyncSource] = None
         self._outbox: dict[int, list[Message]] = {}
 
@@ -165,6 +173,23 @@ class SyncPeer:
     @property
     def done(self) -> bool:
         return self.output is not None
+
+    @property
+    def live(self) -> bool:
+        """Whether a crash can still stop this peer — what a crash
+        adversary asks of a simulator process.  A peer that finishes in
+        a round still sends that round's outbox, so only a crash ends
+        it."""
+        return not self.halted
+
+    def halt(self) -> None:
+        """Crash this peer: it never acts again."""
+        self.halted = True
+
+    def corrupt(self, adversary) -> None:
+        """The adversary plans to fail this peer.  A round-native peer
+        has no body for it to rewrite or replace, so only its crashes
+        (``permit_send``) reach it; a hosted body overrides this."""
 
     def query(self, indices: Sequence[int]) -> BitRun:
         """Query the source (answered within the round)."""
@@ -223,42 +248,23 @@ class SyncRunResult:
                    for pid in self.honest)
 
 
-class SyncAdversary:
-    """Synchronous adversary: corruption, rushing, mid-round crashes.
+class SyncEngine:
+    """Run peers in lockstep rounds until every honest peer finishes.
 
-    Hooks (all optional):
-
-    - :meth:`corrupted` — the Byzantine set (fixed for the run);
-    - :meth:`rush` — called after honest peers produced their round
-      messages; returns the corrupted peers' outbound messages, with
-      full knowledge of the honest traffic (the rushing power);
-    - :meth:`filter_sends` — may drop a suffix of a peer's outbound
-      (mid-round crash) or return None to pass everything;
-    - :meth:`crashed_before_round` — peers that are dead from this
-      round on.
+    ``adversary`` is the simulator's (a spec's ``ADVERSARIES`` entry),
+    bound as :class:`~repro.sim.runner.Simulation` binds it: over the
+    run's root ``SplittableRNG(seed)``, so one seed fails the same
+    peers on both engines.  Each peer it plans to fail is handed to it
+    (:meth:`SyncPeer.corrupt`: a hosted body is then built by its
+    ``make_faulty_peer``).  Each round's outbox goes through its
+    ``permit_send`` in ascending destination order, and the first
+    refusal crashes the sender from that message on; a planned crash
+    that never fires leaves the peer honest.  Corrupted peers' sends
+    are not charged, and neither they nor crashed peers count for Q.
     """
 
-    def corrupted(self, n: int) -> set[int]:
-        return set()
-
-    def crashed_before_round(self, round_no: int, n: int) -> set[int]:
-        return set()
-
-    def rush(self, round_no: int, honest_traffic, config: SyncConfig,
-             source: SyncSource):
-        """Return {corrupted_pid: {destination: [messages]}}."""
-        return {}
-
-    def filter_sends(self, pid: int, round_no: int,
-                     outbox: dict[int, list[Message]]):
-        return outbox
-
-
-class SyncEngine:
-    """Run peers in lockstep rounds until every honest peer finishes."""
-
     def __init__(self, *, config: SyncConfig, data: BitArray,
-                 peer_factory, adversary: Optional[SyncAdversary] = None,
+                 peer_factory, adversary=None,
                  seed: int = 0, sources: int = 1,
                  source_faults=()) -> None:
         if len(data) != config.ell:
@@ -267,7 +273,7 @@ class SyncEngine:
         self.config = config
         self.data = data.copy()
         self.seed = seed
-        self.adversary = adversary or SyncAdversary()
+        self.adversary = adversary or NullAdversary()
         #: Seeded shortest-path router, or ``None`` on the complete
         #: graph.  A message over an ``h``-hop route is read by its
         #: destination ``h`` rounds after it was sent: each hop takes
@@ -284,22 +290,44 @@ class SyncEngine:
         root = SplittableRNG(seed)
         self.source = SyncSource(self.data.copy(), k=sources,
                                  faults=source_faults, rng=root)
-        self.corrupted = set(self.adversary.corrupted(config.n))
-        if len(self.corrupted) > config.t:
+        self.round_no = 0
+        #: The run as the adversary sees it; the round is its clock.
+        self.env = SimEnv(kernel=self, network=None, source=self.source,
+                          metrics=None, adversary=self.adversary,
+                          n=config.n, t=config.t, ell=config.ell, rng=root,
+                          topology=config.topology)
+        self.adversary.bind(self.env)
+        self.planned_faulty = set(self.adversary.faulty_peers())
+        if len(self.planned_faulty) > config.t:
             raise ValueError(
-                f"adversary corrupts {len(self.corrupted)} peers, "
+                f"adversary plans {len(self.planned_faulty)} faults, "
                 f"budget is t={config.t}")
         self.peers: dict[int, SyncPeer] = {}
         for pid in range(config.n):
-            if pid in self.corrupted:
-                continue  # corrupted peers exist only through rush()
             peer = peer_factory(pid, config, root)
             peer._source = self.source
+            if pid in self.planned_faulty:
+                peer.corrupt(self.adversary)
             self.peers[pid] = peer
+        self.adversary.after_setup(self.peers)
+        #: Faulty before anything ran: the corrupted peers.  A crash
+        #: victim joins the faulty set only when its crash fires.
+        self.corrupted = set(self.adversary.actually_faulty())
+        self._permit_send = self.adversary.send_hooks()[0]
         self.messages_sent = 0
         self.message_bits = 0
         self.per_peer_messages: dict[int, int] = {}
-        self.crashed: set[int] = set()
+
+    @property
+    def now(self) -> float:
+        """The adversary's clock: the current round."""
+        return float(self.round_no)
+
+    def schedule(self, delay: float, action) -> None:
+        raise ConfigurationError(
+            f"{type(self.adversary).__name__} schedules an action in "
+            f"virtual time (a crash at a time?); lockstep counts rounds "
+            f"and has no clock to run it on")
 
     #: Consecutive rounds with no traffic and no termination before the
     #: engine declares the run stalled (a deterministic protocol repeats
@@ -327,6 +355,26 @@ class SyncEngine:
                 event["hop"] = hop
             sink.emit("send", event)
 
+    def _permitted(self, sink, pid: int,
+                   outbox: dict[int, list[Message]]):
+        """``pid``'s ``outbox`` as far as the adversary lets it out:
+        in ascending destination order, up to the first refused
+        message (the simulator's mid-batch crash)."""
+        kept: dict[int, list[Message]] = {}
+        for destination in sorted(outbox):
+            messages = outbox[destination]
+            for count, message in enumerate(messages):
+                if not self._permit_send(pid, destination, message,
+                                         self.now):
+                    if sink is not None:
+                        sink.emit("crash_send", {"t": self.now, "peer": pid,
+                                                 "dst": destination})
+                    if count:
+                        kept[destination] = messages[:count]
+                    return kept
+            kept[destination] = messages
+        return kept
+
     def run(self, max_rounds: int = MAX_ROUNDS) -> SyncRunResult:
         try:
             return self._run(max_rounds)
@@ -337,6 +385,9 @@ class SyncEngine:
             for peer in self.peers.values():
                 peer.unlink()
             self.source.unlink()
+            # The bound adversary keeps the env, which points back at
+            # the engine and the adversary (cf. Simulation.run).
+            self.env.kernel = self.env.adversary = None
 
     def _run(self, max_rounds: int) -> SyncRunResult:
         # Resolve the process-global telemetry backend once per run,
@@ -344,13 +395,13 @@ class SyncEngine:
         # check here and nothing per round.
         backend = _get_telemetry()
         sink = backend if backend.enabled else None
-        self.source.telemetry = sink
+        self.source.telemetry = self.env.telemetry = sink
         if sink is not None:
             header = {"schema": SCHEMA_VERSION, "n": self.config.n,
                       "ell": self.config.ell, "t_budget": self.config.t,
                       "seed": self.seed,
                       "adversary": type(self.adversary).__name__,
-                      "planned_faulty": sorted(self.corrupted)}
+                      "planned_faulty": sorted(self.planned_faulty)}
             if self.peers:
                 header["protocol"] = next(
                     iter(self.peers.values())).protocol_label
@@ -361,25 +412,23 @@ class SyncEngine:
         quiet_rounds = 0
         events_processed = 0
         for round_no in range(1, max_rounds + 1):
-            newly_crashed = self.adversary.crashed_before_round(
-                round_no, self.config.n) - self.crashed
-            self.crashed |= newly_crashed
-            live_honest = [pid for pid, peer in sorted(self.peers.items())
-                           if not peer.done and pid not in self.crashed]
+            acting = [pid for pid, peer in sorted(self.peers.items())
+                      if peer.finished_round is None and not peer.halted]
+            live_honest = [pid for pid in acting
+                           if pid not in self.corrupted]
             if not live_honest:
                 break
-            rounds = round_no
+            rounds = self.round_no = round_no
             self.source.telemetry_round = round_no
             if sink is not None:
                 sink.emit("round_start", {"t": float(round_no),
                                           "round": round_no})
-                for pid in sorted(newly_crashed):
-                    sink.emit("crash", {"t": float(round_no), "peer": pid})
 
-            # 1. Honest peers act (ascending ID; they cannot see each
-            #    other's round-r messages, so the order is cosmetic).
-            honest_traffic: dict[int, dict[int, list[Message]]] = {}
-            for pid in live_honest:
+            # 1. Peers act (ascending ID; none sees another's round-r
+            #    messages, so the order is cosmetic), and their outboxes
+            #    go out as far as the adversary permits.
+            traffic: dict[int, dict[int, list[Message]]] = {}
+            for pid in acting:
                 peer = self.peers[pid]
                 peer._outbox = {}
                 peer.round(round_no, inboxes[pid])
@@ -389,16 +438,11 @@ class SyncEngine:
                     if sink is not None:
                         sink.emit("terminate", {"t": float(round_no),
                                                 "peer": pid})
-                outbox = self.adversary.filter_sends(pid, round_no,
-                                                     peer._outbox)
-                honest_traffic[pid] = outbox or {}
+                traffic[pid] = (peer._outbox if self._permit_send is None
+                                else self._permitted(sink, pid,
+                                                     peer._outbox))
 
-            # 2. Corrupted peers rush: they see all honest round-r
-            #    traffic before committing their own.
-            byzantine_traffic = self.adversary.rush(
-                round_no, honest_traffic, self.config, self.source)
-
-            # 3. End-of-round delivery.  In-flight relay hops move
+            # 2. End-of-round delivery.  In-flight relay hops move
             #    first (they were sent in earlier rounds), then this
             #    round's traffic is dispatched — directly on edges,
             #    through the relay queue otherwise.
@@ -409,7 +453,7 @@ class SyncEngine:
                 pending, self._relays = self._relays, []
                 for hops, index, message, honest_origin in pending:
                     node = hops[index + 1]
-                    if node in self.crashed:
+                    if self.peers[node].halted:
                         continue  # route severed at a crashed relay
                     hop = index + 1
                     next_node = hops[index + 2]
@@ -436,36 +480,34 @@ class SyncEngine:
                     else:
                         self._relays.append(
                             (hops, index + 1, message, honest_origin))
-            for traffic in (honest_traffic, byzantine_traffic):
-                for sender, outbox in traffic.items():
-                    honest_sender = sender not in self.corrupted
-                    for destination, messages in outbox.items():
-                        if self.router is not None and sender != destination:
-                            hops = self.router.path(sender, destination)
-                            if len(hops) > 2:
-                                # Routed: charge and announce the origin
-                                # transmission now, park the messages at
-                                # the first relay.
-                                delivered += len(messages)
-                                for message in messages:
-                                    self._transmit(
-                                        sink, round_no, sender, destination,
-                                        message, honest_sender,
-                                        honest_sender)
-                                    self._relays.append(
-                                        (hops, 0, message, honest_sender))
-                                continue
-                        next_inboxes[destination].extend(messages)
-                        delivered += len(messages)
-                        for message in messages:
-                            self._transmit(sink, round_no, sender,
-                                           destination, message,
-                                           honest_sender, honest_sender)
-                            if sink is not None:
-                                sink.emit("deliver", {
-                                    "t": float(round_no), "src": sender,
-                                    "dst": destination,
-                                    "type": type(message).__name__})
+            for sender, outbox in traffic.items():
+                honest_sender = sender not in self.corrupted
+                for destination, messages in outbox.items():
+                    if self.router is not None and sender != destination:
+                        hops = self.router.path(sender, destination)
+                        if len(hops) > 2:
+                            # Routed: charge and announce the origin
+                            # transmission now, park the messages at
+                            # the first relay.
+                            delivered += len(messages)
+                            for message in messages:
+                                self._transmit(
+                                    sink, round_no, sender, destination,
+                                    message, honest_sender, honest_sender)
+                                self._relays.append(
+                                    (hops, 0, message, honest_sender))
+                            continue
+                    next_inboxes[destination].extend(messages)
+                    delivered += len(messages)
+                    for message in messages:
+                        self._transmit(sink, round_no, sender, destination,
+                                       message, honest_sender,
+                                       honest_sender)
+                        if sink is not None:
+                            sink.emit("deliver", {
+                                "t": float(round_no), "src": sender,
+                                "dst": destination,
+                                "type": type(message).__name__})
             inboxes = next_inboxes
             events_processed += delivered
 
@@ -492,7 +534,8 @@ class SyncEngine:
             else:
                 quiet_rounds = 0
 
-        honest = set(self.peers) - self.crashed
+        faulty = set(self.adversary.actually_faulty())
+        honest = set(self.peers) - faulty
         per_peer = {pid: self.source.query_bits.get(pid, 0)
                     for pid in honest}
         per_messages = {pid: self.per_peer_messages.get(pid, 0)
@@ -502,7 +545,7 @@ class SyncEngine:
             outputs={pid: peer.output for pid, peer in self.peers.items()},
             rounds=rounds,
             honest=honest,
-            faulty=self.corrupted | self.crashed,
+            faulty=faulty,
             query_complexity=max(per_peer.values(), default=0),
             total_query_bits=sum(per_peer.values()),
             message_complexity=self.messages_sent,
@@ -529,8 +572,7 @@ class SyncEngine:
 
 
 def run_sync_download(*, n: int, ell: int, t: int = 0, peer_factory,
-                      data: Optional[BitArray] = None,
-                      adversary: Optional[SyncAdversary] = None,
+                      data: Optional[BitArray] = None, adversary=None,
                       seed: int = 0, sources: int = 1,
                       source_faults=(), topology=None) -> SyncRunResult:
     """One-call convenience mirroring :func:`repro.sim.run_download`."""

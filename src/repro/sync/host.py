@@ -8,17 +8,21 @@ delivers the round's inbox, answers queries in-round from the engine's
 :class:`~repro.sync.engine.SyncSource`, and steps the body until it
 parks on a wait the round cannot satisfy.  The round-model mapping of
 the three places that needed a decision is written down in
-docs/MODEL.md ("Hosted bodies in lockstep").
+docs/MODEL.md ("Hosted bodies in lockstep").  A peer the adversary
+corrupts is hosted the same way: its body is whatever the adversary's
+``make_faulty_peer`` builds — the honest body sending through a
+strategy's proxy over these ports, or a scripted attacker.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from repro.protocols.ports import HostPorts
 from repro.sim.messages import SOURCE_ID, Message, SourceResponse
-from repro.sim.process import WaitUntil
+from repro.sim.peer import SimEnv
+from repro.sim.process import Process, WaitUntil
 from repro.sync.engine import SyncConfig, SyncPeer
 from repro.util.rng import SplittableRNG
 
@@ -50,7 +54,10 @@ class _Ports(HostPorts):
     # -- network: end-of-round delivery --------------------------------------
 
     def send(self, sender: int, destination: int, message: Message,
-             sender_cycle: int = 0) -> None:
+             sender_cycle: int = 0, honest: bool = True) -> None:
+        """Queue ``message`` for the end of the round.  The engine
+        charges by sender, so a corrupted peer's ``honest=False`` sends
+        need no mark of their own."""
         self.host.send(destination, message)
 
     # -- source: answered within the round -----------------------------------
@@ -67,15 +74,16 @@ class _Ports(HostPorts):
 
 
 class LockstepHost(SyncPeer):
-    """Runs ``protocol_class``'s body as one lockstep peer."""
+    """Runs the body ``build(pid, env)`` returns as one lockstep peer."""
 
     def __init__(self, pid: int, config: SyncConfig, rng: SplittableRNG,
-                 protocol_class: type, params: dict) -> None:
+                 build: Callable[[int, SimEnv], Process]) -> None:
         super().__init__(pid, config, rng)
         self.root = rng  # the body splits its own ``peer-{pid}`` stream
-        self.protocol_class = protocol_class
-        self.params = params
-        self.protocol_label = protocol_class.protocol_name
+        self.build = build
+        protocol_class = getattr(build, "protocol_class", None)
+        if protocol_class is not None:
+            self.protocol_label = protocol_class.protocol_name
         self.round_no = 0
         #: The protocol object; built in round 1, once the engine has
         #: attached the source its constructor may ask for ``k``.
@@ -87,11 +95,13 @@ class LockstepHost(SyncPeer):
         self.round_no = round_no
         if self._body is None:
             ports = _Ports(self)
-            self.peer = self.protocol_class(self.pid, ports.env(
+            self.peer = self.build(self.pid, ports.env(
                 n=self.n, t=self.t, ell=self.ell, rng=self.root,
                 telemetry=self._source.telemetry,
-                topology=self.config.topology), **self.params)
-            self._body = self.peer.body()
+                topology=self.config.topology))
+            # A body with no yield (a fire-and-forget attacker) ran to
+            # completion inside the call.
+            self._body = self.peer.body() or iter(())
         for message in inbox:
             self.peer.deliver(message)
         while self._wait is None or self._wait.predicate():
@@ -103,17 +113,28 @@ class LockstepHost(SyncPeer):
                 self.finished_round = round_no
                 return
 
+    def corrupt(self, adversary) -> None:
+        """Build the body through ``adversary.make_faulty_peer``, as
+        the simulator builds a faulty peer's process."""
+        honest = self.build
+        self.build = lambda pid, env: adversary.make_faulty_peer(
+            pid, env, honest)
+
     def unlink(self) -> None:
         """Drop the protocol object, its body and its wait: each
-        reaches this host back through the ports of its ``env``."""
+        reaches this host back through the ports of its ``env``; and
+        the builder, which may hold the adversary (which holds the
+        run's peers)."""
         if self.peer is not None:
             self.peer.unlink()
-        self.peer = self._body = self._wait = None
+        self.peer = self._body = self._wait = self.build = None
 
 
 def hosted_factory(protocol_class: type, **params):
     """A :class:`~repro.sync.engine.SyncEngine` ``peer_factory`` that
     runs ``protocol_class(pid, env, **params)`` on the lockstep host."""
+    build = protocol_class.factory(**params)
+
     def factory(pid: int, config: SyncConfig, rng: SplittableRNG):
-        return LockstepHost(pid, config, rng, protocol_class, params)
+        return LockstepHost(pid, config, rng, build)
     return factory

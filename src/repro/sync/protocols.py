@@ -4,9 +4,10 @@
 *different algorithm*, not a port of the registry's ``crash-multi``
 body: silence in round ``r`` proves a crash by round ``r + 1``, so it
 needs none of Algorithm 2's phases (measured against the hosted body
-under the backend's crash plans at n 16-64: 2-3 rounds against 9-13,
-Q up to 6x lower, M 2.3-3.7x lower — docs/MODEL.md, "Hosted bodies
-in lockstep").  One ``round()`` call per paper round, so the engine's
+under the table's crash entry at n 16-64: 2-6 rounds against 9-13,
+Q up to 5.2x lower, M 1.6-4.7x lower — docs/MODEL.md, "Hosted bodies
+in lockstep").  It has no body for a Byzantine adversary to corrupt,
+so the lockstep backend runs it only fault-free or under crashes.  One ``round()`` call per paper round, so the engine's
 round counter *is* its round complexity.
 
 Every other protocol the lockstep backend runs is the registry's one

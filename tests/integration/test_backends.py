@@ -104,7 +104,7 @@ class TestSyncRoundConformance:
         assert outcome.mean_time_complexity == \
             outcome.mean_round_complexity == 1.0
 
-    def test_committee_survives_rushing_byzantine(self):
+    def test_committee_survives_wrong_bits_liars(self):
         outcome = run_experiment(sync_spec(
             "byz-committee", n=10, beta=0.2, fault_model="byzantine",
             strategy="wrong-bits", protocol_params={"block_size": 10}))
@@ -116,7 +116,7 @@ class TestSyncRoundConformance:
     def test_default_two_cycle_parameters_hold_inside_the_model(
             self, n, ell, beta):
         # The hand-ported lockstep class defaulted to (num_segments,
-        # tau) = (4, 2) whatever n and t; with tau <= t the rushing
+        # tau) = (4, 2) whatever n and t; with tau <= t the lying
         # peers alone made a flipped string tau-frequent, and 11, 2 and
         # 18 of these 60 downloads were wrong.  The one body chooses by
         # the paper's case analysis on every backend.
@@ -181,8 +181,8 @@ class TestNetworkBackendDisambiguation:
 
 
 class TestSimOnlyStrategies:
-    """A strategy only the simulator's table names never runs silently
-    as some other adversary on another backend."""
+    """A strategy a backend cannot express never runs silently as some
+    other adversary there."""
 
     _ATTACKS = ("committee-forge", "frequency-spam", "split-report")
 
@@ -191,13 +191,10 @@ class TestSimOnlyStrategies:
              beta=0.25, strategy="adaptive"),
         dict(backend="net", strategy="bursty"),
         dict(backend="lowerbound", strategy="bursty"),
-    ] + [dict(backend="sync", network="synchronous",
-              fault_model="byzantine", beta=0.25, strategy=attack)
-         for attack in _ATTACKS] + [
+    ] + [
         dict(backend="net", fault_model="byzantine", beta=0.25,
              strategy=attack) for attack in _ATTACKS],
         ids=["sync", "net", "lowerbound"]
-        + [f"sync-{attack}" for attack in _ATTACKS]
         + [f"net-{attack}" for attack in _ATTACKS])
     def test_backend_rejects_a_sim_only_strategy(self, fields):
         strategy = fields["strategy"]

@@ -1,16 +1,17 @@
-"""Property-based tests for the synchronous engine and protocols."""
+"""Property-based tests for the synchronous engine and protocols,
+against the simulator's adversaries."""
 
 import math
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.adversary import (ByzantineAdversary, CrashAdversary,
+                             CrashAfterSends, PerPeerStrategy)
 from repro.core.assignment import committee_for, round_robin_indices
+from repro.experiments.spec import BYZANTINE_STRATEGIES
 from repro.protocols import ByzCommitteeDownloadPeer
 from repro.protocols.balanced import ShareMessage
 from repro.sync import (
-    RoundCrashAdversary,
-    RushingEchoAdversary,
-    SilentSyncAdversary,
     SyncCrashPeer,
     SyncPeer,
     hosted_factory,
@@ -33,14 +34,17 @@ def crash_plans(draw):
     t = draw(st.integers(min_value=0, max_value=n - 1))
     victim_count = draw(st.integers(min_value=0, max_value=t))
     victims = draw(st.permutations(range(n)))[:victim_count]
-    plan = {}
-    for victim in victims:
-        crash_round = draw(st.integers(min_value=1, max_value=6))
-        keep = draw(st.one_of(st.none(),
-                              st.integers(min_value=0, max_value=n - 1)))
-        plan[victim] = (crash_round, keep)
+    # A crash anywhere in the first six rounds' broadcasts (n - 1 sends
+    # each), or never.
+    plan = {victim: draw(st.integers(min_value=0, max_value=6 * (n - 1)))
+            for victim in victims}
     seed = draw(st.integers(min_value=0, max_value=10 ** 6))
     return n, ell, t, plan, seed
+
+
+def crashing(plan):
+    return CrashAdversary(crashes={pid: CrashAfterSends(count)
+                                   for pid, count in plan.items()})
 
 
 class TestSyncCrashProperty:
@@ -50,7 +54,7 @@ class TestSyncCrashProperty:
         n, ell, t, plan, seed = case
         result = run_sync_download(
             n=n, ell=ell, t=t, peer_factory=crash_factory,
-            adversary=RoundCrashAdversary(plan), seed=seed)
+            adversary=crashing(plan), seed=seed)
         for pid in result.honest:
             assert result.outputs[pid] == result.data, \
                 (pid, plan, seed)
@@ -61,7 +65,7 @@ class TestSyncCrashProperty:
         n, ell, t, plan, seed = case
         result = run_sync_download(
             n=n, ell=ell, t=t, peer_factory=crash_factory,
-            adversary=RoundCrashAdversary(plan), seed=seed)
+            adversary=crashing(plan), seed=seed)
         assert result.rounds <= len(plan) + 6
 
 
@@ -119,7 +123,7 @@ class TestSyncCrashEqualsItsEntryByEntryAncestor:
         n, ell, t, plan, seed = case
         runs, refs = (run_sync_download(
             n=n, ell=ell, t=t, peer_factory=factory,
-            adversary=RoundCrashAdversary(plan), seed=seed)
+            adversary=crashing(plan), seed=seed)
             for factory in (crash_factory, EntryByEntryCrashPeer))
         for field in ("rounds", "outputs", "query_complexity",
                       "total_query_bits", "per_peer_query_bits",
@@ -134,29 +138,25 @@ def committee_cases(draw):
     t = draw(st.integers(min_value=0, max_value=(n - 1) // 2))
     ell = draw(st.integers(min_value=1, max_value=200))
     corrupted = set(draw(st.permutations(range(n)))[:t])
-    rushing = draw(st.booleans())
+    strategy = draw(st.sampled_from(list(BYZANTINE_STRATEGIES.values())))
     seed = draw(st.integers(min_value=0, max_value=10 ** 6))
-    return n, t, ell, corrupted, rushing, seed
+    return n, t, ell, corrupted, strategy, seed
 
 
 class TestSyncCommitteeProperty:
     @given(committee_cases())
     @settings(**SYNC_SETTINGS)
     def test_committee_correct_under_arbitrary_minority(self, case):
-        n, t, ell, corrupted, rushing, seed = case
-        if corrupted:
-            adversary = (RushingEchoAdversary(corrupted=corrupted, seed=seed)
-                         if rushing else
-                         SilentSyncAdversary(corrupted=corrupted))
-        else:
-            adversary = None
+        n, t, ell, corrupted, strategy, seed = case
+        adversary = ByzantineAdversary(
+            corrupted=corrupted, strategy_factory=PerPeerStrategy(strategy))
         block_size = max(1, ell // 8)
         result = run_sync_download(
             n=n, t=t, ell=ell,
             peer_factory=hosted_factory(ByzCommitteeDownloadPeer,
                                         block_size=block_size),
             adversary=adversary, seed=seed)
-        assert result.download_correct, (corrupted, rushing, seed)
+        assert result.download_correct, (corrupted, strategy, seed)
         # Two rounds, unless every honest peer sits on every committee
         # (always so at n = 2t + 1): each then read all of X itself in
         # round 1 and has no report to wait for.

@@ -12,6 +12,7 @@ ports the hosted bodies replaced.
 
 import pytest
 
+from repro.adversary import CrashAdversary, CrashAfterSends
 from repro.experiments import ExperimentSpec
 from repro.obs.schema import validate_event
 from repro.obs.telemetry import RecordingTelemetry, using
@@ -27,7 +28,6 @@ from repro.sim.errors import ConfigurationError
 from repro.sync import (
     LockstepEscalatePeer,
     LockstepHost,
-    RoundCrashAdversary,
     SyncConfig,
     SyncEngine,
     hosted_factory,
@@ -38,6 +38,15 @@ from repro.util.rng import SplittableRNG
 
 def escalate(**params):
     return hosted_factory(LockstepEscalatePeer, **params)
+
+
+class UncountedCrashes(CrashAdversary):
+    """Crashes that the engine does not count against ``t``.  A
+    committee's ``t + 1`` rule falls short only when more than ``t`` of
+    its members are faulty, and the engine refuses a plan over ``t``."""
+
+    def faulty_peers(self):
+        return set()
 
 
 class TestEscalationIsASecondStep:
@@ -234,7 +243,8 @@ class TestCommitteeAndTwoRound:
             return run_sync_download(
                 n=5, ell=16, t=1, seed=1,
                 peer_factory=self.committee(block_size=4, **params),
-                adversary=RoundCrashAdversary({0: (1, 0), 1: (1, 0)}))
+                adversary=UncountedCrashes(crashes={
+                    0: CrashAfterSends(0), 1: CrashAfterSends(0)}))
         stalled = run()
         assert not stalled.download_correct
         assert stalled.rounds <= 1 + SyncEngine.STALL_LIMIT
@@ -349,14 +359,14 @@ class TestHostIsASyncPeer:
 
     def test_label_and_liveness_before_round_one(self):
         host = LockstepHost(0, SyncConfig(n=2, t=0, ell=8),
-                            SplittableRNG(0), NaiveDownloadPeer, {})
+                            SplittableRNG(0), NaiveDownloadPeer.factory())
         assert host.protocol_label == "naive" and not host.done
 
     def test_the_engine_can_crash_it_mid_broadcast(self):
         result = run_sync_download(
             n=4, ell=40, t=1, seed=11,
             peer_factory=hosted_factory(BalancedDownloadPeer),
-            adversary=RoundCrashAdversary({1: (1, 2)}))
+            adversary=CrashAdversary(crashes={1: CrashAfterSends(2)}))
         # Peer 1 kept two of its three round-1 sends: 0 and 2 finish.
         assert result.outputs[0] is not None
         assert result.outputs[2] is not None

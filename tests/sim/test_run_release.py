@@ -24,6 +24,7 @@ import pytest
 from repro.adversary import UniformRandomDelay
 from repro.experiments import ExperimentSpec
 from repro.experiments.runner import execute_repeat
+from repro.experiments.spec import ADVERSARIES
 from repro.net import PeerInbox
 from repro.obs.telemetry import RecordingTelemetry, using
 from repro.protocols import BalancedDownloadPeer, registry
@@ -129,14 +130,26 @@ def spec_garbage(spec) -> int:
 @pytest.mark.parametrize(
     "protocol", [entry.name for entry in registry.all_protocols()])
 def test_a_lockstep_run_leaves_no_cyclic_garbage(protocol):
-    # Byzantine-tolerant bodies run against the rushing adversary,
-    # crash-tolerant ones under a crash plan.
+    # Byzantine-tolerant bodies run against the table's wrong-bits
+    # liars, crash-tolerant ones under its crash plan.
     entry = registry.get(protocol)
     fault_model = ("byzantine" if entry.max_byzantine_fraction > 0 else
                    "crash" if entry.max_crash_fraction > 0 else "none")
     spec = ExperimentSpec(protocol, 8, 256, network="synchronous",
                           backend="sync", fault_model=fault_model,
                           beta=0.25 if fault_model != "none" else 0.0)
+    assert spec_garbage(spec) == 0
+
+
+@pytest.mark.parametrize("strategy", sorted(
+    name for model, name in ADVERSARIES if model == "byzantine"))
+def test_a_lockstep_run_against_each_liar_leaves_no_cyclic_garbage(
+        strategy):
+    # A corrupted peer is a hosted body too: the strategy's proxy over
+    # the host's ports, or a scripted attacker.
+    spec = ExperimentSpec("byz-committee", 8, 256, network="synchronous",
+                          backend="sync", fault_model="byzantine",
+                          strategy=strategy, beta=0.25)
     assert spec_garbage(spec) == 0
 
 

@@ -1,7 +1,16 @@
-"""Tests for the lockstep synchronous engine and its protocols."""
+"""Tests for the lockstep synchronous engine and its protocols, against
+the simulator's adversaries."""
 
 import pytest
 
+from repro.adversary import (
+    ByzantineAdversary,
+    CrashAdversary,
+    CrashAfterSends,
+    PerPeerStrategy,
+    SilentStrategy,
+    WrongBitsStrategy,
+)
 from repro.protocols import (
     BalancedDownloadPeer,
     ByzCommitteeDownloadPeer,
@@ -11,11 +20,7 @@ from repro.protocols import (
 from repro.sim.errors import ConfigurationError
 from repro.sync import (
     LockstepEscalatePeer,
-    RoundCrashAdversary,
-    RushingEchoAdversary,
-    SilentSyncAdversary,
     SyncConfig,
-    fraction_corrupted,
     hosted_factory,
     run_sync_download,
 )
@@ -32,6 +37,18 @@ def committee(**params):
 
 def two_round(**params):
     return hosted_factory(ByzTwoCycleDownloadPeer, **params)
+
+
+def corrupting(strategy, **plan):
+    """``plan`` (``corrupted=`` or ``fraction=``) running ``strategy``."""
+    return ByzantineAdversary(strategy_factory=PerPeerStrategy(strategy),
+                              **plan)
+
+
+def crashing(plan):
+    """Peer ``pid`` stops after ``plan[pid]`` sends."""
+    return CrashAdversary(crashes={pid: CrashAfterSends(count)
+                                   for pid, count in plan.items()})
 
 
 class TestEngineBasics:
@@ -70,10 +87,11 @@ class TestEngineBasics:
         with pytest.raises(ValueError, match="budget"):
             run_sync_download(
                 n=4, ell=8, t=1, peer_factory=NAIVE,
-                adversary=SilentSyncAdversary(corrupted={0, 1}), seed=1)
+                adversary=corrupting(SilentStrategy, corrupted={0, 1}),
+                seed=1)
 
     def test_stall_detection_ends_dead_runs(self):
-        adversary = RoundCrashAdversary({2: (1, 0)})  # silent crash
+        adversary = crashing({2: 0})  # silent crash
         result = run_sync_download(n=6, ell=60, t=1,
                                    peer_factory=BALANCED,
                                    adversary=adversary, seed=1)
@@ -94,18 +112,22 @@ class TestSyncCommittee:
         result = run_sync_download(
             n=9, ell=270, t=4,
             peer_factory=committee(block_size=9),
-            adversary=SilentSyncAdversary(corrupted={0, 2, 4, 6}), seed=3)
+            adversary=corrupting(SilentStrategy, corrupted={0, 2, 4, 6}),
+            seed=3)
         assert result.download_correct
 
-    def test_survives_rushing_echo(self):
-        # The rushing attacker clones honest reports with flipped bits,
-        # perfectly formed and perfectly timed; t+1 still saves us.
+    def test_survives_wrong_bits(self):
+        # The liars run the honest body and flip every report they
+        # send: perfectly formed and perfectly timed; t+1 still saves
+        # us, in the fault-free two rounds.
         result = run_sync_download(
             n=9, ell=270, t=2,
             peer_factory=committee(block_size=9),
-            adversary=RushingEchoAdversary(corrupted={1, 5}, seed=4),
+            adversary=corrupting(WrongBitsStrategy, corrupted={1, 5}),
             seed=4)
         assert result.download_correct
+        assert result.rounds == 2
+        assert result.faulty == {1, 5}
 
     def test_majority_configuration_rejected(self):
         # The body's own error, as on the simulator.
@@ -131,15 +153,14 @@ class TestSyncTwoRound:
         assert result.download_correct
         assert result.query_complexity <= 1000 + 40 + 1000
 
-    def test_survives_rushing_echo(self):
-        # Rushing fakes enter the tau filter (they are cloned from a
-        # real report so they share its segment) but decision trees
-        # price them at one query each.
+    def test_survives_wrong_bits(self):
+        # The liars' flipped reports share their segments with real
+        # ones and enter the tau filter; decision trees price each at
+        # one query.
         result = run_sync_download(
             n=40, ell=2000, t=4,
             peer_factory=two_round(num_segments=4, tau=2),
-            adversary=RushingEchoAdversary(
-                corrupted=fraction_corrupted(40, 0.1, seed=7), seed=7),
+            adversary=corrupting(WrongBitsStrategy, fraction=0.1),
             seed=7)
         assert result.download_correct
 
@@ -149,8 +170,7 @@ class TestSyncTwoRound:
             result = run_sync_download(
                 n=40, ell=2000, t=4,
                 peer_factory=two_round(num_segments=4, tau=2),
-                adversary=SilentSyncAdversary(
-                    corrupted=fraction_corrupted(40, 0.1, seed=seed)),
+                adversary=corrupting(SilentStrategy, fraction=0.1),
                 seed=seed)
             ok += result.download_correct
         assert ok == 5
@@ -158,9 +178,9 @@ class TestSyncTwoRound:
 
 class TestRoundCrashes:
     def test_mid_round_crash_partial_delivery(self):
-        # Peer 2 crashes in round 1 keeping 3 of its 5 sends: exactly
+        # Peer 2 crashes in round 1 after 3 of its 5 sends: exactly
         # destinations 0, 1, 3 (ascending) hear it.
-        adversary = RoundCrashAdversary({2: (1, 3)})
+        adversary = crashing({2: 3})
         result = run_sync_download(n=6, ell=60, t=1,
                                    peer_factory=BALANCED,
                                    adversary=adversary, seed=8)
@@ -169,12 +189,26 @@ class TestRoundCrashes:
         assert outputs[0] is not None and outputs[1] is not None
         assert outputs[4] is None and outputs[5] is None
 
+    def test_a_timed_crash_has_no_clock_here(self):
+        with pytest.raises(ConfigurationError, match="no clock"):
+            run_sync_download(n=4, ell=8, t=1, peer_factory=BALANCED,
+                              adversary=CrashAdversary(crash_fraction=0.25,
+                                                       mode="at_time"))
+
     def test_crashed_peers_counted_faulty(self):
-        adversary = RoundCrashAdversary({1: (1, None), 3: (2, None)})
+        # Peer 1 stops at its first send; peer 3's crash would come
+        # after its fifth, and it sends only five: it stays honest, as
+        # on the simulator.
+        adversary = crashing({1: 0, 3: 5})
         result = run_sync_download(n=6, ell=60, t=2,
-                                   peer_factory=NAIVE,
+                                   peer_factory=BALANCED,
                                    adversary=adversary, seed=9)
-        # Naive finishes in round 1, before the round-2 crash bites.
+        assert result.faulty == {1}
+        assert 3 in result.honest
+        # Naive sends nothing, so no planned crash ever fires.
+        result = run_sync_download(n=6, ell=60, t=2, peer_factory=NAIVE,
+                                   adversary=crashing({1: 0, 3: 0}), seed=9)
+        assert result.download_correct and result.faulty == set()
         assert result.outputs[1] is not None
 
 
@@ -191,7 +225,9 @@ class TestSyncCrashProtocol:
         assert result.query_complexity == 64
 
     def test_survives_mixed_crash_schedule(self):
-        adversary = RoundCrashAdversary({1: (1, 0), 4: (1, 3), 6: (2, 2)})
+        # Silent in round 1, 3 sends into round 1, 2 sends into round 2
+        # (every round is one 7-message broadcast).
+        adversary = crashing({1: 0, 4: 3, 6: 7 + 2})
         result = run_sync_download(n=8, ell=512, t=3,
                                    peer_factory=self.crash_factory,
                                    adversary=adversary, seed=2)
@@ -199,16 +235,16 @@ class TestSyncCrashProtocol:
         assert result.rounds <= 6
 
     def test_cascading_crashes_one_per_round(self):
-        adversary = RoundCrashAdversary(
-            {pid: (pid, 2) for pid in range(1, 5)})
+        # Peer ``pid`` crashes 2 sends into its round-``pid`` broadcast
+        # of 9 messages.
+        adversary = crashing({pid: 9 * (pid - 1) + 2 for pid in range(1, 5)})
         result = run_sync_download(n=10, ell=1000, t=4,
                                    peer_factory=self.crash_factory,
                                    adversary=adversary, seed=3)
         assert result.download_correct
 
     def test_query_cost_near_optimal_under_crashes(self):
-        adversary = RoundCrashAdversary(
-            {pid: (1, 0) for pid in range(4)})  # 4 silent crashes
+        adversary = crashing({pid: 0 for pid in range(4)})  # 4 silent
         result = run_sync_download(n=8, ell=800, t=4,
                                    peer_factory=self.crash_factory,
                                    adversary=adversary, seed=4)
