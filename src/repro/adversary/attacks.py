@@ -41,12 +41,13 @@ def _flip(string: str) -> str:
 class CommitteeForgeAttacker(ScriptedByzantinePeer):
     """Forges committee reports for every block in the input.
 
-    For blocks it legitimately sits on, it reports the *flipped* block
-    value (it queries the real one first, so its lie is maximally
-    plausible in length and timing); for every other block it forges
-    reports anyway — honest peers must reject those on membership
-    grounds.  With ``2t + 1`` committees, ``t`` coordinated forgers can
-    contribute at most ``t`` matching fakes: one short of acceptance.
+    It never queries the source: its lie is a constant string of the
+    block's width.  For blocks it legitimately sits on it reports all
+    zeros, for every other block all ones — honest peers must reject
+    the latter on membership grounds — and it adds one report for a
+    block that does not exist.  Every forger sends the same strings,
+    so with ``2t + 1`` committees, ``t`` coordinated forgers contribute
+    at most ``t`` matching fakes: one short of acceptance.
     """
 
     def __init__(self, pid, env, block_size: int = 1) -> None:

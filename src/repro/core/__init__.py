@@ -10,17 +10,11 @@
 """
 
 from repro.core.assignment import (
-    assignment_is_balanced,
     balanced_partition,
     committee_for,
     committees_of_peer,
     distribute_evenly,
-    indices_of,
-    invert,
-    max_load,
-    owners_disagree,
     round_robin_indices,
-    round_robin_owner,
 )
 from repro.core.decision_tree import (
     Inner,
@@ -49,7 +43,6 @@ __all__ = [
     "Leaf",
     "Node",
     "Segmentation",
-    "assignment_is_balanced",
     "balanced_partition",
     "build_tree",
     "committee_for",
@@ -60,13 +53,8 @@ __all__ = [
     "determine_via_peer",
     "distribute_evenly",
     "first_separating_index",
-    "indices_of",
     "internal_count",
-    "invert",
     "largest_power_of_two_at_most",
     "leaves",
-    "max_load",
-    "owners_disagree",
     "round_robin_indices",
-    "round_robin_owner",
 ]

@@ -24,11 +24,6 @@ from typing import Iterable
 from repro.util.validation import check_nonnegative, check_positive
 
 
-def round_robin_owner(index: int, n: int) -> int:
-    """Phase-1 owner of bit ``index``: simple modulo round-robin."""
-    return index % n
-
-
 def round_robin_indices(pid: int, ell: int, n: int) -> range:
     """All bits owned by ``pid`` under the phase-1 assignment."""
     return range(pid, ell, n)
@@ -109,18 +104,6 @@ def group_by_digit_owner(marks: bytes, phase: int,
     return by_owner
 
 
-def digit_indices(pid: int, phase: int, ell: int, n: int) -> list[int]:
-    """All bits in ``[0, ell)`` owned by ``pid`` in ``phase``."""
-    width = n ** (phase - 1)
-    indices: list[int] = []
-    block_lo = pid * width
-    stride = n * width
-    while block_lo < ell:
-        indices.extend(range(block_lo, min(ell, block_lo + width)))
-        block_lo += stride
-    return indices
-
-
 def balanced_partition(ell: int, parts: int) -> list[tuple[int, int]]:
     """Split ``[0, ell)`` into ``parts`` contiguous near-equal ranges.
 
@@ -140,34 +123,6 @@ def balanced_partition(ell: int, parts: int) -> list[tuple[int, int]]:
         bounds.append((lo, hi))
         lo = hi
     return bounds
-
-
-def max_load(assignment: dict[int, int], n: int) -> int:
-    """Largest number of indices assigned to any single peer."""
-    check_positive("n", n)
-    loads = [0] * n
-    for owner in assignment.values():
-        check_nonnegative("owner", owner)
-        loads[owner] += 1
-    return max(loads, default=0)
-
-
-def assignment_is_balanced(assignment: dict[int, int], n: int) -> bool:
-    """True when no peer carries more than ``ceil(size / n)`` indices."""
-    size = len(assignment)
-    ceiling = -(-size // n) if size else 0
-    return max_load(assignment, n) <= ceiling
-
-
-def owners_disagree(first: dict[int, int],
-                    second: dict[int, int]) -> list[int]:
-    """Indices present in both assignments with different owners.
-
-    Claim 1 of the paper says this list must be empty for indices
-    neither peer has already learned; tests use it directly.
-    """
-    return sorted(index for index in first.keys() & second.keys()
-                  if first[index] != second[index])
 
 
 def committee_for(block: int, committee_size: int, n: int) -> list[int]:
@@ -217,17 +172,3 @@ def committees_by_peer(blocks: int, committee_size: int,
             else:
                 bucket.append(block)
     return by_peer
-
-
-def invert(assignment: dict[int, int], n: int) -> list[list[int]]:
-    """Owner -> sorted list of assigned indices, for peers ``0 .. n-1``."""
-    by_owner: list[list[int]] = [[] for _ in range(n)]
-    for index in sorted(assignment):
-        by_owner[assignment[index]].append(index)
-    return by_owner
-
-
-def indices_of(assignment: dict[int, int], pid: int) -> list[int]:
-    """Sorted indices assigned to ``pid``."""
-    return sorted(index for index, owner in assignment.items()
-                  if owner == pid)

@@ -41,6 +41,11 @@ CODE_VERSION = "2026.10.1"
 SCHEMA_VERSION = 1
 
 
+#: The one encoder :func:`canonical_json` reuses; ``json.dumps`` with
+#: these arguments builds an equal encoder per call (same bytes).
+_CANONICAL = json.JSONEncoder(sort_keys=True, default=repr)
+
+
 def canonical_json(payload) -> str:
     """The canonical text form hashed into spec identities.
 
@@ -50,7 +55,7 @@ def canonical_json(payload) -> str:
     (:meth:`~repro.experiments.ExperimentSpec.seed_for`) canonicalise
     through this one helper, so the two identities cannot diverge.
     """
-    return json.dumps(payload, sort_keys=True, default=repr)
+    return _CANONICAL.encode(payload)
 
 
 def default_cache_dir() -> Path:
@@ -80,9 +85,16 @@ def spec_fields(spec: "ExperimentSpec") -> dict:
 
 def spec_cache_key(spec: "ExperimentSpec", *,
                    salt: str = CODE_VERSION) -> str:
-    """Hex content hash identifying ``(spec, salt)``.
+    """Hex content hash identifying ``(spec, salt)``: the key
+    :func:`fields_cache_key` derives from ``spec_fields(spec)``."""
+    return fields_cache_key(spec_fields(spec), salt=salt)
 
-    :func:`spec_fields` is serialized to canonical JSON (sorted keys, so
+
+def fields_cache_key(fields: dict, *, salt: str = CODE_VERSION) -> str:
+    """Hex content hash identifying ``(spec, salt)``, from the spec's
+    ready :func:`spec_fields` (read, not modified).
+
+    The fields are serialized to canonical JSON (sorted keys, so
     ``protocol_params`` insertion order never matters) and hashed with
     the salt.  Two specs collide only if every field is equal.
 
@@ -95,7 +107,7 @@ def spec_cache_key(spec: "ExperimentSpec", *,
     inputs alone but changes the measured outcome (time, retries,
     failed runs), so those outcomes must not collide.
     """
-    payload = spec_fields(spec)
+    payload = dict(fields)
     if payload.get("backend") == "sim":
         del payload["backend"]
     if payload.get("sources") == 1:
@@ -109,6 +121,24 @@ def spec_cache_key(spec: "ExperimentSpec", *,
     canonical = canonical_json(payload)
     digest = hashlib.sha256(f"{salt}\n{canonical}".encode("utf-8"))
     return digest.hexdigest()
+
+
+_READ_CHUNK = 1 << 16
+
+
+def _read_all(path: str) -> bytes:
+    """The whole file at ``path``, by raw ``os.read`` calls until EOF:
+    no buffered file object and no ``stat``, for a small entry two
+    reads.  Raises ``OSError`` as ``open`` would (a directory in the
+    file's place raises at the first read)."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 @dataclass
@@ -148,6 +178,11 @@ class ResultCache:
                           else default_cache_dir())
         self.salt = salt
         self.stats = CacheStats()
+        # Bound once per cache, not per lookup: repro.persistence
+        # imports this module, so it cannot be imported at the top.
+        from repro.persistence import outcome_from_dict, outcome_of
+        self._outcome_of = outcome_of
+        self._outcome_from_dict = outcome_from_dict
 
     def path_for(self, spec: "ExperimentSpec") -> Path:
         """The entry file a given spec maps to."""
@@ -157,35 +192,45 @@ class ResultCache:
 
     def get(self, spec: "ExperimentSpec") -> Optional["ExperimentOutcome"]:
         """The cached outcome for ``spec``, or ``None`` on any miss."""
-        return self._get(spec, spec_cache_key(spec, salt=self.salt))
+        fields = spec_fields(spec)
+        return self._get(spec, fields, fields_cache_key(fields,
+                                                        salt=self.salt))
 
-    def _get(self, spec: "ExperimentSpec",
+    def _get(self, spec: "ExperimentSpec", fields: dict,
              key: str) -> Optional["ExperimentOutcome"]:
-        """:meth:`get` for a caller that already derived ``spec``'s key."""
-        outcome = self._load(self.directory / f"{key}.json", spec)
+        """:meth:`get` for a caller that already walked ``spec``'s
+        :func:`spec_fields` and derived its key from them."""
+        outcome = self._load(f"{self.directory}{os.sep}{key}.json", spec,
+                             fields)
         if outcome is None:
             self.stats.misses += 1
         else:
             self.stats.hits += 1
         return outcome
 
-    def _load(self, path: Path,
-              spec: "ExperimentSpec") -> Optional["ExperimentOutcome"]:
+    def _load(self, path: str, spec: "ExperimentSpec",
+              fields: dict) -> Optional["ExperimentOutcome"]:
+        """The entry at ``path`` as ``spec``'s outcome, or ``None``.
+
+        One raw read of the file (:func:`_read_all`), one JSON decode,
+        and one comparison of the stored spec with ``fields`` (the
+        caller's walk of ``spec``): an equal stored spec reuses
+        ``spec`` itself, any other is rebuilt and compared.
+        """
         # A missing file is a miss, and so is any malformed entry —
         # truncated, non-UTF-8 or too deeply nested JSON, wrong schema, spec
         # or measurements that no longer load: recomputed and overwritten.
         try:
-            payload = json.loads(path.read_bytes())
+            payload = json.loads(_read_all(path).decode("utf-8"))
             if (payload.get("schema") != SCHEMA_VERSION
                     or payload.get("salt") != self.salt):
                 return None
-            from repro.persistence import outcome_from_dict, outcome_of
             stored = payload["outcome"]
             # Fields equal to the asked spec's would reconstruct into a
             # spec equal to it: skip the rebuild and reuse the asked one.
-            if stored["spec"] == spec_fields(spec):
-                return outcome_of(spec, stored)
-            outcome = outcome_from_dict(stored)
+            if stored["spec"] == fields:
+                return self._outcome_of(spec, stored)
+            outcome = self._outcome_from_dict(stored)
         except (OSError, KeyError, TypeError, ValueError, AttributeError,
                 RecursionError):
             return None

@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional, Sequence
 
-from repro.execution.cache import ResultCache, spec_cache_key
+from repro.execution.cache import (ResultCache, fields_cache_key,
+                                   spec_fields)
 from repro.execution.journal import SweepJournal
 from repro.execution.retry import TaskFailure
 from repro.obs.telemetry import counter as obs_counter
@@ -35,6 +36,10 @@ class SweepPlan:
     ``cache_hits`` counts the points answered from the cache,
     ``replayed`` the other points' repeats found in the journal, and
     ``tasks`` lists the ``(index, repeat)`` pairs still to execute.
+
+    Each spec's :func:`~repro.execution.cache.spec_fields` is walked
+    once: every salt's key is derived from that one dict, and the cache
+    lookup checks a stored spec against it.
     """
 
     def __init__(self, specs: Sequence["ExperimentSpec"], *,
@@ -43,14 +48,15 @@ class SweepPlan:
         self.specs = specs = list(specs)
         self._cache = cache
         self._journal = journal
-        self._keys = {salt: [spec_cache_key(spec, salt=salt)
-                             for spec in specs]
-                      for salt in {part.salt for part in (cache, journal)
-                                   if part is not None}}
+        salts = {part.salt for part in (cache, journal) if part is not None}
+        fields = [spec_fields(spec) for spec in specs] if salts else []
+        self._keys = {salt: [fields_cache_key(walk, salt=salt)
+                             for walk in fields] for salt in salts}
         self._outcomes: list = [None] * len(specs)
         self._missed: list[int] = []
         for index, spec in enumerate(specs):
-            hit = (cache._get(spec, self._keys[cache.salt][index])
+            hit = (cache._get(spec, fields[index],
+                              self._keys[cache.salt][index])
                    if cache is not None else None)
             if hit is not None:
                 self._outcomes[index] = hit

@@ -169,7 +169,8 @@ def check_sources_and_topology(spec: "ExperimentSpec", *,
 
 
 # Built-ins register at import time so that ExperimentSpec validation
-# (which resolves spec.backend) always finds them.
+# (which resolves spec.backend) always finds them.  They import the
+# helpers above from this module, so these imports stay last.
 from repro.experiments.backends.lowerbound import LowerBoundBackend
 from repro.experiments.backends.net import NetBackend
 from repro.experiments.backends.sim import SimBackend

@@ -26,6 +26,7 @@ from typing import TYPE_CHECKING, Optional
 from repro.protocols import get
 from repro.util.validation import check_fraction, check_positive
 
+from repro.experiments.backends import check_protocol_params, telemetry_scope
 from repro.experiments.outcome import RepeatRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -49,7 +50,7 @@ class LowerBoundBackend:
     """Runs specs through :mod:`repro.lowerbounds` constructions."""
 
     def validate(self, spec: "ExperimentSpec") -> None:
-        get(spec.protocol)  # the victim comes from the async registry
+        entry = get(spec.protocol)  # the victim comes from the async registry
         check_positive("n", spec.n)
         check_positive("ell", spec.ell)
         check_fraction("beta", spec.beta, inclusive_high=False)
@@ -74,8 +75,7 @@ class LowerBoundBackend:
                 "proxy_faults apply only to backend='net' — the "
                 "lower-bound constructions have no transport to shake")
         construction, peer_params = _split_params(spec)
-        from repro.experiments.backends import check_protocol_params
-        check_protocol_params(spec, get(spec.protocol).peer_class,
+        check_protocol_params(spec, entry.peer_class,
                               params=peer_params)
         claimed_t = construction.get("claimed_t")
         if claimed_t is not None:
@@ -94,7 +94,6 @@ class LowerBoundBackend:
             run_randomized_construction,
         )
 
-        from repro.experiments.backends import telemetry_scope
         construction, peer_params = _split_params(spec)
         peer_factory = get(spec.protocol).factory(**peer_params)
         with telemetry_scope(telemetry):

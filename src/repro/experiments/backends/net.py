@@ -35,6 +35,11 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.util.validation import check_fraction, check_positive
 
+from repro.experiments.backends import (
+    check_protocol_params,
+    check_sources_and_topology,
+    telemetry_scope,
+)
 from repro.experiments.outcome import RepeatRecord
 from repro.experiments.spec import OWN_LATENCY, check_strategy
 
@@ -47,10 +52,6 @@ class NetBackend:
     """Runs specs over real sockets (:mod:`repro.net`)."""
 
     def validate(self, spec: "ExperimentSpec") -> None:
-        from repro.experiments.backends import (
-            check_protocol_params,
-            check_sources_and_topology,
-        )
         from repro.net.chaos import parse_proxy_faults
         from repro.protocols import registry
         check_positive("n", spec.n)
@@ -87,7 +88,6 @@ class NetBackend:
                 telemetry: Optional["Telemetry"]) -> RepeatRecord:
         from repro.net import run_net_download
 
-        from repro.experiments.backends import telemetry_scope
         mode = os.environ.get("REPRO_NET_MODE", "task")
         timeout = float(os.environ.get("REPRO_NET_TIMEOUT", "0.5"))
         run_timeout = float(os.environ.get("REPRO_NET_RUN_TIMEOUT",

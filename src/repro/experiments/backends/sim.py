@@ -13,6 +13,11 @@ from typing import TYPE_CHECKING, Optional
 from repro.protocols import get
 from repro.util.validation import check_fraction, check_positive
 
+from repro.experiments.backends import (
+    check_protocol_params,
+    check_sources_and_topology,
+    telemetry_scope,
+)
 from repro.experiments.outcome import RepeatRecord
 from repro.experiments.spec import _FAULT_MODELS, _NETWORKS, check_strategy
 
@@ -25,7 +30,7 @@ class SimBackend:
     """Runs specs on :func:`repro.sim.run_download`."""
 
     def validate(self, spec: "ExperimentSpec") -> None:
-        get(spec.protocol)  # raises KeyError early for unknown names
+        entry = get(spec.protocol)  # raises KeyError early for unknown names
         check_positive("n", spec.n)
         check_positive("ell", spec.ell)
         check_fraction("beta", spec.beta, inclusive_high=False)
@@ -39,11 +44,7 @@ class SimBackend:
         check_strategy(spec)
         if spec.fault_model != "none" and spec.beta <= 0:
             raise ValueError("faulty models need beta > 0")
-        from repro.experiments.backends import (
-            check_protocol_params,
-            check_sources_and_topology,
-        )
-        check_protocol_params(spec, get(spec.protocol).peer_class)
+        check_protocol_params(spec, entry.peer_class)
         check_sources_and_topology(
             spec, no_proxy_because="the simulator's transport adversary "
                                    "is the network/fault model")
@@ -55,7 +56,6 @@ class SimBackend:
         # caller passed a backend that is not already live.
         from repro.sim import run_download
 
-        from repro.experiments.backends import telemetry_scope
         with telemetry_scope(telemetry):
             result = run_download(
                 n=spec.n, ell=spec.ell,

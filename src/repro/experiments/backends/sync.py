@@ -23,6 +23,11 @@ from typing import TYPE_CHECKING, Optional
 from repro.protocols.registry import get
 from repro.util.validation import check_fraction, check_positive
 
+from repro.experiments.backends import (
+    check_protocol_params,
+    check_sources_and_topology,
+    telemetry_scope,
+)
 from repro.experiments.outcome import RepeatRecord
 from repro.experiments.spec import OWN_LATENCY, check_strategy
 
@@ -98,10 +103,6 @@ class SyncBackend:
         check_strategy(spec)
         if spec.fault_model != "none" and spec.beta <= 0:
             raise ValueError("faulty models need beta > 0")
-        from repro.experiments.backends import (
-            check_protocol_params,
-            check_sources_and_topology,
-        )
         from repro.sync import SyncPeer
         peer_class = _lockstep_class(spec.protocol)
         if spec.fault_model == "byzantine" and issubclass(peer_class,
@@ -122,7 +123,6 @@ class SyncBackend:
                 telemetry: Optional["Telemetry"]) -> RepeatRecord:
         from repro.sync import run_sync_download
 
-        from repro.experiments.backends import telemetry_scope
         with telemetry_scope(telemetry):
             result = run_sync_download(
                 n=spec.n, ell=spec.ell, t=spec.t,

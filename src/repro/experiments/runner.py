@@ -9,7 +9,6 @@ those engines never look at ``spec.backend``; only this dispatch does.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Iterable
 
 from repro.experiments.backends import get_backend
@@ -62,10 +61,22 @@ def run_experiment(spec: ExperimentSpec, *, workers: int = 1,
 
 def sweep_points(spec: ExperimentSpec, *, axis: str,
                  values: Iterable) -> list[ExperimentSpec]:
-    """The specs a sweep visits: ``spec`` with ``axis`` set per value."""
-    if axis not in {f.name for f in dataclasses.fields(ExperimentSpec)}:
+    """The specs a sweep visits: ``spec`` with ``axis`` set per value.
+
+    ``spec``'s fields are read once; each point is constructed from
+    them with ``axis`` set, so it runs the full ``__post_init__``
+    validation, and an invalid value raises at its own point.  Equal
+    to ``dataclasses.replace(spec, **{axis: value})`` per value.
+    """
+    fields = {name: getattr(spec, name)
+              for name in ExperimentSpec.__dataclass_fields__}
+    if axis not in fields:
         raise ValueError(f"unknown sweep axis {axis!r}")
-    return [dataclasses.replace(spec, **{axis: value}) for value in values]
+    points = []
+    for value in values:
+        fields[axis] = value
+        points.append(ExperimentSpec(**fields))
+    return points
 
 
 def sweep_experiment(spec: ExperimentSpec, *, axis: str, values: Iterable,

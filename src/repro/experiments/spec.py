@@ -200,7 +200,6 @@ class ExperimentSpec:
                                tuple(self.proxy_faults))
         # Validation is delegated to the backend: each engine accepts a
         # different protocol vocabulary and network/fault combination.
-        from repro.experiments.backends import get_backend
         get_backend(self.backend).validate(self)
 
     @property
@@ -249,3 +248,9 @@ class ExperimentSpec:
         if self.topology != "complete":
             identity = f"{identity}|topology={self.topology}"
         return derive_seed(self.base_seed, f"{identity}#{repeat}")
+
+
+# Imported last: the backends import this module's names (the sim
+# backend's ``check_strategy`` among them), so whichever of the two is
+# imported first, the other finds what it needs already defined.
+from repro.experiments.backends import get_backend

@@ -85,17 +85,3 @@ def render_report(sections: Sequence[str], *,
     """Assemble sections into one markdown document."""
     body = "\n\n".join(section.rstrip() for section in sections)
     return f"# {title}\n\n{body}\n"
-
-
-def render_comparison(outcomes: Sequence[ExperimentOutcome], *,
-                      title: str) -> str:
-    """Protocols side by side on one workload (a Table 1-style view)."""
-    if not outcomes:
-        raise ValueError("cannot render an empty comparison")
-    headers = ["protocol", "fault model", "beta", "mean Q", "mean T", "ok"]
-    rows = [[outcome.spec.protocol, outcome.spec.fault_model,
-             outcome.spec.beta, outcome.mean_query_complexity,
-             outcome.mean_time_complexity,
-             f"{outcome.correct_runs}/{outcome.runs}"]
-            for outcome in outcomes]
-    return f"## {title}\n\n" + markdown_table(headers, rows)

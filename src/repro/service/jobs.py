@@ -25,7 +25,6 @@ experiment; its *results* are deterministic, its schedule is not).
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import time
 from dataclasses import dataclass, field
@@ -33,7 +32,7 @@ from typing import Optional
 
 from repro.execution.cache import (CODE_VERSION, canonical_json,
                                    spec_cache_key, spec_fields)
-from repro.experiments import ExperimentSpec
+from repro.experiments import ExperimentSpec, sweep_points
 
 __all__ = [
     "Job",
@@ -86,16 +85,14 @@ class JobRequest:
         if (self.axis is None) != (len(self.values) == 0):
             raise ValueError("axis and values must be given together")
         if self.axis is not None:
-            fields = {f.name for f in dataclasses.fields(ExperimentSpec)}
-            if self.axis not in fields:
+            if self.axis not in ExperimentSpec.__dataclass_fields__:
                 raise ValueError(f"unknown sweep axis {self.axis!r}")
 
     def points(self) -> list[ExperimentSpec]:
         """The specs this job executes, in sweep order."""
         if self.axis is None:
             return [self.spec]
-        return [dataclasses.replace(self.spec, **{self.axis: value})
-                for value in self.values]
+        return sweep_points(self.spec, axis=self.axis, values=self.values)
 
     @property
     def total_tasks(self) -> int:

@@ -206,7 +206,7 @@ class JobQueue:
             self._jobs[job.id] = job
             self._events.setdefault(job.id, [])
             if not job.terminal:
-                self._admit(job)
+                self._admit(job, job.request.points())
 
     # -- the public (API-facing) surface -----------------------------------------
 
@@ -230,24 +230,27 @@ class JobQueue:
             self.stats.resubmitted += 1
             existing.transition("pending")
             self._results.pop(job_id, None)
+            points = existing.request.points()
             self._emit(existing, "job_submitted",
                        priority=existing.request.priority,
-                       points=len(existing.request.points()),
+                       points=len(points),
                        repeats=existing.request.spec.repeats,
                        client=request.client,
                        backend=existing.request.spec.backend)
-            self._admit(existing)
+            self._admit(existing, points)
             return existing, False
-        job = Job(id=job_id, request=request)
+        points = request.points()
+        job = Job(id=job_id, request=request,
+                  total=sum(point.repeats for point in points))
         self.stats.accepted += 1
         self._jobs[job_id] = job
         self._events.setdefault(job_id, [])
         self.store.save_job(job)
         self._emit(job, "job_submitted", priority=request.priority,
-                   points=len(request.points()),
+                   points=len(points),
                    repeats=request.spec.repeats, client=request.client,
                    backend=request.spec.backend)
-        self._admit(job)
+        self._admit(job, points)
         return job, True
 
     def cancel(self, job_id: str) -> Optional[Job]:
@@ -311,18 +314,17 @@ class JobQueue:
 
     # -- admission ----------------------------------------------------------------
 
-    def _admit(self, job: Job) -> None:
-        """Turn a pending job into schedulable tasks (cache/journal
-        consulted first), or straight into a result if nothing is left
-        to run."""
+    def _admit(self, job: Job, points: list) -> None:
+        """Turn a pending job, whose ``points`` the caller built once,
+        into schedulable tasks (cache/journal consulted first), or
+        straight into a result if nothing is left to run."""
         self._admit_seq += 1
-        plan = SweepPlan(job.request.points(), cache=self.cache,
+        plan = SweepPlan(points, cache=self.cache,
                          journal=self.store.journal_for(job.id))
         run = _JobRun(job=job, plan=plan, seq=self._admit_seq,
                       pending=deque(enumerate(plan.tasks)))
         self.stats.cache_hits += plan.cache_hits
         self.stats.journal_replayed += plan.replayed
-        job.total = job.request.total_tasks
         job.done = job.total - len(run.pending)
         job.failed = 0
         if job.state == "pending":

@@ -151,8 +151,3 @@ class SourceResponse(Message):
 
 #: Pseudo peer ID used by the external data source in responses.
 SOURCE_ID = -1
-
-
-def total_bits(messages: Iterable[Message]) -> int:
-    """Sum of :meth:`Message.size_bits` over ``messages``."""
-    return sum(message.size_bits() for message in messages)

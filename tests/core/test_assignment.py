@@ -1,33 +1,24 @@
 """Unit tests for assignment functions (incl. the Claim-1 properties)."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.assignment import (
-    assignment_is_balanced,
     balanced_partition,
     committee_for,
     committees_of_peer,
-    digit_indices,
     digit_owner,
     distribute_evenly,
-    indices_of,
-    invert,
-    max_load,
-    owners_disagree,
     round_robin_indices,
-    round_robin_owner,
 )
 
 
 class TestRoundRobin:
-    def test_owner_cycles(self):
-        assert [round_robin_owner(i, 3) for i in range(6)] == \
-               [0, 1, 2, 0, 1, 2]
-
     def test_indices_match_owner(self):
         for pid in range(4):
             for index in round_robin_indices(pid, 50, 4):
-                assert round_robin_owner(index, 4) == pid
+                assert index % 4 == pid
 
     def test_indices_partition_input(self):
         everything = sorted(
@@ -46,18 +37,6 @@ class TestDigitOwner:
     def test_globality_is_trivial(self):
         # Same function for every caller: no per-peer state involved.
         assert digit_owner(123, 4, 5) == digit_owner(123, 4, 5)
-
-    def test_digit_indices_agree_with_digit_owner(self):
-        for phase in (1, 2, 3):
-            for pid in range(4):
-                for index in digit_indices(pid, phase, 200, 4):
-                    assert digit_owner(index, phase, 4) == pid
-
-    def test_digit_indices_partition_input(self):
-        for phase in (1, 2):
-            indices = sorted(index for pid in range(5)
-                             for index in digit_indices(pid, phase, 199, 5))
-            assert indices == list(range(199))
 
     def test_per_phase_split_is_even_within_pattern_class(self):
         # The bits owned by peer 2 in phase 1 split evenly by phase-2
@@ -88,7 +67,7 @@ class TestDistributeEvenly:
 
     def test_balance(self):
         assignment = distribute_evenly(range(103), 10)
-        assert assignment_is_balanced(assignment, 10)
+        assert max(Counter(assignment.values()).values()) == 11
 
     def test_duplicates_collapsed(self):
         assert distribute_evenly([1, 1, 2], 2) == {1: 0, 2: 1}
@@ -111,28 +90,6 @@ class TestBalancedPartition:
     def test_more_parts_than_bits_gives_empty_parts(self):
         bounds = balanced_partition(2, 4)
         assert sum(hi - lo for lo, hi in bounds) == 2
-
-
-class TestLoadHelpers:
-    def test_max_load(self):
-        assert max_load({1: 0, 2: 0, 3: 1}, 2) == 2
-
-    def test_max_load_empty(self):
-        assert max_load({}, 3) == 0
-
-    def test_assignment_is_balanced_detects_imbalance(self):
-        assert not assignment_is_balanced({1: 0, 2: 0, 3: 0}, 3)
-        assert assignment_is_balanced({1: 0, 2: 1, 3: 2}, 3)
-
-    def test_owners_disagree(self):
-        first = {1: 0, 2: 1, 3: 2}
-        second = {2: 1, 3: 0, 4: 1}
-        assert owners_disagree(first, second) == [3]
-
-    def test_invert_and_indices_of(self):
-        assignment = {0: 1, 5: 0, 9: 1}
-        assert invert(assignment, 2) == [[5], [0, 9]]
-        assert indices_of(assignment, 1) == [0, 9]
 
 
 class TestCommittees:

@@ -32,6 +32,7 @@ from repro.experiments import (
     outcomes_table,
     run_experiment,
     sweep_experiment,
+    sweep_points,
 )
 from repro.experiments.spec import ADVERSARIES, BYZANTINE_STRATEGIES
 from repro.tournament import fuzzing
@@ -133,6 +134,65 @@ class TestSweep:
         table = outcomes_table(outcomes, axis="n")
         assert "mean Q" in table
         assert "4" in table and "8" in table
+
+
+#: Valid values of every spec field against :func:`spec`'s base (the
+#: lists check that a point's tuple fields are coerced as in ``replace``).
+AXIS_VALUES = {
+    "protocol": ("crash-multi", "naive", "balanced"),
+    "n": (8, 12, 5),
+    "ell": (256, 64),
+    "fault_model": ("crash", "none", "byzantine", "dynamic"),
+    "beta": (0.5, 0.125, 0.25),
+    "strategy": ("wrong-bits", "equivocate", "at-time", "adaptive"),
+    "network": ("asynchronous", "synchronous"),
+    "protocol_params": ({}, {"max_phases": 3}),
+    "repeats": (2, 1, 5),
+    "base_seed": (0, 7, 1 << 40),
+    "backend": ("sim",),
+    "sources": (1, 3),
+    "source_faults": ((), ["wrong-bits"], ("stale",)),
+    "proxy_faults": ((), []),
+    "topology": ("complete", "ring", "star"),
+}
+
+
+class TestSweepPoints:
+    """``sweep_points`` builds each point from the base spec's fields:
+    the same specs as ``dataclasses.replace``, and the same error at
+    the same point."""
+
+    def test_every_axis_matches_replace(self):
+        assert set(AXIS_VALUES) == set(ExperimentSpec.__dataclass_fields__)
+        base = spec()
+        for axis, values in AXIS_VALUES.items():
+            points = sweep_points(base, axis=axis, values=values)
+            assert points == [dataclasses.replace(base, **{axis: value})
+                              for value in values], axis
+            assert [getattr(point, axis) for point in points] == [
+                tuple(value) if isinstance(value, list) else value
+                for value in values]
+        assert sweep_points(base, axis="n", values=()) == []
+
+    @pytest.mark.parametrize("axis, bad, error", [
+        ("beta", 1.5, ValueError), ("n", 0, ValueError),
+        ("protocol", "no-such-protocol", KeyError),
+        ("backend", "sync", ValueError)])
+    def test_an_invalid_value_raises_at_its_point(self, axis, bad, error):
+        base = spec()
+        good = AXIS_VALUES[axis][:2]
+        seen = []
+
+        def values():
+            for value in (*good, bad, good[0]):
+                seen.append(value)
+                yield value
+        with pytest.raises(error) as swept:
+            sweep_points(base, axis=axis, values=values())
+        assert seen == [*good, bad]
+        with pytest.raises(error) as replaced:
+            dataclasses.replace(base, **{axis: bad})
+        assert str(swept.value) == str(replaced.value)
 
 
 _LEGACY = {"wrong-bits": WrongBitsStrategy,

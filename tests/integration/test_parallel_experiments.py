@@ -14,6 +14,7 @@ import threading
 
 import pytest
 
+from repro import persistence as persistence_module
 from repro.execution import (
     CacheStats,
     ParallelRunner,
@@ -312,6 +313,52 @@ class TestCacheCorruption:
         self.corrupt_and_rerun(tmp_path, mutate)
 
 
+class TestRawEntryRead:
+    """The cache reads an entry by raw ``os.read`` calls until EOF: a
+    large entry comes back whole, and an unreadable one is a counted
+    miss that never raises."""
+
+    def spec(self):
+        return ExperimentSpec(protocol="balanced", n=4, ell=64, repeats=200)
+
+    def test_an_entry_over_64_kib_is_read_whole(self, tmp_path):
+        blob = bytes(range(256)) * 300
+        (tmp_path / "blob").write_bytes(blob)
+        assert cache_module._read_all(str(tmp_path / "blob")) == blob
+        spec = self.spec()
+        outcome = ExperimentOutcome(
+            spec=spec, runs=200, correct_runs=0, mean_query_complexity=0.0,
+            max_query_complexity=0, mean_message_complexity=0.0,
+            mean_time_complexity=0.0, failed_runs=200,
+            failures=tuple(TaskFailure(task=f"repeat-{repeat}",
+                                       error_type="OSError",
+                                       message="x" * 500, attempts=3)
+                           for repeat in range(200)))
+        entry = ResultCache(tmp_path).put(spec, outcome)
+        assert entry.stat().st_size > 1 << 16
+        cache = ResultCache(tmp_path)
+        assert cache.get(spec) == outcome
+        assert cache.stats == CacheStats(hits=1, misses=0, stores=0)
+
+    @pytest.mark.parametrize("damage", [
+        "missing", "directory", "truncated", "non-utf-8"])
+    def test_an_unreadable_entry_is_a_counted_miss(self, tmp_path, damage):
+        spec = self.spec()
+        entry = ResultCache(tmp_path).path_for(spec)
+        text = json.dumps({"schema": 1, "salt": cache_module.CODE_VERSION,
+                           "outcome": {"spec": cache_module.spec_fields(
+                               spec)}})
+        if damage == "directory":
+            entry.mkdir()
+        elif damage == "truncated":
+            entry.write_text(text[:len(text) // 2], encoding="utf-8")
+        elif damage == "non-utf-8":
+            entry.write_bytes(text.encode("utf-16"))
+        cache = ResultCache(tmp_path)
+        assert cache.get(spec) is None
+        assert cache.stats == CacheStats(hits=0, misses=1, stores=0)
+
+
 # A cache entry and a journal exactly as the commit before the
 # spec_fields walk wrote them (asdict-based writer), kept as text.
 PARENT_SPEC = dict(protocol="cross-validate", n=4, ell=64, repeats=2,
@@ -368,7 +415,8 @@ PARENT_JOURNAL = (
 
 class TestSpecIdentityOnce:
     """The key is byte-stable across the asdict → field-walk change, and
-    one ``run_many`` derives it once per spec."""
+    one ``run_many`` walks each spec's fields once and derives its key
+    from them once."""
 
     def test_parent_written_cache_and_journal_are_read_warm(
             self, tmp_path, monkeypatch):
@@ -413,17 +461,42 @@ class TestSpecIdentityOnce:
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        """Every ``spec_cache_key`` call, whichever module makes it."""
+        """Every key derivation, whichever module asks: each goes
+        through ``fields_cache_key`` (``spec_cache_key`` included)."""
         calls = []
 
-        def counting(spec, *, salt=cache_module.CODE_VERSION):
-            calls.append(spec)
-            return real(spec, salt=salt)
-        real = cache_module.spec_cache_key
-        for module in (cache_module, journal_module, plan_module,
-                       jobs_module):
-            monkeypatch.setattr(module, "spec_cache_key", counting)
+        def counting(fields, *, salt=cache_module.CODE_VERSION):
+            calls.append(fields)
+            return real(fields, salt=salt)
+        real = cache_module.fields_cache_key
+        for module in (cache_module, plan_module):
+            monkeypatch.setattr(module, "fields_cache_key", counting)
         return calls
+
+    def test_warm_sweep_walks_each_point_once(self, tmp_path, monkeypatch):
+        base = ExperimentSpec(protocol="balanced", n=4, ell=64, repeats=2)
+        cache = ResultCache(tmp_path / "cache")
+        journal = SweepJournal(tmp_path / "j.jsonl")
+
+        def sweep():
+            return sweep_experiment(base, axis="base_seed",
+                                    values=(1, 2, 3), cache=cache,
+                                    journal=journal)
+        cold = sweep()
+        walks = []
+
+        def counting(spec):
+            walks.append(spec)
+            return real(spec)
+        real = cache_module.spec_fields
+        for module in (cache_module, plan_module, persistence_module,
+                       jobs_module):
+            monkeypatch.setattr(module, "spec_fields", counting)
+        warm = sweep()
+        assert cache.stats.hits == 3
+        # 6 while the stored-spec check walked the spec again.
+        assert walks == [outcome.spec for outcome in warm]
+        assert warm == cold
 
     def test_run_many_hashes_each_spec_once(self, tmp_path, calls):
         base = ExperimentSpec(protocol="balanced", n=4, ell=64, repeats=4)

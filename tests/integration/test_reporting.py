@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.experiments import ExperimentSpec, sweep_experiment, \
-    run_experiment
+from repro.experiments import ExperimentSpec, sweep_experiment
 from repro.reporting import (
     markdown_table,
-    render_comparison,
     render_report,
     render_sweep,
 )
@@ -70,21 +68,6 @@ class TestRenderReport:
         assert report.startswith("# My campaign\n")
         assert "## A" in report and "## B" in report
         assert report.endswith("\n")
-
-    def test_comparison_view(self):
-        outcomes = [
-            run_experiment(ExperimentSpec(protocol="balanced", n=4,
-                                          ell=64, repeats=1)),
-            run_experiment(ExperimentSpec(protocol="naive", n=4,
-                                          ell=64, repeats=1)),
-        ]
-        text = render_comparison(outcomes, title="Table 1 style")
-        assert "balanced" in text and "naive" in text
-        assert "64.00" in text  # naive's mean Q
-
-    def test_empty_comparison_rejected(self):
-        with pytest.raises(ValueError):
-            render_comparison([], title="x")
 
     def test_end_to_end_with_persistence(self, tmp_path):
         from repro.persistence import load_outcomes, save_outcomes

@@ -5,13 +5,13 @@ globality that makes Claim 1 hold, and the balance that makes Claim 4's
 ``(t/n)**p`` decay work.
 """
 
+from collections import Counter
+
 from hypothesis import given, settings, strategies as st
 
 from repro.core.assignment import (
-    assignment_is_balanced,
     balanced_partition,
     committee_for,
-    digit_indices,
     digit_owner,
     distribute_evenly,
 )
@@ -22,7 +22,8 @@ class TestDistributeEvenly:
            st.integers(min_value=1, max_value=20))
     @settings(max_examples=200, deadline=None)
     def test_balance(self, indices, n):
-        assert assignment_is_balanced(distribute_evenly(indices, n), n)
+        loads = Counter(distribute_evenly(indices, n).values())
+        assert max(loads.values(), default=0) <= -(-len(indices) // n)
 
     @given(st.sets(st.integers(min_value=0, max_value=10_000), max_size=80),
            st.integers(min_value=1, max_value=20))
@@ -42,16 +43,6 @@ class TestDistributeEvenly:
 
 
 class TestDigitAssignment:
-    @given(st.integers(min_value=2, max_value=12),
-           st.integers(min_value=1, max_value=4),
-           st.integers(min_value=1, max_value=2000))
-    @settings(max_examples=150, deadline=None)
-    def test_digit_indices_partition(self, n, phase, ell):
-        seen = []
-        for pid in range(n):
-            seen.extend(digit_indices(pid, phase, ell, n))
-        assert sorted(seen) == list(range(ell))
-
     @given(st.integers(min_value=2, max_value=10),
            st.integers(min_value=1, max_value=3),
            st.integers(min_value=0, max_value=5000))

@@ -10,7 +10,6 @@ from repro.sim.messages import (
     Message,
     SourceResponse,
     bits_for,
-    total_bits,
 )
 from repro.util.bitarrays import BitRun
 
@@ -82,11 +81,6 @@ class TestMessageSize:
                                   values=BitRun((0, 5, 9),
                                                 b"\x01\x00\x01"))
         assert response.size_bits() == HEADER_BITS + FIELD_BITS + 3
-
-    def test_total_bits_sums(self):
-        messages = [Mixed(sender=0, index=0, string="1", values=EMPTY),
-                    Mixed(sender=1, index=0, string="11", values=EMPTY)]
-        assert total_bits(messages) == sum(m.size_bits() for m in messages)
 
     def test_messages_are_frozen(self):
         message = Mixed(sender=1, index=2, string="1", values=EMPTY)
