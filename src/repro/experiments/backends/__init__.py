@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import inspect
 from contextlib import contextmanager
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Protocol, runtime_checkable
 
 from repro.sim.source import parse_faults
@@ -125,14 +126,21 @@ def check_protocol_params(spec: "ExperimentSpec", peer_class: type, *,
     params = spec.protocol_params if params is None else params
     if not params:
         return
-    allowed = {name for name, parameter
-               in inspect.signature(peer_class).parameters.items()
-               if parameter.default is not parameter.empty}
+    allowed = _defaulted_parameters(peer_class)
     unknown = set(params) - allowed
     if unknown:
         raise ValueError(
             f"protocol {spec.protocol!r} takes no {spec.backend} params "
             f"{sorted(unknown)}; accepted: {sorted(allowed)}")
+
+
+@lru_cache(maxsize=None)
+def _defaulted_parameters(peer_class: type) -> frozenset:
+    """The names of ``peer_class``'s defaulted constructor arguments,
+    read from its signature once per class."""
+    return frozenset(name for name, parameter
+                     in inspect.signature(peer_class).parameters.items()
+                     if parameter.default is not parameter.empty)
 
 
 def check_sources_and_topology(spec: "ExperimentSpec", *,

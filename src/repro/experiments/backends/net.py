@@ -1,8 +1,8 @@
 """The real-transport backend (``backend="net"``).
 
 Runs specs on :func:`repro.net.run_net_download`: peers as asyncio
-tasks (or spawned worker processes), the source as a socket server,
-and every frame routed through the chaos proxy.  Every registry
+tasks, the source as a socket server, and every frame routed through
+the chaos proxy.  Every registry
 protocol runs here, its one body hosted by :class:`repro.net.NetPeer`;
 the rest of the backend's validation vocabulary is deliberately narrow:
 
@@ -23,7 +23,6 @@ experiment.
 
 Environment knobs (read per repeat, so one sweep can mix):
 
-- ``REPRO_NET_MODE`` — ``task`` (default) or ``process``;
 - ``REPRO_NET_TIMEOUT`` — per-request timeout seconds (default 0.5);
 - ``REPRO_NET_RUN_TIMEOUT`` — whole-run deadline seconds (default 60).
 """
@@ -88,7 +87,6 @@ class NetBackend:
                 telemetry: Optional["Telemetry"]) -> RepeatRecord:
         from repro.net import run_net_download
 
-        mode = os.environ.get("REPRO_NET_MODE", "task")
         timeout = float(os.environ.get("REPRO_NET_TIMEOUT", "0.5"))
         run_timeout = float(os.environ.get("REPRO_NET_RUN_TIMEOUT",
                                            "60"))
@@ -100,7 +98,7 @@ class NetBackend:
                 source_faults=spec.source_faults,
                 proxy_faults=spec.proxy_faults,
                 topology=spec.topology,
-                seed=seed, mode=mode, request_timeout=timeout,
+                seed=seed, request_timeout=timeout,
                 run_timeout=run_timeout)
         return RepeatRecord(
             queries=result.query_complexity,

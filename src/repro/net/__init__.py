@@ -1,21 +1,22 @@
 """Real-transport execution: peers over sockets behind a chaos proxy.
 
 The simulator (:mod:`repro.sim`) models communication; this package
-*performs* it.  Each peer is an asyncio task (or a spawned process,
-:mod:`repro.net.worker`) sending length-prefixed JSON frames
-(:mod:`repro.net.wire`) over Unix sockets to the source server and the
-peer inboxes (:mod:`repro.net.server`); every endpoint is an asyncio
-protocol over one sans-IO framer.  Every frame crosses a seeded chaos
-proxy (:mod:`repro.net.proxy`, :mod:`repro.net.chaos`) injecting
-latency, drops, duplicates, reordering and disconnects; a proxy route
-multiplexes its clients onto one upstream connection, routing each
-answer back by its request ID.
+*performs* it.  Each peer is an asyncio task (:mod:`repro.net.peers`)
+sending length-prefixed JSON frames (:mod:`repro.net.wire`) over Unix
+sockets to the source server and the peer inboxes
+(:mod:`repro.net.server`); every endpoint is an asyncio protocol over
+one sans-IO framer.  Under a sparse topology a peer message is routed
+along the simulator's routes, and finished relays forward.  Every
+frame crosses a seeded chaos proxy (:mod:`repro.net.proxy`,
+:mod:`repro.net.chaos`) injecting latency, drops, duplicates,
+reordering and disconnects; a proxy route multiplexes its clients onto
+one upstream connection, routing each answer back by its request ID.
 
 Robustness: idempotent request IDs, so retries never double-charge Q;
 per-request timeouts and :class:`~repro.execution.RetryPolicy`
 retries; a peer that crashes or runs out of retries fails the *run*
 (:class:`~repro.net.driver.NetRunError`, a ``failed_runs`` record,
-never a hung sweep); children are always reaped, sockets removed.
+never a hung sweep); tasks are always cancelled, sockets removed.
 
 Entry point: :func:`run_net_download`, wrapped by the ``"net"``
 execution backend (:mod:`repro.experiments.backends.net`).

@@ -12,11 +12,15 @@ counters, and its :meth:`~NetPeer.run` steps ``body()``:
   :class:`~repro.util.bitarrays.BitRun` — checked, inside the retry
   loop, to cover exactly the asked indices;
 - ``send`` and ``broadcast`` of any message become ``msg`` frames
-  (:func:`~repro.net.wire.message_to_wire`) under one message id —
-  to their destinations on the complete graph; to the neighbours under
-  a sparse topology, where every first-seen message is relayed onward
-  and delivered only at its ``dst`` (flooding is transport, not
-  protocol: inboxes dedupe by ``(src, mid)``);
+  (:func:`~repro.net.wire.message_to_wire`) under one message id, one
+  per destination, each sent to that destination's next hop on the
+  simulator's routes (the destination itself on the complete graph).
+  A frame names its ``dst`` (a broadcast copy sent straight to its
+  destination names none); a peer that is not ``dst`` forwards it one
+  hop on, and only ``dst`` hands it to the body.  A finished relay
+  keeps forwarding, as on the simulator, so the relay outlives the
+  body: the driver ends the run once every peer is
+  :attr:`~NetPeer.idle`;
 - "wait" is an ``asyncio.Event`` set by whatever the body is waiting
   for, instead of a virtual clock, and ``schedule`` is the loop's
   ``call_later``: a deadline counts wall seconds.
@@ -57,16 +61,15 @@ class NetPeer(HostPorts):
                  client_factory: Callable[[str, str], NetClient],
                  source_path: str,
                  peer_paths: Optional[dict[int, str]] = None,
+                 next_hop: Optional[dict[int, int]] = None,
                  inbox: Optional[PeerInbox] = None,
-                 neighbors: Optional[list[int]] = None,
                  clock: Callable[[], float] = None, seed: int = 0) -> None:
         super().__init__(sources)
         self.pid = pid
         self.inbox = inbox
-        #: ``None`` means the complete graph (every other peer is one
-        #: hop away); a list restricts peer traffic to those links and
-        #: switches peer messages to flooding.
-        self.neighbors = list(neighbors) if neighbors is not None else None
+        #: ``dst -> neighbour one hop closer`` on the run's routes;
+        #: empty on the complete graph, where the hop is ``dst`` itself.
+        self._next_hop = dict(next_hop or {})
         self.clock = clock if clock is not None else (lambda: 0.0)
         self._client_factory = client_factory
         self._source_path = source_path
@@ -78,6 +81,8 @@ class NetPeer(HostPorts):
         #: failed one parks its exception in ``_failure`` for ``run``.
         self._tasks: set[asyncio.Task] = set()
         self._failure: Optional[BaseException] = None
+        self._relay: Optional[asyncio.Task] = None
+        self._handled = 0  #: inbox messages the relay has handled
         self._wake = asyncio.Event()
         telemetry = get_backend()
         self.peer = protocol_class(pid, self.env(
@@ -100,20 +105,25 @@ class NetPeer(HostPorts):
 
     def send(self, sender: int, destination: int, message: Message,
              sender_cycle: int = 0) -> None:
-        self._post(message, destination, [destination])
+        self._mid += 1
+        self._route(message_to_wire(message), self.pid, self._mid,
+                    destination)
 
     def broadcast(self, sender: int, n: int, message: Message,
                   sender_cycle: int = 0) -> None:
-        self._post(message, None, self.peer.others)
-
-    def _post(self, message: Message, dst: Optional[int],
-              targets: list[int]) -> None:
-        """Send ``message`` to ``targets`` — or to the neighbours, who
-        relay it on — under one fresh message id."""
+        """One routed copy per other peer under one message id; a copy
+        sent straight to its destination names none (``dst`` null)."""
         self._mid += 1
         wire = message_to_wire(message)
-        for other in targets if self.neighbors is None else self.neighbors:
-            self._spawn(self._send(other, wire, self.pid, self._mid, dst))
+        for other in self.peer.others:
+            hop = self._next_hop.get(other, other)
+            self._spawn(self._send(hop, wire, self.pid, self._mid,
+                                   None if hop == other else other))
+
+    def _route(self, wire: dict, src: int, mid: int, dst: int) -> None:
+        """Send a copy for ``dst`` to its next hop."""
+        self._spawn(self._send(self._next_hop.get(dst, dst), wire, src,
+                               mid, dst))
 
     # -- source port: query frames ----------------------------------------
 
@@ -141,15 +151,13 @@ class NetPeer(HostPorts):
         """Send one logical message (retries ride inside the client).
 
         ``src`` names the message's original sender, which differs from
-        this peer's when this send is a flooding relay — receivers
-        dedupe by ``(src, mid)``, so a message relayed along many paths
-        still counts once.  The relay is charged here, to the relaying
-        peer, matching the simulator's accounting.
+        this peer's when this send is a relay; receivers dedupe by
+        ``(src, mid, dst)``.  Each hop is charged here, to the peer that
+        sends it, matching the simulator's accounting.
 
         Delivery is best-effort past the retry budget: a receiver that
         stops answering has either already deduped this message (only
-        its ack was the casualty — the common case when a worker
-        process finishes and exits) or genuinely crashed, and a crashed
+        its ack was the casualty) or genuinely crashed, and a crashed
         receiver trips the run deadline on its own.  Abandoning the send
         can therefore never hide a failure; it only avoids manufacturing
         one."""
@@ -216,23 +224,27 @@ class NetPeer(HostPorts):
 
     async def _pump_messages(self) -> None:
         """Hand every first-seen message for this peer to the body (the
-        object the inbox parsed, not a copy) and, under a sparse
-        topology, relay every one not addressed here to the neighbours."""
-        handled = 0  # messages are only ever added, and dicts keep order
+        object the inbox parsed, not a copy); forward every other one to
+        its next hop — after the body has finished too."""
+        messages = self.inbox.messages  # only ever added to, in order
         while True:
-            await self.inbox.wait_for_messages(handled + 1)
+            await self.inbox.wait_for_messages(self._handled + 1)
             # No await below, so the dict cannot grow under the slice.
-            for (src, mid), (dst, message) in islice(
-                    self.inbox.messages.items(), handled, None):
-                handled += 1
-                if src == self.pid:
-                    continue  # own message, echoed by a neighbour's relay
+            for (src, mid, dst), message in islice(
+                    messages.items(), self._handled, None):
+                self._handled += 1
                 if dst in (None, self.pid):
                     self.peer.deliver(message)
-                if dst != self.pid and self.neighbors:
-                    wire = message_to_wire(message)
-                    for other in self.neighbors:
-                        self._spawn(self._send(other, wire, src, mid, dst))
+                else:
+                    self._route(message_to_wire(message), src, mid, dst)
+            self._wake.set()  # for :meth:`settle`
+
+    @property
+    def idle(self) -> bool:
+        """No query or message of this peer awaits its answer, and its
+        relay has handled every message its inbox stored."""
+        return self._tasks <= {self._relay} and (
+            self.inbox is None or self._handled == len(self.inbox.messages))
 
     async def _until(self, predicate: Callable[[], bool]) -> None:
         """Sleep until ``predicate()`` holds; a task of this peer that
@@ -250,18 +262,29 @@ class NetPeer(HostPorts):
 
         Returns only once every query and message this peer issued has
         been answered (so each has reached the source server's ledger,
-        or its receiver), raises the first failure of any of them, and
-        leaves no task behind on any exit path.
+        or its receiver), and raises the first failure of any of them.
+        The relay outlives the body, so a returning run leaves it
+        running until :meth:`halt`; a raising one halts first.
         """
-        pump = (self._spawn(self._pump_messages())
-                if self.inbox is not None else None)
+        if self.inbox is not None:
+            self._relay = self._spawn(self._pump_messages())
         try:
             for wait in self.peer.body():
                 await self._until(wait.predicate)
-            await self._until(lambda: self._tasks <= {pump})
-            return self.peer.output
-        finally:
-            tasks = list(self._tasks)
-            for task in tasks:
-                task.cancel()
-            await asyncio.gather(*tasks, return_exceptions=True)
+            await self._until(lambda: self._tasks <= {self._relay})
+        except BaseException:
+            await self.halt()
+            raise
+        return self.peer.output
+
+    async def settle(self) -> None:
+        """Wait until this peer is :attr:`idle` (or a task failed)."""
+        await self._until(lambda: self.idle)
+
+    async def halt(self) -> None:
+        """Cancel every task this peer still owns, its relay among them."""
+        tasks = list(self._tasks)
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        self._relay = None  # its traceback references this peer

@@ -17,10 +17,11 @@ sim's "released at quiescence" in wall clock, costing time but never
 liveness or Q; ``slow:factor`` multiplies the base delay (default 0).
 
 :class:`PeerInbox` accepts ``msg`` frames, dedupes them by ``(src,
-message id)``, keeps each first-seen one as its ``dst`` beside the
-message :func:`~repro.net.wire.message_from_wire` parses, and always
-acks — a retried message is re-acked (``resend``), never
-double-counted.
+message id, dst)`` (a broadcast's copies share their id, and two may
+pass one relay), keeps the message
+:func:`~repro.net.wire.message_from_wire` parses of each first-seen
+one, and always acks — a retried message is re-acked (``resend``),
+never double-counted.
 
 Both answer each frame as it arrives (:class:`_FrameServer`).  A frame
 that fails validation — a foreign type, a bad run or message, an index
@@ -35,6 +36,7 @@ import asyncio
 import math
 from typing import Optional
 
+from repro.sim.messages import Message
 from repro.sim.source import SourceCore
 from repro.util.bitarrays import BitArray
 from repro.util.rng import SplittableRNG
@@ -176,9 +178,9 @@ class PeerInbox(_FrameServer):
     def __init__(self, pid: int) -> None:
         super().__init__()
         self.pid = pid
-        #: ``(src, mid) -> (dst, message)``, first sightings in order
-        self.messages: dict[tuple[int, int], tuple] = {}
-        self._resends: dict[tuple[int, int], int] = {}
+        #: ``(src, mid, dst) -> message``, first sightings in order
+        self.messages: dict[tuple, Message] = {}
+        self._resends: dict[tuple, int] = {}
         self._changed = asyncio.Event()
 
     async def wait_for_messages(self, count: int) -> None:
@@ -189,12 +191,11 @@ class PeerInbox(_FrameServer):
 
     def _answer(self, frame: dict) -> tuple[dict, float]:
         """Store a first-seen message as the object it parses to; ack."""
-        key = (frame["src"], frame["mid"])
+        if type(frame.get("dst")) not in (int, type(None)):
+            raise WireError("'dst' must be an int or null")
+        key = (frame["src"], frame["mid"], frame.get("dst"))
         if key not in self.messages:
-            if type(frame.get("dst")) not in (int, type(None)):
-                raise WireError("'dst' must be an int or null")
-            self.messages[key] = (frame.get("dst"),
-                                  message_from_wire(frame.get("message")))
+            self.messages[key] = message_from_wire(frame.get("message"))
             self._resends[key] = 0
             self._changed.set()
         else:

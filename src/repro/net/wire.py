@@ -41,8 +41,8 @@ MAX_FRAME = 8 * 1024 * 1024
 
 _PREFIX = struct.Struct(">I")
 
-#: How long a dial waits for its listener to exist (process-mode
-#: workers create their sockets after the proxy starts dialing).
+#: How long a dial keeps retrying a listener that refuses it (one not
+#: listening yet) before the error reaches the caller.
 _DIAL_WAIT = 5.0
 
 

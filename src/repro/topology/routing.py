@@ -1,12 +1,14 @@
-"""Seeded shortest-path routing and flooding over a topology.
+"""Seeded shortest-path routing over a topology: every host's relays.
 
 The :class:`Router` answers "how does a message from ``src`` reach
-``dst``" with a concrete hop path.  Paths are always shortest (hop
-count = BFS distance), and ties between equally-short paths are broken
-by a seeded shuffle of each BFS frontier — different run seeds spread
-relay load across different shortest-path trees, while one seed always
-reproduces the same routes (cache/journal replays and golden traces
-depend on that).
+``dst``" with a concrete hop path; the simulator, the lockstep host
+and the socket host all route each copy along it (routed, finished
+relays forward), and :func:`flood_layers` gives BFS reachability.
+Paths are always shortest (hop count = BFS distance), and ties between
+equally-short paths are broken by a seeded shuffle of each BFS
+frontier — different run seeds spread relay load across different
+shortest-path trees, while one seed always reproduces the same routes
+(cache/journal replays and golden traces depend on that).
 
 Routes are computed from per-destination BFS trees ("which neighbor
 moves me one hop closer to ``dst``"), built lazily and cached, per

@@ -215,6 +215,33 @@ class TestUnknownProtocolParams:
             ExperimentSpec(protocol="naive", n=4, ell=64,
                            protocol_params={"bogus": 1}, **fields)
 
+    def test_a_class_signature_is_read_once(self, monkeypatch):
+        # The accepted names depend only on the peer class: a second
+        # spec of that class reads no signature, and the refusal names
+        # the same names.
+        import inspect
+        from repro.experiments import backends
+        from repro.protocols import CrashMultiDownloadPeer
+        backends._defaulted_parameters.cache_clear()
+        reads = []
+        signature = inspect.signature
+
+        def counting(obj, *args, **kwargs):
+            reads.append(obj)
+            return signature(obj, *args, **kwargs)
+
+        monkeypatch.setattr(inspect, "signature", counting)
+        for _ in range(2):
+            ExperimentSpec(protocol="crash-multi", n=8, ell=64, repeats=2,
+                           protocol_params={"max_phases": 3})
+        with pytest.raises(ValueError) as refused:
+            ExperimentSpec(protocol="crash-multi", n=8, ell=64,
+                           protocol_params={"max_phases": 3, "bogus": 1})
+        assert reads.count(CrashMultiDownloadPeer) == 1
+        assert str(refused.value) == (
+            "protocol 'crash-multi' takes no sim params ['bogus']; "
+            "accepted: ['direct_threshold', 'max_phases']")
+
     def test_lowerbound_checks_the_victims_share(self):
         fields = dict(protocol="byz-committee", n=10, ell=100,
                       strategy="deterministic", backend="lowerbound")

@@ -35,7 +35,7 @@ from repro.net import (
     parse_proxy_faults,
     run_net_download,
 )
-from repro.protocols import CrashMultiDownloadPeer
+from repro.protocols import CrashMultiDownloadPeer, get
 from repro.sim import run_download
 
 #: Fast net settings for the battery: tiny arrays, short timeouts.
@@ -143,11 +143,6 @@ class TestValidation:
                 ExperimentSpec(protocol="naive", n=2, ell=32,
                                backend=backend,
                                proxy_faults=("drop:0.1",), **extra)
-
-    def test_bad_mode_rejected(self):
-        with pytest.raises(ValueError, match="mode"):
-            run_net_download(n=2, ell=16, protocol="naive",
-                             mode="thread")
 
     def test_unknown_net_protocol_is_keyerror(self):
         with pytest.raises(KeyError, match="unknown protocol"):
@@ -276,26 +271,6 @@ class TestSourceFaultLatency:
         assert result.download_correct
 
 
-class TestProcessMode:
-    def test_process_mode_conforms_and_reaps(self):
-        spec = CONFORMANCE_SPECS[0]
-        task = run_fast(n=spec.n, ell=spec.ell, protocol="naive",
-                        seed=spec.seed_for(0))
-        proc = run_fast(n=spec.n, ell=spec.ell, protocol="naive",
-                        seed=spec.seed_for(0), mode="process")
-        assert proc.download_correct
-        assert proc.query_complexity == task.query_complexity
-        want = task.data.segment(0, spec.ell)
-        for output in proc.outputs.values():
-            assert output.segment(0, spec.ell) == want
-
-    def test_process_mode_survives_chaos(self):
-        result = run_fast(n=3, ell=64, protocol="balanced", seed=11,
-                          mode="process",
-                          proxy_faults=("drop:0.1", "delay:0.01"))
-        assert result.download_correct
-
-
 class TestSocketHost:
     """Hazards of driving the simulator's bodies over real sockets."""
 
@@ -380,12 +355,12 @@ class TestSocketHost:
             gc.collect()
         assert [record.getMessage() for record in caplog.records] == []
 
-    def host(self, protocol, inbox=None, client_factory=None):
+    def host(self, protocol, inbox=None, client_factory=None, **ports):
         from repro.net.peers import NetPeer
         from repro.protocols import get
         return NetPeer(0, get(protocol).peer_class, {}, n=2, ell=8,
                        sources=1, client_factory=client_factory,
-                       source_path="unused", inbox=inbox)
+                       source_path="unused", inbox=inbox, **ports)
 
     def test_run_reraises_a_failed_task_and_owns_the_rest(self):
         from repro.net import NetRequestError
@@ -445,59 +420,105 @@ class TestSocketHost:
             inbox = PeerInbox(0)
             peer = self.host("balanced", inbox=inbox)
             pump = asyncio.ensure_future(peer._pump_messages())
-            inbox.messages[(1, 1)] = (None, ShareMessage(
-                sender=1, values=BitRun(range(1, 8, 2), b"\0\1\1\0")))
+            inbox.messages[(1, 1, None)] = ShareMessage(
+                sender=1, values=BitRun(range(1, 8, 2), b"\0\1\1\0"))
             inbox._changed.set()
             await asyncio.sleep(0.01)
             pump.cancel()
             (message,) = peer.peer.inbox.of_type(ShareMessage)
-            return message is inbox.messages[(1, 1)][1]
+            return message is inbox.messages[(1, 1, None)]
 
         assert asyncio.run(go())
 
     def test_a_message_for_another_peer_is_relayed_not_delivered(self):
-        # Under a sparse topology a point-to-point message floods, and
-        # only its destination hands it to the body.
+        # Under a sparse topology a message for another peer goes one
+        # hop on, to that peer's next hop only; only its destination
+        # (or, for a broadcast copy sent straight to it, the peer it
+        # reached) hands it to the body.
         from repro.net import PeerInbox
         from repro.protocols import ShareMessage
         from repro.util.bitarrays import BitRun
 
         async def go():
             inbox = PeerInbox(0)
-            peer = self.host("balanced", inbox=inbox)
-            peer.neighbors = [1]
+            peer = self.host("balanced", inbox=inbox, next_hop={2: 1})
             relayed = []
 
             async def send(other, wire, src, mid, dst):
                 relayed.append((other, src, mid, dst))
             peer._send = send
             pump = asyncio.ensure_future(peer._pump_messages())
-            for key, dst in (((1, 1), 2), ((1, 2), 0), ((1, 3), None)):
-                inbox.messages[key] = (dst, ShareMessage(
-                    sender=1, values=BitRun((), b"")))
+            for key in ((1, 1, 2), (1, 1, 0), (1, 3, None)):
+                inbox.messages[key] = ShareMessage(
+                    sender=1, values=BitRun((), b""))
             inbox._changed.set()
             await asyncio.sleep(0.01)
             pump.cancel()
             delivered = len(peer.peer.inbox.of_type(ShareMessage))
             return delivered, relayed
 
-        assert asyncio.run(go()) == (2, [(1, 1, 1, 2), (1, 1, 3, None)])
+        assert asyncio.run(go()) == (2, [(1, 1, 1, 2)])
 
-    def test_sparse_topology_floods_and_relays(self):
+    def test_sparse_topology_routes_each_copy(self):
         result = run_fast(n=5, ell=64, protocol="balanced",
                           topology="ring", seed=3)
         assert result.download_correct
-        # Every peer sends its own share and relays the four others',
-        # to both ring neighbours.
-        assert result.messages == 5 * (1 + 4) * 2
+        # Each of the 5 broadcasts is 4 copies, two of them one hop and
+        # two of them two: 5 * (2 * 1 + 2 * 2), the simulator's M.
+        assert result.messages == 5 * (2 * 1 + 2 * 2)
+        assert result.messages == run_download(
+            n=5, ell=64, peer_factory=get("balanced").factory(),
+            topology="ring", seed=3).report.message_complexity
 
-    def test_a_point_to_point_message_floods_to_its_destination(self):
+    def test_a_point_to_point_message_is_routed(self):
         result = run_fast(n=5, ell=64, protocol="crash-multi",
                           topology="ring", seed=3)
-        assert result.download_correct
-        assert result.query_complexity == run_download(
+        sim = run_download(
             n=5, ell=64, peer_factory=CrashMultiDownloadPeer.factory(),
-            topology="ring", seed=3).report.query_complexity
+            topology="ring", seed=3).report
+        assert result.download_correct
+        assert result.query_complexity == sim.query_complexity
+        assert result.messages == sim.message_complexity
+
+    def test_a_finished_relay_keeps_forwarding(self):
+        # On a star every leaf-to-leaf copy passes the hub, and the
+        # hub's body ends while leaves still send: a relay that stopped
+        # with its body would strand those copies (and the run would
+        # wait out its deadline); one that forwards them ends correct,
+        # on time, with every hop the simulator counts.
+        result = run_fast(n=8, ell=64, protocol="crash-multi",
+                          topology="star", seed=3, run_timeout=10.0)
+        assert result.download_correct
+        assert result.retries == 0
+        assert result.messages == run_download(
+            n=8, ell=64, peer_factory=CrashMultiDownloadPeer.factory(),
+            topology="star", seed=3).report.message_complexity
+
+    def test_the_run_ends_once_every_relay_is_idle(self, monkeypatch):
+        # Peer 0 sends one message across a ring of 8 and every body
+        # ends at once, so no body waits for it: only the driver's wait
+        # for quiescence keeps the run up until it has gone its four
+        # hops (ending with the bodies strands it after the first).
+        from types import SimpleNamespace
+        from repro.net import driver
+        from repro.protocols import BalancedDownloadPeer, ShareMessage
+        from repro.util.bitarrays import BitArray
+
+        class SendAcross(BalancedDownloadPeer):
+            def body(self):
+                if self.pid == 0:
+                    values = yield from self.query_bits(range(self.ell))
+                    self.send(self.n // 2,
+                              ShareMessage(sender=0, values=values))
+                self.finish(BitArray.from_string("0" * self.ell))
+
+        monkeypatch.setattr(driver, "get", lambda name: SimpleNamespace(
+            peer_class=SendAcross))
+        result = run_fast(n=8, ell=8, protocol="send-across",
+                          topology="ring", seed=3)
+        assert result.messages == run_download(
+            n=8, ell=8, peer_factory=SendAcross.factory(), topology="ring",
+            seed=3).report.message_complexity == 4
 
     def test_a_deadline_counts_wall_seconds(self):
         async def go():

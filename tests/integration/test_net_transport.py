@@ -301,7 +301,8 @@ def test_malformed_msg_frames_cost_the_other_peers_no_retry(caplog):
     attempts = FAST_RETRY.max_attempts
     assert retries == {1: 0, 2: 0, 3: 5 * (attempts - 1)}
     assert refused == 5
-    assert stored == [(pid, mid) for pid in (1, 2) for mid in range(1, 21)]
+    assert stored == [(pid, mid, None) for pid in (1, 2)
+                      for mid in range(1, 21)]
     assert caplog.records == []
 
 

@@ -13,7 +13,8 @@ What a peer-to-peer body asks can depend on what it heard, so it is
 compared where the hosts hear the same thing: the lockstep host against
 unit latencies, the socket host against the simulator with the same
 coins (both hand the body the run's root ``SplittableRNG(seed)``).
-Their message counts are compared too, on the complete graph, except
+Their message counts are compared too, on every topology (all three
+hosts route each copy along the same seeded shortest paths), except
 for the bodies whose sends depend on the order messages arrive in.
 Two pairings compare outputs only: ``crash-multi`` on the lockstep host,
 which runs it as its own round algorithm (``SyncCrashPeer``), and
@@ -170,8 +171,7 @@ def compared(spec):
     if spec.backend == "net" and spec.protocol in ORDER_DEPENDENT_QUERIES:
         return {"outputs"}
     keys = {"query_bits", "queried_by_source", "outputs"}
-    if (spec.protocol not in ORDER_DEPENDENT_SENDS
-            and spec.topology == "complete"):
+    if spec.protocol not in ORDER_DEPENDENT_SENDS:
         keys.add("messages")
     return keys
 
@@ -191,7 +191,9 @@ def spec_fields(draw, max_n=6, ells=ELLS, peer_ells=st.integers(1, 96)):
     # Algorithm 1 needs n >= 3.
     n = draw(st.integers(min_value=3 if protocol == "crash-one" else 1,
                          max_value=max_n))
-    topology = draw(st.sampled_from(["complete", "ring"]))
+    # The expander needs n >= 3.
+    topology = draw(st.sampled_from(
+        ["complete", "ring"] + (["expander"] if n >= 3 else [])))
     if protocol not in PURE_QUERIES:
         ell = draw(peer_ells)
         return dict(protocol=protocol, n=n, ell=ell, topology=topology,
@@ -232,6 +234,17 @@ seeds = st.integers(min_value=0, max_value=2 ** 32)
 
 
 class TestOneBodyUnderThreeHosts:
+    @pytest.mark.parametrize("topology", ["ring", "star", "expander"])
+    @pytest.mark.parametrize("protocol",
+                             ["balanced", "one-round", "byz-committee"])
+    def test_every_host_sends_the_same_messages(self, protocol, topology):
+        # A relay hop is one message on every host, charged to the
+        # relay: the sockets forward along the simulator's routes.
+        fields = dict(protocol=protocol, n=8, ell=64, topology=topology)
+        sent = {backend: observe(accepted(backend, fields), 3)["messages"]
+                for backend in ("sim", "sync", "net")}
+        assert len(set(sent.values())) == 1, sent
+
     def test_endpoint_rotation_drift_case(self):
         # The hand-ported lockstep class never got per-chunk endpoint
         # rotation: peer 0 asked {src0: 8192, src1: 8192} where sim
@@ -255,10 +268,12 @@ class TestOneBodyUnderThreeHosts:
                                      seed, ("sim", "sync")))
 
     @given(fields=spec_fields(
-        max_n=3, ells=st.sampled_from([1, 40, 4096, 4100]),
+        max_n=4, ells=st.sampled_from([1, 40, 4096, 4100]),
         peer_ells=st.sampled_from([1, 40, 96])), seed=seeds)
     @settings(max_examples=16, **COMMON)
     def test_socket_host_asks_what_the_simulator_asks(self, fields, seed):
+        # n = 4 draws the smallest sparse graph, a ring of four, so
+        # routed relays on sockets are compared too.
         assume(assert_backends_agree(fields, seed, ("sim", "net")))
 
 

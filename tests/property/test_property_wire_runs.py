@@ -249,9 +249,9 @@ def test_the_inbox_drops_the_connection_on_a_malformed_share(wire):
         share("c", 3, run_to_wire(good)))
     # The good shares are stored as the runs they parsed and acked; the
     # malformed one is refused and not stored.
-    assert list(inbox.messages) == [(1, 0), (3, 0)]
-    for dst, message in inbox.messages.values():
-        assert dst is None and type(message.values) is BitRun
+    assert list(inbox.messages) == [(1, 0, None), (3, 0, None)]
+    for message in inbox.messages.values():
+        assert type(message.values) is BitRun
         assert message.values == good
     assert [(ack["type"], ack["rid"]) for ack in acks] == [
         ("ack", "a"), ("refused", "b"), ("ack", "c")]

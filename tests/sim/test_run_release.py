@@ -194,3 +194,11 @@ def test_malformed_frames_leave_no_cyclic_garbage():
     gc.collect()
     asyncio.run(send_garbage())
     assert gc.collect() == 0
+
+
+def test_a_routed_socket_run_leaves_no_cyclic_garbage():
+    # Relays that outlive their bodies: the hub of a star forwards
+    # leaf-to-leaf copies after its own body has finished.
+    spec = ExperimentSpec("crash-multi", 8, 256, backend="net",
+                          topology="star")
+    assert spec_garbage(spec) == 0
