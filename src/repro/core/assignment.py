@@ -18,8 +18,8 @@ round-robin over all ``n`` peers.
 
 from __future__ import annotations
 
-from itertools import compress
-from typing import Iterable
+from itertools import chain, compress
+from typing import Iterable, Union
 
 from repro.util.validation import check_nonnegative, check_positive
 
@@ -76,7 +76,7 @@ def digit_owner(index: int, phase: int, n: int) -> int:
 
 
 def group_by_digit_owner(marks: bytes, phase: int,
-                         n: int) -> dict[int, list[int]]:
+                         n: int) -> dict[int, Union[range, tuple]]:
     """Group the positions ``marks`` flags (a nonzero byte each) by
     their :func:`digit_owner` for ``phase``, ascending per owner.
 
@@ -84,23 +84,39 @@ def group_by_digit_owner(marks: bytes, phase: int,
     bytes: an owner's positions are every ``n``-th block of
     ``n ** (phase - 1)`` (in phase 1, every ``n``-th byte), so each
     block is sliced out and only its flagged positions are touched.
+    An owner whose flagged positions are its whole phase-1 residue
+    class, or one whole block, gets them as a ``range`` (nothing is
+    materialised); any other owner gets a tuple.
     """
     check_positive("phase", phase)
     check_positive("n", n)
     width = n ** (phase - 1)
     ell = len(marks)
-    by_owner: dict[int, list[int]] = {}
+    by_owner: dict[int, Union[range, tuple]] = {}
     if width == 1:
         for owner in range(min(n, ell)):
-            flagged = list(compress(range(owner, ell, n), marks[owner::n]))
-            if flagged:
-                by_owner[owner] = flagged
+            flags = marks[owner::n]
+            if 0 not in flags:
+                by_owner[owner] = range(owner, ell, n)
+            else:
+                flagged = tuple(compress(range(owner, ell, n), flags))
+                if flagged:
+                    by_owner[owner] = flagged
         return by_owner
+    pieces: dict[int, list] = {}
     for block, lo in enumerate(range(0, ell, width)):
         flags = marks[lo:lo + width]
-        if flags.count(0) < len(flags):
-            by_owner.setdefault(block % n, []).extend(
+        if 0 not in flags:
+            pieces.setdefault(block % n, []).append(
+                range(lo, lo + len(flags)))
+        elif flags.count(0) < len(flags):
+            pieces.setdefault(block % n, []).append(
                 compress(range(lo, lo + len(flags)), flags))
+    for owner, parts in pieces.items():
+        if len(parts) == 1 and type(parts[0]) is range:
+            by_owner[owner] = parts[0]
+        else:
+            by_owner[owner] = tuple(chain.from_iterable(parts))
     return by_owner
 
 

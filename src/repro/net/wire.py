@@ -18,7 +18,8 @@ indices of a query are the same object without ``bits``
 (:func:`indices_to_wire` / :func:`run_to_wire` and their ``from_wire``
 inverses, which raise :class:`WireError` for anything malformed).  A
 protocol message is ``{"kind": <class>, "fields": {…}}``
-(:func:`message_to_wire` / :func:`message_from_wire`).
+(:func:`message_to_wire` / :func:`message_from_wire`); a ``range``
+field travels as ``{"range": [start, stop, step]}``.
 """
 
 from __future__ import annotations
@@ -95,6 +96,8 @@ def run_from_wire(wire: dict) -> BitRun:
 def _value_to_wire(value):
     if type(value) is BitRun:
         return {"run": run_to_wire(value)}
+    if type(value) is range and value.step > 0:
+        return indices_to_wire(value)
     if type(value) is tuple:
         return [_value_to_wire(item) for item in value]
     if type(value) is dict and set(map(type, value)) <= {int}:
@@ -112,6 +115,8 @@ def _value_from_wire(wire):
         return tuple(map(_value_from_wire, wire))
     if type(wire) is dict and list(wire) == ["run"]:
         return run_from_wire(wire["run"])
+    if type(wire) is dict and list(wire) == ["range"]:
+        return indices_from_wire(wire)
     if type(wire) is dict and list(wire) == ["map"]:
         items = {key: _value_from_wire(item) for key, item in wire["map"]}
         if set(map(type, items)) <= {int}:
@@ -132,7 +137,8 @@ def message_to_wire(message: Message) -> dict:
     """Wire form of a protocol message: its class's name beside each
     dataclass field, in the shapes ``bits_for`` sizes — ``None``,
     ``bool``, ``int`` and ``str`` as themselves, a tuple as a list, a
-    run as ``{"run": …}``, an int-keyed dict as ``{"map": [[k, v], …]}``."""
+    positive-step range as ``{"range": [start, stop, step]}``, a run as
+    ``{"run": …}``, an int-keyed dict as ``{"map": [[k, v], …]}``."""
     return {"kind": _kind(type(message)),
             "fields": {field.name: _value_to_wire(getattr(message,
                                                           field.name))

@@ -23,11 +23,13 @@ by peer against the dict-of-sets statement above):
 * A peer accepts a block exactly once (``accepted_mask`` filters), at
   the delivery event where its ``t + 1``-th distinct vote lands.
 * A span delivery wakes the peers it completed, in ascending pid order
-  — the order their own delivery events would have run in.  For any
-  other peer the notify of a per-message delivery evaluates a false
-  wait predicate and schedules nothing, so skipping it is invisible.
-  (The one predicate a delivery can satisfy without completing the
-  peer is a passed ``give_up_time``; see :meth:`deliver_span`.)
+  — the order their own delivery events would have run in — and a
+  single delivery through :meth:`deliver_one` wakes its peer only if it
+  completed it.  For any other peer the notify of a per-message
+  delivery evaluates a false wait predicate and schedules nothing, so
+  skipping it is invisible.  (The one predicate a delivery can satisfy
+  without completing the peer is a passed ``give_up_time``; see
+  :meth:`deliver_span`.)
 * Votes tallied for crashed/finished peers are never read again
   (their output, if any, was packed at finish time); per-message
   deliveries to such peers evaporate the same way.
@@ -134,6 +136,9 @@ class CommitteeBoard:
         #: in a normal run every honest peer accepts the same columns,
         #: so the whole fleet shares one packed BitArray.
         self._outputs: dict[tuple, BitArray] = {}
+        #: Marks the column a report resolved to on this board (see
+        #: :meth:`_column`).
+        self._token = object()
 
     # -- wiring ------------------------------------------------------------
 
@@ -150,7 +155,7 @@ class CommitteeBoard:
 
     def owns(self, pid: int) -> bool:
         """True when ``pid`` registered (span-sink contract: only an
-        owned destination may be part of a span)."""
+        owned destination's reports reach the board's entries)."""
         return self.receivers[pid] is not None
 
     def blocks_of(self, pid: int) -> list[int]:
@@ -170,6 +175,19 @@ class CommitteeBoard:
             self._seen.append({})
         return col
 
+    def _column(self, message) -> Optional[int]:
+        """:meth:`_valid_col` of a report, resolved once per message
+        object: a broadcast hands one frozen report to ``n - 1`` peers,
+        so the first resolution is kept in the instance dict (as
+        ``Message.size_bits`` keeps the size), tagged with this board's
+        token so that another board never reads it."""
+        cached = message.__dict__.get("_board_col")
+        if cached is not None and cached[0] is self._token:
+            return cached[1]
+        col = self._valid_col(message.block, message.sender, message.string)
+        message.__dict__["_board_col"] = (self._token, col)
+        return col
+
     def _valid_col(self, block: int, sender: int,
                    string: str) -> Optional[int]:
         """Column for a report, or ``None`` for reports the acceptance
@@ -187,23 +205,43 @@ class CommitteeBoard:
     # -- delivery ----------------------------------------------------------
 
     def on_single(self, pid: int, message) -> None:
-        """Per-message path: one report reached one peer (whatever
-        :meth:`~repro.sim.network.Network.broadcast` could not group).
-        The peer's own ``deliver`` notifies it, so nothing is woken
-        from here."""
-        col = self._valid_col(message.block, message.sender, message.string)
-        if col is None:
-            return
+        """Handler path: one report reached one peer through its own
+        ``deliver`` (a delivery the network could not hand to
+        :meth:`deliver_one`, see ``Network.span_sink``, or any on the
+        socket host).  That ``deliver`` notifies the peer, so nothing is
+        woken here."""
+        col = self._column(message)
+        if col is not None:
+            self._tally_one(pid, col, message.sender)
+
+    def deliver_one(self, message, pid: int) -> None:
+        """Per-peer entry (span-sink contract): one report reached
+        ``pid``, and never its inbox or handler.  The report is tallied
+        as :meth:`on_single` tallies it; the peer is notified only if
+        the report completed it, or once ``deadline`` has passed — the
+        rule :meth:`deliver_span` follows."""
+        receiver = self.receivers[pid]
+        if not receiver.live:
+            return  # deliveries to crashed/finished peers evaporate
+        col = self._column(message)
+        kernel = self.kernel
+        if (col is not None and self._tally_one(pid, col, message.sender)) \
+                or (self.deadline is not None
+                    and kernel.now >= self.deadline):
+            kernel.notify(receiver)
+
+    def _tally_one(self, pid: int, col: int, sender: int) -> bool:
+        """Count ``sender``'s report in ``col`` for ``pid`` (once per
+        sender); True when it completed ``pid``."""
         bit = 1 << pid
         seen = self._seen[col]
-        prev = seen.get(message.sender, 0)
+        prev = seen.get(sender, 0)
         if prev & bit:
-            return  # duplicate from this sender: counted once already
-        seen[message.sender] = prev | bit
+            return False  # duplicate from this sender: counted once already
+        seen[sender] = prev | bit
         newly = self._tally[col].add(bit)
-        if newly:
-            # t + 1 identical reports include at least one honest one.
-            self._accept(col, newly)
+        # t + 1 identical reports include at least one honest one.
+        return bool(newly) and bool(self._accept(col, newly))
 
     def deliver_span(self, message, lo: int, hi: int) -> None:
         """Span path: one report reached the whole pid span [lo, hi).
@@ -212,7 +250,7 @@ class CommitteeBoard:
         peer's wait is satisfied by the clock alone, so every peer of
         the span is notified, as its own delivery event would have."""
         completed: Iterable[int] = ()
-        col = self._valid_col(message.block, message.sender, message.string)
+        col = self._column(message)
         if col is not None:
             span = (1 << hi) - (1 << lo)
             seen = self._seen[col]

@@ -119,9 +119,13 @@ class ByzTwoCycleDownloadPeer(DownloadPeer):
         self.reports = FrequencyTable()
         self.tree_queries = 0
         self.fallback_segments = 0
+        #: Peers whose report arrived, valid or not (and self): the
+        #: cycle-2 wait's count, kept as each report lands.
+        self._reporters = {pid}
         self.on_message(SegmentReport, self._on_report)
 
     def _on_report(self, message: SegmentReport) -> None:
+        self._reporters.add(message.sender)
         if self.segmentation is None:
             return
         if not 0 <= message.segment < self.segmentation.num_segments:
@@ -153,19 +157,15 @@ class ByzTwoCycleDownloadPeer(DownloadPeer):
         self.begin_cycle()
         self.note_phase("determine")
         needed = self.n - self.t
+        reporters = self._reporters
         yield self.wait_until(
-            lambda: len(self._reporters()) >= needed,
+            lambda: len(reporters) >= needed,
             f"segment reports from {needed} peers (incl. self)")
         for segment in range(self.segmentation.num_segments):
             if segment == picked:
                 continue
             yield from self._determine_segment(segment)
         self.finish_with_working()
-
-    def _reporters(self) -> set[int]:
-        reporters = self.inbox.senders(SegmentReport)
-        reporters.add(self.pid)
-        return reporters
 
     def _determine_segment(self, segment: int) -> Iterator:
         """Resolve one segment from tau-frequent reports (or fall back

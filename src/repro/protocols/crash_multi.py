@@ -44,7 +44,7 @@ really crashed — cutting the time complexity's ``t * X / b`` term.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional
+from typing import Iterator, Mapping, Optional, Union
 
 from repro.core.assignment import group_by_digit_owner
 from repro.core.bounds import default_direct_threshold, planned_phases
@@ -56,10 +56,11 @@ from repro.sim.peer import SimEnv
 @dataclass(frozen=True)
 class DataRequest(Message):
     """Stage 1: "please send me these bits, which phase ``p`` assigns
-    to you"."""
+    to you".  ``indices`` are distinct and ascending: a positive-step
+    ``range`` (a whole residue class) or a tuple."""
 
     phase: int
-    indices: tuple[int, ...]
+    indices: Union[range, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,11 @@ class DataResponse(Message):
 @dataclass(frozen=True)
 class MissingRequest(Message):
     """Stage 2→3: "I did not hear from these peers; do you have these
-    specific bits of theirs?"  ``needs`` maps missing peer -> indices."""
+    specific bits of theirs?"  ``needs`` maps missing peer -> indices
+    (distinct and ascending, as in :class:`DataRequest`)."""
 
     phase: int
-    needs: dict[int, tuple[int, ...]]
+    needs: dict[int, Union[range, tuple[int, ...]]]
 
     def measure_bits(self) -> int:
         payload = sum(FIELD_BITS * (1 + len(indices))
@@ -139,6 +141,8 @@ class CrashMultiDownloadPeer(DownloadPeer):
         # Peers I heard (complete stage-1 responses) per phase; self
         # always counts.
         self.heard: dict[int, set[int]] = {}
+        # Peers that answered my stage-2 request, per phase.
+        self._missing_responders: dict[int, set[int]] = {}
         self._pending_data_requests: list[DataRequest] = []
         self._pending_missing_requests: list[MissingRequest] = []
         self.on_message(DataRequest, self._on_data_request)
@@ -164,8 +168,10 @@ class CrashMultiDownloadPeer(DownloadPeer):
             if not ready:
                 still_pending.append(request)
                 continue
+            # Honest requests list distinct indices, so the gathered
+            # run is complete when it holds as many bits as were asked.
             values = self.known_subset(request.indices)
-            complete = len(values) == len(set(request.indices))
+            complete = len(values) == len(request.indices)
             self.send(request.sender, DataResponse(
                 sender=self.pid, phase=request.phase, values=values,
                 complete=complete))
@@ -192,7 +198,7 @@ class CrashMultiDownloadPeer(DownloadPeer):
             found: dict[int, Optional[Mapping[int, int]]] = {}
             for missing_peer, indices in request.needs.items():
                 values = self.known_subset(indices)
-                if len(values) == len(set(indices)):
+                if len(values) == len(indices):
                     found[missing_peer] = values
                 else:
                     found[missing_peer] = None  # "me neither"
@@ -201,6 +207,8 @@ class CrashMultiDownloadPeer(DownloadPeer):
         self._pending_missing_requests = still_pending
 
     def _on_missing_response(self, message: MissingResponse) -> None:
+        self._missing_responders.setdefault(message.phase, set()).add(
+            message.sender)
         for values in message.found.values():
             if values:
                 self.learn_many(values)
@@ -229,12 +237,12 @@ class CrashMultiDownloadPeer(DownloadPeer):
             self._enter(phase, 1)
             owners = group_by_digit_owner(self.unknown_marks(), phase,
                                           self.n)
-            values = yield from self.query_bits(owners.get(self.pid, []))
+            values = yield from self.query_bits(owners.get(self.pid, ()))
             self.learn_many(values)
             for destination in self.others:
                 self.send(destination, DataRequest(
                     sender=self.pid, phase=phase,
-                    indices=tuple(owners.get(destination, ()))))
+                    indices=owners.get(destination, ())))
 
             # ---- stage 2: hear from n - t peers ----
             self._enter(phase, 2)
@@ -256,7 +264,7 @@ class CrashMultiDownloadPeer(DownloadPeer):
             for missing_peer in missing:
                 lacked = lacked_by_owner.get(missing_peer)
                 if lacked:
-                    needs[missing_peer] = tuple(lacked)
+                    needs[missing_peer] = lacked
             request = MissingRequest(sender=self.pid, phase=phase,
                                      needs=needs)
             for destination in self.others:
@@ -280,11 +288,10 @@ class CrashMultiDownloadPeer(DownloadPeer):
         self.finish_with_working()
 
     def _stage3_done(self, phase: int, needed: int,
-                     needs: dict[int, tuple[int, ...]]) -> bool:
+                     needs: dict[int, Union[range, tuple]]) -> bool:
         if self.full_received:
             return True
-        responses = self.inbox.senders(
-            MissingResponse, lambda msg, p=phase: msg.phase == p)
+        responses = self._missing_responders.get(phase, ())
         if len(responses) >= needed - 1:  # self is the needed-th shrug
             return True
         if self.fast:

@@ -97,6 +97,11 @@ class CrashOneDownloadPeer(DownloadPeer):
         # their FullBits broadcast supersedes share exchange).
         self._reassignment: dict[int, int] = {}
         self._pending_probes: list[Probe] = []
+        #: Per phase, the peers whose share arrived (and self), and the
+        #: peers that replied to our probe: the waits' "heard from"
+        #: counts, kept by the handlers as each message lands.
+        self._shares_from: dict[int, set[int]] = {}
+        self._replies_from: dict[int, set[int]] = {}
         self.on_message(ShareValues, self._on_share)
         self.on_message(Probe, self._on_probe)
         self.on_message(ProbeReply, self._on_probe_reply)
@@ -105,6 +110,7 @@ class CrashOneDownloadPeer(DownloadPeer):
     # -- reactive handlers ---------------------------------------------------
 
     def _on_share(self, message: ShareValues) -> None:
+        self._heard(message.phase).add(message.sender)
         self.learn_many(message.values)
         self._serve_probes()
 
@@ -133,6 +139,8 @@ class CrashOneDownloadPeer(DownloadPeer):
         self._pending_probes = still_pending
 
     def _on_probe_reply(self, message: ProbeReply) -> None:
+        self._replies_from.setdefault(message.phase, set()).add(
+            message.sender)
         if message.values:
             self.learn_many(message.values)
 
@@ -143,11 +151,12 @@ class CrashOneDownloadPeer(DownloadPeer):
     # -- helpers ------------------------------------------------------------------
 
     def _heard(self, phase: int) -> set[int]:
-        """Peers whose stage-1 share for ``phase`` has arrived (+ self)."""
-        senders = self.inbox.senders(
-            ShareValues, lambda msg, p=phase: msg.phase == p)
-        senders.add(self.pid)
-        return senders
+        """Peers whose stage-1 share for ``phase`` has arrived (+ self);
+        the live set, which the caller must not change."""
+        heard = self._shares_from.get(phase)
+        if heard is None:
+            heard = self._shares_from[phase] = {self.pid}
+        return heard
 
     def _phase_share(self, phase: int, pid: int) -> list[int]:
         """Indices assigned to ``pid`` in ``phase`` (phase 2 needs the
@@ -240,5 +249,4 @@ class CrashOneDownloadPeer(DownloadPeer):
         return absent[0] if absent else None
 
     def _probe_replies(self, phase: int) -> int:
-        return len(self.inbox.senders(
-            ProbeReply, lambda msg, p=phase: msg.phase == p))
+        return len(self._replies_from.get(phase, ()))

@@ -58,8 +58,9 @@ class HostPorts:
     def span_sink(self, message_type: type, factory):
         """The tally for ``message_type``, built by ``factory()`` on
         first request (cf. :meth:`repro.sim.network.Network.span_sink`).
-        A host delivers message by message, so only the tally's
-        per-message side is ever driven."""
+        A host delivers message by message, so the tally's span side is
+        never driven: the lockstep host hands an owned message to the
+        tally's ``deliver_one``, the socket host to the peer's handler."""
         sink = self.span_sinks.get(message_type)
         if sink is None:
             sink = self.span_sinks[message_type] = factory()

@@ -41,7 +41,8 @@ def bits_for(value: object) -> int:
     containers cost the sum of their items plus a length field.  A
     :class:`~repro.util.bitarrays.BitRun` (the one bit-map payload)
     and a builtin sequence or set holding nothing but plain ``int``
-    are charged in closed form — the same number the walk arrives at.
+    are charged in closed form — the same number the walk arrives at;
+    a positive-step ``range`` is charged as the tuple of its ints.
 
     Precedence matters for booleans: ``bool`` is a subclass of ``int``
     in Python, so the ``bool``/``None`` check MUST run before the
@@ -66,6 +67,8 @@ def bits_for(value: object) -> int:
         if _all_int(value):
             return FIELD_BITS * (1 + len(value))
         return FIELD_BITS + sum(bits_for(item) for item in value)
+    if type(value) is range and value.step > 0:
+        return FIELD_BITS * (1 + len(value))  # as the tuple it stands for
     raise TypeError(f"cannot size payload of type {type(value).__name__}")
 
 

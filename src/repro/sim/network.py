@@ -326,9 +326,13 @@ class Network:
             sender_pid, destination, message, now, sender_cycle)
         if (type(latency) is float and 0.0 <= latency < _INF
                 and self._plain_links):
-            heappush(self._heap, (now + latency, self._next_seq(),
-                                  partial(self._deliver, destination,
-                                          message)))
+            sink = self._span_sinks.get(type(message)) \
+                if self._span_sinks and self.telemetry is None else None
+            if sink is not None and sink.owns(destination):
+                action = partial(sink.deliver_one, message, destination)
+            else:
+                action = partial(self._deliver, destination, message)
+            heappush(self._heap, (now + latency, self._next_seq(), action))
             return True
         if (self.packetize and self.message_size_limit is not None
                 and isinstance(latency, (int, float))):
@@ -377,11 +381,17 @@ class Network:
         registers one here, and :meth:`broadcast` may then hand it a
         whole run of destinations as a single event.  It provides
         ``deliver_span(message, lo, hi)`` — the message reached every
-        pid in ``[lo, hi)`` — ``owns(pid)`` — ``pid``'s deliveries
-        of this type go through the sink; a destination it does not own
-        (a scripted attacker, say) always gets its own delivery event —
-        and ``unlink()``, which drops its references to the receivers
-        (they hold the sink back) when the run ends.
+        pid in ``[lo, hi)`` — ``deliver_one(message, pid)`` — it
+        reached ``pid`` alone — ``owns(pid)`` — ``pid``'s deliveries of
+        this type go through the sink; a destination it does not own (a
+        scripted attacker, say) always gets ``Receiver.deliver`` — and
+        ``unlink()``, which drops its references to the receivers (they
+        hold the sink back) when the run ends.  Without telemetry, a
+        lone broadcast copy to an owned destination and a :meth:`send`
+        queued as one plain heap entry go to ``deliver_one``, and reach
+        neither the inbox nor the handlers; any other delivery (withheld,
+        FIFO, packetized, routed, or a transformed broadcast copy) goes
+        through ``Receiver.deliver``.
         """
         sink = self._span_sinks.get(message_type)
         if sink is None:
@@ -417,7 +427,8 @@ class Network:
         have carried consecutive sequence numbers, so no other event
         can order between them and the pop order of the whole queue is
         unchanged.  Withheld, transformed and lone deliveries, and
-        destinations the sink does not own, get their own event.
+        destinations the sink does not own, get their own event; a lone
+        one to an owned destination is the sink's ``deliver_one``.
         """
         if (self.telemetry is not None or self.fifo
                 or self.message_size_limit is not None):
@@ -442,7 +453,7 @@ class Network:
         def flush() -> None:  # queue the open span and close it
             nonlocal run_lo, run_hi
             if run_hi - run_lo == 1:
-                action = partial(deliver, run_lo, message)
+                action = partial(sink.deliver_one, message, run_lo)
             else:
                 action = partial(self._deliver_span, message, run_lo,
                                  run_hi, sink)

@@ -18,7 +18,7 @@ automatically subject to the adversary.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Iterable, Iterator, Optional, Type, TypeVar
@@ -101,27 +101,9 @@ class MessageLog:
         """Count of matching messages."""
         return len(self.of_type(message_type, predicate))
 
-    def senders(self, message_type: Type[M],
-                predicate: Optional[Callable[[M], bool]] = None) -> set[int]:
-        """Distinct senders of matching messages."""
-        if predicate is None:
-            return set(self._senders.get(message_type, ()))
-        return {message.sender
-                for message in self.of_type(message_type, predicate)}
-
-    def value_counts(self, message_type: Type[M],
-                     key: Callable[[M], object]) -> Counter:
-        """Histogram of ``key(message)`` over messages of a type,
-        counting each *sender* at most once per key value (a Byzantine
-        peer repeating itself must not inflate frequency counts)."""
-        seen: set[tuple[int, object]] = set()
-        histogram: Counter = Counter()
-        for message in self.of_type(message_type):
-            entry = (message.sender, key(message))
-            if entry not in seen:
-                seen.add(entry)
-                histogram[key(message)] += 1
-        return histogram
+    def senders(self, message_type: Type[M]) -> set[int]:
+        """Distinct senders of messages of ``message_type`` (a copy)."""
+        return set(self._senders.get(message_type, ()))
 
 
 class Peer(Process):
@@ -276,22 +258,20 @@ class Peer(Process):
         """Build a wait request tagged with this peer's name."""
         return WaitUntil(predicate, f"peer-{self.pid}: {description}")
 
-    def wait_for_messages(self, message_type: Type[M], minimum: int,
-                          predicate: Optional[Callable[[M], bool]] = None,
+    def wait_for_messages(self, message_type: Type[M], minimum: int, *,
                           description: str = "") -> WaitUntil:
-        """Wait until ``minimum`` distinct senders match.
+        """Wait until ``minimum`` distinct peers sent a ``message_type``.
 
         Counting distinct senders (not raw messages) is what the
         protocols' "hear from at least n - t peers" steps mean; it also
-        blunts Byzantine message spam.
+        blunts Byzantine message spam.  The predicate reads the live
+        sender set the inbox keeps as messages land.  A wait that counts
+        only some messages of a type keeps its own sender set in the
+        type's handler (as crash-one does per phase).
         """
         what = description or f"{minimum} x {message_type.__name__}"
-        if predicate is None:
-            heard = self.inbox._senders[message_type]  # kept by ``add``
-            return self.wait_until(lambda: len(heard) >= minimum, what)
-        return self.wait_until(
-            lambda: len(self.inbox.senders(message_type, predicate)) >= minimum,
-            what)
+        heard = self.inbox._senders[message_type]  # kept by ``add``
+        return self.wait_until(lambda: len(heard) >= minimum, what)
 
     def wait_with_deadline(self, predicate: Callable[[], bool],
                            deadline: float, description: str) -> WaitUntil:

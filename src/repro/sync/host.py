@@ -102,8 +102,15 @@ class LockstepHost(SyncPeer):
             # A body with no yield (a fire-and-forget attacker) ran to
             # completion inside the call.
             self._body = self.peer.body() or iter(())
+        # A message type with a span sink goes to the sink's per-peer
+        # entry, as on the simulator: never to the inbox or a handler.
+        sinks = self._source.span_sinks
         for message in inbox:
-            self.peer.deliver(message)
+            sink = sinks.get(type(message)) if sinks else None
+            if sink is not None and sink.owns(self.pid):
+                sink.deliver_one(message, self.pid)
+            else:
+                self.peer.deliver(message)
         while self._wait is None or self._wait.predicate():
             try:
                 self._wait = next(self._body)

@@ -18,6 +18,7 @@ from collections import Counter
 import pytest
 
 from repro.experiments import ExperimentSpec, execute_repeat
+from repro.protocols.board import CommitteeBoard
 from repro.sim.messages import SourceResponse
 from repro.sim.peer import Peer
 from repro.util.bitarrays import BitRun
@@ -51,8 +52,9 @@ SHARES = {"crash-multi": "DataResponse", "balanced": "ShareMessage",
 def test_delivered_size_equals_charged_size(case, monkeypatch):
     delivered = Counter()
     deliver = Peer.deliver
+    deliver_one = CommitteeBoard.deliver_one
 
-    def checking_deliver(self, message):
+    def check(message):
         if not isinstance(message, SourceResponse):
             # Peer messages are sized by Network.send before they
             # travel; source responses are never charged as messages.
@@ -63,9 +65,19 @@ def test_delivered_size_equals_charged_size(case, monkeypatch):
         delivered[name] += 1
         if name in ("SourceResponse", SHARES.get(case["protocol"])):
             assert type(message.values) is BitRun, message
+
+    def checking_deliver(self, message):
+        check(message)
         deliver(self, message)
 
+    def checking_deliver_one(self, message, pid):
+        # A committee report to an owned peer goes to the board's
+        # per-peer entry, never to ``Peer.deliver``.
+        check(message)
+        deliver_one(self, message, pid)
+
     monkeypatch.setattr(Peer, "deliver", checking_deliver)
+    monkeypatch.setattr(CommitteeBoard, "deliver_one", checking_deliver_one)
     record = execute_repeat(ExperimentSpec(base_seed=12, **case), 0)
     assert record.correct
     assert delivered["SourceResponse"] > 0

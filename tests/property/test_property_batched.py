@@ -84,7 +84,8 @@ class _ModelPeer:
         self.accepted: dict[int, str] = {}
         self.support: dict[tuple[int, str], set[int]] = {}
 
-    def report(self, sender, block, string):
+    def report(self, message):
+        sender, block, string = message.sender, message.block, message.string
         if block in self.accepted:
             return
         if not 0 <= block < self.blocks.num_segments:
@@ -108,7 +109,8 @@ class _ModelPeer:
 
 @st.composite
 def board_scenarios(draw):
-    """A board shape plus a random interleaving of deliveries: honest
+    """A board shape plus a random interleaving of deliveries (through
+    the handler, the per-peer entry and spans) and self-accepts: honest
     and forged reports, duplicates, non-members, out-of-range blocks
     and senders, wrong-width strings."""
     n = draw(st.integers(min_value=3, max_value=9))
@@ -127,22 +129,24 @@ def board_scenarios(draw):
         # reach t + 1), now and then one of the wrong width.
         string = draw(st.sampled_from(
             ["0" * width, "1" * width, "1" * (width + 1), ""]))
-        return draw(any_sender), block, string
+        return SimpleNamespace(sender=draw(any_sender), block=block,
+                               string=string)
 
-    # A small pool of reports, so the same one is delivered again and
-    # again (to the same peer too: duplicates must count once).
+    # A small pool of report objects, so the same one is delivered
+    # again and again, as a broadcast shares one message among its
+    # copies (to the same peer too: duplicates must count once).
     pool = st.sampled_from([report() for _ in range(
         draw(st.integers(min_value=1, max_value=6)))])
     ops = []
     for _ in range(draw(st.integers(min_value=0, max_value=40))):
-        kind = draw(st.sampled_from(["single", "single", "span", "span",
+        kind = draw(st.sampled_from(["single", "one", "span", "span",
                                      "self"]))
-        if kind == "single":
-            ops.append(("single", draw(st.integers(0, n - 1)), *draw(pool)))
+        if kind in ("single", "one"):
+            ops.append((kind, draw(st.integers(0, n - 1)), draw(pool)))
         elif kind == "span":
             lo = draw(st.integers(0, n - 1))
             hi = draw(st.integers(lo + 1, n))
-            ops.append(("span", lo, hi, *draw(pool)))
+            ops.append(("span", lo, hi, draw(pool)))
         else:
             block = draw(st.integers(0, num_blocks - 1))
             ops.append(("self", draw(st.integers(0, n - 1)), block,
@@ -151,40 +155,51 @@ def board_scenarios(draw):
 
 
 class TestCommitteeBoardModel:
-    @given(board_scenarios())
+    @given(board_scenarios(), st.sampled_from([None, 0.5, 2.0]))
     @settings(max_examples=300, deadline=None)
-    def test_board_equals_the_per_peer_rule(self, scenario):
+    def test_board_equals_the_per_peer_rule(self, scenario, give_up_time):
         """After every delivery the board and ``n`` independent model
-        peers agree, peer by peer, on which blocks are accepted; a span
-        wakes exactly the peers it completed, in ascending order, and a
-        single delivery wakes nobody (the peer's own ``deliver`` does);
-        the final outputs show every accepted string is the model's."""
+        peers agree, peer by peer, on which blocks are accepted.  A span
+        wakes exactly the peers it completed, in ascending order, and
+        the per-peer entry wakes its peer only if it completed it —
+        or, once ``give_up_time`` has passed, every peer they reached;
+        a handler delivery wakes nobody (the peer's own ``deliver``
+        does).  The final outputs show every accepted string is the
+        model's."""
         n, t, blocks, ops = scenario
         num_blocks = blocks.num_segments
         kernel = _RecordingKernel()
+        kernel.now = 1.0
+        late = give_up_time is not None and kernel.now >= give_up_time
         board = CommitteeBoard(kernel=kernel, n=n, t=t, blocks=blocks,
                                committee_size=2 * t + 1)
         for pid in range(n):
-            board.register(SimpleNamespace(pid=pid, give_up_time=None))
+            board.register(SimpleNamespace(pid=pid, live=True,
+                                           give_up_time=give_up_time))
         model = [_ModelPeer(n, t, blocks) for _ in range(n)]
         for op in ops:
             kernel.notified.clear()
             was_complete = [peer.complete for peer in model]
+
+            def reached(pids):
+                return [pid for pid in pids if late or (
+                    model[pid].complete and not was_complete[pid])]
             if op[0] == "single":
-                _, pid, sender, block, string = op
-                board.on_single(pid, SimpleNamespace(
-                    sender=sender, block=block, string=string))
-                model[pid].report(sender, block, string)
+                _, pid, message = op
+                board.on_single(pid, message)
+                model[pid].report(message)
                 assert kernel.notified == []
+            elif op[0] == "one":
+                _, pid, message = op
+                board.deliver_one(message, pid)
+                model[pid].report(message)
+                assert kernel.notified == reached([pid])
             elif op[0] == "span":
-                _, lo, hi, sender, block, string = op
-                board.deliver_span(SimpleNamespace(
-                    sender=sender, block=block, string=string), lo, hi)
+                _, lo, hi, message = op
+                board.deliver_span(message, lo, hi)
                 for pid in range(lo, hi):
-                    model[pid].report(sender, block, string)
-                assert kernel.notified == [
-                    pid for pid in range(lo, hi)
-                    if model[pid].complete and not was_complete[pid]]
+                    model[pid].report(message)
+                assert kernel.notified == reached(range(lo, hi))
             else:
                 _, pid, block, string = op
                 board.self_accept(pid, block, string)
@@ -223,14 +238,31 @@ class TestCommitteeBoardModel:
         for op in ops:
             if op[0] != "span":
                 continue
-            _, lo, hi, sender, block, string = op
+            _, lo, hi, message = op
             kernel.notified.clear()
-            board.deliver_span(SimpleNamespace(
-                sender=sender, block=block, string=string), lo, hi)
+            board.deliver_span(message, lo, hi)
             if now >= 1.0:
                 assert kernel.notified == list(range(lo, hi))
             else:
                 assert set(kernel.notified) <= set(range(lo, hi))
+
+    def test_a_peer_no_longer_live_is_skipped(self):
+        """The per-peer entry drops a report to a crashed or finished
+        peer, as the network drops a delivery to one."""
+        blocks = Segmentation(2, 1)
+        kernel = _RecordingKernel()
+        board = CommitteeBoard(kernel=kernel, n=3, t=0, blocks=blocks,
+                               committee_size=1)
+        peers = [SimpleNamespace(pid=pid, live=True, give_up_time=None)
+                 for pid in range(3)]
+        for peer in peers:
+            board.register(peer)
+        report = SimpleNamespace(sender=0, block=0, string="01")
+        peers[1].live = False
+        board.deliver_one(report, 1)
+        assert board.accepted_blocks(1) == 0 and kernel.notified == []
+        board.deliver_one(report, 2)
+        assert board.accepted_blocks(2) == 1 and kernel.notified == [2]
 
 
 class TestCommitteesByPeer:

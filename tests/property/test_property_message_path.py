@@ -73,8 +73,9 @@ class StubReceiver:
 
 class SpanSink:
     """Owns every pid's ``Ping`` deliveries, so a broadcast with
-    telemetry off takes the grouped path; a span lands in each
-    receiver's log as its own delivery would have."""
+    telemetry off takes the grouped path; a span, and a lone delivery
+    through the per-peer entry, land in each receiver's log as its own
+    delivery would have."""
 
     def __init__(self, kernel, receivers):
         self.kernel = kernel
@@ -86,6 +87,9 @@ class SpanSink:
     def deliver_span(self, message, lo, hi):
         for receiver in self.receivers[lo:hi]:
             receiver.received.append((self.kernel.now, message))
+
+    def deliver_one(self, message, pid):
+        self.deliver_span(message, pid, pid + 1)
 
 
 def bind(adversary, seed):

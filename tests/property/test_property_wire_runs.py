@@ -122,10 +122,14 @@ def every_message(run, text, number):
         ProbeReply(sender=2, phase=1, about=number, values=run),
         ProbeReply(sender=2, phase=1, about=None, values=None),
         FullBits(sender=3, bits=text),
+        # Index fields as crash-multi builds them: a range (a whole
+        # residue class) or a tuple.
+        DataRequest(sender=0, phase=number, indices=run.indices),
         DataRequest(sender=0, phase=number, indices=tuple(run.indices)),
         DataResponse(sender=1, phase=3, values=run, complete=number > 2),
         MissingRequest(sender=1, phase=2,
-                       needs={number: tuple(run.indices), 7: ()}),
+                       needs={number: run.indices, 7: (),
+                              8: tuple(run.indices), 9: range(1, 8, 3)}),
         MissingResponse(sender=1, phase=2, found={number: run, 7: None}),
         FullArray(sender=2, bits=text),
         CommitteeReport(sender=4, block=number, string=text),
@@ -164,6 +168,10 @@ MALFORMED_MESSAGES = {
     "untagged-object": {**SHARE, "fields": {"sender": 1, "values": {}}},
     "bad-run": {**SHARE, "fields": {"sender": 1,
                                     "values": {"run": {"at": [2, 1]}}}},
+    "zero-step-range": {**SHARE, "fields": {
+        "sender": 1, "values": {"range": [0, 4, 0]}}},
+    "float-range": {**SHARE, "fields": {
+        "sender": 1, "values": {"range": [0, 4.0, 1]}}},
     "string-key": {**SHARE, "fields": {"sender": 1,
                                        "values": {"map": [["1", 0]]}}},
     "not-a-pair": {**SHARE, "fields": {"sender": 1,
@@ -181,8 +189,10 @@ def test_a_malformed_message_is_a_wire_error(wire):
         message_from_wire(wire)
 
 
-@pytest.mark.parametrize("value", [1.5, {1, 2}, [1], {"1": 0}, b"01"],
-                         ids=["float", "set", "list", "str-keyed", "bytes"])
+@pytest.mark.parametrize("value", [1.5, {1, 2}, [1], {"1": 0}, b"01",
+                                   range(4, 0, -1)],
+                         ids=["float", "set", "list", "str-keyed", "bytes",
+                              "descending-range"])
 def test_a_field_with_no_wire_form_fails_at_the_sender(value):
     with pytest.raises(WireError, match="no wire form"):
         message_to_wire(Probe(sender=0, phase=1, missing=value))

@@ -19,7 +19,10 @@ from repro.core.bounds import committee_query_bound
 from repro.obs.telemetry import RecordingTelemetry, using
 from repro.oracle.feeds import EquivocatingFeed
 from repro.protocols import ByzCommitteeDownloadPeer
+from repro.protocols.board import CommitteeBoard
 from repro.sim import ConfigurationError, Simulation, run_download
+from repro.sync import hosted_factory
+from repro.sync.engine import run_sync_download
 
 from tests.conftest import (assert_download_correct,
                             byzantine_async_adversary, full_record)
@@ -247,6 +250,38 @@ class TestSpanVsPerMessage:
         # One report per honest member of each of the 9 committees.
         assert len(heard) == sum(
             len(set(committee_for(block, 5, 9)) - {4}) for block in range(9))
+
+    @pytest.mark.parametrize("strategy", [None, WrongBitsStrategy])
+    def test_the_lockstep_host_tallies_through_the_entry(self, strategy,
+                                                        monkeypatch):
+        # On the lockstep host every report to a registered peer goes
+        # to the board's per-peer entry.  With the board owning no peer
+        # the host hands them all to ``Peer.deliver`` and the handler
+        # instead: the same run, field for field.
+        entries = []
+        deliver_one = CommitteeBoard.deliver_one
+
+        def counting(board, message, pid):
+            entries.append(pid)
+            deliver_one(board, message, pid)
+
+        monkeypatch.setattr(CommitteeBoard, "deliver_one", counting)
+
+        def run():
+            adversary = None if strategy is None else ByzantineAdversary(
+                corrupted={1, 5}, strategy_factory=lambda pid: strategy())
+            return run_sync_download(
+                n=12, ell=96, t=3, seed=5, adversary=adversary,
+                peer_factory=hosted_factory(ByzCommitteeDownloadPeer,
+                                            block_size=8))
+
+        through_entry = run()
+        assert through_entry.download_correct and entries
+        monkeypatch.setattr(CommitteeBoard, "owns", lambda board, pid: False)
+        entries.clear()
+        through_handler = run()
+        assert entries == []
+        assert through_entry == through_handler
 
     @pytest.mark.parametrize("give_up_time", [1.5, 2.0, 2.5, 50.0])
     def test_give_up_under_equivocating_source(self, give_up_time):

@@ -34,6 +34,21 @@ class TestCrashMultiMessages:
             FIELD_BITS * (1 + 3) + FIELD_BITS * (1 + 1))
         assert message.size_bits() == expected
 
+    def test_a_range_of_indices_costs_its_tuple(self):
+        # crash-multi sends a whole residue class as a range; it is
+        # charged exactly as the tuple of ints it stands for.
+        for indices in (range(3, 4096, 16), range(5, 6), range(0)):
+            as_range = DataRequest(sender=0, phase=1, indices=indices)
+            as_tuple = DataRequest(sender=0, phase=1, indices=tuple(indices))
+            assert as_range.size_bits() == as_tuple.size_bits()
+            assert as_range.size_bits() == \
+                HEADER_BITS + FIELD_BITS + FIELD_BITS * (1 + len(indices))
+            needs = {3: indices, 5: (9,)}
+            assert MissingRequest(sender=0, phase=2, needs=needs).size_bits() \
+                == MissingRequest(sender=0, phase=2, needs={
+                    peer: tuple(wanted) for peer, wanted in needs.items()
+                }).size_bits()
+
     def test_missing_response_me_neither_is_cheap(self):
         shrug = MissingResponse(sender=0, phase=1, found={3: None})
         carrying = MissingResponse(sender=0, phase=1,

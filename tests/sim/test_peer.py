@@ -41,16 +41,6 @@ class TestMessageLog:
         log.add(Note(sender=2, text="a"))
         assert log.senders(Note) == {0, 2}
 
-    def test_value_counts_one_vote_per_sender_per_value(self):
-        log = MessageLog()
-        for _ in range(5):  # spam: same sender repeating itself
-            log.add(Note(sender=0, text="fake"))
-        log.add(Note(sender=1, text="fake"))
-        log.add(Note(sender=2, text="real"))
-        counts = log.value_counts(Note, key=lambda m: m.text)
-        assert counts["fake"] == 2
-        assert counts["real"] == 1
-
     def test_all_preserves_order(self):
         log = MessageLog()
         log.add(Note(sender=0, text="first"))

@@ -34,9 +34,12 @@ _SAMPLES = {
     "str": "0110",
     "Optional[int]": None,
     "tuple[int, ...]": (1, 4, 6),
+    "Union[range, tuple[int, ...]]": range(2, 11, 3),
     "Mapping[int, int]": BitRun((3, 9), b"\x00\x01"),
     "Optional[Mapping[int, int]]": BitRun(range(2, 3), b"\x01"),
     "dict[int, tuple[int, ...]]": {4: (1, 2), 6: ()},
+    "dict[int, Union[range, tuple[int, ...]]]": {
+        4: (1, 2), 6: (), 8: range(0, 12, 4)},
     "dict[int, Optional[Mapping[int, int]]]": {
         4: BitRun(range(1, 2), b"\x00"), 6: None},
 }
