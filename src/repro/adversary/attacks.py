@@ -30,7 +30,7 @@ from repro.adversary.byzantine import ScriptedByzantinePeer
 from repro.core.assignment import committee_for
 from repro.core.segments import Segmentation
 from repro.protocols.byz_committee import CommitteeReport
-from repro.protocols.byz_two_cycle import SegmentReport
+from repro.protocols.byz_cycles import SegmentReport
 from repro.sim.process import WaitUntil
 
 

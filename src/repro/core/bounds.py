@@ -190,41 +190,28 @@ segment whole.  At laboratory ``n`` one such miss per run is routine,
 so the bounds allow one."""
 
 
-def two_cycle_query_bound(ell: int, n: int, t: int, tau: int,
-                          num_segments: int) -> float:
-    """2-cycle randomized protocol (Thm 3.7) per-peer query bound.
+def segment_cycles_query_bound(ell: int, n: int, t: int, tau: int,
+                               base_segments: int,
+                               later_cycles: int = 1) -> float:
+    """Per-peer query bound of the randomized segment-cycles download:
+    Protocol 4 (Thm 3.7) at ``later_cycles=1``, the multi-cycle
+    protocol (Thm 3.12) at ``log2(s)``.
 
-    Cost = one whole segment (``ceil(ell / s)``) plus the decision-tree
-    walks: the trees over all segments contain at most ``n / tau``
-    internal nodes in total (each of at most ``n`` received reports
-    contributes ``1 / tau`` of a tree candidate), plus
-    :data:`FALLBACK_SEGMENTS` whole segments for Claim 5's w.h.p.
-    premise.
-    """
-    check_positive("tau", tau)
-    check_positive("num_segments", num_segments)
-    segment_cost = math.ceil(ell / num_segments)
-    return segment_cost * (1 + FALLBACK_SEGMENTS) + n / tau
-
-
-def multi_cycle_query_bound(ell: int, n: int, t: int, tau: int,
-                            base_segments: int) -> float:
-    """Multi-cycle randomized protocol (Thm 3.12) per-peer query bound.
-
-    Cycle 1 queries one base segment (``ceil(ell / s)``).  Each of the
-    ``log2(s)`` later cycles resolves the two children of one segment
-    by decision trees over the previous cycle's tau-frequent reports:
-    at most ``n / tau`` tree queries, as in :func:`two_cycle_query_bound`.
-    :data:`FALLBACK_SEGMENTS` base segments are the allowance for Lemma
-    3.10's w.h.p. premise: a base segment queried whole when a child has
-    no tau-frequent string (later cycles' children have doubled honest
-    support, so their misses are rarer still).  The theorem bounds the
-    *expected* cost, so claims compare it with the mean over runs.
+    Cycle 1 queries one base segment (``ceil(ell / s)``).  Each later
+    cycle resolves one segment's children by decision trees over the
+    previous cycle's tau-frequent reports: the trees contain at most
+    ``n / tau`` internal nodes in total (each of at most ``n`` received
+    reports contributes ``1 / tau`` of a tree candidate), ``tau`` being
+    the smallest threshold of any cycle.  :data:`FALLBACK_SEGMENTS` base
+    segments are the allowance for Claim 5's and Lemma 3.10's w.h.p.
+    premise (later cycles' children have larger honest support, so
+    their misses are rarer still).  Thm 3.12 bounds the *expected*
+    cost, so claims compare the multi-cycle protocol's mean over runs
+    with it.
     """
     check_positive("tau", tau)
     check_positive("base_segments", base_segments)
     segment_cost = math.ceil(ell / base_segments)
-    later_cycles = base_segments.bit_length() - 1
     return segment_cost * (1 + FALLBACK_SEGMENTS) + later_cycles * n / tau
 
 

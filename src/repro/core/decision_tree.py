@@ -105,20 +105,23 @@ def determine(tree: Node, query_bit: Callable[[int], int]) -> tuple[str, int]:
 def determine_via_peer(peer, tree: Node, offset: int) -> Iterator:
     """Generator form of :meth:`determine` for use inside peer bodies.
 
-    Queries the simulation's source one separating index at a time
-    (adaptively — the next index depends on the previous answer), with
-    indices shifted by the segment's ``offset``.  Usage::
+    Walks ``tree`` with indices shifted by the segment's ``offset``.
+    A bit the peer already knows is read from its working array; any
+    other is queried from the source, one separating index at a time
+    (adaptively — the next index depends on the previous answer), so
+    no bit is paid for twice.  Usage::
 
-        string, spent = yield from determine_via_peer(self, tree, lo)
+        string = yield from determine_via_peer(self, tree, lo)
     """
-    queries = 0
     node = tree
     while isinstance(node, Inner):
-        answers = yield from peer.query_bits([offset + node.index])
-        bit = answers[offset + node.index]
+        index = offset + node.index
+        if peer.is_known(index):
+            bit = peer.working_string(index, index + 1) == "1"
+        else:
+            bit = (yield from peer.query_bits([index]))[index]
         node = node.one if bit else node.zero
-        queries += 1
-    return node.string, queries
+    return node.string
 
 
 def leaves(tree: Node) -> list[str]:

@@ -6,13 +6,12 @@ query them whole, and exchange segment *strings*.  Two partitioning
 schemes are needed:
 
 - :class:`Segmentation` — one flat partition into ``s`` segments
-  (Protocol 4, the 2-cycle protocol);
-- :class:`HierarchicalSegmentation` — a power-of-two stack of
-  partitions in which each cycle-``r`` segment is the concatenation of
-  exactly two cycle-``(r-1)`` segments (the multi-cycle protocol's
-  doubling structure, Lemma 3.10).  Defining boundaries once at the
-  base level and merging pairs upward guarantees the concatenation
-  property even when ``ell`` is not divisible by the segment count.
+  (the committee protocol's blocks);
+- :class:`HierarchicalSegmentation` — a stack of partitions in which
+  each cycle-``r`` segment is the concatenation of ``fan_in``
+  cycle-``(r-1)`` segments: the randomized protocols' cycles
+  (fan-in ``s`` for Protocol 4, 2 for the multi-cycle doubling of
+  Lemma 3.10).
 """
 
 from __future__ import annotations
@@ -69,58 +68,81 @@ class Segmentation:
 
 
 class HierarchicalSegmentation:
-    """Doubling segment hierarchy for the multi-cycle protocol.
+    """A stack of partitions of ``[0, ell)``, one per cycle.
 
-    Cycle 1 partitions ``[0, ell)`` into ``base_segments`` pieces
-    (``base_segments`` must be a power of two).  Cycle ``r`` has
-    ``base_segments / 2**(r-1)`` segments; segment ``i`` of cycle ``r``
-    covers base segments ``[i * 2**(r-1), (i+1) * 2**(r-1))`` and is the
-    concatenation of segments ``2i`` and ``2i + 1`` of cycle ``r - 1``.
-    The final cycle (:attr:`num_cycles`) has exactly one segment: the
-    whole input.
+    Cycle 1 cuts the input into ``base_segments`` pieces.  Segment ``i``
+    of cycle ``r`` is the concatenation of segments ``i * fan_in`` to
+    ``(i + 1) * fan_in - 1`` of cycle ``r - 1``, so ``base_segments``
+    must be a power of ``fan_in``, and the final cycle
+    (:attr:`num_cycles`) has one segment: the whole input.  Fan-in 2 is
+    the multi-cycle protocol's doubling (Lemma 3.10); fan-in
+    ``base_segments`` puts every base segment under the top one, the
+    2-cycle protocol.
+
+    Segments are also numbered across cycles, cycle 1 first
+    (:meth:`number`); :attr:`spans` holds each number's bit range and
+    :attr:`cycle_of` its cycle, so a number alone names a segment.
     """
 
-    def __init__(self, ell: int, base_segments: int) -> None:
+    def __init__(self, ell: int, base_segments: int, fan_in: int = 2) -> None:
         check_positive("ell", ell)
         check_positive("base_segments", base_segments)
-        if base_segments & (base_segments - 1):
-            raise ValueError(
-                f"base_segments must be a power of two, got {base_segments}")
+        if fan_in < 2:
+            raise ValueError(f"fan_in must be at least 2, got {fan_in}")
         if base_segments > ell:
             raise ValueError(
                 f"cannot cut {ell} bits into {base_segments} nonempty segments")
         self.ell = ell
         self.base_segments = base_segments
-        self.base = Segmentation(ell, base_segments)
-        self.num_cycles = base_segments.bit_length()  # log2(s) + 1
+        self.fan_in = fan_in
+        # Boundaries are fixed once at the base and merged upward, so a
+        # parent is exactly its children's concatenation even when
+        # ``ell`` is not divisible by the segment count.
+        level = balanced_partition(ell, base_segments)
+        self._firsts: list[int] = []
+        spans: list[tuple[int, int]] = []
+        cycle_of: list[int] = []
+        while True:
+            self._firsts.append(len(spans))
+            spans.extend(level)
+            cycle_of.extend([len(self._firsts)] * len(level))
+            if len(level) == 1:
+                break
+            if len(level) % fan_in:
+                raise ValueError(f"base_segments must be a power of fan_in "
+                                 f"{fan_in}, got {base_segments}")
+            level = [(level[first][0], level[first + fan_in - 1][1])
+                     for first in range(0, len(level), fan_in)]
+        self.spans = tuple(spans)
+        self.cycle_of = tuple(cycle_of)
+        self.num_cycles = len(self._firsts)
 
     def segments_in_cycle(self, cycle: int) -> int:
         """Number of segments at ``cycle`` (1-based)."""
         check_index("cycle", cycle - 1, self.num_cycles)
-        return self.base_segments >> (cycle - 1)
+        return self.base_segments // self.fan_in ** (cycle - 1)
+
+    def number(self, cycle: int, segment: int) -> int:
+        """The global number of ``segment`` at ``cycle``."""
+        check_index("segment", segment, self.segments_in_cycle(cycle))
+        return self._firsts[cycle - 1] + segment
 
     def bounds(self, cycle: int, segment: int) -> tuple[int, int]:
         """Bit range of ``segment`` at ``cycle``."""
-        count = self.segments_in_cycle(cycle)
-        check_index("segment", segment, count)
-        width = 1 << (cycle - 1)
-        lo, _ = self.base.bounds(segment * width)
-        _, hi = self.base.bounds((segment + 1) * width - 1)
-        return lo, hi
+        return self.spans[self.number(cycle, segment)]
 
-    def children(self, cycle: int, segment: int) -> tuple[int, int]:
-        """The two cycle-``(cycle-1)`` segments whose concat is this one."""
+    def children(self, cycle: int, segment: int) -> range:
+        """The cycle-``(cycle-1)`` segments whose concat is this one."""
         if cycle < 2:
             raise ValueError("cycle-1 segments have no children")
-        self.segments_in_cycle(cycle)  # validates cycle
-        check_index("segment", segment, self.segments_in_cycle(cycle))
-        return 2 * segment, 2 * segment + 1
+        self.number(cycle, segment)  # validates both
+        return range(segment * self.fan_in, (segment + 1) * self.fan_in)
 
     def parent(self, cycle: int, segment: int) -> int:
         """The cycle-``(cycle+1)`` segment containing this one."""
         if cycle >= self.num_cycles:
             raise ValueError("the top segment has no parent")
-        return segment // 2
+        return segment // self.fan_in
 
     def length(self, cycle: int, segment: int) -> int:
         """Number of bits in ``segment`` at ``cycle``."""
@@ -129,7 +151,8 @@ class HierarchicalSegmentation:
 
     def __repr__(self) -> str:
         return (f"HierarchicalSegmentation(ell={self.ell}, "
-                f"base={self.base_segments}, cycles={self.num_cycles})")
+                f"base={self.base_segments}, fan_in={self.fan_in}, "
+                f"cycles={self.num_cycles})")
 
 
 def largest_power_of_two_at_most(value: int) -> int:

@@ -24,16 +24,11 @@ from repro.protocols.byz_committee import (
     ByzCommitteeDownloadPeer,
     CommitteeReport,
 )
-from repro.protocols.byz_multi_cycle import (
+from repro.protocols.byz_cycles import (
     ByzMultiCycleDownloadPeer,
-    CycleReport,
-    choose_base_segments,
-)
-from repro.protocols.byz_two_cycle import (
     ByzTwoCycleDownloadPeer,
     SegmentReport,
-    TwoCycleParameters,
-    choose_two_cycle_parameters,
+    choose_segments,
 )
 from repro.protocols.crash_multi import (
     CrashMultiDownloadPeer,
@@ -78,7 +73,6 @@ __all__ = [
     "CrashOneDownloadPeer",
     "CrossValidateDownloadPeer",
     "CrossValidateEscalateDownloadPeer",
-    "CycleReport",
     "DownloadPeer",
     "NaiveDownloadPeer",
     "OneRoundDownloadPeer",
@@ -86,9 +80,8 @@ __all__ = [
     "ProtocolEntry",
     "SegmentReport",
     "ShareMessage",
-    "TwoCycleParameters",
     "all_protocols",
-    "choose_base_segments",
+    "choose_segments",
     "count_ones",
     "majority_decode",
     "majority_threshold",
@@ -99,7 +92,6 @@ __all__ = [
     "parity",
     "retrieval_outputs",
     "segment_extractor",
-    "choose_two_cycle_parameters",
     "get",
     "protocols_for",
 ]

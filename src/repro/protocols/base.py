@@ -160,11 +160,15 @@ class DownloadPeer(Peer):
         """One byte per position: 1 where the bit is not learned yet."""
         return self._array().translate(UNKNOWN_MASK)
 
-    def unknown_indices(self) -> list[int]:
-        """Sorted indices this peer has not learned yet."""
+    def unknown_indices(self, lo: int = 0,
+                        hi: Optional[int] = None) -> list[int]:
+        """Sorted indices of ``[lo, hi)`` (default: all) this peer has
+        not learned yet."""
         if self._unknown_count == 0:
             return []
-        return list(compress(range(self.ell), self.unknown_marks()))
+        hi = self.ell if hi is None else hi
+        return list(compress(range(lo, hi),
+                             self._array()[lo:hi].translate(UNKNOWN_MASK)))
 
     def known_count(self) -> int:
         """Number of learned bits."""

@@ -16,10 +16,9 @@ from typing import Callable
 from repro.core import bounds
 from repro.protocols.balanced import BalancedDownloadPeer
 from repro.protocols.byz_committee import ByzCommitteeDownloadPeer
-from repro.protocols.byz_multi_cycle import ByzMultiCycleDownloadPeer
-from repro.protocols.byz_two_cycle import (
+from repro.protocols.byz_cycles import (
+    ByzMultiCycleDownloadPeer,
     ByzTwoCycleDownloadPeer,
-    choose_two_cycle_parameters,
 )
 from repro.protocols.crash_multi import (
     CrashMultiDownloadPeer,
@@ -85,16 +84,18 @@ def _one_round_bound(ell, n, t, params, sources):
                                         params.get("redundancy", 1))
 
 
-def _two_cycle_bound(ell, n, t, params, sources):
-    """Protocol 4 at the peer's own parameters: those it was given, or
-    what :func:`choose_two_cycle_parameters` picks (naive included)."""
-    if "tau" not in params:
-        chosen = choose_two_cycle_parameters(n, t, ell)
-        if chosen.naive:
+def _cycles_bound(peer_class, segments_param):
+    """The segment-cycles bound at the peer's own parameters: those it
+    was given, or what its :meth:`plan` picks (naive included)."""
+    def bound(ell, n, t, params, sources):
+        hierarchy, taus = peer_class.plan(
+            n, t, ell, params.get(segments_param), params.get("tau"))
+        if hierarchy is None:
             return bounds.naive_query_bound(ell)
-        params = {"tau": chosen.tau, "num_segments": chosen.num_segments}
-    return bounds.two_cycle_query_bound(ell, n, t, params["tau"],
-                                        params["num_segments"])
+        return bounds.segment_cycles_query_bound(
+            ell, n, t, min(taus), hierarchy.base_segments,
+            hierarchy.num_cycles - 1)
+    return bound
 
 
 _register(ProtocolEntry(
@@ -147,15 +148,13 @@ _register(ProtocolEntry(
     fault_model="byzantine", randomized=True,
     max_crash_fraction=0.499, max_byzantine_fraction=0.499,
     description="Protocol 4: 2-cycle randomized sampling + decision trees",
-    query_bound=_two_cycle_bound))
+    query_bound=_cycles_bound(ByzTwoCycleDownloadPeer, "num_segments")))
 _register(ProtocolEntry(
     name="byz-multi-cycle", peer_class=ByzMultiCycleDownloadPeer,
     fault_model="byzantine", randomized=True,
     max_crash_fraction=0.499, max_byzantine_fraction=0.499,
     description="Theorem 3.12: doubling-segment multi-cycle download",
-    query_bound=lambda ell, n, t, params, sources:
-    bounds.multi_cycle_query_bound(ell, n, t, params["tau"],
-                                   params["base_segments"])))
+    query_bound=_cycles_bound(ByzMultiCycleDownloadPeer, "base_segments")))
 # The multi-source protocols are per-peer independent (no peer-to-peer
 # messages), so like naive they tolerate any peer-fault fraction below
 # 1; their interesting adversary is the faulty *source* set.

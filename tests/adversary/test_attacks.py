@@ -28,22 +28,30 @@ class TestCommitteeForge:
 
 
 class TestFrequencyAttacks:
-    def run_two_cycle(self, strategy, seed=5):
-        return attacked("byz-two-cycle", 40, 4096, strategy,
-                        {"num_segments": 4, "tau": 3}, beta=0.15,
-                        seed=seed)
+    protocol, params = "byz-two-cycle", {"num_segments": 4, "tau": 3}
+
+    def run_attacked(self, strategy, seed=5):
+        return attacked(self.protocol, 40, 4096, strategy, self.params,
+                        beta=0.15, seed=seed)
 
     def test_spam_survives_but_costs_tree_queries(self):
-        result = self.run_two_cycle("frequency-spam")
+        result = self.run_attacked("frequency-spam")
         assert result.download_correct
         assert result.report.query_complexity > 1024  # 4096/4 + extras
 
     def test_split_reports_filtered_for_free(self):
-        result = self.run_two_cycle("split-report")
+        result = self.run_attacked("split-report")
         assert result.download_correct
         assert result.report.query_complexity == 1024  # exactly one segment
 
     def test_spam_strictly_costlier_than_split(self):
-        spam = self.run_two_cycle("frequency-spam")
-        split = self.run_two_cycle("split-report")
+        spam = self.run_attacked("frequency-spam")
+        split = self.run_attacked("split-report")
         assert spam.report.query_complexity > split.report.query_complexity
+
+
+class TestFrequencyAttacksOnMultiCycle(TestFrequencyAttacks):
+    # The same four base segments and threshold: the attackers'
+    # reports are the cycle-1 reports the multi-cycle body resolves its
+    # second cycle from.
+    protocol, params = "byz-multi-cycle", {"base_segments": 4, "tau": 3}

@@ -84,23 +84,23 @@ class TestByzantineBounds:
     def test_two_cycle_combines_segment_and_trees(self):
         # The paper's formula, one segment plus n / tau tree nodes, and
         # the fallback allowance on top.
-        value = bounds.two_cycle_query_bound(1024, 64, 8, tau=4,
-                                             num_segments=4)
+        value = bounds.segment_cycles_query_bound(1024, 64, 8, tau=4,
+                                                  base_segments=4)
         assert value - bounds.FALLBACK_SEGMENTS * 256 == 256 + 16
 
     def test_two_cycle_allows_one_fallback_segment(self):
         assert bounds.FALLBACK_SEGMENTS == 1
-        assert bounds.two_cycle_query_bound(
-            1024, 64, 8, tau=4, num_segments=4) == 256 + 256 + 16
+        assert bounds.segment_cycles_query_bound(
+            1024, 64, 8, tau=4, base_segments=4) == 256 + 256 + 16
 
     def test_multi_cycle_positive(self):
-        assert bounds.multi_cycle_query_bound(1024, 64, 8, tau=4,
-                                              base_segments=8) > 0
+        assert bounds.segment_cycles_query_bound(
+            1024, 64, 8, tau=4, base_segments=8, later_cycles=3) > 0
 
     def test_multi_cycle_trees_per_later_cycle(self):
         # s = 8: cycles 2, 3 and 4 each walk at most n / tau tree nodes.
-        value = bounds.multi_cycle_query_bound(1024, 64, 8, tau=4,
-                                               base_segments=8)
+        value = bounds.segment_cycles_query_bound(
+            1024, 64, 8, tau=4, base_segments=8, later_cycles=3)
         assert value - bounds.FALLBACK_SEGMENTS * 128 == 128 + 3 * 16
         assert value == 2 * 128 + 3 * 16
 

@@ -88,7 +88,7 @@ class TestHierarchicalSegmentation:
             assert total == 77
 
     def test_non_power_of_two_rejected(self):
-        with pytest.raises(ValueError, match="power of two"):
+        with pytest.raises(ValueError, match="power of fan_in 2"):
             HierarchicalSegmentation(64, 6)
 
     def test_children_of_base_cycle_rejected(self):

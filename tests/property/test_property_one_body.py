@@ -46,7 +46,7 @@ from repro.experiments.spec import ADVERSARIES, OWN_LATENCY
 from repro.obs.telemetry import RecordingTelemetry, using
 from repro.net import run_net_download
 from repro.protocols import registry
-from repro.protocols.byz_two_cycle import choose_two_cycle_parameters
+from repro.protocols.byz_cycles import ByzTwoCycleDownloadPeer
 from repro.sim import run_download
 from repro.sync import (LockstepEscalatePeer, SyncEngine, hosted_factory,
                         run_sync_download)
@@ -321,8 +321,9 @@ class TestCommitteeAndTwoRoundUnderTwoHosts:
             # when t >= tau and they sampled alike; whether the honest
             # string it then competes with is there too is Claim 5's
             # w.h.p., not a property of every seed.
-            params = choose_two_cycle_parameters(spec.n, spec.t, spec.ell)
-            assume(params.naive or params.tau > spec.t)
+            hierarchy, taus = ByzTwoCycleDownloadPeer.plan(
+                spec.n, spec.t, spec.ell)
+            assume(hierarchy is None or taus[0] > spec.t)
         record = get_backend("sync").run_one(spec, 0, seed, None)
         assert record.correct
         assert record.rounds <= 2
@@ -356,7 +357,8 @@ def faulty_fields(draw):
     if entry.name == "byz-committee":
         params["block_size"] = draw(st.integers(1, ell))
     elif entry.name == "byz-multi-cycle":
-        # Its bound needs them; tau > t keeps a lie short of frequent.
+        # Segments to sample at this small ell; tau > t keeps a lie
+        # short of frequent.
         params = {"base_segments": draw(st.sampled_from(
             [size for size in (1, 2, 4) if size <= ell])), "tau": t + 1}
     return dict(protocol=entry.name, n=n, ell=ell, beta=(t + 0.5) / n,

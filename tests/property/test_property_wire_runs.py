@@ -28,8 +28,7 @@ from repro.net.wire import (FrameDecoder, WireError, _loaded, decode_body,
                             run_from_wire, run_to_wire)
 from repro.protocols import NaiveDownloadPeer, ShareMessage
 from repro.protocols.byz_committee import CommitteeReport
-from repro.protocols.byz_multi_cycle import CycleReport
-from repro.protocols.byz_two_cycle import SegmentReport
+from repro.protocols.byz_cycles import SegmentReport
 from repro.protocols.crash_multi import (DataRequest, DataResponse,
                                          FullArray, MissingRequest,
                                          MissingResponse)
@@ -134,7 +133,6 @@ def every_message(run, text, number):
         FullArray(sender=2, bits=text),
         CommitteeReport(sender=4, block=number, string=text),
         SegmentReport(sender=4, segment=number, string=text),
-        CycleReport(sender=4, cycle=2, segment=number, string=text),
     ]
 
 

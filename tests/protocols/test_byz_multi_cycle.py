@@ -8,7 +8,7 @@ from repro.adversary import (
     TargetedSlowdown,
     WrongBitsStrategy,
 )
-from repro.protocols import ByzMultiCycleDownloadPeer, choose_base_segments
+from repro.protocols import ByzMultiCycleDownloadPeer
 from repro.sim import ConfigurationError, run_download
 
 from tests.conftest import assert_download_correct, byzantine_async_adversary
@@ -17,14 +17,15 @@ from tests.conftest import assert_download_correct, byzantine_async_adversary
 class TestParameterChoice:
     def test_power_of_two(self):
         for n, t, ell in ((64, 8, 65536), (256, 16, 10 ** 6), (40, 6, 8192)):
-            base = choose_base_segments(n, t, ell)
+            hierarchy, _ = ByzMultiCycleDownloadPeer.plan(n, t, ell)
+            base = hierarchy.base_segments
             assert base & (base - 1) == 0
 
     def test_degenerates_for_majority(self):
-        assert choose_base_segments(16, 8, 65536) == 1
+        assert ByzMultiCycleDownloadPeer.plan(16, 8, 65536) == (None, ())
 
     def test_degenerates_for_tiny_input(self):
-        assert choose_base_segments(64, 8, 64) == 1
+        assert ByzMultiCycleDownloadPeer.plan(64, 8, 64) == (None, ())
 
     def test_non_power_of_two_override_rejected(self):
         with pytest.raises(ConfigurationError, match="power of two"):

@@ -10,10 +10,7 @@ from repro.adversary import (
     UniformRandomDelay,
     WrongBitsStrategy,
 )
-from repro.protocols import (
-    ByzTwoCycleDownloadPeer,
-    choose_two_cycle_parameters,
-)
+from repro.protocols import ByzTwoCycleDownloadPeer, choose_segments
 from repro.sim import ConfigurationError, run_download
 
 from tests.conftest import assert_download_correct, byzantine_async_adversary
@@ -21,29 +18,27 @@ from tests.conftest import assert_download_correct, byzantine_async_adversary
 
 class TestParameterChoice:
     def test_sample_mode_for_large_inputs(self):
-        params = choose_two_cycle_parameters(64, 8, 65536)
-        assert not params.naive
-        assert params.num_segments > 1
-        assert params.tau >= 1
+        hierarchy, taus = ByzTwoCycleDownloadPeer.plan(64, 8, 65536)
+        assert hierarchy.base_segments > 1
+        assert hierarchy.num_cycles == 2
+        assert taus[0] >= 1
 
     def test_naive_mode_for_tiny_inputs(self):
-        assert choose_two_cycle_parameters(64, 8, 100).naive
+        assert ByzTwoCycleDownloadPeer.plan(64, 8, 100) == (None, ())
 
     def test_naive_mode_for_small_networks(self):
-        assert choose_two_cycle_parameters(8, 3, 65536).naive
+        assert choose_segments(8, 3, 65536) == 1
 
     def test_naive_mode_for_majority(self):
-        assert choose_two_cycle_parameters(16, 8, 65536).naive
+        assert choose_segments(16, 8, 65536) == 1
 
     def test_tau_reflects_honest_floor(self):
-        strong = choose_two_cycle_parameters(256, 8, 10 ** 6)
-        weak = choose_two_cycle_parameters(256, 100, 10 ** 6)
-        assert strong.num_segments >= weak.num_segments
+        strong = choose_segments(256, 8, 10 ** 6)
+        weak = choose_segments(256, 100, 10 ** 6)
+        assert strong >= weak
 
     def test_segments_capped_by_input_length(self):
-        params = choose_two_cycle_parameters(4096, 0, 100)
-        if not params.naive:
-            assert params.num_segments <= 100
+        assert choose_segments(4096, 0, 100) <= 100
 
     def test_override_must_be_complete(self):
         with pytest.raises(ConfigurationError, match="together"):

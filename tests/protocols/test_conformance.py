@@ -14,8 +14,9 @@ is the run a sweep of that spec makes.  The checks:
   terminated holds an output;
 - correctness at the crash and Byzantine fractions the registry entry
   advertises;
-- the naive ceiling: fault-free, no peer queries more than ``ell``;
-- every one of those runs within the entry's ``query_bound``;
+- every one of those runs within the entry's ``query_bound`` and
+  within the naive ceiling: no honest peer queries more than ``ell``,
+  since no peer needs to ask the source for a bit twice;
 - and every one of them, once dropped, freed by reference counting
   alone: a finished run holds no reference cycle, so with the cyclic
   collector off it leaves no garbage behind.
@@ -26,6 +27,7 @@ import gc
 import pytest
 
 from repro.experiments import ExperimentSpec
+from repro.experiments.backends import get_backend
 from repro.protocols import all_protocols, registry
 from repro.sim import run_download
 
@@ -108,6 +110,8 @@ def failed_checks(entry, params=None, t=0, n=N, ell=ELL, seed=SEED) -> list:
         q = result.report.query_complexity
         check(f"{label} Q within query_bound", q <= bound,
               f"Q {q} > {bound}")
+        check(f"{label} Q within the naive ceiling", q <= spec.ell,
+              f"Q {q} > ell {spec.ell}")
         garbage = cyclic_garbage(*specs[label])
         check(f"{label} leaves no cyclic garbage", garbage == 0,
               f"{garbage} objects")
@@ -122,9 +126,6 @@ def failed_checks(entry, params=None, t=0, n=N, ell=ELL, seed=SEED) -> list:
     check("terminated peers hold outputs",
           all((sync.outputs.get(pid) is not None)
               == sync.statuses[pid].terminated for pid in sync.honest))
-    check("fault-free Q within the naive ceiling",
-          sync.report.query_complexity <= ell,
-          f"Q {sync.report.query_complexity} > ell {ell}")
     return failures
 
 
@@ -132,6 +133,26 @@ def failed_checks(entry, params=None, t=0, n=N, ell=ELL, seed=SEED) -> list:
 def test_registered_protocol_conformance(entry):
     assert failed_checks(entry, PARAMS.get(entry.name),
                          SPECIAL_T.get(entry.name, 0)) == []
+
+
+@pytest.mark.parametrize("backend", ["sim", "sync"])
+@pytest.mark.parametrize("n, ell", [(3, 6), (4, 16)])
+@pytest.mark.parametrize("protocol", ["byz-two-cycle", "byz-multi-cycle"])
+def test_no_peer_pays_twice_for_a_bit(protocol, n, ell, backend):
+    # Base segments of one to four bits and few reporters: most
+    # children go to the fallback, and a later cycle's child can hold
+    # the peer's own base segment.  Asking the source again for a bit
+    # the peer holds would charge it past ``ell``.
+    params = {"byz-two-cycle": {"num_segments": 4, "tau": 2},
+              "byz-multi-cycle": {"base_segments": 4, "tau": 2}}[protocol]
+    for seed in range(20):
+        spec = ExperimentSpec(protocol, n, ell, protocol_params=params,
+                              network="synchronous", backend=backend,
+                              base_seed=seed)
+        record = get_backend(backend).run_one(spec, 0, spec.seed_for(0),
+                                              None)
+        assert record.correct and record.queries <= ell, (seed,
+                                                          record.queries)
 
 
 class TestHarnessItself:

@@ -1,8 +1,8 @@
 """"Heard from k peers" waits read sender sets kept at delivery.
 
 Algorithm 2 waits for ``n - t`` responses, Algorithm 1 for ``n - 1``
-shares and ``n - 2`` probe replies, the 2-cycle protocol for ``n - t``
-reporters.  Each count needs only a set the handler grows as messages
+shares and ``n - 2`` probe replies, the randomized cycles for ``n - t``
+reporters of the cycle before.  Each count needs only a set the handler grows as messages
 land, so no wait predicate rescans or copies the inbox: a run with
 ``MessageLog.senders`` wrapped to count its calls reads none.  The sets
 the handlers kept must still be exactly what the inbox says.
@@ -11,7 +11,7 @@ the handlers kept must still be exactly what the inbox says.
 import pytest
 
 from repro.experiments import ExperimentSpec
-from repro.protocols.byz_two_cycle import SegmentReport
+from repro.protocols.byz_cycles import SegmentReport
 from repro.protocols.crash_multi import MissingResponse
 from repro.protocols.crash_one import ProbeReply, ShareValues
 from repro.sim import Simulation
@@ -26,6 +26,9 @@ CASES = [
      "fault_model": "crash", "beta": 0.5},
     {"protocol": "byz-two-cycle", "n": 32, "ell": 1024,
      "fault_model": "byzantine", "beta": 0.1},
+    {"protocol": "byz-multi-cycle", "n": 32, "ell": 1024,
+     "fault_model": "byzantine", "beta": 0.1,
+     "protocol_params": {"base_segments": 4, "tau": 2}},
 ]
 
 
@@ -77,9 +80,12 @@ def test_the_kept_sets_are_the_inbox_senders(case):
                 assert peer._heard(phase) == heard | {peer.pid}
             for phase, heard in phase_senders(peer, ProbeReply).items():
                 assert peer._probe_replies(phase) == len(heard)
-        elif case["protocol"] == "byz-two-cycle":
-            assert peer._reporters == peer.inbox.senders(SegmentReport) \
-                | {peer.pid}
+        elif case["protocol"].startswith("byz-"):
+            heard = [{peer.pid} for _ in peer._reporters]
+            for message in peer.inbox.of_type(SegmentReport):
+                cycle = peer.hierarchy.cycle_of[message.segment]
+                heard[cycle - 1].add(message.sender)
+            assert peer._reporters == heard
         else:
             assert peer._missing_responders == phase_senders(
                 peer, MissingResponse)

@@ -7,8 +7,7 @@ the packetized time model) stay meaningful.
 
 from repro.protocols.balanced import ShareMessage
 from repro.protocols.byz_committee import CommitteeReport
-from repro.protocols.byz_multi_cycle import CycleReport
-from repro.protocols.byz_two_cycle import SegmentReport
+from repro.protocols.byz_cycles import SegmentReport
 from repro.protocols.crash_multi import (
     DataRequest,
     DataResponse,
@@ -75,8 +74,9 @@ class TestReportMessages:
         assert message.size_bits() == HEADER_BITS + FIELD_BITS + 128
 
     def test_cycle_report_scales_with_cycle_string(self):
-        small = CycleReport(sender=0, cycle=1, segment=0, string="0" * 32)
-        large = CycleReport(sender=0, cycle=2, segment=0, string="0" * 64)
+        # A later cycle's segment (a higher number) is a longer string.
+        small = SegmentReport(sender=0, segment=0, string="0" * 32)
+        large = SegmentReport(sender=0, segment=4, string="0" * 64)
         assert large.size_bits() - small.size_bits() == 32
 
 

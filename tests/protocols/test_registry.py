@@ -23,6 +23,13 @@ class TestLookup:
         with pytest.raises(KeyError, match="crash-multi"):
             get("totally-unknown")
 
+    @pytest.mark.parametrize("entry", all_protocols(),
+                             ids=lambda entry: entry.name)
+    def test_query_bound_at_default_parameters(self, entry):
+        for n, t, ell in ((40, 6, 4096), (9, 2, 256), (16, 0, 1024)):
+            bound = entry.query_bound(ell, n, t, {}, 1)
+            assert isinstance(bound, (int, float)) and bound > 0
+
     def test_factory_binds_parameters(self):
         factory = get("byz-committee").factory(block_size=8)
         assert factory.params == {"block_size": 8}
