@@ -11,6 +11,10 @@ corrupted:
 2. the victim — seeing a view indistinguishable from the all-zeros
    world — terminates with the wrong array.
 
+Theorem 3.2's witness is the same adversary drawing the flipped bit at
+random, an ordinary entry of the spec's adversary table
+(``fault_model="byzantine"``, ``strategy="majority-simulation"``).
+
 Then it shows the two ways out the theorems allow: pay ``ell`` queries
 (the naive protocol survives), and drop below a Byzantine majority
 (beta < 1/2 — the same committee protocol becomes unbreakable).
@@ -24,9 +28,10 @@ from repro.adversary import (
     UniformRandomDelay,
     WrongBitsStrategy,
 )
-from repro.lowerbounds import (
+from repro.core.bounds import randomized_fooling_floor
+from repro.experiments import ExperimentSpec, run_experiment
+from repro.experiments.backends.lowerbound import (
     run_deterministic_construction,
-    run_randomized_construction,
 )
 from repro.protocols import ByzCommitteeDownloadPeer, NaiveDownloadPeer
 from repro.sim import run_download
@@ -54,15 +59,19 @@ def main() -> None:
     assert not naive_outcome.fooled
 
     print("\n=== Theorem 3.2: randomization does not help either ===")
-    from repro.protocols import ByzTwoCycleDownloadPeer
-    report = run_randomized_construction(
-        peer_factory=ByzTwoCycleDownloadPeer.factory(num_segments=4, tau=1),
-        n=12, ell=256, claimed_t=6,
-        estimation_trials=10, attack_trials=20, base_seed=3)
-    print(f"victim's mean queries: {report.mean_victim_queries:.0f}/256")
-    print(f"measured fooling rate: {report.fooling_rate:.2f} "
-          f"(theory floor 1 - Q/ell = {report.theoretical_floor:.2f})")
-    assert report.fooled_trials > 0
+    outcome = run_experiment(ExperimentSpec(
+        "byz-two-cycle", 12, 256, fault_model="byzantine", beta=0.5,
+        strategy="majority-simulation",
+        protocol_params={"num_segments": 4, "tau": 1},
+        repeats=20, base_seed=3))
+    floor = randomized_fooling_floor(outcome.mean_query_complexity, 256)
+    wrong = outcome.runs - outcome.correct_runs
+    print(f"worst peer's mean queries: "
+          f"{outcome.mean_query_complexity:.0f}/256")
+    print(f"runs not correct: {wrong}/{outcome.runs} = "
+          f"{wrong / outcome.runs:.2f} (theory floor 1 - Q/ell = "
+          f"{floor:.2f})")
+    assert wrong > 0
 
     print("\n=== And below the majority threshold, the attack dies ===")
     adversary = ComposedAdversary(

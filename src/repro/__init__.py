@@ -25,8 +25,9 @@ Quickstart::
 Subpackages: :mod:`repro.sim` (the DR substrate), :mod:`repro.adversary`
 (failure/delay strategies), :mod:`repro.core` (assignments, segments,
 decision trees, bounds), :mod:`repro.protocols` (the paper's
-protocols), :mod:`repro.lowerbounds` (Theorems 3.1/3.2 as code), and
-:mod:`repro.oracle` (the Section 4 application).
+protocols; Theorems 3.1/3.2's witness is
+:mod:`repro.adversary.lower_bound`), and :mod:`repro.oracle` (the
+Section 4 application).
 """
 
 from repro.sim.runner import RunResult, Simulation, run_download

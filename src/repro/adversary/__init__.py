@@ -12,9 +12,9 @@ battery of concrete strategies:
   executions with corruption strategies, plus
   :class:`ScriptedByzantinePeer` for fully custom attackers;
 - composition: :class:`ComposedAdversary` (faults x latency);
-- the paper's lower-bound constructions live in
-  :mod:`repro.adversary.lower_bound` (imported lazily by
-  :mod:`repro.lowerbounds` to avoid a protocol dependency here).
+- the paper's lower-bound witness lives in
+  :mod:`repro.adversary.lower_bound` (not imported here; the spec
+  table and the lower-bound backend import it).
 """
 
 from repro.adversary.base import Adversary, NullAdversary

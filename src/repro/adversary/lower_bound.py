@@ -12,14 +12,19 @@ fewer than ``ell`` bits:
   than the victim ``v``) until the victim has terminated — legal
   because delays only need to be finite, and the model only compels
   release at quiescence;
-- choose the real input ``X'`` to differ from ``X`` in a single bit
-  the victim does not query.
+- make ``X`` and the real input ``X'`` differ in a single bit the
+  victim does not query.
 
 The victim's view is then identical in the execution on ``X`` (where
 ``F`` would be honest and the protocol must answer ``X``) and the
-execution on ``X'`` — so it outputs the wrong bit.  The drivers in
-:mod:`repro.lowerbounds` assemble the two executions and verify the
-indistinguishability; this module provides the adversary itself.
+execution on ``X'`` — so it outputs the wrong bit.  Theorem 3.1's
+two-execution driver (:mod:`repro.experiments.backends.lowerbound`)
+pins ``X``; given no ``X``, the adversary draws the bit ``i*`` from
+its own stream and simulates the run's input with ``i*`` flipped —
+Theorem 3.2's witness, the ``("byzantine", "majority-simulation")``
+entry of :data:`repro.experiments.spec.ADVERSARIES`.  Since ``i*`` is
+uniform and independent of the victim's coins, the victim leaves it
+unqueried with probability ``1 - E[Q] / ell``.
 """
 
 from __future__ import annotations
@@ -33,7 +38,6 @@ from repro.sim.network import WITHHOLD
 from repro.sim.peer import SimEnv
 from repro.sim.process import Process
 from repro.util.bitarrays import BitArray, BitRun
-from repro.util.rng import SplittableRNG
 
 
 class _FakeSource:
@@ -76,17 +80,12 @@ class MajoritySimulationAdversary(Adversary):
             until quiescence (i.e., until after the victim terminates,
             if the attack succeeds).
         fake_input: the reference array ``X`` the corrupted peers
-            pretend to read.
-        rho_seed: if given, all corrupted peers draw their coins from
-            this seed instead of the run's — the adversary "sets the
-            random string rho" exactly as in Theorem 3.2's proof, so
-            the simulated execution is identical across victim-coin
-            samples.
+            pretend to read; ``None`` draws ``target`` at bind time and
+            makes ``X`` the run's input with that bit flipped.
     """
 
     def __init__(self, *, corrupted: set[int], silenced: set[int],
-                 fake_input: BitArray,
-                 rho_seed: Optional[int] = None) -> None:
+                 fake_input: Optional[BitArray] = None) -> None:
         super().__init__()
         overlap = corrupted & silenced
         if overlap:
@@ -95,7 +94,14 @@ class MajoritySimulationAdversary(Adversary):
         self.corrupted = set(corrupted)
         self.silenced = set(silenced)
         self.fake_input = fake_input
-        self.rho_seed = rho_seed
+        #: The flipped bit ``i*`` when this adversary drew it.
+        self.target: Optional[int] = None
+
+    def on_bind(self) -> None:
+        if self.fake_input is None:
+            self.target = self.rng.randrange(self.env.ell)
+            self.fake_input = self.env.source.data.copy()
+            self.fake_input[self.target] ^= 1
 
     def fault_budget(self, n: int) -> int:
         return len(self.corrupted)
@@ -107,9 +113,6 @@ class MajoritySimulationAdversary(Adversary):
                          honest_factory: PeerFactory) -> Process:
         fake_env = dataclasses.replace(
             env, source=_FakeSource(self.fake_input, env))
-        if self.rho_seed is not None:
-            fake_env = dataclasses.replace(
-                fake_env, rng=SplittableRNG(self.rho_seed))
         peer = honest_factory(pid, fake_env)
         peer.name = f"byzantine-{pid}(simulating-honest)"
         peer.essential = False
@@ -118,8 +121,8 @@ class MajoritySimulationAdversary(Adversary):
     def after_setup(self, processes: dict[int, Process]) -> None:
         # The silenced peers are honest, but with a corrupted majority
         # the protocol owes them nothing — they may be unable to ever
-        # terminate.  The drivers only assert on the victim, so the
-        # silenced peers must not count as a deadlock when they (quite
+        # terminate.  The attack is on the victim, so the silenced
+        # peers must not count as a deadlock when they (quite
         # correctly) wait forever after the attack has succeeded.
         for pid in self.silenced:
             processes[pid].essential = False

@@ -67,15 +67,13 @@ from pathlib import Path
 from typing import Optional, Sequence, get_type_hints
 
 from repro.experiments.backends import all_backends
-from repro.experiments.backends.lowerbound import _CONSTRUCTIONS
 from repro.experiments.spec import _FAULT_MODELS, ADVERSARIES, ExperimentSpec
 from repro.protocols import all_protocols
 from repro.sim import run_download
 
-#: Every ``--strategy`` name: the adversaries, and the lower-bound
-#: backend's constructions; which fault model or backend takes which
+#: Every ``--strategy`` name; which fault model or backend takes which
 #: is the spec's check.
-_STRATEGIES = sorted({name for _, name in ADVERSARIES} | set(_CONSTRUCTIONS))
+_STRATEGIES = sorted({name for _, name in ADVERSARIES})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -163,11 +161,10 @@ def add_spec_arguments(parser) -> None:
     parser.add_argument("--fault-model", choices=_FAULT_MODELS, default="none")
     parser.add_argument("--beta", type=float, default=0.0,
                         help="fault fraction")
-    parser.add_argument("--strategy", choices=_STRATEGIES, default=None,
-                        help="adversary strategy (per fault model) (sim/sync "
-                             "backends; default wrong-bits) or which "
-                             "construction to run (lowerbound backend; "
-                             "default deterministic)")
+    parser.add_argument("--strategy", choices=_STRATEGIES,
+                        default=ExperimentSpec.strategy,
+                        help="adversary strategy (per fault model; "
+                             "default %(default)s)")
     parser.add_argument("--synchronous", action="store_true",
                         help="unit latencies instead of the asynchronous "
                              "adversary (synchrony *emulated* inside the "
@@ -208,8 +205,8 @@ def add_sweep_arguments(parser) -> None:
                              "is an exact round count (this is NOT `run "
                              "--synchronous`, which merely pins unit "
                              "latencies inside the async kernel); "
-                             "'lowerbound' runs the Theorem 3.1/3.2 "
-                             "adversarial constructions; 'net' runs real "
+                             "'lowerbound' runs Theorem 3.1's two-execution "
+                             "construction; 'net' runs real "
                              "peers over Unix sockets behind the chaos proxy "
                              "(see --proxy-faults; time is wall clock)")
     parser.add_argument("--repeats", type=int, default=2)
@@ -262,8 +259,7 @@ def spec_from_args(args) -> ExperimentSpec:
     return ExperimentSpec(
         protocol=args.protocol, n=args.n, ell=args.ell,
         fault_model=args.fault_model, beta=args.beta,
-        strategy=args.strategy or ("deterministic" if backend == "lowerbound"
-                                   else ExperimentSpec.strategy),
+        strategy=args.strategy,
         # backend="sync" *is* the synchronous model; `--synchronous`
         # on the async kernel is its unit-latency emulation (see
         # docs/MODEL.md).

@@ -31,10 +31,6 @@ class FrequencyTable:
         """Record that ``sender`` reported ``string`` for ``segment``."""
         self._support[segment][string].add(sender)
 
-    def support(self, segment: int, string: str) -> int:
-        """Number of distinct peers that reported ``string``."""
-        return len(self._support.get(segment, {}).get(string, ()))
-
     def frequent(self, segment: int, tau: int) -> set[str]:
         """``Freq``: strings reported by at least ``tau`` distinct peers."""
         if tau <= 0:
@@ -42,32 +38,3 @@ class FrequencyTable:
         return {string
                 for string, senders in self._support.get(segment, {}).items()
                 if len(senders) >= tau}
-
-    def reports_for(self, segment: int) -> int:
-        """Total distinct ``(sender, string)`` reports for ``segment``.
-
-        This is the paper's ``m_i`` (counting copies from distinct
-        senders); the decision-tree cost for the segment is bounded by
-        ``m_i / tau``.
-        """
-        return sum(len(senders)
-                   for senders in self._support.get(segment, {}).values())
-
-    def distinct_strings(self, segment: int) -> int:
-        """Number of different strings reported for ``segment``."""
-        return len(self._support.get(segment, {}))
-
-    def reporters(self, segment: int) -> set[int]:
-        """Every peer that reported anything for ``segment``."""
-        reporters: set[int] = set()
-        for senders in self._support.get(segment, {}).values():
-            reporters |= senders
-        return reporters
-
-    def segments(self) -> set[int]:
-        """Segments with at least one report."""
-        return set(self._support)
-
-    def total_reports(self) -> int:
-        """Sum of :meth:`reports_for` over all segments."""
-        return sum(self.reports_for(segment) for segment in self._support)

@@ -23,7 +23,7 @@ Fault classes, mirroring what the resilience layer claims to survive:
   paired with a :class:`~repro.execution.retry.RetryPolicy` timeout it
   exercises the watchdog.
 
-File-level injectors (:func:`corrupt_file`, :func:`truncate_file`,
+File-level injectors (:func:`corrupt_file`,
 :func:`drop_journal_lines`) damage journal/cache artifacts between
 runs, exercising the corruption-is-a-miss recovery paths.
 
@@ -47,7 +47,6 @@ __all__ = [
     "WorkerKilled",
     "corrupt_file",
     "drop_journal_lines",
-    "truncate_file",
 ]
 
 PathLike = Union[str, Path]
@@ -101,12 +100,6 @@ def corrupt_file(path: PathLike,
                  garbage: bytes = b"\x00\xffnot json{") -> None:
     """Overwrite ``path`` with bytes that parse as nothing."""
     Path(path).write_bytes(garbage)
-
-
-def truncate_file(path: PathLike, keep_bytes: int) -> None:
-    """Cut ``path`` down to its first ``keep_bytes`` bytes."""
-    target = Path(path)
-    target.write_bytes(target.read_bytes()[:keep_bytes])
 
 
 def drop_journal_lines(path: PathLike, indices,

@@ -5,8 +5,9 @@ derived from spec identity), so re-running one is always safe.  That
 makes a retry layer free of semantic risk: a transient worker fault —
 an ``OSError`` from a saturated machine, a killed worker process, a
 stall past the wall-clock budget — is retried with exponential backoff,
-and only a fault that survives every attempt (or a spec no attempt can
-run, a ``ConfigurationError``) surfaces, either as a
+and only a fault that survives every attempt (or one no attempt can
+end differently, a ``ConfigurationError`` or a ``DeadlockError``)
+surfaces, either as a
 raised exception (strict mode) or as a structured :class:`TaskFailure`
 record carried in the results (graceful mode).
 
@@ -36,7 +37,7 @@ from typing import Optional, Union
 
 from repro.obs.telemetry import counter as obs_counter
 from repro.obs.telemetry import event as obs_event
-from repro.sim.errors import ConfigurationError
+from repro.sim.errors import ConfigurationError, DeadlockError
 from repro.util.rng import derive_unit
 from repro.util.validation import check_positive
 
@@ -178,11 +179,14 @@ class TaskAttempts:
     def failed(self, exc: Exception) -> Union[float, TaskFailure]:
         """The verdict on the attempt that raised ``exc``: the backoff
         to wait before the next one, or, with the budget spent, the
-        structured failure.  A :class:`ConfigurationError` spends the
-        budget at once: its causes are all functions of the task's
-        spec, so no retry can end differently."""
+        structured failure.  A :class:`ConfigurationError` or a
+        :class:`DeadlockError` spends the budget at once: its causes are
+        all functions of the task's spec and seed (a simulator run
+        deadlocks the same way at the same seed), so no retry can end
+        differently."""
         if (self.count < self.policy.max_attempts
-                and not isinstance(exc, ConfigurationError)):
+                and not isinstance(exc, (ConfigurationError,
+                                         DeadlockError))):
             obs_counter("tasks_retried")
             obs_event("task_retried", index=self.index,
                       attempt=self.count + 1)

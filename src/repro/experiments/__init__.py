@@ -19,7 +19,7 @@ validatable, hashable into a seed, and runnable, so an experiment is
 The ``backend`` field selects the execution engine — ``"sim"`` (the
 asynchronous discrete-event simulator, the default), ``"sync"`` (the
 round-native lockstep engine, reporting exact round counts), or
-``"lowerbound"`` (the Theorem 3.1/3.2 adversarial constructions)::
+``"lowerbound"`` (Theorem 3.1's two-execution construction)::
 
     sync_spec = ExperimentSpec(
         protocol="byz-committee", n=20, ell=4000,

@@ -26,8 +26,8 @@ Registered built-ins:
 ``sim``    asynchronous discrete-event simulator (:mod:`repro.sim`)
 ``sync``   round-native lockstep engine (:mod:`repro.sync`); exact
            round counts are the time measure
-``lowerbound`` the Theorem 3.1/3.2 adversarial constructions
-           (:mod:`repro.lowerbounds`), spec-driven and seedable
+``lowerbound`` Theorem 3.1's two-execution construction,
+           spec-driven and seedable
 ``net``    real peers over sockets behind a seeded chaos proxy
            (:mod:`repro.net`); time is wall clock, by design
 ========== ==========================================================

@@ -58,17 +58,17 @@ class NetBackend:
         check_fraction("beta", spec.beta, inclusive_high=False)
         check_positive("repeats", spec.repeats)
         check_strategy(spec)
+        if spec.strategy in OWN_LATENCY:
+            raise ValueError(
+                f"strategy {spec.strategy!r} sets its own latencies; "
+                f"on backend='net' the transport sets them — use "
+                f"proxy_faults")
         if spec.fault_model != "none" or spec.beta > 0:
             raise ValueError(
                 f"backend='net' requires fault_model='none' (got "
                 f"{spec.fault_model!r} with strategy {spec.strategy!r}, "
                 f"beta={spec.beta!r}): its adversary is the transport — "
                 f"use proxy_faults and source_faults")
-        if spec.strategy in OWN_LATENCY:
-            raise ValueError(
-                f"strategy {spec.strategy!r} sets its own latencies; "
-                f"on backend='net' the transport sets them — use "
-                f"proxy_faults")
         if spec.network != "asynchronous":
             raise ValueError(
                 f"backend='net' requires network='asynchronous', got "

@@ -8,7 +8,7 @@ interprets the spec (see :mod:`repro.experiments.backends`):
 
 - ``"sim"`` (the default) — the asynchronous discrete-event simulator;
 - ``"sync"`` — the round-native lockstep engine (``repro.sync``);
-- ``"lowerbound"`` — the Theorem 3.1/3.2 adversarial constructions;
+- ``"lowerbound"`` — Theorem 3.1's two-execution construction;
 - ``"net"`` — real peer processes/tasks over sockets (``repro.net``).
 
 Identity rules (load-bearing — the golden traces and every on-disk
@@ -55,6 +55,7 @@ from repro.adversary.attacks import (
     SplitReportAttacker,
 )
 from repro.adversary.dynamic import DynamicByzantineAdversary
+from repro.adversary.lower_bound import MajoritySimulationAdversary
 from repro.execution.cache import canonical_json
 from repro.protocols import get
 from repro.util.rng import derive_seed
@@ -106,6 +107,15 @@ def segment_count(params: dict) -> int:
 
 _crashes = _on_network(lambda spec: CrashAdversary(crash_fraction=spec.beta))
 
+
+def _majority_simulation(spec: "ExperimentSpec"):
+    """Theorem 3.2's witness: the ``t`` highest pids simulate the run's
+    input with one drawn bit flipped, and every honest peer but the
+    victim, pid 0, is withheld until quiescence."""
+    honest = spec.n - spec.t
+    return MajoritySimulationAdversary(corrupted=set(range(honest, spec.n)),
+                                       silenced=set(range(1, honest)))
+
 #: Every adversary a spec can name: ``(fault_model, strategy)`` -> a
 #: builder of one run's fresh adversary object.  This is the one place
 #: adversaries are named; the backends, the roster, the fuzzer and the
@@ -131,11 +141,14 @@ ADVERSARIES = {
                                                segment_count),
     ("byzantine", "split-report"): _scripted(SplitReportAttacker,
                                              segment_count),
+    ("byzantine", "majority-simulation"): _majority_simulation,
 }
 
 #: Strategies whose adversary sets its own latencies, so they cannot
-#: run on ``network="synchronous"``'s unit latencies.
-OWN_LATENCY = ("bursty", "staggered", "slow", "adaptive")
+#: run on ``network="synchronous"``'s unit latencies (withholding until
+#: quiescence is a latency too).
+OWN_LATENCY = ("bursty", "staggered", "slow", "adaptive",
+               "majority-simulation")
 
 
 def check_strategy(spec: "ExperimentSpec") -> None:
@@ -172,8 +185,7 @@ class ExperimentSpec:
     fault_model: str = "none"
     beta: float = 0.0
     #: With ``fault_model``, names the adversary: a key of
-    #: :data:`ADVERSARIES` (the lower-bound backend reads it as its
-    #: construction instead).
+    #: :data:`ADVERSARIES` (the lower-bound backend runs its own).
     strategy: str = "wrong-bits"
     network: str = "asynchronous"
     protocol_params: dict = field(default_factory=dict)

@@ -15,7 +15,7 @@ byz-multi-cycle      Theorem 3.12                Byzantine, beta < 1/2
 
 For ``beta >= 1/2`` the naive protocol is provably the only
 deterministic option (Theorem 3.1) and randomization cannot help
-(Theorem 3.2) — see :mod:`repro.lowerbounds`.
+(Theorem 3.2) — see :mod:`repro.adversary.lower_bound`.
 """
 
 from repro.protocols.balanced import BalancedDownloadPeer, ShareMessage

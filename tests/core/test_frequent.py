@@ -11,7 +11,8 @@ class TestFrequencyTable:
         table.add(0, 1, "101")
         table.add(1, 1, "101")
         table.add(0, 1, "101")  # repeat: must not inflate
-        assert table.support(1, "101") == 2
+        assert table.frequent(1, 2) == {"101"}
+        assert table.frequent(1, 3) == set()
 
     def test_frequent_threshold(self):
         table = FrequencyTable()
@@ -26,49 +27,14 @@ class TestFrequencyTable:
         with pytest.raises(ValueError):
             FrequencyTable().frequent(0, 0)
 
-    def test_reports_for_counts_sender_string_pairs(self):
-        table = FrequencyTable()
-        table.add(0, 2, "a1".replace("a", "0"))
-        table.add(0, 2, "11")  # same sender, second string: counts
-        table.add(1, 2, "11")
-        assert table.reports_for(2) == 3
-
-    def test_distinct_strings(self):
-        table = FrequencyTable()
-        table.add(0, 0, "0")
-        table.add(1, 0, "1")
-        table.add(2, 0, "1")
-        assert table.distinct_strings(0) == 2
-
-    def test_reporters_union(self):
-        table = FrequencyTable()
-        table.add(0, 0, "0")
-        table.add(5, 0, "1")
-        assert table.reporters(0) == {0, 5}
-
-    def test_segments_listed(self):
-        table = FrequencyTable()
-        table.add(0, 3, "0")
-        table.add(0, 7, "0")
-        assert table.segments() == {3, 7}
-
-    def test_total_reports(self):
-        table = FrequencyTable()
-        table.add(0, 0, "0")
-        table.add(1, 0, "0")
-        table.add(0, 1, "1")
-        assert table.total_reports() == 3
-
     def test_unknown_segment_is_empty(self):
         table = FrequencyTable()
         assert table.frequent(42, 1) == set()
-        assert table.reports_for(42) == 0
-        assert table.reporters(42) == set()
 
     def test_byzantine_spam_capped_at_one_per_sender(self):
         # The attack the distinct-sender rule exists for.
         table = FrequencyTable()
         for _ in range(1000):
             table.add(13, 0, "fake-bits".replace("fake-bits", "0101"))
-        assert table.support(0, "0101") == 1
+        assert table.frequent(0, 1) == {"0101"}
         assert table.frequent(0, 2) == set()

@@ -77,6 +77,17 @@ CASES: list[dict] = [
     {"name": "byz-multi-cycle-dynamic", "engine": "async",
      "protocol": "byz-multi-cycle", "n": 9, "ell": 512,
      "fault_model": "dynamic", "beta": 0.33, "seed": 23},
+    # The cycle body past its naive case (the four cases above are
+    # naive at n=9): peers sample, report, and resolve decision trees
+    # over several tau-frequent candidates.
+    {"name": "byz-two-cycle-body", "engine": "async",
+     "protocol": "byz-two-cycle", "n": 24, "ell": 512,
+     "fault_model": "byzantine", "beta": 0.125, "seed": 89,
+     "protocol_params": {"num_segments": 4, "tau": 2}},
+    {"name": "byz-multi-cycle-body", "engine": "async",
+     "protocol": "byz-multi-cycle", "n": 24, "ell": 512,
+     "fault_model": "byzantine", "beta": 0.125, "seed": 97,
+     "protocol_params": {"base_segments": 4, "tau": 2}},
     {"name": "crash-multi-sync-net", "engine": "async",
      "protocol": "crash-multi", "n": 10, "ell": 512,
      "fault_model": "crash", "beta": 0.5, "seed": 5,

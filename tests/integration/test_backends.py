@@ -244,7 +244,7 @@ class TestUnknownProtocolParams:
 
     def test_lowerbound_checks_the_victims_share(self):
         fields = dict(protocol="byz-committee", n=10, ell=100,
-                      strategy="deterministic", backend="lowerbound")
+                      backend="lowerbound")
         ExperimentSpec(**fields, protocol_params={"claimed_t": 2,
                                                   "block_size": 5})
         with pytest.raises(ValueError, match="bogus"):
@@ -256,7 +256,6 @@ class TestLowerBoundBackend:
     def test_deterministic_construction_fools_committee(self):
         outcome = run_experiment(ExperimentSpec(
             protocol="byz-committee", n=10, ell=200,
-            strategy="deterministic",
             protocol_params={"block_size": 10, "claimed_t": 2},
             repeats=2, base_seed=1, backend="lowerbound"))
         # "correct" means the adversary fooled the victim: Theorem 3.1
@@ -265,27 +264,9 @@ class TestLowerBoundBackend:
         assert outcome.mean_query_complexity < 200
         assert outcome.mean_round_complexity is None
 
-    def test_randomized_construction_runs_seeded(self):
-        spec = ExperimentSpec(
-            protocol="byz-two-cycle", n=12, ell=256,
-            strategy="randomized",
-            protocol_params={"num_segments": 4, "tau": 1,
-                             "claimed_t": 6, "estimation_trials": 4,
-                             "attack_trials": 2},
-            repeats=1, base_seed=2, backend="lowerbound")
-        assert execute_repeat(spec, 0) == execute_repeat(spec, 0)
-
-    def test_randomized_requires_claimed_t(self):
-        with pytest.raises(ValueError, match="claimed_t"):
-            ExperimentSpec(protocol="byz-two-cycle", n=12, ell=256,
-                           strategy="randomized",
-                           protocol_params={"num_segments": 4, "tau": 1},
-                           backend="lowerbound")
-
     def test_lowerbound_is_an_asynchronous_model_result(self):
         with pytest.raises(ValueError, match="asynchronous"):
             ExperimentSpec(protocol="byz-committee", n=10, ell=200,
-                           strategy="deterministic",
                            protocol_params={"block_size": 10},
                            network="synchronous", backend="lowerbound")
 

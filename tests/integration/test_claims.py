@@ -6,12 +6,14 @@ row outside its bound, an incorrect row, a marked finding that holds,
 and a shape statement that does not.
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.execution import ParallelRunner
 from repro.experiments import ExperimentSpec
-from repro.experiments.claims import CLAIMS, Claim, Row, run_claims, \
-    within_bound
+from repro.experiments.claims import CLAIMS, Claim, Row, \
+    fooled_above_floor, run_claims, within_bound
 from repro.protocols import get
 
 NAIVE = ExperimentSpec(protocol="naive", n=4, ell=64)
@@ -62,6 +64,30 @@ class TestVerdictRule:
                  .max_query_complexity < 64),))
         assert failures == 1
         assert "- FAILS: naive Q below ell" in text
+
+
+class TestFoolingVerdict:
+    """Thm 3.2's row is held to its floor by a one-sided binomial
+    test, not a point comparison: a uniform flipped bit makes the
+    floor tight."""
+
+    ROW = Row("witness", ExperimentSpec(
+        "byz-two-cycle", 12, 256, fault_model="byzantine", beta=0.5,
+        strategy="majority-simulation"))
+
+    def verdict(self, wrong, runs, floor):
+        outcome = SimpleNamespace(
+            runs=runs, correct_runs=runs - wrong,
+            mean_query_complexity=(1 - floor) * 256)
+        return fooled_above_floor(self.ROW, outcome)
+
+    def test_a_rate_just_under_the_floor_holds(self):
+        rate, floor, holds = self.verdict(19, 30, 0.657)
+        assert (round(rate, 3), round(floor, 3)) == (0.633, 0.657)
+        assert holds
+
+    def test_a_rate_far_under_the_floor_fails(self):
+        assert not self.verdict(5, 30, 0.657)[2]
 
 
 class TestTable:

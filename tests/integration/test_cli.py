@@ -109,7 +109,7 @@ class TestLowerBound:
         # fooled after the victim read half of X.
         code, output = run_cli(
             "sweep", "--backend", "lowerbound", "--protocol",
-            "byz-committee", "--strategy", "deterministic",
+            "byz-committee",
             "--param", "claimed_t=2", "--param", "block_size=5",
             "--n", "10", "--ell", "100", "--repeats", "1", "--no-cache")
         assert code == 0
@@ -156,7 +156,7 @@ class TestOneSpecFromTheShell:
                 "--n", "10", "--ell", "100", "--repeats", "1")
         spec = spec_of("submit", *argv)
         assert spec == spec_of("sweep", *argv)
-        assert spec.strategy == "deterministic"
+        assert spec.strategy == ExperimentSpec.strategy
 
     def test_a_value_is_json_else_a_string(self):
         params = point_of("run", "--protocol", "cross-validate",

@@ -41,7 +41,7 @@ from repro.experiments import ExperimentOutcome, execute_repeat
 from repro.service.jobs import JobRequest, job_key
 from repro.service.queue import JobQueue
 from repro.service.store import JobStore
-from repro.sim.errors import ConfigurationError
+from repro.sim.errors import ConfigurationError, DeadlockError
 from repro.tournament import (TournamentConfig, cell_spec, get_adversary,
                               run_tournament)
 
@@ -103,6 +103,8 @@ class Fault:
         if self.kind == "configuration":
             raise ConfigurationError(f"injected misconfiguration on "
                                      f"repeat {repeat}")
+        if self.kind == "deadlock":
+            raise DeadlockError([(f"peer-{repeat}", "an injected share")])
         if self.kind == "stall":
             time.sleep(60)  # the watchdog ends it
         elif self.kind == "kill":
@@ -243,6 +245,16 @@ class TestAttemptFaults:
             message=f"injected misconfiguration on repeat {repeat}",
             attempts=1),)
         assert outcome.failed_runs == 1
+
+    @settings(**COMMON)
+    @given(repeat=repeats)
+    def test_a_deadlock_is_not_retried(self, baseline, repeat):
+        # A simulator run deadlocks the same way at the same seed.
+        outcome = struck("deadlock", "deadlock", repeat, 99, baseline,
+                         attempts=1)
+        (failure,) = outcome.failures
+        assert failure.error_type == "DeadlockError"
+        assert str(failure).endswith("after 1 attempt(s)")
 
     @settings(**COMMON)
     @given(repeat=repeats)

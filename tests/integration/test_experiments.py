@@ -275,7 +275,8 @@ class TestAdversaryTable:
         assert fuzzing._STRATEGIES == (WrongBitsStrategy,
                                        EquivocateStrategy, SilentStrategy,
                                        SelectiveSilenceStrategy)
-        assert set(BYZANTINE_STRATEGIES) | set(_ATTACKS) == {
+        assert set(BYZANTINE_STRATEGIES) | set(_ATTACKS) | {
+            "majority-simulation"} == {
             name for model, name in ADVERSARIES if model == "byzantine"}
 
     @pytest.mark.parametrize("attack, params, size", [

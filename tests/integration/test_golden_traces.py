@@ -11,6 +11,8 @@ docs/PERFORMANCE.md) and call the change out in the commit message.
 
 import pytest
 
+from repro.experiments import ExperimentSpec
+from repro.protocols import get
 from tests.golden.capture import CASES, capture_case, load_fixture
 
 
@@ -41,6 +43,21 @@ class TestFixtureIntegrity:
         # failing run would silently bless a broken protocol.
         for name, record in golden.items():
             assert record["correct"] is True, name
+
+
+@pytest.mark.parametrize("name", ["byz-two-cycle-body",
+                                  "byz-multi-cycle-body"])
+def test_the_cycle_body_cases_are_not_naive(name):
+    (case,) = [case for case in CASES if case["name"] == name]
+    params = case["protocol_params"]
+    spec = ExperimentSpec(case["protocol"], case["n"], case["ell"],
+                          fault_model=case["fault_model"],
+                          beta=case["beta"], protocol_params=params)
+    hierarchy, taus = get(case["protocol"]).peer_class.plan(
+        spec.n, spec.t, spec.ell,
+        params.get("num_segments", params.get("base_segments")),
+        params["tau"])
+    assert hierarchy is not None and taus
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case["name"])

@@ -137,8 +137,7 @@ class TestValidation:
     def test_other_backends_reject_proxy_faults(self):
         for backend, extra in (("sim", {}),
                                ("sync", {"network": "synchronous"}),
-                               ("lowerbound",
-                                {"strategy": "deterministic"})):
+                               ("lowerbound", {})):
             with pytest.raises(ValueError, match="proxy_faults"):
                 ExperimentSpec(protocol="naive", n=2, ell=32,
                                backend=backend,

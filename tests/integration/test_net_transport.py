@@ -41,7 +41,7 @@ from repro.net import (NetClient, NetRequestError, PeerInbox, SourceServer,
                        run_net_download)
 from repro.net import server as net_server
 from repro.net import wire
-from repro.net.chaos import ChaosPlan
+from repro.net.chaos import _REORDER_HOLD, PROXY_FAULT_KINDS, ChaosPlan
 from repro.net.proxy import ChaosProxy
 from repro.net.wire import (FrameDecoder, decode_body, encode_frame,
                             indices_to_wire, message_to_wire)
@@ -75,14 +75,23 @@ CHAOS_TABLE = {
     ("disconnect+drop", 5): (22, 8, {"drop": 16, "disconnect": 6}, 32),
 }
 
+#: The longest a ``delay+reorder`` plan holds one frame: the largest
+#: delay plus the reorder hold, 0.05 s.
+LONGEST_HOLD = PROXY_FAULT_KINDS["delay"] + _REORDER_HOLD
+#: A row that drops nothing retries only when a request times out, so
+#: it runs at twenty times the longest hold: its pinned 0 retries then
+#: hold however slow the event loop is (asyncio's debug mode too).
+NO_DROP_TIMEOUT = 20 * LONGEST_HOLD
+
 
 @pytest.mark.parametrize("config, seed", list(CHAOS_TABLE),
                          ids=[f"{config}-{seed}"
                               for config, seed in CHAOS_TABLE])
 def test_chaos_decides_the_same_frames(config, seed):
+    timeout = 0.3 if "drop" in config else NO_DROP_TIMEOUT
     result = run_net_download(n=8, ell=256, protocol="balanced", seed=seed,
                               proxy_faults=tuple(config.split("+")),
-                              request_timeout=0.3, retry=FAST_RETRY)
+                              request_timeout=timeout, retry=FAST_RETRY)
     retries, served, counts, q = CHAOS_TABLE[config, seed]
     assert result.download_correct
     assert (result.retries, result.requests_served,

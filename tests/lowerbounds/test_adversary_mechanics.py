@@ -4,10 +4,10 @@ import pytest
 
 from repro.adversary.lower_bound import MajoritySimulationAdversary, \
     _FakeSource
-from repro.lowerbounds import query_load_profile, unqueried_bits
 from repro.protocols import NaiveDownloadPeer
 from repro.sim import Simulation
 from repro.util.bitarrays import BitArray
+from tests.lowerbounds.accounting import query_load_profile, unqueried_bits
 
 
 class TestConfiguration:

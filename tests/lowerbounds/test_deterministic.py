@@ -2,13 +2,15 @@
 
 import pytest
 
-from repro.lowerbounds import (
+from repro.experiments.backends.lowerbound import (
     majority_split,
     run_deterministic_construction,
+)
+from repro.protocols import ByzCommitteeDownloadPeer, NaiveDownloadPeer
+from tests.lowerbounds.accounting import (
     unqueried_bits,
     victim_views_identical,
 )
-from repro.protocols import ByzCommitteeDownloadPeer, NaiveDownloadPeer
 
 
 class TestMajoritySplit:

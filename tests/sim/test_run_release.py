@@ -24,7 +24,7 @@ import pytest
 from repro.adversary import UniformRandomDelay
 from repro.experiments import ExperimentSpec
 from repro.experiments.runner import execute_repeat
-from repro.experiments.spec import ADVERSARIES
+from repro.experiments.spec import ADVERSARIES, OWN_LATENCY
 from repro.net import PeerInbox
 from repro.obs.telemetry import RecordingTelemetry, using
 from repro.protocols import BalancedDownloadPeer, registry
@@ -142,7 +142,8 @@ def test_a_lockstep_run_leaves_no_cyclic_garbage(protocol):
 
 
 @pytest.mark.parametrize("strategy", sorted(
-    name for model, name in ADVERSARIES if model == "byzantine"))
+    name for model, name in ADVERSARIES
+    if model == "byzantine" and name not in OWN_LATENCY))
 def test_a_lockstep_run_against_each_liar_leaves_no_cyclic_garbage(
         strategy):
     # A corrupted peer is a hosted body too: the strategy's proxy over
